@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import braided, fnf, hurwitz, koszul, malle, nichols, qsa
 from .braided import ConjClassSet, PermGroup, cycle_notation, cycle_type, identity_perm, parse_cycles
-from .exactla import QQ, CoefficientField, GF
+from .exactla import QQ, CoefficientField, ComplexIntegrityError, GF, _is_prime
 
 
 class UsageError(ValueError):
@@ -103,17 +103,6 @@ def resolve_field(args, G: PermGroup | None) -> CoefficientField:
     if spec.isdigit():
         return GF(int(spec))
     raise UsageError(f"field must be 'Q' or a prime, got {spec!r}")
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def resolve_space(args):
@@ -407,6 +396,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ComplexIntegrityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,22 +4,26 @@ Scalars are either `fractions.Fraction` (rationals) or plain ints reduced into
 [0, p) (prime fields).  A `SparseMatrix` with r rows and c columns represents a
 linear map from k^c to k^r in the column-vector convention; only nonzero
 entries are stored.  Every rank in the package flows through `rank`, which
-runs sparse Gaussian elimination: over a prime field directly, over the
-rationals by clearing denominators row-wise and eliminating integer rows with
-per-row gcd normalization, so no Fraction arithmetic happens inside the loop.
+runs one sparse Gaussian elimination driver with a per-field row update: over
+a prime field directly, over the rationals by clearing denominators row-wise
+and eliminating integer rows with per-row gcd normalization, so no Fraction
+arithmetic happens inside the loop.
 
 Pivots are chosen in the sparsest eligible column (ties: lowest column index),
 and within that column in the shortest row (ties: lowest row index).  This
-makes every computation deterministic.  All values are immutable after
-construction; rank computations on distinct matrices are safe to run
-concurrently.
+makes every computation deterministic.  The driver keeps the column supports
+(which live rows meet each column, and how many) up to date as rows are
+updated, so choosing a pivot never rescans the matrix; the rule, and with it
+every pivot and every intermediate row, is the same as for a full rescan.
+All values are immutable after construction.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class FieldMismatchError(ValueError):
@@ -27,7 +31,8 @@ class FieldMismatchError(ValueError):
 
 
 class ComplexIntegrityError(ValueError):
-    """Two supposedly consecutive differentials do not compose to zero."""
+    """A chain complex is malformed: a differential has the wrong shape, or
+    two consecutive differentials do not compose to zero."""
 
 
 def _is_prime(p: int) -> bool:
@@ -258,84 +263,102 @@ class SparseMatrix:
         return cls(r, c, ent)
 
 
-def _rank_modp(rows: list[dict], ncols: int, p: int) -> int:
-    """Sparse Gaussian elimination over F_p; rows is consumed."""
-    rows = [r for r in rows if r]
+def _eliminate(rows: list[dict], ncols: int, pivot_step) -> int:
+    """Rank of the nonzero dict rows by sparse Gaussian elimination.
+
+    `pivot_step(prow, pc)` returns the field's row update for one pivot: a
+    function taking a row with a nonzero entry in column pc and returning the
+    row with that entry eliminated (mutated in place or rebuilt).  The pivot
+    is taken in the sparsest live column (ties: lowest column index), and in
+    that column from the shortest row (ties: lowest row index).
+
+    Column supports are kept up to date instead of rescanned: `col_rows[j]`
+    holds the ids of live rows with an entry in column j, and `heap` holds
+    (count, j) pairs, pushed whenever a count changes and discarded lazily
+    once stale.  An update can only change the support of the row it rewrites
+    in the columns of the pivot row, so only those entries are touched.
+    """
+    live = dict(enumerate(rows))
+    col_rows = [set() for _ in range(ncols)]
+    for rid, r in live.items():
+        for j in r:
+            col_rows[j].add(rid)
+    heap = [(len(s), j) for j, s in enumerate(col_rows) if s]
+    heapq.heapify(heap)
     rank = 0
-    while rows:
-        support = {}
-        for r in rows:
-            for j in r:
-                support[j] = support.get(j, 0) + 1
-        pc = min(support, key=lambda j: (support[j], j))
-        cand = [(len(r), idx) for idx, r in enumerate(rows) if pc in r]
-        _, pi = min(cand)
-        prow = rows.pop(pi)
-        pval = prow[pc]
-        pinv = pow(pval, -1, p)
-        rank += 1
-        nxt = []
-        for r in rows:
-            a = r.get(pc)
-            if a is not None:
-                f = (a * pinv) % p
-                for j, v in prow.items():
-                    nv = (r.get(j, 0) - f * v) % p
-                    if nv:
-                        r[j] = nv
-                    else:
-                        r.pop(j, None)
-            if r:
-                nxt.append(r)
-        rows = nxt
-    return rank
-
-
-def _rank_int(rows: list[dict], ncols: int) -> int:
-    """Fraction-free sparse elimination of integer rows (gcd-normalized)."""
-    norm = []
-    for r in rows:
-        if not r:
+    while heap:
+        count, pc = heap[0]
+        if len(col_rows[pc]) != count:
+            heapq.heappop(heap)
             continue
-        g = 0
-        for v in r.values():
-            g = gcd(g, v)
-        if g > 1:
-            r = {j: v // g for j, v in r.items()}
-        norm.append(r)
-    rows = norm
-    rank = 0
-    while rows:
-        support = {}
-        for r in rows:
-            for j in r:
-                support[j] = support.get(j, 0) + 1
-        pc = min(support, key=lambda j: (support[j], j))
-        cand = [(len(r), idx) for idx, r in enumerate(rows) if pc in r]
-        _, pi = min(cand)
-        prow = rows.pop(pi)
-        pval = prow[pc]
+        targets = col_rows[pc]
+        col_rows[pc] = set()
+        _, pid = min((len(live[rid]), rid) for rid in targets)
+        prow = live.pop(pid)
         rank += 1
-        nxt = []
-        for r in rows:
-            a = r.get(pc)
-            if a is not None:
-                # integer-preserving update r := pval*r - a*prow, then strip gcd
-                new = {}
-                for j in set(r) | set(prow):
-                    nv = pval * r.get(j, 0) - a * prow.get(j, 0)
-                    if nv:
-                        new[j] = nv
-                g = 0
-                for v in new.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    new = {j: v // g for j, v in new.items()}
-                r = new
+        for j in prow:
+            col_rows[j].discard(pid)
+        update = pivot_step(prow, pc)
+        for rid in targets:
+            if rid == pid:
+                continue
+            r = update(live[rid])
+            for j in prow:
+                if j in r:
+                    col_rows[j].add(rid)
+                else:
+                    col_rows[j].discard(rid)
             if r:
-                nxt.append(r)
-        rows = nxt
+                live[rid] = r
+            else:
+                del live[rid]
+        for j in prow:
+            if j != pc and col_rows[j]:
+                heapq.heappush(heap, (len(col_rows[j]), j))
     return rank
+
+
+def _modp_pivot_step(p: int):
+    """The pivot step over F_p: r := r - (r[pc] / prow[pc]) prow, in place."""
+
+    def pivot_step(prow: dict, pc: int):
+        pinv = pow(prow[pc], -1, p)
+
+        def update(r: dict) -> dict:
+            f = (r[pc] * pinv) % p
+            for j, v in prow.items():
+                nv = (r.get(j, 0) - f * v) % p
+                if nv:
+                    r[j] = nv
+                else:
+                    r.pop(j, None)
+            return r
+
+        return update
+
+    return pivot_step
+
+
+def _int_pivot_step(prow: dict, pc: int):
+    """Fraction-free row update over Z: r := prow[pc] r - r[pc] prow, then
+    divided by the gcd of its entries."""
+    pval = prow[pc]
+
+    def update(r: dict) -> dict:
+        a = r[pc]
+        new = {j: pval * v for j, v in r.items()}
+        for j, v in prow.items():
+            nv = new.get(j, 0) - a * v
+            if nv:
+                new[j] = nv
+            else:
+                new.pop(j, None)
+        g = gcd(*new.values())
+        if g > 1:
+            new = {j: v // g for j, v in new.items()}
+        return new
+
+    return update
 
 
 def rank(M: SparseMatrix, F: CoefficientField) -> int:
@@ -346,28 +369,18 @@ def rank(M: SparseMatrix, F: CoefficientField) -> int:
     """
     if M.rows == 0 or M.cols == 0 or not M.entries:
         return 0
-    if F.is_rational:
-        rows = [dict() for _ in range(M.rows)]
-        for (i, j), v in M.entries.items():
-            fv = F.convert(v)
-            if fv != 0:
-                rows[i][j] = fv
-        int_rows = []
-        for r in rows:
-            if not r:
-                continue
-            den = 1
-            for v in r.values():
-                den = den * v.denominator // gcd(den, v.denominator)
-            int_rows.append({j: int(v * den) for j, v in r.items()})
-        return _rank_int(int_rows, M.cols)
-    p = F.characteristic
-    rows = [dict() for _ in range(M.rows)]
-    for (i, j), v in M.entries.items():
-        fv = F.convert(v)
-        if fv != 0:
-            rows[i][j] = fv
-    return _rank_modp(rows, M.cols, p)
+    rows = [r for r in M.row_lists(F) if r]
+    if not F.is_rational:
+        return _eliminate(rows, M.cols, _modp_pivot_step(F.characteristic))
+    int_rows = []
+    for r in rows:
+        den = lcm(*(v.denominator for v in r.values()))
+        ints = {j: v.numerator * (den // v.denominator) for j, v in r.items()}
+        g = gcd(*ints.values())
+        if g > 1:
+            ints = {j: v // g for j, v in ints.items()}
+        int_rows.append(ints)
+    return _eliminate(int_rows, M.cols, _int_pivot_step)
 
 
 def homology_rank(d_in: SparseMatrix, d_out: SparseMatrix, F: CoefficientField) -> int:

@@ -16,11 +16,8 @@ reuse the same machinery.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 from .braided import BraidedVectorSpace, apply_moves_to_vector, apply_moves_to_word, index_word, word_index
-from .exactla import CoefficientField, SparseMatrix, homology_rank
+from .exactla import CoefficientField, ComplexIntegrityError, SparseMatrix, rank
 from .shuffle import compositions, shuffles
 
 
@@ -77,16 +74,18 @@ class GradedComplex:
     """A finite chain complex of based vector spaces.
 
     `basis[q]` lists the cell labels in degree q; `diff[q]` is the matrix of
-    d: C_q -> C_{q-1}.  Differential composability (d^2 = 0) is asserted at
-    construction, never assumed.
+    d: C_q -> C_{q-1}.  Construction asserts that every differential has the
+    shape its basis sizes demand and that d^2 = 0; a violation raises
+    ComplexIntegrityError.  Each differential is ranked at most once, on
+    first use, and its rank is kept on the instance.
     """
 
-    def __init__(self, basis: dict, diff: dict, F: CoefficientField, check: bool = True):
+    def __init__(self, basis: dict, diff: dict, F: CoefficientField):
         self.basis = basis
         self.diff = diff
         self.F = F
-        if check:
-            self.check_complex()
+        self._ranks: dict[int, int] = {}
+        self.check_complex()
 
     @property
     def degrees(self) -> list[int]:
@@ -102,30 +101,31 @@ class GradedComplex:
         return SparseMatrix.zero(self.dim(q - 1), self.dim(q))
 
     def check_complex(self):
+        for q, d in sorted(self.diff.items()):
+            if (d.rows, d.cols) != (self.dim(q - 1), self.dim(q)):
+                raise ComplexIntegrityError(
+                    f"d_{q} is {d.rows}x{d.cols}, but C_{q - 1} and C_{q} have "
+                    f"dimensions {self.dim(q - 1)} and {self.dim(q)}"
+                )
         for q in self.degrees:
             if self.dim(q) and self.dim(q - 1) and self.dim(q - 2):
                 comp = self.differential(q - 1).matmul(self.differential(q), self.F)
                 if comp.entries:
-                    raise ValueError(f"d^2 != 0 between degrees {q} and {q - 2}")
+                    raise ComplexIntegrityError(f"d^2 != 0 between degrees {q} and {q - 2}")
+
+    def differential_rank(self, q: int) -> int:
+        """Rank of d: C_q -> C_{q-1}, computed once per instance."""
+        if q not in self.diff:
+            return 0
+        if q not in self._ranks:
+            self._ranks[q] = rank(self.diff[q], self.F)
+        return self._ranks[q]
 
     def homology_rank(self, q: int) -> int:
-        return homology_rank(self.differential(q + 1), self.differential(q), self.F)
+        return self.dim(q) - self.differential_rank(q) - self.differential_rank(q + 1)
 
     def homology_table(self) -> dict[int, int]:
-        qs = self.degrees
-        workers = _thread_count()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                ranks = list(pool.map(self.homology_rank, qs))
-            return dict(zip(qs, ranks))
-        return {q: self.homology_rank(q) for q in qs}
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("BRAIDHOM_THREADS", "1")))
-    except ValueError:
-        return 1
+        return {q: self.homology_rank(q) for q in self.degrees}
 
 
 def _merge_coefficient_vectors(system, n: int, F: CoefficientField, a: int, b: int, offset: int):

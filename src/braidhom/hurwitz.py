@@ -82,13 +82,13 @@ def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP,
     (constant on orbits; asserted during the sweep).  `class_of` assigns each
     letter a class index for the multigrade; it defaults to rack components.
     """
+    d = rack.size
+    if d**n > cap:
+        raise ValueError(f"state space {d}^{n} exceeds cap {cap}")
     key = (id(rack), n, id(monodromy_fn),
            tuple(class_of) if class_of is not None else None)
     if key in _orbit_cache:
         return _orbit_cache[key]
-    d = rack.size
-    if d**n > cap:
-        raise ValueError(f"state space {d}^{n} exceeds cap {cap}")
     class_of = _class_partition(rack, class_of)
     m = max(class_of) + 1 if class_of else 1
     act, inv_act = rack.act, rack.inv_act
@@ -209,6 +209,9 @@ def hurwitz_orbits(G: PermGroup, c: ConjClassSet, n: int, cap: int = DEFAULT_STA
     c does not generate G; the lattice is restricted to what c generates.
     Tables are cached per (group, class set, n).
     """
+    d = len(c.elements)
+    if d**n > cap:  # checked before the cache, which does not key on the cap
+        raise ValueError(f"state space {d}^{n} exceeds cap {cap}")
     key = (id(G), tuple(c.elements), n)
     got = _hurwitz_cache.get(key)
     if got is not None:

@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braided import BraidedVectorSpace, ConjClassSet, PermGroup, braided_space, identity_perm, pinv, pmul, conj as gconj
-from .exactla import CoefficientField, RankTable, SparseMatrix, column_space_contains, homology_basis, homology_rank
+from .exactla import (CoefficientField, ComplexIntegrityError, RankTable, SparseMatrix, column_space_contains,
+                      homology_basis, homology_rank)
 from .hurwitz import FilteredModule, filtered_module, orbit_ring_module, restricted_ring_module
 from .nichols import NicholsData, constant_braiding_value, skew_derivation
 
@@ -145,7 +146,7 @@ class KoszulComplex:
                     continue
                 comp = self.d(p - 1, q + 1).matmul(self.d(p, q), self.F)
                 if comp.entries:
-                    raise ValueError(f"d^2 != 0 at (p={p}, q={q})")
+                    raise ComplexIntegrityError(f"d^2 != 0 at (p={p}, q={q})")
 
     def homology_pmax(self) -> int:
         """Largest dual degree with reliable homology; checks whether the dual

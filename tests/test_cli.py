@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from braidhom import qsa
 from braidhom.cli import builtin_group, class_selector, main
+from braidhom.exactla import ComplexIntegrityError
 
 
 def run(capsys, argv):
@@ -128,6 +130,16 @@ def test_usage_errors(capsys):
     assert rc == 2
     rc, _ = run(capsys, ["koszul", "--group", "S3", "--classes", "transpositions"])
     assert rc == 2  # missing --epsilon
+
+
+def test_integrity_failure_exits_1(monkeypatch, capsys):
+    def broken(V, n, F):
+        raise ComplexIntegrityError("d^2 != 0 between degrees 3 and 1")
+
+    monkeypatch.setattr(qsa, "verify_main_cor", broken)
+    rc = main(["verify", "--rank1", "--nmax", "2", "--field", "Q"])
+    assert rc == 1
+    assert "d^2 != 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -97,6 +97,67 @@ def test_rank_mod_p_at_most_rational(M, p):
     assert rank(M, QQ) >= rank(M, GF(p))
 
 
+def dense_rank(M, p):
+    """Rank by dense Gauss-Jordan elimination on a full table, over Q when
+    p == 0 and over F_p otherwise; shares no code with the sparse kernel."""
+
+    def scalar(v):
+        v = Fraction(v)
+        if p == 0:
+            return v
+        return v.numerator * pow(v.denominator, -1, p) % p
+
+    zero = Fraction(0) if p == 0 else 0
+    table = [[zero] * M.cols for _ in range(M.rows)]
+    for (i, j), v in M.entries.items():
+        table[i][j] = scalar(v)
+    r = 0
+    for col in range(M.cols):
+        piv = next((i for i in range(r, M.rows) if table[i][col] != 0), None)
+        if piv is None:
+            continue
+        table[r], table[piv] = table[piv], table[r]
+        inv = 1 / table[r][col] if p == 0 else pow(table[r][col], -1, p)
+        for i in range(M.rows):
+            f = table[i][col] * inv
+            if i != r and f != 0:
+                table[i] = [a - f * b for a, b in zip(table[i], table[r])]
+                if p:
+                    table[i] = [a % p for a in table[i]]
+        r += 1
+    return r
+
+
+INT_VALUES = [1, -1, 2, -3, 4, 5, -6]
+FRACTION_VALUES = [Fraction(1, 7), Fraction(-3, 11), Fraction(5, 13), 1, -2]
+
+
+@st.composite
+def sparse_matrices_with_fill_in(draw):
+    """Up to 15x15, with zeros 1-5 times as likely as a nonzero value, and some
+    rows that are combinations of earlier ones, so elimination both fills in
+    and cancels rows to zero.  Denominators avoid 2, 3 and 5."""
+    r0 = draw(st.integers(1, 12))
+    c = draw(st.integers(1, 15))
+    zeros = draw(st.integers(1, 5))
+    values = draw(st.sampled_from([INT_VALUES, FRACTION_VALUES]))
+    cell = st.sampled_from([0] * (zeros * len(values)) + values)
+    rows = [[draw(cell) for _ in range(c)] for _ in range(r0)]
+    for _ in range(draw(st.integers(0, 15 - r0))):
+        a, b = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        x, y = draw(st.sampled_from([1, -1, 2])), draw(st.sampled_from([1, -1, 3]))
+        rows.insert(draw(st.integers(0, len(rows))), [x * u + y * v for u, v in zip(rows[a], rows[b])])
+    return SparseMatrix(len(rows), c, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices_with_fill_in())
+def test_rank_matches_dense_elimination(M):
+    assert rank(M, QQ) == dense_rank(M, 0)
+    for p in (2, 3, 5):
+        assert rank(M, GF(p)) == dense_rank(M, p), p
+
+
 def test_homology_invariant_under_permutation():
     # permuting the middle basis leaves the homology rank unchanged
     d_in = SparseMatrix(3, 2, {(0, 0): 1, (1, 0): 2, (2, 1): 3})

@@ -112,3 +112,17 @@ def test_chain_level_matches_bar_complex():
 def test_needs_positive_strands():
     with pytest.raises(ValueError):
         fnf_complex(rank_one_space(1), 0, QQ)
+
+
+def test_malformed_complexes_raise_integrity_errors():
+    from braidhom.exactla import ComplexIntegrityError, SparseMatrix
+    from braidhom.fnf import GradedComplex
+
+    basis = {0: ["a"], 1: ["b"], 2: ["c"]}
+    one = SparseMatrix(1, 1, {(0, 0): 1})
+    with pytest.raises(ComplexIntegrityError, match="d\\^2 != 0"):
+        GradedComplex(basis, {1: one, 2: one}, QQ)
+    with pytest.raises(ComplexIntegrityError, match="d_2 is 2x1"):
+        GradedComplex(basis, {2: SparseMatrix(2, 1, {(1, 0): 1})}, QQ)
+    cx = GradedComplex(basis, {2: one}, QQ)
+    assert cx.homology_table() == {0: 1, 1: 0, 2: 0}

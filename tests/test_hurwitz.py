@@ -133,6 +133,9 @@ def test_state_cap():
     c = transpositions(G)
     with pytest.raises(ValueError):
         hurwitz_orbits(G, c, 4, cap=10)
+    hurwitz_orbits(G, c, 4)  # a cached table must not bypass a smaller cap
+    with pytest.raises(ValueError):
+        hurwitz_orbits(G, c, 4, cap=10)
 
 
 def test_signed_orbit_count():

@@ -3,11 +3,13 @@ from functools import lru_cache
 
 import pytest
 
+from braidhom import fnf, qsa
 from braidhom.braided import ConjClassSet, PermGroup, identity_perm, parse_cycles, rank_one_space, sign_twist
 from braidhom.braided import Cocycle, braided_space, conjugation_rack
 from braidhom.exactla import GF, QQ
 from braidhom.hurwitz import signed_orbit_count
 from braidhom.qsa import (
+    BarComplex,
     TruncatedGradedAlgebra,
     bar_complex,
     components_ring,
@@ -164,9 +166,45 @@ def test_sign_twist_round_trip():
     assert W.sigma == V.sigma
 
 
-def test_thread_count_env_does_not_change_results(monkeypatch):
-    V = s3_transposition_space()
-    base = ext_table(V, 3, QQ)
-    monkeypatch.setenv("BRAIDHOM_THREADS", "2")
-    threaded = ext_table(V, 3, QQ)
-    assert threaded.items() == base.items()
+@pytest.fixture
+def ranked(monkeypatch):
+    """Every matrix a GradedComplex ranks, in order."""
+    seen = []
+    real_rank = fnf.rank
+
+    def recording_rank(M, F):
+        seen.append(M)
+        return real_rank(M, F)
+
+    monkeypatch.setattr(fnf, "rank", recording_rank)
+    return seen
+
+
+def test_verify_main_cor_ranks_each_differential_once(ranked):
+    n = 4
+    rep = verify_main_cor(s3_transposition_space(), n, F2)
+    assert rep.ok and rep.chain_level_ok
+    assert len(ranked) == n - 1
+
+
+def test_verify_main_cor_mismatch_ranks_the_bar_complex(monkeypatch, ranked):
+    # Negating one bar differential keeps d^2 = 0 and every rank, but breaks the
+    # cell-by-cell identity; the Ext column must then come from the bar complex.
+    real_bar_complex = qsa.bar_complex
+    negated = []
+
+    def bar_with_negated_top(V, n, F):
+        bar = real_bar_complex(V, n, F)
+        diff = dict(bar.diff)
+        diff[n] = diff[n].scale(-1)
+        negated.append(diff[n])
+        return BarComplex(V, n, F, bar.basis, diff)
+
+    monkeypatch.setattr(qsa, "bar_complex", bar_with_negated_top)
+    n = 3
+    rep = verify_main_cor(s3_transposition_space(), n, QQ)
+    assert not rep.chain_level_ok and not rep.ok
+    assert rep.lines()[-1].strip() == "FAIL"
+    assert len(ranked) == 2 * (n - 1)
+    assert any(M is negated[0] for M in ranked)
+    assert rep.ext_diagonal == rep.betti
