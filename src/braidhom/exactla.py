@@ -387,10 +387,10 @@ def homology_rank(d_in: SparseMatrix, d_out: SparseMatrix, F: CoefficientField) 
     """dim ker(d_out) - rank(d_in) for a three-term stretch d_in, then d_out.
 
     d_in lands in the middle space, d_out leaves it.  Raises
-    ComplexIntegrityError unless d_out o d_in = 0.
+    ComplexIntegrityError unless the shapes compose and d_out o d_in = 0.
     """
     if d_in.rows != d_out.cols:
-        raise ValueError(
+        raise ComplexIntegrityError(
             f"middle dimension mismatch: d_in has {d_in.rows} rows, d_out has {d_out.cols} cols"
         )
     comp = d_out.matmul(d_in, F)
@@ -401,22 +401,19 @@ def homology_rank(d_in: SparseMatrix, d_out: SparseMatrix, F: CoefficientField) 
     return ker - rank(d_in, F)
 
 
-def _rref(M: SparseMatrix, F: CoefficientField):
-    """Reduced row echelon form; returns (rows as dicts, pivot column list)."""
-    rows = M.row_lists(F)
-    rows = [r for r in rows if r]
+def rref(M: SparseMatrix, F: CoefficientField):
+    """Reduced row echelon form; returns (rows as dicts, pivot column list).
+
+    Pivots are taken leftmost column first (the shortest row holding it, lowest
+    index on ties), so they come in increasing order; the pivot columns are
+    those of the unique reduced row echelon form of M.
+    """
+    rows = [r for r in M.row_lists(F) if r]
     pivots = []
     done = []
     while rows:
-        cols = set()
-        for r in rows:
-            cols.update(r)
-        pc = min(c for c in cols)
-        cand = [(len(r), idx) for idx, r in enumerate(rows) if pc in r]
-        if not cand:
-            # no row holds the minimal column; impossible since cols built from rows
-            raise AssertionError
-        _, pi = min(cand)
+        pc = min(min(r) for r in rows)
+        _, pi = min((len(r), idx) for idx, r in enumerate(rows) if pc in r)
         prow = rows.pop(pi)
         inv = F.inv(prow[pc])
         prow = {j: F.mul(inv, v) for j, v in prow.items()}
@@ -444,13 +441,12 @@ def _rref(M: SparseMatrix, F: CoefficientField):
                         d[j] = nv
         done.append(prow)
         pivots.append(pc)
-    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
-    return [done[k] for k in order], sorted(pivots)
+    return done, pivots
 
 
 def kernel_basis(M: SparseMatrix, F: CoefficientField) -> list[dict]:
     """A deterministic basis of ker(M) as sparse column vectors."""
-    rrows, pivots = _rref(M, F)
+    rrows, pivots = rref(M, F)
     pivot_set = set(pivots)
     free = [j for j in range(M.cols) if j not in pivot_set]
     basis = []

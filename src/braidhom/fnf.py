@@ -12,13 +12,18 @@ Coefficients are abstracted as a local system: anything with a basis and an
 action of braid words on vectors over that basis.  Tensor powers of a braided
 vector space are the main instance; permutation actions on Nielsen classes
 reuse the same machinery.
+
+The cells and the alternating merge of adjacent blocks are shared with the bar
+complex of the quantum shuffle algebra (`qsa.bar_complex`): both are built by
+`assemble_block_merge`, and only the block operator differs.  Here it is the
+shuffle-signed sum of braid lifts acting on the coefficients.
 """
 
 from __future__ import annotations
 
 from .braided import BraidedVectorSpace, apply_moves_to_vector, apply_moves_to_word, index_word, word_index
 from .exactla import CoefficientField, ComplexIntegrityError, SparseMatrix, rank
-from .shuffle import compositions, shuffles
+from .shuffle import compositions, lifted_block_words
 
 
 def validate_partition(parts, n: int) -> tuple[int, ...]:
@@ -128,10 +133,10 @@ class GradedComplex:
         return {q: self.homology_rank(q) for q in self.degrees}
 
 
-def _merge_coefficient_vectors(system, n: int, F: CoefficientField, a: int, b: int, offset: int):
+def _merge_coefficient_vectors(system, F: CoefficientField, a: int, b: int, offset: int):
     """For each coefficient basis vector, the signed shuffle sum merging a block
     of size a with the following block of size b, as {index: field scalar}."""
-    lifted = [(rec.sign, [g + offset for g in rec.braid_word()]) for rec in shuffles(a, b)]
+    lifted = lifted_block_words(a, b, offset)
     out = []
     for idx in range(system.dim):
         acc = {}
@@ -146,33 +151,36 @@ def _merge_coefficient_vectors(system, n: int, F: CoefficientField, a: int, b: i
     return out
 
 
-def complex_for_system(system, n: int, F: CoefficientField) -> GradedComplex:
-    """The cellular complex of the n-strand configuration with the given coefficients."""
+def assemble_block_merge(n: int, shift: int, dim: int, block_vectors, F: CoefficientField):
+    """Cells and differentials of a block-merge complex, as (basis, diff).
+
+    Degree shift + k holds one cell (lambda, idx) per composition lambda of n
+    into k parts (colex order) and coefficient index idx in range(dim).  The
+    differential merges parts i, i+1 of lambda with sign (-1)^i (i from 0)
+    through the block operator: `block_vectors(a, b, offset)` lists, for every
+    coefficient index, its image {index: field scalar} under merging the block
+    of size a starting at `offset` with the following block of size b.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    dim = system.dim
-    basis = {}
-    comps = {}
-    for q in range(n + 1, 2 * n + 1):
-        comps[q] = compositions(n, q - n)
-        basis[q] = [(lam, idx) for lam in comps[q] for idx in range(dim)]
-    merge_cache = {}
+    comps = {k: compositions(n, k) for k in range(1, n + 1)}
+    basis = {shift + k: [(lam, idx) for lam in comps[k] for idx in range(dim)] for k in comps}
+    block_cache = {}
     diff = {}
-    for q in range(n + 2, 2 * n + 1):
-        src = comps[q]
-        tgt_index = {lam: k for k, lam in enumerate(comps[q - 1])}
+    for k in range(2, n + 1):
+        tgt_index = {lam: t for t, lam in enumerate(comps[k - 1])}
         cols = []
-        for lam in src:
+        for lam in comps[k]:
             offset = 0
             merges = []
             for i in range(len(lam) - 1):
                 a, b = lam[i], lam[i + 1]
                 merged = lam[:i] + (a + b,) + lam[i + 2:]
                 key = (a, b, offset)
-                if key not in merge_cache:
-                    merge_cache[key] = _merge_coefficient_vectors(system, n, F, a, b, offset)
+                if key not in block_cache:
+                    block_cache[key] = block_vectors(a, b, offset)
                 sign = F.convert(1 if i % 2 == 0 else -1)
-                merges.append((tgt_index[merged], sign, merge_cache[key]))
+                merges.append((tgt_index[merged], sign, block_cache[key]))
                 offset += a
             for idx in range(dim):
                 col = {}
@@ -185,7 +193,15 @@ def complex_for_system(system, n: int, F: CoefficientField) -> GradedComplex:
                         else:
                             col[row] = s
                 cols.append(col)
-        diff[q] = SparseMatrix.from_columns(len(basis[q - 1]), cols)
+        diff[shift + k] = SparseMatrix.from_columns(len(basis[shift + k - 1]), cols)
+    return basis, diff
+
+
+def complex_for_system(system, n: int, F: CoefficientField) -> GradedComplex:
+    """The cellular complex of the n-strand configuration with the given coefficients."""
+    basis, diff = assemble_block_merge(
+        n, n, system.dim, lambda a, b, offset: _merge_coefficient_vectors(system, F, a, b, offset), F
+    )
     return GradedComplex(basis, diff, F)
 
 

@@ -3,12 +3,14 @@ skew derivations.
 
 Degree p of the Nichols algebra of V is the image of the quantum symmetrizer
 on V^(x)p; its dimension is the symmetrizer's rank.  A basis is chosen as the
-pivot words of leftmost-pivot Gaussian elimination on the symmetrizer's
-columns in word order.  The dual algebra is carried on the same index set:
-the pairing of the dual pivot word u* with a word w is the (u, w) entry of the
-symmetrizer, and the Gram matrix (symmetrizer restricted to pivot rows and
-pivot columns) is invertible on every example in scope; a singular Gram
-raises immediately since it signals a basis-selection bug.
+pivot words of the symmetrizer's reduced row echelon form (`exactla.rref`,
+columns in word order); the pivot columns of a reduced row echelon form are
+unique, so the basis depends only on the symmetrizer.  The dual algebra is
+carried on the same index set: the pairing of the dual pivot word u* with a
+word w is the (u, w) entry of the symmetrizer, and the Gram matrix
+(symmetrizer restricted to pivot rows and pivot columns) is invertible on
+every example in scope; a singular Gram raises immediately since it signals a
+basis-selection bug.
 
 Skew derivations lower the dual degree by one and are obtained by solving
 against the Gram matrices: <d_v phi, x> = <phi, v * x>.  For sign-twisted
@@ -20,7 +22,7 @@ letterwise conjugate.
 from __future__ import annotations
 
 from .braided import BraidedVectorSpace, dual_space, index_word, word_index
-from .exactla import CoefficientField, SparseMatrix, solve_dense
+from .exactla import CoefficientField, SparseMatrix, rref, solve_dense
 from .shuffle import quantum_symmetrizer
 
 
@@ -54,36 +56,8 @@ class NicholsData:
         F = self.F
         S = quantum_symmetrizer(self.V, p)
         self.sym[p] = S
-        rows = [dict() for _ in range(self.V.rank**p)]
-        for (i, j), v in S.entries.items():
-            fv = F.convert(v)
-            if fv != 0:
-                rows[i][j] = fv
-        self._sym_rows[p] = [dict(r) for r in rows]
-        # leftmost-pivot elimination over columns in word order
-        work = [dict(r) for r in rows if r]
-        pivots = []
-        while work:
-            pc = min(c for r in work for c in r)
-            pi = min(i for i, r in enumerate(work) if pc in r)
-            prow = work.pop(pi)
-            inv = F.inv(prow[pc])
-            prow = {j: F.mul(inv, v) for j, v in prow.items()}
-            pivots.append(pc)
-            nxt = []
-            for r in work:
-                a = r.get(pc)
-                if a is not None:
-                    for j, v in prow.items():
-                        nv = F.sub(r.get(j, F.zero), F.mul(a, v))
-                        if nv == 0:
-                            r.pop(j, None)
-                        else:
-                            r[j] = nv
-                if r:
-                    nxt.append(r)
-            work = nxt
-        pivots.sort()
+        self._sym_rows[p] = S.row_lists(F)
+        _, pivots = rref(S, F)
         self.pivots[p] = pivots
         g = [[F.convert(S.entries.get((u, w), 0)) for w in pivots] for u in pivots]
         self.gram[p] = g

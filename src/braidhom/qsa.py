@@ -9,6 +9,9 @@ degree n the basis is (compositions of n into p positive parts) x (words of
 length n), compositions in colex order, words lexicographic.  The differential
 merges adjacent blocks through the shuffle product with alternating signs; it
 preserves the internal degree, and d^2 = 0 is asserted on every instance.
+These are the cells and the merge of the Fox-Neuwirth-Fuks complex, so the
+complex is assembled by `fnf.assemble_block_merge`; only the block operator,
+the unsigned sum of shuffle lifts through the braiding, is computed here.
 
 Over a field the homology ranks of the bar complex equal the cohomology ranks
 of its dual cochain complex, which is why no dualization is performed.
@@ -23,10 +26,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .braided import BraidedVectorSpace, index_word, sign_twist, word_index
-from .exactla import CoefficientField, RankTable, SparseMatrix
-from .fnf import GradedComplex, fnf_complex
-from .shuffle import compositions, shuffle_product, shuffles
+from .braided import (
+    BraidedVectorSpace,
+    apply_moves_to_vector,
+    apply_moves_to_word,
+    index_word,
+    sign_twist,
+    word_index,
+)
+from .exactla import CoefficientField, RankTable
+from .fnf import GradedComplex, assemble_block_merge, fnf_complex
+from .shuffle import lifted_block_words, shuffle_product
 
 
 def default_nmax(V: BraidedVectorSpace) -> int:
@@ -62,73 +72,23 @@ class TruncatedGradedAlgebra:
         return shuffle_product(self.V, u, v)
 
 
-class BarComplex(GradedComplex):
-    """Reduced bar complex of the shuffle algebra at one internal degree.
-
-    Degrees are bar degrees p = 1..n (plus p = 0 when n = 0); the matrix at p
-    is d: (p, n) -> (p-1, n).
-    """
-
-    def __init__(self, V: BraidedVectorSpace, n: int, F: CoefficientField,
-                 basis: dict, diff: dict):
-        self.V = V
-        self.internal_degree = n
-        super().__init__(basis, diff, F)
-
-
-def bar_complex(V: BraidedVectorSpace, n: int, F: CoefficientField) -> BarComplex:
+def bar_complex(V: BraidedVectorSpace, n: int, F: CoefficientField) -> GradedComplex:
     """The internal-degree-n reduced bar complex of the shuffle algebra of V.
 
+    Degrees are bar degrees p = 1..n; the matrix at p is d: (p, n) -> (p-1, n).
     The caller chooses V; no sign twist is applied here.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    r = V.rank
-    dim = r**n
-    basis = {}
-    comps = {}
-    for p in range(1, n + 1):
-        comps[p] = compositions(n, p)
-        basis[p] = [(comp, idx) for comp in comps[p] for idx in range(dim)]
-    merge_cache = {}
-    diff = {}
-    for p in range(2, n + 1):
-        tgt_index = {comp: k for k, comp in enumerate(comps[p - 1])}
-        cols = []
-        for comp in comps[p]:
-            offset = 0
-            merges = []
-            for i in range(len(comp) - 1):
-                a, b = comp[i], comp[i + 1]
-                merged = comp[:i] + (a + b,) + comp[i + 2:]
-                key = (a, b, offset)
-                if key not in merge_cache:
-                    merge_cache[key] = _block_product_vectors(V, n, F, a, b, offset)
-                sign = F.convert(1 if i % 2 == 0 else -1)
-                merges.append((tgt_index[merged], sign, merge_cache[key]))
-                offset += a
-            for idx in range(dim):
-                col = {}
-                for tgt, sign, vecs in merges:
-                    for j, cf in vecs[idx].items():
-                        row = tgt * dim + j
-                        s = F.add(col.get(row, F.zero), F.mul(sign, cf))
-                        if s == 0:
-                            col.pop(row, None)
-                        else:
-                            col[row] = s
-                cols.append(col)
-        diff[p] = SparseMatrix.from_columns(len(basis[p - 1]), cols)
-    return BarComplex(V, n, F, basis, diff)
+    basis, diff = assemble_block_merge(
+        n, 0, V.rank**n, lambda a, b, offset: _block_product_vectors(V, n, F, a, b, offset), F
+    )
+    return GradedComplex(basis, diff, F)
 
 
 def _block_product_vectors(V: BraidedVectorSpace, n: int, F: CoefficientField,
                            a: int, b: int, offset: int):
     """Images of each basis word of V^(x)n under the shuffle multiplication of the
     adjacent blocks of sizes a, b starting at `offset`, as {index: scalar}."""
-    from .braided import apply_moves_to_vector, apply_moves_to_word
-
-    lifts = [[g + offset for g in rec.braid_word()] for rec in shuffles(a, b)]
+    lifts = [moves for _, moves in lifted_block_words(a, b, offset)]
     r = V.rank
     out = []
     for idx in range(r**n):

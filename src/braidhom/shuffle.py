@@ -145,7 +145,7 @@ def _compositions_cached(n: int, parts: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _lifted_block_words(m: int, n: int, offset: int = 0):
+def lifted_block_words(m: int, n: int, offset: int = 0):
     """(sign, braid word) for every (m, n)-shuffle, generators shifted by offset."""
     recs = shuffles(m, n)
     return [(rec.sign, [g + offset for g in rec.braid_word()]) for rec in recs]
@@ -163,7 +163,7 @@ def shuffle_product(V: BraidedVectorSpace, u: dict, v: dict) -> dict:
     m = len(next(iter(u)))
     n = len(next(iter(v)))
     out = {}
-    lifts = [w for _, w in _lifted_block_words(m, n)]
+    lifts = [w for _, w in lifted_block_words(m, n)]
     monomial = V.monomial
     for wu, cu in u.items():
         if len(wu) != m:

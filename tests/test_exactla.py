@@ -15,6 +15,7 @@ from braidhom.exactla import (
     homology_rank,
     kernel_basis,
     rank,
+    rref,
     solve_dense,
 )
 
@@ -69,6 +70,8 @@ def test_homology_rank_integrity_error():
     d_out = SparseMatrix(1, 2, {(0, 0): 1})
     with pytest.raises(ComplexIntegrityError):
         homology_rank(d_in, d_out, QQ)
+    with pytest.raises(ComplexIntegrityError, match="middle dimension mismatch"):
+        homology_rank(d_in, SparseMatrix(1, 3, {(0, 2): 1}), QQ)
 
 
 @st.composite
@@ -156,6 +159,24 @@ def test_rank_matches_dense_elimination(M):
     assert rank(M, QQ) == dense_rank(M, 0)
     for p in (2, 3, 5):
         assert rank(M, GF(p)) == dense_rank(M, p), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices_with_fill_in())
+def test_rref_pivots_and_kernel_match_dense_ranks(M):
+    # a column is a pivot exactly when it raises the rank of the columns before it
+    def leading(j):
+        return SparseMatrix(M.rows, j, {(i, k): v for (i, k), v in M.entries.items() if k < j})
+
+    for F, p in ((QQ, 0), (GF(2), 2), (GF(3), 3), (GF(5), 5)):
+        r = dense_rank(M, p)
+        ranks = [dense_rank(leading(j), p) for j in range(M.cols + 1)]
+        _, pivots = rref(M, F)
+        assert pivots == [j for j in range(M.cols) if ranks[j + 1] > ranks[j]], p
+        ker = kernel_basis(M, F)
+        assert len(ker) == M.cols - r, p
+        for vec in ker:
+            assert M.apply(vec, F) == {}, p
 
 
 def test_homology_invariant_under_permutation():

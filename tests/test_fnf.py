@@ -107,6 +107,12 @@ def test_chain_level_matches_bar_complex():
                 assert len(cx.basis[n + p]) == len(bar.basis[p])
             for p in range(2, n + 1):
                 assert cx.differential(n + p) == bar.differential(p), (V.name, n, p)
+            # without the twist the merge is id + sigma, not id - sigma (n = 2):
+            # the shuffle signs and the twisted braiding stay separate sources
+            untwisted = bar_complex(V, n, QQ)
+            assert any(
+                cx.differential(n + p) != untwisted.differential(p) for p in range(2, n + 1)
+            ), (V.name, n)
 
 
 def test_needs_positive_strands():

@@ -9,7 +9,6 @@ from braidhom.braided import Cocycle, braided_space, conjugation_rack
 from braidhom.exactla import GF, QQ
 from braidhom.hurwitz import signed_orbit_count
 from braidhom.qsa import (
-    BarComplex,
     TruncatedGradedAlgebra,
     bar_complex,
     components_ring,
@@ -198,7 +197,7 @@ def test_verify_main_cor_mismatch_ranks_the_bar_complex(monkeypatch, ranked):
         diff = dict(bar.diff)
         diff[n] = diff[n].scale(-1)
         negated.append(diff[n])
-        return BarComplex(V, n, F, bar.basis, diff)
+        return fnf.GradedComplex(bar.basis, diff, F)
 
     monkeypatch.setattr(qsa, "bar_complex", bar_with_negated_top)
     n = 3
