@@ -10,7 +10,9 @@ For rack-type spaces every column of the braiding has exactly one entry
 follows that monomial fast path.  The basis of a tensor power V^(x)n is the set
 of length-n words over the basis of V in lexicographic order.
 
-All structures are immutable after construction and safe for concurrent reads.
+Structures are not changed after construction, apart from caches that fill
+lazily on first use: `ConjClassSet.rack` and each rack's `orbit_tables`
+(filled by `hurwitz.rack_orbits`).  Those fills are not locked.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactla import QQ, SparseMatrix, rank
 
@@ -243,6 +246,11 @@ class ConjClassSet:
     def generates_parent(self) -> bool:
         return self.parent.subgroup_closure(self.elements) == frozenset(self.parent.elements)
 
+    @cached_property
+    def rack(self) -> "Rack":
+        """The conjugation quandle on the elements, built on first use and kept."""
+        return conjugation_rack(self.parent, self)
+
 
 def pow_perm(g: Perm, a: int) -> Perm:
     out = identity_perm(len(g))
@@ -263,7 +271,8 @@ class Rack:
     """A finite rack: a label set with a self-distributive operation (a, b) -> a^b.
 
     For each b the map a -> a^b must be a bijection.  `quandle` records whether
-    a^a = a holds for all a.
+    a^a = a holds for all a.  `orbit_tables` holds the braid orbit tables that
+    `hurwitz.rack_orbits` and `hurwitz.hurwitz_orbits` build on this rack.
     """
 
     def __init__(self, labels: list, action: dict):
@@ -287,6 +296,7 @@ class Rack:
                             f"self-distributivity fails at ({self.labels[c]}, {self.labels[a]}, {self.labels[b]})"
                         )
         self.quandle = all(self.act[a][a] == a for a in range(self.size))
+        self.orbit_tables: dict = {}
         # inv_act[v][b] = the unique a with a^b = v
         self.inv_act = [[None] * self.size for _ in range(self.size)]
         for a in range(self.size):

@@ -11,15 +11,16 @@ On top of the raw orbit tables sit: monodromy subgroups and the lattice of
 subgroups generated from c, the stratification of the orbit ring by exact
 monodromy, Nielsen classes (simultaneous conjugation) with component counts
 and their Betti numbers, and stabilization thresholds for right multiplication.
-Orbit tables are immutable once built and cached per (rack, n).
+Orbit tables are immutable once built and cached on their rack
+(`Rack.orbit_tables`), so they live exactly as long as the rack does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
-from .braided import ConjClassSet, PermGroup, Rack, conj, conjugation_rack, cycle_notation, identity_perm
+from .braided import ConjClassSet, PermGroup, Rack, conj, cycle_notation
 from .exactla import CoefficientField
 from .fnf import PermutationSystem, homology_for_system
 
@@ -71,24 +72,19 @@ def _class_partition(rack: Rack, labels_classes=None) -> list[int]:
     return out
 
 
-_orbit_cache: dict = {}
-
-
-def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP,
-                monodromy_fn=None, class_of=None) -> OrbitTable:
+def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP, class_of=None) -> OrbitTable:
     """Orbits of the braid action on rack words of length n.
 
-    `monodromy_fn`, when given, maps a word to a hashable monodromy label
-    (constant on orbits; asserted during the sweep).  `class_of` assigns each
-    letter a class index for the multigrade; it defaults to rack components.
+    `class_of` assigns each letter a class index for the multigrade (asserted
+    constant on every orbit during the sweep); it defaults to rack components.
+    Tables are cached on the rack, keyed by (n, class_of).
     """
     d = rack.size
-    if d**n > cap:
+    if d**n > cap:  # checked before the cache, which does not key on the cap
         raise ValueError(f"state space {d}^{n} exceeds cap {cap}")
-    key = (id(rack), n, id(monodromy_fn),
-           tuple(class_of) if class_of is not None else None)
-    if key in _orbit_cache:
-        return _orbit_cache[key]
+    key = (n, tuple(class_of) if class_of is not None else None)
+    if key in rack.orbit_tables:
+        return rack.orbit_tables[key]
     class_of = _class_partition(rack, class_of)
     m = max(class_of) + 1 if class_of else 1
     act, inv_act = rack.act, rack.inv_act
@@ -123,21 +119,14 @@ def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP,
         grade = [0] * m
         for a in rep:
             grade[class_of[a]] += 1
-        mono = None
-        if monodromy_fn is not None:
-            mono = monodromy_fn(rep)
-            for w in comp:
-                if monodromy_fn(w) != mono:
-                    raise AssertionError("monodromy is not constant on an orbit")
         for w in comp:
             g2 = [0] * m
             for a in w:
                 g2[class_of[a]] += 1
             if g2 != grade:
                 raise AssertionError("multigrade is not constant on an orbit")
-        orbits.append(OrbitRecord(rep, len(comp), mono, tuple(grade)))
-    table = OrbitTable(rack, n, orbits, orbit_of)
-    _orbit_cache[key] = table
+        orbits.append(OrbitRecord(rep, len(comp), None, tuple(grade)))
+    table = rack.orbit_tables[key] = OrbitTable(rack, n, orbits, orbit_of)
     return table
 
 
@@ -199,43 +188,37 @@ class SubgroupLattice:
         return f"H{i}|order={len(h)}|gens=" + ";".join(cycle_notation(g) for g in gens)
 
 
-_hurwitz_cache: dict = {}
-
-
 def hurwitz_orbits(G: PermGroup, c: ConjClassSet, n: int, cap: int = DEFAULT_STATE_CAP) -> OrbitTable:
     """Orbit table of the braid action on c^(x)n with monodromy labels.
 
-    Warns (via the returned table's rack provenance) rather than failing when
-    c does not generate G; the lattice is restricted to what c generates.
-    Tables are cached per (group, class set, n).
+    Each orbit is labelled by the subgroup of G its letters generate, and the
+    label is checked on every word of the orbit.  The monodromy of a word
+    depends only on its set of letters, so it is computed once per letter set.
+    The table is cached on `c.rack` and shares `orbit_of` with the unlabelled
+    table of `rack_orbits`.
     """
-    d = len(c.elements)
-    if d**n > cap:  # checked before the cache, which does not key on the cap
-        raise ValueError(f"state space {d}^{n} exceeds cap {cap}")
-    key = (id(G), tuple(c.elements), n)
-    got = _hurwitz_cache.get(key)
-    if got is not None:
-        return got
-    rack = _conj_rack_cached(G, c)
-    class_of = [c.class_index(g) for g in c.elements]
+    rack = c.rack
+    class_of = tuple(c.class_index(g) for g in c.elements)
+    plain = rack_orbits(rack, n, cap=cap, class_of=class_of)
+    key = (n, class_of, "monodromy")
+    if key in rack.orbit_tables:
+        return rack.orbit_tables[key]
     elems = c.elements
+    by_letters: dict = {}
 
     def mono(word):
-        return monodromy_group([elems[a] for a in word], G)
+        letters = frozenset(word)
+        if letters not in by_letters:
+            by_letters[letters] = monodromy_group([elems[a] for a in sorted(letters)], G)
+        return by_letters[letters]
 
-    table = rack_orbits(rack, n, cap=cap, monodromy_fn=mono, class_of=class_of)
-    _hurwitz_cache[key] = table
+    labels = [mono(rec.rep) for rec in plain.orbits]
+    for w, oi in plain.orbit_of.items():
+        if mono(w) != labels[oi]:
+            raise AssertionError("monodromy is not constant on an orbit")
+    orbits = [replace(rec, monodromy=h) for rec, h in zip(plain.orbits, labels)]
+    table = rack.orbit_tables[key] = OrbitTable(rack, n, orbits, plain.orbit_of)
     return table
-
-
-_rack_cache: dict = {}
-
-
-def _conj_rack_cached(G: PermGroup, c: ConjClassSet) -> Rack:
-    key = (id(G), tuple(c.elements))
-    if key not in _rack_cache:
-        _rack_cache[key] = conjugation_rack(G, c)
-    return _rack_cache[key]
 
 
 def subgroup_lattice(G: PermGroup, c: ConjClassSet) -> SubgroupLattice:
@@ -325,7 +308,7 @@ def filtered_module(G: PermGroup, c: ConjClassSet, H, qmax: int,
     lattice = subgroup_lattice(G, c)
     if H not in lattice:
         raise ValueError("H is not in the subgroup lattice")
-    rack = _conj_rack_cached(G, c)
+    rack = c.rack
     class_of = [c.class_index(g) for g in c.elements]
     tables = {q: hurwitz_orbits(G, c, q, cap=cap) for q in range(qmax + 1)}
     degrees = {
@@ -347,7 +330,7 @@ def restricted_ring_module(G: PermGroup, c: ConjClassSet, H, qmax: int,
         raise ValueError("H meets c trivially")
     Hgroup = PermGroup(G.degree, sub_elems, name="H")
     cH = ConjClassSet(Hgroup, sub_elems)
-    subrack = _conj_rack_cached(Hgroup, cH)
+    subrack = cH.rack
     class_of = None
     tables = {q: rack_orbits(subrack, q, cap=cap) for q in range(qmax + 1)}
     degrees = {q: list(range(len(tables[q]))) for q in range(qmax + 1)}
@@ -437,7 +420,7 @@ def nielsen_components(G: PermGroup, c: ConjClassSet, n: int, F: CoefficientFiel
         comps = len(surj)  # the empty word generates G only when G is trivial
         return comps, [comps]
     pos = {w: i for i, w in enumerate(surj)}
-    rack = _conj_rack_cached(G, c)
+    rack = c.rack
     act, inv_act = rack.act, rack.inv_act
 
     def gen_action(i, sign, k):

@@ -38,8 +38,8 @@ class KoszulComplex:
 
     `classes[i]` lists the letter indices of the i-th conjugacy class; the
     stored matrices are d_class[(i, p, q)]: term (p, q) -> term (p-1, q+1),
-    with d_total their sum.  Terms are indexed by (dual basis element, module
-    basis element), module index fastest.
+    and `d(p, q)` adds them up on each call.  Terms are indexed by (dual basis
+    element, module basis element), module index fastest.
     """
 
     def __init__(self, V: BraidedVectorSpace, module: FilteredModule, pmax: int, qmax: int,

@@ -10,13 +10,14 @@ carried on the same index set: the pairing of the dual pivot word u* with a
 word w is the (u, w) entry of the symmetrizer, and the Gram matrix
 (symmetrizer restricted to pivot rows and pivot columns) is invertible on
 every example in scope; a singular Gram raises immediately since it signals a
-basis-selection bug.
+basis-selection bug.  Each degree keeps the inverse Gram matrix and its
+transpose, so reducing a vector to the pivot basis is one matrix-vector product.
 
-Skew derivations lower the dual degree by one and are obtained by solving
-against the Gram matrices: <d_v phi, x> = <phi, v * x>.  For sign-twisted
-rack spaces the conjugation that appears in the Leibniz rule picks up the
-cocycle sign once per letter crossed: phi^v = (cocycle)^deg(phi) times the
-letterwise conjugate.
+Skew derivations lower the dual degree by one and are obtained by applying
+the transposed inverse Gram matrices: <d_v phi, x> = <phi, v * x>.  For
+sign-twisted rack spaces the conjugation that appears in the Leibniz rule
+picks up the cocycle sign once per letter crossed: phi^v = (cocycle)^deg(phi)
+times the letterwise conjugate.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class GramSingularError(RuntimeError):
 
 
 class NicholsData:
-    """Per-degree symmetrizer ranks, pivot-word bases, and Gram matrices.
+    """Per-degree symmetrizer ranks, pivot-word bases, and inverse Gram matrices.
 
     Built degree by degree (each degree is independent, but callers usually
     need an initial segment).  Immutable once a degree is built.
@@ -43,7 +44,8 @@ class NicholsData:
         self.dual = dual_space(V)
         self.sym: dict[int, SparseMatrix] = {}
         self.pivots: dict[int, list[int]] = {}
-        self.gram: dict[int, list[list]] = {}
+        self.gram_inv: dict[int, SparseMatrix] = {}
+        self.gram_inv_t: dict[int, SparseMatrix] = {}
         self._sym_rows: dict[int, list[dict]] = {}
         self._built = -1
 
@@ -59,16 +61,18 @@ class NicholsData:
         self._sym_rows[p] = S.row_lists(F)
         _, pivots = rref(S, F)
         self.pivots[p] = pivots
+        n = len(pivots)
         g = [[F.convert(S.entries.get((u, w), 0)) for w in pivots] for u in pivots]
-        self.gram[p] = g
-        if pivots:
-            try:
-                eye = [[F.one if i == j else F.zero for j in range(len(pivots))] for i in range(len(pivots))]
-                solve_dense(g, eye, F)
-            except ZeroDivisionError as exc:
-                raise GramSingularError(
-                    f"Gram matrix singular in degree {p}; pivot-word basis is unusable"
-                ) from exc
+        eye = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
+        try:
+            inv = solve_dense(g, eye, F)
+        except ZeroDivisionError as exc:
+            raise GramSingularError(
+                f"Gram matrix singular in degree {p}; pivot-word basis is unusable"
+            ) from exc
+        self.gram_inv[p] = SparseMatrix(
+            n, n, {(i, j): v for i, row in enumerate(inv) for j, v in enumerate(row)})
+        self.gram_inv_t[p] = self.gram_inv[p].transpose()
 
     def dim(self, p: int) -> int:
         self.build_to(p)
@@ -99,11 +103,9 @@ class NicholsData:
         F = self.F
         self.build_to(p)
         piv = self.pivots[p]
-        if not piv:
-            return []
-        rhs = [[self.pair_dual_with_vector(p, u, vec)] for u in piv]
-        sol = solve_dense(self.gram[p], rhs, F)
-        return [row[0] for row in sol]
+        rhs = {k: self.pair_dual_with_vector(p, u, vec) for k, u in enumerate(piv)}
+        sol = self.gram_inv[p].apply(rhs, F)
+        return [sol.get(k, F.zero) for k in range(len(piv))]
 
     def reduce_dual(self, p: int, vec: dict) -> list:
         """Coefficients of the class of a dual word vector in the dual pivot basis.
@@ -113,10 +115,8 @@ class NicholsData:
         F = self.F
         self.build_to(p)
         piv = self.pivots[p]
-        if not piv:
-            return []
         rows = self._sym_rows[p]
-        rhs = []
+        rhs = {}
         for k, w in enumerate(piv):
             s = F.zero
             for u, cf in vec.items():
@@ -124,10 +124,9 @@ class NicholsData:
                 a = rows[ui].get(w)
                 if a is not None:
                     s = F.add(s, F.mul(a, F.convert(cf)))
-            rhs.append([s])
-        gram_t = [[self.gram[p][i][k] for i in range(len(piv))] for k in range(len(piv))]
-        sol = solve_dense(gram_t, rhs, F)
-        return [row[0] for row in sol]
+            rhs[k] = s
+        sol = self.gram_inv_t[p].apply(rhs, F)
+        return [sol.get(k, F.zero) for k in range(len(piv))]
 
     def dual_product(self, p1: int, k1: int, p2: int, k2: int) -> list:
         """Class of the product of two dual pivot-basis elements, in the dual basis.
@@ -273,7 +272,7 @@ def skew_derivation(data: NicholsData, v: int, p: int) -> SparseMatrix:
     """Matrix of the skew derivation by the basis letter v, dual degree p -> p-1.
 
     Columns are the dual pivot basis in degree p, rows in degree p-1; defined by
-    <d_v phi, x> = <phi, v . x> and solved against the Gram matrix.  The product
+    <d_v phi, x> = <phi, v . x> through the transposed inverse Gram matrix.  The product
     v . x is the class of the concatenated word (v, x).
     """
     return skew_derivation_by_element(data, {(v,): 1}, p, 1)
@@ -293,11 +292,9 @@ def skew_derivation_by_element(data: NicholsData, z: dict, p: int, deg: int) -> 
     if not src or not tgt_words:
         return SparseMatrix.zero(data.dim(p - d), data.dim(p))
     prods = [{zw + x: cf for zw, cf in z.items()} for x in tgt_words]
-    gram_t = [[data.gram[p - d][i][k] for i in range(len(tgt_words))]
-              for k in range(len(tgt_words))]
+    inv_t = data.gram_inv_t[p - d]
     cols = []
     for u in src:
-        rhs = [[data.pair_dual_with_vector(p, u, prod)] for prod in prods]
-        sol = solve_dense(gram_t, rhs, F)
-        cols.append({i: sol[i][0] for i in range(len(tgt_words)) if sol[i][0] != 0})
+        rhs = {k: data.pair_dual_with_vector(p, u, prod) for k, prod in enumerate(prods)}
+        cols.append(inv_t.apply(rhs, F))
     return SparseMatrix.from_columns(data.dim(p - d), cols)

@@ -36,6 +36,7 @@ from .braided import (
 )
 from .exactla import CoefficientField, RankTable
 from .fnf import GradedComplex, assemble_block_merge, fnf_complex
+from .hurwitz import rack_orbits
 from .shuffle import lifted_block_words, shuffle_product
 
 
@@ -178,8 +179,6 @@ def components_ring(V: BraidedVectorSpace, Nmax: int, F: CoefficientField) -> Co
     )
     if not trivial_cocycle:
         return ComponentsRing(diag)
-    from .hurwitz import rack_orbits
-
     tables = {n: rack_orbits(V.rack, n) for n in range(Nmax + 1)}
     reps = [[rec.rep for rec in tables[n].orbits] for n in range(Nmax + 1)]
     for n in range(Nmax + 1):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from braidhom.braided import (
@@ -9,6 +12,7 @@ from braidhom.braided import (
     identity_perm,
     parse_cycles,
 )
+from braidhom.cli import builtin_group, class_selector
 from braidhom.exactla import QQ
 from braidhom.hurwitz import (
     filtered_module,
@@ -63,6 +67,37 @@ def test_diagonal_orbits_have_small_monodromy():
             assert len(rec.monodromy) == 2
         else:
             assert len(rec.monodromy) == 6
+
+
+@pytest.mark.parametrize("group,classes", [
+    ("S3", "transpositions"), ("S4", "transpositions"), ("A4", "3-cycles"), ("D4", "all"),
+])
+def test_orbit_labels_match_per_word_monodromy(group, classes):
+    # the labels are computed once per letter set; recompute them word by word
+    G = builtin_group(group)
+    c = class_selector(G, classes)
+    for n in range(5):
+        table = hurwitz_orbits(G, c, n)
+        for w, oi in table.orbit_of.items():
+            assert monodromy_group([c.elements[a] for a in w], G) == table.orbits[oi].monodromy
+
+
+def test_orbit_tables_are_cached_on_the_class_set_and_die_with_it():
+    G = S3()
+    c = transpositions(G)
+    rack = c.rack
+    assert c.rack is rack
+    labelled = hurwitz_orbits(G, c, 3)
+    plain = rack_orbits(rack, 3)
+    assert hurwitz_orbits(G, c, 3) is labelled
+    assert rack_orbits(rack, 3) is plain
+    # the labelled table shares its word index with the unlabelled one
+    class_of = [c.class_index(g) for g in c.elements]
+    assert labelled.orbit_of is rack_orbits(rack, 3, class_of=class_of).orbit_of
+    refs = [weakref.ref(labelled), weakref.ref(plain)]
+    del G, c, rack, labelled, plain
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 def test_monodromy_examples():

@@ -146,9 +146,18 @@ def test_derivations_over_f2():
 
 
 def test_pairing_gram_invertible_everywhere():
-    for V in (s3_transposition_space(), s3_transposition_space(epsilon=True)):
-        data = NicholsData(V, QQ)
-        data.build_to(4)
-        for p in range(5):
-            n = len(data.pivots[p])
-            assert n == data.dim(p)
+    # each pivot word reduces to its unit vector on both sides; the degree-2
+    # Gram matrices are not symmetric, so swapping the inverse Gram matrix and
+    # its transpose breaks one of the two reductions
+    for F in (QQ, F5):
+        for V in (s3_transposition_space(), s3_transposition_space(epsilon=True)):
+            data = NicholsData(V, F)
+            data.build_to(4)
+            assert data.gram_inv[2] != data.gram_inv_t[2]
+            for p in range(5):
+                n = len(data.pivots[p])
+                assert n == data.dim(p)
+                for k, w in enumerate(data.pivot_words(p)):
+                    e_k = [F.one if i == k else F.zero for i in range(n)]
+                    assert data.reduce_primal(p, {w: 1}) == e_k
+                    assert data.reduce_dual(p, {w: 1}) == e_k
