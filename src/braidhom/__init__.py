@@ -23,7 +23,7 @@ from .braided import (
     rank_one_space,
     sign_twist,
 )
-from .exactla import CoefficientField, GF, GF2, QQ, RankTable, SparseMatrix, homology_rank, rank
+from .exactla import CoefficientField, GF, GF2, QQ, RankTable, SparseMatrix, rank
 from .fnf import braid_homology, fnf_complex
 from .hurwitz import hurwitz_orbits, monodromy_group, nielsen_components, subgroup_lattice
 from .koszul import generator_counts, koszul_complex, koszul_homology, verify_koszul_identities
@@ -57,7 +57,6 @@ __all__ = [
     "ext_table",
     "fnf_complex",
     "generator_counts",
-    "homology_rank",
     "hopf_pairing",
     "hurwitz_orbits",
     "index",

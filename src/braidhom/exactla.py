@@ -74,6 +74,8 @@ class CoefficientField:
         """Coerce an int or Fraction into a scalar of this field."""
         p = self.characteristic
         if p == 0:
+            if type(x) is Fraction:
+                return x  # immutable, so no copy is needed
             if isinstance(x, (int, Fraction)):
                 return Fraction(x)
             raise FieldMismatchError(f"cannot coerce {x!r} into Q")
@@ -381,24 +383,6 @@ def rank(M: SparseMatrix, F: CoefficientField) -> int:
             ints = {j: v // g for j, v in ints.items()}
         int_rows.append(ints)
     return _eliminate(int_rows, M.cols, _int_pivot_step)
-
-
-def homology_rank(d_in: SparseMatrix, d_out: SparseMatrix, F: CoefficientField) -> int:
-    """dim ker(d_out) - rank(d_in) for a three-term stretch d_in, then d_out.
-
-    d_in lands in the middle space, d_out leaves it.  Raises
-    ComplexIntegrityError unless the shapes compose and d_out o d_in = 0.
-    """
-    if d_in.rows != d_out.cols:
-        raise ComplexIntegrityError(
-            f"middle dimension mismatch: d_in has {d_in.rows} rows, d_out has {d_out.cols} cols"
-        )
-    comp = d_out.matmul(d_in, F)
-    if comp.entries:
-        bad = sorted(comp.entries)[0]
-        raise ComplexIntegrityError(f"d_out . d_in != 0 (first nonzero at {bad})")
-    ker = d_out.cols - rank(d_out, F)
-    return ker - rank(d_in, F)
 
 
 def rref(M: SparseMatrix, F: CoefficientField):

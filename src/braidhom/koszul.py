@@ -12,8 +12,11 @@ the orientation fixed in `nichols`, that is the right side (the two sides are
 mirror conventions, and only this one squares to zero once c has classes of
 non-involutions).  Splitting the letter sum by conjugacy class gives the
 per-class differentials d_1..d_m; they anticommute and each squares to zero,
-and d = sum d_i.  Everything is assembled as explicit sparse matrices;
-d^2 = 0 is asserted at construction.
+and d = sum d_i.  Everything is assembled as explicit sparse matrices, and d
+is summed from the d_i once.  Each diagonal p + q = s is a chain complex in p;
+it is held as a `fnf.GradedComplex`, whose construction checks d^2 = 0 and
+which ranks each differential at most once.  Every homology rank is read off
+those complexes.
 
 Homology ranks feed the generator-count diagnostic: the count in topological
 degree j sums homology ranks at dual degree 1 + j over all module degrees,
@@ -27,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braided import BraidedVectorSpace, ConjClassSet, PermGroup, braided_space, identity_perm, pinv, pmul, conj as gconj
-from .exactla import (CoefficientField, ComplexIntegrityError, RankTable, SparseMatrix, column_space_contains,
-                      homology_basis, homology_rank)
+from .exactla import CoefficientField, RankTable, SparseMatrix, column_space_contains, homology_basis
+from .fnf import GradedComplex
 from .hurwitz import FilteredModule, filtered_module, orbit_ring_module, restricted_ring_module
 from .nichols import NicholsData, constant_braiding_value, skew_derivation
 
@@ -37,9 +40,11 @@ class KoszulComplex:
     """Assembled terms and differentials of the complex for one module.
 
     `classes[i]` lists the letter indices of the i-th conjugacy class; the
-    stored matrices are d_class[(i, p, q)]: term (p, q) -> term (p-1, q+1),
-    and `d(p, q)` adds them up on each call.  Terms are indexed by (dual basis
-    element, module basis element), module index fastest.
+    per-class matrices are d_class[(i, p, q)]: term (p, q) -> term (p-1, q+1).
+    Their sum, the total differential, is formed once at construction and read
+    by `d(p, q)`.  `diagonals[s]` is the chain complex of the terms with
+    p + q = s, in degree p, for every s up to pmax + qmax.  Terms are indexed
+    by (dual basis element, module basis element), module index fastest.
     """
 
     def __init__(self, V: BraidedVectorSpace, module: FilteredModule, pmax: int, qmax: int,
@@ -65,7 +70,14 @@ class KoszulComplex:
         self._deriv = {}
         self.d_class: dict = {}
         self._assemble()
-        self._check_d_squared()
+        self._d = {}
+        for (ci, p, q), M in self.d_class.items():  # class 0 comes first for each (p, q)
+            self._d[(p, q)] = M if ci == 0 else self._d[(p, q)].add(M, F)
+        self.diagonals = {
+            s: GradedComplex({p: range(self.dim(p, s - p)) for p in range(max(0, s - qmax), min(self.pmax, s) + 1)},
+                             {p: M for (p, q), M in self._d.items() if p + q == s}, F)
+            for s in range(self.pmax + qmax + 1)
+        }
 
     def _top_degree(self, pmax: int) -> int:
         """Stop at the top of the Nichols algebra when it is finite dimensional."""
@@ -134,19 +146,10 @@ class KoszulComplex:
         return SparseMatrix.zero(self.dim(p - 1, q + 1), self.dim(p, q))
 
     def d(self, p: int, q: int) -> SparseMatrix:
-        out = self.d_i(0, p, q)
-        for ci in range(1, len(self.classes)):
-            out = out.add(self.d_i(ci, p, q), self.F)
-        return out
-
-    def _check_d_squared(self):
-        for q in range(self.qmax - 1):
-            for p in range(2, self.pmax + 1):
-                if self.dim(p, q) == 0:
-                    continue
-                comp = self.d(p - 1, q + 1).matmul(self.d(p, q), self.F)
-                if comp.entries:
-                    raise ComplexIntegrityError(f"d^2 != 0 at (p={p}, q={q})")
+        """The total differential, term (p, q) -> term (p-1, q+1)."""
+        if (p, q) in self._d:
+            return self._d[(p, q)]
+        return SparseMatrix.zero(self.dim(p - 1, q + 1), self.dim(p, q))
 
     def homology_pmax(self) -> int:
         """Largest dual degree with reliable homology; checks whether the dual
@@ -157,23 +160,24 @@ class KoszulComplex:
         return self.pmax if self.top_reached else self.pmax - 1
 
     def homology_rank(self, p: int, q: int) -> int:
-        """Rank of homology at term (p, q); needs p+1 <= pmax+1 and q-1 >= -1 data."""
+        """Rank of homology at term (p, q).
+
+        Raises when the rank depends on terms that were not assembled: (p, q)
+        outside the window, dual degree p at an unreliable truncation boundary,
+        or q = qmax while d leaves (p, q) for module degree qmax + 1.
+        """
+        if not (0 <= p <= self.pmax and 0 <= q <= self.qmax):
+            raise ValueError(f"term ({p}, {q}) lies outside the assembled degrees")
         if p == self.pmax and self.dim(p, q) and self.homology_pmax() < p:
             raise ValueError(
                 f"dual degree {p} is the truncation boundary; increase pmax"
             )
-        if q + 1 > self.qmax and self.dim(p - 1, q + 1) != 0:
+        if q == self.qmax and p >= 1 and self.nichols.dim(p - 1):
             raise ValueError(f"module degree {q + 1} not assembled; increase qmax")
-        d_out = self.d(p, q)
-        d_in = self.d(p + 1, q - 1) if (p + 1 <= self.pmax and q >= 1) else \
-            SparseMatrix.zero(self.dim(p, q), self.dim(p + 1, q - 1))
-        return homology_rank(d_in, d_out, self.F)
+        return self.diagonals[p + q].homology_rank(p)
 
     def homology_representatives(self, p: int, q: int):
-        d_out = self.d(p, q)
-        d_in = self.d(p + 1, q - 1) if (p + 1 <= self.pmax and q >= 1) else \
-            SparseMatrix.zero(self.dim(p, q), self.dim(p + 1, q - 1))
-        return homology_basis(d_in, d_out, self.F)
+        return homology_basis(self.d(p + 1, q - 1), self.d(p, q), self.F)
 
 
 def koszul_complex(V: BraidedVectorSpace, module_spec, pmax: int, qmax: int,
@@ -223,45 +227,49 @@ def koszul_homology(K: KoszulComplex, pmax: int | None = None, qmax: int | None 
     m = len(K.classes)
     table = RankTable(("p", "q") + tuple(f"q{i + 1}" for i in range(m))) if by_multigrade \
         else RankTable(("p", "q"))
-    for p in range(pmax + 1):
-        for q in range(qmax + 1):
-            if not by_multigrade:
-                r = K.homology_rank(p, q)
-                if r:
-                    table.set((p, q), r)
-                continue
-            grades = sorted({K.term_multigrade(p, q, i) for i in range(K.dim(p, q))})
-            for grade in grades:
-                r = _graded_homology_rank(K, p, q, grade)
-                if r:
-                    table.set((p, q) + grade, r)
+    for s in range(pmax + qmax + 1):
+        complexes = _multigrade_blocks(K, s) if by_multigrade else {(): K.diagonals[s]}
+        for p in range(max(0, s - qmax), min(pmax, s) + 1):
+            for grade, cx in complexes.items():
+                table.set((p, s - p) + grade, cx.homology_rank(p))
     return table
 
 
-def _grade_positions(K: KoszulComplex, p: int, q: int, grade) -> list[int]:
-    return [i for i in range(K.dim(p, q)) if K.term_multigrade(p, q, i) == grade]
+def _term_grades(K: KoszulComplex, p: int, q: int) -> list[tuple[int, ...]]:
+    """Total multigrade of every basis vector of term (p, q), in index order."""
+    psi = [K.psi_multigrade(p, k) for k in range(K.nichols.dim(p))]
+    mod = [K.module.multigrade(q, o) for o in range(K.module.dim(q))]
+    return [tuple(a + b for a, b in zip(pg, mg)) for pg in psi for mg in mod]
 
 
-def _restrict(M: SparseMatrix, rows: list[int], cols: list[int]) -> SparseMatrix:
-    rpos = {r: i for i, r in enumerate(rows)}
-    cpos = {c: j for j, c in enumerate(cols)}
-    ent = {}
-    for (i, j), v in M.entries.items():
-        if i in rpos and j in cpos:
-            ent[(rpos[i], cpos[j])] = v
-    return SparseMatrix(len(rows), len(cols), ent)
+def _multigrade_blocks(K: KoszulComplex, s: int) -> dict:
+    """Diagonal s of K split by total multigrade, as {grade: GradedComplex}.
 
-
-def _graded_homology_rank(K: KoszulComplex, p: int, q: int, grade) -> int:
-    mid = _grade_positions(K, p, q, grade)
-    out_pos = _grade_positions(K, p - 1, q + 1, grade) if K.dim(p - 1, q + 1) else []
-    in_pos = _grade_positions(K, p + 1, q - 1, grade) if (p + 1 <= K.pmax and q >= 1) else []
-    d_out = _restrict(K.d(p, q), out_pos, mid) if K.dim(p, q) else SparseMatrix.zero(0, 0)
-    if p + 1 <= K.pmax and q >= 1:
-        d_in = _restrict(K.d(p + 1, q - 1), mid, in_pos)
-    else:
-        d_in = SparseMatrix.zero(len(mid), 0)
-    return homology_rank(d_in, d_out, K.F)
+    Each block holds the basis vectors of one grade, in index order, and the
+    entries of d between them.  The class differentials preserve the
+    multigrade, so the diagonal is the direct sum of its blocks.
+    """
+    diagonal = K.diagonals[s]
+    place = {}  # p -> (grade, position within that grade's block) per basis index
+    sizes = {}  # grade -> {p: block dimension}
+    for p in diagonal.degrees:
+        place[p] = []
+        for g in _term_grades(K, p, s - p):
+            block = sizes.setdefault(g, {})
+            place[p].append((g, block.get(p, 0)))
+            block[p] = block.get(p, 0) + 1
+    entries = {g: {} for g in sizes}
+    for p, M in diagonal.diff.items():
+        for (i, j), v in M.entries.items():
+            (gi, r), (gj, c) = place[p - 1][i], place[p][j]
+            if gi == gj:
+                entries[gj].setdefault(p, {})[(r, c)] = v
+    return {
+        g: GradedComplex({p: range(n) for p, n in block.items()},
+                         {p: SparseMatrix(block.get(p - 1, 0), block[p], ent) for p, ent in entries[g].items()},
+                         K.F)
+        for g, block in sizes.items()
+    }
 
 
 def generator_counts(V: BraidedVectorSpace, jmax: int, F: CoefficientField,
@@ -354,8 +362,7 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
                 for letter in K.module.letters:
                     rmap = K.module.left_mult(letter, q)
                     nmod_t = K.module.dim(q + 1)
-                    boundary_src = K.d(p + 1, q) if p + 1 <= K.pmax else \
-                        SparseMatrix.zero(K.dim(p, q + 1), 0)
+                    boundary_src = K.d(p + 1, q)
                     for z in reps:
                         img = {}
                         for idx, val in z.items():
@@ -379,12 +386,18 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
     s_const = constant_braiding_value(K.V)
     V = K.V
     group = V.group
+    pstar = {}  # (g, p) -> _pstar_matrix(K, g, p), the same for every q
     for q in range(min(qr, K.qmax - 1)):
         for p in range(1, pr):
             if K.dim(p, q) == 0:
                 continue
             for g in range(V.rack.size):
-                lhs = _d_after_pstar(K, g, p, q).add(_pstar_after_d(K, g, p, q).scale(-1), F)
+                for key in ((g, p), (g, p - 1)):
+                    if key not in pstar:
+                        pstar[key] = _pstar_matrix(K, *key)
+                d_after = K.d(p + 1, q).matmul(_tensor_with_module(K, pstar[(g, p)], q), F)
+                after_d = _tensor_with_module(K, pstar[(g, p - 1)], q + 1).matmul(K.d(p, q), F)
+                lhs = d_after.add(after_d.scale(-1), F)
                 rhs = _twisted_right_mult(K, g, p, q, s_const, group)
                 if lhs != rhs:
                     nullhomotopy_ok = False
@@ -410,16 +423,6 @@ def _tensor_with_module(K: KoszulComplex, M: SparseMatrix, q: int) -> SparseMatr
         for o in range(nmod):
             ent[(i * nmod + o, k * nmod + o)] = v
     return SparseMatrix(M.rows * nmod, M.cols * nmod, ent)
-
-
-def _d_after_pstar(K: KoszulComplex, g: int, p: int, q: int) -> SparseMatrix:
-    P = _tensor_with_module(K, _pstar_matrix(K, g, p), q)
-    return K.d(p + 1, q).matmul(P, K.F)
-
-
-def _pstar_after_d(K: KoszulComplex, g: int, p: int, q: int) -> SparseMatrix:
-    P = _tensor_with_module(K, _pstar_matrix(K, g, p - 1), q + 1)
-    return P.matmul(K.d(p, q), K.F)
 
 
 def _twisted_right_mult(K: KoszulComplex, g: int, p: int, q: int, s_const, group) -> SparseMatrix:

@@ -6,18 +6,17 @@ from hypothesis import given, settings, strategies as st
 from braidhom.exactla import (
     GF,
     QQ,
-    ComplexIntegrityError,
     FieldMismatchError,
     RankTable,
     SparseMatrix,
     column_space_contains,
     homology_basis,
-    homology_rank,
     kernel_basis,
     rank,
     rref,
     solve_dense,
 )
+from braidhom.fnf import GradedComplex
 
 F2 = GF(2)
 
@@ -54,24 +53,20 @@ def test_rank_with_fractions():
     assert rank(M, QQ) == 2
 
 
+def three_term(d_in, d_out):
+    """The complex C_2 -> C_1 -> C_0 with d_2 = d_in and d_1 = d_out."""
+    return GradedComplex({0: range(d_out.rows), 1: range(d_out.cols), 2: range(d_in.cols)}, {1: d_out, 2: d_in}, QQ)
+
+
 def test_homology_rank_examples():
     # both maps zero on a 5-dim space
-    assert homology_rank(SparseMatrix.zero(5, 0), SparseMatrix.zero(0, 5), QQ) == 5
+    assert three_term(SparseMatrix.zero(5, 0), SparseMatrix.zero(0, 5)).homology_rank(1) == 5
     # exact: d_in the identity
-    assert homology_rank(SparseMatrix.identity(5), SparseMatrix.zero(0, 5), QQ) == 0
+    assert three_term(SparseMatrix.identity(5), SparseMatrix.zero(0, 5)).homology_rank(1) == 0
     # 0 -> k -> k^2 -> k -> 0 with d_in = (1,0)^T, d_out = (0,1)
     d_in = SparseMatrix(2, 1, {(0, 0): 1})
     d_out = SparseMatrix(1, 2, {(0, 1): 1})
-    assert homology_rank(d_in, d_out, QQ) == 0
-
-
-def test_homology_rank_integrity_error():
-    d_in = SparseMatrix(2, 1, {(0, 0): 1})
-    d_out = SparseMatrix(1, 2, {(0, 0): 1})
-    with pytest.raises(ComplexIntegrityError):
-        homology_rank(d_in, d_out, QQ)
-    with pytest.raises(ComplexIntegrityError, match="middle dimension mismatch"):
-        homology_rank(d_in, SparseMatrix(1, 3, {(0, 2): 1}), QQ)
+    assert three_term(d_in, d_out).homology_rank(1) == 0
 
 
 @st.composite
@@ -183,11 +178,11 @@ def test_homology_invariant_under_permutation():
     # permuting the middle basis leaves the homology rank unchanged
     d_in = SparseMatrix(3, 2, {(0, 0): 1, (1, 0): 2, (2, 1): 3})
     d_out = SparseMatrix(1, 3, {(0, 0): 2, (0, 1): -1})
-    base = homology_rank(d_in, d_out, QQ)
+    base = three_term(d_in, d_out).homology_rank(1)
     perm = [2, 0, 1]
     d_in2 = SparseMatrix(3, 2, {(perm[i], j): v for (i, j), v in d_in.entries.items()})
     d_out2 = SparseMatrix(1, 3, {(i, perm[j]): v for (i, j), v in d_out.entries.items()})
-    assert homology_rank(d_in2, d_out2, QQ) == base
+    assert three_term(d_in2, d_out2).homology_rank(1) == base
 
 
 def test_triplet_roundtrip():

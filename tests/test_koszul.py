@@ -1,7 +1,8 @@
 import pytest
 
+from braidhom import koszul
 from braidhom.braided import ConjClassSet, PermGroup, cycle_type, identity_perm, parse_cycles, rank_one_space
-from braidhom.exactla import GF, QQ
+from braidhom.exactla import GF, QQ, ComplexIntegrityError, SparseMatrix
 from braidhom.hurwitz import subgroup_lattice
 from braidhom.koszul import (
     generator_counts,
@@ -100,6 +101,22 @@ def test_anticommute_negative_control():
     M.entries[(i0, j0)] = M.entries[(i0, j0)] + 1  # corrupt one derivation entry
     rep = verify_koszul_identities(K, pr=3, qr=2)
     assert not rep.anticommute_ok
+
+
+def test_corrupted_derivation_fails_the_d_squared_check(monkeypatch):
+    G, c, V = s3_setup()
+    derivation = koszul.skew_derivation
+
+    def corrupted(data, v, p):
+        M = derivation(data, v, p)
+        if (v, p) == (0, 2):
+            (i, j), x = min(M.entries.items())
+            M = SparseMatrix(M.rows, M.cols, {**M.entries, (i, j): x + 1})
+        return M
+
+    monkeypatch.setattr(koszul, "skew_derivation", corrupted)
+    with pytest.raises(ComplexIntegrityError, match="d\\^2 != 0"):
+        koszul_complex(V, "R", pmax=3, qmax=4, F=QQ, c=c)
 
 
 def test_two_class_multidifferentials():
@@ -226,3 +243,14 @@ def test_missing_degree_error():
     K = koszul_complex(V, "R", pmax=3, qmax=3, F=QQ, c=c)
     with pytest.raises(ValueError):
         koszul_homology(K, qmax=5)
+    # homology at q = qmax needs module degree qmax + 1 wherever d leaves the term
+    K = koszul_complex(V, "R", pmax=5, qmax=3, F=QQ, c=c)
+    wide = koszul_complex(V, "R", pmax=5, qmax=6, F=QQ, c=c)
+    for p in (1, 2, 3):
+        with pytest.raises(ValueError, match="increase qmax"):
+            K.homology_rank(p, 3)
+    assert [wide.homology_rank(p, 3) for p in (1, 2, 3)] == [0, 0, 1]
+    assert K.homology_rank(0, 3) == wide.homology_rank(0, 3)
+    for p, q in ((0, 4), (5, 0), (-1, 1)):
+        with pytest.raises(ValueError, match="outside the assembled degrees"):
+            K.homology_rank(p, q)
