@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exactla import QQ, SparseMatrix, rank
+from .exactla import QQ, SparseMatrix, inverse, rank
 
 Perm = tuple[int, ...]
 
@@ -457,22 +457,10 @@ class BraidedVectorSpace:
             self._inv = inv
             return self._inv
         # general case: invert the r^2 x r^2 matrix exactly over Q
-        from .exactla import solve_dense
-        r2 = self.rank**2
-        M = [[Fraction(0)] * r2 for _ in range(r2)]
-        for (a, b), terms in self.sigma.items():
-            for (c, d), coeff in terms:
-                M[c * self.rank + d][a * self.rank + b] = Fraction(coeff)
-        eye = [[Fraction(1) if i == j else Fraction(0) for j in range(r2)] for i in range(r2)]
-        X = solve_dense(M, eye, QQ)
         inv = {}
-        for col in range(r2):
-            terms = []
-            for row in range(r2):
-                if X[row][col] != 0:
-                    terms.append(((row // self.rank, row % self.rank), X[row][col]))
-            inv[(col // self.rank, col % self.rank)] = tuple(terms)
-        self._inv = inv
+        for (row, col), v in sorted(inverse(self.sigma_matrix(), QQ).entries.items(), key=lambda e: e[0][::-1]):
+            inv.setdefault(divmod(col, self.rank), []).append((divmod(row, self.rank), v))
+        self._inv = {pair: tuple(terms) for pair, terms in inv.items()}
         return self._inv
 
     def word_degree(self, word: tuple[int, ...]) -> Perm:

@@ -473,30 +473,20 @@ def homology_basis(d_in: SparseMatrix, d_out: SparseMatrix, F: CoefficientField)
     return reps
 
 
-def solve_dense(A: list[list], b: list[list], F: CoefficientField) -> list[list]:
-    """Solve A X = B for invertible square A; all entries field scalars.
+def inverse(M: SparseMatrix, F: CoefficientField) -> SparseMatrix:
+    """Inverse of a square matrix over F, read off the `rref` of [M | I].
 
-    A is n x n given row-major, B is n x m row-major; returns X row-major.
+    Raises ZeroDivisionError when M is singular over F: then some pivot of
+    [M | I] falls in the identity block.
     """
-    n = len(A)
-    m = len(b[0]) if b else 0
-    M = [[F.convert(A[i][j]) for j in range(n)] + [F.convert(b[i][j]) for j in range(m)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if M[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise ZeroDivisionError("singular matrix in solve_dense")
-        M[col], M[piv] = M[piv], M[col]
-        inv = F.inv(M[col][col])
-        M[col] = [F.mul(inv, v) for v in M[col]]
-        for i in range(n):
-            if i != col and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [F.sub(M[i][j], F.mul(f, M[col][j])) for j in range(n + m)]
-    return [[M[i][n + j] for j in range(m)] for i in range(n)]
+    n = M.rows
+    if M.cols != n:
+        raise ValueError(f"cannot invert a {M.rows}x{M.cols} matrix")
+    aug = SparseMatrix(n, 2 * n, {**M.entries, **{(i, n + i): 1 for i in range(n)}})
+    rows, pivots = rref(aug, F)
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError(f"singular {n}x{n} matrix over {F}")
+    return SparseMatrix(n, n, {(i, j - n): v for i, row in enumerate(rows) for j, v in row.items() if j >= n})
 
 
 @dataclass

@@ -34,6 +34,7 @@ from .exactla import CoefficientField, RankTable, SparseMatrix, column_space_con
 from .fnf import GradedComplex
 from .hurwitz import FilteredModule, filtered_module, orbit_ring_module, restricted_ring_module
 from .nichols import NicholsData, constant_braiding_value, skew_derivation
+from .shuffle import quantum_symmetrizer
 
 
 class KoszulComplex:
@@ -60,9 +61,12 @@ class KoszulComplex:
         top = self._top_degree(pmax)
         self.nichols.build_to(min(pmax, top))
         self.pmax = min(pmax, top)
-        # when the dual algebra vanishes within range, degree pmax is genuine;
-        # otherwise it is a truncation boundary and homology there is unreliable
-        self.top_reached = top < pmax
+        # when the dual algebra vanishes within range or just past it, degree
+        # pmax is genuine; otherwise it is a truncation boundary and homology
+        # there is unreliable.  Degree pmax + 1 vanishes exactly when its
+        # symmetrizer is zero over F, so it is never built as a Nichols degree.
+        self.top_reached = top < pmax or not any(
+            F.convert(v) for v in quantum_symmetrizer(V, pmax + 1).entries.values())
         self.qmax = qmax
         class_of = module.class_of
         m = max(class_of) + 1 if class_of else 1
@@ -152,11 +156,8 @@ class KoszulComplex:
         return SparseMatrix.zero(self.dim(p - 1, q + 1), self.dim(p, q))
 
     def homology_pmax(self) -> int:
-        """Largest dual degree with reliable homology; checks whether the dual
-        algebra vanishes just past the assembled range before declaring the
-        top degree a truncation boundary."""
-        if not self.top_reached and self.nichols.dim(self.pmax + 1) == 0:
-            self.top_reached = True
+        """Largest dual degree with reliable homology: pmax unless pmax is a
+        truncation boundary (see `top_reached`)."""
         return self.pmax if self.top_reached else self.pmax - 1
 
     def homology_rank(self, p: int, q: int) -> int:

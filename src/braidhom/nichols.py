@@ -10,8 +10,11 @@ carried on the same index set: the pairing of the dual pivot word u* with a
 word w is the (u, w) entry of the symmetrizer, and the Gram matrix
 (symmetrizer restricted to pivot rows and pivot columns) is invertible on
 every example in scope; a singular Gram raises immediately since it signals a
-basis-selection bug.  Each degree keeps the inverse Gram matrix and its
-transpose, so reducing a vector to the pivot basis is one matrix-vector product.
+basis-selection bug.  One `exactla.rref` of the sparse matrix [G^T | I] is both
+the invertibility check and the inverse; on rack spaces G is block-diagonal
+over the Hurwitz orbits, so the inverse stays sparse.  Each degree keeps the
+inverse Gram matrix and its transpose, so reducing a vector to the pivot basis
+is one matrix-vector product.
 
 Skew derivations lower the dual degree by one and are obtained by applying
 the transposed inverse Gram matrices: <d_v phi, x> = <phi, v * x>.  For
@@ -22,8 +25,8 @@ times the letterwise conjugate.
 
 from __future__ import annotations
 
-from .braided import BraidedVectorSpace, dual_space, index_word, word_index
-from .exactla import CoefficientField, SparseMatrix, rref, solve_dense
+from .braided import BraidedVectorSpace, index_word, word_index
+from .exactla import CoefficientField, SparseMatrix, inverse, rref
 from .shuffle import quantum_symmetrizer
 
 
@@ -41,7 +44,6 @@ class NicholsData:
     def __init__(self, V: BraidedVectorSpace, F: CoefficientField):
         self.V = V
         self.F = F
-        self.dual = dual_space(V)
         self.sym: dict[int, SparseMatrix] = {}
         self.pivots: dict[int, list[int]] = {}
         self.gram_inv: dict[int, SparseMatrix] = {}
@@ -61,18 +63,16 @@ class NicholsData:
         self._sym_rows[p] = S.row_lists(F)
         _, pivots = rref(S, F)
         self.pivots[p] = pivots
-        n = len(pivots)
-        g = [[F.convert(S.entries.get((u, w), 0)) for w in pivots] for u in pivots]
-        eye = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
+        pos = {w: k for k, w in enumerate(pivots)}
+        gram_t = SparseMatrix(len(pivots), len(pivots), {
+            (pos[w], pos[u]): v for (u, w), v in S.entries.items() if u in pos and w in pos})
         try:
-            inv = solve_dense(g, eye, F)
+            self.gram_inv_t[p] = inverse(gram_t, F)
         except ZeroDivisionError as exc:
             raise GramSingularError(
                 f"Gram matrix singular in degree {p}; pivot-word basis is unusable"
             ) from exc
-        self.gram_inv[p] = SparseMatrix(
-            n, n, {(i, j): v for i, row in enumerate(inv) for j, v in enumerate(row)})
-        self.gram_inv_t[p] = self.gram_inv[p].transpose()
+        self.gram_inv[p] = self.gram_inv_t[p].transpose()
 
     def dim(self, p: int) -> int:
         self.build_to(p)

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
-from .braided import BraidedVectorSpace, apply_moves_to_vector, apply_moves_to_word, braid_word_action
+from .braided import BraidedVectorSpace, apply_moves_to_vector, apply_moves_to_word, word_index
 from .exactla import CoefficientField, SparseMatrix
 
 
@@ -192,33 +192,30 @@ def shuffle_product(V: BraidedVectorSpace, u: dict, v: dict) -> dict:
 
 
 def quantum_symmetrizer(V: BraidedVectorSpace, n: int) -> SparseMatrix:
-    """Sum over S_n of the braid lifts, as a matrix on V^(x)n."""
-    from .braided import index_word, word_index
+    """Sum over S_n of the braid lifts, as a matrix on V^(x)n.
 
+    Built degree by degree from Woronowicz's factorisation (Comm. Math. Phys.
+    122, 1989), [m]! = (1 + s_{m-1} + s_{m-1}s_{m-2} + ... + s_{m-1}...s_1)([m-1]! (x) 1):
+    column w of [m]! starts as (column w[:-1] of [m-1]!) (x) w[-1], and the
+    running chain applies s_{m-1}, then s_{m-2}, ..., then s_1 to it (moves read
+    left to right, as in `braid_word_action`), adding each partial result.
+    """
     r = V.rank
-    dim = r**n
-    if n <= 1:
-        return SparseMatrix.identity(dim)
-    lifts = [matsumoto_lift(p) for p in permutations(range(n))]
-    ent = {}
-    for idx in range(dim):
-        w = index_word(idx, r, n)
-        acc = {}
-        for moves in lifts:
-            if V.monomial:
-                cf, w2 = apply_moves_to_word(V, n, moves, w)
-                s = acc.get(w2, 0) + cf
-                if s == 0:
-                    acc.pop(w2, None)
-                else:
-                    acc[w2] = s
-            else:
-                for w2, cf in apply_moves_to_vector(V, n, moves, {w: 1}).items():
-                    s = acc.get(w2, 0) + cf
+    cols = [{(): 1}]
+    for m in range(1, n + 1):
+        nxt = []
+        for idx in range(r**m):
+            prev, a = divmod(idx, r)
+            vec = {u + (a,): cf for u, cf in cols[prev].items()}
+            col = dict(vec)
+            for i in range(m - 1, 0, -1):
+                vec = apply_moves_to_vector(V, m, [i], vec)
+                for w, cf in vec.items():
+                    s = col.get(w, 0) + cf
                     if s == 0:
-                        acc.pop(w2, None)
+                        col.pop(w, None)
                     else:
-                        acc[w2] = s
-        for w2, cf in acc.items():
-            ent[(word_index(w2, r), idx)] = cf
-    return SparseMatrix(dim, dim, ent)
+                        col[w] = s
+            nxt.append(col)
+        cols = nxt
+    return SparseMatrix(r**n, r**n, {(word_index(w, r), j): cf for j, col in enumerate(cols) for w, cf in col.items()})

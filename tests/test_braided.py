@@ -41,6 +41,24 @@ def s3_transposition_space(cocycle=1, epsilon=False):
     return braided_space(rack, Cocycle.constant(rack, cocycle), epsilon=epsilon, group=G)
 
 
+def s4_transposition_setup():
+    """S4, its transpositions, and the sign-twisted space on them."""
+    S4 = PermGroup(4, [parse_cycles("(1 2)", 4), parse_cycles("(1 2 3 4)", 4)], name="S4")
+    c = ConjClassSet(S4, [g for g in S4.elements if cycle_type(g) == (2,)])
+    rack = conjugation_rack(S4, c)
+    return S4, c, braided_space(rack, Cocycle.constant(rack, 1), epsilon=True, group=S4)
+
+
+def jordan_plane():
+    """The Jordan plane: sigma(x_a (x) x_1) = x_1 (x) x_a + x_0 (x) x_a and
+    sigma(x_a (x) x_0) = x_0 (x) x_a, a braiding that is not monomial."""
+    sigma = {}
+    for a in range(2):
+        sigma[(a, 0)] = (((0, a), 1),)
+        sigma[(a, 1)] = (((1, a), 1), ((0, a), 1))
+    return BraidedVectorSpace(["x1", "x2"], sigma, name="jordan")
+
+
 def test_parse_and_print_cycles():
     g = parse_cycles("(1 2)(3 4 5)", 5)
     assert cycle_notation(g) == "(1 2)(3 4 5)"
@@ -199,6 +217,13 @@ def test_check_braided_negative_control():
     W = BraidedVectorSpace(V.labels, bad_sigma, grading=V.grading, group=V.group, rack=V.rack)
     rep = check_braided(W)
     assert not rep.ok and rep.failures
+
+
+def test_jordan_plane_is_braided():
+    J = jordan_plane()
+    assert not J.monomial
+    assert check_braided(J).ok
+    assert braid_word_action(J, 3, [2, -2, 1, -1]) == SparseMatrix.identity(8)
 
 
 def test_dual_space_braided():

@@ -11,10 +11,10 @@ from braidhom.exactla import (
     SparseMatrix,
     column_space_contains,
     homology_basis,
+    inverse,
     kernel_basis,
     rank,
     rref,
-    solve_dense,
 )
 from braidhom.fnf import GradedComplex
 
@@ -209,12 +209,29 @@ def test_homology_basis_spans():
     assert len(reps) == 2
 
 
-def test_solve_dense():
-    A = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    X = solve_dense(A, [[Fraction(3)], [Fraction(2)]], QQ)
-    assert X == [[Fraction(1)], [Fraction(1)]]
-    with pytest.raises(ZeroDivisionError):
-        solve_dense([[Fraction(0)]], [[Fraction(1)]], QQ)
+@st.composite
+def square_matrices(draw):
+    """Square, up to 8x8, zeros 1-3 times as likely as a nonzero value; the
+    denominators avoid 2, 3 and 5."""
+    n = draw(st.integers(1, 8))
+    values = draw(st.sampled_from([INT_VALUES, FRACTION_VALUES]))
+    cell = st.sampled_from([0] * (draw(st.integers(1, 3)) * len(values)) + values)
+    return SparseMatrix(n, n, {(i, j): draw(cell) for i in range(n) for j in range(n)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_inverse_of_random_sparse_matrices(M):
+    eye = SparseMatrix.identity(M.rows)
+    for F, p in ((QQ, 0), (GF(2), 2), (GF(3), 3), (GF(5), 5)):
+        if dense_rank(M, p) == M.rows:
+            X = inverse(M, F)
+            assert M.matmul(X, F) == eye and X.matmul(M, F) == eye, p
+        else:
+            with pytest.raises(ZeroDivisionError):
+                inverse(M, F)
+    with pytest.raises(ValueError):
+        inverse(SparseMatrix(M.rows, M.rows + 1, M.entries), QQ)
 
 
 def test_rank_table():

@@ -1,7 +1,7 @@
 import pytest
 
 from braidhom import koszul
-from braidhom.braided import ConjClassSet, PermGroup, cycle_type, identity_perm, parse_cycles, rank_one_space
+from braidhom.braided import ConjClassSet, identity_perm, rank_one_space
 from braidhom.exactla import GF, QQ, ComplexIntegrityError, SparseMatrix
 from braidhom.hurwitz import subgroup_lattice
 from braidhom.koszul import (
@@ -10,7 +10,7 @@ from braidhom.koszul import (
     koszul_homology,
     verify_koszul_identities,
 )
-from tests.test_braided import S3, s3_transposition_space, transpositions
+from tests.test_braided import S3, s3_transposition_space, s4_transposition_setup, transpositions
 
 F2 = GF(2)
 
@@ -198,19 +198,30 @@ def test_s4_stabilization_and_stratum_vanishing():
     # the larger window named by the stabilization contract: transpositions in
     # S4 stabilize at q = 5 inside a window of 6, and the full-monodromy
     # stratum's homology vanishes well before the stabilized range
-    from braidhom.braided import Cocycle, braided_space, conjugation_rack
     from braidhom.hurwitz import stabilization_thresholds
 
-    S4 = PermGroup(4, [parse_cycles("(1 2)", 4), parse_cycles("(1 2 3 4)", 4)], name="S4")
-    c = ConjClassSet(S4, [g for g in S4.elements if cycle_type(g) == (2,)])
-    rack = conjugation_rack(S4, c)
-    V = braided_space(rack, Cocycle.constant(rack, 1), epsilon=True, group=S4)
+    S4, c, V = s4_transposition_setup()
     full = frozenset(S4.elements)
     K = koszul_complex(V, ("exact", full), pmax=2, qmax=7, F=QQ, G=S4, c=c)
     table = koszul_homology(K, qmax=6)
     assert dict(table.items()) == {(0, 3): 6, (1, 3): 25}
     rep = stabilization_thresholds(S4, c, 0, 6)
     assert rep.stabilized and rep.observed == 5
+
+
+def test_truncation_boundary_needs_no_extra_nichols_degree():
+    # B(V) for S4 transpositions is nonzero in degree 4, so dual degree 3 is a
+    # truncation boundary; finding that out builds no fourth Nichols degree
+    S4, c, V = s4_transposition_setup()
+    K = koszul_complex(V, "R", pmax=3, qmax=4, F=QQ, c=c)
+    koszul_homology(K)
+    verify_koszul_identities(K, pr=3, qr=2)
+    assert sorted(K.nichols.pivots) == [0, 1, 2, 3]
+    assert K.homology_pmax() == 2
+    # S3's algebra vanishes in degree 5, so degree 4 is genuine
+    G, c, V = s3_setup()
+    H = subgroup_lattice(G, c).subgroups[3]
+    assert koszul_complex(V, ("exact", H), pmax=4, qmax=8, F=QQ, G=G, c=c).homology_pmax() == 4
 
 
 def test_generator_counts():

@@ -1,6 +1,9 @@
+import pytest
+
 from braidhom.braided import check_braided, dual_space, rank_one_space
 from braidhom.exactla import GF, QQ, rank
 from braidhom.nichols import (
+    GramSingularError,
     NicholsData,
     check_skew_leibniz,
     constant_braiding_value,
@@ -10,7 +13,7 @@ from braidhom.nichols import (
     skew_derivation_by_element,
 )
 from braidhom.shuffle import quantum_symmetrizer
-from tests.test_braided import s3_transposition_space
+from tests.test_braided import jordan_plane, s3_transposition_space
 
 F2 = GF(2)
 F5 = GF(5)
@@ -45,6 +48,17 @@ def test_quantum_line_root_of_unity_f5():
 
     assert quantum_binomial(3, 1, 3, F5) == 3
     assert quantum_binomial(4, 1, 3, F5) == 0
+
+
+def test_jordan_plane_dims():
+    # Hilbert series 1/(1-t)^2 over Q; over F_p the algebra has dimension p^2,
+    # with Hilbert series ((1-t^p)/(1-t))^2
+    J = jordan_plane()
+    assert nichols_dims(J, 5, QQ)[0] == [1, 2, 3, 4, 5, 6]
+    assert nichols_dims(J, 5, GF(3))[0] == [1, 2, 3, 2, 1, 0]
+    assert nichols_dims(J, 5, F5)[0] == [1, 2, 3, 4, 5, 4]
+    with pytest.raises(GramSingularError):
+        NicholsData(J, F2).build_to(2)
 
 
 def test_rank_nullity_degree_two():

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidhom.braided import rank_one_space
-from braidhom.exactla import GF, QQ
+from braidhom.braided import apply_moves_to_vector, apply_moves_to_word, index_word, rank_one_space, word_index
+from braidhom.exactla import GF, QQ, SparseMatrix
 from braidhom.shuffle import (
     compositions,
     inversions,
@@ -16,7 +17,7 @@ from braidhom.shuffle import (
     shuffles,
     signed_shuffle_count,
 )
-from tests.test_braided import s3_transposition_space
+from tests.test_braided import jordan_plane, s3_transposition_space, s4_transposition_setup
 
 
 def quantum_integer(r, q, F):
@@ -170,6 +171,46 @@ def test_quantum_symmetrizer_small():
     q = rank_one_space(Fraction(3))
     # sum over S_3 of q^length = 1 + 2q + 2q^2 + q^3
     assert quantum_symmetrizer(q, 3).entries == {(0, 0): 1 + 2 * 3 + 2 * 9 + 27}
+
+
+def symmetrizer_by_permutations(V, n):
+    """Independent oracle: the sum over S_n of the braid lifts, one word at a time."""
+    r = V.rank
+    dim = r**n
+    if n <= 1:
+        return SparseMatrix.identity(dim)
+    lifts = [matsumoto_lift(p) for p in permutations(range(n))]
+    ent = {}
+    for idx in range(dim):
+        w = index_word(idx, r, n)
+        acc = {}
+        for moves in lifts:
+            if V.monomial:
+                cf, w2 = apply_moves_to_word(V, n, moves, w)
+                terms = {w2: cf}
+            else:
+                terms = apply_moves_to_vector(V, n, moves, {w: 1})
+            for w2, cf in terms.items():
+                s = acc.get(w2, 0) + cf
+                if s == 0:
+                    acc.pop(w2, None)
+                else:
+                    acc[w2] = s
+        for w2, cf in acc.items():
+            ent[(word_index(w2, r), idx)] = cf
+    return SparseMatrix(dim, dim, ent)
+
+
+@pytest.mark.parametrize("name, nmax", [("S3 eps", 5), ("S4 eps", 4), ("line 1/3", 6), ("jordan", 5)])
+def test_quantum_symmetrizer_matches_permutation_sum(name, nmax):
+    V = {
+        "S3 eps": lambda: s3_transposition_space(epsilon=True),
+        "S4 eps": lambda: s4_transposition_setup()[2],
+        "line 1/3": lambda: rank_one_space(Fraction(1, 3)),
+        "jordan": jordan_plane,
+    }[name]()
+    for n in range(nmax + 1):
+        assert quantum_symmetrizer(V, n).entries == symmetrizer_by_permutations(V, n).entries, n
 
 
 def test_symmetrizer_factorization_lower_bound():
