@@ -3,7 +3,7 @@
 Every subcommand echoes its fully resolved job (including defaulted caps and
 the chosen field) as a header, writes CSV or JSON, and is byte-for-byte
 deterministic across runs.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+2 usage error, 3 truncated window (increase pmax or qmax).
 
 Builtin groups: S2..S6, A3..A5, Z1..Z12 (also spelled Z/n), D4.  Class
 selectors: 'all', 'transpositions', 'k-cycles' (e.g. '3-cycles'), or an
@@ -399,6 +399,9 @@ def main(argv=None) -> int:
     except ComplexIntegrityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except koszul.TruncationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,13 +1,13 @@
 """Exact scalars and sparse exact linear algebra.
 
-Scalars are either `fractions.Fraction` (rationals) or plain ints reduced into
-[0, p) (prime fields).  A `SparseMatrix` with r rows and c columns represents a
-linear map from k^c to k^r in the column-vector convention; only nonzero
-entries are stored.  Every rank in the package flows through `rank`, which
-runs one sparse Gaussian elimination driver with a per-field row update: over
-a prime field directly, over the rationals by clearing denominators row-wise
-and eliminating integer rows with per-row gcd normalization, so no Fraction
-arithmetic happens inside the loop.
+Rational scalars are ints, or `fractions.Fraction`s when not integral;
+prime-field scalars are ints reduced into [0, p).  A `SparseMatrix` with r rows
+and c columns represents a linear map from k^c to k^r in the column-vector
+convention; only nonzero entries are stored.  Every rank in the package flows
+through `rank`, which runs one sparse Gaussian elimination driver with a
+per-field row update: over a prime field directly, over the rationals by
+clearing denominators row-wise and eliminating integer rows with per-row gcd
+normalization, so no Fraction arithmetic happens inside the loop.
 
 Pivots are chosen in the sparsest eligible column (ties: lowest column index),
 and within that column in the shortest row (ties: lowest row index).  This
@@ -51,9 +51,9 @@ class CoefficientField:
     """The rationals or a prime field F_p.
 
     `characteristic` is 0 for the rationals and the prime p otherwise.
-    Rational scalars are Fractions (kept in lowest terms with positive
-    denominator by the Fraction type itself); prime-field scalars are ints
-    in [0, p).
+    `convert` and `inv` give a rational as an int when it is integral (int
+    arithmetic is far cheaper, and +-1 cocycles keep every matrix integral),
+    else as a Fraction; prime-field scalars are ints in [0, p).
     """
 
     characteristic: int
@@ -74,10 +74,10 @@ class CoefficientField:
         """Coerce an int or Fraction into a scalar of this field."""
         p = self.characteristic
         if p == 0:
-            if type(x) is Fraction:
-                return x  # immutable, so no copy is needed
-            if isinstance(x, (int, Fraction)):
-                return Fraction(x)
+            if isinstance(x, int):
+                return int(x)
+            if isinstance(x, Fraction):
+                return x.numerator if x.denominator == 1 else x
             raise FieldMismatchError(f"cannot coerce {x!r} into Q")
         if isinstance(x, int):
             return x % p
@@ -88,13 +88,8 @@ class CoefficientField:
             return (x.numerator * pow(den, -1, p)) % p
         raise FieldMismatchError(f"cannot coerce {x!r} into F_{p}")
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.characteristic == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.characteristic == 0 else 1
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b if self.characteristic == 0 else (a + b) % self.characteristic
@@ -112,7 +107,7 @@ class CoefficientField:
         if self.characteristic == 0:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return 1 / Fraction(a)
+            return self.convert(Fraction(1) / a)
         return pow(a, -1, self.characteristic)
 
     def __str__(self):
@@ -131,7 +126,8 @@ class SparseMatrix:
     """Immutable-by-convention sparse matrix over exact scalars.
 
     Entries may be ints, Fractions, or prime-field residues; they are coerced
-    into the target field at computation time.  Zero entries are never stored.
+    into the target field at computation time (over Q, an integral entry
+    becomes an int).  Zero entries are never stored.
     """
 
     __slots__ = ("rows", "cols", "entries")

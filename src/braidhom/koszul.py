@@ -37,6 +37,11 @@ from .nichols import NicholsData, constant_braiding_value, skew_derivation
 from .shuffle import quantum_symmetrizer
 
 
+class TruncationError(ValueError):
+    """A result depends on terms beyond the assembled pmax/qmax window; the
+    message names the bound to increase."""
+
+
 class KoszulComplex:
     """Assembled terms and differentials of the complex for one module.
 
@@ -170,11 +175,11 @@ class KoszulComplex:
         if not (0 <= p <= self.pmax and 0 <= q <= self.qmax):
             raise ValueError(f"term ({p}, {q}) lies outside the assembled degrees")
         if p == self.pmax and self.dim(p, q) and self.homology_pmax() < p:
-            raise ValueError(
+            raise TruncationError(
                 f"dual degree {p} is the truncation boundary; increase pmax"
             )
         if q == self.qmax and p >= 1 and self.nichols.dim(p - 1):
-            raise ValueError(f"module degree {q + 1} not assembled; increase qmax")
+            raise TruncationError(f"module degree {q + 1} not assembled; increase qmax")
         return self.diagonals[p + q].homology_rank(p)
 
     def homology_representatives(self, p: int, q: int):
@@ -224,7 +229,7 @@ def koszul_homology(K: KoszulComplex, pmax: int | None = None, qmax: int | None 
     pmax = p_top if pmax is None else min(pmax, p_top)
     qmax = K.qmax - 1 if qmax is None else qmax
     if qmax > K.qmax - 1:
-        raise ValueError("homology window exceeds assembled degrees; increase qmax")
+        raise TruncationError("homology window exceeds assembled degrees; increase qmax")
     m = len(K.classes)
     table = RankTable(("p", "q") + tuple(f"q{i + 1}" for i in range(m))) if by_multigrade \
         else RankTable(("p", "q"))
@@ -295,7 +300,7 @@ def generator_counts(V: BraidedVectorSpace, jmax: int, F: CoefficientField,
             continue
         ranks = [K.homology_rank(p, q) for q in range(qmax + 1)]
         if any(r != 0 for r in ranks[-tail:]):
-            raise ValueError(
+            raise TruncationError(
                 f"homology at dual degree {p} has not vanished by module degree {qmax}; increase qmax"
             )
         counts.append(sum(ranks))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from braidhom import qsa
+from braidhom import koszul, qsa
 from braidhom.cli import builtin_group, class_selector, main
 from braidhom.exactla import ComplexIntegrityError
 
@@ -140,6 +140,39 @@ def test_integrity_failure_exits_1(monkeypatch, capsys):
     rc = main(["verify", "--rank1", "--nmax", "2", "--field", "Q"])
     assert rc == 1
     assert "d^2 != 0" in capsys.readouterr().err
+
+
+def test_truncation_exits_3(monkeypatch, capsys):
+    # the CLI leaves itself one module degree of headroom; take it away
+    real = koszul.koszul_homology
+
+    def too_wide(K, qmax, by_multigrade):
+        return real(K, qmax=qmax + 1, by_multigrade=by_multigrade)
+
+    monkeypatch.setattr(koszul, "koszul_homology", too_wide)
+    rc = main(["koszul", "--group", "S3", "--classes", "transpositions", "--epsilon",
+               "--pmax", "3", "--qmax", "4", "--field", "2"])
+    assert rc == 3
+    assert "increase qmax" in capsys.readouterr().err
+
+
+def data_rows(out):
+    return [ln for ln in out.splitlines() if not ln.startswith("#")][1:]
+
+
+@pytest.mark.parametrize("field, betti_nonzero, nichols_dims", [
+    ("Q", ["1,0,1"], [1, 1, 1, 1, 1, 1, 1]),
+    ("5", ["1,0,1", "4,2,1", "4,3,1", "5,2,1", "5,3,1"], [1, 1, 1, 1, 0, 0, 0]),
+])
+def test_non_integral_sigma(field, betti_nonzero, nichols_dims, capsys):
+    # sigma = 1/2 keeps Fractions in every differential; values recorded when
+    # every rational scalar was a Fraction
+    rc, out = run(capsys, ["betti", "--rank1", "--sigma", "1/2", "--nmax", "5", "--field", field])
+    assert rc == 0 and "# sigma=1/2" in out
+    assert [r for r in data_rows(out) if not r.endswith(",0")] == betti_nonzero
+    rc, out = run(capsys, ["nichols", "--rank1", "--sigma", "1/2", "--nmax", "6", "--field", field])
+    assert rc == 0
+    assert data_rows(out) == [f"{n},{d}" for n, d in enumerate(nichols_dims)]
 
 
 @pytest.mark.parametrize("argv", [

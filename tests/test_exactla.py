@@ -36,6 +36,20 @@ def test_field_convert():
         GF(5).convert(Fraction(1, 5))
 
 
+def test_rational_scalars_are_int_unless_non_integral():
+    assert type(QQ.convert(Fraction(3))) is int and QQ.convert(Fraction(3)) == 3
+    assert type(QQ.convert(-4)) is int
+    assert QQ.convert(Fraction(2, 3)) == Fraction(2, 3)
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(1, 3)) == 3
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    with pytest.raises(FieldMismatchError):
+        QQ.convert(0.5)
+
+
 def test_rank_zero_and_identity():
     assert rank(SparseMatrix.zero(3, 3), QQ) == 0
     assert rank(SparseMatrix.identity(3), QQ) == 3
@@ -232,6 +246,33 @@ def test_inverse_of_random_sparse_matrices(M):
                 inverse(M, F)
     with pytest.raises(ValueError):
         inverse(SparseMatrix(M.rows, M.rows + 1, M.entries), QQ)
+
+
+def with_entries(M, cast):
+    return SparseMatrix(M.rows, M.cols, {k: cast(v) for k, v in M.entries.items()})
+
+
+def as_int_if_integral(v):
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(sparse_matrices_with_fill_in(), square_matrices()))
+def test_int_and_fraction_entries_give_equal_results_over_q(M):
+    # rational scalars are ints where integral; results must not depend on it
+    A, B = with_entries(M, as_int_if_integral), with_entries(M, Fraction)
+    assert rank(A, QQ) == rank(B, QQ)
+    assert rref(A, QQ) == rref(B, QQ)
+    assert kernel_basis(A, QQ) == kernel_basis(B, QQ)
+    if M.rows == M.cols:
+        try:
+            inv_a = inverse(A, QQ)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                inverse(B, QQ)
+        else:
+            assert inv_a == inverse(B, QQ)
 
 
 def test_rank_table():

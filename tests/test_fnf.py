@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from braidhom.braided import rank_one_space
-from braidhom.exactla import GF, QQ
+from braidhom.braided import (
+    BraidedVectorSpace, Cocycle, ConjClassSet, braided_space, conjugation_rack, identity_perm, rank_one_space,
+)
+from braidhom.cli import builtin_group
+from braidhom.exactla import GF, QQ, kernel_basis, rank
 from braidhom.fnf import braid_homology, complex_for_system, fnf_complex, PermutationSystem, validate_partition
 from braidhom.hurwitz import rack_orbits, signed_orbit_count
 from tests.test_braided import s3_transposition_space
@@ -73,6 +77,49 @@ def test_h0_signed_orbits_for_twisted_space():
     for n in (2, 3):
         betti = braid_homology(Veps, n, QQ)
         assert betti[0] == signed_orbit_count(Veps.rack, n)
+
+
+def test_non_integral_diagonal_braiding():
+    # sigma(x_a (x) x_b) = q_ab x_b (x) x_a with q_xy q_yx = 1: an exterior
+    # algebra on two letters, with Fraction entries in every differential;
+    # the Betti numbers were recorded when every rational scalar was a Fraction
+    q = [[-1, 2], [Fraction(1, 2), -1]]
+    V = BraidedVectorSpace(["x", "y"], {(a, b): (((b, a), q[a][b]),) for a in range(2) for b in range(2)})
+    for F in (QQ, GF(5)):
+        assert [braid_homology(V, n, F) for n in range(1, 5)] == [
+            [2, 0], [1, 1, 0], [0, 2, 2, 0], [0, 1, 4, 3, 0]], F
+
+
+@st.composite
+def small_rack_spaces(draw):
+    """A conjugation rack on a union of nontrivial classes of a small builtin
+    group, with a constant cocycle +-1 and an optional sign twist, and a strand
+    count n whose complex stays small (rack size ** n <= 125)."""
+    G = builtin_group(draw(st.sampled_from(["S3", "S4", "A4", "D4", "Z2", "Z3", "Z4", "Z5"])))
+    classes = [cl for cl in G.conjugacy_classes() if identity_perm(G.degree) not in cl]
+    picked = draw(st.lists(st.sampled_from(classes), min_size=1, unique=True))
+    c = ConjClassSet(G, set().union(*picked))
+    rack = conjugation_rack(G, c)
+    V = braided_space(rack, Cocycle.constant(rack, draw(st.sampled_from([1, -1]))),
+                      epsilon=draw(st.booleans()), group=G, name=G.name)
+    nmax = max(n for n in range(1, 5) if len(c.elements) ** n <= 125)
+    return V, draw(st.integers(1, nmax))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rack_spaces(), st.sampled_from([2, 3, 5]))
+def test_fnf_euler_characteristic(space, p):
+    # H_q = dim ker d_q - rank d_{q+1}, with the kernel from rref and the image
+    # from rank; the alternating sum of cells is d for n = 1 and 0 for n >= 2
+    V, n = space
+    for F in (QQ, GF(p)):
+        cx = fnf_complex(V, n, F)
+        betti = {q: len(kernel_basis(cx.differential(q), F)) - rank(cx.differential(q + 1), F)
+                 for q in cx.degrees}
+        assert betti == cx.homology_table(), F
+        euler_cells = sum((-1) ** q * cx.dim(q) for q in cx.degrees)
+        assert sum((-1) ** q * b for q, b in betti.items()) == euler_cells, F
+        assert euler_cells == (V.rank if n == 1 else 0), F
 
 
 def test_homology_field_dependence():
