@@ -233,6 +233,9 @@ class ConjClassSet:
             for a in range(1, perm_order(g))
             if _coprime(a, perm_order(g))
         )
+        # (group, letter bitmask) -> subgroup those letters generate, kept for
+        # every degree by `hurwitz.hurwitz_orbits`
+        self.monodromy_memo: dict = {}
 
     def __len__(self):
         return len(self.elements)

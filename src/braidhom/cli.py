@@ -91,7 +91,12 @@ def class_selector(G: PermGroup, spec: str) -> ConjClassSet:
 def resolve_field(args, G: PermGroup | None) -> CoefficientField:
     spec = getattr(args, "field", None)
     if spec is None:
+        # a prime dividing |G|, or the numerator or denominator of a rank-one
+        # braiding scalar (nonzero, as `resolve_space` has checked), is skipped
         order = G.order if G is not None else 1
+        if getattr(args, "rank1", False):
+            sigma = Fraction(args.sigma)
+            order *= sigma.numerator * sigma.denominator
         p = 2
         while order % p == 0:
             p += 1
@@ -229,7 +234,7 @@ def cmd_orbits(args) -> int:
         for i in sorted(by_sub):
             rows.append([n, len(table), f"H{i}", by_sub[i]])
         if args.components:
-            comps, _ = hurwitz.nielsen_components(G, c, n, F, cap=args.cap)
+            comps = hurwitz.nielsen_component_count(G, c, n, cap=args.cap)
             rows.append([n, len(table), "components", comps])
     meta = job_meta(args, {"field_resolved": str(F), "nmax_resolved": nmax,
                            "schema": "orbits",
@@ -316,8 +321,9 @@ def _add_space_flags(p, group_required=False):
         p.add_argument("--sigma", default="1", help="braiding scalar for --rank1 (integer or fraction)")
 
 
-def _add_common(p):
-    p.add_argument("--field", help="'Q' or a prime p (default: smallest prime not dividing |G|)")
+def _add_common(p, field_help="'Q' or a prime p (default: smallest prime not dividing |G|, "
+                                "nor sigma's numerator or denominator for --rank1)"):
+    p.add_argument("--field", help=field_help)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.add_argument("--out", help="output path (default stdout)")
 
@@ -357,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int)
     p.add_argument("--components", action="store_true", help="also count connected-cover components")
     p.add_argument("--cap", type=int, default=hurwitz.DEFAULT_STATE_CAP)
-    _add_common(p)
+    _add_common(p, field_help="'Q' or a prime p; only echoed as field_resolved, since no "
+                              "linear algebra runs (default: smallest prime not dividing |G|)")
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("koszul", help="Koszul complex homology and identity checks")

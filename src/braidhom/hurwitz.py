@@ -1,11 +1,12 @@
 """Braid orbit enumeration on tuples of rack elements, and its group-theoretic refinements.
 
 The n-strand braid group acts on length-n words over a rack by
-sigma_i: (..., a, b, ...) -> (..., b, a^b, ...), with inverse
-(..., a, b, ...) -> (..., b a b^-1-analogue, a ...); for conjugation racks this
-is the Hurwitz action on c^(x)n.  Orbits are enumerated by breadth-first
-closure over the full word set, so the canonical representative (the
-lexicographic minimum of the orbit) is exact, not heuristic.
+sigma_i: (..., a, b, ...) -> (..., b, a^b, ...); for conjugation racks this
+is the Hurwitz action on c^(x)n.  Words are coded as base-d integers in
+lexicographic order and swept in that order; each new orbit is closed under
+the forward moves sigma_i, which permute the finite word set, so forward
+closure is the whole orbit and the first word of the sweep in it, its
+lexicographic minimum, is the canonical representative, exactly.
 
 On top of the raw orbit tables sit: monodromy subgroups and the lattice of
 subgroups generated from c, the stratification of the orbit ring by exact
@@ -40,8 +41,9 @@ class OrbitRecord:
 class OrbitTable:
     """All orbits of the braid action on words of a fixed length.
 
-    `orbit_of` maps every word to its orbit index; orbits are listed in
-    lexicographic order of their canonical representatives.
+    `orbit_of` maps every word to its orbit index, with the words in
+    lexicographic order; orbits are listed in lexicographic order of their
+    canonical representatives.
     """
 
     def __init__(self, rack: Rack, n: int, orbits: list[OrbitRecord], orbit_of: dict):
@@ -75,6 +77,13 @@ def _class_partition(rack: Rack, labels_classes=None) -> list[int]:
 def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP, class_of=None) -> OrbitTable:
     """Orbits of the braid action on rack words of length n.
 
+    A word w is coded as the base-d integer sum w[k] d^(n-1-k), so codes in
+    increasing order are the words in lexicographic order, and the first code
+    not yet reached is the least word of a new orbit: its representative.  Each
+    orbit is closed under the forward moves sigma_i alone, each a lookup in a
+    table of letter pairs.  sigma_i permutes the finite word set, so sigma_i^-1
+    is a power of it and forward closure reaches the whole orbit.
+
     `class_of` assigns each letter a class index for the multigrade (asserted
     constant on every orbit during the sweep); it defaults to rack components.
     Tables are cached on the rack, keyed by (n, class_of).
@@ -87,45 +96,45 @@ def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP, class_of=None)
         return rack.orbit_tables[key]
     class_of = _class_partition(rack, class_of)
     m = max(class_of) + 1 if class_of else 1
-    act, inv_act = rack.act, rack.inv_act
+    act = rack.act
+    dd = d * d
+    # sigma on the pair code a*d + b is (b, a^b); shift[p] is the change of code
+    shift = [b * d + act[a][b] - (a * d + b) for a in range(d) for b in range(d)]
+    scales = [d ** (n - 2 - i) for i in range(n - 1)]  # place value of the pair at i, i+1
+    # grade[w]: the multigrade of w in base n + 1, built one letter at a time
+    unit = [(n + 1) ** class_of[a] for a in range(d)]
+    grade = [0]
+    for _ in range(n):
+        grade = [g + u for g in grade for u in unit]
 
-    def neighbors(w):
-        for i in range(n - 1):
-            a, b = w[i], w[i + 1]
-            yield w[:i] + (b, act[a][b]) + w[i + 2:]
-            yield w[:i] + (inv_act[b][a], a) + w[i + 2:]
+    orbit_id = [-1] * d**n
+    orbits = []
+    for w0 in range(d**n):
+        if orbit_id[w0] >= 0:
+            continue
+        idx = len(orbits)
+        orbit_id[w0] = idx
+        g0 = grade[w0]
+        comp = [w0]
+        for w in comp:  # comp grows while it is walked
+            if grade[w] != g0:
+                raise AssertionError("multigrade is not constant on an orbit")
+            for s in scales:
+                pair = w // s % dd
+                w2 = w + shift[pair] * s
+                if orbit_id[w2] < 0:
+                    orbit_id[w2] = idx
+                    comp.append(w2)
+        rep = tuple(w0 // d ** (n - 1 - k) % d for k in range(n))
+        multigrade = [0] * m
+        for a in rep:
+            multigrade[class_of[a]] += 1
+        orbits.append(OrbitRecord(rep, len(comp), None, tuple(multigrade)))
+    del grade
 
     from itertools import product
 
-    orbit_of = {}
-    orbits = []
-    for w0 in product(range(d), repeat=n):
-        if w0 in orbit_of:
-            continue
-        idx = len(orbits)
-        comp = [w0]
-        orbit_of[w0] = idx
-        frontier = [w0]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for w2 in neighbors(w):
-                    if w2 not in orbit_of:
-                        orbit_of[w2] = idx
-                        comp.append(w2)
-                        nxt.append(w2)
-            frontier = nxt
-        rep = min(comp)
-        grade = [0] * m
-        for a in rep:
-            grade[class_of[a]] += 1
-        for w in comp:
-            g2 = [0] * m
-            for a in w:
-                g2[class_of[a]] += 1
-            if g2 != grade:
-                raise AssertionError("multigrade is not constant on an orbit")
-        orbits.append(OrbitRecord(rep, len(comp), None, tuple(grade)))
+    orbit_of = dict(zip(product(range(d), repeat=n), orbit_id))
     table = rack.orbit_tables[key] = OrbitTable(rack, n, orbits, orbit_of)
     return table
 
@@ -193,9 +202,9 @@ def hurwitz_orbits(G: PermGroup, c: ConjClassSet, n: int, cap: int = DEFAULT_STA
 
     Each orbit is labelled by the subgroup of G its letters generate, and the
     label is checked on every word of the orbit.  The monodromy of a word
-    depends only on its set of letters, so it is computed once per letter set.
-    The table is cached on `c.rack` and shares `orbit_of` with the unlabelled
-    table of `rack_orbits`.
+    depends only on its set of letters, so it is computed once per letter set
+    and kept on `c` for every degree.  The table is cached on `c.rack` and
+    shares `orbit_of` with the unlabelled table of `rack_orbits`.
     """
     rack = c.rack
     class_of = tuple(c.class_index(g) for g in c.elements)
@@ -204,21 +213,57 @@ def hurwitz_orbits(G: PermGroup, c: ConjClassSet, n: int, cap: int = DEFAULT_STA
     if key in rack.orbit_tables:
         return rack.orbit_tables[key]
     elems = c.elements
-    by_letters: dict = {}
-
-    def mono(word):
-        letters = frozenset(word)
-        if letters not in by_letters:
-            by_letters[letters] = monodromy_group([elems[a] for a in sorted(letters)], G)
-        return by_letters[letters]
-
-    labels = [mono(rec.rep) for rec in plain.orbits]
-    for w, oi in plain.orbit_of.items():
-        if mono(w) != labels[oi]:
+    d = len(elems)
+    # letters[w]: the letter set of the word with code w, as a bitmask
+    letters = [0]
+    for _ in range(n):
+        letters = [s | 1 << a for s in letters for a in range(d)]
+    memo = c.monodromy_memo
+    subgroups: dict = {}  # subgroup -> label id
+    label_of = {}  # letter bitmask -> label id
+    for s in set(letters):
+        h = memo.get((G, s))
+        if h is None:
+            h = memo[(G, s)] = monodromy_group([elems[a] for a in range(d) if s >> a & 1], G)
+        label_of[s] = subgroups.setdefault(h, len(subgroups))
+    rep_labels = [label_of[sum(1 << a for a in set(rec.rep))] for rec in plain.orbits]
+    for s, oi in zip(letters, plain.orbit_of.values()):  # orbit_of is in code order
+        if label_of[s] != rep_labels[oi]:
             raise AssertionError("monodromy is not constant on an orbit")
-    orbits = [replace(rec, monodromy=h) for rec, h in zip(plain.orbits, labels)]
+    by_label = list(subgroups)
+    orbits = [replace(rec, monodromy=by_label[i]) for rec, i in zip(plain.orbits, rep_labels)]
     table = rack.orbit_tables[key] = OrbitTable(rack, n, orbits, plain.orbit_of)
     return table
+
+
+def nielsen_component_count(G: PermGroup, c: ConjClassSet, n: int,
+                            cap: int = DEFAULT_STATE_CAP) -> int:
+    """Number of braid orbits on the Nielsen classes of c^(x)n whose letters generate G.
+
+    Braid moves commute with simultaneous conjugation, so conjugation by G
+    permutes the braid orbits of monodromy G; the count is the number of
+    classes of that action, read off the labelled orbit table.
+    """
+    table = hurwitz_orbits(G, c, n, cap=cap)
+    full = frozenset(G.elements)
+    idx_of = {g: i for i, g in enumerate(c.elements)}
+    conj_tables = [[idx_of[conj(x, g)] for x in c.elements] for g in G.generators]
+    seen = set()
+    count = 0
+    for k, rec in enumerate(table.orbits):
+        if k in seen or rec.monodromy != full:
+            continue
+        count += 1
+        seen.add(k)
+        frontier = [k]
+        while frontier:
+            rep = table.orbits[frontier.pop()].rep
+            for t in conj_tables:
+                j = table.orbit_of[tuple(t[a] for a in rep)]
+                if j not in seen:
+                    seen.add(j)
+                    frontier.append(j)
+    return count
 
 
 def subgroup_lattice(G: PermGroup, c: ConjClassSet) -> SubgroupLattice:
@@ -345,13 +390,17 @@ def signed_orbit_count(rack: Rack, n: int, sign_value: int = -1,
                        cap: int = DEFAULT_STATE_CAP) -> int:
     """Rank of the coinvariants when the braid action is twisted by a constant
     cocycle of the given sign: an orbit survives unless some loop returns to a
-    word with the opposite sign."""
+    word with the opposite sign.
+
+    Orbits are closed under the forward moves sigma_i, as in `rack_orbits`;
+    every edge {w, sigma_i w} of an orbit is examined from w.
+    """
     if sign_value == 1:
         return len(rack_orbits(rack, n, cap=cap))
     d = rack.size
     if d**n > cap:
         raise ValueError(f"state space {d}^{n} exceeds cap {cap}")
-    act, inv_act = rack.act, rack.inv_act
+    act = rack.act
     from itertools import product
 
     seen = {}
@@ -368,15 +417,14 @@ def signed_orbit_count(rack: Rack, n: int, sign_value: int = -1,
                 s = seen[w]
                 for i in range(n - 1):
                     a, b = w[i], w[i + 1]
-                    for w2 in (w[:i] + (b, act[a][b]) + w[i + 2:],
-                               w[:i] + (inv_act[b][a], a) + w[i + 2:]):
-                        s2 = -s  # constant -1 cocycle: every move flips the sign
-                        if w2 in seen:
-                            if seen[w2] != s2:
-                                alive = False
-                        else:
-                            seen[w2] = s2
-                            nxt.append(w2)
+                    w2 = w[:i] + (b, act[a][b]) + w[i + 2:]
+                    s2 = -s  # constant -1 cocycle: every move flips the sign
+                    if w2 in seen:
+                        if seen[w2] != s2:
+                            alive = False
+                    else:
+                        seen[w2] = s2
+                        nxt.append(w2)
             frontier = nxt
         if alive:
             count += 1
@@ -390,12 +438,15 @@ def nielsen_components(G: PermGroup, c: ConjClassSet, n: int, F: CoefficientFiel
 
     Nielsen classes are words in c^(x)n up to simultaneous conjugation by G;
     the braid action descends.  Only classes whose letters generate G are
-    kept.  Returns (component count, [H_j ranks for j = 0..n]).
+    kept.  Returns (component count, [H_j ranks for j = 0..n]).  The count is
+    `nielsen_component_count`; the Betti numbers come from the braid action on
+    the classes themselves, so H_0 is an independent computation of it.
     """
+    comps = nielsen_component_count(G, c, n, cap=cap)
+    if n <= 1 or not comps:
+        return comps, [comps] + [0] * n
     elems = c.elements
     d = len(elems)
-    if d**n > cap:
-        raise ValueError(f"state space {d}^{n} exceeds cap {cap}")
     idx_of = {g: i for i, g in enumerate(elems)}
     conj_tables = []
     for g in G.elements:
@@ -416,9 +467,6 @@ def nielsen_components(G: PermGroup, c: ConjClassSet, n: int, F: CoefficientFiel
     full = frozenset(G.elements)
     reps = sorted({canon(w) for w in product(range(d), repeat=n)})
     surj = [w for w in reps if monodromy_group([elems[a] for a in w], G) == full]
-    if n == 0:
-        comps = len(surj)  # the empty word generates G only when G is trivial
-        return comps, [comps]
     pos = {w: i for i, w in enumerate(surj)}
     rack = c.rack
     act, inv_act = rack.act, rack.inv_act
@@ -432,32 +480,8 @@ def nielsen_components(G: PermGroup, c: ConjClassSet, n: int, F: CoefficientFiel
             w2 = w[: i - 1] + (inv_act[b][a], a) + w[i + 1:]
         return pos[canon(w2)]
 
-    if not surj:
-        return 0, [0] * (n + 1)
-
-    # component count: orbits of the generator action on surjective classes
-    seen = set()
-    comps = 0
-    for k in range(len(surj)):
-        if k in seen:
-            continue
-        comps += 1
-        frontier = [k]
-        seen.add(k)
-        while frontier:
-            x = frontier.pop()
-            for i in range(1, n):
-                for sgn in (1, -1):
-                    y = gen_action(i, sgn, x)
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-    if n == 1:
-        betti = [comps] + [0]
-        return comps, betti
     system = PermutationSystem(len(surj), gen_action, labels=surj)
-    betti = homology_for_system(system, n, F)
-    return comps, betti
+    return comps, homology_for_system(system, n, F)
 
 
 @dataclass

@@ -223,10 +223,14 @@ def koszul_homology(K: KoszulComplex, pmax: int | None = None, qmax: int | None 
 
     The window must leave one module degree of headroom (homology at q needs
     the differential into q + 1), and one dual degree when the dual algebra
-    was truncated before vanishing.
+    was truncated before vanishing; a window left with no dual degree raises
+    `TruncationError`.
     """
     p_top = K.homology_pmax()
     pmax = p_top if pmax is None else min(pmax, p_top)
+    if pmax < 0:
+        raise TruncationError(f"the window holds no dual degree with reliable homology "
+                              f"(assembled pmax {K.pmax}); increase pmax")
     qmax = K.qmax - 1 if qmax is None else qmax
     if qmax > K.qmax - 1:
         raise TruncationError("homology window exceeds assembled degrees; increase qmax")

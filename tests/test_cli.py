@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from braidhom import koszul, qsa
+from braidhom import hurwitz, koszul, qsa
 from braidhom.cli import builtin_group, class_selector, main
 from braidhom.exactla import ComplexIntegrityError
 
@@ -49,6 +50,16 @@ def test_meta_echoes_defaults(capsys):
     assert "# nmax_resolved=2" in out
 
 
+def test_default_field_avoids_sigma(capsys):
+    # sigma = 1/2 has no value mod 2, so the default working prime is 3
+    rc, out = run(capsys, ["betti", "--rank1", "--sigma", "1/2", "--nmax", "3"])
+    assert rc == 0
+    assert "# field_resolved=F_3" in out
+    rc, out = run(capsys, ["betti", "--rank1", "--sigma", "6", "--nmax", "2"])
+    assert rc == 0
+    assert "# field_resolved=F_5" in out
+
+
 def test_default_field_avoids_group_order(capsys):
     # |S3| = 6, so the default working prime is 5
     rc, out = run(capsys, ["malle", "--group", "S3", "--classes", "all"])
@@ -89,6 +100,34 @@ def test_orbits_subcommand(capsys):
                            "--nmax", "2", "--components"])
     assert rc == 0
     assert "2,5,components,1" in out
+
+
+def test_orbit_components_build_no_betti_complex(monkeypatch, capsys):
+    def no_betti(system, n, F):
+        raise AssertionError("orbits --components built a Betti complex")
+
+    monkeypatch.setattr(hurwitz, "homology_for_system", no_betti)
+    rc, out = run(capsys, ["orbits", "--group", "S4", "--classes", "transpositions",
+                           "--nmax", "4", "--components", "--field", "Q"])
+    assert rc == 0
+    assert "4,38,components,2" in out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("orbits_S4_transpositions_nmax4_components.csv",
+     ["orbits", "--group", "S4", "--classes", "transpositions", "--nmax", "4", "--components"]),
+    ("orbits_A4_3-cycles_nmax5.csv",
+     ["orbits", "--group", "A4", "--classes", "3-cycles", "--nmax", "5"]),
+])
+def test_orbits_golden(name, argv, capsys):
+    # stdout recorded when orbits were a tuple BFS over sigma_i and its
+    # inverse, and components were counted by a BFS over Nielsen classes
+    rc, out = run(capsys, argv)
+    assert rc == 0
+    assert out == (GOLDEN / name).read_text()
 
 
 def test_koszul_subcommand(capsys):
@@ -154,6 +193,16 @@ def test_truncation_exits_3(monkeypatch, capsys):
                "--pmax", "3", "--qmax", "4", "--field", "2"])
     assert rc == 3
     assert "increase qmax" in capsys.readouterr().err
+
+
+def test_empty_dual_window_exits_3(capsys):
+    # with pmax 0 the only dual degree is the truncation boundary
+    rc = main(["koszul", "--group", "S3", "--classes", "transpositions", "--epsilon",
+               "--pmax", "0", "--field", "Q"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "increase pmax" in captured.err
 
 
 def data_rows(out):

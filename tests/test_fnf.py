@@ -91,14 +91,20 @@ def test_non_integral_diagonal_braiding():
 
 
 @st.composite
+def small_class_sets(draw):
+    """A small builtin group and a union of its nontrivial conjugacy classes."""
+    G = builtin_group(draw(st.sampled_from(["S3", "S4", "A4", "D4", "Z2", "Z3", "Z4", "Z5"])))
+    classes = [cl for cl in G.conjugacy_classes() if identity_perm(G.degree) not in cl]
+    picked = draw(st.lists(st.sampled_from(classes), min_size=1, unique=True))
+    return G, ConjClassSet(G, set().union(*picked))
+
+
+@st.composite
 def small_rack_spaces(draw):
     """A conjugation rack on a union of nontrivial classes of a small builtin
     group, with a constant cocycle +-1 and an optional sign twist, and a strand
     count n whose complex stays small (rack size ** n <= 125)."""
-    G = builtin_group(draw(st.sampled_from(["S3", "S4", "A4", "D4", "Z2", "Z3", "Z4", "Z5"])))
-    classes = [cl for cl in G.conjugacy_classes() if identity_perm(G.degree) not in cl]
-    picked = draw(st.lists(st.sampled_from(classes), min_size=1, unique=True))
-    c = ConjClassSet(G, set().union(*picked))
+    G, c = draw(small_class_sets())
     rack = conjugation_rack(G, c)
     V = braided_space(rack, Cocycle.constant(rack, draw(st.sampled_from([1, -1]))),
                       epsilon=draw(st.booleans()), group=G, name=G.name)

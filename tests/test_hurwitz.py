@@ -1,7 +1,9 @@
 import gc
 import weakref
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidhom.braided import (
     ConjClassSet,
@@ -13,7 +15,7 @@ from braidhom.braided import (
     parse_cycles,
 )
 from braidhom.cli import builtin_group, class_selector
-from braidhom.exactla import QQ
+from braidhom.exactla import GF, QQ
 from braidhom.hurwitz import (
     filtered_module,
     hurwitz_orbits,
@@ -27,7 +29,9 @@ from braidhom.hurwitz import (
     stabilization_thresholds,
     subgroup_lattice,
 )
+from tests.test_acceptance import _naive_orbit_count
 from tests.test_braided import S3, transpositions
+from tests.test_fnf import small_class_sets
 
 
 def test_orbit_basics():
@@ -98,6 +102,68 @@ def test_orbit_tables_are_cached_on_the_class_set_and_die_with_it():
     del G, c, rack, labelled, plain
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+def tuple_bfs_orbits(rack, n, class_of):
+    """Oracle: breadth-first closure of tuples under sigma_i and sigma_i^-1.
+
+    Returns the partition of the words, as {word: representative}, and
+    {representative: (size, multigrade)}."""
+    act, inv_act = rack.act, rack.inv_act
+    rep_of, records = {}, {}
+    for w0 in product(range(rack.size), repeat=n):
+        if w0 in rep_of:
+            continue
+        comp, frontier = [w0], [w0]
+        rep_of[w0] = w0
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for i in range(n - 1):
+                    a, b = w[i], w[i + 1]
+                    for w2 in (w[:i] + (b, act[a][b]) + w[i + 2:],
+                               w[:i] + (inv_act[b][a], a) + w[i + 2:]):
+                        if w2 not in rep_of:
+                            rep_of[w2] = w0
+                            comp.append(w2)
+                            nxt.append(w2)
+            frontier = nxt
+        grades = {tuple(sum(1 for a in w if class_of[a] == k) for k in range(max(class_of) + 1))
+                  for w in comp}
+        assert len(grades) == 1
+        records[w0] = (len(comp), grades.pop())
+    return rep_of, records
+
+
+@st.composite
+def class_sets_and_lengths(draw):
+    G, c = draw(small_class_sets())
+    nmax = max(n for n in range(6) if len(c.elements) ** n <= 1500)
+    return G, c, draw(st.integers(0, nmax))
+
+
+@settings(max_examples=40, deadline=None)
+@given(class_sets_and_lengths(), st.booleans())
+def test_rack_orbits_match_tuple_bfs(case, by_class):
+    # the integer sweep closes orbits under sigma_i only; the oracle uses both
+    # directions, as the tuple sweep did
+    G, c, n = case
+    rack = c.rack
+    if by_class:
+        class_of = [c.class_index(g) for g in c.elements]
+        table = rack_orbits(rack, n, class_of=class_of)
+    else:
+        class_of = [0] * rack.size
+        for k, block in enumerate(rack.components()):
+            for a in block:
+                class_of[a] = k
+        table = rack_orbits(rack, n)
+    rep_of, records = tuple_bfs_orbits(rack, n, class_of)
+    assert sorted(table.orbit_of) == sorted(rep_of)
+    assert all(table.orbits[oi].rep == rep_of[w] for w, oi in table.orbit_of.items())
+    assert [rec.rep for rec in table.orbits] == sorted(records)
+    assert [(rec.size, rec.multigrade) for rec in table.orbits] == [records[r] for r in sorted(records)]
+    assert len(hurwitz_orbits(G, c, n)) == _naive_orbit_count(G, c, n)
 
 
 def test_monodromy_examples():
@@ -197,11 +263,16 @@ def test_nielsen_components():
 
 
 def test_nielsen_h0_equals_components():
-    G = S3()
-    c = transpositions(G)
-    for n in (2, 3, 4):
-        comps, betti = nielsen_components(G, c, n, QQ)
-        assert betti[0] == comps, n
+    # H_0 of the cover's complex on Nielsen classes, against the count of
+    # conjugation classes of full-monodromy orbits read off the orbit table
+    for group, classes in [("S3", "transpositions"), ("S4", "transpositions"),
+                           ("A4", "3-cycles"), ("D4", "all")]:
+        G = builtin_group(group)
+        c = class_selector(G, classes)
+        for F in (QQ, GF(5)):
+            for n in (2, 3, 4):
+                comps, betti = nielsen_components(G, c, n, F)
+                assert betti[0] == comps, (group, F, n)
 
 
 def test_stabilization_s3():
