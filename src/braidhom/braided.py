@@ -5,10 +5,9 @@ Permutations on m points are tuples p of length m with p[i] the image of i
 Conjugation is written b^a = a^-1 b a throughout, matching the rack operation.
 
 A braided vector space stores its braiding as a sparse table on basis pairs.
-For rack-type spaces every column of the braiding has exactly one entry
-(+-cocycle times a basis pair), and the action of braid words on tensor powers
-follows that monomial fast path.  The basis of a tensor power V^(x)n is the set
-of length-n words over the basis of V in lexicographic order.
+The basis of a tensor power V^(x)n is the set of length-n words over the basis
+of V in lexicographic order, and braid words act on vectors keyed by base-r
+word codes (`word_index`), one path for every braiding.
 
 Structures are not changed after construction, apart from caches that fill
 lazily on first use: `ConjClassSet.rack` and each rack's `orbit_tables`
@@ -20,7 +19,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .exactla import QQ, SparseMatrix, inverse, rank
@@ -335,8 +333,7 @@ class Rack:
 @dataclass(frozen=True)
 class Cocycle:
     """Scalar table x_{ab} twisting a rack braiding; must satisfy
-    x_{ab} x_{a^b c} = x_{ac} x_{a^c b^c}.  Constant +-1 tables are the
-    supported fast path; general nonzero scalars are accepted unoptimized.
+    x_{ab} x_{a^b c} = x_{ac} x_{a^c b^c}, with nonzero exact values.
     """
 
     table: tuple  # table[a][b] as a tuple of tuples, indexed like Rack.act
@@ -408,9 +405,8 @@ class BraidedVectorSpace:
     """A finite-rank vector space with an invertible braiding on V (x) V.
 
     sigma maps the basis pair (a, b) to a list of ((c, d), coefficient) terms
-    with exact integer or Fraction coefficients.  `monomial` is True when each
-    pair maps to a single term, which covers every rack-type and rank-one
-    space and enables the fast word-rewriting action.
+    with exact integer or Fraction coefficients.  `sigma_codes` is the same
+    table on pair codes: entry a*r + b lists the terms (c*r + d, coefficient).
 
     `grading`, when present, assigns a group element to each basis vector
     (the Yetter-Drinfeld degree); the degree of a word is the left-to-right
@@ -427,7 +423,10 @@ class BraidedVectorSpace:
             terms = tuple(((c, d), coeff) for (c, d), coeff in terms if coeff != 0)
             if terms:
                 self.sigma[(a, b)] = terms
-        self.monomial = all(len(t) == 1 for t in self.sigma.values()) and len(self.sigma) == self.rank**2
+        r = self.rank
+        self.sigma_codes = [()] * (r * r)
+        for (a, b), terms in self.sigma.items():
+            self.sigma_codes[a * r + b] = tuple((c * r + d, coeff) for (c, d), coeff in terms)
         self.grading = grading
         self.group = group
         self.rack = rack
@@ -435,35 +434,19 @@ class BraidedVectorSpace:
         self._inv = None
 
     def sigma_matrix(self) -> SparseMatrix:
-        """The braiding as an r^2 x r^2 matrix on pair indices (a, b) -> a*r + b."""
+        """The braiding as an r^2 x r^2 matrix on pair codes (a, b) -> a*r + b."""
         r = self.rank
-        ent = {}
-        for (a, b), terms in self.sigma.items():
-            for (c, d), coeff in terms:
-                ent[(c * r + d, a * r + b)] = coeff
+        ent = {(q, p): coeff for p, terms in enumerate(self.sigma_codes) for q, coeff in terms}
         return SparseMatrix(r * r, r * r, ent)
 
-    def sigma_inverse(self) -> dict:
-        """Inverse braiding in the same table format; computed once on demand."""
-        if self._inv is not None:
-            return self._inv
-        if self.monomial:
-            inv = {}
-            for (a, b), terms in self.sigma.items():
-                (c, d), coeff = terms[0]
-                if isinstance(coeff, int) and coeff in (1, -1):
-                    inv[(c, d)] = (((a, b), coeff),)
-                else:
-                    inv[(c, d)] = (((a, b), Fraction(1) / Fraction(coeff)),)
-            if len(inv) != self.rank**2:
-                raise ValueError("braiding is not invertible")
-            self._inv = inv
-            return self._inv
-        # general case: invert the r^2 x r^2 matrix exactly over Q
-        inv = {}
-        for (row, col), v in sorted(inverse(self.sigma_matrix(), QQ).entries.items(), key=lambda e: e[0][::-1]):
-            inv.setdefault(divmod(col, self.rank), []).append((divmod(row, self.rank), v))
-        self._inv = {pair: tuple(terms) for pair, terms in inv.items()}
+    def sigma_inverse(self) -> list:
+        """The inverse braiding as a pair-code table like `sigma_codes`, inverted
+        exactly over Q on first use and kept."""
+        if self._inv is None:
+            inv = [[] for _ in self.sigma_codes]
+            for (q, p), v in sorted(inverse(self.sigma_matrix(), QQ).entries.items()):
+                inv[p].append((q, v))
+            self._inv = [tuple(terms) for terms in inv]
         return self._inv
 
     def word_degree(self, word: tuple[int, ...]) -> Perm:
@@ -559,40 +542,31 @@ def apply_moves_to_vector(V: BraidedVectorSpace, n: int, moves, vec: dict) -> di
     """Apply a braid word to a vector in V^(x)n.
 
     `moves` is a list of signed generator indices (1-based, negative for the
-    inverse generator), applied left to right.  `vec` maps basis words to
-    exact coefficients.  Returns the same representation.
+    inverse generator), applied left to right.  `vec` maps base-r word codes
+    (`word_index`) to exact coefficients; so does the result.  Generator g
+    rewrites the pair code at place value r^(n-1-g), i.e. letters g-1, g.
     """
+    r = V.rank
+    rr = r * r
     cur = dict(vec)
     for mv in moves:
-        i = abs(mv) - 1
-        if not 0 <= i < n - 1:
+        g = abs(mv)
+        if not 1 <= g < n:
             raise ValueError(f"generator {mv} out of range for {n} strands")
-        table = V.sigma if mv > 0 else V.sigma_inverse()
+        table = V.sigma_codes if mv > 0 else V.sigma_inverse()
+        place = r ** (n - 1 - g)
         nxt = {}
-        for word, cf in cur.items():
-            pair = (word[i], word[i + 1])
-            for (c, d), coeff in table[pair]:
-                w2 = word[:i] + (c, d) + word[i + 2:]
-                s = nxt.get(w2, 0) + cf * coeff
+        for code, cf in cur.items():
+            p = code // place % rr
+            for q, coeff in table[p]:
+                c2 = code + (q - p) * place
+                s = nxt.get(c2, 0) + cf * coeff
                 if s == 0:
-                    nxt.pop(w2, None)
+                    nxt.pop(c2, None)
                 else:
-                    nxt[w2] = s
+                    nxt[c2] = s
         cur = nxt
     return cur
-
-
-def apply_moves_to_word(V: BraidedVectorSpace, n: int, moves, word: tuple[int, ...]):
-    """Monomial fast path: returns (coefficient, word). Requires a monomial braiding."""
-    cf = 1
-    w = word
-    for mv in moves:
-        i = abs(mv) - 1
-        table = V.sigma if mv > 0 else V.sigma_inverse()
-        (c, d), coeff = table[(w[i], w[i + 1])][0]
-        w = w[:i] + (c, d) + w[i + 2:]
-        cf = cf * coeff
-    return cf, w
 
 
 def braid_word_action(V: BraidedVectorSpace, n: int, word) -> SparseMatrix:
@@ -601,25 +575,8 @@ def braid_word_action(V: BraidedVectorSpace, n: int, word) -> SparseMatrix:
     The word is a list of signed generator indices in {+-1, ..., +-(n-1)},
     applied left to right; the empty word gives the identity.
     """
-    for mv in word:
-        if mv == 0 or abs(mv) > n - 1:
-            raise ValueError(f"generator index {mv} out of range for {n} strands")
-    r = V.rank
-    dim = r**n
-    ent = {}
-    if V.monomial:
-        for idx in range(dim):
-            w = index_word(idx, r, n)
-            cf, w2 = apply_moves_to_word(V, n, word, w)
-            if cf != 0:
-                ent[(word_index(w2, r), idx)] = cf
-    else:
-        for idx in range(dim):
-            w = index_word(idx, r, n)
-            out = apply_moves_to_vector(V, n, word, {w: 1})
-            for w2, cf in out.items():
-                ent[(word_index(w2, r), idx)] = cf
-    return SparseMatrix(dim, dim, ent)
+    dim = V.rank**n
+    return SparseMatrix.from_columns(dim, [apply_moves_to_vector(V, n, word, {idx: 1}) for idx in range(dim)])
 
 
 @dataclass

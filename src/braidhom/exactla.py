@@ -514,9 +514,3 @@ class RankTable:
         for key, r in self.items():
             lines.append(",".join(str(k) for k in key) + f",{r}")
         return "\n".join(lines) + "\n"
-
-    def to_json_obj(self):
-        return {
-            "axes": list(self.axes),
-            "ranks": [{"key": list(k), "rank": r} for k, r in self.items()],
-        }

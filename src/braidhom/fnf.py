@@ -21,7 +21,7 @@ shuffle-signed sum of braid lifts acting on the coefficients.
 
 from __future__ import annotations
 
-from .braided import BraidedVectorSpace, apply_moves_to_vector, apply_moves_to_word, index_word, word_index
+from .braided import BraidedVectorSpace, apply_moves_to_vector, index_word
 from .exactla import CoefficientField, ComplexIntegrityError, SparseMatrix, rank
 from .shuffle import compositions, lifted_block_words
 
@@ -46,12 +46,7 @@ class TensorSystem:
 
     def apply_moves(self, moves, idx: int):
         """Image of a basis vector as {index: exact coefficient}."""
-        w = index_word(idx, self.V.rank, self.n)
-        if self.V.monomial:
-            cf, w2 = apply_moves_to_word(self.V, self.n, moves, w)
-            return {word_index(w2, self.V.rank): cf}
-        out = apply_moves_to_vector(self.V, self.n, moves, {w: 1})
-        return {word_index(w2, self.V.rank): cf for w2, cf in out.items()}
+        return apply_moves_to_vector(self.V, self.n, moves, {idx: 1})
 
 
 class PermutationSystem:

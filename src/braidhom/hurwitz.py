@@ -188,9 +188,6 @@ class SubgroupLattice:
     def index(self, h) -> int:
         return self._index[frozenset(h)]
 
-    def leq(self, h1, h2) -> bool:
-        return frozenset(h1) <= frozenset(h2)
-
     def describe(self, i: int) -> str:
         h = self.subgroups[i]
         gens = sorted(g for g in self.c.elements if g in h)
@@ -212,20 +209,15 @@ def hurwitz_orbits(G: PermGroup, c: ConjClassSet, n: int, cap: int = DEFAULT_STA
     key = (n, class_of, "monodromy")
     if key in rack.orbit_tables:
         return rack.orbit_tables[key]
-    elems = c.elements
-    d = len(elems)
+    d = len(c.elements)
     # letters[w]: the letter set of the word with code w, as a bitmask
     letters = [0]
     for _ in range(n):
         letters = [s | 1 << a for s in letters for a in range(d)]
-    memo = c.monodromy_memo
     subgroups: dict = {}  # subgroup -> label id
     label_of = {}  # letter bitmask -> label id
     for s in set(letters):
-        h = memo.get((G, s))
-        if h is None:
-            h = memo[(G, s)] = monodromy_group([elems[a] for a in range(d) if s >> a & 1], G)
-        label_of[s] = subgroups.setdefault(h, len(subgroups))
+        label_of[s] = subgroups.setdefault(_letter_monodromy(G, c, s), len(subgroups))
     rep_labels = [label_of[sum(1 << a for a in set(rec.rep))] for rec in plain.orbits]
     for s, oi in zip(letters, plain.orbit_of.values()):  # orbit_of is in code order
         if label_of[s] != rep_labels[oi]:
@@ -234,6 +226,16 @@ def hurwitz_orbits(G: PermGroup, c: ConjClassSet, n: int, cap: int = DEFAULT_STA
     orbits = [replace(rec, monodromy=by_label[i]) for rec, i in zip(plain.orbits, rep_labels)]
     table = rack.orbit_tables[key] = OrbitTable(rack, n, orbits, plain.orbit_of)
     return table
+
+
+def _letter_monodromy(G: PermGroup, c: ConjClassSet, letters: int):
+    """The subgroup of G generated by the elements of c in the letter bitmask,
+    computed once per (G, bitmask) and kept in `c.monodromy_memo`."""
+    h = c.monodromy_memo.get((G, letters))
+    if h is None:
+        gens = [g for a, g in enumerate(c.elements) if letters >> a & 1]
+        h = c.monodromy_memo[(G, letters)] = monodromy_group(gens, G)
+    return h
 
 
 def nielsen_component_count(G: PermGroup, c: ConjClassSet, n: int,
@@ -466,7 +468,7 @@ def nielsen_components(G: PermGroup, c: ConjClassSet, n: int, F: CoefficientFiel
 
     full = frozenset(G.elements)
     reps = sorted({canon(w) for w in product(range(d), repeat=n)})
-    surj = [w for w in reps if monodromy_group([elems[a] for a in w], G) == full]
+    surj = [w for w in reps if _letter_monodromy(G, c, sum(1 << a for a in set(w))) == full]
     pos = {w: i for i, w in enumerate(surj)}
     rack = c.rack
     act, inv_act = rack.act, rack.inv_act

@@ -138,22 +138,6 @@ class NicholsData:
         w = self.pivot_words(p1)[k1] + self.pivot_words(p2)[k2]
         return self.reduce_dual(p1 + p2, {w: 1})
 
-    def dual_conjugate(self, p: int, letter: int, k: int) -> tuple[int, list]:
-        """The dual basis element conjugated by a rack letter: phi^v.
-
-        Returns (sign exponent applied, class coefficients).  The conjugate of
-        the dual pivot word is the letterwise rack conjugate, scaled by the
-        cocycle constant to the power deg(phi).
-        """
-        V = self.V
-        if V.rack is None:
-            raise ValueError("conjugation needs a rack-type space")
-        word = self.pivot_words(p)[k]
-        w2 = tuple(V.rack.act[a][letter] for a in word)
-        sign = constant_braiding_value(V) ** p
-        cls = self.reduce_dual(p, {w2: sign})
-        return sign, cls
-
 
 def constant_braiding_value(V: BraidedVectorSpace):
     """The constant coefficient of the braiding table (sign twist included)."""

@@ -26,14 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .braided import (
-    BraidedVectorSpace,
-    apply_moves_to_vector,
-    apply_moves_to_word,
-    index_word,
-    sign_twist,
-    word_index,
-)
+from .braided import BraidedVectorSpace, apply_moves_to_vector, index_word, sign_twist
 from .exactla import CoefficientField, RankTable
 from .fnf import GradedComplex, assemble_block_merge, fnf_complex
 from .hurwitz import rack_orbits
@@ -90,29 +83,16 @@ def _block_product_vectors(V: BraidedVectorSpace, n: int, F: CoefficientField,
     """Images of each basis word of V^(x)n under the shuffle multiplication of the
     adjacent blocks of sizes a, b starting at `offset`, as {index: scalar}."""
     lifts = [moves for _, moves in lifted_block_words(a, b, offset)]
-    r = V.rank
     out = []
-    for idx in range(r**n):
-        w = index_word(idx, r, n)
+    for idx in range(V.rank**n):
         acc = {}
         for moves in lifts:
-            if V.monomial:
-                cf, w2 = apply_moves_to_word(V, n, moves, w)
-                j = word_index(w2, r)
+            for j, cf in apply_moves_to_vector(V, n, moves, {idx: 1}).items():
                 s = F.add(acc.get(j, F.zero), F.convert(cf))
-            else:
-                for w2, cf in apply_moves_to_vector(V, n, moves, {w: 1}).items():
-                    j = word_index(w2, r)
-                    s = F.add(acc.get(j, F.zero), F.convert(cf))
-                    if s == 0:
-                        acc.pop(j, None)
-                    else:
-                        acc[j] = s
-                continue
-            if s == 0:
-                acc.pop(j, None)
-            else:
-                acc[j] = s
+                if s == 0:
+                    acc.pop(j, None)
+                else:
+                    acc[j] = s
         out.append(acc)
     return out
 

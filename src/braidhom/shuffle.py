@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .braided import BraidedVectorSpace, apply_moves_to_vector, apply_moves_to_word, word_index
+from .braided import BraidedVectorSpace, apply_moves_to_vector, index_word, word_index
 from .exactla import CoefficientField, SparseMatrix
 
 
@@ -162,33 +162,24 @@ def shuffle_product(V: BraidedVectorSpace, u: dict, v: dict) -> dict:
         return {}
     m = len(next(iter(u)))
     n = len(next(iter(v)))
-    out = {}
-    lifts = [w for _, w in lifted_block_words(m, n)]
-    monomial = V.monomial
+    r = V.rank
+    cat = {}
     for wu, cu in u.items():
         if len(wu) != m:
             raise ValueError("u mixes word lengths")
         for wv, cv in v.items():
             if len(wv) != n:
                 raise ValueError("v mixes word lengths")
-            cat = wu + wv
-            c0 = cu * cv
-            for moves in lifts:
-                if monomial:
-                    cf, w2 = apply_moves_to_word(V, m + n, moves, cat)
-                    s = out.get(w2, 0) + c0 * cf
-                    if s == 0:
-                        out.pop(w2, None)
-                    else:
-                        out[w2] = s
-                else:
-                    for w2, cf in apply_moves_to_vector(V, m + n, moves, {cat: 1}).items():
-                        s = out.get(w2, 0) + c0 * cf
-                        if s == 0:
-                            out.pop(w2, None)
-                        else:
-                            out[w2] = s
-    return out
+            cat[word_index(wu + wv, r)] = cu * cv
+    out = {}
+    for _, moves in lifted_block_words(m, n):
+        for j, cf in apply_moves_to_vector(V, m + n, moves, cat).items():
+            s = out.get(j, 0) + cf
+            if s == 0:
+                out.pop(j, None)
+            else:
+                out[j] = s
+    return {index_word(j, r, m + n): cf for j, cf in out.items()}
 
 
 def quantum_symmetrizer(V: BraidedVectorSpace, n: int) -> SparseMatrix:
@@ -201,12 +192,12 @@ def quantum_symmetrizer(V: BraidedVectorSpace, n: int) -> SparseMatrix:
     left to right, as in `braid_word_action`), adding each partial result.
     """
     r = V.rank
-    cols = [{(): 1}]
+    cols = [{0: 1}]
     for m in range(1, n + 1):
         nxt = []
         for idx in range(r**m):
             prev, a = divmod(idx, r)
-            vec = {u + (a,): cf for u, cf in cols[prev].items()}
+            vec = {u * r + a: cf for u, cf in cols[prev].items()}
             col = dict(vec)
             for i in range(m - 1, 0, -1):
                 vec = apply_moves_to_vector(V, m, [i], vec)
@@ -218,4 +209,4 @@ def quantum_symmetrizer(V: BraidedVectorSpace, n: int) -> SparseMatrix:
                         col[w] = s
             nxt.append(col)
         cols = nxt
-    return SparseMatrix(r**n, r**n, {(word_index(w, r), j): cf for j, col in enumerate(cols) for w, cf in col.items()})
+    return SparseMatrix.from_columns(r**n, cols)

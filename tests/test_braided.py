@@ -1,4 +1,6 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +25,7 @@ from braidhom.braided import (
     rank_one_space,
     sign_twist,
 )
-from braidhom.exactla import SparseMatrix
+from braidhom.exactla import QQ, SparseMatrix, inverse
 
 
 def S3():
@@ -192,12 +194,13 @@ def test_multidegree_preserved():
     rack = conjugation_rack(G, c)
     V = braided_space(rack, Cocycle.constant(rack, 1), group=G)
     class_of = [c.class_index(g) for g in c.elements]
-    from braidhom.braided import apply_moves_to_word, index_word
+    from braidhom.braided import apply_moves_to_vector, index_word
 
     for idx in range(V.rank**3):
         w = index_word(idx, V.rank, 3)
         for moves in ([1], [2], [-1], [1, 2, -1]):
-            _, w2 = apply_moves_to_word(V, 3, moves, w)
+            [j] = apply_moves_to_vector(V, 3, moves, {idx: 1})
+            w2 = index_word(j, V.rank, 3)
             assert sorted(class_of[a] for a in w) == sorted(class_of[a] for a in w2)
 
 
@@ -221,9 +224,46 @@ def test_check_braided_negative_control():
 
 def test_jordan_plane_is_braided():
     J = jordan_plane()
-    assert not J.monomial
+    assert any(len(terms) > 1 for terms in J.sigma.values())
     assert check_braided(J).ok
     assert braid_word_action(J, 3, [2, -2, 1, -1]) == SparseMatrix.identity(8)
+
+
+def generator_by_kronecker(S, r, n, g):
+    """I_{r^(g-1)} (x) S (x) I_{r^(n-g-1)} for an r^2 x r^2 matrix S on pair codes."""
+    left, right = r ** (g - 1), r ** (n - g - 1)
+    ent = {}
+    for (q, p), v in S.entries.items():
+        for x in range(left):
+            for y in range(right):
+                ent[((x * r * r + q) * right + y, (x * r * r + p) * right + y)] = v
+    return SparseMatrix(r**n, r**n, ent)
+
+
+@pytest.mark.parametrize("name", ["S3 eps", "line 1/3", "jordan", "dual S3 eps"])
+def test_braid_word_action_matches_kronecker_products(name):
+    # sigma_g acts on letters g-1, g of a word, the leftmost letter most
+    # significant; the braid relations alone hold for the mirror image too
+    V = {
+        "S3 eps": lambda: s3_transposition_space(epsilon=True),
+        "line 1/3": lambda: rank_one_space(Fraction(1, 3)),
+        "jordan": jordan_plane,
+        "dual S3 eps": lambda: dual_space(s3_transposition_space(epsilon=True)),
+    }[name]()
+    r = V.rank
+    S = V.sigma_matrix()
+    factors = {1: S, -1: inverse(S, QQ)}
+    rng = random.Random(0)
+    for n in range(2, 5):
+        words = [[g * e] for g in range(1, n) for e in (1, -1)]
+        words += [[rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(2, 5))]
+                  for _ in range(6)]
+        for word in words:
+            expected = SparseMatrix.identity(r**n)
+            for mv in word:  # left to right: the first move acts first
+                step = generator_by_kronecker(factors[1 if mv > 0 else -1], r, n, abs(mv))
+                expected = step.matmul(expected, QQ)
+            assert braid_word_action(V, n, word) == expected, (n, word)
 
 
 def test_dual_space_braided():

@@ -10,7 +10,7 @@ from braidhom.cli import builtin_group
 from braidhom.exactla import GF, QQ, kernel_basis, rank
 from braidhom.fnf import braid_homology, complex_for_system, fnf_complex, PermutationSystem, validate_partition
 from braidhom.hurwitz import rack_orbits, signed_orbit_count
-from tests.test_braided import s3_transposition_space
+from tests.test_braided import jordan_plane, s3_transposition_space
 
 F2 = GF(2)
 
@@ -166,6 +166,24 @@ def test_chain_level_matches_bar_complex():
             assert any(
                 cx.differential(n + p) != untwisted.differential(p) for p in range(2, n + 1)
             ), (V.name, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_rack_spaces(), st.tuples(st.builds(jordan_plane), st.integers(1, 4))),
+       st.sampled_from([2, 3, 5]))
+def test_chain_level_identity_on_random_racks(space, p):
+    # FNF sums signed shuffle lifts on V, the bar complex unsigned lifts on
+    # the sign twist; their differentials agree cell by cell
+    from braidhom.braided import sign_twist
+    from braidhom.qsa import bar_complex
+
+    V, n = space
+    for F in (QQ, GF(p)):
+        cx = fnf_complex(V, n, F)
+        bar = bar_complex(sign_twist(V), n, F)
+        for q in range(1, n + 1):
+            assert cx.dim(n + q) == bar.dim(q), (F, q)
+            assert cx.differential(n + q) == bar.differential(q), (F, q)
 
 
 def test_needs_positive_strands():

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidhom.braided import apply_moves_to_vector, apply_moves_to_word, index_word, rank_one_space, word_index
+from braidhom.braided import apply_moves_to_vector, rank_one_space
 from braidhom.exactla import GF, QQ, SparseMatrix
 from braidhom.shuffle import (
     compositions,
@@ -182,22 +182,16 @@ def symmetrizer_by_permutations(V, n):
     lifts = [matsumoto_lift(p) for p in permutations(range(n))]
     ent = {}
     for idx in range(dim):
-        w = index_word(idx, r, n)
         acc = {}
         for moves in lifts:
-            if V.monomial:
-                cf, w2 = apply_moves_to_word(V, n, moves, w)
-                terms = {w2: cf}
-            else:
-                terms = apply_moves_to_vector(V, n, moves, {w: 1})
-            for w2, cf in terms.items():
-                s = acc.get(w2, 0) + cf
+            for j, cf in apply_moves_to_vector(V, n, moves, {idx: 1}).items():
+                s = acc.get(j, 0) + cf
                 if s == 0:
-                    acc.pop(w2, None)
+                    acc.pop(j, None)
                 else:
-                    acc[w2] = s
-        for w2, cf in acc.items():
-            ent[(word_index(w2, r), idx)] = cf
+                    acc[j] = s
+        for j, cf in acc.items():
+            ent[(j, idx)] = cf
     return SparseMatrix(dim, dim, ent)
 
 
