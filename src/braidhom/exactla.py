@@ -9,6 +9,10 @@ per-field row update: over a prime field directly, over the rationals by
 clearing denominators row-wise and eliminating integer rows with per-row gcd
 normalization, so no Fraction arithmetic happens inside the loop.
 
+Products (`SparseMatrix.matmul`, `SparseMatrix.apply`) coerce each input entry
+into the field once, accumulate with native + and *, and reduce each output
+entry once (`CoefficientField.reduced`).
+
 Pivots are chosen in the sparsest eligible column (ties: lowest column index),
 and within that column in the shortest row (ties: lowest row index).  This
 makes every computation deterministic.  The driver keeps the column supports
@@ -110,6 +114,15 @@ class CoefficientField:
             return self.convert(Fraction(1) / a)
         return pow(a, -1, self.characteristic)
 
+    def reduced(self, acc: dict) -> dict:
+        """A vector accumulated with native + and * from scalars of this field,
+        as field scalars with zeros dropped: each entry reduced mod p once, or
+        over Q given as an int when integral."""
+        p = self.characteristic
+        if p:
+            return {k: r for k, v in acc.items() if (r := v % p)}
+        return {k: v if v.__class__ is int else self.convert(v) for k, v in acc.items() if v}
+
     def __str__(self):
         return "Q" if self.characteristic == 0 else f"F_{self.characteristic}"
 
@@ -210,38 +223,33 @@ class SparseMatrix:
     def matmul(self, other: "SparseMatrix", F: CoefficientField) -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
+        convert = F.convert
         cols_self = [dict() for _ in range(self.cols)]
         for (i, k), v in self.entries.items():
-            cols_self[k][i] = F.convert(v)
+            cols_self[k][i] = convert(v)
         by_col = [dict() for _ in range(other.cols)]
         for (k, j), v in other.entries.items():
-            by_col[j][k] = F.convert(v)
-        cols_out = []
-        for j in range(other.cols):
+            by_col[j][k] = convert(v)
+        ent = {}
+        for j, col in enumerate(by_col):
             acc = {}
-            for k, b in by_col[j].items():
+            for k, b in col.items():
                 for i, a in cols_self[k].items():
-                    s = F.add(acc.get(i, F.zero), F.mul(a, b))
-                    if s == 0:
-                        acc.pop(i, None)
-                    else:
-                        acc[i] = s
-            cols_out.append(acc)
-        return SparseMatrix.from_columns(self.rows, cols_out)
+                    acc[i] = acc.get(i, 0) + a * b
+            for i, v in F.reduced(acc).items():
+                ent[(i, j)] = v
+        return SparseMatrix(self.rows, other.cols, ent)
 
     def apply(self, vec: dict, F: CoefficientField) -> dict:
         """Apply to a column vector given as {index: scalar}."""
+        convert = F.convert
+        x = {j: convert(v) for j, v in vec.items()}
         out = {}
         for (i, j), v in self.entries.items():
-            x = vec.get(j)
-            if x is None:
-                continue
-            s = F.add(out.get(i, F.zero), F.mul(F.convert(v), F.convert(x)))
-            if s == 0:
-                out.pop(i, None)
-            else:
-                out[i] = s
-        return out
+            xj = x.get(j)
+            if xj is not None:
+                out[i] = out.get(i, 0) + convert(v) * xj
+        return F.reduced(out)
 
     def to_triplet_text(self) -> str:
         """Serialize as 'rows cols nnz' header plus one 'row col value' line per entry."""
@@ -387,38 +395,47 @@ def rref(M: SparseMatrix, F: CoefficientField):
     Pivots are taken leftmost column first (the shortest row holding it, lowest
     index on ties), so they come in increasing order; the pivot columns are
     those of the unique reduced row echelon form of M.
+
+    As in `_eliminate`, column supports are kept instead of rescanned:
+    `live_cols[j]` holds the ids of unpivoted rows with an entry in column j,
+    `done_cols[j]` those of pivot rows.  Eliminating column pc leaves no
+    unpivoted row with an entry at or left of pc, so the next pivot column is
+    found by moving one pointer to the right.
     """
-    rows = [r for r in M.row_lists(F) if r]
+    rows = dict(enumerate(r for r in M.row_lists(F) if r))
+    live_cols = [set() for _ in range(M.cols)]
+    done_cols = [set() for _ in range(M.cols)]
+    for rid, r in rows.items():
+        for j in r:
+            live_cols[j].add(rid)
+    sub, mul = F.sub, F.mul
     pivots = []
     done = []
-    while rows:
-        pc = min(min(r) for r in rows)
-        _, pi = min((len(r), idx) for idx, r in enumerate(rows) if pc in r)
-        prow = rows.pop(pi)
-        inv = F.inv(prow[pc])
-        prow = {j: F.mul(inv, v) for j, v in prow.items()}
-        nxt = []
-        for r in rows:
-            a = r.get(pc)
-            if a is not None:
+    pc = 0
+    while True:
+        while pc < M.cols and not live_cols[pc]:
+            pc += 1
+        if pc == M.cols:
+            break
+        _, pid = min((len(rows[rid]), rid) for rid in live_cols[pc])
+        for j in rows[pid]:
+            live_cols[j].discard(pid)
+        inv = F.inv(rows[pid][pc])
+        prow = rows[pid] = {j: mul(inv, v) for j, v in rows[pid].items()}
+        for supports in (live_cols, done_cols):
+            for rid in list(supports[pc]):
+                r = rows[rid]
+                a = r[pc]
                 for j, v in prow.items():
-                    nv = F.sub(r.get(j, F.zero), F.mul(a, v))
+                    nv = sub(r.get(j, F.zero), mul(a, v))
                     if nv == 0:
                         r.pop(j, None)
+                        supports[j].discard(rid)
                     else:
                         r[j] = nv
-            if r:
-                nxt.append(r)
-        rows = nxt
-        for d in done:
-            a = d.get(pc)
-            if a is not None:
-                for j, v in prow.items():
-                    nv = F.sub(d.get(j, F.zero), F.mul(a, v))
-                    if nv == 0:
-                        d.pop(j, None)
-                    else:
-                        d[j] = nv
+                        supports[j].add(rid)
+        for j in prow:
+            done_cols[j].add(pid)
         done.append(prow)
         pivots.append(pc)
     return done, pivots

@@ -16,14 +16,19 @@ reuse the same machinery.
 The cells and the alternating merge of adjacent blocks are shared with the bar
 complex of the quantum shuffle algebra (`qsa.bar_complex`): both are built by
 `assemble_block_merge`, and only the block operator differs.  Here it is the
-shuffle-signed sum of braid lifts acting on the coefficients.
+shuffle-signed sum of braid lifts acting on the coefficients, built by
+`shuffle_blocks` from smaller blocks (the recursion on the strand in the last
+slot, the (a, b)-shuffle analogue of Woronowicz's factorisation of the
+symmetrizer) rather than lift by lift.  The bar complex keeps the lift sum, on
+V^(x)(a+b) once per block shape, so the chain-level comparison in
+`qsa.verify_main_cor` sets two different algorithms against each other.
 """
 
 from __future__ import annotations
 
 from .braided import BraidedVectorSpace, apply_moves_to_vector, index_word
 from .exactla import CoefficientField, ComplexIntegrityError, SparseMatrix, rank
-from .shuffle import compositions, lifted_block_words
+from .shuffle import compositions
 
 
 def validate_partition(parts, n: int) -> tuple[int, ...]:
@@ -128,22 +133,44 @@ class GradedComplex:
         return {q: self.homology_rank(q) for q in self.degrees}
 
 
-def _merge_coefficient_vectors(system, F: CoefficientField, a: int, b: int, offset: int):
-    """For each coefficient basis vector, the signed shuffle sum merging a block
-    of size a with the following block of size b, as {index: field scalar}."""
-    lifted = lifted_block_words(a, b, offset)
-    out = []
-    for idx in range(system.dim):
-        acc = {}
-        for sign, moves in lifted:
-            for j, cf in system.apply_moves(moves, idx).items():
-                s = F.add(acc.get(j, F.zero), F.mul(F.convert(sign), F.convert(cf)))
-                if s == 0:
-                    acc.pop(j, None)
-                else:
-                    acc[j] = s
-        out.append(acc)
-    return out
+def shuffle_blocks(system, F: CoefficientField):
+    """The signed shuffle block operators of a local system, memoised.
+
+    Returns `block(a, b, offset)`: for each coefficient index, its image
+    {index: field scalar} under Sh(a, b), the signed sum of the lifted
+    (a, b)-shuffles of the strands offset+1 .. offset+a+b.  It is built by
+    the recursion on the strand that lands in the last slot,
+
+        Sh(a, b) = Sh(a, b-1) + (-1)^b Sh(a-1, b) o (s_{o+a}, ..., s_{o+a+b-1}),
+
+    the chain applied first (it carries the last left strand across the b
+    right ones), with Sh(a, 0) = Sh(0, b) = identity.  Each block costs one
+    chain per basis vector plus the size of its output, instead of C(a+b, a)
+    lifts.  The memo lives in the returned closure.
+    """
+    identity = [{idx: 1} for idx in range(system.dim)]
+    memo = {}
+
+    def block(a: int, b: int, offset: int):
+        if a == 0 or b == 0:
+            return identity
+        key = (a, b, offset)
+        if key not in memo:
+            chain = list(range(offset + a, offset + a + b))
+            sign = -1 if b % 2 else 1
+            stay, cross = block(a, b - 1, offset), block(a - 1, b, offset)
+            out = []
+            for idx in range(system.dim):
+                acc = dict(stay[idx])
+                for j, cf in system.apply_moves(chain, idx).items():
+                    c = sign * F.convert(cf)
+                    for k, v in cross[j].items():
+                        acc[k] = acc.get(k, 0) + c * v
+                out.append(F.reduced(acc))
+            memo[key] = out
+        return memo[key]
+
+    return block
 
 
 def assemble_block_merge(n: int, shift: int, dim: int, block_vectors, F: CoefficientField):
@@ -153,18 +180,23 @@ def assemble_block_merge(n: int, shift: int, dim: int, block_vectors, F: Coeffic
     into k parts (colex order) and coefficient index idx in range(dim).  The
     differential merges parts i, i+1 of lambda with sign (-1)^i (i from 0)
     through the block operator: `block_vectors(a, b, offset)` lists, for every
-    coefficient index, its image {index: field scalar} under merging the block
-    of size a starting at `offset` with the following block of size b.
+    coefficient index, its image {index: nonzero field scalar, over F_p a
+    residue in (0, p)} under merging the block of size a starting at `offset`
+    with the following block of size b.
+    Different merges of one lambda land in different compositions, so a column
+    is a disjoint union of signed block images and nothing is summed.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     comps = {k: compositions(n, k) for k in range(1, n + 1)}
     basis = {shift + k: [(lam, idx) for lam in comps[k] for idx in range(dim)] for k in comps}
     block_cache = {}
+    flip = F.characteristic  # negation: -cf over Q, p - cf for a residue cf in (0, p)
     diff = {}
     for k in range(2, n + 1):
         tgt_index = {lam: t for t, lam in enumerate(comps[k - 1])}
-        cols = []
+        ent = {}
+        col = 0
         for lam in comps[k]:
             offset = 0
             merges = []
@@ -174,29 +206,24 @@ def assemble_block_merge(n: int, shift: int, dim: int, block_vectors, F: Coeffic
                 key = (a, b, offset)
                 if key not in block_cache:
                     block_cache[key] = block_vectors(a, b, offset)
-                sign = F.convert(1 if i % 2 == 0 else -1)
-                merges.append((tgt_index[merged], sign, block_cache[key]))
+                merges.append((tgt_index[merged] * dim, i % 2 == 1, block_cache[key]))
                 offset += a
             for idx in range(dim):
-                col = {}
-                for tgt, sign, vecs in merges:
-                    for j, cf in vecs[idx].items():
-                        row = tgt * dim + j
-                        s = F.add(col.get(row, F.zero), F.mul(sign, cf))
-                        if s == 0:
-                            col.pop(row, None)
-                        else:
-                            col[row] = s
-                cols.append(col)
-        diff[shift + k] = SparseMatrix.from_columns(len(basis[shift + k - 1]), cols)
+                for base, negate, vecs in merges:
+                    if negate:
+                        for j, cf in vecs[idx].items():
+                            ent[(base + j, col)] = flip - cf
+                    else:
+                        for j, cf in vecs[idx].items():
+                            ent[(base + j, col)] = cf
+                col += 1
+        diff[shift + k] = SparseMatrix(len(basis[shift + k - 1]), col, ent)
     return basis, diff
 
 
 def complex_for_system(system, n: int, F: CoefficientField) -> GradedComplex:
     """The cellular complex of the n-strand configuration with the given coefficients."""
-    basis, diff = assemble_block_merge(
-        n, n, system.dim, lambda a, b, offset: _merge_coefficient_vectors(system, F, a, b, offset), F
-    )
+    basis, diff = assemble_block_merge(n, n, system.dim, shuffle_blocks(system, F), F)
     return GradedComplex(basis, diff, F)
 
 

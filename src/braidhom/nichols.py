@@ -14,7 +14,10 @@ basis-selection bug.  One `exactla.rref` of the sparse matrix [G^T | I] is both
 the invertibility check and the inverse; on rack spaces G is block-diagonal
 over the Hurwitz orbits, so the inverse stays sparse.  Each degree keeps the
 inverse Gram matrix and its transpose, so reducing a vector to the pivot basis
-is one matrix-vector product.
+is one matrix-vector product.  Word vectors are keyed by word tuples at the
+entry points (`reduce_primal`, `reduce_dual`, `hopf_pairing`,
+`skew_derivation_by_element`), which code them once as base-r integers
+(`braided.word_index`); `pair_dual_with_vector` takes codes.
 
 Skew derivations lower the dual degree by one and are obtained by applying
 the transposed inverse Gram matrices: <d_v phi, x> = <phi, v * x>.  For
@@ -86,44 +89,46 @@ class NicholsData:
         return [index_word(i, self.V.rank, p) for i in self.pivots[p]]
 
     def pair_dual_with_vector(self, p: int, u_index: int, vec: dict):
-        """<u*, vec> for a word vector in V^(x)p with exact or field coefficients."""
+        """<u*, vec> for a vector in V^(x)p given as {word code: exact or field
+        coefficient} (codes as in `braided.word_index`)."""
         F = self.F
         self.build_to(p)
         row = self._sym_rows[p][u_index]
         s = F.zero
-        for w, cf in vec.items():
-            j = w if isinstance(w, int) else word_index(w, self.V.rank)
+        for j, cf in vec.items():
             a = row.get(j)
             if a is not None:
                 s = F.add(s, F.mul(a, F.convert(cf)))
         return s
 
     def reduce_primal(self, p: int, vec: dict) -> list:
-        """Coefficients of the class of a word vector in the pivot-word basis."""
+        """Coefficients of the class of a word vector ({word tuple: coefficient})
+        in the pivot-word basis."""
         F = self.F
         self.build_to(p)
         piv = self.pivots[p]
-        rhs = {k: self.pair_dual_with_vector(p, u, vec) for k, u in enumerate(piv)}
+        codes = {word_index(w, self.V.rank): cf for w, cf in vec.items()}
+        rhs = {k: self.pair_dual_with_vector(p, u, codes) for k, u in enumerate(piv)}
         sol = self.gram_inv[p].apply(rhs, F)
         return [sol.get(k, F.zero) for k in range(len(piv))]
 
     def reduce_dual(self, p: int, vec: dict) -> list:
         """Coefficients of the class of a dual word vector in the dual pivot basis.
 
-        `vec` maps words (tuples or indices) of (V*)^(x)p to coefficients.
+        `vec` maps words (tuples) of (V*)^(x)p to coefficients.
         """
         F = self.F
         self.build_to(p)
         piv = self.pivots[p]
         rows = self._sym_rows[p]
+        codes = {word_index(u, self.V.rank): F.convert(cf) for u, cf in vec.items()}
         rhs = {}
         for k, w in enumerate(piv):
             s = F.zero
-            for u, cf in vec.items():
-                ui = u if isinstance(u, int) else word_index(u, self.V.rank)
+            for ui, cf in codes.items():
                 a = rows[ui].get(w)
                 if a is not None:
-                    s = F.add(s, F.mul(a, F.convert(cf)))
+                    s = F.add(s, F.mul(a, cf))
             rhs[k] = s
         sol = self.gram_inv_t[p].apply(rhs, F)
         return [sol.get(k, F.zero) for k in range(len(piv))]
@@ -183,10 +188,11 @@ def hopf_pairing(u: dict, phi: dict, V: BraidedVectorSpace, F: CoefficientField,
     if m != n:
         return F.zero
     data = data or NicholsData(V, F)
+    u_codes = {word_index(w, V.rank): cf for w, cf in u.items()}
     s = F.zero
     for uw, cphi in phi.items():
-        ui = uw if isinstance(uw, int) else word_index(uw, V.rank)
-        s = F.add(s, F.mul(F.convert(cphi), data.pair_dual_with_vector(n, ui, u)))
+        pairing = data.pair_dual_with_vector(n, word_index(uw, V.rank), u_codes)
+        s = F.add(s, F.mul(F.convert(cphi), pairing))
     return s
 
 
@@ -272,10 +278,12 @@ def skew_derivation_by_element(data: NicholsData, z: dict, p: int, deg: int) -> 
     if not z:
         return SparseMatrix.zero(data.dim(p - d), data.dim(p))
     src = data.pivots[p]
-    tgt_words = data.pivot_words(p - d)
-    if not src or not tgt_words:
+    tgt = data.pivots[p - d]
+    if not src or not tgt:
         return SparseMatrix.zero(data.dim(p - d), data.dim(p))
-    prods = [{zw + x: cf for zw, cf in z.items()} for x in tgt_words]
+    place = data.V.rank ** (p - d)
+    z_codes = {word_index(zw, data.V.rank) * place: cf for zw, cf in z.items()}
+    prods = [{zc + x: cf for zc, cf in z_codes.items()} for x in tgt]
     inv_t = data.gram_inv_t[p - d]
     cols = []
     for u in src:

@@ -11,7 +11,12 @@ merges adjacent blocks through the shuffle product with alternating signs; it
 preserves the internal degree, and d^2 = 0 is asserted on every instance.
 These are the cells and the merge of the Fox-Neuwirth-Fuks complex, so the
 complex is assembled by `fnf.assemble_block_merge`; only the block operator,
-the unsigned sum of shuffle lifts through the braiding, is computed here.
+the unsigned sum of shuffle lifts through the braiding, is computed here.  It
+acts as I (x) Sh (x) I, so the lift sum runs once per block shape (a, b) on the
+words of V^(x)(a+b) and is spread to V^(x)n by place value.  The FNF side
+builds its signed blocks by a recursion over smaller blocks instead
+(`fnf.shuffle_blocks`); keeping the lift sum here keeps the two complexes
+independent computations.
 
 Over a field the homology ranks of the bar complex equal the cohomology ranks
 of its dual cochain complex, which is why no dualization is performed.
@@ -72,28 +77,52 @@ def bar_complex(V: BraidedVectorSpace, n: int, F: CoefficientField) -> GradedCom
     Degrees are bar degrees p = 1..n; the matrix at p is d: (p, n) -> (p-1, n).
     The caller chooses V; no sign twist is applied here.
     """
-    basis, diff = assemble_block_merge(
-        n, 0, V.rank**n, lambda a, b, offset: _block_product_vectors(V, n, F, a, b, offset), F
-    )
+    local = {}
+
+    def block_vectors(a, b, offset):
+        if (a, b) not in local:
+            local[(a, b)] = _local_block_product(V, F, a, b)
+        return _spread_block(local[(a, b)], V.rank, n, a + b, offset)
+
+    basis, diff = assemble_block_merge(n, 0, V.rank**n, block_vectors, F)
     return GradedComplex(basis, diff, F)
 
 
-def _block_product_vectors(V: BraidedVectorSpace, n: int, F: CoefficientField,
-                           a: int, b: int, offset: int):
-    """Images of each basis word of V^(x)n under the shuffle multiplication of the
-    adjacent blocks of sizes a, b starting at `offset`, as {index: scalar}."""
-    lifts = [moves for _, moves in lifted_block_words(a, b, offset)]
+def _local_block_product(V: BraidedVectorSpace, F: CoefficientField, a: int, b: int):
+    """Images of each basis word of V^(x)(a+b) under the shuffle product of its
+    first a letters with its last b letters, as {word code: field scalar}: the
+    unsigned sum of the braid lifts of all (a, b)-shuffles.
+
+    Each lift is applied once to all words together: word w is carried as
+    w (x) w in V^(x)m (x) V^(x)m (m = a + b), the lift acts on the right
+    factor, and the untouched left factor records which word an image came
+    from.
+    """
+    m = a + b
+    size = V.rank**m
+    tagged = {w * size + w: 1 for w in range(size)}
+    acc = {}
+    for _, moves in lifted_block_words(a, b):
+        for code, cf in apply_moves_to_vector(V, 2 * m, [g + m for g in moves], tagged).items():
+            acc[code] = acc.get(code, 0) + F.convert(cf)
+    out = [{} for _ in range(size)]
+    for code, cf in F.reduced(acc).items():
+        w, image = divmod(code, size)
+        out[w][image] = cf
+    return out
+
+
+def _spread_block(local: list, r: int, n: int, m: int, offset: int):
+    """The operator I (x) B (x) I on V^(x)n, for B on the m letters after the
+    first `offset`, given as B's images of the words of V^(x)m: the block code
+    sits at place value r^(n - offset - m)."""
+    place = r ** (n - offset - m)
+    size = r**m
     out = []
-    for idx in range(V.rank**n):
-        acc = {}
-        for moves in lifts:
-            for j, cf in apply_moves_to_vector(V, n, moves, {idx: 1}).items():
-                s = F.add(acc.get(j, F.zero), F.convert(cf))
-                if s == 0:
-                    acc.pop(j, None)
-                else:
-                    acc[j] = s
-        out.append(acc)
+    for idx in range(r**n):
+        mid = idx // place % size
+        base = idx - mid * place
+        out.append({base + w * place: cf for w, cf in local[mid].items()})
     return out
 
 
@@ -198,10 +227,13 @@ def verify_main_cor(V: BraidedVectorSpace, n: int, F: CoefficientField) -> Verif
     Builds the cellular complex of V^(x)n and the bar complex of the sign
     twist once each, and checks that they agree matrix-by-matrix and in basis
     sizes under the canonical cell bijection (total degree n + p <-> bar
-    degree p).  H_j(B_n; V^(x)n) comes from the cellular complex.  When the
-    chains agree, Ext^{n-j, n} is read from the same ranks, since equal
-    matrices have equal ranks; otherwise the bar complex is ranked on its own
-    and both rank vectors are reported.
+    degree p).  The two share only the cells and the merge: the FNF blocks
+    come from the shuffle recursion on V, the bar blocks from the lift sum
+    on the sign twist, so every run checks one against the other.
+    H_j(B_n; V^(x)n) comes from the cellular complex.  When the chains
+    agree, Ext^{n-j, n} is read from the same ranks, since equal matrices
+    have equal ranks; otherwise the bar complex is ranked on its own and both
+    rank vectors are reported.
     """
     fnf = fnf_complex(V, n, F)
     table = fnf.homology_table()

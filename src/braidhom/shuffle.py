@@ -145,10 +145,9 @@ def _compositions_cached(n: int, parts: int) -> list[tuple[int, ...]]:
     return out
 
 
-def lifted_block_words(m: int, n: int, offset: int = 0):
-    """(sign, braid word) for every (m, n)-shuffle, generators shifted by offset."""
-    recs = shuffles(m, n)
-    return [(rec.sign, [g + offset for g in rec.braid_word()]) for rec in recs]
+def lifted_block_words(m: int, n: int):
+    """(sign, braid word) for every (m, n)-shuffle."""
+    return [(rec.sign, rec.braid_word()) for rec in shuffles(m, n)]
 
 
 def shuffle_product(V: BraidedVectorSpace, u: dict, v: dict) -> dict:

@@ -296,3 +296,68 @@ def test_matmul_shapes():
     assert P.entries == {(0, 1): Fraction(1), (1, 0): Fraction(2)}
     with pytest.raises(ValueError):
         B.matmul(SparseMatrix.zero(3, 1), QQ)
+
+
+def field_scalar(v, p):
+    """v as a Fraction over Q, or reduced mod p by hand."""
+    v = Fraction(v)
+    return v if p == 0 else v.numerator * pow(v.denominator, -1, p) % p
+
+
+@st.composite
+def cancelling_products(draw):
+    """(A, B, x) with A = [X | X] and B = [Y ; W], x = y + w, where each row of
+    W (each entry of w) is either the negated row of Y (entry of y) or drawn
+    freshly, so that entries of AB and Ax cancel.  Denominators avoid 2, 3
+    and 5."""
+    r, k, c = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    values = draw(st.sampled_from([INT_VALUES, FRACTION_VALUES]))
+    cell = st.sampled_from([0] * (draw(st.integers(1, 3)) * len(values)) + values)
+    X = [[draw(cell) for _ in range(k)] for _ in range(r)]
+    Y = [[draw(cell) for _ in range(c)] for _ in range(k)]
+    W = [[-v for v in row] if draw(st.booleans()) else [draw(cell) for _ in range(c)] for row in Y]
+    y = [draw(cell) for _ in range(k)]
+    w = [-v if draw(st.booleans()) else draw(cell) for v in y]
+    A = SparseMatrix(r, 2 * k, {(i, j): v for i, row in enumerate(X) for j, v in enumerate(row + row)})
+    B = SparseMatrix(2 * k, c, {(i, j): v for i, row in enumerate(Y + W) for j, v in enumerate(row)})
+    x = {j: v for j, v in enumerate(y + w) if v != 0}
+    return A, B, x
+
+
+def dense_product(A, B, p):
+    """The nonzero entries of A B by the schoolbook triple loop over full tables."""
+    out = {}
+    for i in range(A.rows):
+        for j in range(B.cols):
+            s = sum(field_scalar(A.entries.get((i, t), 0), p) * field_scalar(B.entries.get((t, j), 0), p)
+                    for t in range(A.cols))
+            if p:
+                s %= p
+            if s:
+                out[(i, j)] = s
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(cancelling_products())
+def test_matmul_and_apply_match_dense_products(case):
+    # over Q with int and with Fraction entries; over F_p with Fraction
+    # entries, which must be reduced mod p before the product
+    A, B, x = case
+    xcol = SparseMatrix(A.cols, 1, {(j, 0): v for j, v in x.items()})
+    cases = [(QQ, 0, A, B, x), (QQ, 0, with_entries(A, Fraction), with_entries(B, Fraction),
+                                {j: Fraction(v) for j, v in x.items()})]
+    cases += [(GF(p), p, with_entries(A, Fraction), with_entries(B, Fraction),
+               {j: Fraction(v) for j, v in x.items()}) for p in (2, 3, 5)]
+    for F, p, A1, B1, x1 in cases:
+        P = A1.matmul(B1, F)
+        Ax = A1.apply(x1, F)
+        assert (P.rows, P.cols) == (A.rows, B.cols)
+        assert P.entries == dense_product(A1, B1, p), p
+        assert Ax == {i: v for (i, _), v in dense_product(A1, xcol, p).items()}, p
+        for v in list(P.entries.values()) + list(Ax.values()):
+            assert v != 0, p
+            if p:
+                assert type(v) is int and 0 < v < p
+            else:
+                assert type(v) is int or v.denominator != 1

@@ -1,15 +1,21 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidhom import hurwitz
 from braidhom.braided import (
     BraidedVectorSpace, Cocycle, ConjClassSet, braided_space, conjugation_rack, identity_perm, rank_one_space,
 )
-from braidhom.cli import builtin_group
-from braidhom.exactla import GF, QQ, kernel_basis, rank
-from braidhom.fnf import braid_homology, complex_for_system, fnf_complex, PermutationSystem, validate_partition
+from braidhom.cli import builtin_group, class_selector
+from braidhom.exactla import GF, QQ, FieldMismatchError, kernel_basis, rank
+from braidhom.fnf import (
+    PermutationSystem, TensorSystem, braid_homology, complex_for_system, fnf_complex, shuffle_blocks,
+    validate_partition,
+)
 from braidhom.hurwitz import rack_orbits, signed_orbit_count
+from braidhom.shuffle import lifted_block_words
 from tests.test_braided import jordan_plane, s3_transposition_space
 
 F2 = GF(2)
@@ -203,3 +209,71 @@ def test_malformed_complexes_raise_integrity_errors():
         GradedComplex(basis, {2: SparseMatrix(2, 1, {(1, 0): 1})}, QQ)
     cx = GradedComplex(basis, {2: one}, QQ)
     assert cx.homology_table() == {0: 1, 1: 0, 2: 0}
+
+
+def shuffle_block_by_lifts(system, F, a, b, offset):
+    """Oracle for `shuffle_blocks`: for each coefficient index, the signed sum
+    of the C(a+b, a) lifted (a, b)-shuffles of the strands offset+1 ..
+    offset+a+b, applied one lift at a time."""
+    lifted = [(sign, [g + offset for g in moves]) for sign, moves in lifted_block_words(a, b)]
+    out = []
+    for idx in range(system.dim):
+        acc = {}
+        for sign, moves in lifted:
+            for j, cf in system.apply_moves(moves, idx).items():
+                s = F.add(acc.get(j, F.zero), F.mul(F.convert(sign), F.convert(cf)))
+                if s == 0:
+                    acc.pop(j, None)
+                else:
+                    acc[j] = s
+        out.append(acc)
+    return out
+
+
+def nielsen_system(G, c, n):
+    """The permutation local system on the Nielsen classes of c^n that
+    `hurwitz.nielsen_components` ranks, taken from the call it makes."""
+    seen = []
+
+    def capture(system, n, F):
+        seen.append(system)
+        return [0] * (n + 1)
+
+    with mock.patch.object(hurwitz, "homology_for_system", capture):
+        hurwitz.nielsen_components(G, c, n, QQ)
+    return seen[0]
+
+
+@st.composite
+def local_systems(draw):
+    """(system, n): V^(x)n for a small rack space, the Jordan plane or the
+    line sigma = 1/3, or the Nielsen classes of S3 transpositions at n = 4."""
+    kind = draw(st.sampled_from(["rack", "jordan", "third", "nielsen"]))
+    if kind == "rack":
+        V, n = draw(small_rack_spaces())
+        return TensorSystem(V, n), n
+    if kind == "nielsen":
+        G = builtin_group("S3")
+        return nielsen_system(G, class_selector(G, "transpositions"), 4), 4
+    V = jordan_plane() if kind == "jordan" else rank_one_space(Fraction(1, 3))
+    n = draw(st.integers(1, 4))
+    return TensorSystem(V, n), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(local_systems())
+def test_shuffle_block_recursion_matches_lift_sum(space):
+    # every block operator the complex can use, by the recursion and by the
+    # lift sum; over F_3 the line sigma = 1/3 must fail the same way in both
+    system, n = space
+    for F in (QQ, GF(2), GF(3), GF(5)):
+        block = shuffle_blocks(system, F)
+        for a, b in ((a, b) for a in range(1, n) for b in range(1, n - a + 1)):
+            for offset in range(n - a - b + 1):
+                try:
+                    want = shuffle_block_by_lifts(system, F, a, b, offset)
+                except FieldMismatchError:
+                    with pytest.raises(FieldMismatchError):
+                        block(a, b, offset)
+                    continue
+                assert block(a, b, offset) == want, (F, a, b, offset)

@@ -5,7 +5,7 @@ import pytest
 
 from braidhom import fnf, qsa
 from braidhom.braided import ConjClassSet, PermGroup, identity_perm, parse_cycles, rank_one_space, sign_twist
-from braidhom.braided import Cocycle, braided_space, conjugation_rack
+from braidhom.braided import Cocycle, apply_moves_to_vector, braided_space, conjugation_rack
 from braidhom.exactla import GF, QQ
 from braidhom.hurwitz import signed_orbit_count
 from braidhom.qsa import (
@@ -16,7 +16,8 @@ from braidhom.qsa import (
     ext_table,
     verify_main_cor,
 )
-from tests.test_braided import s3_transposition_space
+from braidhom.shuffle import lifted_block_words
+from tests.test_braided import jordan_plane, s3_transposition_space
 
 F2 = GF(2)
 
@@ -207,3 +208,35 @@ def test_verify_main_cor_mismatch_ranks_the_bar_complex(monkeypatch, ranked):
     assert len(ranked) == 2 * (n - 1)
     assert any(M is negated[0] for M in ranked)
     assert rep.ext_diagonal == rep.betti
+
+
+def bar_block_by_lifts(V, n, F, a, b, offset):
+    """Oracle for the bar block operator: each basis word of V^(x)n under the
+    unsigned sum of the lifted (a, b)-shuffles at `offset`, lifted on all n
+    strands."""
+    lifts = [[g + offset for g in moves] for _, moves in lifted_block_words(a, b)]
+    out = []
+    for idx in range(V.rank**n):
+        acc = {}
+        for moves in lifts:
+            for j, cf in apply_moves_to_vector(V, n, moves, {idx: 1}).items():
+                s = F.add(acc.get(j, F.zero), F.convert(cf))
+                if s == 0:
+                    acc.pop(j, None)
+                else:
+                    acc[j] = s
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize(
+    "V", [s3_transposition_space(epsilon=True), jordan_plane(), rank_one_space(Fraction(1, 3))],
+    ids=["S3-eps", "jordan", "line-1/3"])
+def test_bar_block_local_then_spread_matches_full_width_lifts(V):
+    for F in (QQ, F2, GF(5)):
+        for n in range(2, 5):
+            for a, b in ((a, b) for a in range(1, n) for b in range(1, n - a + 1)):
+                local = qsa._local_block_product(V, F, a, b)
+                for offset in range(n - a - b + 1):
+                    got = qsa._spread_block(local, V.rank, n, a + b, offset)
+                    assert got == bar_block_by_lifts(V, n, F, a, b, offset), (F, n, a, b, offset)
