@@ -10,8 +10,9 @@ of V in lexicographic order, and braid words act on vectors keyed by base-r
 word codes (`word_index`), one path for every braiding.
 
 Structures are not changed after construction, apart from caches that fill
-lazily on first use: `ConjClassSet.rack` and each rack's `orbit_tables`
-(filled by `hurwitz.rack_orbits`).  Those fills are not locked.
+lazily on first use: `ConjClassSet.rack`, each rack's `orbit_tables` (filled
+by `orbits.rack_orbits`) and each braided space's inverse braiding, sign twist
+and `block_products` (filled by `qsa.bar_chains`).  Those fills are not locked.
 """
 
 from __future__ import annotations
@@ -273,7 +274,7 @@ class Rack:
 
     For each b the map a -> a^b must be a bijection.  `quandle` records whether
     a^a = a holds for all a.  `orbit_tables` holds the braid orbit tables that
-    `hurwitz.rack_orbits` and `hurwitz.hurwitz_orbits` build on this rack.
+    `orbits.rack_orbits` and `hurwitz.hurwitz_orbits` build on this rack.
     """
 
     def __init__(self, labels: list, action: dict):
@@ -432,6 +433,10 @@ class BraidedVectorSpace:
         self.rack = rack
         self.cocycle = cocycle
         self._inv = None
+        self._twist = None
+        # (field, a, b) -> images of the words of V^(x)(a+b) under the shuffle
+        # product of their first a and last b letters, kept by `qsa.bar_chains`
+        self.block_products: dict = {}
 
     def sigma_matrix(self) -> SparseMatrix:
         """The braiding as an r^2 x r^2 matrix on pair codes (a, b) -> a*r + b."""
@@ -498,13 +503,16 @@ def rank_one_space(sigma_scalar, name: str = "") -> BraidedVectorSpace:
 
 
 def sign_twist(V: BraidedVectorSpace) -> BraidedVectorSpace:
-    """V with its braiding negated (the sign twist V (x) eps)."""
-    sigma = {pair: tuple((t, -coeff) for t, coeff in terms) for pair, terms in V.sigma.items()}
-    coc = None
-    if V.cocycle is not None and V.rack is not None:
-        coc = Cocycle(tuple(tuple(-v for v in row) for row in V.cocycle.table))
-    return BraidedVectorSpace(V.labels, sigma, grading=V.grading, group=V.group,
-                              rack=V.rack, cocycle=coc, name=f"eps({V.name})")
+    """V with its braiding negated (the sign twist V (x) eps), built on first
+    use and kept on V, so the caches of the twist live as long as V does."""
+    if V._twist is None:
+        sigma = {pair: tuple((t, -coeff) for t, coeff in terms) for pair, terms in V.sigma.items()}
+        coc = None
+        if V.cocycle is not None and V.rack is not None:
+            coc = Cocycle(tuple(tuple(-v for v in row) for row in V.cocycle.table))
+        V._twist = BraidedVectorSpace(V.labels, sigma, grading=V.grading, group=V.group,
+                                      rack=V.rack, cocycle=coc, name=f"eps({V.name})")
+    return V._twist
 
 
 def dual_space(V: BraidedVectorSpace) -> BraidedVectorSpace:

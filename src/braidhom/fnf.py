@@ -22,12 +22,23 @@ slot, the (a, b)-shuffle analogue of Woronowicz's factorisation of the
 symmetrizer) rather than lift by lift.  The bar complex keeps the lift sum, on
 V^(x)(a+b) once per block shape, so the chain-level comparison in
 `qsa.verify_main_cor` sets two different algorithms against each other.
+
+For a rack-type V (sigma(a (x) b) one term on b (x) a^b) braid moves keep a
+word inside its braid orbit, so the complex is a direct sum of blocks, one per
+orbit; a `TensorSystem` on one block's words builds just that block.
+`braid_homology` sums over `orbits.block_plan`, which keeps one block per
+class of orbits under simultaneous conjugation by the group, weighted by the
+class size.  Conjugate orbits are merged only when every group generator
+preserves every braiding coefficient (a G-invariant cocycle); then the blocks
+are permutation-isomorphic and have equal ranks.  Spaces without a rack (the
+Jordan plane, duals, hand-built braidings) are one block of all r^n words.
 """
 
 from __future__ import annotations
 
 from .braided import BraidedVectorSpace, apply_moves_to_vector, index_word
 from .exactla import CoefficientField, ComplexIntegrityError, SparseMatrix, rank
+from .orbits import block_plan
 from .shuffle import compositions
 
 
@@ -39,19 +50,32 @@ def validate_partition(parts, n: int) -> tuple[int, ...]:
 
 
 class TensorSystem:
-    """The local system V^(x)n for a braided vector space V."""
+    """The local system V^(x)n for a braided vector space V, or its restriction
+    to a block: the span of `words`, a sorted list of word codes that braid
+    moves keep among themselves (a block of `orbits.block_plan`).  Local index
+    i stands for word code words[i]; by default every code, i = code."""
 
-    def __init__(self, V: BraidedVectorSpace, n: int):
+    def __init__(self, V: BraidedVectorSpace, n: int, words=None):
         self.V = V
         self.n = n
-        self.dim = V.rank**n
+        self.words = range(V.rank**n) if words is None else words
+        self.dim = len(self.words)
+        self._local = None if words is None else {w: i for i, w in enumerate(words)}
 
     def labels(self):
-        return [index_word(i, self.V.rank, self.n) for i in range(self.dim)]
+        return [index_word(w, self.V.rank, self.n) for w in self.words]
 
     def apply_moves(self, moves, idx: int):
         """Image of a basis vector as {index: exact coefficient}."""
-        return apply_moves_to_vector(self.V, self.n, moves, {idx: 1})
+        image = apply_moves_to_vector(self.V, self.n, moves, {self.words[idx]: 1})
+        if self._local is None:
+            return image
+        try:
+            return {self._local[code]: cf for code, cf in image.items()}
+        except KeyError as exc:
+            raise ComplexIntegrityError(
+                f"braid moves {list(moves)} carry word code {self.words[idx]} out of its block, "
+                f"to {exc.args[0]}") from None
 
 
 class PermutationSystem:
@@ -232,6 +256,17 @@ def fnf_complex(V: BraidedVectorSpace, n: int, F: CoefficientField) -> GradedCom
     return complex_for_system(TensorSystem(V, n), n, F)
 
 
+def plan_homology(plan, build) -> dict[int, int]:
+    """Homology ranks by degree of a complex split into blocks: the sum over the
+    (words, multiplicity) entries of a block plan of multiplicity times the
+    ranks of `build(words)`."""
+    total: dict[int, int] = {}
+    for words, mult in plan:
+        for q, h in build(words).homology_table().items():
+            total[q] = total.get(q, 0) + mult * h
+    return total
+
+
 def homology_for_system(system, n: int, F: CoefficientField) -> list[int]:
     cx = complex_for_system(system, n, F)
     table = cx.homology_table()
@@ -239,5 +274,8 @@ def homology_for_system(system, n: int, F: CoefficientField) -> list[int]:
 
 
 def braid_homology(V: BraidedVectorSpace, n: int, F: CoefficientField) -> list[int]:
-    """Ranks of H_j(B_n; V^(x)n) over F for j = 0..n."""
-    return homology_for_system(TensorSystem(V, n), n, F)
+    """Ranks of H_j(B_n; V^(x)n) over F for j = 0..n, summed over the blocks of
+    `orbits.block_plan`."""
+    table = plan_homology(block_plan(V, n),
+                          lambda words: complex_for_system(TensorSystem(V, n, words), n, F))
+    return [table.get(2 * n - j, 0) for j in range(n + 1)]

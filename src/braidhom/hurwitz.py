@@ -1,19 +1,11 @@
-"""Braid orbit enumeration on tuples of rack elements, and its group-theoretic refinements.
+"""Hurwitz orbits on c^(x)n and their group-theoretic refinements.
 
-The n-strand braid group acts on length-n words over a rack by
-sigma_i: (..., a, b, ...) -> (..., b, a^b, ...); for conjugation racks this
-is the Hurwitz action on c^(x)n.  Words are coded as base-d integers in
-lexicographic order and swept in that order; each new orbit is closed under
-the forward moves sigma_i, which permute the finite word set, so forward
-closure is the whole orbit and the first word of the sweep in it, its
-lexicographic minimum, is the canonical representative, exactly.
-
-On top of the raw orbit tables sit: monodromy subgroups and the lattice of
-subgroups generated from c, the stratification of the orbit ring by exact
-monodromy, Nielsen classes (simultaneous conjugation) with component counts
-and their Betti numbers, and stabilization thresholds for right multiplication.
-Orbit tables are immutable once built and cached on their rack
-(`Rack.orbit_tables`), so they live exactly as long as the rack does.
+The braid orbits themselves come from the integer-coded sweep of
+`orbits.rack_orbits` (re-exported here).  On top of the raw orbit tables sit:
+monodromy subgroups and the lattice of subgroups generated from c, the
+stratification of the orbit ring by exact monodromy, Nielsen classes
+(simultaneous conjugation) with component counts and their Betti numbers, and
+stabilization thresholds for right multiplication.
 """
 
 from __future__ import annotations
@@ -21,122 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import comb
 
-from .braided import ConjClassSet, PermGroup, Rack, conj, cycle_notation
+from .braided import ConjClassSet, PermGroup, Rack, conj, cycle_notation, index_word, word_index
 from .exactla import CoefficientField
 from .fnf import PermutationSystem, homology_for_system
-
-HurwitzWord = tuple[int, ...]
-
-DEFAULT_STATE_CAP = 10**7
-
-
-@dataclass(frozen=True)
-class OrbitRecord:
-    rep: HurwitzWord
-    size: int
-    monodromy: frozenset | None
-    multigrade: tuple[int, ...]
-
-
-class OrbitTable:
-    """All orbits of the braid action on words of a fixed length.
-
-    `orbit_of` maps every word to its orbit index, with the words in
-    lexicographic order; orbits are listed in lexicographic order of their
-    canonical representatives.
-    """
-
-    def __init__(self, rack: Rack, n: int, orbits: list[OrbitRecord], orbit_of: dict):
-        self.rack = rack
-        self.n = n
-        self.orbits = orbits
-        self.orbit_of = orbit_of
-
-    def __len__(self):
-        return len(self.orbits)
-
-    def canonical(self, word: HurwitzWord) -> HurwitzWord:
-        return self.orbits[self.orbit_of[word]].rep
-
-    def index(self, word: HurwitzWord) -> int:
-        return self.orbit_of[word]
-
-
-def _class_partition(rack: Rack, labels_classes=None) -> list[int]:
-    """class index of each rack label; defaults to rack connectivity components."""
-    if labels_classes is not None:
-        return labels_classes
-    comp = rack.components()
-    out = [0] * rack.size
-    for ci, block in enumerate(comp):
-        for a in block:
-            out[a] = ci
-    return out
-
-
-def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP, class_of=None) -> OrbitTable:
-    """Orbits of the braid action on rack words of length n.
-
-    A word w is coded as the base-d integer sum w[k] d^(n-1-k), so codes in
-    increasing order are the words in lexicographic order, and the first code
-    not yet reached is the least word of a new orbit: its representative.  Each
-    orbit is closed under the forward moves sigma_i alone, each a lookup in a
-    table of letter pairs.  sigma_i permutes the finite word set, so sigma_i^-1
-    is a power of it and forward closure reaches the whole orbit.
-
-    `class_of` assigns each letter a class index for the multigrade (asserted
-    constant on every orbit during the sweep); it defaults to rack components.
-    Tables are cached on the rack, keyed by (n, class_of).
-    """
-    d = rack.size
-    if d**n > cap:  # checked before the cache, which does not key on the cap
-        raise ValueError(f"state space {d}^{n} exceeds cap {cap}")
-    key = (n, tuple(class_of) if class_of is not None else None)
-    if key in rack.orbit_tables:
-        return rack.orbit_tables[key]
-    class_of = _class_partition(rack, class_of)
-    m = max(class_of) + 1 if class_of else 1
-    act = rack.act
-    dd = d * d
-    # sigma on the pair code a*d + b is (b, a^b); shift[p] is the change of code
-    shift = [b * d + act[a][b] - (a * d + b) for a in range(d) for b in range(d)]
-    scales = [d ** (n - 2 - i) for i in range(n - 1)]  # place value of the pair at i, i+1
-    # grade[w]: the multigrade of w in base n + 1, built one letter at a time
-    unit = [(n + 1) ** class_of[a] for a in range(d)]
-    grade = [0]
-    for _ in range(n):
-        grade = [g + u for g in grade for u in unit]
-
-    orbit_id = [-1] * d**n
-    orbits = []
-    for w0 in range(d**n):
-        if orbit_id[w0] >= 0:
-            continue
-        idx = len(orbits)
-        orbit_id[w0] = idx
-        g0 = grade[w0]
-        comp = [w0]
-        for w in comp:  # comp grows while it is walked
-            if grade[w] != g0:
-                raise AssertionError("multigrade is not constant on an orbit")
-            for s in scales:
-                pair = w // s % dd
-                w2 = w + shift[pair] * s
-                if orbit_id[w2] < 0:
-                    orbit_id[w2] = idx
-                    comp.append(w2)
-        rep = tuple(w0 // d ** (n - 1 - k) % d for k in range(n))
-        multigrade = [0] * m
-        for a in rep:
-            multigrade[class_of[a]] += 1
-        orbits.append(OrbitRecord(rep, len(comp), None, tuple(multigrade)))
-    del grade
-
-    from itertools import product
-
-    orbit_of = dict(zip(product(range(d), repeat=n), orbit_id))
-    table = rack.orbit_tables[key] = OrbitTable(rack, n, orbits, orbit_of)
-    return table
+from .orbits import DEFAULT_STATE_CAP, HurwitzWord, OrbitTable, class_partition, rack_orbits
 
 
 def monodromy_group(word, G: PermGroup) -> frozenset:
@@ -341,7 +221,7 @@ def orbit_ring_module(rack: Rack, qmax: int, cap: int = DEFAULT_STATE_CAP, class
     tables = {q: rack_orbits(rack, q, cap=cap, class_of=class_of) for q in range(qmax + 1)}
     degrees = {q: list(range(len(tables[q]))) for q in range(qmax + 1)}
     return FilteredModule("R", degrees, tables, list(range(rack.size)),
-                          rack, _class_partition(rack, class_of))
+                          rack, class_partition(rack, class_of))
 
 
 def filtered_module(G: PermGroup, c: ConjClassSet, H, qmax: int,
@@ -383,7 +263,7 @@ def restricted_ring_module(G: PermGroup, c: ConjClassSet, H, qmax: int,
     degrees = {q: list(range(len(tables[q]))) for q in range(qmax + 1)}
     mod = FilteredModule(f"Rsub[order={len(H)}]", degrees, tables,
                          list(range(subrack.size)), subrack,
-                         _class_partition(subrack))
+                         class_partition(subrack))
     embed = [c.elements.index(g) for g in cH.elements]
     return mod, embed
 
@@ -447,29 +327,38 @@ def nielsen_components(G: PermGroup, c: ConjClassSet, n: int, F: CoefficientFiel
     comps = nielsen_component_count(G, c, n, cap=cap)
     if n <= 1 or not comps:
         return comps, [comps] + [0] * n
-    elems = c.elements
-    d = len(elems)
-    idx_of = {g: i for i, g in enumerate(elems)}
-    conj_tables = []
-    for g in G.elements:
-        conj_tables.append([idx_of[conj(x, g)] for x in elems])
-
-    canon_cache: dict = {}
-
-    def canon(w):
-        got = canon_cache.get(w)
-        if got is not None:
-            return got
-        best = min(tuple(t[a] for a in w) for t in conj_tables)
-        canon_cache[w] = best
-        return best
-
-    from itertools import product
-
+    d = len(c.elements)
+    idx_of = {g: i for i, g in enumerate(c.elements)}
+    # conj_codes[t][w]: the code of word w conjugated letter by letter by generator t
+    conj_codes = []
+    for g in G.generators:
+        t = [idx_of[conj(x, g)] for x in c.elements]
+        img = [0]
+        for _ in range(n):
+            img = [x * d + t[a] for x in img for a in range(d)]
+        conj_codes.append(img)
+    # one sweep over the codes in increasing order: the first code of a class is
+    # its least word, and the class is closed under conjugation by the generators
+    class_of = [-1] * d**n
+    reps = []
+    for w0 in range(d**n):
+        if class_of[w0] >= 0:
+            continue
+        class_of[w0] = len(reps)
+        cls = [w0]
+        for w in cls:  # cls grows while it is walked
+            for img in conj_codes:
+                if class_of[img[w]] < 0:
+                    class_of[img[w]] = len(reps)
+                    cls.append(img[w])
+        reps.append(w0)
     full = frozenset(G.elements)
-    reps = sorted({canon(w) for w in product(range(d), repeat=n)})
-    surj = [w for w in reps if _letter_monodromy(G, c, sum(1 << a for a in set(w))) == full]
-    pos = {w: i for i, w in enumerate(surj)}
+    surj, pos = [], {}
+    for k, code in enumerate(reps):
+        w = index_word(code, d, n)
+        if _letter_monodromy(G, c, sum(1 << a for a in set(w))) == full:
+            pos[k] = len(surj)
+            surj.append(w)
     rack = c.rack
     act, inv_act = rack.act, rack.inv_act
 
@@ -480,7 +369,7 @@ def nielsen_components(G: PermGroup, c: ConjClassSet, n: int, F: CoefficientFiel
             w2 = w[: i - 1] + (b, act[a][b]) + w[i + 1:]
         else:
             w2 = w[: i - 1] + (inv_act[b][a], a) + w[i + 1:]
-        return pos[canon(w2)]
+        return pos[class_of[word_index(w2, d)]]
 
     system = PermutationSystem(len(surj), gen_action, labels=surj)
     return comps, homology_for_system(system, n, F)

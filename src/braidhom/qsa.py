@@ -21,21 +21,31 @@ independent computations.
 Over a field the homology ranks of the bar complex equal the cohomology ranks
 of its dual cochain complex, which is why no dualization is performed.
 
+The braid action keeps the words of one braid orbit together, so for a
+rack-type V the complex in internal degree n splits into one block per orbit,
+as the FNF complex does.  `ext_table` and `components_ring` build, check and
+rank one block per class of `orbits.block_plan` (conjugate orbits merged only
+for a G-invariant cocycle) and weight it by the class size; `bar_complex(V,
+n, F)` without words still builds the whole complex.  The local block products
+are kept on V, so all blocks and degrees share them.
+
 Convention: callers pass the braided space whose algebra they mean.  The
 flagship cross-check `verify_main_cor` compares braid homology of V against
 the Ext table of the sign twist of V, including the cell-by-cell identity of
-the two chain complexes.
+the two chain complexes on every representative block: the FNF recursion on
+V against the bar lift sum on the twist.  The plan is all the two sides share
+beyond the cells and the merge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .braided import BraidedVectorSpace, apply_moves_to_vector, index_word, sign_twist
-from .exactla import CoefficientField, RankTable
-from .fnf import GradedComplex, assemble_block_merge, fnf_complex
-from .hurwitz import rack_orbits
-from .shuffle import lifted_block_words, shuffle_product
+from .braided import BraidedVectorSpace, apply_moves_to_vector, sign_twist
+from .exactla import CoefficientField, ComplexIntegrityError, RankTable
+from .fnf import GradedComplex, TensorSystem, assemble_block_merge, complex_for_system, plan_homology
+from .orbits import block_plan, rack_orbits
+from .shuffle import lifted_block_words
 
 
 def default_nmax(V: BraidedVectorSpace) -> int:
@@ -49,43 +59,35 @@ def default_nmax(V: BraidedVectorSpace) -> int:
     return 4
 
 
-class TruncatedGradedAlgebra:
-    """The quantum shuffle algebra truncated above degree Nmax.
-
-    Degree-n basis: words of length n over the basis of V.  Products are
-    computed on demand by the shuffle product; the unit is the empty word.
-    """
-
-    def __init__(self, V: BraidedVectorSpace, Nmax: int | None = None):
-        self.V = V
-        self.Nmax = default_nmax(V) if Nmax is None else Nmax
-
-    def basis(self, n: int):
-        if n > self.Nmax:
-            raise ValueError(f"degree {n} exceeds truncation {self.Nmax}")
-        return [index_word(i, self.V.rank, n) for i in range(self.V.rank**n)]
-
-    def product(self, u: dict, v: dict) -> dict:
-        if u and v and len(next(iter(u))) + len(next(iter(v))) > self.Nmax:
-            raise ValueError("product degree exceeds truncation")
-        return shuffle_product(self.V, u, v)
-
-
-def bar_complex(V: BraidedVectorSpace, n: int, F: CoefficientField) -> GradedComplex:
-    """The internal-degree-n reduced bar complex of the shuffle algebra of V.
+def bar_complex(V: BraidedVectorSpace, n: int, F: CoefficientField, words=None) -> GradedComplex:
+    """The internal-degree-n reduced bar complex of the shuffle algebra of V,
+    or its block on the span of `words` (see `bar_chains`), d^2 checked.
 
     Degrees are bar degrees p = 1..n; the matrix at p is d: (p, n) -> (p-1, n).
     The caller chooses V; no sign twist is applied here.
     """
-    local = {}
+    basis, diff = bar_chains(V, n, F, words)
+    return GradedComplex(basis, diff, F)
+
+
+def bar_chains(V: BraidedVectorSpace, n: int, F: CoefficientField, words=None):
+    """The cells and differentials (basis, diff) of the bar complex, unchecked.
+
+    With `words`, a sorted list of word codes closed under the braid action (a
+    block of `orbits.block_plan`), only the block on their span is built and
+    cell (lambda, i) stands for word code words[i].  The local block products
+    are kept on V by (F, a, b), so every block, and every degree n, shares them.
+    """
+    products = V.block_products
 
     def block_vectors(a, b, offset):
-        if (a, b) not in local:
-            local[(a, b)] = _local_block_product(V, F, a, b)
-        return _spread_block(local[(a, b)], V.rank, n, a + b, offset)
+        key = (F, a, b)
+        if key not in products:
+            products[key] = _local_block_product(V, F, a, b)
+        return _spread_block(products[key], V.rank, n, a + b, offset, words)
 
-    basis, diff = assemble_block_merge(n, 0, V.rank**n, block_vectors, F)
-    return GradedComplex(basis, diff, F)
+    dim = V.rank**n if words is None else len(words)
+    return assemble_block_merge(n, 0, dim, block_vectors, F)
 
 
 def _local_block_product(V: BraidedVectorSpace, F: CoefficientField, a: int, b: int):
@@ -112,18 +114,25 @@ def _local_block_product(V: BraidedVectorSpace, F: CoefficientField, a: int, b: 
     return out
 
 
-def _spread_block(local: list, r: int, n: int, m: int, offset: int):
+def _spread_block(local: list, r: int, n: int, m: int, offset: int, words=None):
     """The operator I (x) B (x) I on V^(x)n, for B on the m letters after the
     first `offset`, given as B's images of the words of V^(x)m: the block code
-    sits at place value r^(n - offset - m)."""
+    sits at place value r^(n - offset - m).  With `words` (sorted, closed under
+    B), only their span, with word code words[i] at local index i."""
     place = r ** (n - offset - m)
     size = r**m
     out = []
-    for idx in range(r**n):
+    for idx in range(r**n) if words is None else words:
         mid = idx // place % size
         base = idx - mid * place
         out.append({base + w * place: cf for w, cf in local[mid].items()})
-    return out
+    if words is None:
+        return out
+    pos = {w: i for i, w in enumerate(words)}
+    try:
+        return [{pos[code]: cf for code, cf in vec.items()} for vec in out]
+    except KeyError as exc:
+        raise ComplexIntegrityError(f"a shuffle product carries a word out of its block, to {exc.args[0]}") from None
 
 
 def ext_table(V: BraidedVectorSpace, Nmax: int | None = None,
@@ -135,9 +144,9 @@ def ext_table(V: BraidedVectorSpace, Nmax: int | None = None,
     table = RankTable(("s", "n"))
     table.set((0, 0), 1)
     for n in range(1, Nmax + 1):
-        cx = bar_complex(V, n, F)
+        ranks = plan_homology(block_plan(V, n), lambda words: bar_complex(V, n, F, words))
         for p in range(1, n + 1):
-            table.set((p, n), cx.homology_rank(p))
+            table.set((p, n), ranks.get(p, 0))
     return table
 
 
@@ -179,8 +188,8 @@ def components_ring(V: BraidedVectorSpace, Nmax: int, F: CoefficientField) -> Co
         if n == 0:
             diag.append(1)
             continue
-        cx = bar_complex(Veps, n, F)
-        diag.append(cx.homology_rank(n))
+        diag.append(sum(mult * bar_complex(Veps, n, F, words).homology_rank(n)
+                        for words, mult in block_plan(Veps, n)))
     trivial_cocycle = (
         V.rack is not None
         and V.cocycle is not None
@@ -224,27 +233,36 @@ class VerifyReport:
 def verify_main_cor(V: BraidedVectorSpace, n: int, F: CoefficientField) -> VerifyReport:
     """Cross-check the two pipelines at every homological degree.
 
-    Builds the cellular complex of V^(x)n and the bar complex of the sign
-    twist once each, and checks that they agree matrix-by-matrix and in basis
-    sizes under the canonical cell bijection (total degree n + p <-> bar
-    degree p).  The two share only the cells and the merge: the FNF blocks
-    come from the shuffle recursion on V, the bar blocks from the lift sum
-    on the sign twist, so every run checks one against the other.
-    H_j(B_n; V^(x)n) comes from the cellular complex.  When the chains
-    agree, Ext^{n-j, n} is read from the same ranks, since equal matrices
-    have equal ranks; otherwise the bar complex is ranked on its own and both
-    rank vectors are reported.
+    For each block of `orbits.block_plan(V, n)` it builds the cellular complex
+    of the block of V^(x)n and the bar complex of the same words for the sign
+    twist, and checks that they agree matrix-by-matrix and in basis sizes
+    under the canonical cell bijection (total degree n + p <-> bar degree p).
+    The two share only the plan, the cells and the merge: the FNF blocks come
+    from the shuffle recursion on V, the bar blocks from the lift sum on the
+    sign twist, so every run checks one against the other on every block.
+    Ranks are summed over the plan, each block weighted by its multiplicity.
+    H_j(B_n; V^(x)n) comes from the cellular complex, whose d^2 is checked.
+    When a block's chains agree, its Ext^{n-j, n} is read from the same ranks,
+    since equal matrices have equal ranks and equal products, so the bar
+    chains are not checked again; otherwise that bar block is checked and
+    ranked on its own and both rank vectors are reported.
     """
-    fnf = fnf_complex(V, n, F)
-    table = fnf.homology_table()
-    betti = [table.get(2 * n - j, 0) for j in range(n + 1)]
-    bar = bar_complex(sign_twist(V), n, F)
-    chain_ok = all(
-        fnf.differential(n + p) == bar.differential(p) for p in range(2, n + 1)
-    ) and all(fnf.dim(n + p) == bar.dim(p) for p in range(1, n + 1))
-    if chain_ok:
-        ext_by_s = {p: fnf.homology_rank(n + p) for p in range(1, n + 1)}
-    else:
-        ext_by_s = {p: bar.homology_rank(p) for p in range(1, n + 1)}
-    ext_diag = [ext_by_s.get(n - j, 0) for j in range(n + 1)]
+    Veps = sign_twist(V)
+    betti = [0] * (n + 1)
+    ext_diag = [0] * (n + 1)
+    chain_ok = True
+    for words, mult in block_plan(V, n):
+        fnf = complex_for_system(TensorSystem(V, n, words), n, F)
+        table = fnf.homology_table()
+        basis, diff = bar_chains(Veps, n, F, words)
+        same = all(fnf.dim(n + p) == len(basis[p]) for p in range(1, n + 1)) and all(
+            fnf.differential(n + p) == diff[p] for p in range(2, n + 1))
+        chain_ok = chain_ok and same
+        if same:
+            ext = {p: table.get(n + p, 0) for p in range(1, n + 1)}
+        else:
+            ext = GradedComplex(basis, diff, F).homology_table()
+        for j in range(n + 1):
+            betti[j] += mult * table.get(2 * n - j, 0)
+            ext_diag[j] += mult * ext.get(n - j, 0)
     return VerifyReport(n, F, betti, ext_diag, chain_ok)

@@ -245,3 +245,19 @@ def test_determinism_all_subcommands(argv, capsys, tmp_path):
     assert main(argv + ["--out", str(f1)]) == 0
     assert main(argv + ["--out", str(f2)]) == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("betti_S4_transpositions_nmax4_F5.csv",
+     ["betti", "--group", "S4", "--classes", "transpositions", "--nmax", "4", "--field", "5"]),
+    ("ext_S3_transpositions_epsilon_nmax5_F2.csv",
+     ["ext", "--group", "S3", "--classes", "transpositions", "--epsilon", "--nmax", "5", "--field", "2"]),
+    ("verify_D4_all_cocycle-1_nmax3_Q.csv",
+     ["verify", "--group", "D4", "--classes", "all", "--cocycle", "-1", "--nmax", "3", "--field", "Q"]),
+])
+def test_homology_golden(name, argv, capsys):
+    # stdout recorded when every complex was built, checked and ranked whole,
+    # before homology was summed over one block per class of braid orbits
+    rc, out = run(capsys, argv)
+    assert rc == 0
+    assert out == (GOLDEN / name).read_text()

@@ -5,21 +5,43 @@ import pytest
 
 from braidhom import fnf, qsa
 from braidhom.braided import ConjClassSet, PermGroup, identity_perm, parse_cycles, rank_one_space, sign_twist
-from braidhom.braided import Cocycle, apply_moves_to_vector, braided_space, conjugation_rack
+from braidhom.braided import Cocycle, apply_moves_to_vector, braided_space, conjugation_rack, index_word
 from braidhom.exactla import GF, QQ
 from braidhom.hurwitz import signed_orbit_count
+from braidhom.orbits import block_plan
 from braidhom.qsa import (
-    TruncatedGradedAlgebra,
     bar_complex,
     components_ring,
     default_nmax,
     ext_table,
     verify_main_cor,
 )
-from braidhom.shuffle import lifted_block_words
+from braidhom.shuffle import lifted_block_words, shuffle_product
 from tests.test_braided import jordan_plane, s3_transposition_space
 
 F2 = GF(2)
+
+
+class TruncatedGradedAlgebra:
+    """The quantum shuffle algebra truncated above degree Nmax.
+
+    Degree-n basis: words of length n over the basis of V.  Products are
+    computed on demand by the shuffle product; the unit is the empty word.
+    """
+
+    def __init__(self, V, Nmax=None):
+        self.V = V
+        self.Nmax = default_nmax(V) if Nmax is None else Nmax
+
+    def basis(self, n: int):
+        if n > self.Nmax:
+            raise ValueError(f"degree {n} exceeds truncation {self.Nmax}")
+        return [index_word(i, self.V.rank, n) for i in range(self.V.rank**n)]
+
+    def product(self, u: dict, v: dict) -> dict:
+        if u and v and len(next(iter(u))) + len(next(iter(v))) > self.Nmax:
+            raise ValueError("product degree exceeds truncation")
+        return shuffle_product(self.V, u, v)
 
 
 def divided_power_monomials(s, n):
@@ -181,32 +203,41 @@ def ranked(monkeypatch):
 
 
 def test_verify_main_cor_ranks_each_differential_once(ranked):
+    # one rank per differential of each representative FNF block; the bar
+    # blocks equal them and are not ranked again
     n = 4
-    rep = verify_main_cor(s3_transposition_space(), n, F2)
+    V = s3_transposition_space()
+    rep = verify_main_cor(V, n, F2)
     assert rep.ok and rep.chain_level_ok
-    assert len(ranked) == n - 1
+    plan = block_plan(V, n)
+    assert len(plan) == 3
+    assert len(ranked) == (n - 1) * len(plan)
+    assert len({id(M) for M in ranked}) == len(ranked)
 
 
 def test_verify_main_cor_mismatch_ranks_the_bar_complex(monkeypatch, ranked):
     # Negating one bar differential keeps d^2 = 0 and every rank, but breaks the
     # cell-by-cell identity; the Ext column must then come from the bar complex.
-    real_bar_complex = qsa.bar_complex
+    real_bar_chains = qsa.bar_chains
     negated = []
 
-    def bar_with_negated_top(V, n, F):
-        bar = real_bar_complex(V, n, F)
-        diff = dict(bar.diff)
-        diff[n] = diff[n].scale(-1)
-        negated.append(diff[n])
-        return fnf.GradedComplex(bar.basis, diff, F)
+    def bar_with_negated_top(V, n, F, words=None):
+        basis, diff = real_bar_chains(V, n, F, words)
+        diff = dict(diff)
+        if diff[n].entries:  # a zero block stays equal to its FNF block
+            diff[n] = diff[n].scale(-1)
+            negated.append(diff[n])
+        return basis, diff
 
-    monkeypatch.setattr(qsa, "bar_complex", bar_with_negated_top)
+    monkeypatch.setattr(qsa, "bar_chains", bar_with_negated_top)
     n = 3
-    rep = verify_main_cor(s3_transposition_space(), n, QQ)
+    V = s3_transposition_space()
+    rep = verify_main_cor(V, n, QQ)
     assert not rep.chain_level_ok and not rep.ok
     assert rep.lines()[-1].strip() == "FAIL"
-    assert len(ranked) == 2 * (n - 1)
-    assert any(M is negated[0] for M in ranked)
+    assert negated
+    assert len(ranked) == (n - 1) * (len(block_plan(V, n)) + len(negated))
+    assert all(any(M is neg for M in ranked) for neg in negated)
     assert rep.ext_diagonal == rep.betti
 
 
