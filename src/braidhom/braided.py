@@ -10,9 +10,12 @@ of V in lexicographic order, and braid words act on vectors keyed by base-r
 word codes (`word_index`), one path for every braiding.
 
 Structures are not changed after construction, apart from caches that fill
-lazily on first use: `ConjClassSet.rack`, each rack's `orbit_tables` (filled
-by `orbits.rack_orbits`) and each braided space's inverse braiding, sign twist
-and `block_products` (filled by `qsa.bar_chains`).  Those fills are not locked.
+lazily on first use: each group's right-multiplication index tables,
+`ConjClassSet.rack` and `ConjClassSet.lattices` (filled by
+`hurwitz.subgroup_lattice`), each rack's `orbit_partitions` and `orbit_tables`
+(filled by `orbits.rack_orbits`) and each braided space's inverse braiding,
+sign twist and `block_products` (filled by `qsa.bar_chains`).  Those fills
+are not locked.
 """
 
 from __future__ import annotations
@@ -105,7 +108,9 @@ class PermGroup:
     """A finite permutation group with fully enumerated elements.
 
     Enumeration is breadth-first closure over the generators, capped (default
-    10000 elements) because every group in scope here is tiny.
+    10000 elements) because every group in scope here is tiny.  For each
+    element g used as a generator of a subgroup, the group keeps the table
+    x -> x*g on element indices, built on first use.
     """
 
     def __init__(self, degree: int, generators: list[Perm], name: str = "", cap: int = 10000):
@@ -131,6 +136,7 @@ class PermGroup:
             frontier = nxt
         self.elements = sorted(seen)
         self._index = {g: i for i, g in enumerate(self.elements)}
+        self._right_tables: dict = {}  # element index of g -> [index of x*g for each x]
 
     @property
     def order(self) -> int:
@@ -162,19 +168,30 @@ class PermGroup:
         return out
 
     def subgroup_closure(self, gens: list[Perm]) -> frozenset:
-        e = identity_perm(self.degree)
+        """The subgroup generated by elements of this group, as a frozenset.
+
+        Breadth-first closure of the identity under right multiplication by
+        the generators, on element indices.
+        """
+        tables = []
+        for g in gens:
+            i = self._index.get(tuple(g))
+            if i is None:
+                raise ValueError(f"{cycle_notation(g)} is not an element of {self.name}")
+            if i not in self._right_tables:
+                index = self._index
+                self._right_tables[i] = [index[pmul(x, g)] for x in self.elements]
+            tables.append(self._right_tables[i])
+        e = self._index[identity_perm(self.degree)]
         seen = {e}
         frontier = [e]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = pmul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
+        for x in frontier:  # frontier grows while it is walked
+            for t in tables:
+                y = t[x]
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        return frozenset(self.elements[i] for i in seen)
 
     def center(self) -> frozenset:
         return frozenset(
@@ -232,9 +249,9 @@ class ConjClassSet:
             for a in range(1, perm_order(g))
             if _coprime(a, perm_order(g))
         )
-        # (group, letter bitmask) -> subgroup those letters generate, kept for
-        # every degree by `hurwitz.hurwitz_orbits`
-        self.monodromy_memo: dict = {}
+        # group -> lattice of the subgroups generated by letters of this set,
+        # kept by `hurwitz.subgroup_lattice`
+        self.lattices: dict = {}
 
     def __len__(self):
         return len(self.elements)
@@ -273,8 +290,10 @@ class Rack:
     """A finite rack: a label set with a self-distributive operation (a, b) -> a^b.
 
     For each b the map a -> a^b must be a bijection.  `quandle` records whether
-    a^a = a holds for all a.  `orbit_tables` holds the braid orbit tables that
-    `orbits.rack_orbits` and `hurwitz.hurwitz_orbits` build on this rack.
+    a^a = a holds for all a.  `orbit_partitions` holds the braid orbits on
+    words of each length and `orbit_tables` the orbit tables built on them,
+    both filled by `orbits.rack_orbits` (and the labelled tables by
+    `hurwitz.hurwitz_orbits`).
     """
 
     def __init__(self, labels: list, action: dict):
@@ -298,6 +317,7 @@ class Rack:
                             f"self-distributivity fails at ({self.labels[c]}, {self.labels[a]}, {self.labels[b]})"
                         )
         self.quandle = all(self.act[a][a] == a for a in range(self.size))
+        self.orbit_partitions: dict = {}
         self.orbit_tables: dict = {}
         # inv_act[v][b] = the unique a with a^b = v
         self.inv_act = [[None] * self.size for _ in range(self.size)]

@@ -1,10 +1,11 @@
 """Hurwitz orbits on c^(x)n and their group-theoretic refinements.
 
-The braid orbits themselves come from the integer-coded sweep of
-`orbits.rack_orbits` (re-exported here).  On top of the raw orbit tables sit:
-monodromy subgroups and the lattice of subgroups generated from c, the
-stratification of the orbit ring by exact monodromy, Nielsen classes
-(simultaneous conjugation) with component counts and their Betti numbers, and
+The braid orbits themselves come from `orbits.rack_orbits` (re-exported
+here), built by induction on n.  On top of the raw orbit tables sit:
+monodromy subgroups and the lattice of subgroups generated from c (built once
+and kept on c, the one source of every monodromy label), the stratification
+of the orbit ring by exact monodromy, Nielsen classes (simultaneous
+conjugation) with component counts and their Betti numbers, and
 stabilization thresholds for right multiplication.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import comb
 
-from .braided import ConjClassSet, PermGroup, Rack, conj, cycle_notation, index_word, word_index
+from .braided import ConjClassSet, PermGroup, Rack, conj, cycle_notation, identity_perm, index_word, word_index
 from .exactla import CoefficientField
 from .fnf import PermutationSystem, homology_for_system
 from .orbits import DEFAULT_STATE_CAP, HurwitzWord, OrbitTable, class_partition, rack_orbits
@@ -29,32 +30,63 @@ class SubgroupLattice:
 
     Subgroups are frozensets of elements, listed by (order, sorted elements)
     so that ids are deterministic; G itself is last when c generates G.
+    `masks[i]` is the bitmask of the letters of c (indexed as in
+    `c.elements`) that lie in subgroup i.
+
+    Every letter set s generates a subgroup of the lattice: adding the
+    letters of s one at a time, each step closes the letters of c in a
+    lattice subgroup together with one more letter, as the construction
+    does.  A lattice subgroup whose letter mask contains s contains <s>, so
+    <s> is the first one in (order, elements) order with that property, and
+    `generated_by` reads it off without a closure.
     """
 
     def __init__(self, G: PermGroup, c: ConjClassSet):
         self.G = G
         self.c = c
-        found = set()
+        elems = c.elements
+        closures = {}  # generating letter bitmask -> subgroup
+
+        def close(mask):
+            if mask not in closures:
+                closures[mask] = G.subgroup_closure([g for a, g in enumerate(elems) if mask >> a & 1])
+            return closures[mask]
+
+        def letters_in(h):
+            return sum(1 << a for a, g in enumerate(elems) if g in h)
+
+        found = {}  # subgroup -> its letter mask
         frontier = []
-        for g in c.elements:
-            h = G.subgroup_closure([g])
+        for a in range(len(elems)):
+            h = close(1 << a)
             if h not in found:
-                found.add(h)
+                found[h] = letters_in(h)
                 frontier.append(h)
         while frontier:
             nxt = []
             for h in frontier:
-                hgens = [g for g in c.elements if g in h]
-                for g in c.elements:
-                    if g in h:
+                for a in range(len(elems)):
+                    if found[h] >> a & 1:
                         continue
-                    h2 = G.subgroup_closure(hgens + [g])
+                    h2 = close(found[h] | 1 << a)
                     if h2 not in found:
-                        found.add(h2)
+                        found[h2] = letters_in(h2)
                         nxt.append(h2)
             frontier = nxt
         self.subgroups = sorted(found, key=lambda h: (len(h), sorted(h)))
+        self.masks = [found[h] for h in self.subgroups]
         self._index = {h: i for i, h in enumerate(self.subgroups)}
+        self._trivial = frozenset({identity_perm(G.degree)})
+
+    def generated_by(self, letters: int) -> frozenset:
+        """The subgroup generated by the letters of c in a bitmask; the
+        empty set generates the trivial group."""
+        if not letters:
+            return self._trivial
+        for h, mask in zip(self.subgroups, self.masks):
+            if letters & mask == letters:
+                return h
+        raise ValueError(f"letter mask {letters:#x} is not a subset of c")
 
     def __len__(self):
         return len(self.subgroups)
@@ -79,9 +111,9 @@ def hurwitz_orbits(G: PermGroup, c: ConjClassSet, n: int, cap: int = DEFAULT_STA
 
     Each orbit is labelled by the subgroup of G its letters generate, and the
     label is checked on every word of the orbit.  The monodromy of a word
-    depends only on its set of letters, so it is computed once per letter set
-    and kept on `c` for every degree.  The table is cached on `c.rack` and
-    shares `orbit_of` with the unlabelled table of `rack_orbits`.
+    depends only on its set of letters, so it is read off the subgroup
+    lattice of (G, c) once per letter set.  The table is cached on `c.rack`
+    and shares `orbit_of` with the unlabelled table of `rack_orbits`.
     """
     rack = c.rack
     class_of = tuple(c.class_index(g) for g in c.elements)
@@ -89,6 +121,7 @@ def hurwitz_orbits(G: PermGroup, c: ConjClassSet, n: int, cap: int = DEFAULT_STA
     key = (n, class_of, "monodromy")
     if key in rack.orbit_tables:
         return rack.orbit_tables[key]
+    lattice = subgroup_lattice(G, c)
     d = len(c.elements)
     # letters[w]: the letter set of the word with code w, as a bitmask
     letters = [0]
@@ -97,25 +130,14 @@ def hurwitz_orbits(G: PermGroup, c: ConjClassSet, n: int, cap: int = DEFAULT_STA
     subgroups: dict = {}  # subgroup -> label id
     label_of = {}  # letter bitmask -> label id
     for s in set(letters):
-        label_of[s] = subgroups.setdefault(_letter_monodromy(G, c, s), len(subgroups))
+        label_of[s] = subgroups.setdefault(lattice.generated_by(s), len(subgroups))
     rep_labels = [label_of[sum(1 << a for a in set(rec.rep))] for rec in plain.orbits]
-    for s, oi in zip(letters, plain.orbit_of.values()):  # orbit_of is in code order
-        if label_of[s] != rep_labels[oi]:
-            raise AssertionError("monodromy is not constant on an orbit")
+    if list(map(label_of.__getitem__, letters)) != list(map(rep_labels.__getitem__, plain.orbit_of)):
+        raise AssertionError("monodromy is not constant on an orbit")
     by_label = list(subgroups)
     orbits = [replace(rec, monodromy=by_label[i]) for rec, i in zip(plain.orbits, rep_labels)]
     table = rack.orbit_tables[key] = OrbitTable(rack, n, orbits, plain.orbit_of)
     return table
-
-
-def _letter_monodromy(G: PermGroup, c: ConjClassSet, letters: int):
-    """The subgroup of G generated by the elements of c in the letter bitmask,
-    computed once per (G, bitmask) and kept in `c.monodromy_memo`."""
-    h = c.monodromy_memo.get((G, letters))
-    if h is None:
-        gens = [g for a, g in enumerate(c.elements) if letters >> a & 1]
-        h = c.monodromy_memo[(G, letters)] = monodromy_group(gens, G)
-    return h
 
 
 def nielsen_component_count(G: PermGroup, c: ConjClassSet, n: int,
@@ -141,7 +163,7 @@ def nielsen_component_count(G: PermGroup, c: ConjClassSet, n: int,
         while frontier:
             rep = table.orbits[frontier.pop()].rep
             for t in conj_tables:
-                j = table.orbit_of[tuple(t[a] for a in rep)]
+                j = table.index([t[a] for a in rep])
                 if j not in seen:
                     seen.add(j)
                     frontier.append(j)
@@ -149,7 +171,11 @@ def nielsen_component_count(G: PermGroup, c: ConjClassSet, n: int,
 
 
 def subgroup_lattice(G: PermGroup, c: ConjClassSet) -> SubgroupLattice:
-    return SubgroupLattice(G, c)
+    """The lattice of subgroups of G generated by letters of c, built on
+    first use and kept on c for every caller."""
+    if G not in c.lattices:
+        c.lattices[G] = SubgroupLattice(G, c)
+    return c.lattices[G]
 
 
 @dataclass
@@ -353,10 +379,11 @@ def nielsen_components(G: PermGroup, c: ConjClassSet, n: int, F: CoefficientFiel
                     cls.append(img[w])
         reps.append(w0)
     full = frozenset(G.elements)
+    lattice = subgroup_lattice(G, c)
     surj, pos = [], {}
     for k, code in enumerate(reps):
         w = index_word(code, d, n)
-        if _letter_monodromy(G, c, sum(1 << a for a in set(w))) == full:
+        if lattice.generated_by(sum(1 << a for a in set(w))) == full:
             pos[k] = len(surj)
             surj.append(w)
     rack = c.rack

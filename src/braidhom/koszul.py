@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braided import BraidedVectorSpace, ConjClassSet, PermGroup, braided_space, identity_perm, pinv, pmul, conj as gconj
+from .braided import BraidedVectorSpace, ConjClassSet, PermGroup, braided_space
 from .exactla import CoefficientField, RankTable, SparseMatrix, column_space_contains, homology_basis
 from .fnf import GradedComplex
 from .hurwitz import FilteredModule, filtered_module, orbit_ring_module, restricted_ring_module
@@ -349,13 +349,13 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
             for i in range(m):
                 for j in range(i, m):
                     a = K.d_i(i, p - 1, q + 1).matmul(K.d_i(j, p, q), F)
-                    b = K.d_i(j, p - 1, q + 1).matmul(K.d_i(i, p, q), F)
-                    s = a.add(b, F)
                     if i == j:
                         if a.entries:
                             anticommute_ok = False
                             failures.append(f"d_{i}^2 != 0 at (p={p}, q={q})")
-                    elif s.entries:
+                        continue
+                    b = K.d_i(j, p - 1, q + 1).matmul(K.d_i(i, p, q), F)
+                    if a.add(b, F).entries:
                         anticommute_ok = False
                         failures.append(f"d_{i} d_{j} + d_{j} d_{i} != 0 at (p={p}, q={q})")
 
@@ -395,8 +395,8 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
     nullhomotopy_ok = True
     s_const = constant_braiding_value(K.V)
     V = K.V
-    group = V.group
     pstar = {}  # (g, p) -> _pstar_matrix(K, g, p), the same for every q
+    twisted = {}  # (g, p) -> _twisted_letters(K, g, p), the same for every q
     for q in range(min(qr, K.qmax - 1)):
         for p in range(1, pr):
             if K.dim(p, q) == 0:
@@ -405,10 +405,12 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
                 for key in ((g, p), (g, p - 1)):
                     if key not in pstar:
                         pstar[key] = _pstar_matrix(K, *key)
+                if (g, p) not in twisted:
+                    twisted[(g, p)] = _twisted_letters(K, g, p)
                 d_after = K.d(p + 1, q).matmul(_tensor_with_module(K, pstar[(g, p)], q), F)
                 after_d = _tensor_with_module(K, pstar[(g, p - 1)], q + 1).matmul(K.d(p, q), F)
                 lhs = d_after.add(after_d.scale(-1), F)
-                rhs = _twisted_right_mult(K, g, p, q, s_const, group)
+                rhs = _twisted_right_mult(K, twisted[(g, p)], p, q, s_const)
                 if lhs != rhs:
                     nullhomotopy_ok = False
                     failures.append(f"nullhomotopy identity fails at (p={p}, q={q}, g={g})")
@@ -435,28 +437,28 @@ def _tensor_with_module(K: KoszulComplex, M: SparseMatrix, q: int) -> SparseMatr
     return SparseMatrix(M.rows * nmod, M.cols * nmod, ent)
 
 
-def _twisted_right_mult(K: KoszulComplex, g: int, p: int, q: int, s_const, group) -> SparseMatrix:
-    """psi_k (x) r -> s^p psi_k (x) r (g conjugated by deg(psi_k)^-1)."""
-    F = K.F
-    nd = K.nichols
+def _twisted_letters(K: KoszulComplex, g: int, p: int) -> list[int]:
+    """For each degree-p dual basis word psi_k, the rack letter of g conjugated
+    by deg(psi_k)^-1, i.e. h g h^-1 for h the product of the word's letters."""
+    inv_act = K.V.rack.inv_act
+    out = []
+    for word in K.nichols.pivot_words(p):
+        gl = g
+        for a in reversed(word):
+            gl = inv_act[gl][a]
+        out.append(gl)
+    return out
+
+
+def _twisted_right_mult(K: KoszulComplex, letters: list[int], p: int, q: int, s_const) -> SparseMatrix:
+    """psi_k (x) r -> s^p psi_k (x) r letters[k], with letters from `_twisted_letters`."""
     nmod_s = K.module.dim(q)
     nmod_t = K.module.dim(q + 1)
-    rack = K.V.rack
-    sign = F.convert(s_const**p)
+    sign = K.F.convert(s_const**p)
     cols = []
-    for k in range(nd.dim(p)):
-        word = nd.pivot_words(p)[k]
-        if group is not None:
-            h = identity_perm(group.degree)
-            for a in word:
-                h = pmul(h, K.V.labels[a])
-            gl = K.V.labels.index(gconj(K.V.labels[g], pinv(h)))
-        else:
-            gl = g
-            for a in reversed(word):
-                gl = rack.inv_act[gl][a]
+    for k, gl in enumerate(letters):
         lmap = K.module.right_mult(gl, q)
         for o in range(nmod_s):
             o2 = lmap[o]
             cols.append({} if o2 is None else {k * nmod_t + o2: sign})
-    return SparseMatrix.from_columns(nd.dim(p) * nmod_t, cols)
+    return SparseMatrix.from_columns(K.nichols.dim(p) * nmod_t, cols)

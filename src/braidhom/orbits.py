@@ -3,12 +3,14 @@
 The n-strand braid group acts on length-n words over a rack by
 sigma_i: (..., a, b, ...) -> (..., b, a^b, ...); for conjugation racks this
 is the Hurwitz action on c^(x)n.  Words are coded as base-d integers in
-lexicographic order and swept in that order; each new orbit is closed under
-the forward moves sigma_i, which permute the finite word set, so forward
-closure is the whole orbit and the first word of the sweep in it, its
-lexicographic minimum, is the canonical representative, exactly.
-Orbit tables are immutable once built and cached on their rack
-(`Rack.orbit_tables`), so they live exactly as long as the rack does.
+lexicographic order.  The orbits at n are built from those at n - 1:
+sigma_1, ..., sigma_{n-2} fix the last letter and act on the prefix as
+B_{n-1}, so the orbits on words of length n are the classes of the pairs
+(prefix orbit, last letter) joined by sigma_{n-1}.  Orbits are numbered by
+their least words, which are their canonical representatives.  The
+partition for each n is kept on its rack (`Rack.orbit_partitions`), and the
+orbit tables, one per class partition, share its code-indexed orbit ids
+(`Rack.orbit_tables`); all of it lives exactly as long as the rack does.
 
 When every sigma(a (x) b) is one term on b (x) a^b, the braid action on
 V^(x)n only moves a word inside its orbit, so the FNF and bar complexes split
@@ -44,12 +46,13 @@ class OrbitRecord:
 class OrbitTable:
     """All orbits of the braid action on words of a fixed length.
 
-    `orbit_of` maps every word to its orbit index, with the words in
-    lexicographic order; orbits are listed in lexicographic order of their
-    canonical representatives.
+    `orbit_of[w]` is the orbit index of the word with code w (`word_index`),
+    so it lists every word's orbit in lexicographic order of the words;
+    orbits are listed in lexicographic order of their canonical
+    representatives.
     """
 
-    def __init__(self, rack: Rack, n: int, orbits: list[OrbitRecord], orbit_of: dict):
+    def __init__(self, rack: Rack, n: int, orbits: list[OrbitRecord], orbit_of: list[int]):
         self.rack = rack
         self.n = n
         self.orbits = orbits
@@ -59,10 +62,11 @@ class OrbitTable:
         return len(self.orbits)
 
     def canonical(self, word: HurwitzWord) -> HurwitzWord:
-        return self.orbits[self.orbit_of[word]].rep
+        return self.orbits[self.index(word)].rep
 
     def index(self, word: HurwitzWord) -> int:
-        return self.orbit_of[word]
+        """The orbit index of a word of length n over the rack's letters."""
+        return self.orbit_of[word_index(word, self.rack.size)]
 
 
 def class_partition(rack: Rack, labels_classes=None) -> list[int]:
@@ -80,66 +84,106 @@ def class_partition(rack: Rack, labels_classes=None) -> list[int]:
 def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP, class_of=None) -> OrbitTable:
     """Orbits of the braid action on rack words of length n.
 
-    A word w is coded as the base-d integer sum w[k] d^(n-1-k), so codes in
-    increasing order are the words in lexicographic order, and the first code
-    not yet reached is the least word of a new orbit: its representative.  Each
-    orbit is closed under the forward moves sigma_i alone, each a lookup in a
-    table of letter pairs.  sigma_i permutes the finite word set, so sigma_i^-1
-    is a power of it and forward closure reaches the whole orbit.
-
-    `class_of` assigns each letter a class index for the multigrade (asserted
-    constant on every orbit during the sweep); it defaults to rack components.
-    Tables are cached on the rack, keyed by (n, class_of).
+    `class_of` assigns each letter a class index for the multigrade (checked
+    constant on every orbit); it defaults to rack components.  Tables are
+    cached on the rack, keyed by (n, class_of), together with the tables
+    below n that they are built from.
     """
-    d = rack.size
-    if d**n > cap:  # checked before the cache, which does not key on the cap
-        raise ValueError(f"state space {d}^{n} exceeds cap {cap}")
-    key = (n, tuple(class_of) if class_of is not None else None)
-    if key in rack.orbit_tables:
-        return rack.orbit_tables[key]
-    class_of = class_partition(rack, class_of)
-    m = max(class_of) + 1 if class_of else 1
-    act = rack.act
-    dd = d * d
-    # sigma on the pair code a*d + b is (b, a^b); shift[p] is the change of code
-    shift = [b * d + act[a][b] - (a * d + b) for a in range(d) for b in range(d)]
-    scales = [d ** (n - 2 - i) for i in range(n - 1)]  # place value of the pair at i, i+1
-    # grade[w]: the multigrade of w in base n + 1, built one letter at a time
-    unit = [(n + 1) ** class_of[a] for a in range(d)]
-    grade = [0]
-    for _ in range(n):
-        grade = [g + u for g in grade for u in unit]
+    if rack.size**n > cap:  # checked before the cache, which does not key on the cap
+        raise ValueError(f"state space {rack.size}^{n} exceeds cap {cap}")
+    return _orbit_table(rack, n, class_of)
 
-    orbit_id = [-1] * d**n
+
+def _orbit_table(rack: Rack, n: int, class_of) -> OrbitTable:
+    """The table of `rack_orbits`, without the cap check.
+
+    The multigrade is checked once per pair (orbit j at n - 1, letter a): the
+    words ending in a whose prefix lies in orbit j all have the multigrade of
+    orbit j plus a, by the check at n - 1, so comparing that with the
+    multigrade of the orbit holding the pair's least word checks every word.
+    """
+    key = (n, tuple(class_of) if class_of is not None else None)
+    table = rack.orbit_tables.get(key)
+    if table is not None:
+        return table
+    prev = _orbit_table(rack, n - 1, class_of) if n else None
+    class_of = class_partition(rack, class_of)
+    d = rack.size
+    m = max(class_of) + 1 if class_of else 1
+    orbit_of, reps, sizes = _orbit_partition(rack, n)
     orbits = []
-    for w0 in range(d**n):
-        if orbit_id[w0] >= 0:
-            continue
-        idx = len(orbits)
-        orbit_id[w0] = idx
-        g0 = grade[w0]
-        comp = [w0]
-        for w in comp:  # comp grows while it is walked
-            if grade[w] != g0:
-                raise AssertionError("multigrade is not constant on an orbit")
-            for s in scales:
-                pair = w // s % dd
-                w2 = w + shift[pair] * s
-                if orbit_id[w2] < 0:
-                    orbit_id[w2] = idx
-                    comp.append(w2)
-        rep = tuple(w0 // d ** (n - 1 - k) % d for k in range(n))
+    for rep, size in zip(reps, sizes):
         multigrade = [0] * m
         for a in rep:
             multigrade[class_of[a]] += 1
-        orbits.append(OrbitRecord(rep, len(comp), None, tuple(multigrade)))
-    del grade
-
-    from itertools import product
-
-    orbit_of = dict(zip(product(range(d), repeat=n), orbit_id))
+        orbits.append(OrbitRecord(rep, size, None, tuple(multigrade)))
+    if prev is not None:
+        for rec in prev.orbits:
+            base = word_index(rec.rep, d) * d
+            for a in range(d):
+                grade = list(rec.multigrade)
+                grade[class_of[a]] += 1
+                if orbits[orbit_of[base + a]].multigrade != tuple(grade):
+                    raise AssertionError("multigrade is not constant on an orbit")
     table = rack.orbit_tables[key] = OrbitTable(rack, n, orbits, orbit_of)
     return table
+
+
+def _orbit_partition(rack: Rack, n: int) -> tuple[list[int], list[HurwitzWord], list[int]]:
+    """The braid orbits on words of length n as (orbit id of every word code,
+    least word of every orbit, orbit sizes), orbits numbered by least word.
+
+    Built from the partition at n - 1 and kept on the rack.  A node is a pair
+    (orbit j at n - 1, last letter a), coded j*d + a; it holds the words ending
+    in a whose prefix lies in orbit j, and its least word is rep_j + (a,).
+    sigma_1, ..., sigma_{n-2} move words inside their node, so the orbits at n
+    are the classes of nodes joined by sigma_{n-1}, one edge per word, read
+    off its last pair code.  Union-find keeps each class's least node as its
+    root; node codes follow the order of the nodes' least words, so numbering
+    the classes by root numbers the orbits by least word.
+    """
+    part = rack.orbit_partitions.get(n)
+    if part is not None:
+        return part
+    d = rack.size
+    if n == 0:
+        part = rack.orbit_partitions[0] = ([0], [()], [1])
+        return part
+    prev_of, prev_reps, prev_sizes = _orbit_partition(rack, n - 1)
+    nodes = list(range(len(prev_reps) * d))
+    blocks = [nodes[j * d:j * d + d] for j in range(len(prev_reps))]
+    node = [x for j in prev_of for x in blocks[j]]  # the node of each word code
+    root = nodes[:]
+    if n >= 2 and d:
+        dd = d * d
+        sigma = [b * d + rack.act[a][b] for a in range(d) for b in range(d)]  # on pair codes
+        moved = [node[w + p] for w in range(0, d**n, dd) for p in sigma]  # node of sigma_{n-1} w
+        for u, v in set(zip(node, moved)):
+            while root[u] != u:
+                root[u] = u = root[root[u]]
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            if u < v:
+                root[v] = u
+            elif v < u:
+                root[u] = v
+        del moved
+    orbit_of_node = [0] * len(nodes)
+    reps, sizes = [], []
+    for x in range(len(root)):
+        r = root[x]
+        while root[r] != r:
+            r = root[r]
+        j, a = divmod(x, d)
+        if r == x:
+            orbit_of_node[x] = len(reps)
+            reps.append(prev_reps[j] + (a,))
+            sizes.append(prev_sizes[j])
+        else:
+            k = orbit_of_node[x] = orbit_of_node[r]
+            sizes[k] += prev_sizes[j]
+    part = rack.orbit_partitions[n] = (list(map(orbit_of_node.__getitem__, node)), reps, sizes)
+    return part
 
 
 def block_plan(V: BraidedVectorSpace, n: int) -> list[tuple[list[int], int]]:
@@ -154,13 +198,13 @@ def block_plan(V: BraidedVectorSpace, n: int) -> list[tuple[list[int], int]]:
     of `V.group` maps the representative of one, conjugated letter by letter,
     into the other; this is used only when each generator preserves every
     braiding coefficient, and otherwise every orbit is its own class.  The
-    block of a class is its least orbit.  The orbit sweep's word cap applies.
+    block of a class is its least orbit.  The orbit tables' word cap applies.
     """
     r = V.rank
     if not _is_rack_braiding(V):
         return [(list(range(r**n)), 1)]
     table = rack_orbits(V.rack, n)
-    orbit_id = list(table.orbit_of.values())  # orbit_of is in code order
+    orbit_id = table.orbit_of
     members = [[] for _ in table.orbits]
     for code, k in enumerate(orbit_id):
         members[k].append(code)

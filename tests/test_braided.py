@@ -74,6 +74,14 @@ def test_group_enumeration_and_cap():
         PermGroup(5, [parse_cycles("(1 2)", 5), parse_cycles("(1 2 3 4 5)", 5)], cap=10)
 
 
+def test_subgroup_closure_takes_elements_of_the_group():
+    Z3 = PermGroup(3, [parse_cycles("(1 2 3)", 3)], name="Z3")
+    assert Z3.subgroup_closure([]) == {identity_perm(3)}
+    assert Z3.subgroup_closure([parse_cycles("(1 3 2)", 3)]) == set(Z3.elements)
+    with pytest.raises(ValueError, match="not an element of Z3"):
+        Z3.subgroup_closure([parse_cycles("(1 2)", 3)])
+
+
 def test_group_file_roundtrip():
     text = "degree 4\n(1 2)\n(1 2 3 4)\n"
     G = load_group(text, name="S4")

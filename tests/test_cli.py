@@ -121,13 +121,29 @@ GOLDEN = Path(__file__).parent / "golden"
      ["orbits", "--group", "S4", "--classes", "transpositions", "--nmax", "4", "--components"]),
     ("orbits_A4_3-cycles_nmax5.csv",
      ["orbits", "--group", "A4", "--classes", "3-cycles", "--nmax", "5"]),
+    ("orbits_D4_all_nmax5.csv",
+     ["orbits", "--group", "D4", "--classes", "all", "--nmax", "5"]),
+    ("orbits_S4_transpositions_nmax6_components.csv",
+     ["orbits", "--group", "S4", "--classes", "transpositions", "--nmax", "6", "--components"]),
 ])
 def test_orbits_golden(name, argv, capsys):
-    # stdout recorded when orbits were a tuple BFS over sigma_i and its
-    # inverse, and components were counted by a BFS over Nielsen classes
+    # stdout recorded from earlier orbit engines: the first two when orbits
+    # were a tuple BFS over sigma_i and its inverse, and components were
+    # counted by a BFS over Nielsen classes; the last two when orbits were a
+    # sweep of the word codes under sigma_i and every monodromy label was a
+    # subgroup closure, before orbits were built by induction on n
     rc, out = run(capsys, argv)
     assert rc == 0
     assert out == (GOLDEN / name).read_text()
+
+
+def test_koszul_golden(capsys):
+    # stdout recorded when the nullhomotopy check conjugated letters by group
+    # products and every lattice subgroup was closed over tuples
+    rc, out = run(capsys, ["koszul", "--group", "S4", "--classes", "transpositions", "--epsilon",
+                           "--module", "exact:3", "--pmax", "3", "--qmax", "4", "--field", "Q"])
+    assert rc == 0
+    assert out == (GOLDEN / "koszul_S4_transpositions_epsilon_exact3_pmax3_qmax4_Q.csv").read_text()
 
 
 def test_koszul_subcommand(capsys):

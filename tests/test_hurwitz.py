@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 from itertools import product
 
@@ -12,7 +13,9 @@ from braidhom.braided import (
     conjugation_rack,
     cycle_type,
     identity_perm,
+    index_word,
     parse_cycles,
+    word_index,
 )
 from braidhom.cli import builtin_group, class_selector
 from braidhom.exactla import GF, QQ
@@ -55,9 +58,10 @@ def test_orbit_product_invariant():
     t2 = hurwitz_orbits(G, c, 2)
     for rec in t2.orbits:
         rep_prod = pmul(c.elements[rec.rep[0]], c.elements[rec.rep[1]])
-        for w, oi in t2.orbit_of.items():
-            if oi is not t2.index(rec.rep):
+        for code, oi in enumerate(t2.orbit_of):
+            if oi != t2.index(rec.rep):
                 continue
+            w = index_word(code, len(c.elements), 2)
             prod = pmul(c.elements[w[0]], c.elements[w[1]])
             assert cycle_type(prod) == cycle_type(rep_prod)
 
@@ -82,7 +86,8 @@ def test_orbit_labels_match_per_word_monodromy(group, classes):
     c = class_selector(G, classes)
     for n in range(5):
         table = hurwitz_orbits(G, c, n)
-        for w, oi in table.orbit_of.items():
+        for code, oi in enumerate(table.orbit_of):
+            w = index_word(code, len(c.elements), n)
             assert monodromy_group([c.elements[a] for a in w], G) == table.orbits[oi].monodromy
 
 
@@ -98,10 +103,16 @@ def test_orbit_tables_are_cached_on_the_class_set_and_die_with_it():
     # the labelled table shares its word index with the unlabelled one
     class_of = [c.class_index(g) for g in c.elements]
     assert labelled.orbit_of is rack_orbits(rack, 3, class_of=class_of).orbit_of
-    refs = [weakref.ref(labelled), weakref.ref(plain)]
-    del G, c, rack, labelled, plain
+    assert plain.orbit_of is labelled.orbit_of
+    # one subgroup lattice per (group, class set), shared by every caller
+    lattice = subgroup_lattice(G, c)
+    assert subgroup_lattice(G, c) is lattice and c.lattices == {G: lattice}
+    assert filtered_module(G, c, frozenset(G.elements), 2).name.startswith("Rexact")
+    assert c.lattices == {G: lattice}
+    refs = [weakref.ref(labelled), weakref.ref(plain), weakref.ref(lattice)]
+    del G, c, rack, labelled, plain, lattice
     gc.collect()
-    assert [r() for r in refs] == [None, None]
+    assert [r() for r in refs] == [None, None, None]
 
 
 def tuple_bfs_orbits(rack, n, class_of):
@@ -135,6 +146,44 @@ def tuple_bfs_orbits(rack, n, class_of):
     return rep_of, records
 
 
+def sweep_orbits(rack, n, class_of):
+    """Oracle: a sweep of the word codes in increasing order, closing each new
+    orbit under the forward moves sigma_i, with the multigrade of every word
+    checked against its orbit's.
+
+    Returns the orbit id of each word code and [(rep, size, multigrade)] in
+    order of first code."""
+    d = rack.size
+    dd = d * d
+    sigma = [b * d + rack.act[a][b] for a in range(d) for b in range(d)]
+    places = [d ** (n - 2 - i) for i in range(n - 1)]
+    m = max(class_of) + 1
+
+    def grade(w):
+        g = [0] * m
+        for a in index_word(w, d, n):
+            g[class_of[a]] += 1
+        return tuple(g)
+
+    orbit_id = [-1] * d**n
+    records = []
+    for w0 in range(d**n):
+        if orbit_id[w0] >= 0:
+            continue
+        orbit_id[w0] = len(records)
+        comp = [w0]
+        for w in comp:  # comp grows while it is walked
+            assert grade(w) == grade(w0)
+            for s in places:
+                p = w // s % dd
+                w2 = w + (sigma[p] - p) * s
+                if orbit_id[w2] < 0:
+                    orbit_id[w2] = len(records)
+                    comp.append(w2)
+        records.append((index_word(w0, d, n), len(comp), grade(w0)))
+    return orbit_id, records
+
+
 @st.composite
 def class_sets_and_lengths(draw):
     G, c = draw(small_class_sets())
@@ -145,8 +194,8 @@ def class_sets_and_lengths(draw):
 @settings(max_examples=40, deadline=None)
 @given(class_sets_and_lengths(), st.booleans())
 def test_rack_orbits_match_tuple_bfs(case, by_class):
-    # the integer sweep closes orbits under sigma_i only; the oracle uses both
-    # directions, as the tuple sweep did
+    # orbits built by induction on n, against the code sweep under sigma_i and
+    # the tuple sweep under sigma_i and its inverse
     G, c, n = case
     rack = c.rack
     if by_class:
@@ -158,12 +207,49 @@ def test_rack_orbits_match_tuple_bfs(case, by_class):
             for a in block:
                 class_of[a] = k
         table = rack_orbits(rack, n)
-    rep_of, records = tuple_bfs_orbits(rack, n, class_of)
-    assert sorted(table.orbit_of) == sorted(rep_of)
-    assert all(table.orbits[oi].rep == rep_of[w] for w, oi in table.orbit_of.items())
-    assert [rec.rep for rec in table.orbits] == sorted(records)
-    assert [(rec.size, rec.multigrade) for rec in table.orbits] == [records[r] for r in sorted(records)]
+    orbit_id, records = sweep_orbits(rack, n, class_of)
+    assert table.orbit_of == orbit_id
+    assert [(rec.rep, rec.size, rec.multigrade) for rec in table.orbits] == records
+    rep_of, by_rep = tuple_bfs_orbits(rack, n, class_of)
+    assert all(table.canonical(w) == rep for w, rep in rep_of.items())
+    assert [rec.rep for rec in table.orbits] == sorted(by_rep)
+    assert [(rec.size, rec.multigrade) for rec in table.orbits] == [by_rep[r] for r in sorted(by_rep)]
     assert len(hurwitz_orbits(G, c, n)) == _naive_orbit_count(G, c, n)
+
+
+def test_orbit_of_is_indexed_by_word_code():
+    G = builtin_group("D4")
+    c = class_selector(G, "all")
+    d = len(c.elements)
+    for n in range(5):
+        table = rack_orbits(c.rack, n)
+        assert len(table.orbit_of) == d**n
+        for w in product(range(d), repeat=n):
+            assert table.orbit_of[word_index(w, d)] == table.index(w)
+            assert table.orbits[table.index(w)].rep == table.canonical(w) <= w
+
+
+def all_class_sets():
+    """Every class set `small_class_sets` can draw."""
+    for name in ["S3", "S4", "A4", "D4", "Z2", "Z3", "Z4", "Z5"]:
+        G = builtin_group(name)
+        classes = [cl for cl in G.conjugacy_classes() if identity_perm(G.degree) not in cl]
+        for picked in product([False, True], repeat=len(classes)):
+            if any(picked):
+                yield G, ConjClassSet(G, set().union(*(cl for cl, p in zip(classes, picked) if p)))
+
+
+def test_lattice_reads_off_every_generated_subgroup():
+    # every letter subset of the small class sets; above 2^12 subsets, a fixed
+    # sample of them
+    rng = random.Random(0)
+    for G, c in all_class_sets():
+        d = len(c.elements)
+        lattice = subgroup_lattice(G, c)
+        masks = range(2**d) if d <= 12 else [0, 2**d - 1] + rng.sample(range(2**d), 1000)
+        for mask in masks:
+            gens = [g for a, g in enumerate(c.elements) if mask >> a & 1]
+            assert lattice.generated_by(mask) == G.subgroup_closure(gens), (G.name, d, mask)
 
 
 def test_monodromy_examples():
@@ -227,6 +313,19 @@ def test_orbit_bound():
     for n in range(9):
         assert len(hurwitz_orbits(G, c, n)) <= orbit_count_bound(n, 3)
     assert orbit_count_bound(2, 3) == 6
+
+
+def test_multigrade_check_rejects_classes_the_braid_moves_mix():
+    # one transposition in a class of its own: conjugating it by another one
+    # gives a letter of the other class, so sigma_1 changes the multigrade of
+    # some word of length 2, and of every length above
+    G = S3()
+    c = transpositions(G)
+    assert rack_orbits(c.rack, 1, class_of=[0, 1, 1]).orbits
+    with pytest.raises(AssertionError, match="multigrade"):
+        rack_orbits(c.rack, 2, class_of=[0, 1, 1])
+    with pytest.raises(AssertionError, match="multigrade"):
+        rack_orbits(c.rack, 4, class_of=[0, 1, 1])
 
 
 def test_state_cap():

@@ -134,6 +134,14 @@ def test_two_class_multidifferentials():
     for q in (0, 1, 2):
         for p in (1, 2):
             assert K.d(p, q) == K.d_i(0, p, q).add(K.d_i(1, p, q), QQ)
+    # negative control for the mixed terms: an entry of d_1 whose corruption
+    # leaves d_1^2 = 0 but not d_0 d_1 + d_1 d_0
+    M = K.d_class[(1, 2, 1)]
+    (i0, j0) = next(iter(M.entries))
+    M.entries[(i0, j0)] = M.entries[(i0, j0)] + 1
+    rep = verify_koszul_identities(K, pr=2, qr=2)
+    assert not rep.anticommute_ok
+    assert rep.failures == ["d_0 d_1 + d_1 d_0 != 0 at (p=2, q=1)"]
 
 
 def test_class_differentials_are_multigraded():
