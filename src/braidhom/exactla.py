@@ -193,8 +193,12 @@ class SparseMatrix:
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
 
-    def column(self, j: int) -> dict:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
+    def columns(self) -> list[dict]:
+        """Every column as a {row: value} dict, in one pass over the entries."""
+        cols = [{} for _ in range(self.cols)]
+        for (i, j), v in self.entries.items():
+            cols[j][i] = v
+        return cols
 
     def row_lists(self, F: CoefficientField) -> list[dict]:
         """Rows as {col: scalar} dicts with entries coerced into F."""
@@ -459,8 +463,7 @@ def kernel_basis(M: SparseMatrix, F: CoefficientField) -> list[dict]:
 
 def column_space_contains(M: SparseMatrix, vec: dict, F: CoefficientField) -> bool:
     """Whether vec lies in the column space of M."""
-    aug_cols = [M.column(j) for j in range(M.cols)] + [dict(vec)]
-    aug = SparseMatrix.from_columns(M.rows, aug_cols)
+    aug = SparseMatrix.from_columns(M.rows, M.columns() + [dict(vec)])
     return rank(aug, F) == rank(M, F)
 
 
@@ -471,9 +474,8 @@ def homology_basis(d_in: SparseMatrix, d_out: SparseMatrix, F: CoefficientField)
     columns of d_in, in kernel-basis order.
     """
     ker = kernel_basis(d_out, F)
-    img_cols = [d_in.column(j) for j in range(d_in.cols)]
-    base = SparseMatrix.from_columns(d_in.rows, img_cols)
-    r0 = rank(base, F)
+    img_cols = d_in.columns()
+    r0 = rank(d_in, F)
     reps = []
     kept = list(img_cols)
     for kv in ker:

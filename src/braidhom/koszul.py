@@ -34,7 +34,6 @@ from .exactla import CoefficientField, RankTable, SparseMatrix, column_space_con
 from .fnf import GradedComplex
 from .hurwitz import FilteredModule, filtered_module, orbit_ring_module, restricted_ring_module
 from .nichols import NicholsData, constant_braiding_value, skew_derivation
-from .shuffle import quantum_symmetrizer
 
 
 class TruncationError(ValueError):
@@ -68,15 +67,14 @@ class KoszulComplex:
         self.pmax = min(pmax, top)
         # when the dual algebra vanishes within range or just past it, degree
         # pmax is genuine; otherwise it is a truncation boundary and homology
-        # there is unreliable.  Degree pmax + 1 vanishes exactly when its
-        # symmetrizer is zero over F, so it is never built as a Nichols degree.
-        self.top_reached = top < pmax or not any(
-            F.convert(v) for v in quantum_symmetrizer(V, pmax + 1).entries.values())
+        # there is unreliable.  `vanishes` steps from degree pmax to pmax + 1
+        # one column at a time and stops at the first column nonzero over F,
+        # so degree pmax + 1 is never built as a Nichols degree.
+        self.top_reached = top < pmax or self.nichols.vanishes(pmax + 1)
         self.qmax = qmax
         class_of = module.class_of
         m = max(class_of) + 1 if class_of else 1
         self.classes = [[a for a in range(V.rack.size) if class_of[a] == i] for i in range(m)]
-        self._deriv = {}
         self.d_class: dict = {}
         self._assemble()
         self._d = {}
@@ -89,13 +87,13 @@ class KoszulComplex:
         }
 
     def _top_degree(self, pmax: int) -> int:
-        """Stop at the top of the Nichols algebra when it is finite dimensional."""
-        top = 0
-        for p in range(pmax + 1):
-            if self.nichols.dim(p) == 0 and p >= 1:
+        """Stop at the top of the Nichols algebra when it is finite dimensional.
+
+        The first zero degree is found by `vanishes`, so it is never built."""
+        for p in range(1, pmax + 1):
+            if self.nichols.vanishes(p):
                 return p - 1
-            top = p
-        return top
+        return pmax
 
     def dim(self, p: int, q: int) -> int:
         if p < 0 or q < 0 or p > self.pmax or q > self.qmax:
@@ -119,9 +117,9 @@ class KoszulComplex:
 
     def _assemble(self):
         F = self.F
-        for p in range(1, self.pmax + 1):
-            for v in range(self.V.rack.size):
-                self._deriv[(v, p)] = skew_derivation(self.nichols, v, p)
+        dcols = {  # (v, p) -> columns of the skew derivation by v out of dual degree p
+            (v, p): skew_derivation(self.nichols, v, p).columns()
+            for p in range(1, self.pmax + 1) for v in range(self.V.rack.size)}
         for q in range(self.qmax):
             lmult = {v: self.module.right_mult(v, q) for v in range(self.V.rack.size)}
             for p in range(1, self.pmax + 1):
@@ -132,21 +130,16 @@ class KoszulComplex:
                 for ci, letters in enumerate(self.classes):
                     cols = []
                     for k in range(np_src):
-                        dcols = {v: self._deriv[(v, p)].column(k) for v in letters}
                         for o in range(nq_src):
-                            col = {}
+                            acc = {}
                             for v in letters:
                                 o2 = lmult[v][o]
                                 if o2 is None:
                                     continue
-                                for i, val in dcols[v].items():
+                                for i, val in dcols[(v, p)][k].items():
                                     row = i * nmod_t + o2
-                                    s = F.add(col.get(row, F.zero), val)
-                                    if s == 0:
-                                        col.pop(row, None)
-                                    else:
-                                        col[row] = s
-                            cols.append(col)
+                                    acc[row] = acc.get(row, 0) + val
+                            cols.append(F.reduced(acc))
                     self.d_class[(ci, p, q)] = SparseMatrix.from_columns(nrows, cols)
 
     def d_i(self, ci: int, p: int, q: int) -> SparseMatrix:

@@ -2,22 +2,33 @@
 skew derivations.
 
 Degree p of the Nichols algebra of V is the image of the quantum symmetrizer
-on V^(x)p; its dimension is the symmetrizer's rank.  A basis is chosen as the
-pivot words of the symmetrizer's reduced row echelon form (`exactla.rref`,
-columns in word order); the pivot columns of a reduced row echelon form are
-unique, so the basis depends only on the symmetrizer.  The dual algebra is
-carried on the same index set: the pairing of the dual pivot word u* with a
-word w is the (u, w) entry of the symmetrizer, and the Gram matrix
-(symmetrizer restricted to pivot rows and pivot columns) is invertible on
-every example in scope; a singular Gram raises immediately since it signals a
-basis-selection bug.  One `exactla.rref` of the sparse matrix [G^T | I] is both
-the invertibility check and the inverse; on rack spaces G is block-diagonal
-over the Hurwitz orbits, so the inverse stays sparse.  Each degree keeps the
-inverse Gram matrix and its transpose, so reducing a vector to the pivot basis
-is one matrix-vector product.  Word vectors are keyed by word tuples at the
-entry points (`reduce_primal`, `reduce_dual`, `hopf_pairing`,
+[p]! on V^(x)p; its dimension is the symmetrizer's rank.  Degrees are built in
+order, each by one Woronowicz step (`shuffle.symmetrizer_step`) from the exact
+columns of the degree below, so [p]! is never rebuilt from degree 1; only the
+columns of the highest built degree are kept, and each degree keeps its rows
+over F.  `NicholsData.vanishes` runs the step to the next degree column by
+column and stops at the first column nonzero over F: testing whether the
+algebra ends there never builds that degree, and sweeps all its columns only
+when it is zero.
+
+A basis is chosen as the pivot words of the symmetrizer's reduced row echelon
+form (`exactla.rref`, columns in word order); the pivot columns of a reduced
+row echelon form are unique, so the basis depends only on the symmetrizer.
+The dual algebra is carried on the same index set: the pairing of the dual
+pivot word u* with a word w is the (u, w) entry of the symmetrizer, and the
+Gram matrix (symmetrizer restricted to pivot rows and pivot columns) is
+invertible on every example in scope; a singular Gram raises immediately since
+it signals a basis-selection bug.  One `exactla.rref` of the sparse matrix
+[G^T | I] is both the invertibility check and the inverse; on rack spaces G is
+block-diagonal over the Hurwitz orbits, so the inverse stays sparse.  Each
+degree keeps the inverse Gram matrix and its transpose, so reducing a vector to
+the pivot basis is one matrix-vector product.  Word vectors are keyed by word
+tuples at the entry points (`reduce_primal`, `reduce_dual`, `hopf_pairing`,
 `skew_derivation_by_element`), which code them once as base-r integers
-(`braided.word_index`); `pair_dual_with_vector` takes codes.
+(`braided.word_index`).  `reduce_dual` and `skew_derivation_by_element` read
+the pairings they need straight off the symmetrizer rows; the per-entry
+pairing `pair_dual_with_vector` (which takes codes) serves `reduce_primal` and
+`hopf_pairing`, and is the tests' oracle for the direct reads.
 
 Skew derivations lower the dual degree by one and are obtained by applying
 the transposed inverse Gram matrices: <d_v phi, x> = <phi, v * x>.  For
@@ -30,7 +41,7 @@ from __future__ import annotations
 
 from .braided import BraidedVectorSpace, index_word, word_index
 from .exactla import CoefficientField, SparseMatrix, inverse, rref
-from .shuffle import quantum_symmetrizer
+from .shuffle import symmetrizer_column, symmetrizer_step
 
 
 class GramSingularError(RuntimeError):
@@ -38,20 +49,21 @@ class GramSingularError(RuntimeError):
 
 
 class NicholsData:
-    """Per-degree symmetrizer ranks, pivot-word bases, and inverse Gram matrices.
+    """Per-degree symmetrizer rows, pivot-word bases, and inverse Gram matrices.
 
-    Built degree by degree (each degree is independent, but callers usually
-    need an initial segment).  Immutable once a degree is built.
+    Built degree by degree, each degree from the symmetrizer columns of the one
+    below.  Immutable once a degree is built.
     """
 
     def __init__(self, V: BraidedVectorSpace, F: CoefficientField):
         self.V = V
         self.F = F
-        self.sym: dict[int, SparseMatrix] = {}
         self.pivots: dict[int, list[int]] = {}
         self.gram_inv: dict[int, SparseMatrix] = {}
         self.gram_inv_t: dict[int, SparseMatrix] = {}
         self._sym_rows: dict[int, list[dict]] = {}
+        self._pivot_pos: dict[int, dict[int, int]] = {}  # p -> {pivot word code: basis index}
+        self._cols: list[dict] = []  # exact columns of the symmetrizer of the highest built degree
         self._built = -1
 
     def build_to(self, p: int):
@@ -61,14 +73,15 @@ class NicholsData:
 
     def _build_degree(self, p: int):
         F = self.F
-        S = quantum_symmetrizer(self.V, p)
-        self.sym[p] = S
-        self._sym_rows[p] = S.row_lists(F)
+        cols = symmetrizer_step(self.V, p, self._cols) if p else [{0: 1}]
+        self._cols = cols
+        S = SparseMatrix.from_columns(len(cols), cols)
+        rows = self._sym_rows[p] = S.row_lists(F)
         _, pivots = rref(S, F)
         self.pivots[p] = pivots
-        pos = {w: k for k, w in enumerate(pivots)}
+        pos = self._pivot_pos[p] = {w: k for k, w in enumerate(pivots)}
         gram_t = SparseMatrix(len(pivots), len(pivots), {
-            (pos[w], pos[u]): v for (u, w), v in S.entries.items() if u in pos and w in pos})
+            (pos[w], k): v for k, u in enumerate(pivots) for w, v in rows[u].items() if w in pos})
         try:
             self.gram_inv_t[p] = inverse(gram_t, F)
         except ZeroDivisionError as exc:
@@ -76,6 +89,23 @@ class NicholsData:
                 f"Gram matrix singular in degree {p}; pivot-word basis is unusable"
             ) from exc
         self.gram_inv[p] = self.gram_inv_t[p].transpose()
+
+    def vanishes(self, p: int) -> bool:
+        """Whether degree p of the algebra is zero over F.
+
+        A built degree answers from its dimension.  Otherwise degree p - 1 is
+        built and the step to degree p runs column by column, returning at the
+        first column with an entry nonzero over F; only a zero degree sweeps
+        every column.  Degree p itself is not built.
+        """
+        if p <= max(self._built, 0):
+            return self.dim(p) == 0
+        self.build_to(p - 1)
+        F = self.F
+        for idx in range(self.V.rank**p):
+            if any(F.convert(v) for v in symmetrizer_column(self.V, p, self._cols, idx).values()):
+                return False
+        return True
 
     def dim(self, p: int) -> int:
         self.build_to(p)
@@ -115,23 +145,23 @@ class NicholsData:
     def reduce_dual(self, p: int, vec: dict) -> list:
         """Coefficients of the class of a dual word vector in the dual pivot basis.
 
-        `vec` maps words (tuples) of (V*)^(x)p to coefficients.
+        `vec` maps words (tuples) of (V*)^(x)p to coefficients.  The right-hand
+        side <u*, w> over the pivot words w is read off the rows of the
+        symmetrizer.
         """
         F = self.F
         self.build_to(p)
-        piv = self.pivots[p]
         rows = self._sym_rows[p]
-        codes = {word_index(u, self.V.rank): F.convert(cf) for u, cf in vec.items()}
-        rhs = {}
-        for k, w in enumerate(piv):
-            s = F.zero
-            for ui, cf in codes.items():
-                a = rows[ui].get(w)
-                if a is not None:
-                    s = F.add(s, F.mul(a, cf))
-            rhs[k] = s
-        sol = self.gram_inv_t[p].apply(rhs, F)
-        return [sol.get(k, F.zero) for k in range(len(piv))]
+        pos = self._pivot_pos[p]
+        acc = {}
+        for u, cf in vec.items():
+            c = F.convert(cf)
+            for w, a in rows[word_index(u, self.V.rank)].items():
+                k = pos.get(w)
+                if k is not None:
+                    acc[k] = acc.get(k, 0) + a * c
+        sol = self.gram_inv_t[p].apply(F.reduced(acc), F)
+        return [sol.get(k, F.zero) for k in range(len(pos))]
 
     def dual_product(self, p1: int, k1: int, p2: int, k2: int) -> list:
         """Class of the product of two dual pivot-basis elements, in the dual basis.
@@ -282,11 +312,19 @@ def skew_derivation_by_element(data: NicholsData, z: dict, p: int, deg: int) -> 
     if not src or not tgt:
         return SparseMatrix.zero(data.dim(p - d), data.dim(p))
     place = data.V.rank ** (p - d)
-    z_codes = {word_index(zw, data.V.rank) * place: cf for zw, cf in z.items()}
-    prods = [{zc + x: cf for zc, cf in z_codes.items()} for x in tgt]
+    z_codes = [(word_index(zw, data.V.rank) * place, F.convert(cf)) for zw, cf in z.items()]
+    rows = data._sym_rows[p]
     inv_t = data.gram_inv_t[p - d]
     cols = []
     for u in src:
-        rhs = {k: data.pair_dual_with_vector(p, u, prod) for k, prod in enumerate(prods)}
-        cols.append(inv_t.apply(rhs, F))
+        get = rows[u].get
+        acc = {}
+        for k, x in enumerate(tgt):
+            s = 0
+            for zc, cf in z_codes:
+                a = get(zc + x)
+                if a is not None:
+                    s += a * cf
+            acc[k] = s
+        cols.append(inv_t.apply(F.reduced(acc), F))
     return SparseMatrix.from_columns(data.dim(p - d), cols)

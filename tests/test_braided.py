@@ -177,8 +177,7 @@ def test_signed_permutation_shape():
     V = s3_transposition_space(epsilon=True)
     M = braid_word_action(V, 2, [1])
     assert M.rows == 9
-    for j in range(9):
-        col = M.column(j)
+    for col in M.columns():
         assert len(col) == 1 and list(col.values())[0] in (1, -1)
 
 

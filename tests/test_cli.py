@@ -146,6 +146,24 @@ def test_koszul_golden(capsys):
     assert out == (GOLDEN / "koszul_S4_transpositions_epsilon_exact3_pmax3_qmax4_Q.csv").read_text()
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("koszul_S4_transpositions_epsilon_R_pmax3_qmax4_Q.csv",
+     ["koszul", "--group", "S4", "--classes", "transpositions", "--epsilon",
+      "--module", "R", "--pmax", "3", "--qmax", "4", "--field", "Q"]),
+    ("koszul_S4_transpositions_epsilon_R_pmax3_qmax4_F5.csv",
+     ["koszul", "--group", "S4", "--classes", "transpositions", "--epsilon",
+      "--module", "R", "--pmax", "3", "--qmax", "4", "--field", "5"]),
+    ("nichols_S3_transpositions_epsilon_nmax6_Q.csv",
+     ["nichols", "--group", "S3", "--classes", "transpositions", "--epsilon", "--nmax", "6", "--field", "Q"]),
+])
+def test_nichols_jobs_golden(name, argv, capsys):
+    # stdout recorded when every Nichols degree rebuilt its symmetrizer from
+    # degree 1 and the truncation test built the whole next symmetrizer
+    rc, out = run(capsys, argv)
+    assert rc == 0
+    assert out == (GOLDEN / name).read_text()
+
+
 def test_koszul_subcommand(capsys):
     rc, out = run(capsys, ["koszul", "--group", "S3", "--classes", "transpositions",
                            "--epsilon", "--module", "R", "--pmax", "4", "--qmax", "5",

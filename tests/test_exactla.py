@@ -361,3 +361,10 @@ def test_matmul_and_apply_match_dense_products(case):
                 assert type(v) is int and 0 < v < p
             else:
                 assert type(v) is int or v.denominator != 1
+
+
+def test_columns():
+    M = SparseMatrix(4, 5, {(0, 1): 2, (3, 1): -1, (2, 4): Fraction(1, 3), (1, 0): 5})
+    assert M.columns() == [{1: 5}, {0: 2, 3: -1}, {}, {}, {2: Fraction(1, 3)}]
+    assert SparseMatrix.from_columns(M.rows, M.columns()) == M
+    assert SparseMatrix.zero(3, 0).columns() == []

@@ -42,11 +42,11 @@ def test_degree_one_differential_is_multiplication():
     G, c, V = s3_setup()
     K = koszul_complex(V, "R", pmax=2, qmax=3, F=QQ, c=c)
     mod = K.module
-    d = K.d(1, 1)
+    cols = K.d(1, 1).columns()
     # d(v_j* (x) r) = 1 (x) r v_j since the degree-1 derivations are deltas
     for j in range(3):
         for o in range(mod.dim(1)):
-            col = d.column(j * mod.dim(1) + o)
+            col = cols[j * mod.dim(1) + o]
             tgt = mod.right_mult(j, 1)[o]
             assert col == {tgt: QQ.one}
 
@@ -230,6 +230,15 @@ def test_truncation_boundary_needs_no_extra_nichols_degree():
     G, c, V = s3_setup()
     H = subgroup_lattice(G, c).subgroups[3]
     assert koszul_complex(V, ("exact", H), pmax=4, qmax=8, F=QQ, G=G, c=c).homology_pmax() == 4
+    # on the full ring at pmax 4 the test of degree 5 sweeps every column of a
+    # zero symmetrizer; at pmax 6 the zero degree 5 is found below pmax.  In
+    # neither case is a degree past the assembled pmax built
+    for pmax in (4, 6):
+        K = koszul_complex(V, "R", pmax=pmax, qmax=5, F=QQ, c=c)
+        koszul_homology(K)
+        verify_koszul_identities(K)
+        assert K.pmax == 4 and K.top_reached and K.homology_pmax() == 4
+        assert sorted(K.nichols.pivots) == [0, 1, 2, 3, 4]
 
 
 def test_generator_counts():
