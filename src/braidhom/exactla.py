@@ -3,22 +3,22 @@
 Rational scalars are ints, or `fractions.Fraction`s when not integral;
 prime-field scalars are ints reduced into [0, p).  A `SparseMatrix` with r rows
 and c columns represents a linear map from k^c to k^r in the column-vector
-convention; only nonzero entries are stored.  Every rank in the package flows
-through `rank`, which runs one sparse Gaussian elimination driver with a
-per-field row update: over a prime field directly, over the rationals by
-clearing denominators row-wise and eliminating integer rows with per-row gcd
-normalization, so no Fraction arithmetic happens inside the loop.
+convention; only nonzero entries are stored.
+
+Every elimination in the package runs one sparse Gaussian elimination loop,
+`_eliminate`, on the rows given by `_elimination_rows`: over F_p as they are,
+over Q cleared of denominators and divided by their content, so that the
+fraction-free row update never does Fraction arithmetic.  The caller fixes
+the pivot-column rule: the sparsest column for `rank`, the leftmost for
+`pivot_columns` and `rref` (and so for `kernel_basis`, `inverse`,
+`homology_basis` and `column_space_contains`).  The pivot row is the shortest
+in its column, so every computation is deterministic, and the loop keeps
+column supports up to date, so choosing a pivot never rescans the matrix.
 
 Products (`SparseMatrix.matmul`, `SparseMatrix.apply`) coerce each input entry
 into the field once, accumulate with native + and *, and reduce each output
 entry once (`CoefficientField.reduced`).
 
-Pivots are chosen in the sparsest eligible column (ties: lowest column index),
-and within that column in the shortest row (ties: lowest row index).  This
-makes every computation deterministic.  The driver keeps the column supports
-(which live rows meet each column, and how many) up to date as rows are
-updated, so choosing a pivot never rescans the matrix; the rule, and with it
-every pivot and every intermediate row, is the same as for a full rescan.
 All values are immutable after construction.
 """
 
@@ -273,39 +273,53 @@ class SparseMatrix:
         return cls(r, c, ent)
 
 
-def _eliminate(rows: list[dict], ncols: int, pivot_step) -> int:
-    """Rank of the nonzero dict rows by sparse Gaussian elimination.
+def _eliminate(rows: list[dict], ncols: int, pivot_step, leftmost: bool = False):
+    """Sparse Gaussian elimination of the nonzero dict rows, yielding each
+    pivot as (column, row) in the order taken.
 
     `pivot_step(prow, pc)` returns the field's row update for one pivot: a
     function taking a row with a nonzero entry in column pc and returning the
     row with that entry eliminated (mutated in place or rebuilt).  The pivot
-    is taken in the sparsest live column (ties: lowest column index), and in
-    that column from the shortest row (ties: lowest row index).
+    column is chosen by the caller's rule: the sparsest live column (ties:
+    lowest column index), or with `leftmost` the lowest live column.  In that
+    column the pivot is the shortest row (ties: lowest row index).  A yielded
+    row is never touched again and the loop keeps no reference to it.
 
     Column supports are kept up to date instead of rescanned: `col_rows[j]`
-    holds the ids of live rows with an entry in column j, and `heap` holds
+    holds the ids of live rows with an entry in column j.  An update can only
+    change the support of the row it rewrites in the columns of the pivot row,
+    so only those entries are touched.  For the sparsest rule `heap` holds
     (count, j) pairs, pushed whenever a count changes and discarded lazily
-    once stale.  An update can only change the support of the row it rewrites
-    in the columns of the pivot row, so only those entries are touched.
+    once stale.  Under the leftmost rule no live row meets a column at or left
+    of the last pivot column (each updated row is combined with a pivot row
+    that meets none), so the next pivot column is found by moving a pointer
+    to the right.
     """
     live = dict(enumerate(rows))
     col_rows = [set() for _ in range(ncols)]
     for rid, r in live.items():
         for j in r:
             col_rows[j].add(rid)
-    heap = [(len(s), j) for j, s in enumerate(col_rows) if s]
+    heap = [] if leftmost else [(len(s), j) for j, s in enumerate(col_rows) if s]
     heapq.heapify(heap)
-    rank = 0
-    while heap:
-        count, pc = heap[0]
-        if len(col_rows[pc]) != count:
-            heapq.heappop(heap)
-            continue
+    pc = -1
+    while True:
+        if leftmost:
+            pc += 1
+            while pc < ncols and not col_rows[pc]:
+                pc += 1
+            if pc == ncols:
+                return
+        else:
+            while heap and len(col_rows[heap[0][1]]) != heap[0][0]:
+                heapq.heappop(heap)
+            if not heap:
+                return
+            pc = heapq.heappop(heap)[1]
         targets = col_rows[pc]
         col_rows[pc] = set()
         _, pid = min((len(live[rid]), rid) for rid in targets)
         prow = live.pop(pid)
-        rank += 1
         for j in prow:
             col_rows[j].discard(pid)
         update = pivot_step(prow, pc)
@@ -322,10 +336,11 @@ def _eliminate(rows: list[dict], ncols: int, pivot_step) -> int:
                 live[rid] = r
             else:
                 del live[rid]
-        for j in prow:
-            if j != pc and col_rows[j]:
-                heapq.heappush(heap, (len(col_rows[j]), j))
-    return rank
+        if not leftmost:
+            for j in prow:
+                if j != pc and col_rows[j]:
+                    heapq.heappush(heap, (len(col_rows[j]), j))
+        yield pc, prow
 
 
 def _modp_pivot_step(p: int):
@@ -349,6 +364,12 @@ def _modp_pivot_step(p: int):
     return pivot_step
 
 
+def _content_free(r: dict) -> dict:
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*r.values())
+    return {j: v // g for j, v in r.items()} if g > 1 else r
+
+
 def _int_pivot_step(prow: dict, pc: int):
     """Fraction-free row update over Z: r := prow[pc] r - r[pc] prow, then
     divided by the gcd of its entries."""
@@ -363,85 +384,74 @@ def _int_pivot_step(prow: dict, pc: int):
                 new[j] = nv
             else:
                 new.pop(j, None)
-        g = gcd(*new.values())
-        if g > 1:
-            new = {j: v // g for j, v in new.items()}
-        return new
+        return _content_free(new)
 
     return update
 
 
+def _elimination_rows(M: SparseMatrix, F: CoefficientField):
+    """The nonzero rows of M over F, and the field's pivot step for `_eliminate`.
+
+    Over Q each row is cleared of denominators and divided by its content, so
+    elimination runs on integer rows and no Fraction arithmetic happens inside
+    it.  Raises FieldMismatchError if an entry cannot be interpreted in F.
+    """
+    rows = [r for r in M.row_lists(F) if r]
+    if not F.is_rational:
+        return rows, _modp_pivot_step(F.characteristic)
+    int_rows = []
+    for r in rows:
+        den = lcm(*(v.denominator for v in r.values()))
+        int_rows.append(_content_free({j: v.numerator * (den // v.denominator) for j, v in r.items()}))
+    return int_rows, _int_pivot_step
+
+
 def rank(M: SparseMatrix, F: CoefficientField) -> int:
-    """Exact rank of M over F.
+    """Exact rank of M over F, eliminating in the sparsest column first.
 
     Raises FieldMismatchError if an entry cannot be interpreted in F (for
     example a Fraction whose denominator vanishes mod p).
     """
-    if M.rows == 0 or M.cols == 0 or not M.entries:
+    if not M.entries:
         return 0
-    rows = [r for r in M.row_lists(F) if r]
-    if not F.is_rational:
-        return _eliminate(rows, M.cols, _modp_pivot_step(F.characteristic))
-    int_rows = []
-    for r in rows:
-        den = lcm(*(v.denominator for v in r.values()))
-        ints = {j: v.numerator * (den // v.denominator) for j, v in r.items()}
-        g = gcd(*ints.values())
-        if g > 1:
-            ints = {j: v // g for j, v in ints.items()}
-        int_rows.append(ints)
-    return _eliminate(int_rows, M.cols, _int_pivot_step)
+    rows, step = _elimination_rows(M, F)
+    return sum(1 for _ in _eliminate(rows, M.cols, step))
+
+
+def pivot_columns(M: SparseMatrix, F: CoefficientField) -> list[int]:
+    """The pivot columns of the reduced row echelon form of M over F, in
+    increasing order: the columns outside the span of the columns before them.
+
+    One leftmost forward elimination; no row is back-substituted.
+    """
+    rows, step = _elimination_rows(M, F)
+    return [pc for pc, _ in _eliminate(rows, M.cols, step, leftmost=True)]
 
 
 def rref(M: SparseMatrix, F: CoefficientField):
     """Reduced row echelon form; returns (rows as dicts, pivot column list).
 
-    Pivots are taken leftmost column first (the shortest row holding it, lowest
-    index on ties), so they come in increasing order; the pivot columns are
-    those of the unique reduced row echelon form of M.
-
-    As in `_eliminate`, column supports are kept instead of rescanned:
-    `live_cols[j]` holds the ids of unpivoted rows with an entry in column j,
-    `done_cols[j]` those of pivot rows.  Eliminating column pc leaves no
-    unpivoted row with an entry at or left of pc, so the next pivot column is
-    found by moving one pointer to the right.
+    The leftmost forward elimination of `pivot_columns`, then back-substitution
+    with the same pivot step, last pivot first, so that each pivot row is
+    final before it clears its column from the rows above; each row is then
+    scaled to a leading 1.  The rows are those of the unique reduced row
+    echelon form of M, in pivot order.
     """
-    rows = dict(enumerate(r for r in M.row_lists(F) if r))
-    live_cols = [set() for _ in range(M.cols)]
-    done_cols = [set() for _ in range(M.cols)]
-    for rid, r in rows.items():
-        for j in r:
-            live_cols[j].add(rid)
-    sub, mul = F.sub, F.mul
-    pivots = []
-    done = []
-    pc = 0
-    while True:
-        while pc < M.cols and not live_cols[pc]:
-            pc += 1
-        if pc == M.cols:
-            break
-        _, pid = min((len(rows[rid]), rid) for rid in live_cols[pc])
-        for j in rows[pid]:
-            live_cols[j].discard(pid)
-        inv = F.inv(rows[pid][pc])
-        prow = rows[pid] = {j: mul(inv, v) for j, v in rows[pid].items()}
-        for supports in (live_cols, done_cols):
-            for rid in list(supports[pc]):
-                r = rows[rid]
-                a = r[pc]
-                for j, v in prow.items():
-                    nv = sub(r.get(j, F.zero), mul(a, v))
-                    if nv == 0:
-                        r.pop(j, None)
-                        supports[j].discard(rid)
-                    else:
-                        r[j] = nv
-                        supports[j].add(rid)
-        for j in prow:
-            done_cols[j].add(pid)
-        done.append(prow)
+    rows, step = _elimination_rows(M, F)
+    pivots, prows = [], []
+    for pc, prow in _eliminate(rows, M.cols, step, leftmost=True):
         pivots.append(pc)
+        prows.append(prow)
+    for k in range(len(pivots) - 1, 0, -1):
+        pc = pivots[k]
+        update = step(prows[k], pc)
+        for i in range(k):
+            if pc in prows[i]:
+                prows[i] = update(prows[i])
+    done = []
+    for pc, prow in zip(pivots, prows):
+        inv = F.inv(prow[pc])
+        done.append({j: F.convert(F.mul(inv, v)) for j, v in prow.items()})
     return done, pivots
 
 
@@ -462,30 +472,22 @@ def kernel_basis(M: SparseMatrix, F: CoefficientField) -> list[dict]:
 
 
 def column_space_contains(M: SparseMatrix, vec: dict, F: CoefficientField) -> bool:
-    """Whether vec lies in the column space of M."""
+    """Whether vec lies in the column space of M: whether the last column of
+    [M | vec] is not a pivot column."""
     aug = SparseMatrix.from_columns(M.rows, M.columns() + [dict(vec)])
-    return rank(aug, F) == rank(M, F)
+    return M.cols not in pivot_columns(aug, F)
 
 
 def homology_basis(d_in: SparseMatrix, d_out: SparseMatrix, F: CoefficientField) -> list[dict]:
     """Cycle representatives spanning ker(d_out)/im(d_in), as sparse vectors.
 
-    Chosen deterministically: kernel vectors of d_out that add rank beyond the
-    columns of d_in, in kernel-basis order.
+    Chosen deterministically: the kernel-basis vectors of d_out that are pivot
+    columns of [d_in | ker d_out], that is, those outside the span of the
+    columns of d_in and the kernel vectors before them.
     """
     ker = kernel_basis(d_out, F)
-    img_cols = d_in.columns()
-    r0 = rank(d_in, F)
-    reps = []
-    kept = list(img_cols)
-    for kv in ker:
-        cand = SparseMatrix.from_columns(d_in.rows, kept + [kv])
-        r1 = rank(cand, F)
-        if r1 > r0:
-            reps.append(kv)
-            kept.append(kv)
-            r0 = r1
-    return reps
+    aug = SparseMatrix.from_columns(d_in.rows, d_in.columns() + ker)
+    return [ker[j - d_in.cols] for j in pivot_columns(aug, F) if j >= d_in.cols]
 
 
 def inverse(M: SparseMatrix, F: CoefficientField) -> SparseMatrix:

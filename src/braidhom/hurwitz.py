@@ -294,51 +294,6 @@ def restricted_ring_module(G: PermGroup, c: ConjClassSet, H, qmax: int,
     return mod, embed
 
 
-def signed_orbit_count(rack: Rack, n: int, sign_value: int = -1,
-                       cap: int = DEFAULT_STATE_CAP) -> int:
-    """Rank of the coinvariants when the braid action is twisted by a constant
-    cocycle of the given sign: an orbit survives unless some loop returns to a
-    word with the opposite sign.
-
-    Orbits are closed under the forward moves sigma_i, as in `rack_orbits`;
-    every edge {w, sigma_i w} of an orbit is examined from w.
-    """
-    if sign_value == 1:
-        return len(rack_orbits(rack, n, cap=cap))
-    d = rack.size
-    if d**n > cap:
-        raise ValueError(f"state space {d}^{n} exceeds cap {cap}")
-    act = rack.act
-    from itertools import product
-
-    seen = {}
-    count = 0
-    for w0 in product(range(d), repeat=n):
-        if w0 in seen:
-            continue
-        seen[w0] = 1
-        alive = True
-        frontier = [w0]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                s = seen[w]
-                for i in range(n - 1):
-                    a, b = w[i], w[i + 1]
-                    w2 = w[:i] + (b, act[a][b]) + w[i + 2:]
-                    s2 = -s  # constant -1 cocycle: every move flips the sign
-                    if w2 in seen:
-                        if seen[w2] != s2:
-                            alive = False
-                    else:
-                        seen[w2] = s2
-                        nxt.append(w2)
-            frontier = nxt
-        if alive:
-            count += 1
-    return count
-
-
 def nielsen_components(G: PermGroup, c: ConjClassSet, n: int, F: CoefficientField,
                        cap: int = DEFAULT_STATE_CAP):
     """Braid orbits on generating Nielsen classes, and the Betti numbers of the

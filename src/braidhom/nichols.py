@@ -12,15 +12,18 @@ algebra ends there never builds that degree, and sweeps all its columns only
 when it is zero.
 
 A basis is chosen as the pivot words of the symmetrizer's reduced row echelon
-form (`exactla.rref`, columns in word order); the pivot columns of a reduced
-row echelon form are unique, so the basis depends only on the symmetrizer.
+form (columns in word order), read off one forward elimination by
+`exactla.pivot_columns` with no back-substitution; the pivot columns of a
+reduced row echelon form are unique, so the basis depends only on the
+symmetrizer.
 The dual algebra is carried on the same index set: the pairing of the dual
 pivot word u* with a word w is the (u, w) entry of the symmetrizer, and the
 Gram matrix (symmetrizer restricted to pivot rows and pivot columns) is
 invertible on every example in scope; a singular Gram raises immediately since
-it signals a basis-selection bug.  One `exactla.rref` of the sparse matrix
-[G^T | I] is both the invertibility check and the inverse; on rack spaces G is
-block-diagonal over the Hurwitz orbits, so the inverse stays sparse.  Each
+it signals a basis-selection bug.  The only `exactla.rref` is the one of the
+sparse matrix [G^T | I] (`exactla.inverse`), which is both the invertibility
+check and the inverse; on rack spaces G is block-diagonal over the Hurwitz
+orbits, so the inverse stays sparse.  Each
 degree keeps the inverse Gram matrix and its transpose, so reducing a vector to
 the pivot basis is one matrix-vector product.  Word vectors are keyed by word
 tuples at the entry points (`reduce_primal`, `reduce_dual`, `hopf_pairing`,
@@ -40,7 +43,7 @@ times the letterwise conjugate.
 from __future__ import annotations
 
 from .braided import BraidedVectorSpace, index_word, word_index
-from .exactla import CoefficientField, SparseMatrix, inverse, rref
+from .exactla import CoefficientField, SparseMatrix, inverse, pivot_columns
 from .shuffle import symmetrizer_column, symmetrizer_step
 
 
@@ -77,7 +80,7 @@ class NicholsData:
         self._cols = cols
         S = SparseMatrix.from_columns(len(cols), cols)
         rows = self._sym_rows[p] = S.row_lists(F)
-        _, pivots = rref(S, F)
+        pivots = pivot_columns(S, F)
         self.pivots[p] = pivots
         pos = self._pivot_pos[p] = {w: k for k, w in enumerate(pivots)}
         gram_t = SparseMatrix(len(pivots), len(pivots), {

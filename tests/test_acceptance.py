@@ -17,6 +17,7 @@ from braidhom.braided import (
     Cocycle,
     ConjClassSet,
     PermGroup,
+    Rack,
     braided_space,
     conj,
     conjugation_rack,
@@ -31,6 +32,7 @@ from braidhom.hurwitz import hurwitz_orbits, orbit_count_bound, stabilization_th
 from braidhom.koszul import koszul_complex, koszul_homology, verify_koszul_identities
 from braidhom.malle import center, index, malle_a, point_count_bound
 from braidhom.nichols import nichols_dims
+from braidhom.orbits import DEFAULT_STATE_CAP, rack_orbits
 from braidhom.qsa import ext_table, verify_main_cor
 from braidhom.shuffle import quantum_binomial, signed_shuffle_count
 
@@ -195,6 +197,51 @@ def _naive_orbit_count(G, c, n):
             moved = w[:i] + (w[i + 1], idx[conj(a, b)]) + w[i + 2:]
             union(pos[w], pos[moved])
     return len({find(i) for i in range(len(words))})
+
+
+def signed_orbit_count(rack: Rack, n: int, sign_value: int = -1,
+                       cap: int = DEFAULT_STATE_CAP) -> int:
+    """Rank of the coinvariants when the braid action is twisted by a constant
+    cocycle of the given sign: an orbit survives unless some loop returns to a
+    word with the opposite sign.
+
+    Orbits are closed under the forward moves sigma_i, as in `rack_orbits`;
+    every edge {w, sigma_i w} of an orbit is examined from w.
+    """
+    if sign_value == 1:
+        return len(rack_orbits(rack, n, cap=cap))
+    d = rack.size
+    if d**n > cap:
+        raise ValueError(f"state space {d}^{n} exceeds cap {cap}")
+    act = rack.act
+    from itertools import product
+
+    seen = {}
+    count = 0
+    for w0 in product(range(d), repeat=n):
+        if w0 in seen:
+            continue
+        seen[w0] = 1
+        alive = True
+        frontier = [w0]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                s = seen[w]
+                for i in range(n - 1):
+                    a, b = w[i], w[i + 1]
+                    w2 = w[:i] + (b, act[a][b]) + w[i + 2:]
+                    s2 = -s  # constant -1 cocycle: every move flips the sign
+                    if w2 in seen:
+                        if seen[w2] != s2:
+                            alive = False
+                    else:
+                        seen[w2] = s2
+                        nxt.append(w2)
+            frontier = nxt
+        if alive:
+            count += 1
+    return count
 
 
 def test_criterion_8_hurwitz_orbits():

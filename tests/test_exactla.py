@@ -13,6 +13,7 @@ from braidhom.exactla import (
     homology_basis,
     inverse,
     kernel_basis,
+    pivot_columns,
     rank,
     rref,
 )
@@ -109,9 +110,11 @@ def test_rank_mod_p_at_most_rational(M, p):
     assert rank(M, QQ) >= rank(M, GF(p))
 
 
-def dense_rank(M, p):
-    """Rank by dense Gauss-Jordan elimination on a full table, over Q when
-    p == 0 and over F_p otherwise; shares no code with the sparse kernel."""
+def dense_rref(M, p):
+    """Reduced row echelon form by dense Gauss-Jordan elimination on a full
+    table, over Q when p == 0 and over F_p otherwise; returns (the nonzero
+    rows as {col: value} dicts, the pivot columns).  Shares no code with the
+    sparse kernel."""
 
     def scalar(v):
         v = Fraction(v)
@@ -123,21 +126,29 @@ def dense_rank(M, p):
     table = [[zero] * M.cols for _ in range(M.rows)]
     for (i, j), v in M.entries.items():
         table[i][j] = scalar(v)
-    r = 0
+    pivots = []
     for col in range(M.cols):
+        r = len(pivots)
         piv = next((i for i in range(r, M.rows) if table[i][col] != 0), None)
         if piv is None:
             continue
         table[r], table[piv] = table[piv], table[r]
         inv = 1 / table[r][col] if p == 0 else pow(table[r][col], -1, p)
+        table[r] = [a * inv % p if p else a * inv for a in table[r]]
         for i in range(M.rows):
-            f = table[i][col] * inv
+            f = table[i][col]
             if i != r and f != 0:
                 table[i] = [a - f * b for a, b in zip(table[i], table[r])]
                 if p:
                     table[i] = [a % p for a in table[i]]
-        r += 1
-    return r
+        pivots.append(col)
+    rows = [{j: a for j, a in enumerate(table[i]) if a != 0} for i in range(len(pivots))]
+    return rows, pivots
+
+
+def dense_rank(M, p):
+    """Rank by dense Gauss-Jordan elimination: the pivot count of `dense_rref`."""
+    return len(dense_rref(M, p)[1])
 
 
 INT_VALUES = [1, -1, 2, -3, 4, 5, -6]
@@ -180,8 +191,11 @@ def test_rref_pivots_and_kernel_match_dense_ranks(M):
     for F, p in ((QQ, 0), (GF(2), 2), (GF(3), 3), (GF(5), 5)):
         r = dense_rank(M, p)
         ranks = [dense_rank(leading(j), p) for j in range(M.cols + 1)]
-        _, pivots = rref(M, F)
+        rows, pivots = rref(M, F)
         assert pivots == [j for j in range(M.cols) if ranks[j + 1] > ranks[j]], p
+        dense_rows, dense_pivots = dense_rref(M, p)
+        assert pivots == dense_pivots and pivot_columns(M, F) == dense_pivots, p
+        assert rows == dense_rows, p
         ker = kernel_basis(M, F)
         assert len(ker) == M.cols - r, p
         for vec in ker:
@@ -214,6 +228,78 @@ def test_kernel_and_column_space():
         assert M.apply(vec, QQ) == {}
     assert column_space_contains(M, {0: 1}, QQ)
     assert not column_space_contains(SparseMatrix.zero(2, 1), {0: 1}, QQ)
+
+
+def greedy_homology_basis(d_in, d_out, F):
+    """Oracle: the kernel-basis vectors of d_out that raise the rank of the
+    columns of d_in and the vectors kept so far, one rank per candidate."""
+    ker = kernel_basis(d_out, F)
+    img_cols = d_in.columns()
+    r0 = rank(d_in, F)
+    reps = []
+    kept = list(img_cols)
+    for kv in ker:
+        cand = SparseMatrix.from_columns(d_in.rows, kept + [kv])
+        r1 = rank(cand, F)
+        if r1 > r0:
+            reps.append(kv)
+            kept.append(kv)
+            r0 = r1
+    return reps
+
+
+def two_rank_column_space_contains(M, vec, F):
+    """Oracle: vec lies in the column space of M when it leaves the rank unchanged."""
+    aug = SparseMatrix.from_columns(M.rows, M.columns() + [dict(vec)])
+    return rank(aug, F) == rank(M, F)
+
+
+@st.composite
+def chain_pairs(draw):
+    """(F, d_in, d_out, vectors) with d_out d_in = 0: d_out is random, and zero
+    in some draws; each column of d_in is a random combination of
+    `kernel_basis(d_out)`.  `vectors` pairs each of d_in and d_out with
+    vectors inside its column space (images of random vectors) and outside
+    it (an inside vector plus a unit vector e_i with y_i != 0 for some y in
+    the left kernel), each tagged with its expected membership."""
+    p = draw(st.sampled_from([0, 2, 3, 5]))
+    F = QQ if p == 0 else GF(p)
+    values = draw(st.sampled_from([INT_VALUES, FRACTION_VALUES]))
+    cell = st.sampled_from([0] * (draw(st.integers(1, 4)) * len(values)) + values)
+    k, m, c = draw(st.integers(0, 6)), draw(st.integers(1, 9)), draw(st.integers(0, 6))
+    if draw(st.integers(0, 4)) == 0:
+        d_out = SparseMatrix.zero(k, m)
+    else:
+        d_out = SparseMatrix(k, m, {(i, j): draw(cell) for i in range(k) for j in range(m)})
+    ker = kernel_basis(d_out, F)
+    coeff = st.sampled_from([0, 0, 1, -1, 2, Fraction(-3, 7)])
+    cols = []
+    for _ in range(c):
+        col = {}
+        for kv in ker:
+            a = F.convert(draw(coeff))
+            for i, v in kv.items():
+                col[i] = F.add(col.get(i, F.zero), F.mul(a, v))
+        cols.append(col)
+    d_in = SparseMatrix.from_columns(m, cols)
+    vectors = []
+    for M in (d_in, d_out):
+        inside = M.apply({j: draw(cell) for j in range(M.cols)}, F)
+        vectors.append((M, inside, True))
+        for y in kernel_basis(M.transpose(), F):
+            i = draw(st.sampled_from(sorted(y)))
+            vectors.append((M, {**inside, i: F.add(inside.get(i, F.zero), F.one)}, False))
+    return F, d_in, d_out, vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_pairs())
+def test_homology_basis_and_column_space_match_rank_oracles(case):
+    F, d_in, d_out, vectors = case
+    assert d_out.matmul(d_in, F).entries == {}
+    assert homology_basis(d_in, d_out, F) == greedy_homology_basis(d_in, d_out, F)
+    for M, vec, expected in vectors:
+        assert column_space_contains(M, vec, F) == two_rank_column_space_contains(M, vec, F) == expected
 
 
 def test_homology_basis_spans():

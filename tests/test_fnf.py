@@ -14,8 +14,9 @@ from braidhom.fnf import (
     PermutationSystem, TensorSystem, braid_homology, complex_for_system, fnf_complex, shuffle_blocks,
     validate_partition,
 )
-from braidhom.hurwitz import rack_orbits, signed_orbit_count
+from braidhom.hurwitz import rack_orbits
 from braidhom.shuffle import lifted_block_words
+from tests.test_acceptance import signed_orbit_count
 from tests.test_braided import jordan_plane, s3_transposition_space
 
 F2 = GF(2)

@@ -28,11 +28,10 @@ from braidhom.hurwitz import (
     orbit_ring_module,
     rack_orbits,
     restricted_ring_module,
-    signed_orbit_count,
     stabilization_thresholds,
     subgroup_lattice,
 )
-from tests.test_acceptance import _naive_orbit_count
+from tests.test_acceptance import _naive_orbit_count, signed_orbit_count
 from tests.test_braided import S3, transpositions
 from tests.test_fnf import small_class_sets
 

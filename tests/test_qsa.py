@@ -7,7 +7,6 @@ from braidhom import fnf, qsa
 from braidhom.braided import ConjClassSet, PermGroup, identity_perm, parse_cycles, rank_one_space, sign_twist
 from braidhom.braided import Cocycle, apply_moves_to_vector, braided_space, conjugation_rack, index_word
 from braidhom.exactla import GF, QQ
-from braidhom.hurwitz import signed_orbit_count
 from braidhom.orbits import block_plan
 from braidhom.qsa import (
     bar_complex,
@@ -17,6 +16,7 @@ from braidhom.qsa import (
     verify_main_cor,
 )
 from braidhom.shuffle import lifted_block_words, shuffle_product
+from tests.test_acceptance import signed_orbit_count
 from tests.test_braided import jordan_plane, s3_transposition_space
 
 F2 = GF(2)
