@@ -6,18 +6,25 @@ and c columns represents a linear map from k^c to k^r in the column-vector
 convention; only nonzero entries are stored.
 
 Every elimination in the package runs one sparse Gaussian elimination loop,
-`_eliminate`, on the rows given by `_elimination_rows`: over F_p as they are,
-over Q cleared of denominators and divided by their content, so that the
-fraction-free row update never does Fraction arithmetic.  The caller fixes
-the pivot-column rule: the sparsest column for `rank`, the leftmost for
-`pivot_columns` and `rref` (and so for `kernel_basis`, `inverse`,
-`homology_basis` and `column_space_contains`).  The pivot row is the shortest
-in its column, so every computation is deterministic, and the loop keeps
-column supports up to date, so choosing a pivot never rescans the matrix.
+`_eliminate`, on the rows given by `_elimination_rows`, which reads them in
+one pass over the entries: over F_p reduced mod p, over Q as integer rows
+(a row that holds a Fraction is cleared of denominators and divided by its
+content), so that the fraction-free row update never does Fraction
+arithmetic.  Over Q a pivot of +-1 updates each row in place with no
+division, as the F_p step does; any other pivot takes Bareiss' step (scale,
+subtract, divide by the content).  Both keep the row supports, so the pivots
+do not depend on which step ran.  The caller fixes the pivot-column rule:
+the sparsest column for `rank`, the leftmost for `pivot_columns` and `rref`
+(and so for `kernel_basis`, `inverse`, `homology_basis` and
+`column_space_contains`).  The pivot row is the shortest in its column, so
+every computation is deterministic, and the loop keeps column supports up to
+date, so choosing a pivot never rescans the matrix.
 
 Products (`SparseMatrix.matmul`, `SparseMatrix.apply`) coerce each input entry
 into the field once, accumulate with native + and *, and reduce each output
-entry once (`CoefficientField.reduced`).
+entry once (`CoefficientField.reduced`).  The constructor checks every index
+and drops zeros; the module's own results (`matmul`, `add`, `transpose`,
+`inverse`), in range and nonzero by construction, skip those checks.
 
 All values are immutable after construction.
 """
@@ -160,6 +167,15 @@ class SparseMatrix:
         self.entries = ent
 
     @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: dict) -> "SparseMatrix":
+        """A matrix that takes ownership of entries already known to be in
+        range and nonzero, without the constructor's checks: for this
+        module's own results (`matmul`, `add`, `transpose`, `inverse`)."""
+        M = cls.__new__(cls)
+        M.rows, M.cols, M.entries = rows, cols, entries
+        return M
+
+    @classmethod
     def zero(cls, rows: int, cols: int) -> "SparseMatrix":
         return cls(rows, cols, {})
 
@@ -191,7 +207,7 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
+        return SparseMatrix._trusted(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
 
     def columns(self) -> list[dict]:
         """Every column as a {row: value} dict, in one pass over the entries."""
@@ -215,14 +231,15 @@ class SparseMatrix:
     def add(self, other: "SparseMatrix", F: CoefficientField) -> "SparseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        ent = {k: F.convert(v) for k, v in self.entries.items()}
+        convert = F.convert
+        ent = {k: c for k, v in self.entries.items() if (c := convert(v))}
         for k, v in other.entries.items():
-            s = F.add(ent.get(k, F.zero), F.convert(v))
+            s = F.add(ent.get(k, F.zero), convert(v))
             if s == 0:
                 ent.pop(k, None)
             else:
                 ent[k] = s
-        return SparseMatrix(self.rows, self.cols, ent)
+        return SparseMatrix._trusted(self.rows, self.cols, ent)
 
     def matmul(self, other: "SparseMatrix", F: CoefficientField) -> "SparseMatrix":
         if self.cols != other.rows:
@@ -242,7 +259,7 @@ class SparseMatrix:
                     acc[i] = acc.get(i, 0) + a * b
             for i, v in F.reduced(acc).items():
                 ent[(i, j)] = v
-        return SparseMatrix(self.rows, other.cols, ent)
+        return SparseMatrix._trusted(self.rows, other.cols, ent)
 
     def apply(self, vec: dict, F: CoefficientField) -> dict:
         """Apply to a column vector given as {index: scalar}."""
@@ -371,9 +388,41 @@ def _content_free(r: dict) -> dict:
 
 
 def _int_pivot_step(prow: dict, pc: int):
-    """Fraction-free row update over Z: r := prow[pc] r - r[pc] prow, then
-    divided by the gcd of its entries."""
+    """Fraction-free row update over Z for the pivot prow[pc].
+
+    A unit pivot (+-1) updates the row in place, as `_modp_pivot_step` does:
+    r := r - (r[pc] prow[pc]) prow, which is r - (r[pc] / prow[pc]) prow; it
+    builds no dict and divides by nothing.  Any other pivot rebuilds the row
+    as prow[pc] r - r[pc] prow divided by the gcd of its entries (Bareiss'
+    fraction-free step).  The two results are nonzero rational multiples of
+    each other with the same support, so `_eliminate` picks the same pivots
+    whichever ran.
+
+    Unit updates leave their content in the rows, so a pivot row that is not
+    a unit is first divided in place by its content, with its support
+    unchanged.  That may make it a unit, and it makes every pivot row the
+    content-free one, as if every update had divided.
+    """
     pval = prow[pc]
+    if pval != 1 and pval != -1:
+        g = gcd(*prow.values())
+        if g > 1:
+            for j, v in prow.items():
+                prow[j] = v // g
+            pval = prow[pc]
+    if pval == 1 or pval == -1:
+
+        def unit_update(r: dict) -> dict:
+            f = r[pc] * pval
+            for j, v in prow.items():
+                nv = r.get(j, 0) - f * v
+                if nv:
+                    r[j] = nv
+                else:
+                    r.pop(j, None)
+            return r
+
+        return unit_update
 
     def update(r: dict) -> dict:
         a = r[pc]
@@ -392,18 +441,33 @@ def _int_pivot_step(prow: dict, pc: int):
 def _elimination_rows(M: SparseMatrix, F: CoefficientField):
     """The nonzero rows of M over F, and the field's pivot step for `_eliminate`.
 
-    Over Q each row is cleared of denominators and divided by its content, so
-    elimination runs on integer rows and no Fraction arithmetic happens inside
-    it.  Raises FieldMismatchError if an entry cannot be interpreted in F.
+    The rows are read in one pass over `M.entries`.  An int entry is taken as
+    it is over Q and reduced mod p over F_p; any other entry goes through
+    `F.convert`, which raises FieldMismatchError if it cannot be interpreted
+    in F.  Over Q a row that holds a Fraction is then cleared of denominators
+    and divided by its content, so elimination runs on integer rows and no
+    Fraction arithmetic happens inside it.
     """
-    rows = [r for r in M.row_lists(F) if r]
-    if not F.is_rational:
-        return rows, _modp_pivot_step(F.characteristic)
-    int_rows = []
-    for r in rows:
+    p = F.characteristic
+    rows = [{} for _ in range(M.rows)]
+    fraction_rows = set()
+    for (i, j), v in M.entries.items():
+        if v.__class__ is int:
+            if p:
+                v %= p
+        else:
+            v = F.convert(v)
+            if v.__class__ is not int:
+                fraction_rows.add(i)
+        if v:
+            rows[i][j] = v
+    if p:
+        return [r for r in rows if r], _modp_pivot_step(p)
+    for i in fraction_rows:
+        r = rows[i]
         den = lcm(*(v.denominator for v in r.values()))
-        int_rows.append(_content_free({j: v.numerator * (den // v.denominator) for j, v in r.items()}))
-    return int_rows, _int_pivot_step
+        rows[i] = _content_free({j: v.numerator * (den // v.denominator) for j, v in r.items()})
+    return [r for r in rows if r], _int_pivot_step
 
 
 def rank(M: SparseMatrix, F: CoefficientField) -> int:
@@ -503,7 +567,7 @@ def inverse(M: SparseMatrix, F: CoefficientField) -> SparseMatrix:
     rows, pivots = rref(aug, F)
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError(f"singular {n}x{n} matrix over {F}")
-    return SparseMatrix(n, n, {(i, j - n): v for i, row in enumerate(rows) for j, v in row.items() if j >= n})
+    return SparseMatrix._trusted(n, n, {(i, j - n): v for i, row in enumerate(rows) for j, v in row.items() if j >= n})
 
 
 @dataclass

@@ -387,24 +387,37 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
 
     nullhomotopy_ok = True
     s_const = constant_braiding_value(K.V)
-    V = K.V
-    pstar = {}  # (g, p) -> _pstar_matrix(K, g, p), the same for every q
+    letters = range(K.V.rack.size)
+    pstar = {}  # p -> [_pstar_matrix(K, g, p) for every letter g], the same for every q
     twisted = {}  # (g, p) -> _twisted_letters(K, g, p), the same for every q
     for q in range(min(qr, K.qmax - 1)):
         for p in range(1, pr):
             if K.dim(p, q) == 0:
                 continue
-            for g in range(V.rack.size):
-                for key in ((g, p), (g, p - 1)):
-                    if key not in pstar:
-                        pstar[key] = _pstar_matrix(K, *key)
+            for key in (p, p - 1):
+                if key not in pstar:
+                    pstar[key] = [_pstar_matrix(K, g, key) for g in letters]
+            # each d is read once: the d P_g are the column blocks of one
+            # product and the P_g d the row blocks of another
+            n_src, n_tgt = K.dim(p, q), K.dim(p, q + 1)
+            lhs = [{} for _ in letters]
+            d_after = K.d(p + 1, q).matmul(_tensor_with_module(K, pstar[p], q, side_by_side=True), F)
+            for (i, j), v in d_after.entries.items():
+                g, j = divmod(j, n_src)
+                lhs[g][(i, j)] = v
+            after_d = _tensor_with_module(K, pstar[p - 1], q + 1, side_by_side=False).matmul(K.d(p, q), F)
+            for (i, j), v in after_d.entries.items():
+                g, i = divmod(i, n_tgt)
+                s = F.sub(lhs[g].get((i, j), F.zero), v)
+                if s == 0:
+                    lhs[g].pop((i, j), None)
+                else:
+                    lhs[g][(i, j)] = s
+            for g in letters:
                 if (g, p) not in twisted:
                     twisted[(g, p)] = _twisted_letters(K, g, p)
-                d_after = K.d(p + 1, q).matmul(_tensor_with_module(K, pstar[(g, p)], q), F)
-                after_d = _tensor_with_module(K, pstar[(g, p - 1)], q + 1).matmul(K.d(p, q), F)
-                lhs = d_after.add(after_d.scale(-1), F)
                 rhs = _twisted_right_mult(K, twisted[(g, p)], p, q, s_const)
-                if lhs != rhs:
+                if lhs[g] != rhs.entries:
                     nullhomotopy_ok = False
                     failures.append(f"nullhomotopy identity fails at (p={p}, q={q}, g={g})")
     return KoszulIdentityReport(anticommute_ok, trivial_ok, nullhomotopy_ok, failures)
@@ -421,13 +434,20 @@ def _pstar_matrix(K: KoszulComplex, g: int, p: int) -> SparseMatrix:
     return SparseMatrix.from_columns(nd.dim(p + 1), cols)
 
 
-def _tensor_with_module(K: KoszulComplex, M: SparseMatrix, q: int) -> SparseMatrix:
+def _tensor_with_module(K: KoszulComplex, mats: list[SparseMatrix], q: int, side_by_side: bool) -> SparseMatrix:
+    """The maps M (x) 1 on module degree q for M in mats (all of one shape),
+    side by side (one column block each) or stacked (one row block each)."""
     nmod = K.module.dim(q)
+    rows, cols = mats[0].rows * nmod, mats[0].cols * nmod
     ent = {}
-    for (i, k), v in M.entries.items():
-        for o in range(nmod):
-            ent[(i * nmod + o, k * nmod + o)] = v
-    return SparseMatrix(M.rows * nmod, M.cols * nmod, ent)
+    for b, M in enumerate(mats):
+        di, dk = (0, b * cols) if side_by_side else (b * rows, 0)
+        for (i, k), v in M.entries.items():
+            for o in range(nmod):
+                ent[(di + i * nmod + o, dk + k * nmod + o)] = v
+    if side_by_side:
+        return SparseMatrix(rows, len(mats) * cols, ent)
+    return SparseMatrix(len(mats) * rows, cols, ent)
 
 
 def _twisted_letters(K: KoszulComplex, g: int, p: int) -> list[int]:

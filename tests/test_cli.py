@@ -288,10 +288,18 @@ def test_determinism_all_subcommands(argv, capsys, tmp_path):
      ["ext", "--group", "S3", "--classes", "transpositions", "--epsilon", "--nmax", "5", "--field", "2"]),
     ("verify_D4_all_cocycle-1_nmax3_Q.csv",
      ["verify", "--group", "D4", "--classes", "all", "--cocycle", "-1", "--nmax", "3", "--field", "Q"]),
+    # almost every pivot of this elimination over Q is a unit
+    ("verify_S3_transpositions_nmax5_Q.csv",
+     ["verify", "--group", "S3", "--classes", "transpositions", "--nmax", "5", "--field", "Q"]),
+    # unit and non-unit pivots in about equal numbers
+    ("verify_S3_transpositions_epsilon_nmax5_Q.csv",
+     ["verify", "--group", "S3", "--classes", "transpositions", "--epsilon", "--nmax", "5", "--field", "Q"]),
 ])
 def test_homology_golden(name, argv, capsys):
     # stdout recorded when every complex was built, checked and ranked whole,
-    # before homology was summed over one block per class of braid orbits
+    # before homology was summed over one block per class of braid orbits (the
+    # two S3 verify files: when every Q pivot step rebuilt its row and divided
+    # it by its content)
     rc, out = run(capsys, argv)
     assert rc == 0
     assert out == (GOLDEN / name).read_text()

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from braidhom.exactla import (
     FieldMismatchError,
     RankTable,
     SparseMatrix,
+    _int_pivot_step,
     column_space_contains,
     homology_basis,
     inverse,
@@ -66,6 +68,64 @@ def test_rank_mod2_all_ones():
 def test_rank_with_fractions():
     M = SparseMatrix(2, 3, {(0, 0): Fraction(1, 2), (1, 1): Fraction(-2, 7), (0, 2): 5})
     assert rank(M, QQ) == 2
+
+
+@pytest.mark.parametrize("F, bad", [(QQ, 0.5), (GF(5), Fraction(2, 5))])
+def test_elimination_rejects_entries_outside_the_field(F, bad):
+    # a float is no rational scalar, and 2/5 has no value mod 5; the entries
+    # before the bad one are valid, and the matrix is left as it was
+    M = SparseMatrix(2, 3, {(0, 0): 1, (0, 2): Fraction(1, 3), (1, 1): bad, (1, 2): -1})
+    before = dict(M.entries)
+    for eliminate in (rank, pivot_columns, rref):
+        with pytest.raises(FieldMismatchError):
+            eliminate(M, F)
+        assert M.entries == before
+
+
+@st.composite
+def pivot_and_target_rows(draw):
+    """(prow, pc, r): integer rows over up to 8 columns, both nonzero in
+    column pc.  The pivot is +-1 or 2 or -3, and prow is then multiplied by 1,
+    2 or 3, so that some non-unit pivots become units once divided by their
+    content."""
+    c = draw(st.integers(1, 8))
+    pc = draw(st.integers(0, c - 1))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 4, 6])
+    prow = {j: v for j in range(c) if (v := draw(entry))}
+    prow[pc] = draw(st.sampled_from([1, -1, 1, -1, 2, -3]))
+    content = draw(st.sampled_from([1, 1, 2, 3]))
+    prow = {j: content * v for j, v in prow.items()}
+    r = {j: v for j in range(c) if (v := draw(entry))}
+    r[pc] = draw(st.sampled_from([1, -1, 2, -3, 6]))
+    return prow, pc, r
+
+
+def bareiss_update(prow, pc, r):
+    """prow[pc] r - r[pc] prow divided by the gcd of its entries, built from
+    scratch."""
+    new = {j: v for j in sorted(set(prow) | set(r)) if (v := prow[pc] * r.get(j, 0) - r[pc] * prow.get(j, 0))}
+    g = gcd(*new.values())
+    return {j: v // g for j, v in new.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(pivot_and_target_rows())
+def test_unit_pivot_update_is_a_multiple_of_the_general_update(case):
+    prow, pc, r = case
+    expected = bareiss_update(prow, pc, r)
+    pivot = dict(prow)
+    row = dict(r)
+    out = _int_pivot_step(pivot, pc)(row)
+    # the pivot row is at most divided by its content
+    assert pivot.keys() == prow.keys()
+    assert {Fraction(prow[j], pivot[j]) for j in prow} == {gcd(*prow.values())}
+    assert out.keys() == expected.keys()
+    assert len({Fraction(out[j], expected[j]) for j in expected}) <= 1
+    if pivot[pc] in (1, -1):
+        # updated in place, with no division by its content
+        assert out is row
+    else:
+        assert out == expected
 
 
 def three_term(d_in, d_out):
@@ -454,3 +514,38 @@ def test_columns():
     assert M.columns() == [{1: 5}, {0: 2, 3: -1}, {}, {}, {2: Fraction(1, 3)}]
     assert SparseMatrix.from_columns(M.rows, M.columns()) == M
     assert SparseMatrix.zero(3, 0).columns() == []
+
+
+def checked(M):
+    """M's entries passed through the checking constructor."""
+    return SparseMatrix(M.rows, M.cols, M.entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cancelling_products(), square_matrices())
+def test_unchecked_results_pass_the_constructor_checks(case, S):
+    # matmul, add, transpose and inverse store their entries unchecked; they
+    # must be what the checking constructor keeps: in range and nonzero.
+    # The two halves of B cancel in places, and over F_p some entries vanish
+    A, B, _ = case
+    k = A.cols // 2
+    top = SparseMatrix(k, B.cols, {(i, j): v for (i, j), v in B.entries.items() if i < k})
+    bottom = SparseMatrix(k, B.cols, {(i - k, j): v for (i, j), v in B.entries.items() if i >= k})
+    for F in (QQ, GF(2), GF(3), GF(5)):
+        results = [A.matmul(B, F), top.add(bottom, F), A.transpose()]
+        try:
+            results.append(inverse(S, F))
+        except ZeroDivisionError:
+            pass
+        for X in results:
+            assert X == checked(X), F
+
+
+def test_constructor_checks_indices_and_drops_zeros():
+    with pytest.raises(ValueError, match="out of range"):
+        SparseMatrix(2, 2, {(2, 0): 1})
+    with pytest.raises(ValueError, match="out of range"):
+        SparseMatrix(2, 2, {(0, -1): 1})
+    M = SparseMatrix(2, 2, {(0, 0): 0, (1, 1): Fraction(0), (0, 1): 3})
+    assert M.entries == {(0, 1): 3}
+    assert M.scale(0).entries == {}

@@ -103,6 +103,49 @@ def test_anticommute_negative_control():
     assert not rep.anticommute_ok
 
 
+def nullhomotopy_failures(rep):
+    return [f for f in rep.failures if f.startswith("nullhomotopy")]
+
+
+def test_nullhomotopy_negative_control_on_one_letter(monkeypatch):
+    # one entry of P_2 at dual degree 1 is off: d P_2 fails at p = 1 and
+    # P_2 d at p = 2, for every module degree checked and for letter 2 only
+    G, c, V = s3_setup()
+    pstar = koszul._pstar_matrix
+
+    def corrupted(K, g, p):
+        M = pstar(K, g, p)
+        if (g, p) == (2, 1):
+            (i, j), x = min(M.entries.items())
+            M = SparseMatrix(M.rows, M.cols, {**M.entries, (i, j): x + 1})
+        return M
+
+    monkeypatch.setattr(koszul, "_pstar_matrix", corrupted)
+    K = koszul_complex(V, "R", pmax=4, qmax=5, F=QQ, c=c)
+    rep = verify_koszul_identities(K, pr=3, qr=3)
+    assert not rep.nullhomotopy_ok and rep.anticommute_ok
+    assert rep.failures == [f"nullhomotopy identity fails at (p={p}, q={q}, g=2)"
+                            for q in range(3) for p in (1, 2)]
+
+
+def test_nullhomotopy_negative_control_on_one_differential():
+    # entry (1, 1) of d(2, 1) is off: d P_g fails at (p=1, q=1) for the
+    # letters whose P_g meets column 1, and P_g d at (p=2, q=1) for those
+    # whose P_g meets row 1
+    G, c, V = s3_setup()
+    K = koszul_complex(V, "R", pmax=4, qmax=5, F=QQ, c=c)
+    M = K.d(2, 1)
+    M.entries[(1, 1)] += 1
+    rep = verify_koszul_identities(K, pr=3, qr=3)
+    assert not rep.nullhomotopy_ok
+    assert nullhomotopy_failures(rep) == [
+        "nullhomotopy identity fails at (p=1, q=1, g=0)",
+        "nullhomotopy identity fails at (p=1, q=1, g=1)",
+        "nullhomotopy identity fails at (p=2, q=1, g=1)",
+        "nullhomotopy identity fails at (p=2, q=1, g=2)",
+    ]
+
+
 def test_corrupted_derivation_fails_the_d_squared_check(monkeypatch):
     G, c, V = s3_setup()
     derivation = koszul.skew_derivation
