@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Nichols algebra dimensions from quantum symmetrizer ranks.
+"""Nichols algebra dimensions from the derivation recursion.
 
 The degree-n piece of the Nichols algebra is the image of the quantum
-symmetrizer, the signed sum of all braid lifts of permutations.  For the
-sign-twisted transposition space of S3 the dimensions are the famous
-palindrome 1, 3, 4, 3, 1 (total 12); for rank-one spaces the symmetrizer is
-the q-factorial, so the algebra truncates exactly at the order of the
-braiding parameter.
+symmetrizer, the sum of all braid lifts of permutations; equivalently (the
+Nichols-Woronowicz criterion) an element vanishes exactly when all its skew
+derivations do, which is how `NicholsData` builds each degree from the one
+below.  For the sign-twisted transposition space of S3 the dimensions are the
+famous palindrome 1, 3, 4, 3, 1 (total 12); for rank-one spaces the
+symmetrizer is the q-factorial, so the algebra truncates exactly at the order
+of the braiding parameter.
 """
 
 from braidhom.braided import (

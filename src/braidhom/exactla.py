@@ -20,11 +20,14 @@ the sparsest column for `rank`, the leftmost for `pivot_columns` and `rref`
 every computation is deterministic, and the loop keeps column supports up to
 date, so choosing a pivot never rescans the matrix.
 
-Products (`SparseMatrix.matmul`, `SparseMatrix.apply`) coerce each input entry
-into the field once, accumulate with native + and *, and reduce each output
-entry once (`CoefficientField.reduced`).  The constructor checks every index
-and drops zeros; the module's own results (`matmul`, `add`, `transpose`,
-`inverse`), in range and nonzero by construction, skip those checks.
+Products (`SparseMatrix.matmul`, `SparseMatrix.apply`) and sums
+(`SparseMatrix.add`) coerce each input entry into the field once, as
+`_elimination_rows` does: an int as it is over Q and mod p over F_p, anything
+else through `CoefficientField.convert`.  Products accumulate with native +
+and * and reduce each output entry once (`CoefficientField.reduced`).  The
+constructor checks every index and drops zeros; the module's own results
+(`matmul`, `add`, `transpose`, `inverse`), in range and nonzero by
+construction, skip those checks.
 
 All values are immutable after construction.
 """
@@ -76,10 +79,6 @@ class CoefficientField:
     @property
     def kind(self) -> str:
         return "rationals" if self.characteristic == 0 else "prime_field"
-
-    @property
-    def is_rational(self) -> bool:
-        return self.characteristic == 0
 
     def convert(self, x):
         """Coerce an int or Fraction into a scalar of this field."""
@@ -231,10 +230,11 @@ class SparseMatrix:
     def add(self, other: "SparseMatrix", F: CoefficientField) -> "SparseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        convert = F.convert
-        ent = {k: c for k, v in self.entries.items() if (c := convert(v))}
+        p, convert = F.characteristic, F.convert
+        ent = {k: c for k, v in self.entries.items()
+               if (c := (v % p if p else v) if v.__class__ is int else convert(v))}
         for k, v in other.entries.items():
-            s = F.add(ent.get(k, F.zero), convert(v))
+            s = F.add(ent.get(k, F.zero), (v % p if p else v) if v.__class__ is int else convert(v))
             if s == 0:
                 ent.pop(k, None)
             else:
@@ -244,13 +244,13 @@ class SparseMatrix:
     def matmul(self, other: "SparseMatrix", F: CoefficientField) -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        convert = F.convert
+        p, convert = F.characteristic, F.convert
         cols_self = [dict() for _ in range(self.cols)]
         for (i, k), v in self.entries.items():
-            cols_self[k][i] = convert(v)
+            cols_self[k][i] = (v % p if p else v) if v.__class__ is int else convert(v)
         by_col = [dict() for _ in range(other.cols)]
         for (k, j), v in other.entries.items():
-            by_col[j][k] = convert(v)
+            by_col[j][k] = (v % p if p else v) if v.__class__ is int else convert(v)
         ent = {}
         for j, col in enumerate(by_col):
             acc = {}
@@ -263,13 +263,13 @@ class SparseMatrix:
 
     def apply(self, vec: dict, F: CoefficientField) -> dict:
         """Apply to a column vector given as {index: scalar}."""
-        convert = F.convert
-        x = {j: convert(v) for j, v in vec.items()}
+        p, convert = F.characteristic, F.convert
+        x = {j: (v % p if p else v) if v.__class__ is int else convert(v) for j, v in vec.items()}
         out = {}
         for (i, j), v in self.entries.items():
             xj = x.get(j)
             if xj is not None:
-                out[i] = out.get(i, 0) + convert(v) * xj
+                out[i] = out.get(i, 0) + ((v % p if p else v) if v.__class__ is int else convert(v)) * xj
         return F.reduced(out)
 
     def to_triplet_text(self) -> str:

@@ -185,38 +185,29 @@ def quantum_symmetrizer(V: BraidedVectorSpace, n: int) -> SparseMatrix:
     """Sum over S_n of the braid lifts, as a matrix on V^(x)n.
 
     Built degree by degree from Woronowicz's factorisation (Comm. Math. Phys.
-    122, 1989), [m]! = (1 + s_{m-1} + s_{m-1}s_{m-2} + ... + s_{m-1}...s_1)([m-1]! (x) 1),
-    as a loop over `symmetrizer_step`.  Callers that walk up the degrees
-    (`nichols.NicholsData`) call the step themselves and build each degree once.
-    """
-    cols = [{0: 1}]
-    for m in range(1, n + 1):
-        cols = symmetrizer_step(V, m, cols)
-    return SparseMatrix.from_columns(V.rank**n, cols)
-
-
-def symmetrizer_step(V: BraidedVectorSpace, m: int, prev: list[dict]) -> list[dict]:
-    """Columns of [m]! (base-r word code -> exact coefficient) from those of [m-1]!."""
-    return [symmetrizer_column(V, m, prev, idx) for idx in range(V.rank**m)]
-
-
-def symmetrizer_column(V: BraidedVectorSpace, m: int, prev: list[dict], idx: int) -> dict:
-    """Column `idx` of [m]! from the columns `prev` of [m-1]!.
-
-    The column starts as (column idx[:-1] of [m-1]!) (x) idx[-1], and the
-    running chain applies s_{m-1}, then s_{m-2}, ..., then s_1 to it (moves read
-    left to right, as in `braid_word_action`), adding each partial result.
+    122, 1989), [m]! = (1 + s_{m-1} + s_{m-1}s_{m-2} + ... + s_{m-1}...s_1)([m-1]! (x) 1):
+    column idx of [m]! starts as (column idx[:-1] of [m-1]!) (x) idx[-1], and
+    the running chain applies s_{m-1}, then s_{m-2}, ..., then s_1 to it (moves
+    read left to right, as in `braid_word_action`), adding each partial result.
+    The Nichols algebra (`nichols`) is built without it; it is the paper's
+    object and the tests' oracle.
     """
     r = V.rank
-    head, a = divmod(idx, r)
-    vec = {u * r + a: cf for u, cf in prev[head].items()}
-    col = dict(vec)
-    for i in range(m - 1, 0, -1):
-        vec = apply_moves_to_vector(V, m, [i], vec)
-        for w, cf in vec.items():
-            s = col.get(w, 0) + cf
-            if s == 0:
-                col.pop(w, None)
-            else:
-                col[w] = s
-    return col
+    cols = [{0: 1}]
+    for m in range(1, n + 1):
+        step = []
+        for idx in range(r**m):
+            head, a = divmod(idx, r)
+            vec = {u * r + a: cf for u, cf in cols[head].items()}
+            col = dict(vec)
+            for i in range(m - 1, 0, -1):
+                vec = apply_moves_to_vector(V, m, [i], vec)
+                for w, cf in vec.items():
+                    t = col.get(w, 0) + cf
+                    if t == 0:
+                        col.pop(w, None)
+                    else:
+                        col[w] = t
+            step.append(col)
+        cols = step
+    return SparseMatrix.from_columns(r**n, cols)

@@ -164,6 +164,51 @@ def test_nichols_jobs_golden(name, argv, capsys):
     assert out == (GOLDEN / name).read_text()
 
 
+_S4_KOSZUL = ["koszul", "--group", "S4", "--classes", "transpositions", "--epsilon"]
+_S4_NICHOLS = ["nichols", "--group", "S4", "--classes", "transpositions", "--epsilon"]
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("koszul_S4_transpositions_epsilon_R_pmax4_qmax5_Q.csv",
+     _S4_KOSZUL + ["--module", "R", "--pmax", "4", "--qmax", "5", "--field", "Q"]),
+    ("koszul_S4_transpositions_epsilon_R_pmax4_qmax5_F5.csv",
+     _S4_KOSZUL + ["--module", "R", "--pmax", "4", "--qmax", "5", "--field", "5"]),
+    ("koszul_S4_transpositions_epsilon_sub5_pmax4_qmax5_F5.csv",
+     _S4_KOSZUL + ["--module", "sub:5", "--pmax", "4", "--qmax", "5", "--field", "5"]),
+    ("koszul_S4_transpositions_epsilon_R_multigrade_pmax4_qmax5_F5.csv",
+     _S4_KOSZUL + ["--module", "R", "--multigrade", "--pmax", "4", "--qmax", "5", "--field", "5"]),
+    ("nichols_D4_all_nmax4_Q.csv",
+     ["nichols", "--group", "D4", "--classes", "all", "--nmax", "4", "--field", "Q"]),
+    ("nichols_S4_transpositions_epsilon_nmax5_Q.csv", _S4_NICHOLS + ["--nmax", "5", "--field", "Q"]),
+    ("nichols_S4_transpositions_epsilon_nmax5_F3.csv", _S4_NICHOLS + ["--nmax", "5", "--field", "3"]),
+])
+def test_symmetrizer_era_golden(name, argv, capsys):
+    # stdout recorded when each Nichols degree was the image of the quantum
+    # symmetrizer and the Koszul derivations were solved through inverse Gram
+    # matrices, before degrees were built by the derivation recursion
+    rc, out = run(capsys, argv)
+    assert rc == 0
+    assert out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("field", ["Q", "5"])
+def test_fomin_kirillov_four_to_its_top(field, capsys):
+    # FK_4, the Nichols algebra of the S4 transpositions with the sign twist,
+    # has dimension 576 and top degree 12 (Fomin-Kirillov 1999)
+    rc, out = run(capsys, _S4_NICHOLS + ["--nmax", "14", "--field", field])
+    assert rc == 0
+    assert "# stably_zero=True" in out
+    assert [int(r.split(",")[1]) for r in data_rows(out)] == \
+        [1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1, 0, 0]
+
+
+def test_koszul_reaches_the_top_of_fk4(capsys):
+    # the dual algebra vanishes in degree 13, so degree 12 is genuine
+    rc, out = run(capsys, _S4_KOSZUL + ["--module", "R", "--pmax", "13", "--qmax", "2", "--field", "5"])
+    assert rc == 0
+    assert "# pmax_resolved=12" in out
+
+
 def test_koszul_subcommand(capsys):
     rc, out = run(capsys, ["koszul", "--group", "S3", "--classes", "transpositions",
                            "--epsilon", "--module", "R", "--pmax", "4", "--qmax", "5",

@@ -509,6 +509,28 @@ def test_matmul_and_apply_match_dense_products(case):
                 assert type(v) is int or v.denominator != 1
 
 
+def test_products_and_sums_coerce_mixed_entries_over_f5():
+    # ints outside [0, 5) are reduced, Fractions with a denominator prime to 5
+    # are read mod 5, and a denominator divisible by 5 raises as before
+    F5 = GF(5)
+    A = SparseMatrix(2, 2, {(0, 0): 7, (0, 1): Fraction(1, 2), (1, 0): -3, (1, 1): Fraction(-4, 3)})
+    B = SparseMatrix(2, 2, {(0, 0): Fraction(3, 7), (1, 0): 12, (1, 1): -1})
+    x = {0: -6, 1: Fraction(2, 3)}
+    dense = {k: field_scalar(v, 5) for k, v in A.entries.items()}
+    assert A.add(SparseMatrix.zero(2, 2), F5).entries == dense == {(0, 0): 2, (0, 1): 3, (1, 0): 2, (1, 1): 2}
+    assert SparseMatrix.zero(2, 2).add(A, F5).entries == dense
+    assert A.matmul(B, F5).entries == dense_product(A, B, 5)
+    xcol = SparseMatrix(2, 1, {(j, 0): v for j, v in x.items()})
+    assert A.apply(x, F5) == {i: v for (i, _), v in dense_product(A, xcol, 5).items()}
+    for v in list(A.matmul(B, F5).entries.values()) + list(A.apply(x, F5).values()):
+        assert type(v) is int and 0 < v < 5
+    bad = SparseMatrix(2, 2, {(0, 0): 1, (1, 1): Fraction(1, 10)})
+    for compute in (lambda: A.matmul(bad, F5), lambda: bad.matmul(A, F5), lambda: bad.apply(x, F5),
+                    lambda: A.apply({1: Fraction(3, 5)}, F5), lambda: A.add(bad, F5), lambda: bad.add(A, F5)):
+        with pytest.raises(FieldMismatchError):
+            compute()
+
+
 def test_columns():
     M = SparseMatrix(4, 5, {(0, 1): 2, (3, 1): -1, (2, 4): Fraction(1, 3), (1, 0): 5})
     assert M.columns() == [{1: 5}, {0: 2, 3: -1}, {}, {}, {2: Fraction(1, 3)}]
