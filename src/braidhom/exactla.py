@@ -215,15 +215,6 @@ class SparseMatrix:
             cols[j][i] = v
         return cols
 
-    def row_lists(self, F: CoefficientField) -> list[dict]:
-        """Rows as {col: scalar} dicts with entries coerced into F."""
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            fv = F.convert(v)
-            if fv != 0:
-                rows[i][j] = fv
-        return rows
-
     def scale(self, c) -> "SparseMatrix":
         return SparseMatrix(self.rows, self.cols, {k: c * v for k, v in self.entries.items()})
 

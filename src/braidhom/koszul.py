@@ -33,7 +33,7 @@ from .braided import BraidedVectorSpace, ConjClassSet, PermGroup, braided_space
 from .exactla import CoefficientField, RankTable, SparseMatrix, column_space_contains, homology_basis
 from .fnf import GradedComplex
 from .hurwitz import FilteredModule, filtered_module, orbit_ring_module, restricted_ring_module
-from .nichols import NicholsData, constant_braiding_value, skew_derivation
+from .nichols import NicholsData, constant_braiding_value
 
 
 class TruncationError(ValueError):
@@ -117,9 +117,7 @@ class KoszulComplex:
 
     def _assemble(self):
         F = self.F
-        dcols = {  # (v, p) -> columns of the skew derivation by v out of dual degree p
-            (v, p): skew_derivation(self.nichols, v, p).columns()
-            for p in range(1, self.pmax + 1) for v in range(self.V.rack.size)}
+        dcols = self.nichols.derivations  # [p][v] -> columns of d_v out of dual degree p
         for q in range(self.qmax):
             lmult = {v: self.module.right_mult(v, q) for v in range(self.V.rack.size)}
             for p in range(1, self.pmax + 1):
@@ -136,7 +134,7 @@ class KoszulComplex:
                                 o2 = lmult[v][o]
                                 if o2 is None:
                                     continue
-                                for i, val in dcols[(v, p)][k].items():
+                                for i, val in dcols[p][v][k].items():
                                     row = i * nmod_t + o2
                                     acc[row] = acc.get(row, 0) + val
                             cols.append(F.reduced(acc))

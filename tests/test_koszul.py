@@ -10,6 +10,7 @@ from braidhom.koszul import (
     koszul_homology,
     verify_koszul_identities,
 )
+from braidhom.nichols import NicholsData
 from tests.test_braided import S3, s3_transposition_space, s4_transposition_setup, transpositions
 
 F2 = GF(2)
@@ -148,16 +149,18 @@ def test_nullhomotopy_negative_control_on_one_differential():
 
 def test_corrupted_derivation_fails_the_d_squared_check(monkeypatch):
     G, c, V = s3_setup()
-    derivation = koszul.skew_derivation
 
-    def corrupted(data, v, p):
-        M = derivation(data, v, p)
-        if (v, p) == (0, 2):
-            (i, j), x = min(M.entries.items())
-            M = SparseMatrix(M.rows, M.cols, {**M.entries, (i, j): x + 1})
-        return M
+    def corrupted(V, F):
+        # the whole algebra is built first, so the recursion never reads the
+        # corrupted entry of d_0 out of degree 2; only the complex does
+        data = NicholsData(V, F)
+        data.build_to(4)
+        cols = data.derivations[2][0]
+        i, j = min((i, j) for j, col in enumerate(cols) for i in col)
+        cols[j][i] += 1
+        return data
 
-    monkeypatch.setattr(koszul, "skew_derivation", corrupted)
+    monkeypatch.setattr(koszul, "NicholsData", corrupted)
     with pytest.raises(ComplexIntegrityError, match="d\\^2 != 0"):
         koszul_complex(V, "R", pmax=3, qmax=4, F=QQ, c=c)
 

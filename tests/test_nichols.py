@@ -33,7 +33,10 @@ class GramOracle:
         self.rows, self.pivots, self.dual_pivots, self.gram_inv, self.gram_inv_t = {}, {}, {}, {}, {}
         for p in range(pmax + 1):
             S = quantum_symmetrizer(V, p)
-            rows = self.rows[p] = S.row_lists(F)
+            rows = self.rows[p] = [{} for _ in range(S.rows)]
+            for (i, j), v in S.entries.items():
+                if (fv := F.convert(v)) != 0:
+                    rows[i][j] = fv
             piv = self.pivots[p] = pivot_columns(S, F)
             dual = self.dual_pivots[p] = pivot_columns(S.transpose(), F)
             pos = {w: k for k, w in enumerate(piv)}
@@ -368,13 +371,13 @@ def test_pairing_gram_invertible_everywhere():
                  st.sampled_from([rank_one_space(-2), rank_one_space(-1)])),
        st.sampled_from(FIELDS))
 def test_stepwise_degrees_match_symmetrizer(V, F):
-    # each degree is one derivation matrix from the one below; up to degree 5
-    # (fewer for large racks, where the oracle's symmetrizer grows as r^p) its
+    # each degree is one derivation matrix from the one below; up to degree 6
+    # (fewer for larger ranks, where the oracle's symmetrizer grows as r^p) its
     # dimension is the rank of the symmetrizer of V, its basis words are the
     # pivot columns of the symmetrizer of V*, its derivations and right
     # products are the oracle's, and the early-exit vanishing test agrees
     # with the whole symmetrizer one degree further up
-    pmax = max(p for p in range(1, 6) if V.rank**p <= 243)
+    pmax = max(p for p in range(1, 7) if V.rank**p <= 243)
     data = NicholsData(V, F)
     data.build_to(pmax)
     oracle = DualSymmetrizerOracle(V, F, pmax)
