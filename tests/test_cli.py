@@ -329,6 +329,8 @@ def test_determinism_all_subcommands(argv, capsys, tmp_path):
 @pytest.mark.parametrize("name, argv", [
     ("betti_S4_transpositions_nmax4_F5.csv",
      ["betti", "--group", "S4", "--classes", "transpositions", "--nmax", "4", "--field", "5"]),
+    ("betti_S4_transpositions_nmax5_F5.csv",
+     ["betti", "--group", "S4", "--classes", "transpositions", "--nmax", "5", "--field", "5"]),
     ("ext_S3_transpositions_epsilon_nmax5_F2.csv",
      ["ext", "--group", "S3", "--classes", "transpositions", "--epsilon", "--nmax", "5", "--field", "2"]),
     ("verify_D4_all_cocycle-1_nmax3_Q.csv",
@@ -344,7 +346,8 @@ def test_homology_golden(name, argv, capsys):
     # stdout recorded when every complex was built, checked and ranked whole,
     # before homology was summed over one block per class of braid orbits (the
     # two S3 verify files: when every Q pivot step rebuilt its row and divided
-    # it by its content)
+    # it by its content; the S4 n <= 5 file: when each differential was ranked
+    # on its own, before the top-down clearing sweep)
     rc, out = run(capsys, argv)
     assert rc == 0
     assert out == (GOLDEN / name).read_text()
