@@ -14,11 +14,19 @@ arithmetic.  Over Q a pivot of +-1 updates each row in place with no
 division, as the F_p step does; any other pivot takes Bareiss' step (scale,
 subtract, divide by the content).  Both keep the row supports, so the pivots
 do not depend on which step ran.  The caller fixes the pivot-column rule:
-the sparsest column for `rank`, the leftmost for `pivot_columns` and `rref`
-(and so for `kernel_basis`, `inverse`, `homology_basis` and
-`column_space_contains`).  The pivot row is the shortest in its column, so
-every computation is deterministic, and the loop keeps column supports up to
-date, so choosing a pivot never rescans the matrix.
+the sparsest column for `rank` and `independent_rows`, the leftmost for
+`pivot_columns` and `rref` (and so for `kernel_basis`, `inverse`,
+`homology_basis` and `column_space_contains`).  The pivot row is the
+shortest in its column, so every computation is deterministic, and the loop
+keeps column supports up to date, so choosing a pivot never rescans the
+matrix.
+
+`independent_rows` is the entry point for chain complexes: it eliminates the
+columns of a matrix outside a given set (`_elimination_rows` reads them as
+the rows of its transpose) and returns its pivots, independent rows of the
+matrix.  `fnf.GradedComplex` ranks its differentials top down with it, each
+d_q with the columns named by the independent rows of d_(q+1) left out
+("clearing"; `fnf.GradedComplex` shows why this keeps the rank).
 
 Products (`SparseMatrix.matmul`, `SparseMatrix.apply`) and sums
 (`SparseMatrix.add`) coerce each input entry into the field once, as
@@ -429,20 +437,28 @@ def _int_pivot_step(prow: dict, pc: int):
     return update
 
 
-def _elimination_rows(M: SparseMatrix, F: CoefficientField):
+def _elimination_rows(M: SparseMatrix, F: CoefficientField, columns_except=None):
     """The nonzero rows of M over F, and the field's pivot step for `_eliminate`.
 
-    The rows are read in one pass over `M.entries`.  An int entry is taken as
-    it is over Q and reduced mod p over F_p; any other entry goes through
-    `F.convert`, which raises FieldMismatchError if it cannot be interpreted
-    in F.  Over Q a row that holds a Fraction is then cleared of denominators
-    and divided by its content, so elimination runs on integer rows and no
-    Fraction arithmetic happens inside it.
+    Given `columns_except`, a collection of column indices, the rows are
+    instead the columns of M outside it (rows of the transpose, each a
+    {row index of M: scalar} dict).  They are read in one pass over
+    `M.entries`.  An int entry is taken as it is over Q and reduced mod p over
+    F_p; any other entry goes through `F.convert`, which raises
+    FieldMismatchError if it cannot be interpreted in F.  Over Q a row that
+    holds a Fraction is then cleared of denominators and divided by its
+    content, so elimination runs on integer rows and no Fraction arithmetic
+    happens inside it.
     """
     p = F.characteristic
-    rows = [{} for _ in range(M.rows)]
+    entries = M.entries.items()
+    if columns_except is None:
+        rows = [{} for _ in range(M.rows)]
+    else:
+        rows = [{} for _ in range(M.cols)]
+        entries = (((j, i), v) for (i, j), v in entries if j not in columns_except)
     fraction_rows = set()
-    for (i, j), v in M.entries.items():
+    for (i, j), v in entries:
         if v.__class__ is int:
             if p:
                 v %= p
@@ -471,6 +487,24 @@ def rank(M: SparseMatrix, F: CoefficientField) -> int:
         return 0
     rows, step = _elimination_rows(M, F)
     return sum(1 for _ in _eliminate(rows, M.cols, step))
+
+
+def independent_rows(M: SparseMatrix, F: CoefficientField, skip=()) -> set[int]:
+    """Indices of linearly independent rows of M over F, found by eliminating
+    the columns of M (the rows of its transpose), sparsest first, and leaving
+    out every column whose index is in `skip`.
+
+    The pivots of that elimination are row indices of M, and the rows they
+    name are independent already in M with the `skip` columns deleted, so
+    they are independent in M.  They number the rank of M with those columns
+    deleted: the rank of M when `skip` is empty, and also whenever deleting
+    the columns is injective on the row space of M, as in the clearing sweep
+    of `fnf.GradedComplex`.
+    """
+    if not M.entries:
+        return set()
+    rows, step = _elimination_rows(M, F, columns_except=skip)
+    return {pc for pc, _ in _eliminate(rows, M.rows, step)}
 
 
 def pivot_columns(M: SparseMatrix, F: CoefficientField) -> list[int]:

@@ -37,7 +37,7 @@ Jordan plane, duals, hand-built braidings) are one block of all r^n words.
 from __future__ import annotations
 
 from .braided import BraidedVectorSpace, apply_moves_to_vector, index_word
-from .exactla import CoefficientField, ComplexIntegrityError, SparseMatrix, rank
+from .exactla import CoefficientField, ComplexIntegrityError, SparseMatrix, independent_rows
 from .orbits import block_plan
 from .shuffle import compositions
 
@@ -105,8 +105,25 @@ class GradedComplex:
     `basis[q]` lists the cell labels in degree q; `diff[q]` is the matrix of
     d: C_q -> C_{q-1}.  Construction asserts that every differential has the
     shape its basis sizes demand and that d^2 = 0; a violation raises
-    ComplexIntegrityError.  Each differential is ranked at most once, on
-    first use, and its rank is kept on the instance.
+    ComplexIntegrityError.
+
+    Differentials are ranked from the top degree down, in one lazy sweep with
+    clearing (as persistent cohomology codes do: Chen-Kerber 2011, Bauer's
+    Ripser 2021).  Ranking d_{q+1} yields R_{q+1}, a set of row indices of
+    d_{q+1} whose rows are a basis of its row space; d_q is then ranked by
+    eliminating its columns, leaving out the columns in R_{q+1}.  The rank is
+    unchanged:
+
+    - d_q d_{q+1} = 0, so every row of d_q lies in the left kernel of d_{q+1};
+    - a left-kernel vector supported on R_{q+1} is zero, since those rows of
+      d_{q+1} are independent;
+    - so deleting the columns R_{q+1} is injective on the row space of d_q.
+
+    The pivots of that elimination are independent rows of the full d_q, as
+    many as its rank: they are R_q, handed to d_{q-1}.  Only the set for the
+    next degree is kept.  `differential_rank(q)` first ranks every degree
+    above q, so the order of calls does not matter; each differential is
+    ranked at most once, and the top one alone ranks a single matrix.
     """
 
     def __init__(self, basis: dict, diff: dict, F: CoefficientField):
@@ -114,6 +131,8 @@ class GradedComplex:
         self.diff = diff
         self.F = F
         self._ranks: dict[int, int] = {}
+        self._unranked = sorted(diff)  # degrees still to rank, the top one last
+        self._cleared: set[int] = set()  # R_{q+1} of the last degree q+1 ranked
         self.check_complex()
 
     @property
@@ -143,11 +162,15 @@ class GradedComplex:
                     raise ComplexIntegrityError(f"d^2 != 0 between degrees {q} and {q - 2}")
 
     def differential_rank(self, q: int) -> int:
-        """Rank of d: C_q -> C_{q-1}, computed once per instance."""
+        """Rank of d: C_q -> C_{q-1}, computed once per instance by the
+        top-down sweep, which ranks every degree above q first."""
         if q not in self.diff:
             return 0
-        if q not in self._ranks:
-            self._ranks[q] = rank(self.diff[q], self.F)
+        while q not in self._ranks:
+            top = self._unranked.pop()
+            cleared = self._cleared if top + 1 in self._ranks else ()
+            self._cleared = independent_rows(self.diff[top], self.F, cleared)
+            self._ranks[top] = len(self._cleared)
         return self._ranks[q]
 
     def homology_rank(self, q: int) -> int:

@@ -13,6 +13,7 @@ from braidhom.exactla import (
     _int_pivot_step,
     column_space_contains,
     homology_basis,
+    independent_rows,
     inverse,
     kernel_basis,
     pivot_columns,
@@ -360,6 +361,41 @@ def test_homology_basis_and_column_space_match_rank_oracles(case):
     assert homology_basis(d_in, d_out, F) == greedy_homology_basis(d_in, d_out, F)
     for M, vec, expected in vectors:
         assert column_space_contains(M, vec, F) == two_rank_column_space_contains(M, vec, F) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_pairs())
+def test_clearing_sweep_matches_single_matrix_ranks(case):
+    F, d_in, d_out, _ = case
+    dims = {0: d_out.rows, 1: d_out.cols, 2: d_in.cols}
+    for diff in ({1: d_out}, {2: d_in}, {1: d_out, 2: d_in}):
+        basis = {q: range(dims[q]) for q in dims if q in diff or q + 1 in diff}
+        expected = {q: dims[q] - sum(rank(diff[d], F) for d in (q, q + 1) if d in diff) for q in basis}
+        # bottom-up calls still rank top-down; a fresh complex asked top first
+        assert GradedComplex(basis, diff, F).homology_table() == expected
+        top_first = GradedComplex(basis, diff, F)
+        assert {q: top_first.homology_rank(q) for q in sorted(basis, reverse=True)} == expected
+    for M, skip in ((d_in, ()), (d_out, ()), (d_out, independent_rows(d_in, F))):
+        rows = independent_rows(M, F, skip)
+        assert len(rows) == rank(M, F)
+        chosen = {(k, j): M.entries[(i, j)] for k, i in enumerate(sorted(rows))
+                  for j in range(M.cols) if (i, j) in M.entries}
+        assert rank(SparseMatrix(len(rows), M.cols, chosen), F) == len(rows)
+
+
+def test_clearing_with_dependent_rows_loses_rank():
+    # 0 -> k -> k^2 -> k -> 0 with d_2 = (1, 1)^T and d_1 = (1, -1), exact in
+    # degree 1.  Clearing d_1 with one row of d_2 keeps its rank; with both
+    # rows, which are dependent, it deletes every column of d_1 and would
+    # report H_1 = 1: the sweep oracle above would catch such a fault.
+    d2 = SparseMatrix(2, 1, {(0, 0): 1, (1, 0): 1})
+    d1 = SparseMatrix(1, 2, {(0, 0): 1, (0, 1): -1})
+    for F in (QQ, F2, GF(3)):
+        assert d1.matmul(d2, F).entries == {}
+        assert len(independent_rows(d2, F)) == 1
+        assert len(independent_rows(d1, F, independent_rows(d2, F))) == rank(d1, F) == 1
+        assert len(independent_rows(d1, F, {0, 1})) == 0
+        assert GradedComplex({0: [0], 1: [0, 1], 2: [0]}, {1: d1, 2: d2}, F).homology_rank(1) == 0
 
 
 def test_homology_basis_spans():

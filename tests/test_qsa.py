@@ -190,15 +190,16 @@ def test_sign_twist_round_trip():
 
 @pytest.fixture
 def ranked(monkeypatch):
-    """Every matrix a GradedComplex ranks, in order."""
+    """Every matrix a GradedComplex ranks, in order: each differential is
+    ranked by one `independent_rows` elimination in the clearing sweep."""
     seen = []
-    real_rank = fnf.rank
+    real_independent_rows = fnf.independent_rows
 
-    def recording_rank(M, F):
+    def recording_independent_rows(M, F, skip=()):
         seen.append(M)
-        return real_rank(M, F)
+        return real_independent_rows(M, F, skip)
 
-    monkeypatch.setattr(fnf, "rank", recording_rank)
+    monkeypatch.setattr(fnf, "independent_rows", recording_independent_rows)
     return seen
 
 
