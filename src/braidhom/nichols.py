@@ -161,15 +161,16 @@ def nichols_dims(V: BraidedVectorSpace, Nmax: int, F: CoefficientField,
                  data: NicholsData | None = None):
     """Hilbert coefficients dim B(V)_n, n <= Nmax (those of B(V*) are the same).
 
-    Returns (dims, stably_zero) where stably_zero flags two consecutive zeros
-    (everything above is then zero, since the algebra is generated in degree 1).
+    Returns (dims, stably_zero) where stably_zero flags a zero degree within
+    range: everything above it is then zero, since the algebra is generated in
+    degree 1 (B_(n+1) = B_n . V), so no higher degree is built.
     """
     data = data or NicholsData(V, F)
     dims = []
     stably_zero = False
     for n in range(Nmax + 1):
         dims.append(data.dim(n))
-        if n >= 1 and dims[-1] == 0 and dims[-2] == 0:
+        if dims[-1] == 0:
             stably_zero = True
             dims.extend([0] * (Nmax - n))
             break

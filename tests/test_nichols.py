@@ -210,6 +210,15 @@ def test_s3_twisted_dims():
     assert sum(dims) == 12
 
 
+def test_one_zero_degree_is_stably_zero():
+    # B is generated in degree 1, so the first zero degree ends it: S3 eps
+    # within n <= 5 ends 1, 0 and is stably zero
+    V = s3_transposition_space(epsilon=True)
+    dims, stable = nichols_dims(V, 5, QQ)
+    assert dims == [1, 3, 4, 3, 1, 0] and stable
+    assert nichols_dims(V, 4, QQ) == ([1, 3, 4, 3, 1], False)
+
+
 def test_quantum_line_root_of_unity_f5():
     # sigma = -2 = 3 mod 5 has multiplicative order 4: x^4 = 0, x^3 != 0
     line = rank_one_space(-2)
@@ -231,7 +240,7 @@ def test_jordan_plane_dims():
     assert nichols_dims(J, 5, GF(3))[0] == [1, 2, 3, 2, 1, 0]
     assert nichols_dims(J, 5, F5)[0] == [1, 2, 3, 4, 5, 4]
     dims, stable = nichols_dims(J, 7, F2)
-    assert dims == [1, 2, 3, 4, 3, 2, 1, 0] and not stable
+    assert dims == [1, 2, 3, 4, 3, 2, 1, 0] and stable
     assert dims == [rank(quantum_symmetrizer(J, p), F2) for p in range(8)]
     assert sum(dims) == 16
 
