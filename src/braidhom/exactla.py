@@ -24,9 +24,9 @@ matrix.
 `independent_rows` is the entry point for chain complexes: it eliminates the
 columns of a matrix outside a given set (`_elimination_rows` reads them as
 the rows of its transpose) and returns its pivots, independent rows of the
-matrix.  `fnf.GradedComplex` ranks its differentials top down with it, each
-d_q with the columns named by the independent rows of d_(q+1) left out
-("clearing"; `fnf.GradedComplex` shows why this keeps the rank).
+matrix.  `fnf.GradedComplex` ranks its differentials top down with it,
+leaving out of each d_q the columns named by the independent rows of d_(q+1)
+("clearing"; its docstring shows why the rank is kept).
 
 Products (`SparseMatrix.matmul`, `SparseMatrix.apply`) and sums
 (`SparseMatrix.add`) coerce each input entry into the field once, as
