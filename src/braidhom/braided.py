@@ -460,18 +460,13 @@ class BraidedVectorSpace:
 
     def sigma_matrix(self) -> SparseMatrix:
         """The braiding as an r^2 x r^2 matrix on pair codes (a, b) -> a*r + b."""
-        r = self.rank
-        ent = {(q, p): coeff for p, terms in enumerate(self.sigma_codes) for q, coeff in terms}
-        return SparseMatrix(r * r, r * r, ent)
+        return SparseMatrix._trusted(self.rank**2, [dict(terms) for terms in self.sigma_codes])
 
     def sigma_inverse(self) -> list:
         """The inverse braiding as a pair-code table like `sigma_codes`, inverted
         exactly over Q on first use and kept."""
         if self._inv is None:
-            inv = [[] for _ in self.sigma_codes]
-            for (q, p), v in sorted(inverse(self.sigma_matrix(), QQ).entries.items()):
-                inv[p].append((q, v))
-            self._inv = [tuple(terms) for terms in inv]
+            self._inv = [tuple(sorted(col.items())) for col in inverse(self.sigma_matrix(), QQ).columns()]
         return self._inv
 
     def word_degree(self, word: tuple[int, ...]) -> Perm:
@@ -604,7 +599,7 @@ def braid_word_action(V: BraidedVectorSpace, n: int, word) -> SparseMatrix:
     applied left to right; the empty word gives the identity.
     """
     dim = V.rank**n
-    return SparseMatrix.from_columns(dim, [apply_moves_to_vector(V, n, word, {idx: 1}) for idx in range(dim)])
+    return SparseMatrix._trusted(dim, [apply_moves_to_vector(V, n, word, {idx: 1}) for idx in range(dim)])
 
 
 @dataclass
@@ -634,9 +629,9 @@ def check_braided(V: BraidedVectorSpace) -> BraidedCheckReport:
         lhs = braid_word_action(V, 3, [1, 2, 1])
         rhs = braid_word_action(V, 3, [2, 1, 2])
         if lhs != rhs:
-            diff = set(lhs.entries.items()) ^ set(rhs.entries.items())
-            key = sorted(k for k, _ in diff)[0]
-            w = index_word(key[1], V.rank, 3)
+            _, j = min((i, j) for j, (a, b) in enumerate(zip(lhs.columns(), rhs.columns()))
+                       for i, _ in a.items() ^ b.items())
+            w = index_word(j, V.rank, 3)
             failures.append(f"braid equation fails on basis word {w}")
     if V.grading is not None and not failures:
         for (a, b), terms in sorted(V.sigma.items()):

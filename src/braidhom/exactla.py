@@ -3,23 +3,25 @@
 Rational scalars are ints, or `fractions.Fraction`s when not integral;
 prime-field scalars are ints reduced into [0, p).  A `SparseMatrix` with r rows
 and c columns represents a linear map from k^c to k^r in the column-vector
-convention; only nonzero entries are stored.
+convention.  It stores its columns, one {row: value} dict each, since every
+assembler in the package builds its matrices one cell (column) at a time;
+only nonzero entries are stored, and no other module knows the layout.
 
 Every elimination in the package runs one sparse Gaussian elimination loop,
-`_eliminate`, on the rows given by `_elimination_rows`, which reads them in
-one pass over the entries: over F_p reduced mod p, over Q as integer rows
-(a row that holds a Fraction is cleared of denominators and divided by its
-content), so that the fraction-free row update never does Fraction
-arithmetic.  Over Q a pivot of +-1 updates each row in place with no
-division, as the F_p step does; any other pivot takes Bareiss' step (scale,
-subtract, divide by the content).  Both keep the row supports, so the pivots
-do not depend on which step ran.  The caller fixes the pivot-column rule:
-the sparsest column for `rank` and `independent_rows`, the leftmost for
-`pivot_columns` and `rref` (and so for `kernel_basis`, `inverse`,
-`homology_basis` and `column_space_contains`).  The pivot row is the
-shortest in its column, so every computation is deterministic, and the loop
-keeps column supports up to date, so choosing a pivot never rescans the
-matrix.
+`_eliminate`, on the rows given by `_elimination_rows`: the stored columns
+themselves when it eliminates the transpose, else rows derived in one pass
+over the columns; over F_p reduced mod p, over Q as integer rows (a row that
+holds a Fraction is cleared of denominators and divided by its content), so
+that the fraction-free row update never does Fraction arithmetic.  Over Q a
+pivot of +-1 updates each row in place with no division, as the F_p step
+does; any other pivot takes Bareiss' step (scale, subtract, divide by the
+content).  Both keep the row supports, so the pivots do not depend on which
+step ran.  The caller fixes the pivot-column rule: the sparsest column for
+`rank` and `independent_rows`, the leftmost for `pivot_columns` and `rref`
+(and so for `kernel_basis`, `inverse`, `homology_basis` and
+`column_space_contains`).  The pivot row is the shortest in its column, so
+every computation is deterministic, and the loop keeps column supports up to
+date, so choosing a pivot never rescans the matrix.
 
 `independent_rows` is the entry point for chain complexes: it eliminates the
 columns of a matrix outside a given set (`_elimination_rows` reads them as
@@ -29,13 +31,16 @@ leaving out of each d_q the columns named by the independent rows of d_(q+1)
 ("clearing"; its docstring shows why the rank is kept).
 
 Products (`SparseMatrix.matmul`, `SparseMatrix.apply`) and sums
-(`SparseMatrix.add`) coerce each input entry into the field once, as
-`_elimination_rows` does: an int as it is over Q and mod p over F_p, anything
-else through `CoefficientField.convert`.  Products accumulate with native +
-and * and reduce each output entry once (`CoefficientField.reduced`).  The
-constructor checks every index and drops zeros; the module's own results
-(`matmul`, `add`, `transpose`, `inverse`), in range and nonzero by
-construction, skip those checks.
+(`SparseMatrix.add`) work column by column and coerce each input entry into
+the field once (`_coerced`), as `_elimination_rows` does: an int as it is
+over Q and mod p over F_p, anything else through `CoefficientField.convert`.
+Products accumulate with native + and * and reduce each output entry once
+(`CoefficientField.reduced`).  The public constructors (`SparseMatrix(rows,
+cols, entries)` and `from_columns`) check every index and drop zeros; results
+that are in range and nonzero by construction (this module's products, sums,
+transposes and inverses, and the package's assemblers) take ownership of
+their columns through `SparseMatrix._trusted` and skip those checks.
+`entries` ({(row, column): value}) and `nnz` are views derived on demand.
 
 All values are immutable after construction.
 """
@@ -150,132 +155,130 @@ def GF(p: int) -> CoefficientField:
 
 
 class SparseMatrix:
-    """Immutable-by-convention sparse matrix over exact scalars.
+    """Immutable-by-convention sparse matrix over exact scalars, stored as its
+    columns: one {row: value} dict per column, zero entries never stored.
 
     Entries may be ints, Fractions, or prime-field residues; they are coerced
     into the target field at computation time (over Q, an integral entry
-    becomes an int).  Zero entries are never stored.
+    becomes an int).  `SparseMatrix(rows, cols, entries)` and `from_columns`
+    check every index and drop zeros; `_trusted` takes ownership of columns
+    already in range and nonzero.  `entries` and `nnz` are derived on demand.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_columns")
 
     def __init__(self, rows: int, cols: int, entries: dict | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        self.rows = rows
-        self.cols = cols
-        ent = {}
+        columns = [{} for _ in range(cols)]
         if entries:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ValueError(f"index ({i},{j}) out of range for {rows}x{cols}")
                 if v != 0:
-                    ent[(i, j)] = v
-        self.entries = ent
+                    columns[j][i] = v
+        self.rows, self.cols, self._columns = rows, cols, columns
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: dict) -> "SparseMatrix":
-        """A matrix that takes ownership of entries already known to be in
-        range and nonzero, without the constructor's checks: for this
-        module's own results (`matmul`, `add`, `transpose`, `inverse`)."""
+    def _trusted(cls, rows: int, columns: list[dict]) -> "SparseMatrix":
+        """A matrix that takes ownership of columns whose entries are in range
+        and nonzero by construction, without the constructor's checks: for
+        this module's results and the package's assemblers."""
         M = cls.__new__(cls)
-        M.rows, M.cols, M.entries = rows, cols, entries
+        M.rows, M.cols, M._columns = rows, len(columns), columns
         return M
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "SparseMatrix":
-        return cls(rows, cols, {})
+        return cls(rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        return cls._trusted(n, [{i: 1} for i in range(n)])
 
     @classmethod
     def from_columns(cls, rows: int, columns: list[dict]) -> "SparseMatrix":
-        ent = {}
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                if v != 0:
-                    ent[(i, j)] = v
-        return cls(rows, len(columns), ent)
+        """The matrix with the given {row: value} columns, checked as the
+        constructor checks entries."""
+        return cls(rows, len(columns), {(i, j): v for j, col in enumerate(columns) for i, v in col.items()})
+
+    @property
+    def entries(self) -> dict:
+        """A new {(row, column): value} dict of the stored entries, column by column."""
+        return {(i, j): v for j, col in enumerate(self._columns) for i, v in col.items()}
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self._columns))
 
     def __eq__(self, other):
         return (
             isinstance(other, SparseMatrix)
             and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
+            and self._columns == other._columns
         )
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix._trusted(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
+        rows = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self._columns):
+            for i, v in col.items():
+                rows[i][j] = v
+        return SparseMatrix._trusted(self.cols, rows)
 
     def columns(self) -> list[dict]:
-        """Every column as a {row: value} dict, in one pass over the entries."""
-        cols = [{} for _ in range(self.cols)]
-        for (i, j), v in self.entries.items():
-            cols[j][i] = v
-        return cols
+        """The stored columns, each a {row: value} dict; not to be mutated."""
+        return self._columns
 
     def scale(self, c) -> "SparseMatrix":
-        return SparseMatrix(self.rows, self.cols, {k: c * v for k, v in self.entries.items()})
+        return SparseMatrix._trusted(self.rows, [{i: w for i, v in col.items() if (w := c * v) != 0}
+                                                 for col in self._columns])
 
     def add(self, other: "SparseMatrix", F: CoefficientField) -> "SparseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        p, convert = F.characteristic, F.convert
-        ent = {k: c for k, v in self.entries.items()
-               if (c := (v % p if p else v) if v.__class__ is int else convert(v))}
-        for k, v in other.entries.items():
-            s = F.add(ent.get(k, F.zero), (v % p if p else v) if v.__class__ is int else convert(v))
-            if s == 0:
-                ent.pop(k, None)
-            else:
-                ent[k] = s
-        return SparseMatrix._trusted(self.rows, self.cols, ent)
+        out = []
+        for a, b in zip(self._columns, other._columns):
+            col = _coerced(a, F)
+            for i, v in _coerced(b, F).items():
+                s = F.add(col.get(i, F.zero), v)
+                if s == 0:
+                    col.pop(i, None)
+                else:
+                    col[i] = s
+            out.append(col)
+        return SparseMatrix._trusted(self.rows, out)
 
     def matmul(self, other: "SparseMatrix", F: CoefficientField) -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        p, convert = F.characteristic, F.convert
-        cols_self = [dict() for _ in range(self.cols)]
-        for (i, k), v in self.entries.items():
-            cols_self[k][i] = (v % p if p else v) if v.__class__ is int else convert(v)
-        by_col = [dict() for _ in range(other.cols)]
-        for (k, j), v in other.entries.items():
-            by_col[j][k] = (v % p if p else v) if v.__class__ is int else convert(v)
-        ent = {}
-        for j, col in enumerate(by_col):
+        left = [_coerced(col, F) for col in self._columns]
+        out = []
+        for col in other._columns:
             acc = {}
-            for k, b in col.items():
-                for i, a in cols_self[k].items():
+            for k, b in _coerced(col, F).items():
+                for i, a in left[k].items():
                     acc[i] = acc.get(i, 0) + a * b
-            for i, v in F.reduced(acc).items():
-                ent[(i, j)] = v
-        return SparseMatrix._trusted(self.rows, other.cols, ent)
+            out.append(F.reduced(acc))
+        return SparseMatrix._trusted(self.rows, out)
 
     def apply(self, vec: dict, F: CoefficientField) -> dict:
         """Apply to a column vector given as {index: scalar}."""
-        p, convert = F.characteristic, F.convert
-        x = {j: (v % p if p else v) if v.__class__ is int else convert(v) for j, v in vec.items()}
         out = {}
-        for (i, j), v in self.entries.items():
-            xj = x.get(j)
-            if xj is not None:
-                out[i] = out.get(i, 0) + ((v % p if p else v) if v.__class__ is int else convert(v)) * xj
+        for j, x in _coerced(vec, F).items():
+            if not 0 <= j < self.cols:
+                raise ValueError(f"index {j} out of range for a vector of length {self.cols}")
+            for i, a in _coerced(self._columns[j], F).items():
+                out[i] = out.get(i, 0) + a * x
         return F.reduced(out)
 
     def to_triplet_text(self) -> str:
         """Serialize as 'rows cols nnz' header plus one 'row col value' line per entry."""
         lines = [f"{self.rows} {self.cols} {self.nnz}"]
-        for (i, j) in sorted(self.entries):
-            lines.append(f"{i} {j} {self.entries[(i, j)]}")
+        for (i, j), v in sorted(self.entries.items()):
+            lines.append(f"{i} {j} {v}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -287,6 +290,17 @@ class SparseMatrix:
             i, j, v = ln.split()
             ent[(int(i), int(j))] = Fraction(v) if "/" in v else int(v)
         return cls(r, c, ent)
+
+
+def _coerced(vec: dict, F: CoefficientField) -> dict:
+    """A new dict of the entries of vec as scalars of F, each coerced once: an
+    int as it is over Q and mod p over F_p, anything else through `F.convert`
+    (which raises FieldMismatchError if it cannot be interpreted in F).  Over
+    F_p the entries that vanish mod p are dropped."""
+    p, convert = F.characteristic, F.convert
+    if p:
+        return {k: c for k, v in vec.items() if (c := v % p if v.__class__ is int else convert(v))}
+    return {k: v if v.__class__ is int else convert(v) for k, v in vec.items()}
 
 
 def _eliminate(rows: list[dict], ncols: int, pivot_step, leftmost: bool = False):
@@ -441,40 +455,29 @@ def _elimination_rows(M: SparseMatrix, F: CoefficientField, columns_except=None)
     """The nonzero rows of M over F, and the field's pivot step for `_eliminate`.
 
     Given `columns_except`, a collection of column indices, the rows are
-    instead the columns of M outside it (rows of the transpose, each a
-    {row index of M: scalar} dict).  They are read in one pass over
-    `M.entries`.  An int entry is taken as it is over Q and reduced mod p over
-    F_p; any other entry goes through `F.convert`, which raises
-    FieldMismatchError if it cannot be interpreted in F.  Over Q a row that
-    holds a Fraction is then cleared of denominators and divided by its
-    content, so elimination runs on integer rows and no Fraction arithmetic
-    happens inside it.
+    instead the stored columns of M outside it (rows of the transpose, each a
+    {row index of M: scalar} dict), read directly; otherwise the rows are
+    derived from the columns in one pass.  Every row is a new dict of entries
+    coerced once by `_coerced`, so the elimination leaves M as it was.  Over Q
+    a row that holds a Fraction is then cleared of denominators and divided by
+    its content, so elimination runs on integer rows and no Fraction
+    arithmetic happens inside it.
     """
-    p = F.characteristic
-    entries = M.entries.items()
     if columns_except is None:
         rows = [{} for _ in range(M.rows)]
+        for j, col in enumerate(M.columns()):
+            for i, v in _coerced(col, F).items():
+                rows[i][j] = v
     else:
-        rows = [{} for _ in range(M.cols)]
-        entries = (((j, i), v) for (i, j), v in entries if j not in columns_except)
-    fraction_rows = set()
-    for (i, j), v in entries:
-        if v.__class__ is int:
-            if p:
-                v %= p
-        else:
-            v = F.convert(v)
-            if v.__class__ is not int:
-                fraction_rows.add(i)
-        if v:
-            rows[i][j] = v
-    if p:
-        return [r for r in rows if r], _modp_pivot_step(p)
-    for i in fraction_rows:
-        r = rows[i]
-        den = lcm(*(v.denominator for v in r.values()))
-        rows[i] = _content_free({j: v.numerator * (den // v.denominator) for j, v in r.items()})
-    return [r for r in rows if r], _int_pivot_step
+        rows = [_coerced(col, F) for j, col in enumerate(M.columns()) if j not in columns_except]
+    rows = [r for r in rows if r]
+    if F.characteristic:
+        return rows, _modp_pivot_step(F.characteristic)
+    for k, r in enumerate(rows):
+        if not all(map(int.__instancecheck__, r.values())):
+            den = lcm(*(v.denominator for v in r.values()))
+            rows[k] = _content_free({j: v.numerator * (den // v.denominator) for j, v in r.items()})
+    return rows, _int_pivot_step
 
 
 def rank(M: SparseMatrix, F: CoefficientField) -> int:
@@ -483,7 +486,7 @@ def rank(M: SparseMatrix, F: CoefficientField) -> int:
     Raises FieldMismatchError if an entry cannot be interpreted in F (for
     example a Fraction whose denominator vanishes mod p).
     """
-    if not M.entries:
+    if not M.nnz:
         return 0
     rows, step = _elimination_rows(M, F)
     return sum(1 for _ in _eliminate(rows, M.cols, step))
@@ -501,7 +504,7 @@ def independent_rows(M: SparseMatrix, F: CoefficientField, skip=()) -> set[int]:
     the columns is injective on the row space of M, as in the clearing sweep
     of `fnf.GradedComplex`.
     """
-    if not M.entries:
+    if not M.nnz:
         return set()
     rows, step = _elimination_rows(M, F, columns_except=skip)
     return {pc for pc, _ in _eliminate(rows, M.rows, step)}
@@ -563,7 +566,7 @@ def kernel_basis(M: SparseMatrix, F: CoefficientField) -> list[dict]:
 def column_space_contains(M: SparseMatrix, vec: dict, F: CoefficientField) -> bool:
     """Whether vec lies in the column space of M: whether the last column of
     [M | vec] is not a pivot column."""
-    aug = SparseMatrix.from_columns(M.rows, M.columns() + [dict(vec)])
+    aug = SparseMatrix._trusted(M.rows, M.columns() + SparseMatrix.from_columns(M.rows, [vec]).columns())
     return M.cols not in pivot_columns(aug, F)
 
 
@@ -574,8 +577,10 @@ def homology_basis(d_in: SparseMatrix, d_out: SparseMatrix, F: CoefficientField)
     columns of [d_in | ker d_out], that is, those outside the span of the
     columns of d_in and the kernel vectors before them.
     """
+    if d_out.cols != d_in.rows:
+        raise ValueError(f"cannot compose {d_out.rows}x{d_out.cols} with {d_in.rows}x{d_in.cols}")
     ker = kernel_basis(d_out, F)
-    aug = SparseMatrix.from_columns(d_in.rows, d_in.columns() + ker)
+    aug = SparseMatrix._trusted(d_in.rows, d_in.columns() + ker)
     return [ker[j - d_in.cols] for j in pivot_columns(aug, F) if j >= d_in.cols]
 
 
@@ -588,11 +593,10 @@ def inverse(M: SparseMatrix, F: CoefficientField) -> SparseMatrix:
     n = M.rows
     if M.cols != n:
         raise ValueError(f"cannot invert a {M.rows}x{M.cols} matrix")
-    aug = SparseMatrix(n, 2 * n, {**M.entries, **{(i, n + i): 1 for i in range(n)}})
-    rows, pivots = rref(aug, F)
+    rows, pivots = rref(SparseMatrix._trusted(n, M.columns() + SparseMatrix.identity(n).columns()), F)
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError(f"singular {n}x{n} matrix over {F}")
-    return SparseMatrix._trusted(n, n, {(i, j - n): v for i, row in enumerate(rows) for j, v in row.items() if j >= n})
+    return SparseMatrix._trusted(n, [{j - n: v for j, v in row.items() if j >= n} for row in rows]).transpose()
 
 
 @dataclass

@@ -158,7 +158,7 @@ class GradedComplex:
         for q in self.degrees:
             if self.dim(q) and self.dim(q - 1) and self.dim(q - 2):
                 comp = self.differential(q - 1).matmul(self.differential(q), self.F)
-                if comp.entries:
+                if comp.nnz:
                     raise ComplexIntegrityError(f"d^2 != 0 between degrees {q} and {q - 2}")
 
     def differential_rank(self, q: int) -> int:
@@ -231,7 +231,9 @@ def assemble_block_merge(n: int, shift: int, dim: int, block_vectors, F: Coeffic
     residue in (0, p)} under merging the block of size a starting at `offset`
     with the following block of size b.
     Different merges of one lambda land in different compositions, so a column
-    is a disjoint union of signed block images and nothing is summed.
+    is a disjoint union of signed block images and nothing is summed.  Each
+    cell's column is built once and handed to `SparseMatrix._trusted`: its
+    entries are in range and nonzero by construction.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -242,8 +244,7 @@ def assemble_block_merge(n: int, shift: int, dim: int, block_vectors, F: Coeffic
     diff = {}
     for k in range(2, n + 1):
         tgt_index = {lam: t for t, lam in enumerate(comps[k - 1])}
-        ent = {}
-        col = 0
+        columns = []
         for lam in comps[k]:
             offset = 0
             merges = []
@@ -256,15 +257,16 @@ def assemble_block_merge(n: int, shift: int, dim: int, block_vectors, F: Coeffic
                 merges.append((tgt_index[merged] * dim, i % 2 == 1, block_cache[key]))
                 offset += a
             for idx in range(dim):
+                col = {}
                 for base, negate, vecs in merges:
                     if negate:
                         for j, cf in vecs[idx].items():
-                            ent[(base + j, col)] = flip - cf
+                            col[base + j] = flip - cf
                     else:
                         for j, cf in vecs[idx].items():
-                            ent[(base + j, col)] = cf
-                col += 1
-        diff[shift + k] = SparseMatrix(len(basis[shift + k - 1]), col, ent)
+                            col[base + j] = cf
+                columns.append(col)
+        diff[shift + k] = SparseMatrix._trusted(len(basis[shift + k - 1]), columns)
     return basis, diff
 
 

@@ -181,7 +181,7 @@ def subgroup_lattice(G: PermGroup, c: ConjClassSet) -> SubgroupLattice:
 @dataclass
 class FilteredModule:
     """Graded module data over the orbit ring: a basis of orbits per degree and
-    the left multiplication operator by each rack letter."""
+    the left and right multiplication operators by each rack letter."""
 
     name: str
     degrees: dict            # q -> list of orbit indices into the degree-q table
@@ -204,42 +204,18 @@ class FilteredModule:
     def left_mult(self, letter: int, q: int):
         """Images of the degree-q basis under w -> (letter, w), as target
         positions in degree q+1 (None when the product leaves the module)."""
-        tgt = self.degrees.get(q + 1, [])
-        pos = {oi: k for k, oi in enumerate(tgt)}
-        table = self.tables[q + 1]
-        out = []
-        for w in self.basis_words(q):
-            if letter not in self.letters:
-                out.append(None)
-                continue
-            oi = table.index((letter,) + w)
-            out.append(pos.get(oi))
-        return out
+        return self._mult(letter, q, left=True)
 
     def right_mult(self, letter: int, q: int):
-        tgt = self.degrees.get(q + 1, [])
-        pos = {oi: k for k, oi in enumerate(tgt)}
-        table = self.tables[q + 1]
-        out = []
-        for w in self.basis_words(q):
-            if letter not in self.letters:
-                out.append(None)
-                continue
-            oi = table.index(w + (letter,))
-            out.append(pos.get(oi))
-        return out
+        """The same for w -> (w, letter)."""
+        return self._mult(letter, q, left=False)
 
-    def conjugate(self, g_action, q: int):
-        """Basis permutation induced by conjugating every letter (g_action maps
-        letter index to letter index)."""
-        tgt = self.degrees.get(q, [])
-        pos = {oi: k for k, oi in enumerate(tgt)}
-        table = self.tables[q]
-        out = []
-        for w in self.basis_words(q):
-            w2 = tuple(g_action(a) for a in w)
-            out.append(pos[table.index(w2)])
-        return out
+    def _mult(self, letter: int, q: int, left: bool):
+        if letter not in self.letters:
+            return [None] * self.dim(q)
+        pos = {oi: k for k, oi in enumerate(self.degrees.get(q + 1, []))}
+        index = self.tables[q + 1].index
+        return [pos.get(index((letter,) + w if left else w + (letter,))) for w in self.basis_words(q)]
 
 
 def orbit_ring_module(rack: Rack, qmax: int, cap: int = DEFAULT_STATE_CAP, class_of=None) -> FilteredModule:

@@ -119,7 +119,7 @@ class KoszulComplex:
         F = self.F
         dcols = self.nichols.derivations  # [p][v] -> columns of d_v out of dual degree p
         for q in range(self.qmax):
-            lmult = {v: self.module.right_mult(v, q) for v in range(self.V.rack.size)}
+            rmult = {v: self.module.right_mult(v, q) for v in range(self.V.rack.size)}
             for p in range(1, self.pmax + 1):
                 np_src = self.nichols.dim(p)
                 nq_src = self.module.dim(q)
@@ -131,14 +131,14 @@ class KoszulComplex:
                         for o in range(nq_src):
                             acc = {}
                             for v in letters:
-                                o2 = lmult[v][o]
+                                o2 = rmult[v][o]
                                 if o2 is None:
                                     continue
                                 for i, val in dcols[p][v][k].items():
                                     row = i * nmod_t + o2
                                     acc[row] = acc.get(row, 0) + val
                             cols.append(F.reduced(acc))
-                    self.d_class[(ci, p, q)] = SparseMatrix.from_columns(nrows, cols)
+                    self.d_class[(ci, p, q)] = SparseMatrix._trusted(nrows, cols)
 
     def d_i(self, ci: int, p: int, q: int) -> SparseMatrix:
         if (ci, p, q) in self.d_class:
@@ -247,8 +247,9 @@ def _multigrade_blocks(K: KoszulComplex, s: int) -> dict:
     """Diagonal s of K split by total multigrade, as {grade: GradedComplex}.
 
     Each block holds the basis vectors of one grade, in index order, and the
-    entries of d between them.  The class differentials preserve the
-    multigrade, so the diagonal is the direct sum of its blocks.
+    entries of d between them, split off column by column.  The class
+    differentials preserve the multigrade, so the diagonal is the direct sum
+    of its blocks.
     """
     diagonal = K.diagonals[s]
     place = {}  # p -> (grade, position within that grade's block) per basis index
@@ -259,15 +260,20 @@ def _multigrade_blocks(K: KoszulComplex, s: int) -> dict:
             block = sizes.setdefault(g, {})
             place[p].append((g, block.get(p, 0)))
             block[p] = block.get(p, 0) + 1
-    entries = {g: {} for g in sizes}
+    columns = {g: {} for g in sizes}  # grade -> {p: the columns of its block of d_p}
     for p, M in diagonal.diff.items():
-        for (i, j), v in M.entries.items():
-            (gi, r), (gj, c) = place[p - 1][i], place[p][j]
-            if gi == gj:
-                entries[gj].setdefault(p, {})[(r, c)] = v
+        src, tgt = place[p], place[p - 1]
+        for j, col in enumerate(M.columns()):
+            g = src[j][0]
+            block_col = {}
+            for i, v in col.items():
+                gi, r = tgt[i]
+                if gi == g:
+                    block_col[r] = v
+            columns[g].setdefault(p, []).append(block_col)
     return {
         g: GradedComplex({p: range(n) for p, n in block.items()},
-                         {p: SparseMatrix(block.get(p - 1, 0), block[p], ent) for p, ent in entries[g].items()},
+                         {p: SparseMatrix._trusted(block.get(p - 1, 0), cols) for p, cols in columns[g].items()},
                          K.F)
         for g, block in sizes.items()
     }
@@ -347,12 +353,12 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
                 for j in range(i, m):
                     a = K.d_i(i, p - 1, q + 1).matmul(K.d_i(j, p, q), F)
                     if i == j:
-                        if a.entries:
+                        if a.nnz:
                             anticommute_ok = False
                             failures.append(f"d_{i}^2 != 0 at (p={p}, q={q})")
                         continue
                     b = K.d_i(j, p - 1, q + 1).matmul(K.d_i(i, p, q), F)
-                    if a.add(b, F).entries:
+                    if a.add(b, F).nnz:
                         anticommute_ok = False
                         failures.append(f"d_{i} d_{j} + d_{j} d_{i} != 0 at (p={p}, q={q})")
 
@@ -367,14 +373,14 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
                 if not reps:
                     continue
                 for letter in K.module.letters:
-                    rmap = K.module.left_mult(letter, q)
+                    lmap = K.module.left_mult(letter, q)
                     nmod_t = K.module.dim(q + 1)
                     boundary_src = K.d(p + 1, q)
                     for z in reps:
                         img = {}
                         for idx, val in z.items():
                             k, o = divmod(idx, K.module.dim(q))
-                            o2 = rmap[o]
+                            o2 = lmap[o]
                             if o2 is None:
                                 continue
                             row = k * nmod_t + o2
@@ -404,24 +410,23 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
             # each d is read once: the d P_g are the column blocks of one
             # product and the P_g d the row blocks of another
             n_src, n_tgt = K.dim(p, q), K.dim(p, q + 1)
-            lhs = [{} for _ in letters]
             d_after = K.d(p + 1, q).matmul(_tensor_with_module(K, pstar[p], q, side_by_side=True), F)
-            for (i, j), v in d_after.entries.items():
-                g, j = divmod(j, n_src)
-                lhs[g][(i, j)] = v
+            cols = d_after.columns()
+            lhs = [[dict(col) for col in cols[g * n_src:(g + 1) * n_src]] for g in letters]
             after_d = _tensor_with_module(K, pstar[p - 1], q + 1, side_by_side=False).matmul(K.d(p, q), F)
-            for (i, j), v in after_d.entries.items():
-                g, i = divmod(i, n_tgt)
-                s = F.sub(lhs[g].get((i, j), F.zero), v)
-                if s == 0:
-                    lhs[g].pop((i, j), None)
-                else:
-                    lhs[g][(i, j)] = s
+            for j, col in enumerate(after_d.columns()):
+                for i, v in col.items():
+                    g, i = divmod(i, n_tgt)
+                    s = F.sub(lhs[g][j].get(i, F.zero), v)
+                    if s == 0:
+                        lhs[g][j].pop(i, None)
+                    else:
+                        lhs[g][j][i] = s
             for g in letters:
                 if (g, p) not in twisted:
                     twisted[(g, p)] = _twisted_letters(K, g, p)
                 rhs = _twisted_right_mult(K, twisted[(g, p)], p, q, s_const)
-                if lhs[g] != rhs.entries:
+                if lhs[g] != rhs.columns():
                     nullhomotopy_ok = False
                     failures.append(f"nullhomotopy identity fails at (p={p}, q={q}, g={g})")
     return KoszulIdentityReport(anticommute_ok, trivial_ok, nullhomotopy_ok, failures)
@@ -431,23 +436,21 @@ def _pstar_matrix(K: KoszulComplex, g: int, p: int) -> SparseMatrix:
     """Right multiplication by the degree-one dual generator g* on the dual
     factor: the right product R_g out of degree p of the Nichols data."""
     nd = K.nichols
-    return SparseMatrix.from_columns(nd.dim(p + 1), nd.right_products[p][g])
+    return SparseMatrix._trusted(nd.dim(p + 1), nd.right_products[p][g])
 
 
 def _tensor_with_module(K: KoszulComplex, mats: list[SparseMatrix], q: int, side_by_side: bool) -> SparseMatrix:
     """The maps M (x) 1 on module degree q for M in mats (all of one shape),
     side by side (one column block each) or stacked (one row block each)."""
     nmod = K.module.dim(q)
-    rows, cols = mats[0].rows * nmod, mats[0].cols * nmod
-    ent = {}
-    for b, M in enumerate(mats):
-        di, dk = (0, b * cols) if side_by_side else (b * rows, 0)
-        for (i, k), v in M.entries.items():
-            for o in range(nmod):
-                ent[(di + i * nmod + o, dk + k * nmod + o)] = v
+    rows = mats[0].rows * nmod
+    shift = 0 if side_by_side else rows  # row offset of each next block
+    blocks = [[{b * shift + i * nmod + o: v for i, v in col.items()} for col in M.columns() for o in range(nmod)]
+              for b, M in enumerate(mats)]
     if side_by_side:
-        return SparseMatrix(rows, len(mats) * cols, ent)
-    return SparseMatrix(len(mats) * rows, cols, ent)
+        return SparseMatrix._trusted(rows, [col for block in blocks for col in block])
+    return SparseMatrix._trusted(len(mats) * rows, [{i: v for col in cols for i, v in col.items()}
+                                                    for cols in zip(*blocks)])
 
 
 def _twisted_letters(K: KoszulComplex, g: int, p: int) -> list[int]:
@@ -470,8 +473,8 @@ def _twisted_right_mult(K: KoszulComplex, letters: list[int], p: int, q: int, s_
     sign = K.F.convert(s_const**p)
     cols = []
     for k, gl in enumerate(letters):
-        lmap = K.module.right_mult(gl, q)
+        rmap = K.module.right_mult(gl, q)
         for o in range(nmod_s):
-            o2 = lmap[o]
-            cols.append({} if o2 is None else {k * nmod_t + o2: sign})
-    return SparseMatrix.from_columns(K.nichols.dim(p) * nmod_t, cols)
+            o2 = rmap[o]
+            cols.append({k * nmod_t + o2: sign} if o2 is not None and sign else {})
+    return SparseMatrix._trusted(K.nichols.dim(p) * nmod_t, cols)

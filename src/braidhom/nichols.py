@@ -92,7 +92,7 @@ class NicholsData:
         prev = self.pivots[p - 1]
         n = len(prev)
         phi = list(self._phi_columns(p))
-        rows, cols = rref(SparseMatrix.from_columns(r * n, phi), self.F)
+        rows, cols = rref(SparseMatrix._trusted(r * n, phi), self.F)
         self.pivots[p] = [prev[c // r] * r + c % r for c in cols]
         right = [[{} for _ in range(n)] for _ in range(r)]
         for i, row in enumerate(rows):
@@ -215,4 +215,4 @@ def skew_derivation(data: NicholsData, v: int, p: int) -> SparseMatrix:
     <d_v phi, x> = <phi, v . x> under the Hopf pairing.
     """
     data.build_to(p)
-    return SparseMatrix.from_columns(data.dim(p - 1), data.derivations[p][v])
+    return SparseMatrix._trusted(data.dim(p - 1), data.derivations[p][v])

@@ -210,4 +210,4 @@ def quantum_symmetrizer(V: BraidedVectorSpace, n: int) -> SparseMatrix:
                         col[w] = t
             step.append(col)
         cols = step
-    return SparseMatrix.from_columns(r**n, cols)
+    return SparseMatrix._trusted(r**n, cols)

@@ -20,7 +20,14 @@ from braidhom.exactla import (
     rank,
     rref,
 )
-from braidhom.fnf import GradedComplex
+from braidhom import koszul
+from braidhom.braided import braid_word_action
+from braidhom.fnf import GradedComplex, complex_for_system
+from braidhom.nichols import skew_derivation
+from braidhom.qsa import bar_chains
+from braidhom.shuffle import quantum_symmetrizer
+from tests.test_braided import S3, s3_transposition_space, transpositions
+from tests.test_fnf import local_systems, small_rack_spaces
 
 F2 = GF(2)
 
@@ -586,6 +593,9 @@ def test_unchecked_results_pass_the_constructor_checks(case, S):
     # must be what the checking constructor keeps: in range and nonzero.
     # The two halves of B cancel in places, and over F_p some entries vanish
     A, B, _ = case
+    for M in (A, B, S):
+        assert SparseMatrix(M.rows, M.cols, M.entries) == M
+        assert SparseMatrix.from_columns(M.rows, M.columns()) == M
     k = A.cols // 2
     top = SparseMatrix(k, B.cols, {(i, j): v for (i, j), v in B.entries.items() if i < k})
     bottom = SparseMatrix(k, B.cols, {(i - k, j): v for (i, j), v in B.entries.items() if i >= k})
@@ -599,6 +609,46 @@ def test_unchecked_results_pass_the_constructor_checks(case, S):
             assert X == checked(X), F
 
 
+@settings(max_examples=30, deadline=None)
+@given(local_systems(), small_rack_spaces())
+def test_assembled_complexes_pass_the_constructor_checks(system_space, rack_space):
+    # the FNF and bar assemblers hand their columns over unchecked
+    (system, n), (V, m) = system_space, rack_space
+    for F in (QQ, GF(2), GF(3), GF(5)):
+        try:
+            diffs = list(complex_for_system(system, n, F).diff.values())
+        except FieldMismatchError:  # the line sigma = 1/3 has no value mod 3
+            diffs = []
+        diffs += bar_chains(V, m, F)[1].values()
+        for X in diffs:
+            assert X == checked(X), F
+
+
+@pytest.mark.parametrize("F", [QQ, GF(5)])
+def test_koszul_and_nichols_matrices_pass_the_constructor_checks(F):
+    # class and total differentials, their multigrade blocks, the matrices of
+    # the nullhomotopy check, one Phi_p and the braid actions, all built
+    # column by column and handed over unchecked
+    V = s3_transposition_space(epsilon=True)
+    K = koszul.koszul_complex(V, "R", pmax=4, qmax=4, F=F, c=transpositions(S3()))
+    nd = K.nichols
+    mats = list(K.d_class.values()) + [K.d(p, q) for p in range(1, K.pmax + 1) for q in range(K.qmax)]
+    for s in K.diagonals:
+        mats += [M for cx in koszul._multigrade_blocks(K, s).values() for M in cx.diff.values()]
+    for p in range(K.pmax):
+        pstar = [koszul._pstar_matrix(K, g, p) for g in range(V.rank)]
+        mats += pstar
+        for q in range(K.qmax):
+            mats += [koszul._tensor_with_module(K, pstar, q, side_by_side) for side_by_side in (True, False)]
+            mats += [koszul._twisted_right_mult(K, koszul._twisted_letters(K, g, p), p, q, -1)
+                     for g in range(V.rank)]
+    mats += [SparseMatrix._trusted(V.rank * nd.dim(2), list(nd._phi_columns(3)))]
+    mats += [skew_derivation(nd, v, p) for p in range(1, K.pmax + 1) for v in range(V.rank)]
+    mats += [quantum_symmetrizer(V, 3), braid_word_action(V, 3, [1, -2, 1]), V.sigma_matrix()]
+    for X in mats:
+        assert X == checked(X)
+
+
 def test_constructor_checks_indices_and_drops_zeros():
     with pytest.raises(ValueError, match="out of range"):
         SparseMatrix(2, 2, {(2, 0): 1})
@@ -607,3 +657,11 @@ def test_constructor_checks_indices_and_drops_zeros():
     M = SparseMatrix(2, 2, {(0, 0): 0, (1, 1): Fraction(0), (0, 1): 3})
     assert M.entries == {(0, 1): 3}
     assert M.scale(0).entries == {}
+    # outside vectors and shapes are checked too, though columns are indexed
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            M.apply({bad: 1}, QQ)
+        with pytest.raises(ValueError, match="out of range"):
+            column_space_contains(M, {bad: 1}, QQ)
+    with pytest.raises(ValueError, match="cannot compose"):
+        homology_basis(SparseMatrix.zero(3, 1), M, QQ)

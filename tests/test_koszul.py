@@ -99,7 +99,7 @@ def test_anticommute_negative_control():
     key = (0, 2, 1)
     M = K.d_class[key]
     (i0, j0) = next(iter(M.entries))
-    M.entries[(i0, j0)] = M.entries[(i0, j0)] + 1  # corrupt one derivation entry
+    M.columns()[j0][i0] = M.columns()[j0][i0] + 1  # corrupt one derivation entry
     rep = verify_koszul_identities(K, pr=3, qr=2)
     assert not rep.anticommute_ok
 
@@ -136,7 +136,7 @@ def test_nullhomotopy_negative_control_on_one_differential():
     G, c, V = s3_setup()
     K = koszul_complex(V, "R", pmax=4, qmax=5, F=QQ, c=c)
     M = K.d(2, 1)
-    M.entries[(1, 1)] += 1
+    M.columns()[1][1] += 1
     rep = verify_koszul_identities(K, pr=3, qr=3)
     assert not rep.nullhomotopy_ok
     assert nullhomotopy_failures(rep) == [
@@ -184,7 +184,7 @@ def test_two_class_multidifferentials():
     # leaves d_1^2 = 0 but not d_0 d_1 + d_1 d_0
     M = K.d_class[(1, 2, 1)]
     (i0, j0) = next(iter(M.entries))
-    M.entries[(i0, j0)] = M.entries[(i0, j0)] + 1
+    M.columns()[j0][i0] = M.columns()[j0][i0] + 1
     rep = verify_koszul_identities(K, pr=2, qr=2)
     assert not rep.anticommute_ok
     assert rep.failures == ["d_0 d_1 + d_1 d_0 != 0 at (p=2, q=1)"]
