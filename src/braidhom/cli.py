@@ -105,9 +105,18 @@ def resolve_field(args, G: PermGroup | None) -> CoefficientField:
         return GF(p)
     if spec.upper() == "Q":
         return QQ
-    if spec.isdigit():
+    if spec.isdigit() and _is_prime(int(spec)):
         return GF(int(spec))
     raise UsageError(f"field must be 'Q' or a prime, got {spec!r}")
+
+
+def resolve_nmax(args, default: int, least: int = 1) -> int:
+    """--nmax as given, or `default` when absent; a value below `least` is a usage error."""
+    if args.nmax is None:
+        return default
+    if args.nmax < least:
+        raise UsageError(f"--nmax must be at least {least}, got {args.nmax}")
+    return args.nmax
 
 
 def resolve_space(args):
@@ -162,7 +171,7 @@ def emit(args, meta: dict, header: list[str], rows: list[list]) -> str:
 def cmd_betti(args) -> int:
     V, G, _c = resolve_space(args)
     F = resolve_field(args, G)
-    nmax = args.nmax or qsa.default_nmax(V)
+    nmax = resolve_nmax(args, qsa.default_nmax(V))
     rows = []
     for n in range(1, nmax + 1):
         for j, r in enumerate(fnf.braid_homology(V, n, F)):
@@ -176,7 +185,7 @@ def cmd_betti(args) -> int:
 def cmd_ext(args) -> int:
     V, G, _c = resolve_space(args)
     F = resolve_field(args, G)
-    nmax = args.nmax or qsa.default_nmax(V)
+    nmax = resolve_nmax(args, qsa.default_nmax(V))
     table = qsa.ext_table(V, nmax, F)
     rows = [[s, n, r] for (s, n), r in table.items()]
     emit(args, job_meta(args, {"field_resolved": str(F), "nmax_resolved": nmax,
@@ -188,7 +197,7 @@ def cmd_ext(args) -> int:
 def cmd_verify(args) -> int:
     V, G, _c = resolve_space(args)
     F = resolve_field(args, G)
-    nmax = args.nmax or min(qsa.default_nmax(V), 5)
+    nmax = resolve_nmax(args, min(qsa.default_nmax(V), 5))
     rows = []
     all_ok = True
     for n in range(1, nmax + 1):
@@ -207,7 +216,7 @@ def cmd_verify(args) -> int:
 def cmd_nichols(args) -> int:
     V, G, _c = resolve_space(args)
     F = resolve_field(args, G)
-    nmax = args.nmax or qsa.default_nmax(V)
+    nmax = resolve_nmax(args, qsa.default_nmax(V))
     dims, stable = nichols.nichols_dims(V, nmax, F)
     rows = [[n, d] for n, d in enumerate(dims)]
     emit(args, job_meta(args, {"field_resolved": str(F), "nmax_resolved": nmax,
@@ -221,7 +230,7 @@ def cmd_orbits(args) -> int:
     G = resolve_group(args)
     c = class_selector(G, args.classes or "all")
     F = resolve_field(args, G)
-    nmax = args.nmax if args.nmax is not None else 5
+    nmax = resolve_nmax(args, 5, least=0)
     lat = hurwitz.subgroup_lattice(G, c)
     rows = []
     for n in range(nmax + 1):
@@ -328,76 +337,81 @@ def _add_common(p, field_help="'Q' or a prime p (default: smallest prime not div
     p.add_argument("--out", help="output path (default stdout)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="braidhom",
-                                 description="Exact braid group homology, shuffle algebra Ext, "
-                                             "Hurwitz orbits, and related tables.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("betti", help="braid group homology ranks H_j(B_n; V^n)")
+def _space_job_args(p):
     _add_space_flags(p)
     p.add_argument("--nmax", type=int)
     _add_common(p)
-    p.set_defaults(func=cmd_betti)
 
-    p = sub.add_parser("ext", help="Ext ranks of the quantum shuffle algebra")
-    _add_space_flags(p)
-    p.add_argument("--nmax", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_ext)
 
-    p = sub.add_parser("verify", help="cross-check braid homology against the Ext table")
-    _add_space_flags(p)
-    p.add_argument("--nmax", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("nichols", help="Nichols algebra Hilbert dimensions")
-    _add_space_flags(p)
-    p.add_argument("--nmax", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_nichols)
-
-    p = sub.add_parser("orbits", help="Hurwitz orbit counts and monodromy stratification")
+def _orbits_args(p):
     _add_space_flags(p, group_required=True)
     p.add_argument("--nmax", type=int)
     p.add_argument("--components", action="store_true", help="also count connected-cover components")
     p.add_argument("--cap", type=int, default=hurwitz.DEFAULT_STATE_CAP)
     _add_common(p, field_help="'Q' or a prime p; only echoed as field_resolved, since no "
                               "linear algebra runs (default: smallest prime not dividing |G|)")
-    p.set_defaults(func=cmd_orbits)
 
-    p = sub.add_parser("koszul", help="Koszul complex homology and identity checks")
+
+def _koszul_args(p):
     _add_space_flags(p, group_required=True)
     p.add_argument("--module", default="R", help="'R', 'exact:<k>', or 'sub:<k>' (k = lattice index)")
     p.add_argument("--pmax", type=int, default=4)
     p.add_argument("--qmax", type=int, default=6)
     p.add_argument("--multigrade", action="store_true")
     _add_common(p)
-    p.set_defaults(func=cmd_koszul)
 
-    p = sub.add_parser("malle", help="index arithmetic: per-class ind, a(G,c), center order")
+
+def _malle_args(p):
     _add_space_flags(p, group_required=True)
     p.add_argument("--window", type=int, help="also fit a growth degree to orbit counts up to this n")
     p.add_argument("--cap", type=int, default=hurwitz.DEFAULT_STATE_CAP)
     _add_common(p)
-    p.set_defaults(func=cmd_malle)
 
-    p = sub.add_parser("bound", help="point-count upper bound from a Betti vector")
+
+def _bound_args(p):
     p.add_argument("--betti", help="comma-separated ranks b_0,b_1,...")
     p.add_argument("--betti-file", help="file of whitespace- or comma-separated ranks")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=0)
     _add_common(p)
-    p.set_defaults(func=cmd_bound)
 
+
+# name: (help line, adds the arguments, runs the job)
+SUBCOMMANDS = {
+    "betti": ("braid group homology ranks H_j(B_n; V^n)", _space_job_args, cmd_betti),
+    "ext": ("Ext ranks of the quantum shuffle algebra", _space_job_args, cmd_ext),
+    "verify": ("cross-check braid homology against the Ext table", _space_job_args, cmd_verify),
+    "nichols": ("Nichols algebra Hilbert dimensions", _space_job_args, cmd_nichols),
+    "orbits": ("Hurwitz orbit counts and monodromy stratification", _orbits_args, cmd_orbits),
+    "koszul": ("Koszul complex homology and identity checks", _koszul_args, cmd_koszul),
+    "malle": ("index arithmetic: per-class ind, a(G,c), center order", _malle_args, cmd_malle),
+    "bound": ("point-count upper bound from a Betti vector", _bound_args, cmd_bound),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser.  Every subcommand is registered with its help
+    line; with `command`, only that subcommand gets its arguments (building
+    all of them is most of the start-up cost of a short job)."""
+    ap = argparse.ArgumentParser(prog="braidhom",
+                                 description="Exact braid group homology, shuffle algebra Ext, "
+                                             "Hurwitz orbits, and related tables.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, func) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_arguments(p)
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option but -h, so the command is the
+    # first argument that is not an option
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

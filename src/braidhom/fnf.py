@@ -19,9 +19,11 @@ complex of the quantum shuffle algebra (`qsa.bar_complex`): both are built by
 shuffle-signed sum of braid lifts acting on the coefficients, built by
 `shuffle_blocks` from smaller blocks (the recursion on the strand in the last
 slot, the (a, b)-shuffle analogue of Woronowicz's factorisation of the
-symmetrizer) rather than lift by lift.  The bar complex keeps the lift sum, on
-V^(x)(a+b) once per block shape, so the chain-level comparison in
-`qsa.verify_main_cor` sets two different algorithms against each other.
+symmetrizer) rather than lift by lift, with each chain of generators the
+recursion uses composed once, from the chain one shorter.  The bar complex
+keeps the lift sum, on V^(x)(a+b) once per block shape, so the chain-level
+comparison in `qsa.verify_main_cor` sets two different algorithms against each
+other.
 
 For a rack-type V (sigma(a (x) b) one term on b (x) a^b) braid moves keep a
 word inside its braid orbit, so the complex is a direct sum of blocks, one per
@@ -191,25 +193,49 @@ def shuffle_blocks(system, F: CoefficientField):
         Sh(a, b) = Sh(a, b-1) + (-1)^b Sh(a-1, b) o (s_{o+a}, ..., s_{o+a+b-1}),
 
     the chain applied first (it carries the last left strand across the b
-    right ones), with Sh(a, 0) = Sh(0, b) = identity.  Each block costs one
-    chain per basis vector plus the size of its output, instead of C(a+b, a)
-    lifts.  The memo lives in the returned closure.
+    right ones), with Sh(a, 0) = Sh(0, b) = identity.  The chains are kept
+    as tables too, built lazily: the images of every index under s_s ... s_e
+    are those under the chain one shorter followed by the generator s_e, whose
+    images are the only calls to `system.apply_moves`.  So each generator is
+    applied once per index, each longer chain costs one composition step, and
+    each block the size of its output, instead of C(a+b, a) lifts.  Chain
+    images keep their exact coefficients, as tuples of (index, coefficient)
+    pairs (half the memory of a dict); a block converts them into F as it
+    reads them.  The tables live in the returned closure.
     """
     identity = [{idx: 1} for idx in range(system.dim)]
+    chains = {}
     memo = {}
+
+    def chain(s: int, e: int):
+        key = (s, e)
+        if key not in chains:
+            if s == e:
+                chains[key] = [tuple(system.apply_moves([e], idx).items()) for idx in range(system.dim)]
+            else:
+                gen = chain(e, e)
+                out = []
+                for image in chain(s, e - 1):
+                    acc = {}
+                    for j, cf in image:
+                        for k, v in gen[j]:
+                            acc[k] = acc.get(k, 0) + cf * v
+                    out.append(tuple(acc.items()))  # an exact zero is kept; F.reduced drops it
+                chains[key] = out
+        return chains[key]
 
     def block(a: int, b: int, offset: int):
         if a == 0 or b == 0:
             return identity
         key = (a, b, offset)
         if key not in memo:
-            chain = list(range(offset + a, offset + a + b))
             sign = -1 if b % 2 else 1
             stay, cross = block(a, b - 1, offset), block(a - 1, b, offset)
+            moved = chain(offset + a, offset + a + b - 1)
             out = []
             for idx in range(system.dim):
                 acc = dict(stay[idx])
-                for j, cf in system.apply_moves(chain, idx).items():
+                for j, cf in moved[idx]:
                     c = sign * F.convert(cf)
                     for k, v in cross[j].items():
                         acc[k] = acc.get(k, 0) + c * v

@@ -13,10 +13,13 @@ These are the cells and the merge of the Fox-Neuwirth-Fuks complex, so the
 complex is assembled by `fnf.assemble_block_merge`; only the block operator,
 the unsigned sum of shuffle lifts through the braiding, is computed here.  It
 acts as I (x) Sh (x) I, so the lift sum runs once per block shape (a, b) on the
-words of V^(x)(a+b) and is spread to V^(x)n by place value.  The FNF side
-builds its signed blocks by a recursion over smaller blocks instead
-(`fnf.shuffle_blocks`); keeping the lift sum here keeps the two complexes
-independent computations.
+words of V^(x)(a+b) and is spread to V^(x)n by place value.  The sum is
+`shuffle.shuffle_lift_sum`: it walks the braid words of the C(a+b, a) lifts as
+a trie, applying each shared prefix once, and adds the image of every lift on
+its own.  The FNF side builds its signed blocks by a recursion over smaller
+blocks instead (`fnf.shuffle_blocks`), composing chains of generators and
+never forming a lift; keeping the lift sum here keeps the two complexes
+independent computations, which share only the braid action on words.
 
 Over a field the homology ranks of the bar complex equal the cohomology ranks
 of its dual cochain complex, which is why no dualization is performed.
@@ -41,11 +44,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .braided import BraidedVectorSpace, apply_moves_to_vector, sign_twist
+from .braided import BraidedVectorSpace, sign_twist
 from .exactla import CoefficientField, ComplexIntegrityError, RankTable
 from .fnf import GradedComplex, TensorSystem, assemble_block_merge, complex_for_system, plan_homology
 from .orbits import block_plan, rack_orbits
-from .shuffle import lifted_block_words
+from .shuffle import shuffle_lift_sum
 
 
 def default_nmax(V: BraidedVectorSpace) -> int:
@@ -98,19 +101,20 @@ def _local_block_product(V: BraidedVectorSpace, F: CoefficientField, a: int, b: 
     Each lift is applied once to all words together: word w is carried as
     w (x) w in V^(x)m (x) V^(x)m (m = a + b), the lift acts on the right
     factor, and the untouched left factor records which word an image came
-    from.
+    from.  `shuffle.shuffle_lift_sum` walks the lifts as a trie of their
+    braid words, so a prefix shared by several lifts is applied once, and
+    adds each lift's image on its own; each exact sum is then converted into
+    F once.
     """
     m = a + b
     size = V.rank**m
     tagged = {w * size + w: 1 for w in range(size)}
-    acc = {}
-    for _, moves in lifted_block_words(a, b):
-        for code, cf in apply_moves_to_vector(V, 2 * m, [g + m for g in moves], tagged).items():
-            acc[code] = acc.get(code, 0) + F.convert(cf)
     out = [{} for _ in range(size)]
-    for code, cf in F.reduced(acc).items():
-        w, image = divmod(code, size)
-        out[w][image] = cf
+    for code, cf in shuffle_lift_sum(V, 2 * m, a, b, tagged, offset=m).items():
+        cf = F.convert(cf)
+        if cf:
+            w, image = divmod(code, size)
+            out[w][image] = cf
     return out
 
 

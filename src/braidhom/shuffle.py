@@ -150,12 +150,39 @@ def lifted_block_words(m: int, n: int):
     return [(rec.sign, rec.braid_word()) for rec in shuffles(m, n)]
 
 
+def shuffle_lift_sum(V: BraidedVectorSpace, n: int, a: int, b: int, vec: dict, offset: int = 0) -> dict:
+    """The unsigned sum over all (a, b)-shuffles of the braid lift, on the
+    strands offset+1 .. offset+a+b, applied to vec in V^(x)n.
+
+    `vec` maps word codes to exact coefficients, and so does the result, which
+    may hold zeros.  Every lift's image is added on its own.  The lifts share
+    long prefixes, so they are walked in sorted order as a trie: a stack holds
+    the image of vec under each prefix of the current lift, and each trie node
+    applies one generator.  Over all shapes with a + b = 5 the lifts hold 80
+    moves but only 26 distinct prefixes; at 6, 240 over 57; at 7, 672 over 120.
+    """
+    acc = {}
+    path, images = [], [vec]  # images[k]: vec under the first k moves of path
+    for word in sorted(moves for _, moves in lifted_block_words(a, b)):
+        k = 0
+        while k < len(path) and k < len(word) and path[k] == word[k]:
+            k += 1
+        del images[k + 1:]
+        for g in word[k:]:
+            images.append(apply_moves_to_vector(V, n, [g + offset], images[-1]))
+        path = word
+        for code, cf in images[-1].items():
+            acc[code] = acc.get(code, 0) + cf
+    return acc
+
+
 def shuffle_product(V: BraidedVectorSpace, u: dict, v: dict) -> dict:
     """Quantum shuffle product of tensors u in V^(x)m and v in V^(x)n.
 
     Tensors are {basis word: coefficient} dicts with exact coefficients; word
-    lengths must be constant within each argument.  The product sums the
-    braid lift of every (m, n)-shuffle applied to the concatenation.
+    lengths must be constant within each argument.  The product is the sum,
+    by `shuffle_lift_sum`, of the braid lift of every (m, n)-shuffle applied
+    to the concatenation.
     """
     if not u or not v:
         return {}
@@ -170,15 +197,8 @@ def shuffle_product(V: BraidedVectorSpace, u: dict, v: dict) -> dict:
             if len(wv) != n:
                 raise ValueError("v mixes word lengths")
             cat[word_index(wu + wv, r)] = cu * cv
-    out = {}
-    for _, moves in lifted_block_words(m, n):
-        for j, cf in apply_moves_to_vector(V, m + n, moves, cat).items():
-            s = out.get(j, 0) + cf
-            if s == 0:
-                out.pop(j, None)
-            else:
-                out[j] = s
-    return {index_word(j, r, m + n): cf for j, cf in out.items()}
+    out = shuffle_lift_sum(V, m + n, m, n, cat)
+    return {index_word(j, r, m + n): cf for j, cf in out.items() if cf}
 
 
 def quantum_symmetrizer(V: BraidedVectorSpace, n: int) -> SparseMatrix:

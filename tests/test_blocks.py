@@ -138,6 +138,23 @@ def test_block_plan_matches_full_complexes(space):
         assert rep.ext_diagonal == [twisted.homology_rank(n - j) for j in range(n + 1)], F
 
 
+@settings(max_examples=30, deadline=None)
+@given(small_class_sets(), st.data())
+def test_trivial_cocycle_blocks_have_one_dimensional_h0(class_set, data):
+    # with cocycle 1 a block is the permutation module of one braid orbit,
+    # whose coinvariants H_0 are one-dimensional; weighted by multiplicity the
+    # blocks count the orbits of c^n
+    G, c = class_set
+    rack = conjugation_rack(G, c)
+    V = braided_space(rack, Cocycle.constant(rack, 1), group=G)
+    n = data.draw(st.integers(1, max(n for n in range(1, 5) if len(c) ** n <= 125)))
+    F = data.draw(st.sampled_from(FIELDS))
+    plan = block_plan(V, n)
+    for words, _ in plan:
+        assert complex_for_system(TensorSystem(V, n, words), n, F).homology_rank(2 * n) == 1
+    assert sum(mult for _, mult in plan) == len(rack_orbits(V.rack, n))
+
+
 def test_non_invariant_cocycle_falls_back_to_one_block_per_orbit():
     # f is not constant on the transpositions of S3, so x_ab = f(a) f(a^b) is
     # moved by conjugation: every orbit is its own class

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from braidhom import hurwitz, koszul, qsa
-from braidhom.cli import builtin_group, class_selector, main
+from braidhom.cli import SUBCOMMANDS, build_parser, builtin_group, class_selector, main
 from braidhom.exactla import ComplexIntegrityError
 
 
@@ -341,13 +341,61 @@ def test_determinism_all_subcommands(argv, capsys, tmp_path):
      ["verify", "--group", "S3", "--classes", "transpositions", "--epsilon", "--nmax", "5", "--field", "Q"]),
     ("betti_S4_transpositions_nmax5_F5.csv",
      ["betti", "--group", "S4", "--classes", "transpositions", "--nmax", "5", "--field", "5"]),
+    # bar ranks on a rank-6 space
+    ("ext_S4_transpositions_nmax4_F5.csv",
+     ["ext", "--group", "S4", "--classes", "transpositions", "--nmax", "4", "--field", "5"]),
 ])
 def test_homology_golden(name, argv, capsys):
     # stdout recorded when every complex was built, checked and ranked whole,
     # before homology was summed over one block per class of braid orbits (the
     # two S3 verify files: when every Q pivot step rebuilt its row and divided
     # it by its content; the S4 n <= 5 file: when each differential was ranked
-    # on its own, before the top-down clearing sweep)
+    # on its own, before the top-down clearing sweep; the S4 ext file: when
+    # each shuffle lift was applied move by move, before lifts shared prefixes)
     rc, out = run(capsys, argv)
     assert rc == 0
     assert out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("command", [None, *SUBCOMMANDS])
+def test_help_matches_the_fully_built_parser(command, capsys):
+    # main builds only the arguments of the command it runs; its help texts
+    # must be those of the parser with every subcommand built
+    argv = ["-h"] if command is None else [command, "-h"]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 0
+    want = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == want
+    assert "usage: braidhom" in want
+
+
+@pytest.mark.parametrize("spec", ["0", "1", "4"])
+def test_field_must_be_q_or_a_prime(spec, capsys):
+    rc = main(["betti", "--rank1", "--nmax", "2", "--field", spec])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert f"field must be 'Q' or a prime, got '{spec}'" in captured.err
+
+
+@pytest.mark.parametrize("command", ["betti", "ext", "verify", "nichols"])
+@pytest.mark.parametrize("nmax", ["0", "-1"])
+def test_nmax_below_one_is_a_usage_error(command, nmax, capsys):
+    rc = main([command, "--group", "S3", "--classes", "transpositions", "--nmax", nmax, "--field", "Q"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert f"--nmax must be at least 1, got {nmax}" in captured.err
+
+
+def test_orbits_honours_nmax_zero(capsys):
+    rc, out = run(capsys, ["orbits", "--group", "S3", "--classes", "transpositions", "--nmax", "0",
+                           "--components"])
+    assert rc == 0
+    assert "# nmax_resolved=0" in out
+    assert data_rows(out) == ["0,1,components,0"]
+    rc = main(["orbits", "--group", "S3", "--classes", "transpositions", "--nmax", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and "--nmax must be at least 0, got -1" in captured.err

@@ -265,8 +265,10 @@ def bar_block_by_lifts(V, n, F, a, b, offset):
     "V", [s3_transposition_space(epsilon=True), jordan_plane(), rank_one_space(Fraction(1, 3))],
     ids=["S3-eps", "jordan", "line-1/3"])
 def test_bar_block_local_then_spread_matches_full_width_lifts(V):
+    # up to n = 5, where the lifts of the (2, 3)- and (3, 2)-shuffles first
+    # form a trie of depth 6
     for F in (QQ, F2, GF(5)):
-        for n in range(2, 5):
+        for n in range(2, 6):
             for a, b in ((a, b) for a in range(1, n) for b in range(1, n - a + 1)):
                 local = qsa._local_block_product(V, F, a, b)
                 for offset in range(n - a - b + 1):

@@ -5,11 +5,12 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidhom.braided import apply_moves_to_vector, rank_one_space
+from braidhom.braided import apply_moves_to_vector, index_word, rank_one_space, word_index
 from braidhom.exactla import GF, QQ, SparseMatrix
 from braidhom.shuffle import (
     compositions,
     inversions,
+    lifted_block_words,
     matsumoto_lift,
     quantum_binomial,
     quantum_symmetrizer,
@@ -18,6 +19,7 @@ from braidhom.shuffle import (
     signed_shuffle_count,
 )
 from tests.test_braided import jordan_plane, s3_transposition_space, s4_transposition_setup
+from tests.test_fnf import small_rack_spaces
 
 
 def quantum_integer(r, q, F):
@@ -144,6 +146,42 @@ def test_shuffle_product_associative_sampled():
         lhs = shuffle_product(V, shuffle_product(V, u, v), w)
         rhs = shuffle_product(V, u, shuffle_product(V, v, w))
         assert lhs == rhs
+
+
+def shuffle_product_by_lifts(V, u, v, m, n):
+    """Oracle for `shuffle_product`: every concatenation of a word of u with a
+    word of v under every lifted (m, n)-shuffle, one whole braid word at a time."""
+    r = V.rank
+    out = {}
+    for wu, cu in u.items():
+        for wv, cv in v.items():
+            for _, moves in lifted_block_words(m, n):
+                image = apply_moves_to_vector(V, m + n, moves, {word_index(wu + wv, r): cu * cv})
+                for code, cf in image.items():
+                    out[code] = out.get(code, 0) + cf
+    return {index_word(code, r, m + n): cf for code, cf in out.items() if cf}
+
+
+@st.composite
+def shuffle_factors(draw):
+    """(V, u, v, m, n): a small rack space and two tensors of word lengths
+    m, n >= 1 with m + n <= 5, a few words each, with small coefficients."""
+    V, _ = draw(small_rack_spaces())
+    total = draw(st.integers(2, 5))
+    m = draw(st.integers(1, total - 1))
+
+    def tensor(length):
+        words = st.tuples(*[st.integers(0, V.rank - 1)] * length)
+        return draw(st.dictionaries(words, st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
+
+    return V, tensor(m), tensor(total - m), m, total - m
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffle_factors())
+def test_shuffle_product_matches_one_lift_at_a_time(case):
+    V, u, v, m, n = case
+    assert shuffle_product(V, u, v) == shuffle_product_by_lifts(V, u, v, m, n)
 
 
 def test_shuffle_product_bilinear():
