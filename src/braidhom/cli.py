@@ -110,19 +110,25 @@ def resolve_field(args, G: PermGroup | None) -> CoefficientField:
     raise UsageError(f"field must be 'Q' or a prime, got {spec!r}")
 
 
+def at_least(flag: str, value: int, least: int) -> int:
+    """`value` of the option `flag`; a value below `least` is a usage error."""
+    if value < least:
+        raise UsageError(f"{flag} must be at least {least}, got {value}")
+    return value
+
+
 def resolve_nmax(args, default: int, least: int = 1) -> int:
     """--nmax as given, or `default` when absent; a value below `least` is a usage error."""
-    if args.nmax is None:
-        return default
-    if args.nmax < least:
-        raise UsageError(f"--nmax must be at least {least}, got {args.nmax}")
-    return args.nmax
+    return default if args.nmax is None else at_least("--nmax", args.nmax, least)
 
 
 def resolve_space(args):
     """(braided space, group or None, class set or None) from shared V flags."""
     if getattr(args, "rank1", False):
-        sigma = Fraction(getattr(args, "sigma", "1"))
+        try:
+            sigma = Fraction(args.sigma)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"--sigma must be a nonzero integer or fraction, got {args.sigma!r}") from None
         if sigma.denominator == 1:
             sigma = int(sigma)
         V = braided.rank_one_space(sigma)
@@ -258,6 +264,8 @@ def cmd_koszul(args) -> int:
         raise UsageError("the koszul subcommand needs a group-based space")
     if not args.epsilon and int(args.cocycle) == 1:
         raise UsageError("the Koszul complex expects the sign-twisted space; pass --epsilon")
+    at_least("--pmax", args.pmax, 0)
+    at_least("--qmax", args.qmax, 1)
     F = resolve_field(args, G)
     lat = hurwitz.subgroup_lattice(G, c)
     if args.module == "R":
@@ -286,9 +294,9 @@ def cmd_malle(args) -> int:
     G = resolve_group(args)
     c = class_selector(G, args.classes or "all")
     window = None
-    if args.window:
+    if args.window is not None:
         window = [len(hurwitz.hurwitz_orbits(G, c, n, cap=args.cap))
-                  for n in range(args.window + 1)]
+                  for n in range(at_least("--window", args.window, 0) + 1)]
     mc = malle.malle_constants(G, c, orbit_window=window)
     rows = [[i, cycle_notation(cl[0]), len(cl), ind]
             for i, (cl, ind) in enumerate(zip(c.classes, mc.class_indices))]
@@ -307,7 +315,7 @@ def cmd_bound(args) -> int:
             betti = [int(t) for t in fh.read().replace(",", " ").split()]
     else:
         betti = [int(t) for t in args.betti.split(",")]
-    b = malle.point_count_bound(args.q, args.n, betti, d=args.d)
+    b = malle.point_count_bound(args.q, args.n, betti, d=at_least("--d", args.d, 0))
     val = b.value()
     rows = [[str(b.rational_part), str(b.sqrt_part), str(val),
              str(b.normalized[0]), str(b.normalized[1])]]

@@ -25,12 +25,16 @@ keeps the lift sum, on V^(x)(a+b) once per block shape, so the chain-level
 comparison in `qsa.verify_main_cor` sets two different algorithms against each
 other.
 
+A complex is held as its dimensions and its differentials: cells are
+counted, never listed (`assemble_block_merge` fixes their order).
+
 For a rack-type V (sigma(a (x) b) one term on b (x) a^b) braid moves keep a
 word inside its braid orbit, so the complex is a direct sum of blocks, one per
-orbit; a `TensorSystem` on one block's words builds just that block.
-`braid_homology` sums over `orbits.block_plan`, which keeps one block per
-class of orbits under simultaneous conjugation by the group, weighted by the
-class size.  Conjugate orbits are merged only when every group generator
+orbit; a `TensorSystem` on one block's words builds just that block, through
+one map from word code to local index (the whole space is the block of every
+code).  `braid_homology` sums over `orbits.block_plan`, which keeps one block
+per class of orbits under simultaneous conjugation by the group, weighted by
+the class size.  Conjugate orbits are merged only when every group generator
 preserves every braiding coefficient (a G-invariant cocycle); then the blocks
 are permutation-isomorphic and have equal ranks.  Spaces without a rack (the
 Jordan plane, duals, hand-built braidings) are one block of all r^n words.
@@ -38,7 +42,7 @@ Jordan plane, duals, hand-built braidings) are one block of all r^n words.
 
 from __future__ import annotations
 
-from .braided import BraidedVectorSpace, apply_moves_to_vector, index_word
+from .braided import BraidedVectorSpace, apply_moves_to_vector
 from .exactla import CoefficientField, ComplexIntegrityError, SparseMatrix, independent_rows
 from .orbits import block_plan
 from .shuffle import compositions
@@ -52,26 +56,21 @@ def validate_partition(parts, n: int) -> tuple[int, ...]:
 
 
 class TensorSystem:
-    """The local system V^(x)n for a braided vector space V, or its restriction
-    to a block: the span of `words`, a sorted list of word codes that braid
-    moves keep among themselves (a block of `orbits.block_plan`).  Local index
-    i stands for word code words[i]; by default every code, i = code."""
+    """The local system V^(x)n for a braided vector space V, restricted to the
+    span of `words`: a sorted list of word codes that braid moves keep among
+    themselves (a block of `orbits.block_plan`), by default every code.  Local
+    index i stands for word code words[i]."""
 
     def __init__(self, V: BraidedVectorSpace, n: int, words=None):
         self.V = V
         self.n = n
         self.words = range(V.rank**n) if words is None else words
         self.dim = len(self.words)
-        self._local = None if words is None else {w: i for i, w in enumerate(words)}
-
-    def labels(self):
-        return [index_word(w, self.V.rank, self.n) for w in self.words]
+        self._local = {w: i for i, w in enumerate(self.words)}
 
     def apply_moves(self, moves, idx: int):
         """Image of a basis vector as {index: exact coefficient}."""
         image = apply_moves_to_vector(self.V, self.n, moves, {self.words[idx]: 1})
-        if self._local is None:
-            return image
         try:
             return {self._local[code]: cf for code, cf in image.items()}
         except KeyError as exc:
@@ -87,13 +86,9 @@ class PermutationSystem:
     idx under the (1-based) generator i, inverse when sign < 0.
     """
 
-    def __init__(self, dim: int, gen_action, labels=None):
+    def __init__(self, dim: int, gen_action):
         self.dim = dim
         self._act = gen_action
-        self._labels = labels
-
-    def labels(self):
-        return self._labels if self._labels is not None else list(range(self.dim))
 
     def apply_moves(self, moves, idx: int):
         for mv in moves:
@@ -104,9 +99,9 @@ class PermutationSystem:
 class GradedComplex:
     """A finite chain complex of based vector spaces.
 
-    `basis[q]` lists the cell labels in degree q; `diff[q]` is the matrix of
+    `dims[q]` is the dimension of C_q; `diff[q]` is the matrix of
     d: C_q -> C_{q-1}.  Construction asserts that every differential has the
-    shape its basis sizes demand and that d^2 = 0; a violation raises
+    shape those dimensions demand and that d^2 = 0; a violation raises
     ComplexIntegrityError.
 
     Differentials are ranked from the top degree down, in one lazy sweep with
@@ -128,8 +123,8 @@ class GradedComplex:
     ranked at most once, and the top one alone ranks a single matrix.
     """
 
-    def __init__(self, basis: dict, diff: dict, F: CoefficientField):
-        self.basis = basis
+    def __init__(self, dims: dict, diff: dict, F: CoefficientField):
+        self.dims = dims
         self.diff = diff
         self.F = F
         self._ranks: dict[int, int] = {}
@@ -139,10 +134,10 @@ class GradedComplex:
 
     @property
     def degrees(self) -> list[int]:
-        return sorted(self.basis)
+        return sorted(self.dims)
 
     def dim(self, q: int) -> int:
-        return len(self.basis.get(q, ()))
+        return self.dims.get(q, 0)
 
     def differential(self, q: int) -> SparseMatrix:
         """d: C_q -> C_{q-1}, a zero map of the right shape when absent."""
@@ -247,11 +242,12 @@ def shuffle_blocks(system, F: CoefficientField):
 
 
 def assemble_block_merge(n: int, shift: int, dim: int, block_vectors, F: CoefficientField):
-    """Cells and differentials of a block-merge complex, as (basis, diff).
+    """Dimensions and differentials of a block-merge complex, as (dims, diff).
 
     Degree shift + k holds one cell (lambda, idx) per composition lambda of n
-    into k parts (colex order) and coefficient index idx in range(dim).  The
-    differential merges parts i, i+1 of lambda with sign (-1)^i (i from 0)
+    into k parts (colex order) and coefficient index idx in range(dim), at
+    position (rank of lambda) * dim + idx; cells are counted, never listed.
+    The differential merges parts i, i+1 of lambda with sign (-1)^i (i from 0)
     through the block operator: `block_vectors(a, b, offset)` lists, for every
     coefficient index, its image {index: nonzero field scalar, over F_p a
     residue in (0, p)} under merging the block of size a starting at `offset`
@@ -264,7 +260,7 @@ def assemble_block_merge(n: int, shift: int, dim: int, block_vectors, F: Coeffic
     if n < 1:
         raise ValueError("need n >= 1")
     comps = {k: compositions(n, k) for k in range(1, n + 1)}
-    basis = {shift + k: [(lam, idx) for lam in comps[k] for idx in range(dim)] for k in comps}
+    dims = {shift + k: len(comps[k]) * dim for k in comps}
     block_cache = {}
     flip = F.characteristic  # negation: -cf over Q, p - cf for a residue cf in (0, p)
     diff = {}
@@ -292,14 +288,14 @@ def assemble_block_merge(n: int, shift: int, dim: int, block_vectors, F: Coeffic
                         for j, cf in vecs[idx].items():
                             col[base + j] = cf
                 columns.append(col)
-        diff[shift + k] = SparseMatrix._trusted(len(basis[shift + k - 1]), columns)
-    return basis, diff
+        diff[shift + k] = SparseMatrix._trusted(dims[shift + k - 1], columns)
+    return dims, diff
 
 
 def complex_for_system(system, n: int, F: CoefficientField) -> GradedComplex:
     """The cellular complex of the n-strand configuration with the given coefficients."""
-    basis, diff = assemble_block_merge(n, n, system.dim, shuffle_blocks(system, F), F)
-    return GradedComplex(basis, diff, F)
+    dims, diff = assemble_block_merge(n, n, system.dim, shuffle_blocks(system, F), F)
+    return GradedComplex(dims, diff, F)
 
 
 def fnf_complex(V: BraidedVectorSpace, n: int, F: CoefficientField) -> GradedComplex:

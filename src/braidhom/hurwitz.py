@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import comb
 
-from .braided import ConjClassSet, PermGroup, Rack, conj, cycle_notation, identity_perm, index_word, word_index
+from .braided import ConjClassSet, PermGroup, Rack, cycle_notation, identity_perm, index_word, word_index
 from .exactla import CoefficientField
 from .fnf import PermutationSystem, homology_for_system
-from .orbits import DEFAULT_STATE_CAP, HurwitzWord, OrbitTable, class_partition, rack_orbits
+from .orbits import (
+    DEFAULT_STATE_CAP, HurwitzWord, OrbitTable, class_partition, letter_conjugations, orbit_classes, rack_orbits,
+)
 
 
 def monodromy_group(word, G: PermGroup) -> frozenset:
@@ -31,7 +33,8 @@ class SubgroupLattice:
     Subgroups are frozensets of elements, listed by (order, sorted elements)
     so that ids are deterministic; G itself is last when c generates G.
     `masks[i]` is the bitmask of the letters of c (indexed as in
-    `c.elements`) that lie in subgroup i.
+    `c.elements`) that lie in subgroup i, and `conjugations[t]` maps each
+    letter index of c to that of its conjugate by the t-th generator of G.
 
     Every letter set s generates a subgroup of the lattice: adding the
     letters of s one at a time, each step closes the letters of c in a
@@ -77,6 +80,7 @@ class SubgroupLattice:
         self.masks = [found[h] for h in self.subgroups]
         self._index = {h: i for i, h in enumerate(self.subgroups)}
         self._trivial = frozenset({identity_perm(G.degree)})
+        self.conjugations = letter_conjugations(G, elems)
 
     def generated_by(self, letters: int) -> frozenset:
         """The subgroup generated by the letters of c in a bitmask; the
@@ -145,29 +149,14 @@ def nielsen_component_count(G: PermGroup, c: ConjClassSet, n: int,
     """Number of braid orbits on the Nielsen classes of c^(x)n whose letters generate G.
 
     Braid moves commute with simultaneous conjugation, so conjugation by G
-    permutes the braid orbits of monodromy G; the count is the number of
-    classes of that action, read off the labelled orbit table.
+    permutes the braid orbits, and keeps those of monodromy G among
+    themselves; the count is the number of classes of monodromy G
+    (`orbits.orbit_classes`), read off the labelled orbit table.
     """
     table = hurwitz_orbits(G, c, n, cap=cap)
     full = frozenset(G.elements)
-    idx_of = {g: i for i, g in enumerate(c.elements)}
-    conj_tables = [[idx_of[conj(x, g)] for x in c.elements] for g in G.generators]
-    seen = set()
-    count = 0
-    for k, rec in enumerate(table.orbits):
-        if k in seen or rec.monodromy != full:
-            continue
-        count += 1
-        seen.add(k)
-        frontier = [k]
-        while frontier:
-            rep = table.orbits[frontier.pop()].rep
-            for t in conj_tables:
-                j = table.index([t[a] for a in rep])
-                if j not in seen:
-                    seen.add(j)
-                    frontier.append(j)
-    return count
+    classes = orbit_classes(table, subgroup_lattice(G, c).conjugations)
+    return sum(table.orbits[cls[0]].monodromy == full for cls in classes)
 
 
 def subgroup_lattice(G: PermGroup, c: ConjClassSet) -> SubgroupLattice:
@@ -218,16 +207,15 @@ class FilteredModule:
         return [pos.get(index((letter,) + w if left else w + (letter,))) for w in self.basis_words(q)]
 
 
-def orbit_ring_module(rack: Rack, qmax: int, cap: int = DEFAULT_STATE_CAP, class_of=None) -> FilteredModule:
+def orbit_ring_module(rack: Rack, qmax: int, class_of=None) -> FilteredModule:
     """The full orbit ring R as a module over itself, assembled through degree qmax."""
-    tables = {q: rack_orbits(rack, q, cap=cap, class_of=class_of) for q in range(qmax + 1)}
+    tables = {q: rack_orbits(rack, q, class_of=class_of) for q in range(qmax + 1)}
     degrees = {q: list(range(len(tables[q]))) for q in range(qmax + 1)}
     return FilteredModule("R", degrees, tables, list(range(rack.size)),
                           rack, class_partition(rack, class_of))
 
 
-def filtered_module(G: PermGroup, c: ConjClassSet, H, qmax: int,
-                    cap: int = DEFAULT_STATE_CAP) -> FilteredModule:
+def filtered_module(G: PermGroup, c: ConjClassSet, H, qmax: int) -> FilteredModule:
     """The stratum of the orbit ring with monodromy exactly H, through degree qmax.
 
     H must belong to the subgroup lattice.  Letters outside H act as zero
@@ -239,7 +227,7 @@ def filtered_module(G: PermGroup, c: ConjClassSet, H, qmax: int,
         raise ValueError("H is not in the subgroup lattice")
     rack = c.rack
     class_of = [c.class_index(g) for g in c.elements]
-    tables = {q: hurwitz_orbits(G, c, q, cap=cap) for q in range(qmax + 1)}
+    tables = {q: hurwitz_orbits(G, c, q) for q in range(qmax + 1)}
     degrees = {
         q: [i for i, rec in enumerate(tables[q].orbits) if rec.monodromy == H]
         for q in range(qmax + 1)
@@ -249,10 +237,9 @@ def filtered_module(G: PermGroup, c: ConjClassSet, H, qmax: int,
     return FilteredModule(name, degrees, tables, letters, rack, class_of)
 
 
-def restricted_ring_module(G: PermGroup, c: ConjClassSet, H, qmax: int,
-                           cap: int = DEFAULT_STATE_CAP):
+def restricted_ring_module(G: PermGroup, c: ConjClassSet, H, qmax: int):
     """The orbit ring of (H, c n H) viewed as a module where letters outside H act
-    as zero.  Returns (module, subrack letter map to c indices)."""
+    as zero.  Returns (module, the group H generated by c n H)."""
     H = frozenset(H)
     sub_elems = [g for g in c.elements if g in H]
     if not sub_elems:
@@ -260,18 +247,15 @@ def restricted_ring_module(G: PermGroup, c: ConjClassSet, H, qmax: int,
     Hgroup = PermGroup(G.degree, sub_elems, name="H")
     cH = ConjClassSet(Hgroup, sub_elems)
     subrack = cH.rack
-    class_of = None
-    tables = {q: rack_orbits(subrack, q, cap=cap) for q in range(qmax + 1)}
+    tables = {q: rack_orbits(subrack, q) for q in range(qmax + 1)}
     degrees = {q: list(range(len(tables[q]))) for q in range(qmax + 1)}
     mod = FilteredModule(f"Rsub[order={len(H)}]", degrees, tables,
                          list(range(subrack.size)), subrack,
                          class_partition(subrack))
-    embed = [c.elements.index(g) for g in cH.elements]
-    return mod, embed
+    return mod, Hgroup
 
 
-def nielsen_components(G: PermGroup, c: ConjClassSet, n: int, F: CoefficientField,
-                       cap: int = DEFAULT_STATE_CAP):
+def nielsen_components(G: PermGroup, c: ConjClassSet, n: int, F: CoefficientField):
     """Braid orbits on generating Nielsen classes, and the Betti numbers of the
     cover they index.
 
@@ -281,15 +265,14 @@ def nielsen_components(G: PermGroup, c: ConjClassSet, n: int, F: CoefficientFiel
     `nielsen_component_count`; the Betti numbers come from the braid action on
     the classes themselves, so H_0 is an independent computation of it.
     """
-    comps = nielsen_component_count(G, c, n, cap=cap)
+    comps = nielsen_component_count(G, c, n)
     if n <= 1 or not comps:
         return comps, [comps] + [0] * n
     d = len(c.elements)
-    idx_of = {g: i for i, g in enumerate(c.elements)}
+    lattice = subgroup_lattice(G, c)
     # conj_codes[t][w]: the code of word w conjugated letter by letter by generator t
     conj_codes = []
-    for g in G.generators:
-        t = [idx_of[conj(x, g)] for x in c.elements]
+    for t in lattice.conjugations:
         img = [0]
         for _ in range(n):
             img = [x * d + t[a] for x in img for a in range(d)]
@@ -310,7 +293,6 @@ def nielsen_components(G: PermGroup, c: ConjClassSet, n: int, F: CoefficientFiel
                     cls.append(img[w])
         reps.append(w0)
     full = frozenset(G.elements)
-    lattice = subgroup_lattice(G, c)
     surj, pos = [], {}
     for k, code in enumerate(reps):
         w = index_word(code, d, n)
@@ -329,7 +311,7 @@ def nielsen_components(G: PermGroup, c: ConjClassSet, n: int, F: CoefficientFiel
             w2 = w[: i - 1] + (inv_act[b][a], a) + w[i + 1:]
         return pos[class_of[word_index(w2, d)]]
 
-    system = PermutationSystem(len(surj), gen_action, labels=surj)
+    system = PermutationSystem(len(surj), gen_action)
     return comps, homology_for_system(system, n, F)
 
 
@@ -346,7 +328,7 @@ class StabilizationReport:
 
 
 def stabilization_thresholds(G: PermGroup, c: ConjClassSet, class_index: int,
-                             window: dict | int, cap: int = DEFAULT_STATE_CAP) -> StabilizationReport:
+                             window: dict | int) -> StabilizationReport:
     """Observed stabilization of right multiplication on the full-monodromy stratum.
 
     For each g in the chosen class, computes the rank of right multiplication
@@ -362,7 +344,7 @@ def stabilization_thresholds(G: PermGroup, c: ConjClassSet, class_index: int,
     full = frozenset(G.elements)
     if full not in lattice:
         raise ValueError("c does not generate G")
-    mod = filtered_module(G, c, full, qmax + 1, cap=cap)
+    mod = filtered_module(G, c, full, qmax + 1)
 
     letters = [i for i, g in enumerate(c.elements) if c.class_index(g) == class_index]
 

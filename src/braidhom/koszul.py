@@ -53,7 +53,7 @@ class KoszulComplex:
     """
 
     def __init__(self, V: BraidedVectorSpace, module: FilteredModule, pmax: int, qmax: int,
-                 F: CoefficientField, nichols: NicholsData | None = None):
+                 F: CoefficientField):
         if V.rack is None:
             raise ValueError("Koszul complexes need a rack-type space")
         if V.rack.size != module.rack.size:
@@ -61,7 +61,7 @@ class KoszulComplex:
         self.V = V
         self.module = module
         self.F = F
-        self.nichols = nichols or NicholsData(V, F)
+        self.nichols = NicholsData(V, F)
         top = self._top_degree(pmax)
         self.nichols.build_to(min(pmax, top))
         self.pmax = min(pmax, top)
@@ -81,7 +81,7 @@ class KoszulComplex:
         for (ci, p, q), M in self.d_class.items():  # class 0 comes first for each (p, q)
             self._d[(p, q)] = M if ci == 0 else self._d[(p, q)].add(M, F)
         self.diagonals = {
-            s: GradedComplex({p: range(self.dim(p, s - p)) for p in range(max(0, s - qmax), min(self.pmax, s) + 1)},
+            s: GradedComplex({p: self.dim(p, s - p) for p in range(max(0, s - qmax), min(self.pmax, s) + 1)},
                              {p: M for (p, q), M in self._d.items() if p + q == s}, F)
             for s in range(self.pmax + qmax + 1)
         }
@@ -199,9 +199,8 @@ def koszul_complex(V: BraidedVectorSpace, module_spec, pmax: int, qmax: int,
     if kind == "sub":
         from .braided import Cocycle
 
-        module, _embed = restricted_ring_module(G, c, H, qmax)
+        module, Hgroup = restricted_ring_module(G, c, H, qmax)
         s = constant_braiding_value(V)
-        Hgroup = PermGroup(G.degree, [g for g in c.elements if g in frozenset(H)], name="H")
         VH = braided_space(module.rack, Cocycle.constant(module.rack, s), epsilon=False,
                            group=Hgroup, name=f"{V.name}|H")
         return KoszulComplex(VH, module, pmax, qmax, F)
@@ -272,7 +271,7 @@ def _multigrade_blocks(K: KoszulComplex, s: int) -> dict:
                     block_col[r] = v
             columns[g].setdefault(p, []).append(block_col)
     return {
-        g: GradedComplex({p: range(n) for p, n in block.items()},
+        g: GradedComplex(block,
                          {p: SparseMatrix._trusted(block.get(p - 1, 0), cols) for p, cols in columns[g].items()},
                          K.F)
         for g, block in sizes.items()

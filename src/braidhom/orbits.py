@@ -20,7 +20,9 @@ conjugation by the group permutes the orbits, and when it also preserves every
 braiding coefficient it maps a block onto a block by a permutation of the
 basis, so conjugate orbits have equal homology.  `block_plan` lists one block
 per conjugation class of orbits with the class size as its multiplicity; the
-callers in `fnf` and `qsa` build, check and rank those blocks only.  This
+callers in `fnf` and `qsa` build, check and rank those blocks only.  The
+classes come from `orbit_classes`, the one walk over orbits under letter
+maps, which also serves the Nielsen component count of `hurwitz`.  This
 module sits below `fnf` and `hurwitz`, which both use it.
 """
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braided import BraidedVectorSpace, Rack, conj, word_index
+from .braided import BraidedVectorSpace, PermGroup, Rack, conj, word_index
 
 HurwitzWord = tuple[int, ...]
 
@@ -194,37 +196,50 @@ def block_plan(V: BraidedVectorSpace, n: int) -> list[tuple[list[int], int]]:
     internal degree n, is the sum over the plan of multiplicity times the rank
     of the block.  The words of V^(x)n split into braid orbits only when V is
     of rack type, sigma(a (x) b) a single term on b (x) a^b; otherwise the plan
-    is one block of all r^n codes.  Two orbits share a class when a generator
-    of `V.group` maps the representative of one, conjugated letter by letter,
-    into the other; this is used only when each generator preserves every
-    braiding coefficient, and otherwise every orbit is its own class.  The
-    block of a class is its least orbit.  The orbit tables' word cap applies.
+    is one block of all r^n codes.  Orbits are classed by `orbit_classes`
+    under the generators of `V.group`, conjugating letter by letter; this is
+    used only when each generator preserves every braiding coefficient, and
+    otherwise every orbit is its own class.  The block of a class is its least
+    orbit.  The orbit tables' word cap applies.
     """
-    r = V.rank
     if not _is_rack_braiding(V):
-        return [(list(range(r**n)), 1)]
+        return [(list(range(V.rank**n)), 1)]
     table = rack_orbits(V.rack, n)
-    orbit_id = table.orbit_of
     members = [[] for _ in table.orbits]
-    for code, k in enumerate(orbit_id):
+    for code, k in enumerate(table.orbit_of):
         members[k].append(code)
-    symmetries = _conjugation_symmetries(V)
-    seen = [False] * len(members)
-    plan = []
-    for k in range(len(members)):
+    return [(members[cls[0]], len(cls)) for cls in orbit_classes(table, _conjugation_symmetries(V))]
+
+
+def orbit_classes(table: OrbitTable, maps) -> list[list[int]]:
+    """The classes of the orbits of `table` under the letter maps in `maps`
+    (each a list a -> image of a), applied to words letter by letter.  Each
+    class lists orbit indices, its least orbit first; classes come in order of
+    their least orbits.  The maps must carry braid orbits onto braid orbits,
+    as conjugation by a group does on a conjugation rack."""
+    seen = [False] * len(table.orbits)
+    classes = []
+    for k in range(len(seen)):
         if seen[k]:
             continue
         seen[k] = True
         cls = [k]
         for j in cls:  # cls grows while it is walked
             rep = table.orbits[j].rep
-            for pi in symmetries:
-                i = orbit_id[word_index([pi[a] for a in rep], r)]
+            for pi in maps:
+                i = table.index([pi[a] for a in rep])
                 if not seen[i]:
                     seen[i] = True
                     cls.append(i)
-        plan.append((members[k], len(cls)))
-    return plan
+        classes.append(cls)
+    return classes
+
+
+def letter_conjugations(group: PermGroup, labels: list) -> list[list]:
+    """For each generator g of `group`, the letter map a -> index of
+    conj(labels[a], g), with None where that conjugate is not a label."""
+    pos = {lab: a for a, lab in enumerate(labels)}
+    return [[pos.get(conj(lab, g)) for lab in labels] for g in group.generators]
 
 
 def _is_rack_braiding(V: BraidedVectorSpace) -> bool:
@@ -244,13 +259,9 @@ def _conjugation_symmetries(V: BraidedVectorSpace) -> list[list[int]]:
     Requires a rack braiding (`_is_rack_braiding`)."""
     if V.group is None:
         return []
-    pos = {lab: a for a, lab in enumerate(V.labels)}
+    maps = letter_conjugations(V.group, V.labels)
     r, act, codes = V.rank, V.rack.act, V.sigma_codes
-    maps = []
-    for g in V.group.generators:
-        pi = [pos.get(conj(lab, g)) for lab in V.labels]
-        if None in pi or any(codes[pi[a] * r + pi[b]][0] != (pi[b] * r + pi[act[a][b]], codes[a * r + b][0][1])
-                             for a in range(r) for b in range(r)):
-            return []
-        maps.append(pi)
+    if any(None in pi or any(codes[pi[a] * r + pi[b]][0] != (pi[b] * r + pi[act[a][b]], codes[a * r + b][0][1])
+                             for a in range(r) for b in range(r)) for pi in maps):
+        return []
     return maps

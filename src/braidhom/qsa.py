@@ -13,7 +13,8 @@ These are the cells and the merge of the Fox-Neuwirth-Fuks complex, so the
 complex is assembled by `fnf.assemble_block_merge`; only the block operator,
 the unsigned sum of shuffle lifts through the braiding, is computed here.  It
 acts as I (x) Sh (x) I, so the lift sum runs once per block shape (a, b) on the
-words of V^(x)(a+b) and is spread to V^(x)n by place value.  The sum is
+words of V^(x)(a+b) and is spread to V^(x)n by place value, each image written
+once, straight to the local indices of the block.  The sum is
 `shuffle.shuffle_lift_sum`: it walks the braid words of the C(a+b, a) lifts as
 a trie, applying each shared prefix once, and adds the image of every lift on
 its own.  The FNF side builds its signed blocks by a recursion over smaller
@@ -29,8 +30,8 @@ rack-type V the complex in internal degree n splits into one block per orbit,
 as the FNF complex does.  `ext_table` and `components_ring` build, check and
 rank one block per class of `orbits.block_plan` (conjugate orbits merged only
 for a G-invariant cocycle) and weight it by the class size; `bar_complex(V,
-n, F)` without words still builds the whole complex.  The local block products
-are kept on V, so all blocks and degrees share them.
+n, F)` without words builds the block of every word, the whole complex.  The
+local block products are kept on V, so all blocks and degrees share them.
 
 Convention: callers pass the braided space whose algebra they mean.  The
 flagship cross-check `verify_main_cor` compares braid homology of V against
@@ -69,28 +70,31 @@ def bar_complex(V: BraidedVectorSpace, n: int, F: CoefficientField, words=None) 
     Degrees are bar degrees p = 1..n; the matrix at p is d: (p, n) -> (p-1, n).
     The caller chooses V; no sign twist is applied here.
     """
-    basis, diff = bar_chains(V, n, F, words)
-    return GradedComplex(basis, diff, F)
+    dims, diff = bar_chains(V, n, F, words)
+    return GradedComplex(dims, diff, F)
 
 
 def bar_chains(V: BraidedVectorSpace, n: int, F: CoefficientField, words=None):
-    """The cells and differentials (basis, diff) of the bar complex, unchecked.
+    """The dimensions and differentials (dims, diff) of the bar complex on the
+    span of `words`, unchecked.
 
-    With `words`, a sorted list of word codes closed under the braid action (a
-    block of `orbits.block_plan`), only the block on their span is built and
-    cell (lambda, i) stands for word code words[i].  The local block products
-    are kept on V by (F, a, b), so every block, and every degree n, shares them.
+    `words` is a sorted list of word codes closed under the braid action (a
+    block of `orbits.block_plan`), by default every code; cell (lambda, i)
+    stands for word code words[i].  One map from word code to local index
+    serves every block operator of the call.  The local block products are
+    kept on V by (F, a, b), so every block, and every degree n, shares them.
     """
+    words = range(V.rank**n) if words is None else words
+    pos = {w: i for i, w in enumerate(words)}
     products = V.block_products
 
     def block_vectors(a, b, offset):
         key = (F, a, b)
         if key not in products:
             products[key] = _local_block_product(V, F, a, b)
-        return _spread_block(products[key], V.rank, n, a + b, offset, words)
+        return _spread_block(products[key], V.rank, n, a + b, offset, words, pos)
 
-    dim = V.rank**n if words is None else len(words)
-    return assemble_block_merge(n, 0, dim, block_vectors, F)
+    return assemble_block_merge(n, 0, len(words), block_vectors, F)
 
 
 def _local_block_product(V: BraidedVectorSpace, F: CoefficientField, a: int, b: int):
@@ -118,25 +122,23 @@ def _local_block_product(V: BraidedVectorSpace, F: CoefficientField, a: int, b: 
     return out
 
 
-def _spread_block(local: list, r: int, n: int, m: int, offset: int, words=None):
-    """The operator I (x) B (x) I on V^(x)n, for B on the m letters after the
-    first `offset`, given as B's images of the words of V^(x)m: the block code
-    sits at place value r^(n - offset - m).  With `words` (sorted, closed under
-    B), only their span, with word code words[i] at local index i."""
+def _spread_block(local: list, r: int, n: int, m: int, offset: int, words, pos: dict):
+    """The operator I (x) B (x) I on the span of `words` in V^(x)n, for B on
+    the m letters after the first `offset`, given as B's images of the words
+    of V^(x)m: the block code sits at place value r^(n - offset - m).  Word
+    code words[i] is local index i, and `pos` maps each code back to it; an
+    image outside the span raises ComplexIntegrityError."""
     place = r ** (n - offset - m)
     size = r**m
     out = []
-    for idx in range(r**n) if words is None else words:
-        mid = idx // place % size
-        base = idx - mid * place
-        out.append({base + w * place: cf for w, cf in local[mid].items()})
-    if words is None:
-        return out
-    pos = {w: i for i, w in enumerate(words)}
     try:
-        return [{pos[code]: cf for code, cf in vec.items()} for vec in out]
+        for code in words:
+            mid = code // place % size
+            base = code - mid * place
+            out.append({pos[base + w * place]: cf for w, cf in local[mid].items()})
     except KeyError as exc:
         raise ComplexIntegrityError(f"a shuffle product carries a word out of its block, to {exc.args[0]}") from None
+    return out
 
 
 def ext_table(V: BraidedVectorSpace, Nmax: int | None = None,
@@ -239,7 +241,7 @@ def verify_main_cor(V: BraidedVectorSpace, n: int, F: CoefficientField) -> Verif
 
     For each block of `orbits.block_plan(V, n)` it builds the cellular complex
     of the block of V^(x)n and the bar complex of the same words for the sign
-    twist, and checks that they agree matrix-by-matrix and in basis sizes
+    twist, and checks that they agree matrix-by-matrix and in dimensions
     under the canonical cell bijection (total degree n + p <-> bar degree p).
     The two share only the plan, the cells and the merge: the FNF blocks come
     from the shuffle recursion on V, the bar blocks from the lift sum on the
@@ -258,14 +260,14 @@ def verify_main_cor(V: BraidedVectorSpace, n: int, F: CoefficientField) -> Verif
     for words, mult in block_plan(V, n):
         fnf = complex_for_system(TensorSystem(V, n, words), n, F)
         table = fnf.homology_table()
-        basis, diff = bar_chains(Veps, n, F, words)
-        same = all(fnf.dim(n + p) == len(basis[p]) for p in range(1, n + 1)) and all(
+        dims, diff = bar_chains(Veps, n, F, words)
+        same = all(fnf.dim(n + p) == dims[p] for p in range(1, n + 1)) and all(
             fnf.differential(n + p) == diff[p] for p in range(2, n + 1))
         chain_ok = chain_ok and same
         if same:
             ext = {p: table.get(n + p, 0) for p in range(1, n + 1)}
         else:
-            ext = GradedComplex(basis, diff, F).homology_table()
+            ext = GradedComplex(dims, diff, F).homology_table()
         for j in range(n + 1):
             betti[j] += mult * table.get(2 * n - j, 0)
             ext_diag[j] += mult * ext.get(n - j, 0)

@@ -399,3 +399,28 @@ def test_orbits_honours_nmax_zero(capsys):
     rc = main(["orbits", "--group", "S3", "--classes", "transpositions", "--nmax", "-1"])
     captured = capsys.readouterr()
     assert rc == 2 and "--nmax must be at least 0, got -1" in captured.err
+
+
+_S3_KOSZUL = ["koszul", "--group", "S3", "--classes", "transpositions", "--epsilon", "--field", "Q"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_S3_KOSZUL + ["--pmax", "-2"], "--pmax must be at least 0, got -2"),
+    (_S3_KOSZUL + ["--pmax", "-1"], "--pmax must be at least 0, got -1"),
+    (_S3_KOSZUL + ["--qmax", "0"], "--qmax must be at least 1, got 0"),
+    (_S3_KOSZUL + ["--qmax", "-1"], "--qmax must be at least 1, got -1"),
+    (["malle", "--group", "S3", "--classes", "all", "--window", "-1"], "--window must be at least 0, got -1"),
+    (["bound", "--betti", "1", "--q", "7", "--n", "3", "--d", "-1"], "--d must be at least 0, got -1"),
+    (["betti", "--rank1", "--sigma", "1/0"], "--sigma must be a nonzero integer or fraction, got '1/0'"),
+], ids=["pmax=-2", "pmax=-1", "qmax=0", "qmax=-1", "window=-1", "d=-1", "sigma=1/0"])
+def test_out_of_range_options_are_usage_errors(argv, message, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert message in captured.err
+
+
+def test_malle_honours_window_zero(capsys):
+    rc, out = run(capsys, ["malle", "--group", "S3", "--classes", "all", "--window", "0"])
+    assert rc == 0
+    assert "# orbit_window=1" in out and "# growth_degree_windowed=none" in out

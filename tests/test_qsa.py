@@ -266,11 +266,18 @@ def bar_block_by_lifts(V, n, F, a, b, offset):
     ids=["S3-eps", "jordan", "line-1/3"])
 def test_bar_block_local_then_spread_matches_full_width_lifts(V):
     # up to n = 5, where the lifts of the (2, 3)- and (3, 2)-shuffles first
-    # form a trie of depth 6
+    # form a trie of depth 6; spread to the whole space and to every block of
+    # the plan (the orbit classes of S3 eps), each against the full-width
+    # oracle re-indexed to the block
     for F in (QQ, F2, GF(5)):
         for n in range(2, 6):
+            spans = [range(V.rank**n)] + [words for words, _ in block_plan(V, n)]
             for a, b in ((a, b) for a in range(1, n) for b in range(1, n - a + 1)):
                 local = qsa._local_block_product(V, F, a, b)
                 for offset in range(n - a - b + 1):
-                    got = qsa._spread_block(local, V.rank, n, a + b, offset)
-                    assert got == bar_block_by_lifts(V, n, F, a, b, offset), (F, n, a, b, offset)
+                    full = bar_block_by_lifts(V, n, F, a, b, offset)
+                    for words in spans:
+                        pos = {w: i for i, w in enumerate(words)}
+                        got = qsa._spread_block(local, V.rank, n, a + b, offset, words, pos)
+                        want = [{pos[w]: cf for w, cf in full[code].items()} for code in words]
+                        assert got == want, (F, n, a, b, offset, len(words))
