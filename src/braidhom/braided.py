@@ -12,10 +12,11 @@ word codes (`word_index`), one path for every braiding.
 Structures are not changed after construction, apart from caches that fill
 lazily on first use: each group's right-multiplication index tables,
 `ConjClassSet.rack` and `ConjClassSet.lattices` (filled by
-`hurwitz.subgroup_lattice`), each rack's `orbit_partitions` and `orbit_tables`
-(filled by `orbits.rack_orbits`) and each braided space's inverse braiding,
-sign twist and `block_products` (filled by `qsa.bar_chains`).  Those fills
-are not locked.
+`hurwitz.subgroup_lattice`; each lattice keeps the monodromy-labelled orbit
+tables of `hurwitz.hurwitz_orbits`), each rack's `orbit_tables`, one per word
+length (filled by `orbits.rack_orbits`), and each braided space's inverse
+braiding, sign twist and `block_products` (filled by `qsa.bar_chains`).
+Those fills are not locked.
 """
 
 from __future__ import annotations
@@ -290,10 +291,8 @@ class Rack:
     """A finite rack: a label set with a self-distributive operation (a, b) -> a^b.
 
     For each b the map a -> a^b must be a bijection.  `quandle` records whether
-    a^a = a holds for all a.  `orbit_partitions` holds the braid orbits on
-    words of each length and `orbit_tables` the orbit tables built on them,
-    both filled by `orbits.rack_orbits` (and the labelled tables by
-    `hurwitz.hurwitz_orbits`).
+    a^a = a holds for all a.  `orbit_tables` holds the braid orbits on words
+    of each length n, keyed by n and filled by `orbits.rack_orbits`.
     """
 
     def __init__(self, labels: list, action: dict):
@@ -317,7 +316,6 @@ class Rack:
                             f"self-distributivity fails at ({self.labels[c]}, {self.labels[a]}, {self.labels[b]})"
                         )
         self.quandle = all(self.act[a][a] == a for a in range(self.size))
-        self.orbit_partitions: dict = {}
         self.orbit_tables: dict = {}
         # inv_act[v][b] = the unique a with a^b = v
         self.inv_act = [[None] * self.size for _ in range(self.size)]

@@ -137,9 +137,8 @@ def resolve_space(args):
         return V, None, None
     G = resolve_group(args)
     c = class_selector(G, getattr(args, "classes", None) or "all")
-    rack = braided.conjugation_rack(G, c)
-    x = braided.Cocycle.constant(rack, int(getattr(args, "cocycle", "1")))
-    V = braided.braided_space(rack, x, epsilon=getattr(args, "epsilon", False),
+    x = braided.Cocycle.constant(c.rack, int(getattr(args, "cocycle", "1")))
+    V = braided.braided_space(c.rack, x, epsilon=getattr(args, "epsilon", False),
                               group=G, name=f"{G.name}[{args.classes or 'all'}]")
     return V, G, c
 
@@ -295,7 +294,7 @@ def cmd_malle(args) -> int:
     c = class_selector(G, args.classes or "all")
     window = None
     if args.window is not None:
-        window = [len(hurwitz.hurwitz_orbits(G, c, n, cap=args.cap))
+        window = [len(hurwitz.rack_orbits(c.rack, n, cap=args.cap))
                   for n in range(at_least("--window", args.window, 0) + 1)]
     mc = malle.malle_constants(G, c, orbit_window=window)
     rows = [[i, cycle_notation(cl[0]), len(cl), ind]
@@ -315,7 +314,8 @@ def cmd_bound(args) -> int:
             betti = [int(t) for t in fh.read().replace(",", " ").split()]
     else:
         betti = [int(t) for t in args.betti.split(",")]
-    b = malle.point_count_bound(args.q, args.n, betti, d=at_least("--d", args.d, 0))
+    d = at_least("--d", args.d, 0)
+    b = malle.point_count_bound(args.q, at_least("--n", args.n, 1 if d else 0), betti, d=d)
     val = b.value()
     rows = [[str(b.rational_part), str(b.sqrt_part), str(val),
              str(b.normalized[0]), str(b.normalized[1])]]

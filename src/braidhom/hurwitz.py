@@ -3,8 +3,9 @@
 The braid orbits themselves come from `orbits.rack_orbits` (re-exported
 here), built by induction on n.  On top of the raw orbit tables sit:
 monodromy subgroups and the lattice of subgroups generated from c (built once
-and kept on c, the one source of every monodromy label), the stratification
-of the orbit ring by exact monodromy, Nielsen classes (simultaneous
+and kept on c, the one source of every monodromy label), the modules over
+the orbit ring with their grading by letter classes, the stratification of
+the orbit ring by exact monodromy, Nielsen classes (simultaneous
 conjugation) with component counts and their Betti numbers, and
 stabilization thresholds for right multiplication.
 """
@@ -12,14 +13,14 @@ stabilization thresholds for right multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import product
 from math import comb
 
 from .braided import ConjClassSet, PermGroup, Rack, cycle_notation, identity_perm, index_word, word_index
 from .exactla import CoefficientField
 from .fnf import PermutationSystem, homology_for_system
-from .orbits import (
-    DEFAULT_STATE_CAP, HurwitzWord, OrbitTable, class_partition, letter_conjugations, orbit_classes, rack_orbits,
-)
+from .orbits import DEFAULT_STATE_CAP, HurwitzWord, OrbitTable, letter_conjugations, orbit_classes, rack_orbits
 
 
 def monodromy_group(word, G: PermGroup) -> frozenset:
@@ -33,8 +34,9 @@ class SubgroupLattice:
     Subgroups are frozensets of elements, listed by (order, sorted elements)
     so that ids are deterministic; G itself is last when c generates G.
     `masks[i]` is the bitmask of the letters of c (indexed as in
-    `c.elements`) that lie in subgroup i, and `conjugations[t]` maps each
-    letter index of c to that of its conjugate by the t-th generator of G.
+    `c.elements`) that lie in subgroup i, `conjugations[t]` maps each
+    letter index of c to that of its conjugate by the t-th generator of G,
+    and `tables[n]` is the monodromy-labelled orbit table of `hurwitz_orbits`.
 
     Every letter set s generates a subgroup of the lattice: adding the
     letters of s one at a time, each step closes the letters of c in a
@@ -81,6 +83,7 @@ class SubgroupLattice:
         self._index = {h: i for i, h in enumerate(self.subgroups)}
         self._trivial = frozenset({identity_perm(G.degree)})
         self.conjugations = letter_conjugations(G, elems)
+        self.tables: dict = {}
 
     def generated_by(self, letters: int) -> frozenset:
         """The subgroup generated by the letters of c in a bitmask; the
@@ -116,16 +119,13 @@ def hurwitz_orbits(G: PermGroup, c: ConjClassSet, n: int, cap: int = DEFAULT_STA
     Each orbit is labelled by the subgroup of G its letters generate, and the
     label is checked on every word of the orbit.  The monodromy of a word
     depends only on its set of letters, so it is read off the subgroup
-    lattice of (G, c) once per letter set.  The table is cached on `c.rack`
-    and shares `orbit_of` with the unlabelled table of `rack_orbits`.
+    lattice of (G, c) once per letter set.  The table is kept on that
+    lattice and shares `orbit_of` with the unlabelled table of `rack_orbits`.
     """
-    rack = c.rack
-    class_of = tuple(c.class_index(g) for g in c.elements)
-    plain = rack_orbits(rack, n, cap=cap, class_of=class_of)
-    key = (n, class_of, "monodromy")
-    if key in rack.orbit_tables:
-        return rack.orbit_tables[key]
+    plain = rack_orbits(c.rack, n, cap=cap)
     lattice = subgroup_lattice(G, c)
+    if n in lattice.tables:
+        return lattice.tables[n]
     d = len(c.elements)
     # letters[w]: the letter set of the word with code w, as a bitmask
     letters = [0]
@@ -140,7 +140,7 @@ def hurwitz_orbits(G: PermGroup, c: ConjClassSet, n: int, cap: int = DEFAULT_STA
         raise AssertionError("monodromy is not constant on an orbit")
     by_label = list(subgroups)
     orbits = [replace(rec, monodromy=by_label[i]) for rec, i in zip(plain.orbits, rep_labels)]
-    table = rack.orbit_tables[key] = OrbitTable(rack, n, orbits, plain.orbit_of)
+    table = lattice.tables[n] = OrbitTable(c.rack, n, orbits, plain.orbit_of)
     return table
 
 
@@ -167,10 +167,29 @@ def subgroup_lattice(G: PermGroup, c: ConjClassSet) -> SubgroupLattice:
     return c.lattices[G]
 
 
+def class_partition(rack: Rack, labels_classes=None) -> list[int]:
+    """class index of each rack label; defaults to rack connectivity components."""
+    if labels_classes is not None:
+        return labels_classes
+    comp = rack.components()
+    out = [0] * rack.size
+    for ci, block in enumerate(comp):
+        for a in block:
+            out[a] = ci
+    return out
+
+
 @dataclass
 class FilteredModule:
     """Graded module data over the orbit ring: a basis of orbits per degree and
-    the left and right multiplication operators by each rack letter."""
+    the left and right multiplication operators by each rack letter.
+
+    `class_of` sorts the letters into classes, and a word's multigrade counts
+    its letters in each class (`grade`).  Construction rejects a `class_of`
+    that some a^b takes out of the class of a: exactly then, from degree 2
+    on, the braid moves change the multigrade of some word.  `stratum` is the
+    monodromy subgroup of a stratum module (`filtered_module`), else None.
+    """
 
     name: str
     degrees: dict            # q -> list of orbit indices into the degree-q table
@@ -178,6 +197,15 @@ class FilteredModule:
     letters: list[int]       # rack letter indices acting nontrivially
     rack: Rack
     class_of: list[int]
+    stratum: frozenset | None = None
+
+    def __post_init__(self):
+        act = self.rack.act
+        for a in range(self.rack.size):
+            for b in range(self.rack.size):
+                if self.class_of[act[a][b]] != self.class_of[a]:
+                    raise ValueError(f"letter classes are not braid invariant: letter {a}^{b} = {act[a][b]} "
+                                     f"leaves the class of letter {a}")
 
     def dim(self, q: int) -> int:
         return len(self.degrees.get(q, ()))
@@ -186,9 +214,23 @@ class FilteredModule:
         table = self.tables[q]
         return [table.orbits[i].rep for i in self.degrees.get(q, ())]
 
-    def multigrade(self, q: int, k: int) -> tuple[int, ...]:
-        table = self.tables[q]
-        return table.orbits[self.degrees[q][k]].multigrade
+    def grade(self, words) -> list[tuple[int, ...]]:
+        """The multigrade of each word: the number of its letters in each class."""
+        m = max(self.class_of) + 1 if self.class_of else 1
+        out = []
+        for word in words:
+            grade = [0] * m
+            for a in word:
+                grade[self.class_of[a]] += 1
+            out.append(tuple(grade))
+        return out
+
+    @cached_property
+    def grades(self) -> dict:
+        """q -> the multigrade of each degree-q basis orbit, in basis order,
+        read off its representative (the braid moves keep it, as checked at
+        construction)."""
+        return {q: self.grade(self.basis_words(q)) for q in self.degrees}
 
     def left_mult(self, letter: int, q: int):
         """Images of the degree-q basis under w -> (letter, w), as target
@@ -209,7 +251,7 @@ class FilteredModule:
 
 def orbit_ring_module(rack: Rack, qmax: int, class_of=None) -> FilteredModule:
     """The full orbit ring R as a module over itself, assembled through degree qmax."""
-    tables = {q: rack_orbits(rack, q, class_of=class_of) for q in range(qmax + 1)}
+    tables = {q: rack_orbits(rack, q) for q in range(qmax + 1)}
     degrees = {q: list(range(len(tables[q]))) for q in range(qmax + 1)}
     return FilteredModule("R", degrees, tables, list(range(rack.size)),
                           rack, class_partition(rack, class_of))
@@ -234,7 +276,7 @@ def filtered_module(G: PermGroup, c: ConjClassSet, H, qmax: int) -> FilteredModu
     }
     letters = [i for i, g in enumerate(c.elements) if g in H]
     name = f"Rexact[{lattice.describe(lattice.index(H))}]"
-    return FilteredModule(name, degrees, tables, letters, rack, class_of)
+    return FilteredModule(name, degrees, tables, letters, rack, class_of, stratum=H)
 
 
 def restricted_ring_module(G: PermGroup, c: ConjClassSet, H, qmax: int):
@@ -345,29 +387,24 @@ def stabilization_thresholds(G: PermGroup, c: ConjClassSet, class_index: int,
     if full not in lattice:
         raise ValueError("c does not generate G")
     mod = filtered_module(G, c, full, qmax + 1)
-
-    letters = [i for i, g in enumerate(c.elements) if c.class_index(g) == class_index]
-
-    from itertools import product as iproduct
-
-    grades = [g for g in iproduct(*(range(window[i] + 1) for i in range(m)))]
-
-    def graded_positions(q, grade):
-        return [k for k in range(mod.dim(q)) if mod.multigrade(q, k) == grade]
+    letters = [a for a, ci in enumerate(mod.class_of) if ci == class_index]
+    positions = {}  # multigrade -> the basis positions of that grade within its degree
+    for q in range(qmax + 2):
+        for k, grade in enumerate(mod.grades[q]):
+            positions.setdefault(grade, []).append(k)
+    grades = list(product(*(range(window[i] + 1) for i in range(m))))
 
     thresholds = {}
     for letter in letters:
+        images = [mod.right_mult(letter, q) for q in range(qmax + 1)]
         ok_from = {}
         for grade in grades:
-            q = sum(grade)
-            src = graded_positions(q, grade)
+            src = positions.get(grade, [])
             tgrade = list(grade)
             tgrade[class_index] += 1
-            tgt_set = set(graded_positions(q + 1, tuple(tgrade)))
-            images = mod.right_mult(letter, q)
-            imgs = [images[k] for k in src]
-            ok_from[grade] = (len(src) == len(tgt_set)) and all(i is not None for i in imgs) \
-                and set(imgs) == tgt_set
+            tgt_set = set(positions.get(tuple(tgrade), []))
+            imgs = [images[sum(grade)][k] for k in src]
+            ok_from[grade] = len(src) == len(tgt_set) and None not in imgs and set(imgs) == tgt_set
         best = None
         for t in range(window[class_index] + 1):
             if all(ok_from[g] for g in grades if g[class_index] >= t):

@@ -100,21 +100,6 @@ class KoszulComplex:
             return 0
         return self.nichols.dim(p) * self.module.dim(q)
 
-    def psi_multigrade(self, p: int, k: int) -> tuple[int, ...]:
-        word = self.nichols.pivot_words(p)[k]
-        grade = [0] * len(self.classes)
-        for a in word:
-            grade[self.module.class_of[a]] += 1
-        return tuple(grade)
-
-    def term_multigrade(self, p: int, q: int, index: int) -> tuple[int, ...]:
-        """Total multigrade (dual side plus module side) of a term basis vector."""
-        nmod = self.module.dim(q)
-        k, o = divmod(index, nmod)
-        pg = self.psi_multigrade(p, k)
-        mg = self.module.multigrade(q, o)
-        return tuple(a + b for a, b in zip(pg, mg))
-
     def _assemble(self):
         F = self.F
         dcols = self.nichols.derivations  # [p][v] -> columns of d_v out of dual degree p
@@ -187,9 +172,7 @@ def koszul_complex(V: BraidedVectorSpace, module_spec, pmax: int, qmax: int,
     case the complex is built over the restricted braided space.
     """
     if module_spec == "R":
-        module = orbit_ring_module(V.rack, qmax,
-                                   class_of=[c.class_index(g) for g in c.elements] if c else None)
-        return KoszulComplex(V, module, pmax, qmax, F)
+        return KoszulComplex(V, _full_ring(V, qmax, c), pmax, qmax, F)
     kind, H = module_spec
     if G is None or c is None:
         raise ValueError("subgroup modules need the group and class set")
@@ -205,6 +188,12 @@ def koszul_complex(V: BraidedVectorSpace, module_spec, pmax: int, qmax: int,
                            group=Hgroup, name=f"{V.name}|H")
         return KoszulComplex(VH, module, pmax, qmax, F)
     raise ValueError(f"unknown module spec {module_spec!r}")
+
+
+def _full_ring(V: BraidedVectorSpace, qmax: int, c: ConjClassSet | None) -> FilteredModule:
+    """The full orbit ring of V's rack through degree qmax, its letters graded
+    by the conjugacy classes of c, or by rack components without c."""
+    return orbit_ring_module(V.rack, qmax, class_of=[c.class_index(g) for g in c.elements] if c else None)
 
 
 def koszul_homology(K: KoszulComplex, pmax: int | None = None, qmax: int | None = None,
@@ -236,9 +225,10 @@ def koszul_homology(K: KoszulComplex, pmax: int | None = None, qmax: int | None 
 
 
 def _term_grades(K: KoszulComplex, p: int, q: int) -> list[tuple[int, ...]]:
-    """Total multigrade of every basis vector of term (p, q), in index order."""
-    psi = [K.psi_multigrade(p, k) for k in range(K.nichols.dim(p))]
-    mod = [K.module.multigrade(q, o) for o in range(K.module.dim(q))]
+    """Total multigrade (dual side plus module side) of every basis vector of
+    term (p, q), in index order; a dual basis element is graded by its pivot word."""
+    psi = K.module.grade(K.nichols.pivot_words(p))
+    mod = K.module.grades[q]
     return [tuple(a + b for a, b in zip(pg, mg)) for pg in psi for mg in mod]
 
 
@@ -288,10 +278,7 @@ def generator_counts(V: BraidedVectorSpace, jmax: int, F: CoefficientField,
     homology at every requested dual degree (the explicit signal to rerun
     with a larger qmax).
     """
-    K = KoszulComplex(V, orbit_ring_module(
-        V.rack, qmax + 1,
-        class_of=[c.class_index(g) for g in c.elements] if c else None),
-        pmax=jmax + 2, qmax=qmax + 1, F=F)
+    K = KoszulComplex(V, _full_ring(V, qmax + 1, c), pmax=jmax + 2, qmax=qmax + 1, F=F)
     counts = []
     for j in range(jmax + 1):
         p = 1 + j
@@ -362,7 +349,7 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
                         failures.append(f"d_{i} d_{j} + d_{j} d_{i} != 0 at (p={p}, q={q})")
 
     trivial_ok = None
-    if K.module.name.startswith("Rexact"):
+    if K.module.stratum is not None:
         trivial_ok = True
         for p in range(0, min(pr, p_top) + 1):
             for q in range(0, min(qr, K.qmax - 2) + 1):

@@ -73,10 +73,14 @@ def point_count_bound(q: int, n: int, betti, d: int = 0) -> PointCountBound:
 
     Even j contribute betti[j] q^(n - j/2) to the rational part; odd j
     contribute betti[j] q^(n - (j+1)/2) to the sqrt(q) coefficient.  The
-    normalized pair divides by n^d q^n (n >= 1 required when d > 0).
+    normalized pair divides by n^d q^n, so n >= 1 is required when d > 0.
     """
     if q < 2:
         raise ValueError("q must be a prime power >= 2")
+    if d < 0:
+        raise ValueError(f"d must be at least 0, got {d}")
+    if n < (1 if d else 0):
+        raise ValueError(f"n must be at least {1 if d else 0} when d = {d}, got {n}")
     if any(b < 0 for b in betti):
         raise ValueError("negative ranks are not allowed")
     a = Fraction(0)
@@ -88,7 +92,7 @@ def point_count_bound(q: int, n: int, betti, d: int = 0) -> PointCountBound:
             a += rk * Fraction(q) ** (n - j // 2)
         else:
             b += rk * Fraction(q) ** (n - (j + 1) // 2)
-    scale = Fraction(1, (n**d if n >= 1 else 1)) / Fraction(q) ** n
+    scale = Fraction(1, n**d) / Fraction(q) ** n
     return PointCountBound(q, n, a, b, (a * scale, b * scale))
 
 

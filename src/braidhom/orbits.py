@@ -7,10 +7,11 @@ lexicographic order.  The orbits at n are built from those at n - 1:
 sigma_1, ..., sigma_{n-2} fix the last letter and act on the prefix as
 B_{n-1}, so the orbits on words of length n are the classes of the pairs
 (prefix orbit, last letter) joined by sigma_{n-1}.  Orbits are numbered by
-their least words, which are their canonical representatives.  The
-partition for each n is kept on its rack (`Rack.orbit_partitions`), and the
-orbit tables, one per class partition, share its code-indexed orbit ids
-(`Rack.orbit_tables`); all of it lives exactly as long as the rack does.
+their least words, which are their canonical representatives.  A table is
+the braid orbits of (rack, n) and nothing else: it is kept on its rack, one
+per n (`Rack.orbit_tables`), and lives exactly as long as the rack does.
+Gradings of words by letter classes are read off the representatives by the
+modules of `hurwitz`, and monodromy labels are added there too.
 
 When every sigma(a (x) b) is one term on b (x) a^b, the braid action on
 V^(x)n only moves a word inside its orbit, so the FNF and bar complexes split
@@ -42,7 +43,6 @@ class OrbitRecord:
     rep: HurwitzWord
     size: int
     monodromy: frozenset | None
-    multigrade: tuple[int, ...]
 
 
 class OrbitTable:
@@ -71,71 +71,21 @@ class OrbitTable:
         return self.orbit_of[word_index(word, self.rack.size)]
 
 
-def class_partition(rack: Rack, labels_classes=None) -> list[int]:
-    """class index of each rack label; defaults to rack connectivity components."""
-    if labels_classes is not None:
-        return labels_classes
-    comp = rack.components()
-    out = [0] * rack.size
-    for ci, block in enumerate(comp):
-        for a in block:
-            out[a] = ci
-    return out
-
-
-def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP, class_of=None) -> OrbitTable:
+def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP) -> OrbitTable:
     """Orbits of the braid action on rack words of length n.
 
-    `class_of` assigns each letter a class index for the multigrade (checked
-    constant on every orbit); it defaults to rack components.  Tables are
-    cached on the rack, keyed by (n, class_of), together with the tables
-    below n that they are built from.
+    Tables are cached on the rack by n, together with the tables below n that
+    they are built from.
     """
     if rack.size**n > cap:  # checked before the cache, which does not key on the cap
         raise ValueError(f"state space {rack.size}^{n} exceeds cap {cap}")
-    return _orbit_table(rack, n, class_of)
+    return _orbit_table(rack, n)
 
 
-def _orbit_table(rack: Rack, n: int, class_of) -> OrbitTable:
+def _orbit_table(rack: Rack, n: int) -> OrbitTable:
     """The table of `rack_orbits`, without the cap check.
 
-    The multigrade is checked once per pair (orbit j at n - 1, letter a): the
-    words ending in a whose prefix lies in orbit j all have the multigrade of
-    orbit j plus a, by the check at n - 1, so comparing that with the
-    multigrade of the orbit holding the pair's least word checks every word.
-    """
-    key = (n, tuple(class_of) if class_of is not None else None)
-    table = rack.orbit_tables.get(key)
-    if table is not None:
-        return table
-    prev = _orbit_table(rack, n - 1, class_of) if n else None
-    class_of = class_partition(rack, class_of)
-    d = rack.size
-    m = max(class_of) + 1 if class_of else 1
-    orbit_of, reps, sizes = _orbit_partition(rack, n)
-    orbits = []
-    for rep, size in zip(reps, sizes):
-        multigrade = [0] * m
-        for a in rep:
-            multigrade[class_of[a]] += 1
-        orbits.append(OrbitRecord(rep, size, None, tuple(multigrade)))
-    if prev is not None:
-        for rec in prev.orbits:
-            base = word_index(rec.rep, d) * d
-            for a in range(d):
-                grade = list(rec.multigrade)
-                grade[class_of[a]] += 1
-                if orbits[orbit_of[base + a]].multigrade != tuple(grade):
-                    raise AssertionError("multigrade is not constant on an orbit")
-    table = rack.orbit_tables[key] = OrbitTable(rack, n, orbits, orbit_of)
-    return table
-
-
-def _orbit_partition(rack: Rack, n: int) -> tuple[list[int], list[HurwitzWord], list[int]]:
-    """The braid orbits on words of length n as (orbit id of every word code,
-    least word of every orbit, orbit sizes), orbits numbered by least word.
-
-    Built from the partition at n - 1 and kept on the rack.  A node is a pair
+    Built from the table at n - 1 and kept on the rack.  A node is a pair
     (orbit j at n - 1, last letter a), coded j*d + a; it holds the words ending
     in a whose prefix lies in orbit j, and its least word is rep_j + (a,).
     sigma_1, ..., sigma_{n-2} move words inside their node, so the orbits at n
@@ -144,17 +94,17 @@ def _orbit_partition(rack: Rack, n: int) -> tuple[list[int], list[HurwitzWord], 
     root; node codes follow the order of the nodes' least words, so numbering
     the classes by root numbers the orbits by least word.
     """
-    part = rack.orbit_partitions.get(n)
-    if part is not None:
-        return part
-    d = rack.size
+    table = rack.orbit_tables.get(n)
+    if table is not None:
+        return table
     if n == 0:
-        part = rack.orbit_partitions[0] = ([0], [()], [1])
-        return part
-    prev_of, prev_reps, prev_sizes = _orbit_partition(rack, n - 1)
-    nodes = list(range(len(prev_reps) * d))
-    blocks = [nodes[j * d:j * d + d] for j in range(len(prev_reps))]
-    node = [x for j in prev_of for x in blocks[j]]  # the node of each word code
+        table = rack.orbit_tables[0] = OrbitTable(rack, 0, [OrbitRecord((), 1, None)], [0])
+        return table
+    prev = _orbit_table(rack, n - 1)
+    d = rack.size
+    nodes = list(range(len(prev) * d))
+    blocks = [nodes[j * d:j * d + d] for j in range(len(prev))]
+    node = [x for j in prev.orbit_of for x in blocks[j]]  # the node of each word code
     root = nodes[:]
     if n >= 2 and d:
         dd = d * d
@@ -179,13 +129,14 @@ def _orbit_partition(rack: Rack, n: int) -> tuple[list[int], list[HurwitzWord], 
         j, a = divmod(x, d)
         if r == x:
             orbit_of_node[x] = len(reps)
-            reps.append(prev_reps[j] + (a,))
-            sizes.append(prev_sizes[j])
+            reps.append(prev.orbits[j].rep + (a,))
+            sizes.append(prev.orbits[j].size)
         else:
             k = orbit_of_node[x] = orbit_of_node[r]
-            sizes[k] += prev_sizes[j]
-    part = rack.orbit_partitions[n] = (list(map(orbit_of_node.__getitem__, node)), reps, sizes)
-    return part
+            sizes[k] += prev.orbits[j].size
+    orbits = [OrbitRecord(rep, size, None) for rep, size in zip(reps, sizes)]
+    table = rack.orbit_tables[n] = OrbitTable(rack, n, orbits, list(map(orbit_of_node.__getitem__, node)))
+    return table
 
 
 def block_plan(V: BraidedVectorSpace, n: int) -> list[tuple[list[int], int]]:

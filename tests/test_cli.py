@@ -181,11 +181,16 @@ _S4_NICHOLS = ["nichols", "--group", "S4", "--classes", "transpositions", "--eps
      ["nichols", "--group", "D4", "--classes", "all", "--nmax", "4", "--field", "Q"]),
     ("nichols_S4_transpositions_epsilon_nmax5_Q.csv", _S4_NICHOLS + ["--nmax", "5", "--field", "Q"]),
     ("nichols_S4_transpositions_epsilon_nmax5_F3.csv", _S4_NICHOLS + ["--nmax", "5", "--field", "3"]),
+    # two group classes against three rack components
+    ("koszul_D4_2+2_epsilon_R_multigrade_pmax3_qmax4_F5.csv",
+     ["koszul", "--group", "D4", "--classes", "2+2", "--epsilon", "--module", "R", "--pmax", "3", "--qmax", "4",
+      "--multigrade", "--field", "5"]),
 ])
 def test_symmetrizer_era_golden(name, argv, capsys):
     # stdout recorded when each Nichols degree was the image of the quantum
     # symmetrizer and the Koszul derivations were solved through inverse Gram
-    # matrices, before degrees were built by the derivation recursion
+    # matrices, before degrees were built by the derivation recursion (the D4
+    # file: when every orbit record carried its multigrade)
     rc, out = run(capsys, argv)
     assert rc == 0
     assert out == (GOLDEN / name).read_text()
@@ -412,7 +417,9 @@ _S3_KOSZUL = ["koszul", "--group", "S3", "--classes", "transpositions", "--epsil
     (["malle", "--group", "S3", "--classes", "all", "--window", "-1"], "--window must be at least 0, got -1"),
     (["bound", "--betti", "1", "--q", "7", "--n", "3", "--d", "-1"], "--d must be at least 0, got -1"),
     (["betti", "--rank1", "--sigma", "1/0"], "--sigma must be a nonzero integer or fraction, got '1/0'"),
-], ids=["pmax=-2", "pmax=-1", "qmax=0", "qmax=-1", "window=-1", "d=-1", "sigma=1/0"])
+    (["bound", "--betti", "1", "--q", "4", "--n", "0", "--d", "2"], "--n must be at least 1, got 0"),
+    (["bound", "--betti", "1", "--q", "4", "--n", "-1"], "--n must be at least 0, got -1"),
+], ids=["pmax=-2", "pmax=-1", "qmax=0", "qmax=-1", "window=-1", "d=-1", "sigma=1/0", "n=0", "n=-1"])
 def test_out_of_range_options_are_usage_errors(argv, message, capsys):
     rc = main(argv)
     captured = capsys.readouterr()

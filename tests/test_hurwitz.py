@@ -100,25 +100,27 @@ def test_orbit_tables_are_cached_on_the_class_set_and_die_with_it():
     assert hurwitz_orbits(G, c, 3) is labelled
     assert rack_orbits(rack, 3) is plain
     # the labelled table shares its word index with the unlabelled one
-    class_of = [c.class_index(g) for g in c.elements]
-    assert labelled.orbit_of is rack_orbits(rack, 3, class_of=class_of).orbit_of
     assert plain.orbit_of is labelled.orbit_of
     # one subgroup lattice per (group, class set), shared by every caller
     lattice = subgroup_lattice(G, c)
     assert subgroup_lattice(G, c) is lattice and c.lattices == {G: lattice}
-    assert filtered_module(G, c, frozenset(G.elements), 2).name.startswith("Rexact")
+    assert lattice.tables[3] is labelled
+    assert filtered_module(G, c, frozenset(G.elements), 2).stratum == frozenset(G.elements)
+    assert orbit_ring_module(rack, 3, class_of=[c.class_index(g) for g in c.elements]).stratum is None
     assert c.lattices == {G: lattice}
+    # one plain table per word length, whatever grading or labels are read
+    assert list(rack.orbit_tables) == [0, 1, 2, 3] and rack.orbit_tables[3] is plain
     refs = [weakref.ref(labelled), weakref.ref(plain), weakref.ref(lattice)]
     del G, c, rack, labelled, plain, lattice
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
 
 
-def tuple_bfs_orbits(rack, n, class_of):
+def tuple_bfs_orbits(rack, n):
     """Oracle: breadth-first closure of tuples under sigma_i and sigma_i^-1.
 
     Returns the partition of the words, as {word: representative}, and
-    {representative: (size, multigrade)}."""
+    {representative: size}."""
     act, inv_act = rack.act, rack.inv_act
     rep_of, records = {}, {}
     for w0 in product(range(rack.size), repeat=n):
@@ -138,31 +140,20 @@ def tuple_bfs_orbits(rack, n, class_of):
                             comp.append(w2)
                             nxt.append(w2)
             frontier = nxt
-        grades = {tuple(sum(1 for a in w if class_of[a] == k) for k in range(max(class_of) + 1))
-                  for w in comp}
-        assert len(grades) == 1
-        records[w0] = (len(comp), grades.pop())
+        records[w0] = len(comp)
     return rep_of, records
 
 
-def sweep_orbits(rack, n, class_of):
+def sweep_orbits(rack, n):
     """Oracle: a sweep of the word codes in increasing order, closing each new
-    orbit under the forward moves sigma_i, with the multigrade of every word
-    checked against its orbit's.
+    orbit under the forward moves sigma_i.
 
-    Returns the orbit id of each word code and [(rep, size, multigrade)] in
-    order of first code."""
+    Returns the orbit id of each word code and [(rep, size)] in order of first
+    code."""
     d = rack.size
     dd = d * d
     sigma = [b * d + rack.act[a][b] for a in range(d) for b in range(d)]
     places = [d ** (n - 2 - i) for i in range(n - 1)]
-    m = max(class_of) + 1
-
-    def grade(w):
-        g = [0] * m
-        for a in index_word(w, d, n):
-            g[class_of[a]] += 1
-        return tuple(g)
 
     orbit_id = [-1] * d**n
     records = []
@@ -172,14 +163,13 @@ def sweep_orbits(rack, n, class_of):
         orbit_id[w0] = len(records)
         comp = [w0]
         for w in comp:  # comp grows while it is walked
-            assert grade(w) == grade(w0)
             for s in places:
                 p = w // s % dd
                 w2 = w + (sigma[p] - p) * s
                 if orbit_id[w2] < 0:
                     orbit_id[w2] = len(records)
                     comp.append(w2)
-        records.append((index_word(w0, d, n), len(comp), grade(w0)))
+        records.append((index_word(w0, d, n), len(comp)))
     return orbit_id, records
 
 
@@ -191,29 +181,63 @@ def class_sets_and_lengths(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(class_sets_and_lengths(), st.booleans())
-def test_rack_orbits_match_tuple_bfs(case, by_class):
+@given(class_sets_and_lengths())
+def test_rack_orbits_match_tuple_bfs(case):
     # orbits built by induction on n, against the code sweep under sigma_i and
     # the tuple sweep under sigma_i and its inverse
     G, c, n = case
     rack = c.rack
-    if by_class:
-        class_of = [c.class_index(g) for g in c.elements]
-        table = rack_orbits(rack, n, class_of=class_of)
-    else:
-        class_of = [0] * rack.size
-        for k, block in enumerate(rack.components()):
-            for a in block:
-                class_of[a] = k
-        table = rack_orbits(rack, n)
-    orbit_id, records = sweep_orbits(rack, n, class_of)
+    table = rack_orbits(rack, n)
+    orbit_id, records = sweep_orbits(rack, n)
     assert table.orbit_of == orbit_id
-    assert [(rec.rep, rec.size, rec.multigrade) for rec in table.orbits] == records
-    rep_of, by_rep = tuple_bfs_orbits(rack, n, class_of)
+    assert [(rec.rep, rec.size) for rec in table.orbits] == records
+    rep_of, by_rep = tuple_bfs_orbits(rack, n)
     assert all(table.canonical(w) == rep for w, rep in rep_of.items())
     assert [rec.rep for rec in table.orbits] == sorted(by_rep)
-    assert [(rec.size, rec.multigrade) for rec in table.orbits] == [by_rep[r] for r in sorted(by_rep)]
+    assert [rec.size for rec in table.orbits] == [by_rep[r] for r in sorted(by_rep)]
     assert len(hurwitz_orbits(G, c, n)) == _naive_orbit_count(G, c, n)
+
+
+@st.composite
+def graded_modules(draw):
+    """A module over the orbit ring of a small class set, with its letter
+    classes: the full ring graded by conjugacy classes or by rack components,
+    or one monodromy stratum."""
+    G, c = draw(small_class_sets())
+    qmax = max(q for q in range(6) if len(c.elements) ** q <= 1500)
+    kind = draw(st.sampled_from(["classes", "components", "stratum"]))
+    group_classes = [c.class_index(g) for g in c.elements]
+    if kind == "classes":
+        return orbit_ring_module(c.rack, qmax, class_of=group_classes), group_classes
+    if kind == "components":
+        comps = [0] * len(c.elements)
+        for k, block in enumerate(c.rack.components()):
+            for a in block:
+                comps[a] = k
+        return orbit_ring_module(c.rack, qmax), comps
+    lattice = subgroup_lattice(G, c)
+    H = lattice.subgroups[draw(st.integers(0, len(lattice) - 1))]
+    return filtered_module(G, c, H, qmax), group_classes
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_modules())
+def test_module_grades_count_the_classes_of_every_word(case):
+    # the grade of a basis orbit, read off its representative, against the
+    # class counts of every word of the orbit
+    mod, class_of = case
+    m = max(class_of) + 1
+    d = mod.rack.size
+    for q, basis in mod.degrees.items():
+        table = mod.tables[q]
+        pos = {k: i for i, k in enumerate(basis)}
+        seen = set()
+        for code, k in enumerate(table.orbit_of):
+            if k in pos:
+                w = index_word(code, d, q)
+                assert mod.grades[q][pos[k]] == tuple(sum(class_of[a] == i for a in w) for i in range(m))
+                seen.add(k)
+        assert seen == set(basis)
 
 
 def test_orbit_of_is_indexed_by_word_code():
@@ -320,11 +344,10 @@ def test_multigrade_check_rejects_classes_the_braid_moves_mix():
     # some word of length 2, and of every length above
     G = S3()
     c = transpositions(G)
-    assert rack_orbits(c.rack, 1, class_of=[0, 1, 1]).orbits
-    with pytest.raises(AssertionError, match="multigrade"):
-        rack_orbits(c.rack, 2, class_of=[0, 1, 1])
-    with pytest.raises(AssertionError, match="multigrade"):
-        rack_orbits(c.rack, 4, class_of=[0, 1, 1])
+    assert orbit_ring_module(c.rack, 4, class_of=[0, 0, 0]).grades[2] == [(2,)] * 5
+    for qmax in (1, 2, 4):
+        with pytest.raises(ValueError, match=r"letter 0\^1 = 2 leaves the class of letter 0"):
+            orbit_ring_module(c.rack, qmax, class_of=[0, 1, 1])
 
 
 def test_state_cap():

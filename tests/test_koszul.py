@@ -71,6 +71,17 @@ def test_identities_on_full_ring():
     assert rep.ok
 
 
+def test_trivial_action_check_follows_the_stratum_not_the_name():
+    G, c, V = s3_setup()
+    H = subgroup_lattice(G, c).subgroups[-1]
+    K = koszul_complex(V, ("exact", H), pmax=3, qmax=5, F=QQ, G=G, c=c)
+    assert K.module.stratum == H
+    K.module.name = "R"
+    assert verify_koszul_identities(K, pr=2, qr=3).trivial_action_ok is True
+    K.module.stratum = None
+    assert verify_koszul_identities(K, pr=2, qr=3).trivial_action_ok is None
+
+
 def test_identities_on_rank_one():
     eps = rank_one_space(-1)
     K = koszul_complex(eps, "R", pmax=3, qmax=5, F=QQ)
@@ -192,14 +203,24 @@ def test_two_class_multidifferentials():
 
 def test_class_differentials_are_multigraded():
     # d_i moves one letter of class i from the dual side to the module side:
-    # the total multigrade of every entry's endpoints must agree
+    # the total multigrade of every entry's endpoints must agree; the second
+    # space has two classes
+    from braidhom.braided import Cocycle, braided_space
+
     G, c, V = s3_setup()
-    K = koszul_complex(V, "R", pmax=4, qmax=4, F=QQ, c=c)
-    for (ci, p, q), M in K.d_class.items():
-        for (row, col) in M.entries:
-            src = K.term_multigrade(p, q, col)
-            tgt = K.term_multigrade(p - 1, q + 1, row)
-            assert src == tgt, (ci, p, q)
+    c_all = ConjClassSet(G, [g for g in G.elements if g != identity_perm(3)])
+    V_all = braided_space(c_all.rack, Cocycle.constant(c_all.rack, 1), epsilon=True, group=G)
+    for K in (koszul_complex(V, "R", pmax=4, qmax=4, F=QQ, c=c),
+              koszul_complex(V_all, "R", pmax=3, qmax=3, F=QQ, c=c_all)):
+        for (ci, p, q), M in K.d_class.items():
+            src, tgt = koszul._term_grades(K, p, q), koszul._term_grades(K, p - 1, q + 1)
+            assert len(src) == M.cols and len(tgt) == M.rows
+            before, after = K.module.grades[q], K.module.grades[q + 1]
+            for (row, col) in M.entries:
+                assert src[col] == tgt[row], (ci, p, q)
+                # d_ci moves one letter of class ci from the dual side to the module side
+                moved = [b - a for a, b in zip(before[col % len(before)], after[row % len(after)])]
+                assert moved == [int(i == ci) for i in range(len(K.classes))], (ci, p, q)
 
 
 def test_multigrade_refinement_consistent():

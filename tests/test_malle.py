@@ -69,6 +69,11 @@ def test_point_count_bound_exact_values():
     assert b2.value() == Fraction(3, 2) * 16
     with pytest.raises(ValueError):
         point_count_bound(4, 2, [1, -1])
+    # n^d normalizes, so n = 0 needs d = 0, and n is never negative
+    assert point_count_bound(4, 0, [1, 1]).normalized == (1, Fraction(1, 4))
+    for n, d in [(0, 2), (-1, 0), (-1, 2)]:
+        with pytest.raises(ValueError, match="n must be at least"):
+            point_count_bound(4, n, [1], d=d)
 
 
 def test_point_count_bound_monotone():
