@@ -14,7 +14,8 @@ lazily on first use: each group's right-multiplication index tables,
 `ConjClassSet.rack` and `ConjClassSet.lattices` (filled by
 `hurwitz.subgroup_lattice`; each lattice keeps the monodromy-labelled orbit
 tables of `hurwitz.hurwitz_orbits`), each rack's `orbit_tables`, one per word
-length (filled by `orbits.rack_orbits`), and each braided space's inverse
+length (filled by `orbits.rack_orbits`; each table builds its list of every
+word's orbit, `orbit_of`, on first read), and each braided space's inverse
 braiding, sign twist and `block_products` (filled by `qsa.bar_chains`).
 Those fills are not locked.
 """

@@ -20,7 +20,7 @@ from math import comb
 from .braided import ConjClassSet, PermGroup, Rack, cycle_notation, identity_perm, index_word, word_index
 from .exactla import CoefficientField
 from .fnf import PermutationSystem, homology_for_system
-from .orbits import DEFAULT_STATE_CAP, HurwitzWord, OrbitTable, letter_conjugations, orbit_classes, rack_orbits
+from .orbits import DEFAULT_STATE_CAP, OrbitTable, letter_conjugations, orbit_classes, rack_orbits
 
 
 def monodromy_group(word, G: PermGroup) -> frozenset:
@@ -116,31 +116,42 @@ class SubgroupLattice:
 def hurwitz_orbits(G: PermGroup, c: ConjClassSet, n: int, cap: int = DEFAULT_STATE_CAP) -> OrbitTable:
     """Orbit table of the braid action on c^(x)n with monodromy labels.
 
-    Each orbit is labelled by the subgroup of G its letters generate, and the
-    label is checked on every word of the orbit.  The monodromy of a word
-    depends only on its set of letters, so it is read off the subgroup
-    lattice of (G, c) once per letter set.  The table is kept on that
-    lattice and shares `orbit_of` with the unlabelled table of `rack_orbits`.
+    Each orbit is labelled by the subgroup of G its letters generate, built by
+    induction on n over the nodes of the unlabelled table (`rack_orbits`): a
+    word's monodromy is <monodromy of its prefix, last letter>, so the words
+    of node (orbit j at n - 1, letter a) all have monodromy
+    <label of j, a>, read off the subgroup lattice of (G, c) once per letter
+    set.  Every node is checked against its orbit's label; since the labels
+    at n - 1 were checked in turn, this checks the label on every word.  The
+    table is kept on that lattice, together with the tables below n, and
+    shares `orbit_of` with the unlabelled table.
     """
     plain = rack_orbits(c.rack, n, cap=cap)
     lattice = subgroup_lattice(G, c)
     if n in lattice.tables:
         return lattice.tables[n]
-    d = len(c.elements)
-    # letters[w]: the letter set of the word with code w, as a bitmask
-    letters = [0]
-    for _ in range(n):
-        letters = [s | 1 << a for s in letters for a in range(d)]
-    subgroups: dict = {}  # subgroup -> label id
-    label_of = {}  # letter bitmask -> label id
-    for s in set(letters):
-        label_of[s] = subgroups.setdefault(lattice.generated_by(s), len(subgroups))
-    rep_labels = [label_of[sum(1 << a for a in set(rec.rep))] for rec in plain.orbits]
-    if list(map(label_of.__getitem__, letters)) != list(map(rep_labels.__getitem__, plain.orbit_of)):
-        raise AssertionError("monodromy is not constant on an orbit")
-    by_label = list(subgroups)
-    orbits = [replace(rec, monodromy=by_label[i]) for rec, i in zip(plain.orbits, rep_labels)]
-    table = lattice.tables[n] = OrbitTable(c.rack, n, orbits, plain.orbit_of)
+    if n == 0:
+        labels = [lattice.generated_by(0)]
+    else:
+        below = hurwitz_orbits(G, c, n - 1)
+        d = len(c.elements)
+        masks = dict(zip(lattice.subgroups, lattice.masks))  # subgroup -> the letters of c in it
+        by_letters = {}  # letter bitmask -> the subgroup it generates
+        node_labels = []
+        for rec in below.orbits:
+            mask = masks.get(rec.monodromy, 0)  # the empty word's trivial group holds no letter
+            for a in range(d):
+                s = mask | 1 << a
+                if s not in by_letters:
+                    by_letters[s] = lattice.generated_by(s)
+                node_labels.append(by_letters[s])
+        labels = [None] * len(plain)
+        for k, h in zip(plain.nodes, node_labels):
+            if labels[k] is None:
+                labels[k] = h
+            elif labels[k] != h:
+                raise AssertionError("monodromy is not constant on an orbit")
+    table = lattice.tables[n] = plain.relabel([replace(rec, monodromy=h) for rec, h in zip(plain.orbits, labels)])
     return table
 
 
@@ -210,9 +221,15 @@ class FilteredModule:
     def dim(self, q: int) -> int:
         return len(self.degrees.get(q, ()))
 
-    def basis_words(self, q: int) -> list[HurwitzWord]:
-        table = self.tables[q]
-        return [table.orbits[i].rep for i in self.degrees.get(q, ())]
+    @cached_property
+    def basis_words(self) -> dict:
+        """q -> the representatives of the degree-q basis orbits, in basis order."""
+        return {q: [self.tables[q].orbits[i].rep for i in basis] for q, basis in self.degrees.items()}
+
+    @cached_property
+    def positions(self) -> dict:
+        """q -> {index of a degree-q basis orbit in its table: its basis position}."""
+        return {q: {oi: k for k, oi in enumerate(basis)} for q, basis in self.degrees.items()}
 
     def grade(self, words) -> list[tuple[int, ...]]:
         """The multigrade of each word: the number of its letters in each class."""
@@ -230,7 +247,7 @@ class FilteredModule:
         """q -> the multigrade of each degree-q basis orbit, in basis order,
         read off its representative (the braid moves keep it, as checked at
         construction)."""
-        return {q: self.grade(self.basis_words(q)) for q in self.degrees}
+        return {q: self.grade(words) for q, words in self.basis_words.items()}
 
     def left_mult(self, letter: int, q: int):
         """Images of the degree-q basis under w -> (letter, w), as target
@@ -244,9 +261,9 @@ class FilteredModule:
     def _mult(self, letter: int, q: int, left: bool):
         if letter not in self.letters:
             return [None] * self.dim(q)
-        pos = {oi: k for k, oi in enumerate(self.degrees.get(q + 1, []))}
+        pos = self.positions.get(q + 1, {})
         index = self.tables[q + 1].index
-        return [pos.get(index((letter,) + w if left else w + (letter,))) for w in self.basis_words(q)]
+        return [pos.get(index((letter,) + w if left else w + (letter,))) for w in self.basis_words.get(q, [])]
 
 
 def orbit_ring_module(rack: Rack, qmax: int, class_of=None) -> FilteredModule:

@@ -6,10 +6,15 @@ is the Hurwitz action on c^(x)n.  Words are coded as base-d integers in
 lexicographic order.  The orbits at n are built from those at n - 1:
 sigma_1, ..., sigma_{n-2} fix the last letter and act on the prefix as
 B_{n-1}, so the orbits on words of length n are the classes of the pairs
-(prefix orbit, last letter) joined by sigma_{n-1}.  Orbits are numbered by
-their least words, which are their canonical representatives.  A table is
-the braid orbits of (rack, n) and nothing else: it is kept on its rack, one
-per n (`Rack.orbit_tables`), and lives exactly as long as the rack does.
+(prefix orbit, last letter) joined by sigma_{n-1}.  Those joins are read
+off triples (orbit at n - 2, letter, letter), so building a level costs
+#orbits(n - 2) * d^2 steps and no pass over the d^n words; a word's orbit is
+found by walking the levels' node lists, one letter at a time, and the list
+of every word's orbit is built only for the callers that read it
+(`block_plan`).  Orbits are numbered by their least words, which are their
+canonical representatives.  A table is the braid orbits of (rack, n) and
+nothing else: it is kept on its rack, one per n (`Rack.orbit_tables`), and
+lives exactly as long as the rack does.
 Gradings of words by letter classes are read off the representatives by the
 modules of `hurwitz`, and monodromy labels are added there too.
 
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braided import BraidedVectorSpace, PermGroup, Rack, conj, word_index
+from .braided import BraidedVectorSpace, PermGroup, Rack, conj
 
 HurwitzWord = tuple[int, ...]
 
@@ -46,29 +51,63 @@ class OrbitRecord:
 
 
 class OrbitTable:
-    """All orbits of the braid action on words of a fixed length.
+    """All orbits of the braid action on words of a fixed length n.
 
-    `orbit_of[w]` is the orbit index of the word with code w (`word_index`),
-    so it lists every word's orbit in lexicographic order of the words;
-    orbits are listed in lexicographic order of their canonical
-    representatives.
+    Orbits are listed in lexicographic order of their canonical
+    representatives.  A node at n >= 1 is a pair (orbit j at n - 1, last
+    letter a), coded j*d + a, and `nodes[j*d + a]` is the orbit at n of the
+    words in that node; `below` is the table at n - 1.  `index` reads a word's
+    orbit by walking these node lists up from the empty word, one letter per
+    level.  `orbit_of[w]` lists the orbit of every word code w (`word_index`),
+    in lexicographic order of the words; it is built from the level below on
+    first use, and a table relabelled by `relabel` shares it.
     """
 
-    def __init__(self, rack: Rack, n: int, orbits: list[OrbitRecord], orbit_of: list[int]):
+    def __init__(self, rack: Rack, n: int, orbits: list[OrbitRecord], nodes: list[int] | None,
+                 below: OrbitTable | None):
         self.rack = rack
         self.n = n
         self.orbits = orbits
-        self.orbit_of = orbit_of
+        self.nodes = nodes
+        self.below = below
+        self._levels = below._levels + (nodes,) if below is not None else ()
+        self._orbit_of = None
+        self._plain = None  # the table whose orbit_of this one shares, when relabelled
 
     def __len__(self):
         return len(self.orbits)
+
+    def relabel(self, orbits: list[OrbitRecord]) -> OrbitTable:
+        """The same orbits with other records, sharing this table's word index."""
+        table = OrbitTable(self.rack, self.n, orbits, self.nodes, self.below)
+        table._plain = self
+        return table
+
+    @property
+    def orbit_of(self) -> list[int]:
+        if self._plain is not None:
+            return self._plain.orbit_of
+        if self._orbit_of is None:
+            if self.below is None:
+                self._orbit_of = [0]
+            else:
+                d = self.rack.size
+                blocks = [self.nodes[j * d:j * d + d] for j in range(len(self.below))]
+                self._orbit_of = [k for j in self.below.orbit_of for k in blocks[j]]
+        return self._orbit_of
 
     def canonical(self, word: HurwitzWord) -> HurwitzWord:
         return self.orbits[self.index(word)].rep
 
     def index(self, word: HurwitzWord) -> int:
         """The orbit index of a word of length n over the rack's letters."""
-        return self.orbit_of[word_index(word, self.rack.size)]
+        if len(word) != self.n:
+            raise ValueError(f"a word of length {len(word)} has no orbit in the table of words of length {self.n}")
+        d = self.rack.size
+        k = 0
+        for nodes, a in zip(self._levels, word):
+            k = nodes[k * d + a]
+        return k
 
 
 def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP) -> OrbitTable:
@@ -85,32 +124,33 @@ def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP) -> OrbitTable:
 def _orbit_table(rack: Rack, n: int) -> OrbitTable:
     """The table of `rack_orbits`, without the cap check.
 
-    Built from the table at n - 1 and kept on the rack.  A node is a pair
-    (orbit j at n - 1, last letter a), coded j*d + a; it holds the words ending
-    in a whose prefix lies in orbit j, and its least word is rep_j + (a,).
+    Built from the table at n - 1 and kept on the rack.  A node (orbit j at
+    n - 1, last letter a), coded j*d + a, holds the words ending in a whose
+    prefix lies in orbit j, and its least word is rep_j + (a,).
     sigma_1, ..., sigma_{n-2} move words inside their node, so the orbits at n
-    are the classes of nodes joined by sigma_{n-1}, one edge per word, read
-    off its last pair code.  Union-find keeps each class's least node as its
-    root; node codes follow the order of the nodes' least words, so numbering
-    the classes by root numbers the orbits by least word.
+    are the classes of nodes joined by sigma_{n-1}.  Its edges are read off
+    triples (orbit K at n - 2, b, a), not off words: every word (u, b, a) with
+    u in K lies in node (nu(K, b), a), and sigma_{n-1} sends it to (u, a, b^a)
+    in node (nu(K, a), b^a), where nu is the node list of the table at n - 1.
+    A level thus costs #orbits(n - 2) * d^2 edges, not d^n.  Union-find
+    keeps each class's least node as its root; node codes follow the order of
+    the nodes' least words, so numbering the classes by root numbers the
+    orbits by least word.
     """
     table = rack.orbit_tables.get(n)
     if table is not None:
         return table
     if n == 0:
-        table = rack.orbit_tables[0] = OrbitTable(rack, 0, [OrbitRecord((), 1, None)], [0])
+        table = rack.orbit_tables[0] = OrbitTable(rack, 0, [OrbitRecord((), 1, None)], None, None)
         return table
     prev = _orbit_table(rack, n - 1)
     d = rack.size
-    nodes = list(range(len(prev) * d))
-    blocks = [nodes[j * d:j * d + d] for j in range(len(prev))]
-    node = [x for j in prev.orbit_of for x in blocks[j]]  # the node of each word code
-    root = nodes[:]
-    if n >= 2 and d:
-        dd = d * d
-        sigma = [b * d + rack.act[a][b] for a in range(d) for b in range(d)]  # on pair codes
-        moved = [node[w + p] for w in range(0, d**n, dd) for p in sigma]  # node of sigma_{n-1} w
-        for u, v in set(zip(node, moved)):
+    root = list(range(len(prev) * d))
+    if n >= 2:
+        nu, act = prev.nodes, rack.act
+        moves = [(b, a, act[b][a]) for b in range(d) for a in range(d)]
+        rows = [nu[k * d:k * d + d] for k in range(len(prev.below))]  # rows[K][b] = nu(K, b)
+        for u, v in {(row[b] * d + a, row[a] * d + t) for row in rows for b, a, t in moves}:
             while root[u] != u:
                 root[u] = u = root[root[u]]
             while root[v] != v:
@@ -119,8 +159,7 @@ def _orbit_table(rack: Rack, n: int) -> OrbitTable:
                 root[v] = u
             elif v < u:
                 root[u] = v
-        del moved
-    orbit_of_node = [0] * len(nodes)
+    nodes = [0] * len(root)
     reps, sizes = [], []
     for x in range(len(root)):
         r = root[x]
@@ -128,14 +167,14 @@ def _orbit_table(rack: Rack, n: int) -> OrbitTable:
             r = root[r]
         j, a = divmod(x, d)
         if r == x:
-            orbit_of_node[x] = len(reps)
+            nodes[x] = len(reps)
             reps.append(prev.orbits[j].rep + (a,))
             sizes.append(prev.orbits[j].size)
         else:
-            k = orbit_of_node[x] = orbit_of_node[r]
+            k = nodes[x] = nodes[r]
             sizes[k] += prev.orbits[j].size
     orbits = [OrbitRecord(rep, size, None) for rep, size in zip(reps, sizes)]
-    table = rack.orbit_tables[n] = OrbitTable(rack, n, orbits, list(map(orbit_of_node.__getitem__, node)))
+    table = rack.orbit_tables[n] = OrbitTable(rack, n, orbits, nodes, prev)
     return table
 
 

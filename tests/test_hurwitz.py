@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 from itertools import product
 
@@ -76,18 +77,22 @@ def test_diagonal_orbits_have_small_monodromy():
             assert len(rec.monodromy) == 6
 
 
-@pytest.mark.parametrize("group,classes", [
-    ("S3", "transpositions"), ("S4", "transpositions"), ("A4", "3-cycles"), ("D4", "all"),
-])
-def test_orbit_labels_match_per_word_monodromy(group, classes):
-    # the labels are computed once per letter set; recompute them word by word
-    G = builtin_group(group)
-    c = class_selector(G, classes)
-    for n in range(5):
+def assert_labels_match_per_word_monodromy(G, c, nmax):
+    # the labels are built by induction over (prefix orbit, last letter)
+    # nodes; recompute them word by word, by a subgroup closure of the letters
+    for n in range(nmax + 1):
         table = hurwitz_orbits(G, c, n)
         for code, oi in enumerate(table.orbit_of):
             w = index_word(code, len(c.elements), n)
             assert monodromy_group([c.elements[a] for a in w], G) == table.orbits[oi].monodromy
+
+
+@pytest.mark.parametrize("group,classes", [
+    ("S3", "transpositions"), ("S4", "transpositions"), ("A4", "3-cycles"), ("D4", "all"),
+])
+def test_orbit_labels_match_per_word_monodromy(group, classes):
+    G = builtin_group(group)
+    assert_labels_match_per_word_monodromy(G, class_selector(G, classes), 4)
 
 
 def test_orbit_tables_are_cached_on_the_class_set_and_die_with_it():
@@ -196,6 +201,40 @@ def test_rack_orbits_match_tuple_bfs(case):
     assert [rec.rep for rec in table.orbits] == sorted(by_rep)
     assert [rec.size for rec in table.orbits] == [by_rep[r] for r in sorted(by_rep)]
     assert len(hurwitz_orbits(G, c, n)) == _naive_orbit_count(G, c, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(class_sets_and_lengths())
+def test_orbit_labels_match_per_word_monodromy_on_small_class_sets(case):
+    G, c, n = case
+    assert_labels_match_per_word_monodromy(G, c, n)
+
+
+def test_orbit_index_rejects_words_of_another_length():
+    G = S3()
+    c = transpositions(G)
+    for table in (rack_orbits(c.rack, 3), hurwitz_orbits(G, c, 3)):
+        assert table.index((0, 1, 2)) == table.orbit_of[word_index((0, 1, 2), 3)]
+        for word in [(0, 1), (0, 1, 2, 0), ()]:
+            with pytest.raises(ValueError, match=f"length {len(word)} .* length 3"):
+                table.index(word)
+            with pytest.raises(ValueError):
+                table.canonical(word)
+
+
+def test_labelled_orbit_table_stays_small_at_scale():
+    # S5 transpositions at n = 7: 10^7 words in 390 orbits; the tables are
+    # built from (prefix orbit, last letter) nodes and hold no per-word list
+    G = builtin_group("S5")
+    c = class_selector(G, "transpositions")
+    tracemalloc.start()
+    try:
+        table = hurwitz_orbits(G, c, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 390 and sum(rec.size for rec in table.orbits) == 10**7
+    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 @st.composite
@@ -435,6 +474,10 @@ def test_rack_orbits_free_rack():
     # one-element rack: a single orbit in every degree
     triv = Rack(["*"], {("*", "*"): "*"})
     assert [len(rack_orbits(triv, n)) for n in range(5)] == [1, 1, 1, 1, 1]
+    # empty rack: only the empty word
+    empty = Rack([], {})
+    tables = [rack_orbits(empty, n) for n in range(4)]
+    assert [(len(t), t.orbit_of) for t in tables] == [(1, [0]), (0, []), (0, []), (0, [])]
 
 
 def test_orbit_ring_module_multiplication():
