@@ -266,10 +266,10 @@ def cmd_koszul(args) -> int:
     at_least("--pmax", args.pmax, 0)
     at_least("--qmax", args.qmax, 1)
     F = resolve_field(args, G)
-    lat = hurwitz.subgroup_lattice(G, c)
     if args.module == "R":
         spec = "R"
     else:
+        lat = hurwitz.subgroup_lattice(G, c)
         kind, _, idx = args.module.partition(":")
         if kind not in ("exact", "sub") or not idx.isdigit() or int(idx) >= len(lat):
             raise UsageError("module must be 'R', 'exact:<k>', or 'sub:<k>' with k a lattice index")

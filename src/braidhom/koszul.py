@@ -13,7 +13,11 @@ mirror conventions, and only this one squares to zero once c has classes of
 non-involutions).  Splitting the letter sum by conjugacy class gives the
 per-class differentials d_1..d_m; they anticommute and each squares to zero,
 and d = sum d_i.  Everything is assembled as explicit sparse matrices, and d
-is summed from the d_i once.  Each diagonal p + q = s is a chain complex in p;
+is summed from the d_i once.  Assembly lists, for each dual basis element
+psi_k, only the letters with d_v psi_k != 0, and reads that list for every
+module basis element; before assembling, the complex counts the entries those
+lists can give and refuses (ValueError) a count over
+`orbits.DEFAULT_STATE_CAP`.  Each diagonal p + q = s is a chain complex in p;
 it is held as a `fnf.GradedComplex`, whose construction checks d^2 = 0 and
 which ranks each differential at most once.  Every homology rank is read off
 those complexes.
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import orbits
 from .braided import BraidedVectorSpace, ConjClassSet, PermGroup, braided_space
 from .exactla import CoefficientField, RankTable, SparseMatrix, column_space_contains, homology_basis
 from .fnf import GradedComplex
@@ -76,6 +81,7 @@ class KoszulComplex:
         m = max(class_of) + 1 if class_of else 1
         self.classes = [[a for a in range(V.rack.size) if class_of[a] == i] for i in range(m)]
         self.d_class: dict = {}
+        self._check_size()
         self._assemble()
         self._d = {}
         for (ci, p, q), M in self.d_class.items():  # class 0 comes first for each (p, q)
@@ -100,27 +106,39 @@ class KoszulComplex:
             return 0
         return self.nichols.dim(p) * self.module.dim(q)
 
+    def _check_size(self):
+        """Refuse a complex too large to assemble: the class differentials hold
+        at most dim M_q times nnz(d_v psi_k) entries summed over q < qmax, p, k
+        and v, counted from the Nichols derivations before anything is built."""
+        nnz = sum(len(col) for p in range(1, self.pmax + 1) for cols in self.nichols.derivations[p] for col in cols)
+        entries = nnz * sum(self.module.dim(q) for q in range(self.qmax))
+        if entries > orbits.DEFAULT_STATE_CAP:
+            raise ValueError(f"the Koszul differentials would hold up to {entries} entries, over the cap of "
+                             f"{orbits.DEFAULT_STATE_CAP}; lower --pmax or --qmax")
+
     def _assemble(self):
         F = self.F
         dcols = self.nichols.derivations  # [p][v] -> columns of d_v out of dual degree p
         for q in range(self.qmax):
-            rmult = {v: self.module.right_mult(v, q) for v in range(self.V.rack.size)}
+            rmult = [self.module.right_mult(v, q) for v in range(self.V.rack.size)]
+            nq_src, nmod_t = self.module.dim(q), self.module.dim(q + 1)
             for p in range(1, self.pmax + 1):
-                np_src = self.nichols.dim(p)
-                nq_src = self.module.dim(q)
                 nrows = self.dim(p - 1, q + 1)
-                nmod_t = self.module.dim(q + 1)
                 for ci, letters in enumerate(self.classes):
                     cols = []
-                    for k in range(np_src):
+                    for k in range(self.nichols.dim(p)):
+                        # the letters v with d_v psi_k != 0, each with its rows
+                        # placed in term (p - 1, q + 1); read for every o
+                        terms = [(rmult[v], [(i * nmod_t, val) for i, val in dcols[p][v][k].items()])
+                                 for v in letters if dcols[p][v][k]]
                         for o in range(nq_src):
                             acc = {}
-                            for v in letters:
-                                o2 = rmult[v][o]
+                            for rm, entries in terms:
+                                o2 = rm[o]
                                 if o2 is None:
                                     continue
-                                for i, val in dcols[p][v][k].items():
-                                    row = i * nmod_t + o2
+                                for base, val in entries:
+                                    row = base + o2
                                     acc[row] = acc.get(row, 0) + val
                             cols.append(F.reduced(acc))
                     self.d_class[(ci, p, q)] = SparseMatrix._trusted(nrows, cols)
@@ -321,7 +339,11 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
         (`nichols.NicholsData`), so it holds by construction; the check still
         tests the module side and the assembly.  The Nichols data's
         independent check is the symmetrizer and Gram-matrix oracle of the
-        tests.
+        tests.  No P_g (x) 1 matrix is built: column (k, o) of dP_g - P_g d is
+        summed straight from the columns (i, o) of d(p + 1, q), for the
+        entries i of column k of the right product P_g out of degree p, minus
+        P_g out of degree p - 1 applied to the dual side of column (k, o) of
+        d(p, q), all read as they stand when the check runs.
     """
     F = K.F
     p_top = K.homology_pmax()
@@ -384,59 +406,40 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
     nullhomotopy_ok = True
     s_const = constant_braiding_value(K.V)
     letters = range(K.V.rack.size)
-    pstar = {}  # p -> [_pstar_matrix(K, g, p) for every letter g], the same for every q
+    right = K.nichols.right_products  # [p][g] -> columns of P_g from dual degree p to p + 1
     twisted = {}  # (g, p) -> _twisted_letters(K, g, p), the same for every q
     for q in range(min(qr, K.qmax - 1)):
+        n_src, n_tgt = K.module.dim(q), K.module.dim(q + 1)
         for p in range(1, pr):
             if K.dim(p, q) == 0:
                 continue
-            for key in (p, p - 1):
-                if key not in pstar:
-                    pstar[key] = [_pstar_matrix(K, g, key) for g in letters]
-            # each d is read once: the d P_g are the column blocks of one
-            # product and the P_g d the row blocks of another
-            n_src, n_tgt = K.dim(p, q), K.dim(p, q + 1)
-            d_after = K.d(p + 1, q).matmul(_tensor_with_module(K, pstar[p], q, side_by_side=True), F)
-            cols = d_after.columns()
-            lhs = [[dict(col) for col in cols[g * n_src:(g + 1) * n_src]] for g in letters]
-            after_d = _tensor_with_module(K, pstar[p - 1], q + 1, side_by_side=False).matmul(K.d(p, q), F)
-            for j, col in enumerate(after_d.columns()):
-                for i, v in col.items():
-                    g, i = divmod(i, n_tgt)
-                    s = F.sub(lhs[g][j].get(i, F.zero), v)
-                    if s == 0:
-                        lhs[g][j].pop(i, None)
-                    else:
-                        lhs[g][j][i] = s
+            d_above = K.d(p + 1, q).columns()
+            # each column of d(p, q) as (dual index, module index, value) triples
+            d_split = [[(*divmod(i, n_tgt), v) for i, v in col.items()] for col in K.d(p, q).columns()]
             for g in letters:
+                # P_g out of degree p - 1 with its rows placed in term (p, q + 1)
+                pg_below = [[(i * n_tgt, a) for i, a in col.items()] for col in right[p - 1][g]]
+                lhs = []
+                for k, pcol in enumerate(right[p][g]):
+                    for o in range(n_src):
+                        acc = {}
+                        # d P_g: P_g psi_k = sum_i a psi_i, and column (i, o) of d(p + 1, q)
+                        for i, a in pcol.items():
+                            for t, b in d_above[i * n_src + o].items():
+                                acc[t] = acc.get(t, 0) + a * b
+                        # P_g d: P_g applied to the dual side of column (k, o) of d(p, q)
+                        for i, o2, b in d_split[k * n_src + o]:
+                            for base, a in pg_below[i]:
+                                t = base + o2
+                                acc[t] = acc.get(t, 0) - a * b
+                        lhs.append(F.reduced(acc))
                 if (g, p) not in twisted:
                     twisted[(g, p)] = _twisted_letters(K, g, p)
                 rhs = _twisted_right_mult(K, twisted[(g, p)], p, q, s_const)
-                if lhs[g] != rhs.columns():
+                if lhs != rhs.columns():
                     nullhomotopy_ok = False
                     failures.append(f"nullhomotopy identity fails at (p={p}, q={q}, g={g})")
     return KoszulIdentityReport(anticommute_ok, trivial_ok, nullhomotopy_ok, failures)
-
-
-def _pstar_matrix(K: KoszulComplex, g: int, p: int) -> SparseMatrix:
-    """Right multiplication by the degree-one dual generator g* on the dual
-    factor: the right product R_g out of degree p of the Nichols data."""
-    nd = K.nichols
-    return SparseMatrix._trusted(nd.dim(p + 1), nd.right_products[p][g])
-
-
-def _tensor_with_module(K: KoszulComplex, mats: list[SparseMatrix], q: int, side_by_side: bool) -> SparseMatrix:
-    """The maps M (x) 1 on module degree q for M in mats (all of one shape),
-    side by side (one column block each) or stacked (one row block each)."""
-    nmod = K.module.dim(q)
-    rows = mats[0].rows * nmod
-    shift = 0 if side_by_side else rows  # row offset of each next block
-    blocks = [[{b * shift + i * nmod + o: v for i, v in col.items()} for col in M.columns() for o in range(nmod)]
-              for b, M in enumerate(mats)]
-    if side_by_side:
-        return SparseMatrix._trusted(rows, [col for block in blocks for col in block])
-    return SparseMatrix._trusted(len(mats) * rows, [{i: v for col in cols for i, v in col.items()}
-                                                    for cols in zip(*blocks)])
 
 
 def _twisted_letters(K: KoszulComplex, g: int, p: int) -> list[int]:

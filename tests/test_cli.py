@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from braidhom import hurwitz, koszul, qsa
+from braidhom import hurwitz, koszul, orbits, qsa
 from braidhom.cli import SUBCOMMANDS, build_parser, builtin_group, class_selector, main
 from braidhom.exactla import ComplexIntegrityError
 
@@ -111,6 +111,16 @@ def test_orbit_components_build_no_betti_complex(monkeypatch, capsys):
                            "--nmax", "4", "--components", "--field", "Q"])
     assert rc == 0
     assert "4,38,components,2" in out
+
+
+def test_koszul_on_the_full_ring_builds_no_lattice(monkeypatch, capsys):
+    def no_lattice(G, c):
+        raise AssertionError("koszul --module R built the subgroup lattice")
+
+    monkeypatch.setattr(hurwitz, "subgroup_lattice", no_lattice)
+    rc, _ = run(capsys, ["koszul", "--group", "S3", "--classes", "transpositions", "--epsilon",
+                         "--module", "R", "--pmax", "2", "--qmax", "3", "--field", "Q"])
+    assert rc == 0
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -290,6 +300,22 @@ def test_empty_dual_window_exits_3(capsys):
     assert rc == 3
     assert captured.out == ""
     assert "increase pmax" in captured.err
+
+
+def test_oversized_koszul_complex_exits_2(monkeypatch, capsys):
+    # S3 transpositions with pmax 2 and qmax 2: the 11 nonzero entries of the
+    # derivations times module dimensions 1 + 3 give at most 44 entries
+    argv = ["koszul", "--group", "S3", "--classes", "transpositions", "--epsilon",
+            "--pmax", "2", "--qmax", "2", "--field", "5"]
+    monkeypatch.setattr(orbits, "DEFAULT_STATE_CAP", 43)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("error: the Koszul differentials would hold up to 44 entries, "
+                            "over the cap of 43; lower --pmax or --qmax\n")
+    monkeypatch.setattr(orbits, "DEFAULT_STATE_CAP", 44)
+    assert main(argv) == 0
 
 
 def data_rows(out):

@@ -636,10 +636,7 @@ def test_koszul_and_nichols_matrices_pass_the_constructor_checks(F):
     for s in K.diagonals:
         mats += [M for cx in koszul._multigrade_blocks(K, s).values() for M in cx.diff.values()]
     for p in range(K.pmax):
-        pstar = [koszul._pstar_matrix(K, g, p) for g in range(V.rank)]
-        mats += pstar
         for q in range(K.qmax):
-            mats += [koszul._tensor_with_module(K, pstar, q, side_by_side) for side_by_side in (True, False)]
             mats += [koszul._twisted_right_mult(K, koszul._twisted_letters(K, g, p), p, q, -1)
                      for g in range(V.rank)]
     mats += [SparseMatrix._trusted(V.rank * nd.dim(2), list(nd._phi_columns(3)))]

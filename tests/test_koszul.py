@@ -10,7 +10,7 @@ from braidhom.koszul import (
     koszul_homology,
     verify_koszul_identities,
 )
-from braidhom.nichols import NicholsData
+from braidhom.nichols import NicholsData, constant_braiding_value, skew_derivation
 from tests.test_braided import S3, s3_transposition_space, s4_transposition_setup, transpositions
 
 F2 = GF(2)
@@ -119,21 +119,14 @@ def nullhomotopy_failures(rep):
     return [f for f in rep.failures if f.startswith("nullhomotopy")]
 
 
-def test_nullhomotopy_negative_control_on_one_letter(monkeypatch):
+def test_nullhomotopy_negative_control_on_one_letter():
     # one entry of P_2 at dual degree 1 is off: d P_2 fails at p = 1 and
     # P_2 d at p = 2, for every module degree checked and for letter 2 only
     G, c, V = s3_setup()
-    pstar = koszul._pstar_matrix
-
-    def corrupted(K, g, p):
-        M = pstar(K, g, p)
-        if (g, p) == (2, 1):
-            (i, j), x = min(M.entries.items())
-            M = SparseMatrix(M.rows, M.cols, {**M.entries, (i, j): x + 1})
-        return M
-
-    monkeypatch.setattr(koszul, "_pstar_matrix", corrupted)
     K = koszul_complex(V, "R", pmax=4, qmax=5, F=QQ, c=c)
+    cols = K.nichols.right_products[1][2]
+    i, j = min((i, j) for j, col in enumerate(cols) for i in col)
+    cols[j][i] += 1
     rep = verify_koszul_identities(K, pr=3, qr=3)
     assert not rep.nullhomotopy_ok and rep.anticommute_ok
     assert rep.failures == [f"nullhomotopy identity fails at (p={p}, q={q}, g=2)"
@@ -156,6 +149,95 @@ def test_nullhomotopy_negative_control_on_one_differential():
         "nullhomotopy identity fails at (p=2, q=1, g=1)",
         "nullhomotopy identity fails at (p=2, q=1, g=2)",
     ]
+
+
+def d4_double_transposition_space():
+    """D4, its 2+2 elements (two conjugacy classes: the central rotation and
+    the two edge reflections), and the sign-twisted space on them."""
+    from braidhom.braided import Cocycle, braided_space
+    from braidhom.cli import builtin_group, class_selector
+
+    G = builtin_group("D4")
+    c = class_selector(G, "2+2")
+    return G, c, braided_space(c.rack, Cocycle.constant(c.rack, 1), epsilon=True, group=G)
+
+
+ORACLE_SPACES = {"S3 eps": (s3_setup, 4, 5), "S4 eps": (s4_transposition_setup, 3, 4),
+                 "D4 2+2": (d4_double_transposition_space, 3, 4)}
+
+
+def kronecker_class_differential(K, letters, p, q, F):
+    """sum over v in letters of D_v (x) R_v on term (p, q), entry by entry:
+    D_v the skew derivation out of dual degree p, R_v right multiplication by
+    v on module degree q."""
+    nq, nt = K.module.dim(q), K.module.dim(q + 1)
+    entries = {}
+    for v in letters:
+        rmult = K.module.right_mult(v, q)
+        for (i, k), a in skew_derivation(K.nichols, v, p).entries.items():
+            for o, o2 in enumerate(rmult):
+                if o2 is not None:
+                    key = (i * nt + o2, k * nq + o)
+                    entries[key] = F.add(entries.get(key, F.zero), F.convert(a))
+    return SparseMatrix(K.dim(p - 1, q + 1), K.dim(p, q), entries)
+
+
+def tensor_with_identity(P, n):
+    """P (x) 1_n, module index fastest."""
+    return SparseMatrix(P.rows * n, P.cols * n, {(i * n + o, k * n + o): a
+                                                 for (i, k), a in P.entries.items() for o in range(n)})
+
+
+def kronecker_nullhomotopy_failures(K, pr, qr):
+    """The failures `verify_koszul_identities` reports for the nullhomotopy
+    identity, found with `SparseMatrix.matmul` on P_g (x) 1 built here."""
+    F, nd = K.F, K.nichols
+    s = constant_braiding_value(K.V)
+    failures = []
+    for q in range(min(qr, K.qmax - 1)):
+        for p in range(1, min(pr, K.pmax)):
+            if K.dim(p, q) == 0:
+                continue
+            for g in range(K.V.rack.size):
+                after = tensor_with_identity(SparseMatrix.from_columns(nd.dim(p + 1), nd.right_products[p][g]),
+                                             K.module.dim(q))
+                before = tensor_with_identity(SparseMatrix.from_columns(nd.dim(p), nd.right_products[p - 1][g]),
+                                              K.module.dim(q + 1))
+                lhs = K.d(p + 1, q).matmul(after, F).add(before.matmul(K.d(p, q), F).scale(-1), F)
+                rhs = koszul._twisted_right_mult(K, koszul._twisted_letters(K, g, p), p, q, s)
+                if lhs != rhs:
+                    failures.append(f"nullhomotopy identity fails at (p={p}, q={q}, g={g})")
+    return failures
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+@pytest.mark.parametrize("space", ORACLE_SPACES)
+def test_assembly_matches_kronecker_sums(space, field):
+    setup, pmax, qmax = ORACLE_SPACES[space]
+    G, c, V = setup()
+    K = koszul_complex(V, "R", pmax=pmax, qmax=qmax, F=field, c=c)
+    assert len(K.classes) == (2 if space == "D4 2+2" else 1)
+    for q in range(qmax):
+        for p in range(1, K.pmax + 1):
+            total = SparseMatrix.zero(K.dim(p - 1, q + 1), K.dim(p, q))
+            for ci, letters in enumerate(K.classes):
+                naive = kronecker_class_differential(K, letters, p, q, field)
+                assert K.d_class[(ci, p, q)] == naive, (ci, p, q)
+                total = total.add(naive, field)
+            assert K.d(p, q) == total, (p, q)
+    # the nullhomotopy check agrees with matrix products, on the intact complex
+    # and with one entry of a right product and of a differential corrupted
+    pr, qr = K.homology_pmax(), qmax - 1
+    assert nullhomotopy_failures(verify_koszul_identities(K, pr, qr)) == \
+        kronecker_nullhomotopy_failures(K, pr, qr) == []
+    cols = K.nichols.right_products[1][0]
+    i, j = min((i, j) for j, col in enumerate(cols) for i in col)
+    cols[j][i] = field.add(cols[j][i], 1)
+    col = K.d(2, 1).columns()[0]
+    i = min(col)
+    col[i] = field.add(col[i], 1)
+    expected = kronecker_nullhomotopy_failures(K, pr, qr)
+    assert expected and nullhomotopy_failures(verify_koszul_identities(K, pr, qr)) == expected
 
 
 def test_corrupted_derivation_fails_the_d_squared_check(monkeypatch):
