@@ -39,9 +39,9 @@ print(f"identity checks: anticommuting differentials {rep.anticommute_ok}, "
 
 print()
 print("=== per-stratum homology and observed vanishing ===")
-lat = subgroup_lattice(S3, c)
+lat = subgroup_lattice(c)
 for i, H in enumerate(lat):
-    KH = koszul_complex(Veps, ("exact", H), pmax=4, qmax=9, F=QQ, G=S3, c=c)
+    KH = koszul_complex(Veps, ("exact", H), pmax=4, qmax=9, F=QQ, c=c)
     table = koszul_homology(KH, qmax=8)
     top = max((q for (_p, q) in table.values), default=0)
     print(f"  {lat.describe(i)}: {dict(table.items())}  (zero for q > {top})")

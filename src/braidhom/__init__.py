@@ -25,7 +25,7 @@ from .braided import (
 )
 from .exactla import CoefficientField, GF, GF2, QQ, RankTable, SparseMatrix, rank
 from .fnf import braid_homology, fnf_complex
-from .hurwitz import hurwitz_orbits, monodromy_group, nielsen_components, subgroup_lattice
+from .hurwitz import monodromy_group, monodromy_labels, nielsen_components, subgroup_lattice
 from .koszul import generator_counts, koszul_complex, koszul_homology, verify_koszul_identities
 from .malle import center, index, malle_a, point_count_bound
 from .nichols import NicholsData, hopf_pairing, nichols_dims, skew_derivation
@@ -58,13 +58,13 @@ __all__ = [
     "fnf_complex",
     "generator_counts",
     "hopf_pairing",
-    "hurwitz_orbits",
     "index",
     "koszul_complex",
     "koszul_homology",
     "malle_a",
     "matsumoto_lift",
     "monodromy_group",
+    "monodromy_labels",
     "nichols_dims",
     "nielsen_components",
     "point_count_bound",

@@ -11,13 +11,13 @@ word codes (`word_index`), one path for every braiding.
 
 Structures are not changed after construction, apart from caches that fill
 lazily on first use: each group's right-multiplication index tables,
-`ConjClassSet.rack` and `ConjClassSet.lattices` (filled by
-`hurwitz.subgroup_lattice`; each lattice keeps the monodromy-labelled orbit
-tables of `hurwitz.hurwitz_orbits`), each rack's `orbit_tables`, one per word
-length (filled by `orbits.rack_orbits`; each table builds its list of every
-word's orbit, `orbit_of`, on first read), and each braided space's inverse
-braiding, sign twist and `block_products` (filled by `qsa.bar_chains`).
-Those fills are not locked.
+`ConjClassSet.rack` and `ConjClassSet.lattice` (filled by
+`hurwitz.subgroup_lattice`; the lattice keeps the orbits' monodromy labels of
+`hurwitz.monodromy_labels`, one list per word length), each rack's
+`orbit_tables`, one per word length (filled by `orbits.rack_orbits`; each
+table builds its list of every word's orbit, `orbit_of`, on first read), and
+each braided space's inverse braiding, sign twist and `block_products`
+(filled by `qsa.bar_chains`).  Those fills are not locked.
 """
 
 from __future__ import annotations
@@ -219,8 +219,11 @@ def load_group(text: str, name: str = "") -> PermGroup:
 class ConjClassSet:
     """A conjugation-closed set of nontrivial group elements, with its class partition.
 
-    The `rational` flag records closure under g -> g^a for all a prime to the
-    order of g; it is checked and reported, never enforced.
+    `classes` lists the conjugacy classes of `parent` that make up the set, and
+    `class_of[a]` is the index in `classes` of the class of letter a (the a-th
+    of the sorted `elements`).  The `rational` flag records closure under
+    g -> g^a for all a prime to the order of g; it is checked and reported,
+    never enforced.
     """
 
     def __init__(self, parent: PermGroup, elements):
@@ -245,24 +248,20 @@ class ConjClassSet:
             cl = parent.conjugacy_class(g)
             self.classes.append(sorted(cl))
             left -= cl
+        class_index = {g: i for i, cl in enumerate(self.classes) for g in cl}
+        self.class_of = [class_index[g] for g in self.elements]
         self.rational = all(
             pow_perm(g, a) in elems
             for g in self.elements
             for a in range(1, perm_order(g))
             if _coprime(a, perm_order(g))
         )
-        # group -> lattice of the subgroups generated by letters of this set,
-        # kept by `hurwitz.subgroup_lattice`
-        self.lattices: dict = {}
+        # the lattice of the subgroups of `parent` generated by letters of this
+        # set, kept by `hurwitz.subgroup_lattice`
+        self.lattice = None
 
     def __len__(self):
         return len(self.elements)
-
-    def class_index(self, g: Perm) -> int:
-        for i, cl in enumerate(self.classes):
-            if g in cl:
-                return i
-        raise KeyError(cycle_notation(g))
 
     def generates_parent(self) -> bool:
         return self.parent.subgroup_closure(self.elements) == frozenset(self.parent.elements)
@@ -428,12 +427,13 @@ class BraidedVectorSpace:
     with exact integer or Fraction coefficients.  `sigma_codes` is the same
     table on pair codes: entry a*r + b lists the terms (c*r + d, coefficient).
 
-    `grading`, when present, assigns a group element to each basis vector
-    (the Yetter-Drinfeld degree); the degree of a word is the left-to-right
-    product of its letters' degrees.
+    With a `group`, the labels must be elements of it, and `grading` is the
+    labels: each basis vector has its label as its Yetter-Drinfeld degree, and
+    the degree of a word is the left-to-right product of its letters' degrees.
+    Without a group, `grading` is None.
     """
 
-    def __init__(self, labels: list, sigma: dict, grading=None, group: PermGroup | None = None,
+    def __init__(self, labels: list, sigma: dict, group: PermGroup | None = None,
                  rack: Rack | None = None, cocycle: Cocycle | None = None, name: str = ""):
         self.labels = list(labels)
         self.rank = len(self.labels)
@@ -447,7 +447,9 @@ class BraidedVectorSpace:
         self.sigma_codes = [()] * (r * r)
         for (a, b), terms in self.sigma.items():
             self.sigma_codes[a * r + b] = tuple((c * r + d, coeff) for (c, d), coeff in terms)
-        self.grading = grading
+        if group is not None and any(lab not in group for lab in self.labels):
+            raise ValueError("the labels are not elements of the given group")
+        self.grading = self.labels if group is not None else None
         self.group = group
         self.rack = rack
         self.cocycle = cocycle
@@ -493,14 +495,7 @@ def braided_space(rack: Rack, x: Cocycle, epsilon: bool = False,
     for a in range(rack.size):
         for b in range(rack.size):
             sigma[(a, b)] = (((b, rack.act[a][b]), s * x.value(a, b)),)
-    grading = None
-    if group is not None:
-        grading = list(rack.labels)
-        for lab in grading:
-            if lab not in group:
-                raise ValueError("rack labels are not elements of the given group")
-    return BraidedVectorSpace(rack.labels, sigma, grading=grading, group=group,
-                              rack=rack, cocycle=x, name=name)
+    return BraidedVectorSpace(rack.labels, sigma, group=group, rack=rack, cocycle=x, name=name)
 
 
 def rank_one_space(sigma_scalar, name: str = "") -> BraidedVectorSpace:
@@ -524,8 +519,8 @@ def sign_twist(V: BraidedVectorSpace) -> BraidedVectorSpace:
         coc = None
         if V.cocycle is not None and V.rack is not None:
             coc = Cocycle(tuple(tuple(-v for v in row) for row in V.cocycle.table))
-        V._twist = BraidedVectorSpace(V.labels, sigma, grading=V.grading, group=V.group,
-                                      rack=V.rack, cocycle=coc, name=f"eps({V.name})")
+        V._twist = BraidedVectorSpace(V.labels, sigma, group=V.group, rack=V.rack, cocycle=coc,
+                                      name=f"eps({V.name})")
     return V._twist
 
 

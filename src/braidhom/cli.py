@@ -236,19 +236,18 @@ def cmd_orbits(args) -> int:
     c = class_selector(G, args.classes or "all")
     F = resolve_field(args, G)
     nmax = resolve_nmax(args, 5, least=0)
-    lat = hurwitz.subgroup_lattice(G, c)
+    lat = hurwitz.subgroup_lattice(c)
     rows = []
     for n in range(nmax + 1):
-        table = hurwitz.hurwitz_orbits(G, c, n, cap=args.cap)
+        table = hurwitz.rack_orbits(c.rack, n, cap=args.cap)
         by_sub = {}
-        for rec in table.orbits:
-            if rec.monodromy is None or rec.monodromy not in lat:
-                continue  # the n = 0 empty word has trivial monodromy, outside the lattice
-            by_sub[lat.index(rec.monodromy)] = by_sub.get(lat.index(rec.monodromy), 0) + 1
+        for h in hurwitz.monodromy_labels(c, n, cap=args.cap):
+            if h in lat:  # the n = 0 empty word has trivial monodromy, outside the lattice
+                by_sub[lat.index(h)] = by_sub.get(lat.index(h), 0) + 1
         for i in sorted(by_sub):
             rows.append([n, len(table), f"H{i}", by_sub[i]])
         if args.components:
-            comps = hurwitz.nielsen_component_count(G, c, n, cap=args.cap)
+            comps = hurwitz.nielsen_component_count(c, n, cap=args.cap)
             rows.append([n, len(table), "components", comps])
     meta = job_meta(args, {"field_resolved": str(F), "nmax_resolved": nmax,
                            "schema": "orbits",
@@ -269,12 +268,12 @@ def cmd_koszul(args) -> int:
     if args.module == "R":
         spec = "R"
     else:
-        lat = hurwitz.subgroup_lattice(G, c)
+        lat = hurwitz.subgroup_lattice(c)
         kind, _, idx = args.module.partition(":")
         if kind not in ("exact", "sub") or not idx.isdigit() or int(idx) >= len(lat):
             raise UsageError("module must be 'R', 'exact:<k>', or 'sub:<k>' with k a lattice index")
         spec = (kind, lat.subgroups[int(idx)])
-    K = koszul.koszul_complex(V, spec, pmax=args.pmax, qmax=args.qmax, F=F, G=G, c=c)
+    K = koszul.koszul_complex(V, spec, pmax=args.pmax, qmax=args.qmax, F=F, c=c)
     table = koszul.koszul_homology(K, qmax=args.qmax - 1, by_multigrade=args.multigrade)
     rows = [list(key) + [r] for key, r in table.items()]
     rep = koszul.verify_koszul_identities(K, pr=min(args.pmax, K.pmax), qr=args.qmax - 2)

@@ -1,18 +1,20 @@
 """Hurwitz orbits on c^(x)n and their group-theoretic refinements.
 
 The braid orbits themselves come from `orbits.rack_orbits` (re-exported
-here), built by induction on n.  On top of the raw orbit tables sit:
-monodromy subgroups and the lattice of subgroups generated from c (built once
-and kept on c, the one source of every monodromy label), the modules over
-the orbit ring with their grading by letter classes, the stratification of
-the orbit ring by exact monodromy, Nielsen classes (simultaneous
-conjugation) with component counts and their Betti numbers, and
-stabilization thresholds for right multiplication.
+here), built by induction on n; they belong to the rack of c alone.  On top
+of the orbit tables sit: monodromy subgroups and the lattice of subgroups of
+G generated from c, built once and kept on c, with the monodromy label of
+every orbit (`monodromy_labels`, one list per n, kept on the lattice); the
+modules over the orbit ring with their grading by letter classes; the
+stratification of the orbit ring by exact monodromy; Nielsen classes
+(simultaneous conjugation) with component counts and their Betti numbers;
+and stabilization thresholds for right multiplication.  The entry points
+that take a class set c take no group: they read G from `c.parent`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import comb
@@ -20,7 +22,7 @@ from math import comb
 from .braided import ConjClassSet, PermGroup, Rack, cycle_notation, identity_perm, index_word, word_index
 from .exactla import CoefficientField
 from .fnf import PermutationSystem, homology_for_system
-from .orbits import DEFAULT_STATE_CAP, OrbitTable, letter_conjugations, orbit_classes, rack_orbits
+from .orbits import DEFAULT_STATE_CAP, letter_conjugations, orbit_classes, rack_orbits
 
 
 def monodromy_group(word, G: PermGroup) -> frozenset:
@@ -29,14 +31,15 @@ def monodromy_group(word, G: PermGroup) -> frozenset:
 
 
 class SubgroupLattice:
-    """Subgroups of G generated by nonempty subsets of c, ordered by inclusion.
+    """Subgroups of G = c.parent generated by nonempty subsets of c.
 
     Subgroups are frozensets of elements, listed by (order, sorted elements)
     so that ids are deterministic; G itself is last when c generates G.
     `masks[i]` is the bitmask of the letters of c (indexed as in
     `c.elements`) that lie in subgroup i, `conjugations[t]` maps each
     letter index of c to that of its conjugate by the t-th generator of G,
-    and `tables[n]` is the monodromy-labelled orbit table of `hurwitz_orbits`.
+    and `labels[n]` lists the monodromy of each braid orbit on c^(x)n, in the
+    order of the orbit table (`monodromy_labels`).
 
     Every letter set s generates a subgroup of the lattice: adding the
     letters of s one at a time, each step closes the letters of c in a
@@ -46,8 +49,8 @@ class SubgroupLattice:
     `generated_by` reads it off without a closure.
     """
 
-    def __init__(self, G: PermGroup, c: ConjClassSet):
-        self.G = G
+    def __init__(self, c: ConjClassSet):
+        G = c.parent
         self.c = c
         elems = c.elements
         closures = {}  # generating letter bitmask -> subgroup
@@ -83,7 +86,7 @@ class SubgroupLattice:
         self._index = {h: i for i, h in enumerate(self.subgroups)}
         self._trivial = frozenset({identity_perm(G.degree)})
         self.conjugations = letter_conjugations(G, elems)
-        self.tables: dict = {}
+        self.labels: dict = {}  # n -> the monodromy of each orbit on c^(x)n
 
     def generated_by(self, letters: int) -> frozenset:
         """The subgroup generated by the letters of c in a bitmask; the
@@ -113,75 +116,70 @@ class SubgroupLattice:
         return f"H{i}|order={len(h)}|gens=" + ";".join(cycle_notation(g) for g in gens)
 
 
-def hurwitz_orbits(G: PermGroup, c: ConjClassSet, n: int, cap: int = DEFAULT_STATE_CAP) -> OrbitTable:
-    """Orbit table of the braid action on c^(x)n with monodromy labels.
+def monodromy_labels(c: ConjClassSet, n: int, cap: int = DEFAULT_STATE_CAP) -> list[frozenset]:
+    """The monodromy of each braid orbit on c^(x)n, in the order of
+    `rack_orbits(c.rack, n)`: the subgroup of G = c.parent its letters generate.
 
-    Each orbit is labelled by the subgroup of G its letters generate, built by
-    induction on n over the nodes of the unlabelled table (`rack_orbits`): a
-    word's monodromy is <monodromy of its prefix, last letter>, so the words
-    of node (orbit j at n - 1, letter a) all have monodromy
-    <label of j, a>, read off the subgroup lattice of (G, c) once per letter
-    set.  Every node is checked against its orbit's label; since the labels
-    at n - 1 were checked in turn, this checks the label on every word.  The
-    table is kept on that lattice, together with the tables below n, and
-    shares `orbit_of` with the unlabelled table.
+    Built by induction on n over the nodes of the orbit table: a word's
+    monodromy is <monodromy of its prefix, last letter>, so the words of node
+    (orbit j at n - 1, letter a) all have monodromy <label of j, a>, read off
+    the subgroup lattice of c once per letter set.  Every node is checked
+    against its orbit's label; since the labels at n - 1 were checked in
+    turn, this checks the label on every word.  The list is kept on that
+    lattice, together with the lists below n.
     """
-    plain = rack_orbits(c.rack, n, cap=cap)
-    lattice = subgroup_lattice(G, c)
-    if n in lattice.tables:
-        return lattice.tables[n]
+    table = rack_orbits(c.rack, n, cap=cap)
+    lattice = subgroup_lattice(c)
+    if n in lattice.labels:
+        return lattice.labels[n]
     if n == 0:
         labels = [lattice.generated_by(0)]
     else:
-        below = hurwitz_orbits(G, c, n - 1)
         d = len(c.elements)
         masks = dict(zip(lattice.subgroups, lattice.masks))  # subgroup -> the letters of c in it
         by_letters = {}  # letter bitmask -> the subgroup it generates
         node_labels = []
-        for rec in below.orbits:
-            mask = masks.get(rec.monodromy, 0)  # the empty word's trivial group holds no letter
+        for h in monodromy_labels(c, n - 1, cap):
+            mask = masks.get(h, 0)  # the empty word's trivial group holds no letter
             for a in range(d):
                 s = mask | 1 << a
                 if s not in by_letters:
                     by_letters[s] = lattice.generated_by(s)
                 node_labels.append(by_letters[s])
-        labels = [None] * len(plain)
-        for k, h in zip(plain.nodes, node_labels):
+        labels = [None] * len(table)
+        for k, h in zip(table.nodes, node_labels):
             if labels[k] is None:
                 labels[k] = h
             elif labels[k] != h:
                 raise AssertionError("monodromy is not constant on an orbit")
-    table = lattice.tables[n] = plain.relabel([replace(rec, monodromy=h) for rec, h in zip(plain.orbits, labels)])
-    return table
+    lattice.labels[n] = labels
+    return labels
 
 
-def nielsen_component_count(G: PermGroup, c: ConjClassSet, n: int,
-                            cap: int = DEFAULT_STATE_CAP) -> int:
-    """Number of braid orbits on the Nielsen classes of c^(x)n whose letters generate G.
+def nielsen_component_count(c: ConjClassSet, n: int, cap: int = DEFAULT_STATE_CAP) -> int:
+    """Number of braid orbits on the Nielsen classes of c^(x)n whose letters generate G = c.parent.
 
     Braid moves commute with simultaneous conjugation, so conjugation by G
     permutes the braid orbits, and keeps those of monodromy G among
     themselves; the count is the number of classes of monodromy G
-    (`orbits.orbit_classes`), read off the labelled orbit table.
+    (`orbits.orbit_classes`), read off the orbit table and its labels.
     """
-    table = hurwitz_orbits(G, c, n, cap=cap)
-    full = frozenset(G.elements)
-    classes = orbit_classes(table, subgroup_lattice(G, c).conjugations)
-    return sum(table.orbits[cls[0]].monodromy == full for cls in classes)
+    labels = monodromy_labels(c, n, cap=cap)
+    full = frozenset(c.parent.elements)
+    classes = orbit_classes(rack_orbits(c.rack, n, cap=cap), subgroup_lattice(c).conjugations)
+    return sum(labels[cls[0]] == full for cls in classes)
 
 
-def subgroup_lattice(G: PermGroup, c: ConjClassSet) -> SubgroupLattice:
-    """The lattice of subgroups of G generated by letters of c, built on
-    first use and kept on c for every caller."""
-    if G not in c.lattices:
-        c.lattices[G] = SubgroupLattice(G, c)
-    return c.lattices[G]
+def subgroup_lattice(c: ConjClassSet) -> SubgroupLattice:
+    """The lattice of subgroups of c.parent generated by letters of c, built
+    on first use and kept on c for every caller."""
+    if c.lattice is None:
+        c.lattice = SubgroupLattice(c)
+    return c.lattice
 
 
-def class_partition(rack: Rack, labels_classes=None) -> list[int]:
-    """class index of each rack label; defaults to rack connectivity components."""
-    if labels_classes is not None:
-        return labels_classes
+def class_partition(rack: Rack) -> list[int]:
+    """The index of each rack label's connectivity component."""
     comp = rack.components()
     out = [0] * rack.size
     for ci, block in enumerate(comp):
@@ -271,39 +269,34 @@ def orbit_ring_module(rack: Rack, qmax: int, class_of=None) -> FilteredModule:
     tables = {q: rack_orbits(rack, q) for q in range(qmax + 1)}
     degrees = {q: list(range(len(tables[q]))) for q in range(qmax + 1)}
     return FilteredModule("R", degrees, tables, list(range(rack.size)),
-                          rack, class_partition(rack, class_of))
+                          rack, class_partition(rack) if class_of is None else class_of)
 
 
-def filtered_module(G: PermGroup, c: ConjClassSet, H, qmax: int) -> FilteredModule:
+def filtered_module(c: ConjClassSet, H, qmax: int) -> FilteredModule:
     """The stratum of the orbit ring with monodromy exactly H, through degree qmax.
 
     H must belong to the subgroup lattice.  Letters outside H act as zero
     (their products have strictly larger monodromy).
     """
     H = frozenset(H)
-    lattice = subgroup_lattice(G, c)
+    lattice = subgroup_lattice(c)
     if H not in lattice:
         raise ValueError("H is not in the subgroup lattice")
-    rack = c.rack
-    class_of = [c.class_index(g) for g in c.elements]
-    tables = {q: hurwitz_orbits(G, c, q) for q in range(qmax + 1)}
-    degrees = {
-        q: [i for i, rec in enumerate(tables[q].orbits) if rec.monodromy == H]
-        for q in range(qmax + 1)
-    }
+    tables = {q: rack_orbits(c.rack, q) for q in range(qmax + 1)}
+    degrees = {q: [i for i, h in enumerate(monodromy_labels(c, q)) if h == H] for q in range(qmax + 1)}
     letters = [i for i, g in enumerate(c.elements) if g in H]
     name = f"Rexact[{lattice.describe(lattice.index(H))}]"
-    return FilteredModule(name, degrees, tables, letters, rack, class_of, stratum=H)
+    return FilteredModule(name, degrees, tables, letters, c.rack, c.class_of, stratum=H)
 
 
-def restricted_ring_module(G: PermGroup, c: ConjClassSet, H, qmax: int):
+def restricted_ring_module(c: ConjClassSet, H, qmax: int):
     """The orbit ring of (H, c n H) viewed as a module where letters outside H act
     as zero.  Returns (module, the group H generated by c n H)."""
     H = frozenset(H)
     sub_elems = [g for g in c.elements if g in H]
     if not sub_elems:
         raise ValueError("H meets c trivially")
-    Hgroup = PermGroup(G.degree, sub_elems, name="H")
+    Hgroup = PermGroup(c.parent.degree, sub_elems, name="H")
     cH = ConjClassSet(Hgroup, sub_elems)
     subrack = cH.rack
     tables = {q: rack_orbits(subrack, q) for q in range(qmax + 1)}
@@ -314,21 +307,21 @@ def restricted_ring_module(G: PermGroup, c: ConjClassSet, H, qmax: int):
     return mod, Hgroup
 
 
-def nielsen_components(G: PermGroup, c: ConjClassSet, n: int, F: CoefficientField):
+def nielsen_components(c: ConjClassSet, n: int, F: CoefficientField):
     """Braid orbits on generating Nielsen classes, and the Betti numbers of the
     cover they index.
 
-    Nielsen classes are words in c^(x)n up to simultaneous conjugation by G;
-    the braid action descends.  Only classes whose letters generate G are
+    Nielsen classes are words in c^(x)n up to simultaneous conjugation by
+    G = c.parent; the braid action descends.  Only classes whose letters generate G are
     kept.  Returns (component count, [H_j ranks for j = 0..n]).  The count is
     `nielsen_component_count`; the Betti numbers come from the braid action on
     the classes themselves, so H_0 is an independent computation of it.
     """
-    comps = nielsen_component_count(G, c, n)
+    comps = nielsen_component_count(c, n)
     if n <= 1 or not comps:
         return comps, [comps] + [0] * n
     d = len(c.elements)
-    lattice = subgroup_lattice(G, c)
+    lattice = subgroup_lattice(c)
     # conj_codes[t][w]: the code of word w conjugated letter by letter by generator t
     conj_codes = []
     for t in lattice.conjugations:
@@ -351,7 +344,7 @@ def nielsen_components(G: PermGroup, c: ConjClassSet, n: int, F: CoefficientFiel
                     class_of[img[w]] = len(reps)
                     cls.append(img[w])
         reps.append(w0)
-    full = frozenset(G.elements)
+    full = frozenset(c.parent.elements)
     surj, pos = [], {}
     for k, code in enumerate(reps):
         w = index_word(code, d, n)
@@ -386,8 +379,7 @@ class StabilizationReport:
         return self.observed is not None
 
 
-def stabilization_thresholds(G: PermGroup, c: ConjClassSet, class_index: int,
-                             window: dict | int) -> StabilizationReport:
+def stabilization_thresholds(c: ConjClassSet, class_index: int, window: dict | int) -> StabilizationReport:
     """Observed stabilization of right multiplication on the full-monodromy stratum.
 
     For each g in the chosen class, computes the rank of right multiplication
@@ -399,11 +391,10 @@ def stabilization_thresholds(G: PermGroup, c: ConjClassSet, class_index: int,
     if isinstance(window, int):
         window = {i: window for i in range(m)}
     qmax = sum(window.values())
-    lattice = subgroup_lattice(G, c)
-    full = frozenset(G.elements)
-    if full not in lattice:
+    full = frozenset(c.parent.elements)
+    if full not in subgroup_lattice(c):
         raise ValueError("c does not generate G")
-    mod = filtered_module(G, c, full, qmax + 1)
+    mod = filtered_module(c, full, qmax + 1)
     letters = [a for a, ci in enumerate(mod.class_of) if ci == class_index]
     positions = {}  # multigrade -> the basis positions of that grade within its degree
     for q in range(qmax + 2):

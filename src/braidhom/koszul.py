@@ -34,8 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import orbits
-from .braided import BraidedVectorSpace, ConjClassSet, PermGroup, braided_space
-from .exactla import CoefficientField, RankTable, SparseMatrix, column_space_contains, homology_basis
+from .braided import BraidedVectorSpace, Cocycle, ConjClassSet, braided_space
+from .exactla import (CoefficientField, ComplexIntegrityError, RankTable, SparseMatrix, column_space_contains,
+                      homology_basis)
 from .fnf import GradedComplex
 from .hurwitz import FilteredModule, filtered_module, orbit_ring_module, restricted_ring_module
 from .nichols import NicholsData, constant_braiding_value
@@ -181,26 +182,23 @@ class KoszulComplex:
 
 
 def koszul_complex(V: BraidedVectorSpace, module_spec, pmax: int, qmax: int,
-                   F: CoefficientField, G: PermGroup | None = None,
-                   c: ConjClassSet | None = None) -> KoszulComplex:
+                   F: CoefficientField, c: ConjClassSet | None = None) -> KoszulComplex:
     """Build the complex for a module described as 'R', ('exact', H), or ('sub', H).
 
     'R' is the full orbit ring; ('exact', H) the stratum of monodromy exactly
-    H (needs G and c); ('sub', H) the ring of the pair (H, c n H), in which
-    case the complex is built over the restricted braided space.
+    H in c.parent (needs c); ('sub', H) the ring of the pair (H, c n H), in
+    which case the complex is built over the restricted braided space.
     """
     if module_spec == "R":
         return KoszulComplex(V, _full_ring(V, qmax, c), pmax, qmax, F)
     kind, H = module_spec
-    if G is None or c is None:
-        raise ValueError("subgroup modules need the group and class set")
+    if c is None:
+        raise ValueError("subgroup modules need the class set")
     if kind == "exact":
-        module = filtered_module(G, c, H, qmax)
+        module = filtered_module(c, H, qmax)
         return KoszulComplex(V, module, pmax, qmax, F)
     if kind == "sub":
-        from .braided import Cocycle
-
-        module, Hgroup = restricted_ring_module(G, c, H, qmax)
+        module, Hgroup = restricted_ring_module(c, H, qmax)
         s = constant_braiding_value(V)
         VH = braided_space(module.rack, Cocycle.constant(module.rack, s), epsilon=False,
                            group=Hgroup, name=f"{V.name}|H")
@@ -211,7 +209,7 @@ def koszul_complex(V: BraidedVectorSpace, module_spec, pmax: int, qmax: int,
 def _full_ring(V: BraidedVectorSpace, qmax: int, c: ConjClassSet | None) -> FilteredModule:
     """The full orbit ring of V's rack through degree qmax, its letters graded
     by the conjugacy classes of c, or by rack components without c."""
-    return orbit_ring_module(V.rack, qmax, class_of=[c.class_index(g) for g in c.elements] if c else None)
+    return orbit_ring_module(V.rack, qmax, class_of=c.class_of if c else None)
 
 
 def koszul_homology(K: KoszulComplex, pmax: int | None = None, qmax: int | None = None,
@@ -256,7 +254,8 @@ def _multigrade_blocks(K: KoszulComplex, s: int) -> dict:
     Each block holds the basis vectors of one grade, in index order, and the
     entries of d between them, split off column by column.  The class
     differentials preserve the multigrade, so the diagonal is the direct sum
-    of its blocks.
+    of its blocks; an entry of d between two grades breaks that, and raises
+    `ComplexIntegrityError`.
     """
     diagonal = K.diagonals[s]
     place = {}  # p -> (grade, position within that grade's block) per basis index
@@ -275,8 +274,10 @@ def _multigrade_blocks(K: KoszulComplex, s: int) -> dict:
             block_col = {}
             for i, v in col.items():
                 gi, r = tgt[i]
-                if gi == g:
-                    block_col[r] = v
+                if gi != g:
+                    raise ComplexIntegrityError(f"diagonal s={s}: entry (row {i}, column {j}) of d at p={p} "
+                                                f"joins grade {g} to grade {gi}")
+                block_col[r] = v
             columns[g].setdefault(p, []).append(block_col)
     return {
         g: GradedComplex(block,

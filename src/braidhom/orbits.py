@@ -16,7 +16,8 @@ canonical representatives.  A table is the braid orbits of (rack, n) and
 nothing else: it is kept on its rack, one per n (`Rack.orbit_tables`), and
 lives exactly as long as the rack does.
 Gradings of words by letter classes are read off the representatives by the
-modules of `hurwitz`, and monodromy labels are added there too.
+modules of `hurwitz`, and the orbits' monodromy labels are kept apart from the
+tables, on the subgroup lattice of `hurwitz`.
 
 When every sigma(a (x) b) is one term on b (x) a^b, the braid action on
 V^(x)n only moves a word inside its orbit, so the FNF and bar complexes split
@@ -47,7 +48,6 @@ DEFAULT_STATE_CAP = 10**7
 class OrbitRecord:
     rep: HurwitzWord
     size: int
-    monodromy: frozenset | None
 
 
 class OrbitTable:
@@ -60,7 +60,7 @@ class OrbitTable:
     orbit by walking these node lists up from the empty word, one letter per
     level.  `orbit_of[w]` lists the orbit of every word code w (`word_index`),
     in lexicographic order of the words; it is built from the level below on
-    first use, and a table relabelled by `relabel` shares it.
+    first use.
     """
 
     def __init__(self, rack: Rack, n: int, orbits: list[OrbitRecord], nodes: list[int] | None,
@@ -72,21 +72,12 @@ class OrbitTable:
         self.below = below
         self._levels = below._levels + (nodes,) if below is not None else ()
         self._orbit_of = None
-        self._plain = None  # the table whose orbit_of this one shares, when relabelled
 
     def __len__(self):
         return len(self.orbits)
 
-    def relabel(self, orbits: list[OrbitRecord]) -> OrbitTable:
-        """The same orbits with other records, sharing this table's word index."""
-        table = OrbitTable(self.rack, self.n, orbits, self.nodes, self.below)
-        table._plain = self
-        return table
-
     @property
     def orbit_of(self) -> list[int]:
-        if self._plain is not None:
-            return self._plain.orbit_of
         if self._orbit_of is None:
             if self.below is None:
                 self._orbit_of = [0]
@@ -141,7 +132,7 @@ def _orbit_table(rack: Rack, n: int) -> OrbitTable:
     if table is not None:
         return table
     if n == 0:
-        table = rack.orbit_tables[0] = OrbitTable(rack, 0, [OrbitRecord((), 1, None)], None, None)
+        table = rack.orbit_tables[0] = OrbitTable(rack, 0, [OrbitRecord((), 1)], None, None)
         return table
     prev = _orbit_table(rack, n - 1)
     d = rack.size
@@ -173,7 +164,7 @@ def _orbit_table(rack: Rack, n: int) -> OrbitTable:
         else:
             k = nodes[x] = nodes[r]
             sizes[k] += prev.orbits[j].size
-    orbits = [OrbitRecord(rep, size, None) for rep, size in zip(reps, sizes)]
+    orbits = [OrbitRecord(rep, size) for rep, size in zip(reps, sizes)]
     table = rack.orbit_tables[n] = OrbitTable(rack, n, orbits, nodes, prev)
     return table
 

@@ -28,7 +28,7 @@ from braidhom.braided import (
 )
 from braidhom.exactla import GF, QQ
 from braidhom.fnf import braid_homology
-from braidhom.hurwitz import hurwitz_orbits, orbit_count_bound, stabilization_thresholds, subgroup_lattice
+from braidhom.hurwitz import orbit_count_bound, rack_orbits, stabilization_thresholds, subgroup_lattice
 from braidhom.koszul import koszul_complex, koszul_homology, verify_koszul_identities
 from braidhom.malle import center, index, malle_a, point_count_bound
 from braidhom.nichols import nichols_dims
@@ -247,7 +247,7 @@ def signed_orbit_count(rack: Rack, n: int, sign_value: int = -1,
 def test_criterion_8_hurwitz_orbits():
     with criterion(8, "Hurwitz orbit counts vs naive union-find oracle, with bound"):
         G, c = s3_transpositions()
-        counts = [len(hurwitz_orbits(G, c, n)) for n in range(9)]
+        counts = [len(rack_orbits(c.rack, n)) for n in range(9)]
         assert counts[0] == 1 and counts[1] == 3 and counts[2] == 5
         for n in range(9):
             assert counts[n] == _naive_orbit_count(G, c, n), n
@@ -262,8 +262,8 @@ def test_criterion_9_koszul_identities():
         K = koszul_complex(Veps, "R", pmax=4, qmax=7, F=QQ, c=c)  # d^2 = 0 asserted here
         rep = verify_koszul_identities(K, pr=4, qr=5)
         assert rep.anticommute_ok and rep.nullhomotopy_ok
-        for H in subgroup_lattice(G, c):
-            KH = koszul_complex(Veps, ("exact", H), pmax=4, qmax=10, F=QQ, G=G, c=c)
+        for H in subgroup_lattice(c):
+            KH = koszul_complex(Veps, ("exact", H), pmax=4, qmax=10, F=QQ, c=c)
             repH = verify_koszul_identities(KH, pr=4, qr=6)
             assert repH.anticommute_ok and repH.trivial_action_ok and repH.nullhomotopy_ok
             table = koszul_homology(KH, qmax=9)
@@ -277,7 +277,7 @@ def test_criterion_9_koszul_identities():
 def test_criterion_10_stabilization():
     with criterion(10, "right multiplication stabilizes on the full-monodromy stratum"):
         G, c = s3_transpositions()
-        rep = stabilization_thresholds(G, c, 0, 7)
+        rep = stabilization_thresholds(c, 0, 7)
         assert rep.stabilized
         assert rep.observed < 7  # threshold strictly inside the window
         # the reported threshold is least: one step earlier must fail for some letter

@@ -200,7 +200,7 @@ def test_multidegree_preserved():
     c = ConjClassSet(G, [g for g in G.elements if g != identity_perm(3)])
     rack = conjugation_rack(G, c)
     V = braided_space(rack, Cocycle.constant(rack, 1), group=G)
-    class_of = [c.class_index(g) for g in c.elements]
+    class_of = c.class_of
     from braidhom.braided import apply_moves_to_vector, index_word
 
     for idx in range(V.rank**3):
@@ -224,7 +224,7 @@ def test_check_braided_negative_control():
     bad_sigma = dict(V.sigma)
     ((c0, d0), coeff) = bad_sigma[(0, 1)][0]
     bad_sigma[(0, 1)] = (((c0, (d0 + 1) % 3), coeff),)
-    W = BraidedVectorSpace(V.labels, bad_sigma, grading=V.grading, group=V.group, rack=V.rack)
+    W = BraidedVectorSpace(V.labels, bad_sigma, group=V.group, rack=V.rack)
     rep = check_braided(W)
     assert not rep.ok and rep.failures
 

@@ -114,7 +114,7 @@ def test_orbit_components_build_no_betti_complex(monkeypatch, capsys):
 
 
 def test_koszul_on_the_full_ring_builds_no_lattice(monkeypatch, capsys):
-    def no_lattice(G, c):
+    def no_lattice(c):
         raise AssertionError("koszul --module R built the subgroup lattice")
 
     monkeypatch.setattr(hurwitz, "subgroup_lattice", no_lattice)
@@ -316,6 +316,19 @@ def test_oversized_koszul_complex_exits_2(monkeypatch, capsys):
                             "over the cap of 43; lower --pmax or --qmax\n")
     monkeypatch.setattr(orbits, "DEFAULT_STATE_CAP", 44)
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--group", "S4", "--classes", "transpositions", "--nmax", "5", "--cap", "100"],
+    ["malle", "--group", "S4", "--classes", "transpositions", "--window", "5", "--cap", "100"],
+])
+def test_orbit_cap_exits_2(argv, capsys):
+    # 6^3 words already exceed the cap of 100
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "exceeds cap 100" in captured.err
 
 
 def data_rows(out):

@@ -231,7 +231,7 @@ def shuffle_block_by_lifts(system, F, a, b, offset):
     return out
 
 
-def nielsen_system(G, c, n):
+def nielsen_system(c, n):
     """The permutation local system on the Nielsen classes of c^n that
     `hurwitz.nielsen_components` ranks, taken from the call it makes."""
     seen = []
@@ -241,7 +241,7 @@ def nielsen_system(G, c, n):
         return [0] * (n + 1)
 
     with mock.patch.object(hurwitz, "homology_for_system", capture):
-        hurwitz.nielsen_components(G, c, n, QQ)
+        hurwitz.nielsen_components(c, n, QQ)
     return seen[0]
 
 
@@ -255,7 +255,7 @@ def local_systems(draw):
         return TensorSystem(V, n), n
     if kind == "nielsen":
         G = builtin_group("S3")
-        return nielsen_system(G, class_selector(G, "transpositions"), 4), 4
+        return nielsen_system(class_selector(G, "transpositions"), 4), 4
     V = jordan_plane() if kind == "jordan" else rank_one_space(Fraction(1, 3))
     n = draw(st.integers(1, 4))
     return TensorSystem(V, n), n

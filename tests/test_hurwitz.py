@@ -21,9 +21,10 @@ from braidhom.braided import (
 from braidhom.cli import builtin_group, class_selector
 from braidhom.exactla import GF, QQ
 from braidhom.hurwitz import (
+    DEFAULT_STATE_CAP,
     filtered_module,
-    hurwitz_orbits,
     monodromy_group,
+    monodromy_labels,
     nielsen_components,
     orbit_count_bound,
     orbit_ring_module,
@@ -40,9 +41,9 @@ from tests.test_fnf import small_class_sets
 def test_orbit_basics():
     G = S3()
     c = transpositions(G)
-    assert len(hurwitz_orbits(G, c, 0)) == 1
-    assert len(hurwitz_orbits(G, c, 1)) == 3
-    t2 = hurwitz_orbits(G, c, 2)
+    assert len(rack_orbits(c.rack, 0)) == 1
+    assert len(rack_orbits(c.rack, 1)) == 3
+    t2 = rack_orbits(c.rack, 2)
     assert len(t2) == 5
     sizes = sorted(rec.size for rec in t2.orbits)
     assert sizes == [1, 1, 1, 3, 3]
@@ -55,7 +56,7 @@ def test_orbit_product_invariant():
 
     G = S3()
     c = transpositions(G)
-    t2 = hurwitz_orbits(G, c, 2)
+    t2 = rack_orbits(c.rack, 2)
     for rec in t2.orbits:
         rep_prod = pmul(c.elements[rec.rep[0]], c.elements[rec.rep[1]])
         for code, oi in enumerate(t2.orbit_of):
@@ -69,22 +70,21 @@ def test_orbit_product_invariant():
 def test_diagonal_orbits_have_small_monodromy():
     G = S3()
     c = transpositions(G)
-    t2 = hurwitz_orbits(G, c, 2)
-    for rec in t2.orbits:
+    for rec, h in zip(rack_orbits(c.rack, 2).orbits, monodromy_labels(c, 2)):
         if rec.size == 1:
-            assert len(rec.monodromy) == 2
+            assert len(h) == 2
         else:
-            assert len(rec.monodromy) == 6
+            assert len(h) == 6
 
 
-def assert_labels_match_per_word_monodromy(G, c, nmax):
+def assert_labels_match_per_word_monodromy(c, nmax):
     # the labels are built by induction over (prefix orbit, last letter)
     # nodes; recompute them word by word, by a subgroup closure of the letters
     for n in range(nmax + 1):
-        table = hurwitz_orbits(G, c, n)
-        for code, oi in enumerate(table.orbit_of):
+        labels = monodromy_labels(c, n)
+        for code, oi in enumerate(rack_orbits(c.rack, n).orbit_of):
             w = index_word(code, len(c.elements), n)
-            assert monodromy_group([c.elements[a] for a in w], G) == table.orbits[oi].monodromy
+            assert monodromy_group([c.elements[a] for a in w], c.parent) == labels[oi]
 
 
 @pytest.mark.parametrize("group,classes", [
@@ -92,7 +92,7 @@ def assert_labels_match_per_word_monodromy(G, c, nmax):
 ])
 def test_orbit_labels_match_per_word_monodromy(group, classes):
     G = builtin_group(group)
-    assert_labels_match_per_word_monodromy(G, class_selector(G, classes), 4)
+    assert_labels_match_per_word_monodromy(class_selector(G, classes), 4)
 
 
 def test_orbit_tables_are_cached_on_the_class_set_and_die_with_it():
@@ -100,25 +100,25 @@ def test_orbit_tables_are_cached_on_the_class_set_and_die_with_it():
     c = transpositions(G)
     rack = c.rack
     assert c.rack is rack
-    labelled = hurwitz_orbits(G, c, 3)
+    assert c.lattice is None
+    labels = monodromy_labels(c, 3)
     plain = rack_orbits(rack, 3)
-    assert hurwitz_orbits(G, c, 3) is labelled
+    assert monodromy_labels(c, 3) is labels
     assert rack_orbits(rack, 3) is plain
-    # the labelled table shares its word index with the unlabelled one
-    assert plain.orbit_of is labelled.orbit_of
-    # one subgroup lattice per (group, class set), shared by every caller
-    lattice = subgroup_lattice(G, c)
-    assert subgroup_lattice(G, c) is lattice and c.lattices == {G: lattice}
-    assert lattice.tables[3] is labelled
-    assert filtered_module(G, c, frozenset(G.elements), 2).stratum == frozenset(G.elements)
-    assert orbit_ring_module(rack, 3, class_of=[c.class_index(g) for g in c.elements]).stratum is None
-    assert c.lattices == {G: lattice}
-    # one plain table per word length, whatever grading or labels are read
+    # one subgroup lattice per class set, shared by every caller, and the
+    # labels of every word length up to 3 kept on it
+    lattice = subgroup_lattice(c)
+    assert subgroup_lattice(c) is lattice and c.lattice is lattice
+    assert list(lattice.labels) == [0, 1, 2, 3] and lattice.labels[3] is labels
+    assert filtered_module(c, frozenset(G.elements), 2).stratum == frozenset(G.elements)
+    assert orbit_ring_module(rack, 3, class_of=c.class_of).stratum is None
+    assert c.lattice is lattice
+    # one table per word length, whatever grading or labels are read
     assert list(rack.orbit_tables) == [0, 1, 2, 3] and rack.orbit_tables[3] is plain
-    refs = [weakref.ref(labelled), weakref.ref(plain), weakref.ref(lattice)]
-    del G, c, rack, labelled, plain, lattice
+    refs = [weakref.ref(plain), weakref.ref(lattice)]
+    del G, c, rack, labels, plain, lattice
     gc.collect()
-    assert [r() for r in refs] == [None, None, None]
+    assert [r() for r in refs] == [None, None]
 
 
 def tuple_bfs_orbits(rack, n):
@@ -200,26 +200,26 @@ def test_rack_orbits_match_tuple_bfs(case):
     assert all(table.canonical(w) == rep for w, rep in rep_of.items())
     assert [rec.rep for rec in table.orbits] == sorted(by_rep)
     assert [rec.size for rec in table.orbits] == [by_rep[r] for r in sorted(by_rep)]
-    assert len(hurwitz_orbits(G, c, n)) == _naive_orbit_count(G, c, n)
+    assert len(rack_orbits(c.rack, n)) == _naive_orbit_count(G, c, n)
 
 
 @settings(max_examples=40, deadline=None)
 @given(class_sets_and_lengths())
 def test_orbit_labels_match_per_word_monodromy_on_small_class_sets(case):
     G, c, n = case
-    assert_labels_match_per_word_monodromy(G, c, n)
+    assert_labels_match_per_word_monodromy(c, n)
 
 
 def test_orbit_index_rejects_words_of_another_length():
     G = S3()
     c = transpositions(G)
-    for table in (rack_orbits(c.rack, 3), hurwitz_orbits(G, c, 3)):
-        assert table.index((0, 1, 2)) == table.orbit_of[word_index((0, 1, 2), 3)]
-        for word in [(0, 1), (0, 1, 2, 0), ()]:
-            with pytest.raises(ValueError, match=f"length {len(word)} .* length 3"):
-                table.index(word)
-            with pytest.raises(ValueError):
-                table.canonical(word)
+    table = rack_orbits(c.rack, 3)
+    assert table.index((0, 1, 2)) == table.orbit_of[word_index((0, 1, 2), 3)]
+    for word in [(0, 1), (0, 1, 2, 0), ()]:
+        with pytest.raises(ValueError, match=f"length {len(word)} .* length 3"):
+            table.index(word)
+        with pytest.raises(ValueError):
+            table.canonical(word)
 
 
 def test_labelled_orbit_table_stays_small_at_scale():
@@ -229,11 +229,12 @@ def test_labelled_orbit_table_stays_small_at_scale():
     c = class_selector(G, "transpositions")
     tracemalloc.start()
     try:
-        table = hurwitz_orbits(G, c, 7)
+        table = rack_orbits(c.rack, 7)
+        labels = monodromy_labels(c, 7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(table) == 390 and sum(rec.size for rec in table.orbits) == 10**7
+    assert len(table) == len(labels) == 390 and sum(rec.size for rec in table.orbits) == 10**7
     assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
@@ -245,7 +246,7 @@ def graded_modules(draw):
     G, c = draw(small_class_sets())
     qmax = max(q for q in range(6) if len(c.elements) ** q <= 1500)
     kind = draw(st.sampled_from(["classes", "components", "stratum"]))
-    group_classes = [c.class_index(g) for g in c.elements]
+    group_classes = c.class_of
     if kind == "classes":
         return orbit_ring_module(c.rack, qmax, class_of=group_classes), group_classes
     if kind == "components":
@@ -254,9 +255,9 @@ def graded_modules(draw):
             for a in block:
                 comps[a] = k
         return orbit_ring_module(c.rack, qmax), comps
-    lattice = subgroup_lattice(G, c)
+    lattice = subgroup_lattice(c)
     H = lattice.subgroups[draw(st.integers(0, len(lattice) - 1))]
-    return filtered_module(G, c, H, qmax), group_classes
+    return filtered_module(c, H, qmax), group_classes
 
 
 @settings(max_examples=40, deadline=None)
@@ -307,7 +308,7 @@ def test_lattice_reads_off_every_generated_subgroup():
     rng = random.Random(0)
     for G, c in all_class_sets():
         d = len(c.elements)
-        lattice = subgroup_lattice(G, c)
+        lattice = subgroup_lattice(c)
         masks = range(2**d) if d <= 12 else [0, 2**d - 1] + rng.sample(range(2**d), 1000)
         for mask in masks:
             gens = [g for a, g in enumerate(c.elements) if mask >> a & 1]
@@ -325,13 +326,13 @@ def test_monodromy_examples():
 
 def test_subgroup_lattice():
     G = S3()
-    lat = subgroup_lattice(G, transpositions(G))
+    lat = subgroup_lattice(transpositions(G))
     assert [len(h) for h in lat] == [2, 2, 2, 6]
     c_all = ConjClassSet(G, [g for g in G.elements if g != identity_perm(3)])
-    lat2 = subgroup_lattice(G, c_all)
+    lat2 = subgroup_lattice(c_all)
     assert [len(h) for h in lat2] == [2, 2, 2, 3, 6]
     G2 = PermGroup(2, [parse_cycles("(1 2)", 2)], name="S2")
-    lat3 = subgroup_lattice(G2, ConjClassSet(G2, [parse_cycles("(1 2)", 2)]))
+    lat3 = subgroup_lattice(ConjClassSet(G2, [parse_cycles("(1 2)", 2)]))
     assert [len(h) for h in lat3] == [2]
 
 
@@ -339,30 +340,30 @@ def test_filtered_module_strata():
     G = S3()
     c = transpositions(G)
     full = frozenset(G.elements)
-    fm = filtered_module(G, c, full, 3)
+    fm = filtered_module(c, full, 3)
     assert [fm.dim(q) for q in range(4)] == [0, 0, 2, 3]
     g12 = parse_cycles("(1 2)", 3)
     h = G.subgroup_closure([g12])
-    fm2 = filtered_module(G, c, h, 3)
+    fm2 = filtered_module(c, h, 3)
     assert [fm2.dim(q) for q in range(4)] == [0, 1, 1, 1]
     with pytest.raises(ValueError):
-        filtered_module(G, c, frozenset({identity_perm(3)}), 2)
+        filtered_module(c, frozenset({identity_perm(3)}), 2)
 
 
 def test_stratification_partitions_orbits():
     G = S3()
     c = transpositions(G)
-    lat = subgroup_lattice(G, c)
-    mods = [filtered_module(G, c, h, 5) for h in lat]
+    lat = subgroup_lattice(c)
+    mods = [filtered_module(c, h, 5) for h in lat]
     for n in range(1, 6):
-        assert sum(m.dim(n) for m in mods) == len(hurwitz_orbits(G, c, n))
+        assert sum(m.dim(n) for m in mods) == len(rack_orbits(c.rack, n))
 
 
 def test_left_mult_stays_in_stratum():
     G = S3()
     c = transpositions(G)
     full = frozenset(G.elements)
-    fm = filtered_module(G, c, full, 4)
+    fm = filtered_module(c, full, 4)
     for q in (2, 3):
         for v in fm.letters:
             images = fm.left_mult(v, q)
@@ -373,7 +374,7 @@ def test_orbit_bound():
     G = S3()
     c = transpositions(G)
     for n in range(9):
-        assert len(hurwitz_orbits(G, c, n)) <= orbit_count_bound(n, 3)
+        assert len(rack_orbits(c.rack, n)) <= orbit_count_bound(n, 3)
     assert orbit_count_bound(2, 3) == 6
 
 
@@ -393,10 +394,16 @@ def test_state_cap():
     G = S3()
     c = transpositions(G)
     with pytest.raises(ValueError):
-        hurwitz_orbits(G, c, 4, cap=10)
-    hurwitz_orbits(G, c, 4)  # a cached table must not bypass a smaller cap
+        monodromy_labels(c, 4, cap=10)
+    monodromy_labels(c, 4)  # cached labels must not bypass a smaller cap
     with pytest.raises(ValueError):
-        hurwitz_orbits(G, c, 4, cap=10)
+        monodromy_labels(c, 4, cap=10)
+    # a cap above the default also holds for the word lengths below: 3^15
+    # words are over the default cap, 3^14 are not
+    assert 3**14 <= DEFAULT_STATE_CAP < 3**15
+    with pytest.raises(ValueError, match=f"exceeds cap {DEFAULT_STATE_CAP}"):
+        monodromy_labels(c, 15)
+    assert len(monodromy_labels(c, 15, cap=3**15)) == len(rack_orbits(c.rack, 15, cap=3**15))
 
 
 def test_signed_orbit_count():
@@ -410,16 +417,16 @@ def test_signed_orbit_count():
 def test_nielsen_components():
     G = S3()
     c = transpositions(G)
-    assert nielsen_components(G, c, 1, QQ)[0] == 0  # no single transposition generates
-    comps, betti = nielsen_components(G, c, 2, QQ)
+    assert nielsen_components(c, 1, QQ)[0] == 0  # no single transposition generates
+    comps, betti = nielsen_components(c, 2, QQ)
     assert comps == 1
     assert betti[0] == comps
-    comps3, betti3 = nielsen_components(G, c, 3, QQ)
+    comps3, betti3 = nielsen_components(c, 3, QQ)
     assert comps3 == 1 and betti3[0] == 1
     # a cyclic group: one generator suffices
     Z3 = PermGroup(3, [parse_cycles("(1 2 3)", 3)], name="Z3")
     cz = ConjClassSet(Z3, [g for g in Z3.elements if g != identity_perm(3)])
-    assert nielsen_components(Z3, cz, 1, QQ)[0] == 2
+    assert nielsen_components(cz, 1, QQ)[0] == 2
 
 
 def test_nielsen_h0_equals_components():
@@ -431,14 +438,14 @@ def test_nielsen_h0_equals_components():
         c = class_selector(G, classes)
         for F in (QQ, GF(5)):
             for n in (2, 3, 4):
-                comps, betti = nielsen_components(G, c, n, F)
+                comps, betti = nielsen_components(c, n, F)
                 assert betti[0] == comps, (group, F, n)
 
 
 def test_stabilization_s3():
     G = S3()
     c = transpositions(G)
-    rep = stabilization_thresholds(G, c, 0, 6)
+    rep = stabilization_thresholds(c, 0, 6)
     assert rep.stabilized
     assert rep.observed == 3
     # all letters in one class see the same threshold
@@ -448,14 +455,14 @@ def test_stabilization_s3():
 def test_stabilization_central_involution():
     Z2 = PermGroup(2, [parse_cycles("(1 2)", 2)], name="Z2")
     cz = ConjClassSet(Z2, [parse_cycles("(1 2)", 2)])
-    rep = stabilization_thresholds(Z2, cz, 0, 5)
+    rep = stabilization_thresholds(cz, 0, 5)
     assert rep.stabilized and rep.observed <= 1
 
 
 def test_stabilization_two_classes():
     G = S3()
     c_all = ConjClassSet(G, [g for g in G.elements if g != identity_perm(3)])
-    rep = stabilization_thresholds(G, c_all, 0, {0: 3, 1: 2})
+    rep = stabilization_thresholds(c_all, 0, {0: 3, 1: 2})
     assert rep.window == (3, 2)
     assert rep.thresholds
 
@@ -465,7 +472,7 @@ def test_restricted_ring_module():
     c = transpositions(G)
     g12 = parse_cycles("(1 2)", 3)
     h = G.subgroup_closure([g12])
-    mod, H = restricted_ring_module(G, c, h, 4)
+    mod, H = restricted_ring_module(c, h, 4)
     assert [mod.dim(q) for q in range(5)] == [1, 1, 1, 1, 1]
     assert H.generators == [g12] and frozenset(H.elements) == h
 

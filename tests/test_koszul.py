@@ -73,8 +73,8 @@ def test_identities_on_full_ring():
 
 def test_trivial_action_check_follows_the_stratum_not_the_name():
     G, c, V = s3_setup()
-    H = subgroup_lattice(G, c).subgroups[-1]
-    K = koszul_complex(V, ("exact", H), pmax=3, qmax=5, F=QQ, G=G, c=c)
+    H = subgroup_lattice(c).subgroups[-1]
+    K = koszul_complex(V, ("exact", H), pmax=3, qmax=5, F=QQ, c=c)
     assert K.module.stratum == H
     K.module.name = "R"
     assert verify_koszul_identities(K, pr=2, qr=3).trivial_action_ok is True
@@ -92,9 +92,9 @@ def test_identities_on_rank_one():
 @pytest.mark.parametrize("field", [QQ, F2])
 def test_strata_identities_and_vanishing(field):
     G, c, V = s3_setup()
-    lat = subgroup_lattice(G, c)
+    lat = subgroup_lattice(c)
     for H in lat:
-        K = koszul_complex(V, ("exact", H), pmax=4, qmax=8, F=field, G=G, c=c)
+        K = koszul_complex(V, ("exact", H), pmax=4, qmax=8, F=field, c=c)
         rep = verify_koszul_identities(K, pr=3, qr=5)
         assert rep.anticommute_ok and rep.nullhomotopy_ok
         assert rep.trivial_action_ok is True
@@ -321,11 +321,26 @@ def test_multigrade_refinement_consistent():
     assert sums == dict(coarse.items())
 
 
+def test_multigrade_split_rejects_a_cross_grade_entry():
+    # one entry of d between two multigrades, added after construction, must
+    # not vanish from the multigrade blocks
+    G, c, V = d4_double_transposition_space()
+    K = koszul_complex(V, "R", pmax=3, qmax=4, F=GF(5), c=c)
+    assert koszul_homology(K, by_multigrade=True)
+    M = K.diagonals[1].diff[1]
+    src, tgt = koszul._term_grades(K, 1, 0), koszul._term_grades(K, 0, 1)
+    j, i = next((j, i) for j in range(M.cols) for i in range(M.rows)
+                if src[j] != tgt[i] and i not in M.columns()[j])
+    M.columns()[j][i] = 1
+    with pytest.raises(ComplexIntegrityError, match=rf"s=1: entry \(row {i}, column {j}\) of d at p=1 "):
+        koszul_homology(K, by_multigrade=True)
+
+
 def test_sub_pair_complex():
     G, c, V = s3_setup()
-    lat = subgroup_lattice(G, c)
+    lat = subgroup_lattice(c)
     H = lat.subgroups[0]
-    K = koszul_complex(V, ("sub", H), pmax=3, qmax=6, F=QQ, G=G, c=c)
+    K = koszul_complex(V, ("sub", H), pmax=3, qmax=6, F=QQ, c=c)
     # the pair (Z/2, involution) gives an acyclic complex away from (0, 0)
     table = koszul_homology(K, qmax=5)
     assert table.items() == [((0, 0), 1)]
@@ -333,13 +348,13 @@ def test_sub_pair_complex():
 
 def test_spectral_sum_dominates_total():
     G, c, V = s3_setup()
-    lat = subgroup_lattice(G, c)
+    lat = subgroup_lattice(c)
     window_p, window_q = 3, 5
     total = koszul_homology(koszul_complex(V, "R", pmax=4, qmax=7, F=QQ, c=c),
                             pmax=window_p, qmax=window_q)
     strata_sum = {}
     for H in lat:
-        K = koszul_complex(V, ("exact", H), pmax=4, qmax=7, F=QQ, G=G, c=c)
+        K = koszul_complex(V, ("exact", H), pmax=4, qmax=7, F=QQ, c=c)
         for key, r in koszul_homology(K, pmax=window_p, qmax=window_q).items():
             strata_sum[key] = strata_sum.get(key, 0) + r
     # module degree 0 lives on the empty word, whose trivial monodromy is
@@ -359,10 +374,10 @@ def test_s4_stabilization_and_stratum_vanishing():
 
     S4, c, V = s4_transposition_setup()
     full = frozenset(S4.elements)
-    K = koszul_complex(V, ("exact", full), pmax=2, qmax=7, F=QQ, G=S4, c=c)
+    K = koszul_complex(V, ("exact", full), pmax=2, qmax=7, F=QQ, c=c)
     table = koszul_homology(K, qmax=6)
     assert dict(table.items()) == {(0, 3): 6, (1, 3): 25}
-    rep = stabilization_thresholds(S4, c, 0, 6)
+    rep = stabilization_thresholds(c, 0, 6)
     assert rep.stabilized and rep.observed == 5
 
 
@@ -377,8 +392,8 @@ def test_truncation_boundary_needs_no_extra_nichols_degree():
     assert K.homology_pmax() == 2
     # S3's algebra vanishes in degree 5, so degree 4 is genuine
     G, c, V = s3_setup()
-    H = subgroup_lattice(G, c).subgroups[3]
-    assert koszul_complex(V, ("exact", H), pmax=4, qmax=8, F=QQ, G=G, c=c).homology_pmax() == 4
+    H = subgroup_lattice(c).subgroups[3]
+    assert koszul_complex(V, ("exact", H), pmax=4, qmax=8, F=QQ, c=c).homology_pmax() == 4
     # on the full ring at pmax 4 the test of degree 5 sweeps every column of a
     # zero symmetrizer; at pmax 6 the zero degree 5 is found below pmax.  In
     # neither case is a degree past the assembled pmax built

@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -229,6 +231,65 @@ def test_quantum_line_root_of_unity_f5():
 
     assert quantum_binomial(3, 1, 3, F5) == 3
     assert quantum_binomial(4, 1, 3, F5) == 0
+
+
+def series_product(factors):
+    """Coefficients of a product of polynomials, each given by its coefficients."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def s5_transposition_space():
+    from braidhom.braided import Cocycle, braided_space
+    from braidhom.cli import builtin_group, class_selector
+
+    G = builtin_group("S5")
+    c = class_selector(G, "transpositions")
+    return braided_space(c.rack, Cocycle.constant(c.rack, 1), epsilon=True, group=G)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(7)])
+def test_s5_transposition_dims_match_the_known_series(F):
+    # the Nichols algebra of S5 transpositions with the sign cocycle has
+    # Hilbert series [4]_t^4 [5]_t^2 [6]_t^4 (Milinski-Schneider; Grana,
+    # Contemp. Math. 267, 2000), dimension 8294400 and top degree 40
+    quantum = {k: [1] * k for k in (4, 5, 6)}
+    series = series_product([quantum[4]] * 4 + [quantum[5]] * 2 + [quantum[6]] * 4)
+    assert sum(series) == 8294400 and len(series) == 41
+    assert series[:6] == [1, 10, 55, 220, 711, 1960]
+    assert nichols_dims(s5_transposition_space(), 5, F) == (series[:6], False)
+
+
+def finite_nichols_cases():
+    """(space, field) pairs whose Nichols algebras end within 15 degrees:
+    rank one with sigma = q over F_p (ending by degree p - 1), S3 eps (by 4)
+    and S4 eps (FK_4, dimension 576, by 12) over Q and F_5, and sigma = -1
+    over Q."""
+    lines = st.sampled_from([2, 3, 5, 7, 11, 13]).flatmap(
+        lambda p: st.tuples(st.integers(1, p - 1).map(rank_one_space), st.just(GF(p))))
+    groups = st.tuples(st.sampled_from([partial(s3_transposition_space, epsilon=True),
+                                        lambda: s4_transposition_setup()[2]]).map(lambda build: build()),
+                       st.sampled_from([QQ, F5]))
+    return st.one_of(lines, groups, st.just((rank_one_space(-1), QQ)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(finite_nichols_cases())
+def test_finite_nichols_algebras_have_palindromic_series(case):
+    # Poincare duality for finite-dimensional Nichols algebras
+    # (Andruskiewitsch-Grana 1999): every algebra that ends within range has
+    # dims[n] == dims[top - n]
+    V, F = case
+    dims, stable = nichols_dims(V, 15, F)
+    assert stable
+    top = max(n for n, d in enumerate(dims) if d)
+    assert dims[:top + 1] == dims[top::-1], dims
 
 
 def test_jordan_plane_dims():
