@@ -308,6 +308,8 @@ def cmd_malle(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    if (args.betti is None) == (args.betti_file is None):
+        raise UsageError("give exactly one of --betti and --betti-file")
     if args.betti_file:
         with open(args.betti_file) as fh:
             betti = [int(t) for t in fh.read().replace(",", " ").split()]

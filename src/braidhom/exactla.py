@@ -17,11 +17,11 @@ pivot of +-1 updates each row in place with no division, as the F_p step
 does; any other pivot takes Bareiss' step (scale, subtract, divide by the
 content).  Both keep the row supports, so the pivots do not depend on which
 step ran.  The caller fixes the pivot-column rule: the sparsest column for
-`rank` and `independent_rows`, the leftmost for `pivot_columns` and `rref`
-(and so for `kernel_basis`, `inverse`, `homology_basis` and
-`column_space_contains`).  The pivot row is the shortest in its column, so
-every computation is deterministic, and the loop keeps column supports up to
-date, so choosing a pivot never rescans the matrix.
+`rank` (and so for `cycles_map_to_boundaries`) and `independent_rows`, the
+leftmost for `pivot_columns` and `rref` (and so for `kernel_basis` and
+`inverse`).  The pivot row is the shortest in its column, so every
+computation is deterministic, and the loop keeps column supports up to date,
+so choosing a pivot never rescans the matrix.
 
 `independent_rows` is the entry point for chain complexes: it eliminates the
 columns of a matrix outside a given set (`_elimination_rows` reads them as
@@ -563,25 +563,22 @@ def kernel_basis(M: SparseMatrix, F: CoefficientField) -> list[dict]:
     return basis
 
 
-def column_space_contains(M: SparseMatrix, vec: dict, F: CoefficientField) -> bool:
-    """Whether vec lies in the column space of M: whether the last column of
-    [M | vec] is not a pivot column."""
-    aug = SparseMatrix._trusted(M.rows, M.columns() + SparseMatrix.from_columns(M.rows, [vec]).columns())
-    return M.cols not in pivot_columns(aug, F)
+def cycles_map_to_boundaries(d_out: SparseMatrix, L: SparseMatrix, d_in: SparseMatrix,
+                             F: CoefficientField) -> bool:
+    """Whether L maps every cycle of d_out into the image of d_in.
 
-
-def homology_basis(d_in: SparseMatrix, d_out: SparseMatrix, F: CoefficientField) -> list[dict]:
-    """Cycle representatives spanning ker(d_out)/im(d_in), as sparse vectors.
-
-    Chosen deterministically: the kernel-basis vectors of d_out that are pivot
-    columns of [d_in | ker d_out], that is, those outside the span of the
-    columns of d_in and the kernel vectors before them.
+    With N = [[d_out, 0], [L, d_in]], the kernel of N projects onto the
+    cycles z with Lz in im(d_in), each fibre a copy of ker(d_in); so rank N
+    exceeds rank d_out + rank d_in by the codimension of those cycles in
+    ker(d_out), and the two agree exactly when every cycle maps to a boundary.
     """
-    if d_out.cols != d_in.rows:
-        raise ValueError(f"cannot compose {d_out.rows}x{d_out.cols} with {d_in.rows}x{d_in.cols}")
-    ker = kernel_basis(d_out, F)
-    aug = SparseMatrix._trusted(d_in.rows, d_in.columns() + ker)
-    return [ker[j - d_in.cols] for j in pivot_columns(aug, F) if j >= d_in.cols]
+    if (L.rows, L.cols) != (d_in.rows, d_out.cols):
+        raise ValueError(f"L must be {d_in.rows}x{d_out.cols}, got {L.rows}x{L.cols}")
+    top = d_out.rows
+    cols = [{**col, **{top + i: v for i, v in lcol.items()}} for col, lcol in zip(d_out.columns(), L.columns())]
+    cols += [{top + i: v for i, v in col.items()} for col in d_in.columns()]
+    N = SparseMatrix._trusted(top + d_in.rows, cols)
+    return rank(N, F) == rank(d_out, F) + rank(d_in, F)
 
 
 def inverse(M: SparseMatrix, F: CoefficientField) -> SparseMatrix:

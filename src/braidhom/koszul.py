@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 from . import orbits
 from .braided import BraidedVectorSpace, Cocycle, ConjClassSet, braided_space
-from .exactla import (CoefficientField, ComplexIntegrityError, RankTable, SparseMatrix, column_space_contains,
-                      homology_basis)
+from .exactla import CoefficientField, ComplexIntegrityError, RankTable, SparseMatrix, cycles_map_to_boundaries
 from .fnf import GradedComplex
 from .hurwitz import FilteredModule, filtered_module, orbit_ring_module, restricted_ring_module
 from .nichols import NicholsData, constant_braiding_value
@@ -177,9 +176,6 @@ class KoszulComplex:
             raise TruncationError(f"module degree {q + 1} not assembled; increase qmax")
         return self.diagonals[p + q].homology_rank(p)
 
-    def homology_representatives(self, p: int, q: int):
-        return homology_basis(self.d(p + 1, q - 1), self.d(p, q), self.F)
-
 
 def koszul_complex(V: BraidedVectorSpace, module_spec, pmax: int, qmax: int,
                    F: CoefficientField, c: ConjClassSet | None = None) -> KoszulComplex:
@@ -287,15 +283,20 @@ def _multigrade_blocks(K: KoszulComplex, s: int) -> dict:
     }
 
 
+# the number of top module degrees whose homology must vanish before
+# `generator_counts` reports
+VANISHING_TAIL = 3
+
+
 def generator_counts(V: BraidedVectorSpace, jmax: int, F: CoefficientField,
-                     qmax: int = 8, tail: int = 3, c: ConjClassSet | None = None) -> list[int]:
+                     qmax: int = 8, c: ConjClassSet | None = None) -> list[int]:
     """Algebra-generator counts per topological degree from the homology of the
     full-ring complex: count(j) sums ranks at dual degree 1 + j over module
     degrees up to the observed vanishing bound.
 
-    Raises unless the last `tail` computed module degrees all have zero
-    homology at every requested dual degree (the explicit signal to rerun
-    with a larger qmax).
+    Raises unless the last `VANISHING_TAIL` computed module degrees all have
+    zero homology at every requested dual degree (the explicit signal to
+    rerun with a larger qmax).
     """
     K = KoszulComplex(V, _full_ring(V, qmax + 1, c), pmax=jmax + 2, qmax=qmax + 1, F=F)
     counts = []
@@ -305,7 +306,7 @@ def generator_counts(V: BraidedVectorSpace, jmax: int, F: CoefficientField,
             counts.append(0)
             continue
         ranks = [K.homology_rank(p, q) for q in range(qmax + 1)]
-        if any(r != 0 for r in ranks[-tail:]):
+        if any(r != 0 for r in ranks[-VANISHING_TAIL:]):
             raise TruncationError(
                 f"homology at dual degree {p} has not vanished by module degree {qmax}; increase qmax"
             )
@@ -331,7 +332,11 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
     (a) the per-class differentials square to zero and anticommute pairwise;
     (b) for a monodromy stratum, the module multiplication on the side
         commuting with d (the left, given the right-multiplication
-        differential) is zero on homology, checked on lifted cycle bases;
+        differential) is zero on homology: for each letter, left
+        multiplication L from term (p, q) to term (p, q + 1) maps every cycle
+        of d(p, q) into the image of d(p + 1, q), one rank identity each
+        (`exactla.cycles_map_to_boundaries`).  It tests every cycle, not
+        only representatives of homology, so it is at least as strict;
     (c) the nullhomotopy identity: with P_g = right multiplication by g* in
         the dual factor, dP_g - P_g d sends psi (x) r to
         s^deg(psi) psi (x) r (g conjugated by the inverse YD degree of psi).
@@ -378,31 +383,17 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
             for q in range(0, min(qr, K.qmax - 2) + 1):
                 if K.dim(p, q) == 0:
                     continue
-                reps = K.homology_representatives(p, q)
-                if not reps:
-                    continue
+                d_out, d_in = K.d(p, q), K.d(p + 1, q)
+                n_src, n_tgt = K.module.dim(q), K.module.dim(q + 1)
                 for letter in K.module.letters:
+                    # psi_k (x) r -> psi_k (x) (letter r), term (p, q) -> term (p, q + 1)
                     lmap = K.module.left_mult(letter, q)
-                    nmod_t = K.module.dim(q + 1)
-                    boundary_src = K.d(p + 1, q)
-                    for z in reps:
-                        img = {}
-                        for idx, val in z.items():
-                            k, o = divmod(idx, K.module.dim(q))
-                            o2 = lmap[o]
-                            if o2 is None:
-                                continue
-                            row = k * nmod_t + o2
-                            s = F.add(img.get(row, F.zero), val)
-                            if s == 0:
-                                img.pop(row, None)
-                            else:
-                                img[row] = s
-                        if img and not column_space_contains(boundary_src, img, F):
-                            trivial_ok = False
-                            failures.append(
-                                f"right multiplication not trivial on homology at (p={p}, q={q})"
-                            )
+                    L = SparseMatrix._trusted(d_in.rows, [{} if lmap[o] is None else {k * n_tgt + lmap[o]: 1}
+                                                          for k in range(K.nichols.dim(p)) for o in range(n_src)])
+                    if not cycles_map_to_boundaries(d_out, L, d_in, F):
+                        trivial_ok = False
+                        failures.append(f"left multiplication by letter {letter} not trivial on homology "
+                                        f"at (p={p}, q={q})")
 
     nullhomotopy_ok = True
     s_const = constant_braiding_value(K.V)

@@ -141,12 +141,8 @@ def _spread_block(local: list, r: int, n: int, m: int, offset: int, words, pos: 
     return out
 
 
-def ext_table(V: BraidedVectorSpace, Nmax: int | None = None,
-              F: CoefficientField | None = None) -> RankTable:
+def ext_table(V: BraidedVectorSpace, Nmax: int, F: CoefficientField) -> RankTable:
     """Ranks of Ext^{s,n} over the shuffle algebra of V, for n <= Nmax, 0 <= s <= n."""
-    if F is None:
-        raise ValueError("a coefficient field is required")
-    Nmax = default_nmax(V) if Nmax is None else Nmax
     table = RankTable(("s", "n"))
     table.set((0, 0), 1)
     for n in range(1, Nmax + 1):

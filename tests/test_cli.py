@@ -160,6 +160,23 @@ def test_koszul_golden(capsys):
 
 
 @pytest.mark.parametrize("name, argv", [
+    ("koszul_S4_transpositions_epsilon_exact13_pmax4_qmax5_Q.csv",
+     ["koszul", "--group", "S4", "--classes", "transpositions", "--epsilon",
+      "--module", "exact:13", "--pmax", "4", "--qmax", "5", "--field", "Q"]),
+    ("koszul_A4_3-cycles_epsilon_exact4_pmax3_qmax4_F5.csv",
+     ["koszul", "--group", "A4", "--classes", "3-cycles", "--epsilon",
+      "--module", "exact:4", "--pmax", "3", "--qmax", "4", "--field", "5"]),
+])
+def test_full_monodromy_stratum_golden(name, argv, capsys):
+    # stdout recorded when the trivial-action check lifted a basis of cycle
+    # representatives and tested each image for membership in the boundaries
+    rc, out = run(capsys, argv)
+    assert rc == 0
+    assert "# identities_trivial_action=True" in out
+    assert out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("name, argv", [
     ("koszul_S4_transpositions_epsilon_R_pmax3_qmax4_Q.csv",
      ["koszul", "--group", "S4", "--classes", "transpositions", "--epsilon",
       "--module", "R", "--pmax", "3", "--qmax", "4", "--field", "Q"]),
@@ -461,7 +478,11 @@ _S3_KOSZUL = ["koszul", "--group", "S3", "--classes", "transpositions", "--epsil
     (["betti", "--rank1", "--sigma", "1/0"], "--sigma must be a nonzero integer or fraction, got '1/0'"),
     (["bound", "--betti", "1", "--q", "4", "--n", "0", "--d", "2"], "--n must be at least 1, got 0"),
     (["bound", "--betti", "1", "--q", "4", "--n", "-1"], "--n must be at least 0, got -1"),
-], ids=["pmax=-2", "pmax=-1", "qmax=0", "qmax=-1", "window=-1", "d=-1", "sigma=1/0", "n=0", "n=-1"])
+    (["bound", "--q", "5", "--n", "3"], "give exactly one of --betti and --betti-file"),
+    (["bound", "--betti", "1", "--betti-file", "ranks.txt", "--q", "5", "--n", "3"],
+     "give exactly one of --betti and --betti-file"),
+], ids=["pmax=-2", "pmax=-1", "qmax=0", "qmax=-1", "window=-1", "d=-1", "sigma=1/0", "n=0", "n=-1",
+        "no-betti", "both-betti"])
 def test_out_of_range_options_are_usage_errors(argv, message, capsys):
     rc = main(argv)
     captured = capsys.readouterr()

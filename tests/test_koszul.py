@@ -1,7 +1,7 @@
 import pytest
 
 from braidhom import koszul
-from braidhom.braided import ConjClassSet, identity_perm, rank_one_space
+from braidhom.braided import ConjClassSet, identity_perm, pmul, rank_one_space
 from braidhom.exactla import GF, QQ, ComplexIntegrityError, SparseMatrix
 from braidhom.hurwitz import subgroup_lattice
 from braidhom.koszul import (
@@ -80,6 +80,22 @@ def test_trivial_action_check_follows_the_stratum_not_the_name():
     assert verify_koszul_identities(K, pr=2, qr=3).trivial_action_ok is True
     K.module.stratum = None
     assert verify_koszul_identities(K, pr=2, qr=3).trivial_action_ok is None
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=str)
+def test_trivial_action_negative_control(field):
+    # right multiplication, which d uses, in place of left multiplication is
+    # not zero on the homology of the full stratum
+    G, c, V = s3_setup()
+    H = subgroup_lattice(c).subgroups[-1]
+    K = koszul_complex(V, ("exact", H), pmax=3, qmax=5, F=field, c=c)
+    K.module.left_mult = K.module.right_mult
+    rep = verify_koszul_identities(K, pr=2, qr=3)
+    assert rep.trivial_action_ok is False
+    assert rep.anticommute_ok and rep.nullhomotopy_ok
+    assert all(f.startswith("left multiplication by letter ") for f in rep.failures)
+    for p, q in ((1, 2), (2, 2)):
+        assert any(f.endswith(f"on homology at (p={p}, q={q})") for f in rep.failures)
 
 
 def test_identities_on_rank_one():
@@ -303,6 +319,49 @@ def test_class_differentials_are_multigraded():
                 # d_ci moves one letter of class ci from the dual side to the module side
                 moved = [b - a for a, b in zip(before[col % len(before)], after[row % len(after)])]
                 assert moved == [int(i == ci) for i in range(len(K.classes))], (ci, p, q)
+
+
+def letter_product(labels, word, e):
+    """The left-to-right product of the labels of a word's letters, from e."""
+    for a in word:
+        e = pmul(e, labels[a])
+    return e
+
+
+def group_grade_spaces():
+    """(name, class set, sign-twisted space, pmax, qmax) with a group grading."""
+    from braidhom.braided import Cocycle, braided_space
+    from braidhom.cli import builtin_group, class_selector
+
+    for group, classes, pmax, qmax in (("S3", "transpositions", 4, 4), ("S4", "transpositions", 3, 3),
+                                       ("D4", "2+2", 3, 4), ("D4", "all", 2, 3), ("A4", "3-cycles", 2, 3),
+                                       ("S5", "transpositions", 2, 2)):
+        G = builtin_group(group)
+        c = class_selector(G, classes)
+        V = braided_space(c.rack, Cocycle.constant(c.rack, 1), epsilon=True, group=G)
+        yield f"{group} {classes}", c, V, pmax, qmax
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_class_differentials_preserve_the_group_grade(field):
+    # term psi_k (x) o has grade deg(o) deg(psi_k), deg the letter product,
+    # and every entry of every d_i joins two terms of one grade: for R, every
+    # stratum and every subgroup pair
+    for name, c, V, pmax, qmax in group_grade_spaces():
+        for spec in ["R"] + [(kind, H) for H in subgroup_lattice(c) for kind in ("exact", "sub")]:
+            K = koszul_complex(V, spec, pmax=pmax, qmax=qmax, F=field, c=c)
+            e = identity_perm(K.V.group.degree)
+            mod = {q: [letter_product(K.module.rack.labels, w, e) for w in words]
+                   for q, words in K.module.basis_words.items()}
+            dual = {p: [letter_product(K.V.rack.labels, w, e) for w in K.nichols.pivot_words(p)]
+                    for p in range(K.pmax + 1)}
+            grades = {(p, q): [pmul(o, psi) for psi in dual[p] for o in mod[q]] for p in dual for q in mod}
+            for (ci, p, q), M in K.d_class.items():
+                src, tgt = grades[p, q], grades[p - 1, q + 1]
+                assert len(src) == M.cols and len(tgt) == M.rows
+                for col, column in enumerate(M.columns()):
+                    for row in column:
+                        assert src[col] == tgt[row], (name, spec, ci, p, q)
 
 
 def test_multigrade_refinement_consistent():
