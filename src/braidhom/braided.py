@@ -14,10 +14,11 @@ lazily on first use: each group's right-multiplication index tables,
 `ConjClassSet.rack` and `ConjClassSet.lattice` (filled by
 `hurwitz.subgroup_lattice`; the lattice keeps the orbits' monodromy labels of
 `hurwitz.monodromy_labels`, one list per word length), each rack's
-`orbit_tables`, one per word length (filled by `orbits.rack_orbits`; each
-table builds its list of every word's orbit, `orbit_of`, on first read), and
-each braided space's inverse braiding, sign twist and `block_products`
-(filled by `qsa.bar_chains`).  Those fills are not locked.
+`orbit_tables`, one per word length (filled and read through
+`orbits.rack_orbits` alone; each table builds its list of every word's orbit,
+`orbit_of`, on first read), and each braided space's inverse braiding, sign
+twist and `block_products` (filled by `qsa.bar_chains`).  Those fills are not
+locked.
 """
 
 from __future__ import annotations
@@ -94,13 +95,22 @@ def cycle_notation(g: Perm) -> str:
 
 
 def parse_cycles(text: str, degree: int) -> Perm:
-    """Parse 1-based cycle notation like '(1 2)(3 4 5)' or '()' into a permutation."""
+    """Parse 1-based cycle notation like '(1 2)(3 4 5)' or '()' into a permutation:
+    disjoint cycles, with nothing but whitespace outside their parentheses."""
+    parts = re.split(r"\(([^()]*)\)", text)  # text outside the cycles, then each cycle in turn
+    stray = " ".join(parts[::2]).split()
+    if stray:
+        raise ValueError(f"text {' '.join(stray)!r} outside the cycles of {text!r}")
     out = list(range(degree))
-    for grp in re.findall(r"\(([^()]*)\)", text):
+    seen = set()
+    for grp in parts[1::2]:
         pts = [int(t) - 1 for t in grp.replace(",", " ").split()]
         for p in pts:
             if not 0 <= p < degree:
                 raise ValueError(f"point {p + 1} out of range for degree {degree}")
+            if p in seen:
+                raise ValueError(f"point {p + 1} appears twice in {text!r}")
+            seen.add(p)
         for k, p in enumerate(pts):
             out[p] = pts[(k + 1) % len(pts)]
     return tuple(out)
@@ -207,9 +217,11 @@ class PermGroup:
 def load_group(text: str, name: str = "") -> PermGroup:
     """Read a group from the file format: header 'degree m', then one generator per line."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("degree"):
-        raise ValueError("group file must start with 'degree m'")
-    m = int(lines[0].split()[1])
+    head = lines[0] if lines else ""
+    fields = head.split()
+    if len(fields) != 2 or fields[0] != "degree" or not fields[1].isdecimal() or int(fields[1]) < 1:
+        raise ValueError(f"group file header {head!r} is not 'degree m' with m a positive integer")
+    m = int(fields[1])
     gens = [parse_cycles(ln, m) for ln in lines[1:]]
     if not gens:
         raise ValueError("group file lists no generators")
@@ -427,10 +439,10 @@ class BraidedVectorSpace:
     with exact integer or Fraction coefficients.  `sigma_codes` is the same
     table on pair codes: entry a*r + b lists the terms (c*r + d, coefficient).
 
-    With a `group`, the labels must be elements of it, and `grading` is the
-    labels: each basis vector has its label as its Yetter-Drinfeld degree, and
-    the degree of a word is the left-to-right product of its letters' degrees.
-    Without a group, `grading` is None.
+    With a `group`, the labels must be elements of it, and they are the
+    grading: each basis vector has its label as its Yetter-Drinfeld degree,
+    and the degree of a word is the left-to-right product of its letters'
+    degrees.  Without a group, V carries no grading.
     """
 
     def __init__(self, labels: list, sigma: dict, group: PermGroup | None = None,
@@ -449,7 +461,6 @@ class BraidedVectorSpace:
             self.sigma_codes[a * r + b] = tuple((c * r + d, coeff) for (c, d), coeff in terms)
         if group is not None and any(lab not in group for lab in self.labels):
             raise ValueError("the labels are not elements of the given group")
-        self.grading = self.labels if group is not None else None
         self.group = group
         self.rack = rack
         self.cocycle = cocycle
@@ -472,11 +483,11 @@ class BraidedVectorSpace:
 
     def word_degree(self, word: tuple[int, ...]) -> Perm:
         """Yetter-Drinfeld degree of a basis word: left-to-right product."""
-        if self.grading is None:
+        if self.group is None:
             raise ValueError("space carries no group grading")
         g = identity_perm(self.group.degree)
         for a in word:
-            g = pmul(g, self.grading[a])
+            g = pmul(g, self.labels[a])
         return g
 
     def __repr__(self):
@@ -627,10 +638,10 @@ def check_braided(V: BraidedVectorSpace) -> BraidedCheckReport:
                        for i, _ in a.items() ^ b.items())
             w = index_word(j, V.rank, 3)
             failures.append(f"braid equation fails on basis word {w}")
-    if V.grading is not None and not failures:
+    if V.group is not None and not failures:
         for (a, b), terms in sorted(V.sigma.items()):
             for (c, d), _ in terms:
-                if c != b or V.grading[d] != conj(V.grading[a], V.grading[b]):
+                if c != b or V.labels[d] != conj(V.labels[a], V.labels[b]):
                     failures.append(f"Yetter-Drinfeld compatibility fails at pair ({a}, {b})")
                     break
             if failures:

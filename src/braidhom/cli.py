@@ -356,7 +356,8 @@ def _orbits_args(p):
     _add_space_flags(p, group_required=True)
     p.add_argument("--nmax", type=int)
     p.add_argument("--components", action="store_true", help="also count connected-cover components")
-    p.add_argument("--cap", type=int, default=hurwitz.DEFAULT_STATE_CAP)
+    p.add_argument("--cap", type=int, default=hurwitz.DEFAULT_STATE_CAP,
+                   help="refuse word lengths n with d^n above this (default 10^7)")
     _add_common(p, field_help="'Q' or a prime p; only echoed as field_resolved, since no "
                               "linear algebra runs (default: smallest prime not dividing |G|)")
 
@@ -373,7 +374,8 @@ def _koszul_args(p):
 def _malle_args(p):
     _add_space_flags(p, group_required=True)
     p.add_argument("--window", type=int, help="also fit a growth degree to orbit counts up to this n")
-    p.add_argument("--cap", type=int, default=hurwitz.DEFAULT_STATE_CAP)
+    p.add_argument("--cap", type=int, default=hurwitz.DEFAULT_STATE_CAP,
+                   help="refuse word lengths n with d^n above this (default 10^7)")
     _add_common(p)
 
 

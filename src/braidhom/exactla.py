@@ -117,9 +117,6 @@ class CoefficientField:
     def add(self, a, b):
         return a + b if self.characteristic == 0 else (a + b) % self.characteristic
 
-    def sub(self, a, b):
-        return a - b if self.characteristic == 0 else (a - b) % self.characteristic
-
     def mul(self, a, b):
         return a * b if self.characteristic == 0 else (a * b) % self.characteristic
 

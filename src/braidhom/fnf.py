@@ -48,13 +48,6 @@ from .orbits import block_plan
 from .shuffle import compositions
 
 
-def validate_partition(parts, n: int) -> tuple[int, ...]:
-    parts = tuple(parts)
-    if any(p < 1 for p in parts) or sum(parts) != n:
-        raise ValueError(f"{parts} is not an ordered partition of {n}")
-    return parts
-
-
 class TensorSystem:
     """The local system V^(x)n for a braided vector space V, restricted to the
     span of `words`: a sorted list of word codes that braid moves keep among
@@ -251,7 +244,8 @@ def assemble_block_merge(n: int, shift: int, dim: int, block_vectors, F: Coeffic
     through the block operator: `block_vectors(a, b, offset)` lists, for every
     coefficient index, its image {index: nonzero field scalar, over F_p a
     residue in (0, p)} under merging the block of size a starting at `offset`
-    with the following block of size b.
+    with the following block of size b; it is called for every merge, and
+    memoises by (a, b, offset) (`shuffle_blocks`, `qsa.bar_chains`).
     Different merges of one lambda land in different compositions, so a column
     is a disjoint union of signed block images and nothing is summed.  Each
     cell's column is built once and handed to `SparseMatrix._trusted`: its
@@ -261,7 +255,6 @@ def assemble_block_merge(n: int, shift: int, dim: int, block_vectors, F: Coeffic
         raise ValueError("need n >= 1")
     comps = {k: compositions(n, k) for k in range(1, n + 1)}
     dims = {shift + k: len(comps[k]) * dim for k in comps}
-    block_cache = {}
     flip = F.characteristic  # negation: -cf over Q, p - cf for a residue cf in (0, p)
     diff = {}
     for k in range(2, n + 1):
@@ -273,10 +266,7 @@ def assemble_block_merge(n: int, shift: int, dim: int, block_vectors, F: Coeffic
             for i in range(len(lam) - 1):
                 a, b = lam[i], lam[i + 1]
                 merged = lam[:i] + (a + b,) + lam[i + 2:]
-                key = (a, b, offset)
-                if key not in block_cache:
-                    block_cache[key] = block_vectors(a, b, offset)
-                merges.append((tgt_index[merged] * dim, i % 2 == 1, block_cache[key]))
+                merges.append((tgt_index[merged] * dim, i % 2 == 1, block_vectors(a, b, offset)))
                 offset += a
             for idx in range(dim):
                 col = {}

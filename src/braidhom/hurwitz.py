@@ -14,7 +14,7 @@ that take a class set c take no group: they read G from `c.parent`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
 from math import comb
@@ -198,11 +198,12 @@ class FilteredModule:
     that some a^b takes out of the class of a: exactly then, from degree 2
     on, the braid moves change the multigrade of some word.  `stratum` is the
     monodromy subgroup of a stratum module (`filtered_module`), else None.
+    It holds no orbit table: its basis indexes its rack's, read through
+    `rack_orbits`.
     """
 
     name: str
-    degrees: dict            # q -> list of orbit indices into the degree-q table
-    tables: dict             # q -> OrbitTable
+    degrees: dict            # q -> list of orbit indices into rack_orbits(rack, q)
     letters: list[int]       # rack letter indices acting nontrivially
     rack: Rack
     class_of: list[int]
@@ -222,7 +223,7 @@ class FilteredModule:
     @cached_property
     def basis_words(self) -> dict:
         """q -> the representatives of the degree-q basis orbits, in basis order."""
-        return {q: [self.tables[q].orbits[i].rep for i in basis] for q, basis in self.degrees.items()}
+        return {q: [rack_orbits(self.rack, q).orbits[i].rep for i in basis] for q, basis in self.degrees.items()}
 
     @cached_property
     def positions(self) -> dict:
@@ -260,15 +261,14 @@ class FilteredModule:
         if letter not in self.letters:
             return [None] * self.dim(q)
         pos = self.positions.get(q + 1, {})
-        index = self.tables[q + 1].index
+        index = rack_orbits(self.rack, q + 1).index
         return [pos.get(index((letter,) + w if left else w + (letter,))) for w in self.basis_words.get(q, [])]
 
 
 def orbit_ring_module(rack: Rack, qmax: int, class_of=None) -> FilteredModule:
     """The full orbit ring R as a module over itself, assembled through degree qmax."""
-    tables = {q: rack_orbits(rack, q) for q in range(qmax + 1)}
-    degrees = {q: list(range(len(tables[q]))) for q in range(qmax + 1)}
-    return FilteredModule("R", degrees, tables, list(range(rack.size)),
+    degrees = {q: list(range(len(rack_orbits(rack, q)))) for q in range(qmax + 1)}
+    return FilteredModule("R", degrees, list(range(rack.size)),
                           rack, class_partition(rack) if class_of is None else class_of)
 
 
@@ -282,29 +282,23 @@ def filtered_module(c: ConjClassSet, H, qmax: int) -> FilteredModule:
     lattice = subgroup_lattice(c)
     if H not in lattice:
         raise ValueError("H is not in the subgroup lattice")
-    tables = {q: rack_orbits(c.rack, q) for q in range(qmax + 1)}
     degrees = {q: [i for i, h in enumerate(monodromy_labels(c, q)) if h == H] for q in range(qmax + 1)}
     letters = [i for i, g in enumerate(c.elements) if g in H]
     name = f"Rexact[{lattice.describe(lattice.index(H))}]"
-    return FilteredModule(name, degrees, tables, letters, c.rack, c.class_of, stratum=H)
+    return FilteredModule(name, degrees, letters, c.rack, c.class_of, stratum=H)
 
 
 def restricted_ring_module(c: ConjClassSet, H, qmax: int):
-    """The orbit ring of (H, c n H) viewed as a module where letters outside H act
-    as zero.  Returns (module, the group H generated by c n H)."""
+    """The orbit ring of (H, c n H): `orbit_ring_module` on the rack of c n H,
+    whose letters are those of c in H.  Returns (module, the group H generated
+    by c n H)."""
     H = frozenset(H)
     sub_elems = [g for g in c.elements if g in H]
     if not sub_elems:
         raise ValueError("H meets c trivially")
     Hgroup = PermGroup(c.parent.degree, sub_elems, name="H")
-    cH = ConjClassSet(Hgroup, sub_elems)
-    subrack = cH.rack
-    tables = {q: rack_orbits(subrack, q) for q in range(qmax + 1)}
-    degrees = {q: list(range(len(tables[q]))) for q in range(qmax + 1)}
-    mod = FilteredModule(f"Rsub[order={len(H)}]", degrees, tables,
-                         list(range(subrack.size)), subrack,
-                         class_partition(subrack))
-    return mod, Hgroup
+    mod = orbit_ring_module(ConjClassSet(Hgroup, sub_elems).rack, qmax)
+    return replace(mod, name=f"Rsub[order={len(H)}]"), Hgroup
 
 
 def nielsen_components(c: ConjClassSet, n: int, F: CoefficientField):

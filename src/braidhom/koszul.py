@@ -67,15 +67,13 @@ class KoszulComplex:
         self.module = module
         self.F = F
         self.nichols = NicholsData(V, F)
-        top = self._top_degree(pmax)
-        self.nichols.build_to(min(pmax, top))
+        # top is the degree below the first zero one up to pmax + 1, found by
+        # `vanishes`, which builds no zero degree and not degree pmax + 1.
+        # Unless the top is reached, degree pmax is a truncation boundary.
+        top = next((p - 1 for p in range(1, pmax + 2) if self.nichols.vanishes(p)), pmax + 1)
         self.pmax = min(pmax, top)
-        # when the dual algebra vanishes within range or just past it, degree
-        # pmax is genuine; otherwise it is a truncation boundary and homology
-        # there is unreliable.  `vanishes` generates the derivation matrix of
-        # degree pmax + 1 one column at a time and stops at the first nonzero
-        # one, so degree pmax + 1 is never built as a Nichols degree.
-        self.top_reached = top < pmax or self.nichols.vanishes(pmax + 1)
+        self.nichols.build_to(self.pmax)
+        self.top_reached = top <= pmax
         self.qmax = qmax
         class_of = module.class_of
         m = max(class_of) + 1 if class_of else 1
@@ -91,15 +89,6 @@ class KoszulComplex:
                              {p: M for (p, q), M in self._d.items() if p + q == s}, F)
             for s in range(self.pmax + qmax + 1)
         }
-
-    def _top_degree(self, pmax: int) -> int:
-        """Stop at the top of the Nichols algebra when it is finite dimensional.
-
-        The first zero degree is found by `vanishes`, so it is never built."""
-        for p in range(1, pmax + 1):
-            if self.nichols.vanishes(p):
-                return p - 1
-        return pmax
 
     def dim(self, p: int, q: int) -> int:
         if p < 0 or q < 0 or p > self.pmax or q > self.qmax:
@@ -181,12 +170,14 @@ def koszul_complex(V: BraidedVectorSpace, module_spec, pmax: int, qmax: int,
                    F: CoefficientField, c: ConjClassSet | None = None) -> KoszulComplex:
     """Build the complex for a module described as 'R', ('exact', H), or ('sub', H).
 
-    'R' is the full orbit ring; ('exact', H) the stratum of monodromy exactly
-    H in c.parent (needs c); ('sub', H) the ring of the pair (H, c n H), in
-    which case the complex is built over the restricted braided space.
+    'R' is the full orbit ring, graded by the classes of c (without c, by rack
+    components); ('exact', H) the stratum of monodromy exactly H in c.parent
+    (needs c); ('sub', H) the ring of the pair (H, c n H), in which case the
+    complex is built over the restricted braided space.
     """
     if module_spec == "R":
-        return KoszulComplex(V, _full_ring(V, qmax, c), pmax, qmax, F)
+        module = orbit_ring_module(V.rack, qmax, class_of=c.class_of if c else None)
+        return KoszulComplex(V, module, pmax, qmax, F)
     kind, H = module_spec
     if c is None:
         raise ValueError("subgroup modules need the class set")
@@ -200,12 +191,6 @@ def koszul_complex(V: BraidedVectorSpace, module_spec, pmax: int, qmax: int,
                            group=Hgroup, name=f"{V.name}|H")
         return KoszulComplex(VH, module, pmax, qmax, F)
     raise ValueError(f"unknown module spec {module_spec!r}")
-
-
-def _full_ring(V: BraidedVectorSpace, qmax: int, c: ConjClassSet | None) -> FilteredModule:
-    """The full orbit ring of V's rack through degree qmax, its letters graded
-    by the conjugacy classes of c, or by rack components without c."""
-    return orbit_ring_module(V.rack, qmax, class_of=c.class_of if c else None)
 
 
 def koszul_homology(K: KoszulComplex, pmax: int | None = None, qmax: int | None = None,
@@ -298,7 +283,8 @@ def generator_counts(V: BraidedVectorSpace, jmax: int, F: CoefficientField,
     zero homology at every requested dual degree (the explicit signal to
     rerun with a larger qmax).
     """
-    K = KoszulComplex(V, _full_ring(V, qmax + 1, c), pmax=jmax + 2, qmax=qmax + 1, F=F)
+    R = orbit_ring_module(V.rack, qmax + 1, class_of=c.class_of if c else None)
+    K = KoszulComplex(V, R, pmax=jmax + 2, qmax=qmax + 1, F=F)
     counts = []
     for j in range(jmax + 1):
         p = 1 + j

@@ -104,37 +104,23 @@ class OrbitTable:
 def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP) -> OrbitTable:
     """Orbits of the braid action on rack words of length n.
 
-    Tables are cached on the rack by n, together with the tables below n that
-    they are built from.
+    The cap d^n <= cap is checked ahead of the cache, which does not key on
+    it.  The table is kept on the rack by n and built from the table at n - 1,
+    as the module docstring sets out: for every orbit K at n - 2 and letters
+    b, a, sigma_{n-1} joins node (nu(K, b), a) to node (nu(K, a), b^a), where
+    nu is the node list at n - 1.  Union-find keeps each class's least node as
+    its root; node codes follow the order of the nodes' least words, so
+    numbering the classes by root numbers the orbits by least word.
     """
-    if rack.size**n > cap:  # checked before the cache, which does not key on the cap
+    if rack.size**n > cap:
         raise ValueError(f"state space {rack.size}^{n} exceeds cap {cap}")
-    return _orbit_table(rack, n)
-
-
-def _orbit_table(rack: Rack, n: int) -> OrbitTable:
-    """The table of `rack_orbits`, without the cap check.
-
-    Built from the table at n - 1 and kept on the rack.  A node (orbit j at
-    n - 1, last letter a), coded j*d + a, holds the words ending in a whose
-    prefix lies in orbit j, and its least word is rep_j + (a,).
-    sigma_1, ..., sigma_{n-2} move words inside their node, so the orbits at n
-    are the classes of nodes joined by sigma_{n-1}.  Its edges are read off
-    triples (orbit K at n - 2, b, a), not off words: every word (u, b, a) with
-    u in K lies in node (nu(K, b), a), and sigma_{n-1} sends it to (u, a, b^a)
-    in node (nu(K, a), b^a), where nu is the node list of the table at n - 1.
-    A level thus costs #orbits(n - 2) * d^2 edges, not d^n.  Union-find
-    keeps each class's least node as its root; node codes follow the order of
-    the nodes' least words, so numbering the classes by root numbers the
-    orbits by least word.
-    """
     table = rack.orbit_tables.get(n)
     if table is not None:
         return table
     if n == 0:
         table = rack.orbit_tables[0] = OrbitTable(rack, 0, [OrbitRecord((), 1)], None, None)
         return table
-    prev = _orbit_table(rack, n - 1)
+    prev = rack_orbits(rack, n - 1, cap)
     d = rack.size
     root = list(range(len(prev) * d))
     if n >= 2:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .braided import BraidedVectorSpace, sign_twist
+from .braided import BraidedVectorSpace, Rack, sign_twist
 from .exactla import CoefficientField, ComplexIntegrityError, RankTable
 from .fnf import GradedComplex, TensorSystem, assemble_block_merge, complex_for_system, plan_homology
 from .orbits import block_plan, rack_orbits
@@ -81,18 +81,22 @@ def bar_chains(V: BraidedVectorSpace, n: int, F: CoefficientField, words=None):
     `words` is a sorted list of word codes closed under the braid action (a
     block of `orbits.block_plan`), by default every code; cell (lambda, i)
     stands for word code words[i].  One map from word code to local index
-    serves every block operator of the call.  The local block products are
+    serves every block operator of the call, and the spread blocks are
+    memoised by (a, b, offset) for the call.  The local block products are
     kept on V by (F, a, b), so every block, and every degree n, shares them.
     """
     words = range(V.rank**n) if words is None else words
     pos = {w: i for i, w in enumerate(words)}
     products = V.block_products
+    spread = {}
 
     def block_vectors(a, b, offset):
-        key = (F, a, b)
-        if key not in products:
-            products[key] = _local_block_product(V, F, a, b)
-        return _spread_block(products[key], V.rank, n, a + b, offset, words, pos)
+        if (a, b, offset) not in spread:
+            key = (F, a, b)
+            if key not in products:
+                products[key] = _local_block_product(V, F, a, b)
+            spread[a, b, offset] = _spread_block(products[key], V.rank, n, a + b, offset, words, pos)
+        return spread[a, b, offset]
 
     return assemble_block_merge(n, 0, len(words), block_vectors, F)
 
@@ -155,11 +159,11 @@ def ext_table(V: BraidedVectorSpace, Nmax: int, F: CoefficientField) -> RankTabl
 @dataclass
 class ComponentsRing:
     """The diagonal Ext ring: dims r(n) and, for rack-type spaces with trivial
-    cocycle, the orbit basis with concatenation products."""
+    cocycle, the orbit basis with concatenation products on the tables of `rack`."""
 
     dims: list[int]
     orbit_reps: list | None = None     # per degree, list of canonical words
-    _tables: dict = field(default_factory=dict, repr=False)
+    rack: Rack | None = field(default=None, repr=False)
 
     def r(self, n: int) -> int:
         return self.dims[n]
@@ -168,9 +172,7 @@ class ComponentsRing:
         """Index of the product of basis orbits (concatenate, re-canonicalize)."""
         if self.orbit_reps is None:
             raise ValueError("no orbit basis available for this space")
-        w = self.orbit_reps[n1][k1] + self.orbit_reps[n2][k2]
-        tab = self._tables[n1 + n2]
-        return tab.index(w)
+        return rack_orbits(self.rack, n1 + n2).index(self.orbit_reps[n1][k1] + self.orbit_reps[n2][k2])
 
     def structure_constants(self, n1: int, n2: int):
         out = {}
@@ -199,14 +201,13 @@ def components_ring(V: BraidedVectorSpace, Nmax: int, F: CoefficientField) -> Co
     )
     if not trivial_cocycle:
         return ComponentsRing(diag)
-    tables = {n: rack_orbits(V.rack, n) for n in range(Nmax + 1)}
-    reps = [[rec.rep for rec in tables[n].orbits] for n in range(Nmax + 1)]
+    reps = [[rec.rep for rec in rack_orbits(V.rack, n).orbits] for n in range(Nmax + 1)]
     for n in range(Nmax + 1):
         if len(reps[n]) != diag[n]:
             raise AssertionError(
                 f"diagonal Ext rank {diag[n]} != orbit count {len(reps[n])} at degree {n}"
             )
-    return ComponentsRing(diag, reps, tables)
+    return ComponentsRing(diag, reps, V.rack)
 
 
 @dataclass

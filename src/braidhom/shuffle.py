@@ -126,20 +126,16 @@ def matsumoto_lift(perm: tuple[int, ...]) -> list[int]:
     return moves
 
 
+@lru_cache(maxsize=None)
 def compositions(n: int, parts: int) -> list[tuple[int, ...]]:
     """Ordered partitions of n into `parts` positive parts, in colex order."""
-    return _compositions_cached(n, parts)
-
-
-@lru_cache(maxsize=None)
-def _compositions_cached(n: int, parts: int) -> list[tuple[int, ...]]:
     if parts == 0:
         return [()] if n == 0 else []
     if parts == 1:
         return [(n,)] if n >= 1 else []
     out = []
     for last in range(1, n - parts + 2):
-        for rest in _compositions_cached(n - last, parts - 1):
+        for rest in compositions(n - last, parts - 1):
             out.append(rest + (last,))
     out.sort(key=lambda c: tuple(reversed(c)))
     return out

@@ -67,6 +67,24 @@ def test_parse_and_print_cycles():
     assert parse_cycles("()", 3) == identity_perm(3)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(1 2", "text '(1 2' outside the cycles of '(1 2'"),
+    ("(1 2) x", "text 'x' outside the cycles of '(1 2) x'"),
+    ("(1 2)(1 3)", "point 1 appears twice in '(1 2)(1 3)'"),
+])
+def test_parse_cycles_rejects_malformed_notation(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_cycles(text, 3)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("header", ["degree", "degree x", "degree 0", "degree 3 4"])
+def test_group_file_header_needs_a_positive_degree(header):
+    with pytest.raises(ValueError) as exc:
+        load_group(f"{header}\n(1 2)\n")
+    assert str(exc.value) == f"group file header {header!r} is not 'degree m' with m a positive integer"
+
+
 def test_group_enumeration_and_cap():
     G = S3()
     assert G.order == 6

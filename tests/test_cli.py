@@ -276,6 +276,20 @@ def test_group_file_input(tmp_path, capsys):
     assert "# a=1" in out
 
 
+@pytest.mark.parametrize("text, message", [
+    ("degree\n(1 2)\n", "error: group file header 'degree' is not 'degree m' with m a positive integer"),
+    ("degree x\n(1 2)\n", "error: group file header 'degree x' is not 'degree m' with m a positive integer"),
+    ("degree 3\n(1 2\n(1 2 3)\n", "error: text '(1 2' outside the cycles of '(1 2'"),
+    ("degree 3\n(1 2)(1 3)\n", "error: point 1 appears twice in '(1 2)(1 3)'"),
+])
+def test_malformed_group_file_is_a_usage_error(tmp_path, capsys, text, message):
+    path = tmp_path / "grp.txt"
+    path.write_text(text)
+    rc = main(["orbits", "--group-file", str(path), "--classes", "all", "--nmax", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == message
+
+
 def test_usage_errors(capsys):
     rc, _ = run(capsys, ["betti", "--group", "NOPE"])
     assert rc == 2

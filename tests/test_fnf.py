@@ -12,7 +12,6 @@ from braidhom.cli import builtin_group, class_selector
 from braidhom.exactla import GF, QQ, FieldMismatchError, kernel_basis, rank
 from braidhom.fnf import (
     PermutationSystem, TensorSystem, braid_homology, complex_for_system, fnf_complex, shuffle_blocks,
-    validate_partition,
 )
 from braidhom.hurwitz import rack_orbits
 from braidhom.shuffle import lifted_block_words
@@ -20,14 +19,6 @@ from tests.test_acceptance import signed_orbit_count
 from tests.test_braided import jordan_plane, s3_transposition_space
 
 F2 = GF(2)
-
-
-def test_validate_partition():
-    assert validate_partition([2, 1], 3) == (2, 1)
-    with pytest.raises(ValueError):
-        validate_partition([0, 3], 3)
-    with pytest.raises(ValueError):
-        validate_partition([2, 2], 3)
 
 
 def test_single_strand():

@@ -269,7 +269,7 @@ def test_module_grades_count_the_classes_of_every_word(case):
     m = max(class_of) + 1
     d = mod.rack.size
     for q, basis in mod.degrees.items():
-        table = mod.tables[q]
+        table = rack_orbits(mod.rack, q)
         pos = {k: i for i, k in enumerate(basis)}
         seen = set()
         for code, k in enumerate(table.orbit_of):

@@ -32,6 +32,32 @@ def test_full_ring_complex_shapes():
     assert K.dim(1, 2) == 3 * 5
 
 
+@pytest.mark.parametrize("pmax, expected", [
+    (1, (1, False, 1, 0)),
+    (2, (2, False, 2, 1)),
+    (3, (3, False, 3, 2)),
+    (4, (4, True, 4, 4)),
+    (5, (4, True, 4, 4)),
+    (8, (4, True, 4, 4)),
+])
+def test_top_degree_probe(pmax, expected):
+    # the dual Nichols algebra of S3 transpositions with the sign twist has
+    # top degree 4: below it pmax is a truncation boundary, from it on the
+    # top is reached; _built == K.pmax says that no zero degree and no degree
+    # pmax + 1 was built
+    G, c, V = s3_setup()
+    K = koszul_complex(V, "R", pmax=pmax, qmax=3, F=QQ, c=c)
+    assert (K.pmax, K.top_reached, K.nichols._built, K.homology_pmax()) == expected
+
+
+@pytest.mark.parametrize("pmax", [1, 2, 3])
+def test_top_degree_probe_on_an_exterior_line(pmax):
+    # sigma = -1: the dual algebra is an exterior algebra on one letter, zero
+    # from degree 2 on
+    K = koszul_complex(rank_one_space(-1), "R", pmax=pmax, qmax=3, F=GF(5))
+    assert (K.pmax, K.top_reached, K.nichols._built) == (1, True, 1)
+
+
 def test_pmax_zero_is_module_with_zero_differential():
     G, c, V = s3_setup()
     K = koszul_complex(V, "R", pmax=0, qmax=3, F=QQ, c=c)
