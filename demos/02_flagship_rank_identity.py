@@ -17,7 +17,6 @@ from braidhom.braided import (
     ConjClassSet,
     PermGroup,
     braided_space,
-    conjugation_rack,
     cycle_type,
     parse_cycles,
 )
@@ -26,8 +25,7 @@ from braidhom.qsa import verify_main_cor
 
 S3 = PermGroup(3, [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)], name="S3")
 c = ConjClassSet(S3, [g for g in S3.elements if cycle_type(g) == (2,)])
-rack = conjugation_rack(S3, c)
-V = braided_space(rack, Cocycle.constant(rack, 1), group=S3, name="S3-transpositions")
+V = braided_space(c.rack, Cocycle.constant(c.rack, 1), group=S3, name="S3-transpositions")
 
 for F in (QQ, GF(2)):
     print(f"=== {V.name} over {F} ===")
@@ -40,7 +38,7 @@ for F in (QQ, GF(2)):
 # The same identity with the nontrivial cocycle: rationally the homology is
 # much smaller (most orbits die against the sign), but mod 2 it coincides
 # with the untwisted answer.
-Vm = braided_space(rack, Cocycle.constant(rack, -1), group=S3, name="S3-transpositions(-1)")
+Vm = braided_space(c.rack, Cocycle.constant(c.rack, -1), group=S3, name="S3-transpositions(-1)")
 print(f"=== {Vm.name} over Q ===")
 for n in range(1, 5):
     rep = verify_main_cor(Vm, n, QQ)

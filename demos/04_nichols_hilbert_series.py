@@ -16,7 +16,6 @@ from braidhom.braided import (
     ConjClassSet,
     PermGroup,
     braided_space,
-    conjugation_rack,
     cycle_type,
     parse_cycles,
     rank_one_space,
@@ -26,8 +25,7 @@ from braidhom.nichols import NicholsData, nichols_dims, skew_derivation
 
 S3 = PermGroup(3, [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)], name="S3")
 c = ConjClassSet(S3, [g for g in S3.elements if cycle_type(g) == (2,)])
-rack = conjugation_rack(S3, c)
-Veps = braided_space(rack, Cocycle.constant(rack, 1), epsilon=True, group=S3)
+Veps = braided_space(c.rack, Cocycle.constant(c.rack, 1), epsilon=True, group=S3)
 
 dims, stable = nichols_dims(Veps, 6, QQ)
 print("S3 transpositions, sign twist, over Q:")

@@ -14,7 +14,6 @@ from braidhom.braided import (
     ConjClassSet,
     PermGroup,
     braided_space,
-    conjugation_rack,
     cycle_type,
     identity_perm,
     parse_cycles,
@@ -26,13 +25,12 @@ from braidhom.koszul import generator_counts, koszul_complex, koszul_homology, v
 
 S3 = PermGroup(3, [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)], name="S3")
 c = ConjClassSet(S3, [g for g in S3.elements if cycle_type(g) == (2,)])
-rack = conjugation_rack(S3, c)
-Veps = braided_space(rack, Cocycle.constant(rack, 1), epsilon=True, group=S3)
+Veps = braided_space(c.rack, Cocycle.constant(c.rack, 1), epsilon=True, group=S3)
 
 print("=== the full-ring complex for (S3, transpositions) ===")
 K = koszul_complex(Veps, "R", pmax=5, qmax=7, F=QQ, c=c)
 print(f"dual degrees assembled up to the algebra top: pmax = {K.pmax}")
-print("nonzero homology (p, q) -> rank:", dict(koszul_homology(K, qmax=6).items()))
+print("nonzero homology (p, q) -> rank:", dict(koszul_homology(K).items()))
 rep = verify_koszul_identities(K, pr=4, qr=4)
 print(f"identity checks: anticommuting differentials {rep.anticommute_ok}, "
       f"nullhomotopy form {rep.nullhomotopy_ok}")
@@ -42,7 +40,7 @@ print("=== per-stratum homology and observed vanishing ===")
 lat = subgroup_lattice(c)
 for i, H in enumerate(lat):
     KH = koszul_complex(Veps, ("exact", H), pmax=4, qmax=9, F=QQ, c=c)
-    table = koszul_homology(KH, qmax=8)
+    table = koszul_homology(KH)
     top = max((q for (_p, q) in table.values), default=0)
     print(f"  {lat.describe(i)}: {dict(table.items())}  (zero for q > {top})")
 
@@ -54,9 +52,8 @@ print("  sign-twisted line:", generator_counts(rank_one_space(-1), 3, QQ, qmax=6
 # With two conjugacy classes the differential splits into anticommuting
 # pieces, one per class, and the homology refines over the class multigrade.
 call = ConjClassSet(S3, [g for g in S3.elements if g != identity_perm(3)])
-rack_all = conjugation_rack(S3, call)
-Vall = braided_space(rack_all, Cocycle.constant(rack_all, 1), epsilon=True, group=S3)
+Vall = braided_space(call.rack, Cocycle.constant(call.rack, 1), epsilon=True, group=S3)
 K2 = koszul_complex(Vall, "R", pmax=3, qmax=4, F=QQ, c=call)
 print()
 print("=== two-class example: multigraded homology ===")
-print(" ", dict(koszul_homology(K2, qmax=3, by_multigrade=True).items()))
+print(" ", dict(koszul_homology(K2, by_multigrade=True).items()))

@@ -18,7 +18,6 @@ from .braided import (
     braid_word_action,
     braided_space,
     check_braided,
-    conjugation_rack,
     dual_space,
     rank_one_space,
     sign_twist,
@@ -27,7 +26,7 @@ from .exactla import CoefficientField, GF, GF2, QQ, RankTable, SparseMatrix, ran
 from .fnf import braid_homology, fnf_complex
 from .hurwitz import monodromy_group, monodromy_labels, nielsen_components, subgroup_lattice
 from .koszul import generator_counts, koszul_complex, koszul_homology, verify_koszul_identities
-from .malle import center, index, malle_a, point_count_bound
+from .malle import index, malle_a, point_count_bound
 from .nichols import NicholsData, hopf_pairing, nichols_dims, skew_derivation
 from .qsa import bar_complex, components_ring, ext_table, verify_main_cor
 from .shuffle import matsumoto_lift, quantum_binomial, quantum_symmetrizer, shuffle_product, shuffles, signed_shuffle_count
@@ -49,10 +48,8 @@ __all__ = [
     "braid_homology",
     "braid_word_action",
     "braided_space",
-    "center",
     "check_braided",
     "components_ring",
-    "conjugation_rack",
     "dual_space",
     "ext_table",
     "fnf_complex",

@@ -9,6 +9,9 @@ The basis of a tensor power V^(x)n is the set of length-n words over the basis
 of V in lexicographic order, and braid words act on vectors keyed by base-r
 word codes (`word_index`), one path for every braiding.
 
+A class set has one rack, its conjugation quandle `ConjClassSet.rack`; every
+space, orbit table and module on that class set is built on it.
+
 Structures are not changed after construction, apart from caches that fill
 lazily on first use: each group's right-multiplication index tables,
 `ConjClassSet.rack` and `ConjClassSet.lattice` (filled by
@@ -23,7 +26,6 @@ locked.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -104,7 +106,11 @@ def parse_cycles(text: str, degree: int) -> Perm:
     out = list(range(degree))
     seen = set()
     for grp in parts[1::2]:
-        pts = [int(t) - 1 for t in grp.replace(",", " ").split()]
+        tokens = grp.replace(",", " ").split()
+        bad = next((t for t in tokens if not t.isdecimal()), None)
+        if bad is not None:
+            raise ValueError(f"point {bad!r} in cycle ({grp}) of {text!r} is not a positive integer")
+        pts = [int(t) - 1 for t in tokens]
         for p in pts:
             if not 0 <= p < degree:
                 raise ValueError(f"point {p + 1} out of range for degree {degree}")
@@ -168,16 +174,6 @@ class PermGroup:
                     orbit.add(y)
                     frontier.append(y)
         return frozenset(orbit)
-
-    def conjugacy_classes(self) -> list[frozenset]:
-        left = set(self.elements)
-        out = []
-        while left:
-            g = min(left)
-            cl = self.conjugacy_class(g)
-            out.append(cl)
-            left -= cl
-        return out
 
     def subgroup_closure(self, gens: list[Perm]) -> frozenset:
         """The subgroup generated by elements of this group, as a frozenset.
@@ -275,13 +271,11 @@ class ConjClassSet:
     def __len__(self):
         return len(self.elements)
 
-    def generates_parent(self) -> bool:
-        return self.parent.subgroup_closure(self.elements) == frozenset(self.parent.elements)
-
     @cached_property
     def rack(self) -> "Rack":
-        """The conjugation quandle on the elements, built on first use and kept."""
-        return conjugation_rack(self.parent, self)
+        """The conjugation quandle on the elements, a^b = b^-1 a b, built on
+        first use and kept: the one rack of this class set."""
+        return Rack(self.elements, {(a, b): conj(a, b) for a in self.elements for b in self.elements})
 
 
 def pow_perm(g: Perm, a: int) -> Perm:
@@ -375,9 +369,6 @@ class Cocycle:
             raise ValueError("cocycle values must be nonzero")
         return cls(tuple(tuple(value for _ in range(rack.size)) for _ in range(rack.size)))
 
-    def value(self, a: int, b: int):
-        return self.table[a][b]
-
     def check(self, rack: Rack) -> None:
         n = rack.size
         for a in range(n):
@@ -391,43 +382,6 @@ class Cocycle:
                     rhs = self.table[a][c] * self.table[rack.act[a][c]][rack.act[b][c]]
                     if lhs != rhs:
                         raise ValueError(f"cocycle condition fails at ({a}, {b}, {c})")
-
-
-def conjugation_rack(G: PermGroup, c: ConjClassSet) -> Rack:
-    """The quandle on c with a^b = b^-1 a b."""
-    action = {}
-    elems = c.elements
-    eset = set(elems)
-    for a in elems:
-        for b in elems:
-            ab = conj(a, b)
-            if ab not in eset:
-                raise ValueError("class set not closed under conjugation")
-            action[(a, b)] = ab
-    return Rack(elems, action)
-
-
-def load_rack(text: str) -> tuple[Rack, Cocycle]:
-    """Read a rack plus cocycle from JSON: keys 'elements', 'action', 'cocycle'."""
-    obj = json.loads(text)
-    labels = obj["elements"]
-    by_str = {str(lab): lab for lab in labels}
-    action = {}
-    for a, row in obj["action"].items():
-        for b, v in row.items():
-            action[(by_str[a], by_str[b])] = by_str[str(v)]
-    rack = Rack(labels, action)
-    coc = obj.get("cocycle", 1)
-    if isinstance(coc, (int, float)):
-        x = Cocycle.constant(rack, int(coc))
-    else:
-        tbl = tuple(
-            tuple(int(coc[str(labels[a])][str(labels[b])]) for b in range(rack.size))
-            for a in range(rack.size)
-        )
-        x = Cocycle(tbl)
-    x.check(rack)
-    return rack, x
 
 
 # braided vector spaces -------------------------------------------------------
@@ -497,15 +451,14 @@ class BraidedVectorSpace:
 def braided_space(rack: Rack, x: Cocycle, epsilon: bool = False,
                   group: PermGroup | None = None, name: str = "") -> BraidedVectorSpace:
     """The braided vector space of a rack and cocycle: sigma(a (x) b) = s x_{ab} (b (x) a^b),
-    with s = -1 when epsilon is set.  When the rack came from conjugation in a
-    permutation group, pass the group to attach the Yetter-Drinfeld grading.
+    with s = -1 when epsilon is set.  The space records the cocycle s x it
+    braids with, as `sign_twist` does.  When the rack came from conjugation in
+    a permutation group, pass the group to attach the Yetter-Drinfeld grading.
     """
     x.check(rack)
-    s = -1 if epsilon else 1
-    sigma = {}
-    for a in range(rack.size):
-        for b in range(rack.size):
-            sigma[(a, b)] = (((b, rack.act[a][b]), s * x.value(a, b)),)
+    if epsilon:
+        x = Cocycle(tuple(tuple(-v for v in row) for row in x.table))
+    sigma = {(a, b): (((b, rack.act[a][b]), x.table[a][b]),) for a in range(rack.size) for b in range(rack.size)}
     return BraidedVectorSpace(rack.labels, sigma, group=group, rack=rack, cocycle=x, name=name)
 
 

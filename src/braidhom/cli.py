@@ -3,7 +3,7 @@
 Every subcommand echoes its fully resolved job (including defaulted caps and
 the chosen field) as a header, writes CSV or JSON, and is byte-for-byte
 deterministic across runs.  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 truncated window (increase pmax or qmax).
+2 usage error, 3 truncated window (increase koszul --pmax).
 
 Builtin groups: S2..S6, A3..A5, Z1..Z12 (also spelled Z/n), D4.  Class
 selectors: 'all', 'transpositions', 'k-cycles' (e.g. '3-cycles'), or an
@@ -274,7 +274,7 @@ def cmd_koszul(args) -> int:
             raise UsageError("module must be 'R', 'exact:<k>', or 'sub:<k>' with k a lattice index")
         spec = (kind, lat.subgroups[int(idx)])
     K = koszul.koszul_complex(V, spec, pmax=args.pmax, qmax=args.qmax, F=F, c=c)
-    table = koszul.koszul_homology(K, qmax=args.qmax - 1, by_multigrade=args.multigrade)
+    table = koszul.koszul_homology(K, by_multigrade=args.multigrade)
     rows = [list(key) + [r] for key, r in table.items()]
     rep = koszul.verify_koszul_identities(K, pr=min(args.pmax, K.pmax), qr=args.qmax - 2)
     meta = job_meta(args, {

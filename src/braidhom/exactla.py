@@ -89,10 +89,6 @@ class CoefficientField:
         if self.characteristic != 0 and not _is_prime(self.characteristic):
             raise ValueError(f"characteristic must be 0 or prime, got {self.characteristic}")
 
-    @property
-    def kind(self) -> str:
-        return "rationals" if self.characteristic == 0 else "prime_field"
-
     def convert(self, x):
         """Coerce an int or Fraction into a scalar of this field."""
         p = self.characteristic
@@ -270,23 +266,6 @@ class SparseMatrix:
             for i, a in _coerced(self._columns[j], F).items():
                 out[i] = out.get(i, 0) + a * x
         return F.reduced(out)
-
-    def to_triplet_text(self) -> str:
-        """Serialize as 'rows cols nnz' header plus one 'row col value' line per entry."""
-        lines = [f"{self.rows} {self.cols} {self.nnz}"]
-        for (i, j), v in sorted(self.entries.items()):
-            lines.append(f"{i} {j} {v}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_triplet_text(cls, text: str) -> "SparseMatrix":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        r, c, nnz = (int(t) for t in lines[0].split())
-        ent = {}
-        for ln in lines[1 : nnz + 1]:
-            i, j, v = ln.split()
-            ent[(int(i), int(j))] = Fraction(v) if "/" in v else int(v)
-        return cls(r, c, ent)
 
 
 def _coerced(vec: dict, F: CoefficientField) -> dict:
@@ -616,9 +595,3 @@ class RankTable:
 
     def items(self):
         return sorted(self.values.items())
-
-    def to_csv(self) -> str:
-        lines = [",".join(self.axes + ("rank",))]
-        for key, r in self.items():
-            lines.append(",".join(str(k) for k in key) + f",{r}")
-        return "\n".join(lines) + "\n"

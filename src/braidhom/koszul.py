@@ -49,6 +49,9 @@ class TruncationError(ValueError):
 class KoszulComplex:
     """Assembled terms and differentials of the complex for one module.
 
+    The module must be built on the rack of V itself (the one rack of its
+    class set), so that module letters and dual letters are the same labels.
+
     `classes[i]` lists the letter indices of the i-th conjugacy class; the
     per-class matrices are d_class[(i, p, q)]: term (p, q) -> term (p-1, q+1).
     Their sum, the total differential, is formed once at construction and read
@@ -61,8 +64,8 @@ class KoszulComplex:
                  F: CoefficientField):
         if V.rack is None:
             raise ValueError("Koszul complexes need a rack-type space")
-        if V.rack.size != module.rack.size:
-            raise ValueError("module letters do not match the braided space basis")
+        if module.rack is not V.rack:
+            raise ValueError("the module and the braided space are built on different racks")
         self.V = V
         self.module = module
         self.F = F
@@ -193,23 +196,16 @@ def koszul_complex(V: BraidedVectorSpace, module_spec, pmax: int, qmax: int,
     raise ValueError(f"unknown module spec {module_spec!r}")
 
 
-def koszul_homology(K: KoszulComplex, pmax: int | None = None, qmax: int | None = None,
-                    by_multigrade: bool = False) -> RankTable:
-    """Homology ranks over the requested window, optionally refined by multigrade.
-
-    The window must leave one module degree of headroom (homology at q needs
-    the differential into q + 1), and one dual degree when the dual algebra
-    was truncated before vanishing; a window left with no dual degree raises
-    `TruncationError`.
+def koszul_homology(K: KoszulComplex, by_multigrade: bool = False) -> RankTable:
+    """Homology ranks at every term with reliable homology, optionally refined
+    by multigrade: dual degrees up to `K.homology_pmax()` and module degrees
+    below `K.qmax` (homology at q needs the differential into q + 1).  A
+    complex with no such dual degree raises `TruncationError`.
     """
-    p_top = K.homology_pmax()
-    pmax = p_top if pmax is None else min(pmax, p_top)
+    pmax, qmax = K.homology_pmax(), K.qmax - 1
     if pmax < 0:
         raise TruncationError(f"the window holds no dual degree with reliable homology "
                               f"(assembled pmax {K.pmax}); increase pmax")
-    qmax = K.qmax - 1 if qmax is None else qmax
-    if qmax > K.qmax - 1:
-        raise TruncationError("homology window exceeds assembled degrees; increase qmax")
     m = len(K.classes)
     table = RankTable(("p", "q") + tuple(f"q{i + 1}" for i in range(m))) if by_multigrade \
         else RankTable(("p", "q"))

@@ -42,12 +42,6 @@ def discriminant_degree(branch_counts, class_indices) -> int:
     return sum(m * ind for m, ind in zip(branch_counts, class_indices))
 
 
-def center(G: PermGroup):
-    """(elements commuting with all generators, order)."""
-    z = G.center()
-    return z, len(z)
-
-
 @dataclass(frozen=True)
 class PointCountBound:
     """Exact value of q^n sum_j q^(-j/2) b_j as rational_part + sqrt_part sqrt(q)."""
@@ -131,7 +125,7 @@ def malle_constants(G: PermGroup, c: ConjClassSet | None = None,
         cs = c
     inds = [index(cl[0]) for cl in cs.classes]
     a = malle_a(G, cs)
-    _, zorder = center(G)
+    zorder = len(G.center())
     deg = None
     window = None
     if orbit_window is not None:

@@ -174,13 +174,6 @@ class ComponentsRing:
             raise ValueError("no orbit basis available for this space")
         return rack_orbits(self.rack, n1 + n2).index(self.orbit_reps[n1][k1] + self.orbit_reps[n2][k2])
 
-    def structure_constants(self, n1: int, n2: int):
-        out = {}
-        for k1 in range(len(self.orbit_reps[n1])):
-            for k2 in range(len(self.orbit_reps[n2])):
-                out[(k1, k2)] = self.product(n1, k1, n2, k2)
-        return out
-
 
 def components_ring(V: BraidedVectorSpace, Nmax: int, F: CoefficientField) -> ComponentsRing:
     """The ring of components of V: dims of the diagonal Ext of the sign twist,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidhom.braided import (
-    Cocycle, apply_moves_to_vector, braided_space, conj, conjugation_rack, rank_one_space, sign_twist,
+    Cocycle, apply_moves_to_vector, braided_space, conj, rank_one_space, sign_twist,
 )
 from braidhom.cli import builtin_group, class_selector
 from braidhom.exactla import GF, QQ, ComplexIntegrityError, FieldMismatchError
@@ -27,7 +27,7 @@ FIELDS = (QQ, GF(2), GF(3), GF(5))
 
 def coboundary_space(G, c, f, epsilon=False):
     """The rack space of c with the cocycle x_ab = f(a) f(a^b), f: c -> {+-1}."""
-    rack = conjugation_rack(G, c)
+    rack = c.rack
     x = Cocycle(tuple(tuple(f[a] * f[rack.act[a][b]] for b in range(rack.size)) for a in range(rack.size)))
     return braided_space(rack, x, epsilon=epsilon, group=G, name=f"{G.name}-coboundary")
 
@@ -145,7 +145,7 @@ def test_trivial_cocycle_blocks_have_one_dimensional_h0(class_set, data):
     # whose coinvariants H_0 are one-dimensional; weighted by multiplicity the
     # blocks count the orbits of c^n
     G, c = class_set
-    rack = conjugation_rack(G, c)
+    rack = c.rack
     V = braided_space(rack, Cocycle.constant(rack, 1), group=G)
     n = data.draw(st.integers(1, max(n for n in range(1, 5) if len(c) ** n <= 125)))
     F = data.draw(st.sampled_from(FIELDS))
@@ -182,7 +182,7 @@ def test_a_word_leaving_its_block_fails_loudly():
     # an orbit less one word is not closed under the braid action: both the
     # FNF and the bar side must refuse it rather than drop terms
     G = builtin_group("S3")
-    rack = conjugation_rack(G, class_selector(G, "transpositions"))
+    rack = class_selector(G, "transpositions").rack
     V = braided_space(rack, Cocycle.constant(rack, 1), group=G)
     words, _ = block_plan(V, 3)[1]
     assert len(words) == 8

@@ -281,6 +281,7 @@ def test_group_file_input(tmp_path, capsys):
     ("degree x\n(1 2)\n", "error: group file header 'degree x' is not 'degree m' with m a positive integer"),
     ("degree 3\n(1 2\n(1 2 3)\n", "error: text '(1 2' outside the cycles of '(1 2'"),
     ("degree 3\n(1 2)(1 3)\n", "error: point 1 appears twice in '(1 2)(1 3)'"),
+    ("degree 3\n(1 a)\n", "error: point 'a' in cycle (1 a) of '(1 a)' is not a positive integer"),
 ])
 def test_malformed_group_file_is_a_usage_error(tmp_path, capsys, text, message):
     path = tmp_path / "grp.txt"
@@ -313,8 +314,9 @@ def test_truncation_exits_3(monkeypatch, capsys):
     # the CLI leaves itself one module degree of headroom; take it away
     real = koszul.koszul_homology
 
-    def too_wide(K, qmax, by_multigrade):
-        return real(K, qmax=qmax + 1, by_multigrade=by_multigrade)
+    def too_wide(K, by_multigrade):
+        K.homology_rank(1, K.qmax)
+        return real(K, by_multigrade=by_multigrade)
 
     monkeypatch.setattr(koszul, "koszul_homology", too_wide)
     rc = main(["koszul", "--group", "S3", "--classes", "transpositions", "--epsilon",

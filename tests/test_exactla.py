@@ -32,8 +32,7 @@ F2 = GF(2)
 
 
 def test_field_kinds():
-    assert QQ.kind == "rationals" and QQ.characteristic == 0
-    assert GF(5).kind == "prime_field"
+    assert QQ.characteristic == 0 and GF(5).characteristic == 5
     with pytest.raises(ValueError):
         GF(6)
 
@@ -280,13 +279,6 @@ def test_homology_invariant_under_permutation():
     assert three_term(d_in2, d_out2).homology_rank(1) == base
 
 
-def test_triplet_roundtrip():
-    M = SparseMatrix(3, 4, {(0, 1): Fraction(3, 2), (2, 0): -7})
-    text = M.to_triplet_text()
-    assert text.splitlines()[0] == "3 4 2"
-    assert SparseMatrix.from_triplet_text(text) == M
-
-
 def test_kernel_and_column_space():
     M = SparseMatrix(2, 3, {(0, 0): 1, (0, 1): 1, (1, 2): 1})
     ker = kernel_basis(M, QQ)
@@ -467,7 +459,6 @@ def test_rank_table():
     t.set((0, 0), 1)
     assert t.get((1, 2)) == 3 and t.get((5, 5)) == 0
     assert t.items() == [((0, 0), 1), ((1, 2), 3)]
-    assert "s,n,rank" in t.to_csv()
     t.set((1, 2), 0)
     assert t.get((1, 2)) == 0
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidhom import hurwitz
 from braidhom.braided import (
-    BraidedVectorSpace, Cocycle, ConjClassSet, braided_space, conjugation_rack, identity_perm, rank_one_space,
+    BraidedVectorSpace, Cocycle, ConjClassSet, braided_space, identity_perm, rank_one_space,
 )
 from braidhom.cli import builtin_group, class_selector
 from braidhom.exactla import GF, QQ, FieldMismatchError, kernel_basis, rank
@@ -92,7 +92,7 @@ def test_non_integral_diagonal_braiding():
 def small_class_sets(draw):
     """A small builtin group and a union of its nontrivial conjugacy classes."""
     G = builtin_group(draw(st.sampled_from(["S3", "S4", "A4", "D4", "Z2", "Z3", "Z4", "Z5"])))
-    classes = [cl for cl in G.conjugacy_classes() if identity_perm(G.degree) not in cl]
+    classes = [tuple(cl) for cl in ConjClassSet(G, [g for g in G.elements if g != identity_perm(G.degree)]).classes]
     picked = draw(st.lists(st.sampled_from(classes), min_size=1, unique=True))
     return G, ConjClassSet(G, set().union(*picked))
 
@@ -103,7 +103,7 @@ def small_rack_spaces(draw):
     group, with a constant cocycle +-1 and an optional sign twist, and a strand
     count n whose complex stays small (rack size ** n <= 125)."""
     G, c = draw(small_class_sets())
-    rack = conjugation_rack(G, c)
+    rack = c.rack
     V = braided_space(rack, Cocycle.constant(rack, draw(st.sampled_from([1, -1]))),
                       epsilon=draw(st.booleans()), group=G, name=G.name)
     nmax = max(n for n in range(1, 5) if len(c.elements) ** n <= 125)

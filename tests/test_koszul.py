@@ -1,7 +1,7 @@
 import pytest
 
 from braidhom import koszul
-from braidhom.braided import ConjClassSet, identity_perm, pmul, rank_one_space
+from braidhom.braided import Cocycle, ConjClassSet, braided_space, identity_perm, pmul, rank_one_space
 from braidhom.exactla import GF, QQ, ComplexIntegrityError, SparseMatrix
 from braidhom.hurwitz import subgroup_lattice
 from braidhom.koszul import (
@@ -11,7 +11,7 @@ from braidhom.koszul import (
     verify_koszul_identities,
 )
 from braidhom.nichols import NicholsData, constant_braiding_value, skew_derivation
-from tests.test_braided import S3, s3_transposition_space, s4_transposition_setup, transpositions
+from tests.test_braided import S3, s4_transposition_setup, transpositions
 
 F2 = GF(2)
 
@@ -19,7 +19,7 @@ F2 = GF(2)
 def s3_setup():
     G = S3()
     c = transpositions(G)
-    V = s3_transposition_space(epsilon=True)
+    V = braided_space(c.rack, Cocycle.constant(c.rack, 1), epsilon=True, group=G)
     return G, c, V
 
 
@@ -84,7 +84,7 @@ def test_full_ring_homology():
     assert K.homology_rank(0, 0) == 1
     for q in range(1, 6):
         assert K.homology_rank(0, q) == 0
-    table = koszul_homology(K, qmax=6)
+    table = koszul_homology(K)
     assert table.items() == [((0, 0), 1), ((3, 3), 1)]
 
 
@@ -140,7 +140,7 @@ def test_strata_identities_and_vanishing(field):
         rep = verify_koszul_identities(K, pr=3, qr=5)
         assert rep.anticommute_ok and rep.nullhomotopy_ok
         assert rep.trivial_action_ok is True
-        table = koszul_homology(K, qmax=7)
+        table = koszul_homology(K)
         top = max((q for (_p, q) in table.values.keys()), default=-1)
         # vanishing threshold observed with at least three zero degrees above it
         assert top <= 4, lat.describe(lat.index(H))
@@ -303,9 +303,9 @@ def test_corrupted_derivation_fails_the_d_squared_check(monkeypatch):
 def test_two_class_multidifferentials():
     G = S3()
     c = ConjClassSet(G, [g for g in G.elements if g != identity_perm(3)])
-    from braidhom.braided import Cocycle, braided_space, conjugation_rack
+    from braidhom.braided import Cocycle, braided_space
 
-    rack = conjugation_rack(G, c)
+    rack = c.rack
     V = braided_space(rack, Cocycle.constant(rack, 1), epsilon=True, group=G)
     K = koszul_complex(V, "R", pmax=3, qmax=4, F=QQ, c=c)
     assert len(K.classes) == 2
@@ -393,13 +393,13 @@ def test_class_differentials_preserve_the_group_grade(field):
 def test_multigrade_refinement_consistent():
     G = S3()
     c = ConjClassSet(G, [g for g in G.elements if g != identity_perm(3)])
-    from braidhom.braided import Cocycle, braided_space, conjugation_rack
+    from braidhom.braided import Cocycle, braided_space
 
-    rack = conjugation_rack(G, c)
+    rack = c.rack
     V = braided_space(rack, Cocycle.constant(rack, 1), epsilon=True, group=G)
     K = koszul_complex(V, "R", pmax=3, qmax=4, F=QQ, c=c)
-    coarse = koszul_homology(K, qmax=3)
-    fine = koszul_homology(K, qmax=3, by_multigrade=True)
+    coarse = koszul_homology(K)
+    fine = koszul_homology(K, by_multigrade=True)
     sums = {}
     for key, r in fine.items():
         sums[key[:2]] = sums.get(key[:2], 0) + r
@@ -427,7 +427,7 @@ def test_sub_pair_complex():
     H = lat.subgroups[0]
     K = koszul_complex(V, ("sub", H), pmax=3, qmax=6, F=QQ, c=c)
     # the pair (Z/2, involution) gives an acyclic complex away from (0, 0)
-    table = koszul_homology(K, qmax=5)
+    table = koszul_homology(K)
     assert table.items() == [((0, 0), 1)]
 
 
@@ -435,12 +435,14 @@ def test_spectral_sum_dominates_total():
     G, c, V = s3_setup()
     lat = subgroup_lattice(c)
     window_p, window_q = 3, 5
-    total = koszul_homology(koszul_complex(V, "R", pmax=4, qmax=7, F=QQ, c=c),
-                            pmax=window_p, qmax=window_q)
+
+    def windowed(K):
+        return {key: r for key, r in koszul_homology(K).items() if key[0] <= window_p and key[1] <= window_q}
+
+    total = windowed(koszul_complex(V, "R", pmax=4, qmax=7, F=QQ, c=c))
     strata_sum = {}
     for H in lat:
-        K = koszul_complex(V, ("exact", H), pmax=4, qmax=7, F=QQ, c=c)
-        for key, r in koszul_homology(K, pmax=window_p, qmax=window_q).items():
+        for key, r in windowed(koszul_complex(V, ("exact", H), pmax=4, qmax=7, F=QQ, c=c)).items():
             strata_sum[key] = strata_sum.get(key, 0) + r
     # module degree 0 lives on the empty word, whose trivial monodromy is
     # outside the lattice; the comparison is meaningful for q >= 1
@@ -460,7 +462,7 @@ def test_s4_stabilization_and_stratum_vanishing():
     S4, c, V = s4_transposition_setup()
     full = frozenset(S4.elements)
     K = koszul_complex(V, ("exact", full), pmax=2, qmax=7, F=QQ, c=c)
-    table = koszul_homology(K, qmax=6)
+    table = koszul_homology(K)
     assert dict(table.items()) == {(0, 3): 6, (1, 3): 25}
     rep = stabilization_thresholds(c, 0, 6)
     assert rep.stabilized and rep.observed == 5
@@ -517,9 +519,6 @@ def test_generator_counts_insufficient_window():
 
 def test_missing_degree_error():
     G, c, V = s3_setup()
-    K = koszul_complex(V, "R", pmax=3, qmax=3, F=QQ, c=c)
-    with pytest.raises(ValueError):
-        koszul_homology(K, qmax=5)
     # homology at q = qmax needs module degree qmax + 1 wherever d leaves the term
     K = koszul_complex(V, "R", pmax=5, qmax=3, F=QQ, c=c)
     wide = koszul_complex(V, "R", pmax=5, qmax=6, F=QQ, c=c)
@@ -531,3 +530,15 @@ def test_missing_degree_error():
     for p, q in ((0, 4), (5, 0), (-1, 1)):
         with pytest.raises(ValueError, match="outside the assembled degrees"):
             K.homology_rank(p, q)
+
+
+def test_module_on_another_rack_is_refused():
+    # S4 transpositions and S4 4-cycles are racks of one size, 6; a space on
+    # the first paired with a stratum of the second is refused, not assembled
+    from braidhom.cli import class_selector
+
+    S4, c, V = s4_transposition_setup()
+    four_cycles = class_selector(S4, "4-cycles")
+    assert len(four_cycles) == len(c)
+    with pytest.raises(ValueError, match="different racks"):
+        koszul_complex(V, ("exact", frozenset(S4.elements)), pmax=2, qmax=3, F=QQ, c=four_cycles)

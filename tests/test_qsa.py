@@ -5,7 +5,7 @@ import pytest
 
 from braidhom import fnf, qsa
 from braidhom.braided import ConjClassSet, PermGroup, identity_perm, parse_cycles, rank_one_space, sign_twist
-from braidhom.braided import Cocycle, apply_moves_to_vector, braided_space, conjugation_rack, index_word
+from braidhom.braided import Cocycle, apply_moves_to_vector, braided_space, index_word
 from braidhom.exactla import GF, QQ
 from braidhom.orbits import block_plan
 from braidhom.qsa import (
@@ -17,7 +17,7 @@ from braidhom.qsa import (
 )
 from braidhom.shuffle import lifted_block_words, shuffle_product
 from tests.test_acceptance import signed_orbit_count
-from tests.test_braided import jordan_plane, s3_transposition_space
+from tests.test_braided import S3, jordan_plane, s3_transposition_space, transpositions
 
 F2 = GF(2)
 
@@ -136,7 +136,7 @@ def test_components_ring_dims_and_products():
     assert ring.dims == [1, 3, 5, 6, 6]
     assert ring.r(0) == 1 and ring.r(1) == 3
     # multiplication lands on single orbit basis vectors
-    sc = ring.structure_constants(1, 1)
+    sc = {(k1, k2): ring.product(1, k1, 1, k2) for k1 in range(ring.r(1)) for k2 in range(ring.r(1))}
     assert set(sc.values()) <= set(range(ring.r(2)))
     # the five degree-2 orbits are all reachable as products of degree-1 letters
     assert len(set(sc.values())) == 5
@@ -175,7 +175,7 @@ def test_verify_main_cor_s3(field):
 def test_verify_main_cor_z3():
     Z3 = PermGroup(3, [parse_cycles("(1 2 3)", 3)], name="Z3")
     cz = ConjClassSet(Z3, [g for g in Z3.elements if g != identity_perm(3)])
-    rack = conjugation_rack(Z3, cz)
+    rack = cz.rack
     V = braided_space(rack, Cocycle.constant(rack, 1), group=Z3)
     for F in (QQ, F2):
         rep = verify_main_cor(V, 3, F)
@@ -281,3 +281,21 @@ def test_bar_block_local_then_spread_matches_full_width_lifts(V):
                         got = qsa._spread_block(local, V.rank, n, a + b, offset, words, pos)
                         want = [{pos[w]: cf for w, cf in full[code].items()} for code in words]
                         assert got == want, (F, n, a, b, offset, len(words))
+
+
+def test_sign_twisted_space_records_the_cocycle_it_braids_with():
+    # braided_space with epsilon, the sign twist of the untwisted space and the
+    # space of cocycle -1 are one braiding: they record one cocycle, and the
+    # ring of components, which attaches an orbit basis only for a trivial
+    # cocycle, is the same for all three
+    G = S3()
+    c = transpositions(G)
+    one = Cocycle.constant(c.rack, 1)
+    spaces = [braided_space(c.rack, one, epsilon=True, group=G),
+              sign_twist(braided_space(c.rack, one, group=G)),
+              braided_space(c.rack, Cocycle.constant(c.rack, -1), group=G)]
+    for V in spaces:
+        ring = components_ring(V, 4, QQ)
+        assert (ring.dims, ring.orbit_reps) == ([1, 3, 0, 0, 0], None)
+    assert spaces[0].sigma == spaces[1].sigma == spaces[2].sigma
+    assert spaces[0].cocycle == spaces[1].cocycle == spaces[2].cocycle
