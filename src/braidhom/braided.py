@@ -20,8 +20,8 @@ lazily on first use: each group's right-multiplication index tables,
 `orbit_tables`, one per word length (filled and read through
 `orbits.rack_orbits` alone; each table builds its list of every word's orbit,
 `orbit_of`, on first read), and each braided space's inverse braiding, sign
-twist and `block_products` (filled by `qsa.bar_chains`).  Those fills are not
-locked.
+twist and `block_products` (filled by `qsa.bar_chains` with the words its
+blocks read).  Those fills are not locked.
 """
 
 from __future__ import annotations
@@ -420,8 +420,9 @@ class BraidedVectorSpace:
         self.cocycle = cocycle
         self._inv = None
         self._twist = None
-        # (field, a, b) -> images of the words of V^(x)(a+b) under the shuffle
-        # product of their first a and last b letters, kept by `qsa.bar_chains`
+        # (field, a, b) -> {word code: image} for the words of V^(x)(a+b)
+        # that some bar block has read, under the shuffle product of their
+        # first a and last b letters; filled word by word by `qsa.bar_chains`
         self.block_products: dict = {}
 
     def sigma_matrix(self) -> SparseMatrix:

@@ -106,7 +106,10 @@ def resolve_field(args, G: PermGroup | None) -> CoefficientField:
     if spec.upper() == "Q":
         return QQ
     if spec.isdigit() and _is_prime(int(spec)):
-        return GF(int(spec))
+        p = int(spec)
+        if getattr(args, "rank1", False) and Fraction(args.sigma).numerator % p == 0:
+            raise UsageError(f"--sigma {args.sigma} vanishes in F_{p}, so the braiding is not invertible there")
+        return GF(p)
     raise UsageError(f"field must be 'Q' or a prime, got {spec!r}")
 
 

@@ -35,11 +35,15 @@ Products (`SparseMatrix.matmul`, `SparseMatrix.apply`) and sums
 the field once (`_coerced`), as `_elimination_rows` does: an int as it is
 over Q and mod p over F_p, anything else through `CoefficientField.convert`.
 Products accumulate with native + and * and reduce each output entry once
-(`CoefficientField.reduced`).  The public constructors (`SparseMatrix(rows,
-cols, entries)` and `from_columns`) check every index and drop zeros; results
-that are in range and nonzero by construction (this module's products, sums,
-transposes and inverses, and the package's assemblers) take ownership of
-their columns through `SparseMatrix._trusted` and skip those checks.
+(`CoefficientField.reduced`).  A check that only asks whether a sum of
+products is zero (d^2 = 0, and d_i d_j + d_j d_i = 0 in `koszul`) calls
+`products_vanish`, which builds no product: it sums one output column at a
+time, reduces each sum once and stops at the first nonzero entry.  The
+public constructors (`SparseMatrix(rows, cols, entries)` and `from_columns`)
+check every index and drop zeros; results that are in range and nonzero by
+construction (this module's products, sums, transposes and inverses, and the
+package's assemblers) take ownership of their columns through
+`SparseMatrix._trusted` and skip those checks.
 `entries` ({(row, column): value}) and `nnz` are views derived on demand.
 
 All values are immutable after construction.
@@ -277,6 +281,47 @@ def _coerced(vec: dict, F: CoefficientField) -> dict:
     if p:
         return {k: c for k, v in vec.items() if (c := v % p if v.__class__ is int else convert(v))}
     return {k: v if v.__class__ is int else convert(v) for k, v in vec.items()}
+
+
+def products_vanish(pairs, F: CoefficientField) -> bool:
+    """Whether the sum of the products A B over the (A, B) in `pairs` is zero
+    over F, as `A.matmul(B, F)` summed by `add` would show, without building
+    a product.
+
+    The output is summed one column at a time, each entry accumulated with
+    native + and * and reduced once; the first nonzero entry ends the test.
+    Before that, every column of every factor that holds a non-int entry is
+    coerced by `_coerced`, as `_elimination_rows` does, so an entry that is
+    not a scalar of F raises FieldMismatchError here exactly when the
+    products would; int columns are read as they are, and over F_p their
+    sums are reduced mod p at the end.  Mismatched shapes raise ValueError.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return True
+    rows, cols = pairs[0][0].rows, pairs[0][1].cols
+    for A, B in pairs:
+        if A.cols != B.rows:
+            raise ValueError(f"cannot compose {A.rows}x{A.cols} with {B.rows}x{B.cols}")
+        if (A.rows, B.cols) != (rows, cols):
+            raise ValueError("shape mismatch")
+    factors = [(_int_or_coerced(A, F), _int_or_coerced(B, F)) for A, B in pairs]
+    p = F.characteristic
+    for j in range(cols):
+        acc = {}
+        for left, right in factors:
+            for k, b in right[j].items():
+                for i, a in left[k].items():
+                    acc[i] = acc.get(i, 0) + a * b
+        if any(v % p for v in acc.values()) if p else any(acc.values()):
+            return False
+    return True
+
+
+def _int_or_coerced(M: SparseMatrix, F: CoefficientField) -> list[dict]:
+    """The columns of M: as stored when every entry is an int, else coerced
+    by `_coerced`."""
+    return [col if all(map(int.__instancecheck__, col.values())) else _coerced(col, F) for col in M.columns()]
 
 
 def _eliminate(rows: list[dict], ncols: int, pivot_step, leftmost: bool = False):
@@ -539,22 +584,28 @@ def kernel_basis(M: SparseMatrix, F: CoefficientField) -> list[dict]:
     return basis
 
 
-def cycles_map_to_boundaries(d_out: SparseMatrix, L: SparseMatrix, d_in: SparseMatrix,
-                             F: CoefficientField) -> bool:
-    """Whether L maps every cycle of d_out into the image of d_in.
+def cycles_map_to_boundaries(d_out: SparseMatrix, maps, d_in: SparseMatrix, F: CoefficientField) -> list[bool]:
+    """For each L in `maps`, whether L maps every cycle of d_out into the
+    image of d_in.
 
     With N = [[d_out, 0], [L, d_in]], the kernel of N projects onto the
     cycles z with Lz in im(d_in), each fibre a copy of ker(d_in); so rank N
     exceeds rank d_out + rank d_in by the codimension of those cycles in
     ker(d_out), and the two agree exactly when every cycle maps to a boundary.
+    d_out and d_in are ranked once for all the maps, and N once per map.
     """
-    if (L.rows, L.cols) != (d_in.rows, d_out.cols):
-        raise ValueError(f"L must be {d_in.rows}x{d_out.cols}, got {L.rows}x{L.cols}")
+    maps = list(maps)
+    for L in maps:
+        if (L.rows, L.cols) != (d_in.rows, d_out.cols):
+            raise ValueError(f"L must be {d_in.rows}x{d_out.cols}, got {L.rows}x{L.cols}")
+    base = rank(d_out, F) + rank(d_in, F)
     top = d_out.rows
-    cols = [{**col, **{top + i: v for i, v in lcol.items()}} for col, lcol in zip(d_out.columns(), L.columns())]
-    cols += [{top + i: v for i, v in col.items()} for col in d_in.columns()]
-    N = SparseMatrix._trusted(top + d_in.rows, cols)
-    return rank(N, F) == rank(d_out, F) + rank(d_in, F)
+    shifted = [{top + i: v for i, v in col.items()} for col in d_in.columns()]
+    out = []
+    for L in maps:
+        cols = [{**col, **{top + i: v for i, v in lcol.items()}} for col, lcol in zip(d_out.columns(), L.columns())]
+        out.append(rank(SparseMatrix._trusted(top + d_in.rows, cols + shifted), F) == base)
+    return out
 
 
 def inverse(M: SparseMatrix, F: CoefficientField) -> SparseMatrix:

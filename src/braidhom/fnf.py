@@ -43,7 +43,7 @@ Jordan plane, duals, hand-built braidings) are one block of all r^n words.
 from __future__ import annotations
 
 from .braided import BraidedVectorSpace, apply_moves_to_vector
-from .exactla import CoefficientField, ComplexIntegrityError, SparseMatrix, independent_rows
+from .exactla import CoefficientField, ComplexIntegrityError, SparseMatrix, independent_rows, products_vanish
 from .orbits import block_plan
 from .shuffle import compositions
 
@@ -95,7 +95,9 @@ class GradedComplex:
     `dims[q]` is the dimension of C_q; `diff[q]` is the matrix of
     d: C_q -> C_{q-1}.  Construction asserts that every differential has the
     shape those dimensions demand and that d^2 = 0; a violation raises
-    ComplexIntegrityError.
+    ComplexIntegrityError.  The d^2 check builds no product: it sums d_{q-1}
+    d_q one column at a time and stops at the first nonzero entry
+    (`exactla.products_vanish`).
 
     Differentials are ranked from the top degree down, in one lazy sweep with
     clearing (as persistent cohomology codes do: Chen-Kerber 2011, Bauer's
@@ -147,8 +149,7 @@ class GradedComplex:
                 )
         for q in self.degrees:
             if self.dim(q) and self.dim(q - 1) and self.dim(q - 2):
-                comp = self.differential(q - 1).matmul(self.differential(q), self.F)
-                if comp.nnz:
+                if not products_vanish([(self.differential(q - 1), self.differential(q))], self.F):
                     raise ComplexIntegrityError(f"d^2 != 0 between degrees {q} and {q - 2}")
 
     def differential_rank(self, q: int) -> int:

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 from . import orbits
 from .braided import BraidedVectorSpace, Cocycle, ConjClassSet, braided_space
-from .exactla import CoefficientField, ComplexIntegrityError, RankTable, SparseMatrix, cycles_map_to_boundaries
+from .exactla import (CoefficientField, ComplexIntegrityError, RankTable, SparseMatrix, cycles_map_to_boundaries,
+                      products_vanish)
 from .fnf import GradedComplex
 from .hurwitz import FilteredModule, filtered_module, orbit_ring_module, restricted_ring_module
 from .nichols import NicholsData, constant_braiding_value
@@ -311,13 +312,16 @@ class KoszulIdentityReport:
 def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | None = None) -> KoszulIdentityReport:
     """Diagnostic checks on an assembled complex.
 
-    (a) the per-class differentials square to zero and anticommute pairwise;
+    (a) the per-class differentials square to zero and anticommute pairwise,
+        each sum of products tested for zero without building it
+        (`exactla.products_vanish`);
     (b) for a monodromy stratum, the module multiplication on the side
         commuting with d (the left, given the right-multiplication
         differential) is zero on homology: for each letter, left
         multiplication L from term (p, q) to term (p, q + 1) maps every cycle
         of d(p, q) into the image of d(p + 1, q), one rank identity each
-        (`exactla.cycles_map_to_boundaries`).  It tests every cycle, not
+        (`exactla.cycles_map_to_boundaries`, which ranks d(p, q) and
+        d(p + 1, q) once for all the letters).  It tests every cycle, not
         only representatives of homology, so it is at least as strict;
     (c) the nullhomotopy identity: with P_g = right multiplication by g* in
         the dual factor, dP_g - P_g d sends psi (x) r to
@@ -347,16 +351,13 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
                 continue
             for i in range(m):
                 for j in range(i, m):
-                    a = K.d_i(i, p - 1, q + 1).matmul(K.d_i(j, p, q), F)
-                    if i == j:
-                        if a.nnz:
-                            anticommute_ok = False
-                            failures.append(f"d_{i}^2 != 0 at (p={p}, q={q})")
-                        continue
-                    b = K.d_i(j, p - 1, q + 1).matmul(K.d_i(i, p, q), F)
-                    if a.add(b, F).nnz:
+                    pairs = [(K.d_i(i, p - 1, q + 1), K.d_i(j, p, q))]
+                    if i != j:
+                        pairs.append((K.d_i(j, p - 1, q + 1), K.d_i(i, p, q)))
+                    if not products_vanish(pairs, F):
                         anticommute_ok = False
-                        failures.append(f"d_{i} d_{j} + d_{j} d_{i} != 0 at (p={p}, q={q})")
+                        failures.append(f"d_{i}^2 != 0 at (p={p}, q={q})" if i == j
+                                        else f"d_{i} d_{j} + d_{j} d_{i} != 0 at (p={p}, q={q})")
 
     trivial_ok = None
     if K.module.stratum is not None:
@@ -367,12 +368,15 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
                     continue
                 d_out, d_in = K.d(p, q), K.d(p + 1, q)
                 n_src, n_tgt = K.module.dim(q), K.module.dim(q + 1)
+                maps = []
                 for letter in K.module.letters:
                     # psi_k (x) r -> psi_k (x) (letter r), term (p, q) -> term (p, q + 1)
                     lmap = K.module.left_mult(letter, q)
-                    L = SparseMatrix._trusted(d_in.rows, [{} if lmap[o] is None else {k * n_tgt + lmap[o]: 1}
-                                                          for k in range(K.nichols.dim(p)) for o in range(n_src)])
-                    if not cycles_map_to_boundaries(d_out, L, d_in, F):
+                    maps.append(SparseMatrix._trusted(d_in.rows, [{} if lmap[o] is None else {k * n_tgt + lmap[o]: 1}
+                                                                  for k in range(K.nichols.dim(p))
+                                                                  for o in range(n_src)]))
+                for letter, ok in zip(K.module.letters, cycles_map_to_boundaries(d_out, maps, d_in, F)):
+                    if not ok:
                         trivial_ok = False
                         failures.append(f"left multiplication by letter {letter} not trivial on homology "
                                         f"at (p={p}, q={q})")

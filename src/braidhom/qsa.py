@@ -13,12 +13,12 @@ These are the cells and the merge of the Fox-Neuwirth-Fuks complex, so the
 complex is assembled by `fnf.assemble_block_merge`; only the block operator,
 the unsigned sum of shuffle lifts through the braiding, is computed here.  It
 acts as I (x) Sh (x) I, so the lift sum runs once per block shape (a, b) on the
-words of V^(x)(a+b) and is spread to V^(x)n by place value, each image written
-once, straight to the local indices of the block.  The sum is
-`shuffle.shuffle_lift_sum`: it walks the braid words of the C(a+b, a) lifts as
-a trie, applying each shared prefix once, and adds the image of every lift on
-its own.  The FNF side builds its signed blocks by a recursion over smaller
-blocks instead (`fnf.shuffle_blocks`), composing chains of generators and
+words of V^(x)(a+b) that some block reads, and is spread to V^(x)n by place
+value, each image written once, straight to the local indices of the block.
+The sum is `shuffle.shuffle_lift_sum`: it walks the braid words of the
+C(a+b, a) lifts as a trie, applying each shared prefix once, and adds the
+image of every lift on its own.  The FNF side builds its signed blocks by a
+recursion over smaller blocks instead (`fnf.shuffle_blocks`), composing chains of generators and
 never forming a lift; keeping the lift sum here keeps the two complexes
 independent computations, which share only the braid action on words.
 
@@ -31,7 +31,8 @@ as the FNF complex does.  `ext_table` and `components_ring` build, check and
 rank one block per class of `orbits.block_plan` (conjugate orbits merged only
 for a G-invariant cocycle) and weight it by the class size; `bar_complex(V,
 n, F)` without words builds the block of every word, the whole complex.  The
-local block products are kept on V, so all blocks and degrees share them.
+local block products are kept on V, filled word by word as blocks read them,
+so all blocks and degrees share them and no word is lifted twice.
 
 Convention: callers pass the braided space whose algebra they mean.  The
 flagship cross-check `verify_main_cor` compares braid homology of V against
@@ -83,31 +84,39 @@ def bar_chains(V: BraidedVectorSpace, n: int, F: CoefficientField, words=None):
     stands for word code words[i].  One map from word code to local index
     serves every block operator of the call, and the spread blocks are
     memoised by (a, b, offset) for the call.  The local block products are
-    kept on V by (F, a, b), so every block, and every degree n, shares them.
+    kept on V by (F, a, b), each a map {local word code: image}, so every
+    block, and every degree n, shares them.  A block operator at `offset`
+    reads only the local words code // place % size of the block's words
+    (place = r^(n - offset - a - b), size = r^(a + b)), and only those not
+    yet in the map are lifted: for S3 transpositions at n = 5 the blocks
+    with a + b = 5 read 81 of the 243 words of V^(x)5.
     """
     words = range(V.rank**n) if words is None else words
     pos = {w: i for i, w in enumerate(words)}
-    products = V.block_products
     spread = {}
 
     def block_vectors(a, b, offset):
         if (a, b, offset) not in spread:
-            key = (F, a, b)
-            if key not in products:
-                products[key] = _local_block_product(V, F, a, b)
-            spread[a, b, offset] = _spread_block(products[key], V.rank, n, a + b, offset, words, pos)
+            m = a + b
+            place, size = V.rank ** (n - offset - m), V.rank**m
+            local = V.block_products.setdefault((F, a, b), {})
+            missing = sorted({code // place % size for code in words}.difference(local))
+            if missing:
+                local.update(_local_block_product(V, F, a, b, missing))
+            spread[a, b, offset] = _spread_block(local, V.rank, n, m, offset, words, pos)
         return spread[a, b, offset]
 
     return assemble_block_merge(n, 0, len(words), block_vectors, F)
 
 
-def _local_block_product(V: BraidedVectorSpace, F: CoefficientField, a: int, b: int):
-    """Images of each basis word of V^(x)(a+b) under the shuffle product of its
-    first a letters with its last b letters, as {word code: field scalar}: the
-    unsigned sum of the braid lifts of all (a, b)-shuffles.
+def _local_block_product(V: BraidedVectorSpace, F: CoefficientField, a: int, b: int, words) -> dict:
+    """Images of the given basis words of V^(x)(a+b) (codes) under the
+    shuffle product of their first a letters with their last b letters, as
+    {word code: {word code: field scalar}}: the unsigned sum of the braid
+    lifts of all (a, b)-shuffles.
 
-    Each lift is applied once to all words together: word w is carried as
-    w (x) w in V^(x)m (x) V^(x)m (m = a + b), the lift acts on the right
+    Each lift is applied once to all the words together: word w is carried
+    as w (x) w in V^(x)m (x) V^(x)m (m = a + b), the lift acts on the right
     factor, and the untouched left factor records which word an image came
     from.  `shuffle.shuffle_lift_sum` walks the lifts as a trie of their
     braid words, so a prefix shared by several lifts is applied once, and
@@ -116,8 +125,8 @@ def _local_block_product(V: BraidedVectorSpace, F: CoefficientField, a: int, b: 
     """
     m = a + b
     size = V.rank**m
-    tagged = {w * size + w: 1 for w in range(size)}
-    out = [{} for _ in range(size)]
+    tagged = {w * size + w: 1 for w in words}
+    out = {w: {} for w in words}
     for code, cf in shuffle_lift_sum(V, 2 * m, a, b, tagged, offset=m).items():
         cf = F.convert(cf)
         if cf:
@@ -126,12 +135,13 @@ def _local_block_product(V: BraidedVectorSpace, F: CoefficientField, a: int, b: 
     return out
 
 
-def _spread_block(local: list, r: int, n: int, m: int, offset: int, words, pos: dict):
+def _spread_block(local: dict, r: int, n: int, m: int, offset: int, words, pos: dict):
     """The operator I (x) B (x) I on the span of `words` in V^(x)n, for B on
-    the m letters after the first `offset`, given as B's images of the words
-    of V^(x)m: the block code sits at place value r^(n - offset - m).  Word
-    code words[i] is local index i, and `pos` maps each code back to it; an
-    image outside the span raises ComplexIntegrityError."""
+    the m letters after the first `offset`, given as B's images {code: image}
+    of the words of V^(x)m that it reads: the block code sits at place value
+    r^(n - offset - m).  Word code words[i] is local index i, and `pos` maps
+    each code back to it; an image outside the span raises
+    ComplexIntegrityError."""
     place = r ** (n - offset - m)
     size = r**m
     out = []

@@ -506,6 +506,19 @@ def test_out_of_range_options_are_usage_errors(argv, message, capsys):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("command", ["betti", "ext", "verify", "nichols"])
+@pytest.mark.parametrize("sigma, field", [("2", "2"), ("-6", "3"), ("10/3", "5")])
+def test_sigma_that_vanishes_in_the_field_is_a_usage_error(command, sigma, field, capsys):
+    # sigma = 0 in F_p is no invertible braiding; the default field already
+    # skips such primes, and a vanishing denominator already fails to coerce
+    rc = main([command, "--rank1", "--sigma", sigma, "--nmax", "3", "--field", field])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert f"--sigma {sigma} vanishes in F_{field}" in captured.err
+    rc, out = run(capsys, [command, "--rank1", "--sigma", sigma, "--nmax", "3"])
+    assert rc == 0 and "# field_resolved=F_" in out and f"# field_resolved=F_{field}" not in out
+
+
 def test_malle_honours_window_zero(capsys):
     rc, out = run(capsys, ["malle", "--group", "S3", "--classes", "all", "--window", "0"])
     assert rc == 0

@@ -16,6 +16,7 @@ from braidhom.exactla import (
     inverse,
     kernel_basis,
     pivot_columns,
+    products_vanish,
     rank,
     rref,
 )
@@ -352,8 +353,9 @@ def test_cycles_map_to_boundaries_matches_span_oracle(case, data):
         if M is d_in:
             u = data.draw(st.lists(st.sampled_from([0, 1, -1, 2]), min_size=m, max_size=m))
             maps.append(SparseMatrix.from_columns(m, [{i: F.mul(a, uj) for i, a in v.items()} for uj in u]))
-    for L in maps:
-        assert cycles_map_to_boundaries(d_out, L, d_in, F) == span_oracle_maps_cycles_to_boundaries(d_out, L, d_in, F)
+    # one call answers for every map, each as the oracle answers for it alone
+    assert cycles_map_to_boundaries(d_out, maps, d_in, F) == [
+        span_oracle_maps_cycles_to_boundaries(d_out, L, d_in, F) for L in maps]
 
 
 @settings(max_examples=200, deadline=None)
@@ -394,11 +396,11 @@ def test_clearing_with_dependent_rows_loses_rank():
 def test_cycles_map_to_boundaries_on_a_complex_with_homology():
     # 0 -> k^2 -> 0: every vector is a cycle and none is a boundary
     d_in, d_out = SparseMatrix.zero(2, 0), SparseMatrix.zero(0, 2)
-    assert cycles_map_to_boundaries(d_out, SparseMatrix.zero(2, 2), d_in, QQ)
-    assert not cycles_map_to_boundaries(d_out, SparseMatrix.identity(2), d_in, QQ)
-    assert not cycles_map_to_boundaries(d_out, SparseMatrix(2, 2, {(1, 0): 1}), d_in, F2)
+    assert cycles_map_to_boundaries(d_out, [SparseMatrix.zero(2, 2), SparseMatrix.identity(2)], d_in, QQ) \
+        == [True, False]
+    assert cycles_map_to_boundaries(d_out, [SparseMatrix(2, 2, {(1, 0): 1})], d_in, F2) == [False]
     with pytest.raises(ValueError, match="L must be 2x2, got 2x3"):
-        cycles_map_to_boundaries(d_out, SparseMatrix.zero(2, 3), d_in, QQ)
+        cycles_map_to_boundaries(d_out, [SparseMatrix.zero(2, 2), SparseMatrix.zero(2, 3)], d_in, QQ)
 
 
 @st.composite
@@ -560,6 +562,55 @@ def test_products_and_sums_coerce_mixed_entries_over_f5():
                     lambda: A.apply({1: Fraction(3, 5)}, F5), lambda: A.add(bad, F5), lambda: bad.add(A, F5)):
         with pytest.raises(FieldMismatchError):
             compute()
+
+
+def halves(A, B):
+    """(X, Y, W) for the A = [X | X] and B = [Y ; W] of `cancelling_products`,
+    so that A B = X Y + X W."""
+    k = A.cols // 2
+    X = SparseMatrix.from_columns(A.rows, A.columns()[:k])
+    Y = SparseMatrix.from_columns(k, [{i: v for i, v in col.items() if i < k} for col in B.columns()])
+    W = SparseMatrix.from_columns(k, [{i - k: v for i, v in col.items() if i >= k} for col in B.columns()])
+    return X, Y, W
+
+
+@settings(max_examples=150, deadline=None)
+@given(cancelling_products())
+def test_products_vanish_agrees_with_built_products(case):
+    # over Q with int and with Fraction entries, over F_2 and F_5; the rows of
+    # W that negate rows of Y cancel inside A B and across X Y + X W, and
+    # A B - A B always vanishes
+    A, B, _ = case
+    X, Y, W = halves(A, B)
+    for F in (QQ, F2, GF(5)):
+        for cast in ((lambda v: v, Fraction) if F is QQ else (Fraction,)):
+            A1, B1, X1, Y1, W1 = (with_entries(M, cast) for M in (A, B, X, Y, W))
+            product = A1.matmul(B1, F)
+            assert products_vanish([(A1, B1)], F) == (product.nnz == 0)
+            assert products_vanish([(X1, Y1), (X1, W1)], F) == (X1.matmul(Y1, F).add(X1.matmul(W1, F), F).nnz == 0)
+            assert products_vanish([(X1, Y1), (X1, W1)], F) == products_vanish([(A1, B1)], F)
+            assert products_vanish([(A1, B1), (A1, B1.scale(-1))], F)
+            assert products_vanish([(A1, B1), (A1.scale(F.characteristic - 1 if F.characteristic else -1), B1)], F)
+
+
+def test_products_vanish_raises_as_the_products_do():
+    # a denominator that vanishes mod 5 raises even where an earlier column
+    # of the sum is already nonzero; a float is no rational scalar
+    F5 = GF(5)
+    I2 = SparseMatrix.identity(2)
+    bad = SparseMatrix(2, 2, {(0, 0): 1, (1, 1): Fraction(1, 10)})
+    for pairs in ([(I2, bad)], [(bad, I2)], [(I2, I2), (bad, I2)]):
+        with pytest.raises(FieldMismatchError):
+            products_vanish(pairs, F5)
+    with pytest.raises(FieldMismatchError):
+        products_vanish([(I2, SparseMatrix(2, 2, {(1, 1): 0.5}))], QQ)
+    assert products_vanish([(I2, bad), (I2, bad.scale(-1))], QQ)
+    assert not products_vanish([(I2, bad)], QQ)
+    with pytest.raises(ValueError, match="cannot compose 2x2 with 3x2"):
+        products_vanish([(I2, SparseMatrix.zero(3, 2))], QQ)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        products_vanish([(I2, I2), (I2, SparseMatrix.zero(2, 3))], QQ)
+    assert products_vanish([], QQ)
 
 
 def test_columns():

@@ -273,7 +273,7 @@ def test_bar_block_local_then_spread_matches_full_width_lifts(V):
         for n in range(2, 6):
             spans = [range(V.rank**n)] + [words for words, _ in block_plan(V, n)]
             for a, b in ((a, b) for a in range(1, n) for b in range(1, n - a + 1)):
-                local = qsa._local_block_product(V, F, a, b)
+                local = qsa._local_block_product(V, F, a, b, range(V.rank ** (a + b)))
                 for offset in range(n - a - b + 1):
                     full = bar_block_by_lifts(V, n, F, a, b, offset)
                     for words in spans:
@@ -281,6 +281,26 @@ def test_bar_block_local_then_spread_matches_full_width_lifts(V):
                         got = qsa._spread_block(local, V.rank, n, a + b, offset, words, pos)
                         want = [{pos[w]: cf for w, cf in full[code].items()} for code in words]
                         assert got == want, (F, n, a, b, offset, len(words))
+
+
+def test_bar_products_hold_only_the_words_the_blocks_read():
+    # verify at n = 5 reads, for every shape with a + b = 5 (offset 0), just
+    # the words of the plan's two representative blocks, 81 of 243; a later
+    # bar complex on every word lifts the rest into the same tables, and
+    # every table, at every shape, then matches the full-width lifts
+    V = s3_transposition_space()
+    Veps = sign_twist(V)
+    read = set().union(*(words for words, _ in block_plan(V, 5)))
+    assert len(read) == 81
+    for F in (QQ, F2):
+        assert verify_main_cor(V, 5, F).ok
+        tables = {(a, b): t for (G, a, b), t in Veps.block_products.items() if G == F}
+        assert sorted(tables) == [(a, b) for a in range(1, 5) for b in range(1, 6 - a)]
+        assert all(set(tables[a, b]) == read for a, b in tables if a + b == 5)
+        bar_complex(Veps, 5, F)
+        for (a, b), table in tables.items():
+            assert table is Veps.block_products[F, a, b]
+            assert table == dict(enumerate(bar_block_by_lifts(Veps, a + b, F, a, b, 0))), (F, a, b)
 
 
 def test_sign_twisted_space_records_the_cocycle_it_braids_with():
