@@ -5,6 +5,12 @@ the chosen field) as a header, writes CSV or JSON, and is byte-for-byte
 deterministic across runs.  Exit codes: 0 success, 1 verification failure,
 2 usage error, 3 truncated window (increase koszul --pmax).
 
+A job's options are parsed by `parse_job` from the table its subcommand's
+`add_argument` calls declare; options are spelled in full, and an option
+error is a usage error like any other.  argparse (`build_parser`) is built
+only to print the help or to refuse a missing or unknown command, so a job
+never imports it.
+
 Builtin groups: S2..S6, A3..A5, Z1..Z12 (also spelled Z/n), D4.  Class
 selectors: 'all', 'transpositions', 'k-cycles' (e.g. '3-cycles'), or an
 explicit cycle type such as '2+2'.  A group can instead be read from a file
@@ -13,10 +19,10 @@ explicit cycle type such as '2+2'.  A group can instead be read from a file
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import braided, fnf, hurwitz, koszul, malle, nichols, qsa
 from .braided import ConjClassSet, PermGroup, cycle_notation, cycle_type, identity_perm, parse_cycles
@@ -59,10 +65,12 @@ def builtin_group(name: str) -> PermGroup:
 
 
 def resolve_group(args) -> PermGroup:
-    if getattr(args, "group_file", None):
+    if args.group is not None and args.group_file is not None:
+        raise UsageError("give only one of --group and --group-file")
+    if args.group_file:
         with open(args.group_file) as fh:
             return braided.load_group(fh.read(), name=args.group_file)
-    if getattr(args, "group", None):
+    if args.group:
         return builtin_group(args.group)
     raise UsageError("a group is required (--group or --group-file)")
 
@@ -89,7 +97,7 @@ def class_selector(G: PermGroup, spec: str) -> ConjClassSet:
 
 
 def resolve_field(args, G: PermGroup | None) -> CoefficientField:
-    spec = getattr(args, "field", None)
+    spec = args.field
     if spec is None:
         # a prime dividing |G|, or the numerator or denominator of a rank-one
         # braiding scalar (nonzero, as `resolve_space` has checked), is skipped
@@ -128,6 +136,8 @@ def resolve_nmax(args, default: int, least: int = 1) -> int:
 def resolve_space(args):
     """(braided space, group or None, class set or None) from shared V flags."""
     if getattr(args, "rank1", False):
+        if args.group is not None or args.group_file is not None:
+            raise UsageError("--rank1 builds a rank-one space; give it no --group or --group-file")
         try:
             sigma = Fraction(args.sigma)
         except (ValueError, ZeroDivisionError):
@@ -135,13 +145,13 @@ def resolve_space(args):
         if sigma.denominator == 1:
             sigma = int(sigma)
         V = braided.rank_one_space(sigma)
-        if getattr(args, "epsilon", False):
+        if args.epsilon:
             V = braided.sign_twist(V)
         return V, None, None
     G = resolve_group(args)
-    c = class_selector(G, getattr(args, "classes", None) or "all")
-    x = braided.Cocycle.constant(c.rack, int(getattr(args, "cocycle", "1")))
-    V = braided.braided_space(c.rack, x, epsilon=getattr(args, "epsilon", False),
+    c = class_selector(G, args.classes or "all")
+    x = braided.Cocycle.constant(c.rack, int(args.cocycle))
+    V = braided.braided_space(c.rack, x, epsilon=args.epsilon,
                               group=G, name=f"{G.name}[{args.classes or 'all'}]")
     return V, G, c
 
@@ -156,8 +166,7 @@ def job_meta(args, extra: dict) -> dict:
 
 
 def emit(args, meta: dict, header: list[str], rows: list[list]) -> str:
-    fmt = getattr(args, "format", "csv")
-    if fmt == "json":
+    if args.format == "json":
         obj = {"meta": meta, "columns": header, "rows": rows}
         text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     else:
@@ -165,9 +174,8 @@ def emit(args, meta: dict, header: list[str], rows: list[list]) -> str:
         lines.append(",".join(header))
         lines.extend(",".join(str(x) for x in row) for row in rows)
         text = "\n".join(lines) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -313,11 +321,17 @@ def cmd_malle(args) -> int:
 def cmd_bound(args) -> int:
     if (args.betti is None) == (args.betti_file is None):
         raise UsageError("give exactly one of --betti and --betti-file")
-    if args.betti_file:
+    if args.betti_file is not None:
         with open(args.betti_file) as fh:
-            betti = [int(t) for t in fh.read().replace(",", " ").split()]
+            tokens, source = fh.read().replace(",", " ").split(), f"--betti-file {args.betti_file}"
     else:
-        betti = [int(t) for t in args.betti.split(",")]
+        tokens, source = args.betti.split(","), "--betti"
+    betti = []
+    for t in tokens:
+        try:
+            betti.append(int(t))
+        except ValueError:
+            raise UsageError(f"{source}: Betti entries must be integers, got {t!r}") from None
     d = at_least("--d", args.d, 0)
     b = malle.point_count_bound(args.q, at_least("--n", args.n, 1 if d else 0), betti, d=d)
     val = b.value()
@@ -391,7 +405,8 @@ def _bound_args(p):
     _add_common(p)
 
 
-# name: (help line, adds the arguments, runs the job)
+# name: (help line, adds the arguments to an ArgumentParser or an OptionTable,
+#        runs the job)
 SUBCOMMANDS = {
     "betti": ("braid group homology ranks H_j(B_n; V^n)", _space_job_args, cmd_betti),
     "ext": ("Ext ranks of the quantum shuffle algebra", _space_job_args, cmd_ext),
@@ -404,29 +419,98 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser.  Every subcommand is registered with its help
-    line; with `command`, only that subcommand gets its arguments (building
-    all of them is most of the start-up cost of a short job)."""
+class OptionTable:
+    """The options one subcommand's `add_argument` calls declare, recorded
+    without argparse: flag -> (dest, takes a value, type, choices), each
+    dest's default, and the required flags."""
+
+    def __init__(self, command: str):
+        self.command = command
+        self.options: dict[str, tuple] = {}
+        self.defaults: dict[str, object] = {}
+        self.required: list[str] = []
+        SUBCOMMANDS[command][1](self)
+
+    def add_argument(self, flag, *, action=None, type=None, default=None, choices=None,
+                     required=False, help=None):
+        dest = flag[2:].replace("-", "_")
+        self.options[flag] = (dest, action is None, type, choices)
+        self.defaults[dest] = default if action is None else False
+        if required:
+            self.required.append(flag)
+
+    def parse(self, tokens: list[str]) -> SimpleNamespace:
+        """The namespace argparse gives for these option tokens, which must
+        spell each option in full; anything else raises UsageError naming
+        the token."""
+        values = dict(self.defaults)
+        given = set()
+        i = 0
+        while i < len(tokens):
+            token = tokens[i]
+            i += 1
+            flag, eq, value = token.partition("=")
+            if flag not in self.options:
+                kind = "option" if token.startswith("-") else "argument"
+                raise UsageError(f"{self.command}: unrecognized {kind} {token!r}")
+            dest, takes_value, convert, choices = self.options[flag]
+            if not takes_value:
+                if eq:
+                    raise UsageError(f"{flag} takes no value, got {token!r}")
+                value = True
+            elif not eq:
+                if i == len(tokens) or tokens[i].startswith("--"):
+                    after = f", got {tokens[i]!r}" if i < len(tokens) else ""
+                    raise UsageError(f"{flag} needs a value{after}")
+                value = tokens[i]
+                i += 1
+            if convert is not None:
+                try:
+                    value = convert(value)
+                except ValueError:
+                    raise UsageError(f"{flag} needs an integer, got {value!r}") from None
+            if choices is not None and value not in choices:
+                raise UsageError(f"{flag} must be one of {', '.join(map(str, choices))}, got {value!r}")
+            values[dest] = value
+            given.add(flag)
+        for flag in self.required:
+            if flag not in given:
+                raise UsageError(f"{self.command}: the option {flag} is required")
+        return SimpleNamespace(command=self.command, func=SUBCOMMANDS[self.command][2], **values)
+
+
+def parse_job(argv: list[str]) -> SimpleNamespace:
+    """The namespace of the job `argv` asks for; its first token must be a
+    subcommand.  For options spelled in full this is the namespace
+    `build_parser().parse_args(argv)` gives."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        raise UsageError(f"the first argument must be one of {', '.join(SUBCOMMANDS)}")
+    return OptionTable(argv[0]).parse(argv[1:])
+
+
+def build_parser():
+    """The argparse parser, with every subcommand and its arguments.  `main`
+    builds it only to print the help or to refuse a missing or unknown
+    command; `parse_job` parses a job's options from the same declarations."""
+    import argparse
+
     ap = argparse.ArgumentParser(prog="braidhom",
                                  description="Exact braid group homology, shuffle algebra Ext, "
                                              "Hurwitz orbits, and related tables.")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, func) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_line)
-        if command in (None, name):
-            add_arguments(p)
+        add_arguments(p)
         p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser takes no option but -h, so the command is the
-    # first argument that is not an option
-    command = next((a for a in argv if not a.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
     try:
+        if not argv or argv[0] not in SUBCOMMANDS or "-h" in argv or "--help" in argv:
+            build_parser().parse_args(argv)  # prints the help or the usage error and exits
+        args = parse_job(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

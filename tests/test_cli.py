@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidhom import hurwitz, koszul, orbits, qsa
-from braidhom.cli import SUBCOMMANDS, build_parser, builtin_group, class_selector, main
+from braidhom.cli import SUBCOMMANDS, OptionTable, build_parser, builtin_group, class_selector, main, parse_job
 from braidhom.exactla import ComplexIntegrityError
 
 
@@ -523,3 +527,120 @@ def test_malle_honours_window_zero(capsys):
     rc, out = run(capsys, ["malle", "--group", "S3", "--classes", "all", "--window", "0"])
     assert rc == 0
     assert "# orbit_window=1" in out and "# growth_degree_windowed=none" in out
+
+
+@pytest.mark.parametrize("command", ["betti", "orbits", "malle"])
+def test_group_and_group_file_together_are_a_usage_error(command, tmp_path, capsys):
+    # the table used to be the file's while the header echoed the builtin
+    path = tmp_path / "grp.txt"
+    path.write_text("degree 3\n(1 2)\n(1 2 3)\n")
+    rc = main([command, "--group", "A4", "--group-file", str(path), "--classes", "all"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "give only one of --group and --group-file" in captured.err
+
+
+@pytest.mark.parametrize("group", [["--group", "S4"], ["--group-file", "grp.txt"]], ids=["group", "group-file"])
+def test_rank1_with_a_group_is_a_usage_error(group, capsys):
+    # the rank-one line used to be computed while the header echoed the group
+    rc = main(["betti", "--rank1", *group, "--classes", "transpositions", "--nmax", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "--rank1 builds a rank-one space; give it no --group or --group-file" in captured.err
+
+
+@pytest.mark.parametrize("source", ["--betti", "--betti-file"])
+def test_non_integer_betti_entry_names_its_source_and_token(source, tmp_path, capsys):
+    path = tmp_path / "ranks.txt"
+    path.write_text("1 x\n")
+    value = "1,x" if source == "--betti" else str(path)
+    rc = main(["bound", source, value, "--q", "7", "--n", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    named = "--betti" if source == "--betti" else f"--betti-file {path}"
+    assert f"error: {named}: Betti entries must be integers, got 'x'" in captured.err
+
+
+# option tokens argparse reads as values: no string value starts with "-"
+# unless it is a negative integer
+_TEXT_VALUES = st.one_of(st.text("abxyzAS3/+:=._", max_size=6), st.integers(-9, 9).map(str))
+
+
+def _option_tokens(draw, flag, takes_value, convert, choices):
+    if not takes_value:
+        return [flag]
+    if choices is not None:
+        value = draw(st.sampled_from(choices))
+    elif convert is int:
+        value = str(draw(st.integers(-99, 99)))
+    else:
+        value = draw(_TEXT_VALUES)
+    return [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+
+
+@st.composite
+def job_argv(draw, command):
+    """A valid argv for `command`: its declared options in any order and
+    either spelling, some repeated, every required one present."""
+    table = OptionTable(command)
+    flags = draw(st.lists(st.sampled_from(sorted(table.options)), max_size=8)) + table.required
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        _dest, takes_value, convert, choices = table.options[flag]
+        argv += _option_tokens(draw, flag, takes_value, convert, choices)
+    return argv
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_job_options_parse_as_argparse_parses_them(command, data):
+    argv = data.draw(job_argv(command))
+    assert vars(parse_job(argv)) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv, token", [
+    (["verify", "--nm", "3"], "'--nm'"),
+    (["verify", "--group", "S3", "--bogus"], "'--bogus'"),
+    (["verify", "-x"], "'-x'"),
+    (["verify", "--group", "S3", "--nmax"], "--nmax needs a value"),
+    (["verify", "--nmax", "--field", "Q"], "--nmax needs a value, got '--field'"),
+    (["verify", "--epsilon=1"], "'--epsilon=1'"),
+    (["verify", "S3"], "'S3'"),
+    (["verify", "--nmax", "three"], "'three'"),
+    (["verify", "--nmax=3.5"], "'3.5'"),
+    (["verify", "--cocycle", "2"], "'2'"),
+    (["koszul", "--format=xml"], "'xml'"),
+    (["bound", "--betti", "1", "--q", "5"], "--n is required"),
+], ids=["abbreviation", "unknown", "single-dash", "value-ends-argv", "value-is-an-option", "flag-given-value",
+        "positional", "not-an-int", "float", "cocycle-choice", "format-choice", "missing-required"])
+def test_option_errors_are_usage_errors(argv, token, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and token in captured.err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_process(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_cli_process_exit_codes_and_no_argparse_on_a_job(capsys):
+    job = ["verify", "--group", "S3", "--classes", "transpositions", "--nmax", "3", "--field", "Q"]
+    proc = run_process("-m", "braidhom.cli", *job)
+    rc, out = run(capsys, job)
+    assert proc.returncode == rc == 0 and proc.stdout == out
+    proc = run_process("-m", "braidhom.cli", "verify", "--nm", "3")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: verify: unrecognized option '--nm'\n"
+    proc = run_process("-m", "braidhom.cli", "-h")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: braidhom")
+    # pytest imports argparse itself, so a fresh interpreter runs the job
+    proc = run_process("-c", "import sys; from braidhom.cli import main; rc = main(sys.argv[1:]); "
+                             "print(rc, 'argparse' in sys.modules, file=sys.stderr)", *job)
+    assert proc.returncode == 0 and proc.stdout == out and proc.stderr == "0 False\n"
