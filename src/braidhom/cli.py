@@ -33,6 +33,13 @@ class UsageError(ValueError):
     pass
 
 
+class Default(str):
+    """The text of an option's default, as the job echoes it.  It equals the
+    same text given on the command line and is told apart from it by its
+    type, so a job can refuse an option it would not read only when the
+    option was given."""
+
+
 # builtin groups and class selectors ------------------------------------------
 
 def builtin_group(name: str) -> PermGroup:
@@ -69,7 +76,11 @@ def resolve_group(args) -> PermGroup:
         raise UsageError("give only one of --group and --group-file")
     if args.group_file:
         with open(args.group_file) as fh:
-            return braided.load_group(fh.read(), name=args.group_file)
+            text = fh.read()
+        try:
+            return braided.load_group(text, name=args.group_file)
+        except ValueError as exc:
+            raise UsageError(f"{args.group_file}: {exc}") from None
     if args.group:
         return builtin_group(args.group)
     raise UsageError("a group is required (--group or --group-file)")
@@ -138,6 +149,10 @@ def resolve_space(args):
     if getattr(args, "rank1", False):
         if args.group is not None or args.group_file is not None:
             raise UsageError("--rank1 builds a rank-one space; give it no --group or --group-file")
+        for flag, given in (("--classes", args.classes is not None),
+                            ("--cocycle", not isinstance(args.cocycle, Default))):
+            if given:
+                raise UsageError(f"--rank1 builds a rank-one space; give it no {flag}")
         try:
             sigma = Fraction(args.sigma)
         except (ValueError, ZeroDivisionError):
@@ -148,6 +163,8 @@ def resolve_space(args):
         if args.epsilon:
             V = braided.sign_twist(V)
         return V, None, None
+    if not isinstance(getattr(args, "sigma", Default("1")), Default):
+        raise UsageError("--sigma is the braiding scalar of --rank1; a group space takes none")
     G = resolve_group(args)
     c = class_selector(G, args.classes or "all")
     x = braided.Cocycle.constant(c.rack, int(args.cocycle))
@@ -349,11 +366,11 @@ def _add_space_flags(p, group_required=False):
     p.add_argument("--group", help="builtin group name (S2..S6, A3..A5, Z1..Z12, D4)")
     p.add_argument("--group-file", help="group file: 'degree m' header, one generator per line")
     p.add_argument("--classes", help="class selector: all, transpositions, 3-cycles, or a cycle type like 2+2")
-    p.add_argument("--cocycle", default="1", choices=["1", "-1"], help="constant rack cocycle")
+    p.add_argument("--cocycle", default=Default("1"), choices=["1", "-1"], help="constant rack cocycle")
     p.add_argument("--epsilon", action="store_true", help="apply the sign twist to the braiding")
     if not group_required:
         p.add_argument("--rank1", action="store_true", help="use a rank-one space instead of a group")
-        p.add_argument("--sigma", default="1", help="braiding scalar for --rank1 (integer or fraction)")
+        p.add_argument("--sigma", default=Default("1"), help="braiding scalar for --rank1 (integer or fraction)")
 
 
 def _add_common(p, field_help="'Q' or a prime p (default: smallest prime not dividing |G|, "

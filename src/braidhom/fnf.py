@@ -42,6 +42,8 @@ Jordan plane, duals, hand-built braidings) are one block of all r^n words.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .braided import BraidedVectorSpace, apply_moves_to_vector
 from .exactla import CoefficientField, ComplexIntegrityError, SparseMatrix, independent_rows, products_vanish
 from .orbits import block_plan
@@ -116,16 +118,28 @@ class GradedComplex:
     next degree is kept.  `differential_rank(q)` first ranks every degree
     above q, so the order of calls does not matter; each differential is
     ranked at most once, and the top one alone ranks a single matrix.
+
+    `split` cuts a complex into the blocks of a grading that d preserves.
     """
 
     def __init__(self, dims: dict, diff: dict, F: CoefficientField):
+        self._take(dims, diff, F)
+        self.check_complex()
+
+    @classmethod
+    def _trusted(cls, dims: dict, diff: dict, F: CoefficientField) -> GradedComplex:
+        """A complex known to have d^2 = 0 and the right shapes, built without checks."""
+        cx = cls.__new__(cls)
+        cx._take(dims, diff, F)
+        return cx
+
+    def _take(self, dims: dict, diff: dict, F: CoefficientField):
         self.dims = dims
         self.diff = diff
         self.F = F
         self._ranks: dict[int, int] = {}
         self._unranked = sorted(diff)  # degrees still to rank, the top one last
         self._cleared: set[int] = set()  # R_{q+1} of the last degree q+1 ranked
-        self.check_complex()
 
     @property
     def degrees(self) -> list[int]:
@@ -169,6 +183,47 @@ class GradedComplex:
 
     def homology_table(self) -> dict[int, int]:
         return {q: self.homology_rank(q) for q in self.degrees}
+
+    def split(self, grades: dict, keep=None) -> dict:
+        """The blocks of a grading that d preserves, as {grade: GradedComplex}.
+
+        `grades[q][i]` is the grade of basis vector i of C_q.  The block of a
+        grade holds its basis vectors in index order and the entries of d
+        between them.  Every entry of every differential is read first, and
+        one joining two grades raises ComplexIntegrityError; past that, this
+        complex is the direct sum of its blocks, so each block's d^2 is a block
+        of this complex's (checked at construction) and blocks are built
+        without checks.  Only the blocks of the grades in `keep` are built (of
+        every grade present when it is None).
+        """
+        for q, M in self.diff.items():
+            src, tgt = grades[q], grades[q - 1]
+            for j, col in enumerate(M.columns()):
+                g = src[j]
+                for i in col:
+                    if tgt[i] != g:
+                        raise ComplexIntegrityError(f"entry (row {i}, column {j}) of d_{q} joins grade {g} "
+                                                    f"to grade {tgt[i]}")
+        if keep is None:
+            keep = dict.fromkeys(chain.from_iterable(grades[q] for q in sorted(grades)))
+        members = {}  # q -> {grade in keep: the indices of its basis vectors in C_q}
+        for q, gs in grades.items():
+            kept = members[q] = {g: [] for g in keep}
+            for i, g in enumerate(gs):
+                if g in kept:
+                    kept[g].append(i)
+        blocks = {}
+        for g in keep:
+            dims = {q: len(idx[g]) for q, idx in members.items() if idx[g]}
+            diff = {}
+            for q, M in self.diff.items():
+                if q in dims:
+                    cols, rows = M.columns(), members[q - 1][g]
+                    place = {i: r for r, i in enumerate(rows)}
+                    diff[q] = SparseMatrix._trusted(len(rows), [{place[i]: v for i, v in cols[j].items()}
+                                                                for j in members[q][g]])
+            blocks[g] = GradedComplex._trusted(dims, diff, self.F)
+        return blocks
 
 
 def shuffle_blocks(system, F: CoefficientField):

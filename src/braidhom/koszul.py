@@ -18,9 +18,23 @@ psi_k, only the letters with d_v psi_k != 0, and reads that list for every
 module basis element; before assembling, the complex counts the entries those
 lists can give and refuses (ValueError) a count over
 `orbits.DEFAULT_STATE_CAP`.  Each diagonal p + q = s is a chain complex in p;
-it is held as a `fnf.GradedComplex`, whose construction checks d^2 = 0 and
-which ranks each differential at most once.  Every homology rank is read off
-those complexes.
+it is held as a `fnf.GradedComplex`, whose construction checks d^2 = 0 on
+every entry and which ranks each differential at most once.
+
+Every homology rank is read off a rank plan per diagonal: (complex,
+multiplicity) pairs, as `orbits.block_plan` gives the FNF and bar sides.  The
+terms are graded by G: psi (x) o has grade deg(o) deg(psi), deg the
+left-to-right product of a word's letters, and every class differential
+preserves it.  When conjugation by the generators of V's group preserves
+every braiding coefficient and the module is not a stratum (the full ring R
+or the ring of a subgroup pair), conjugation by h maps the block of grade g
+onto the block of grade h g h^-1, so the plan holds one block per conjugacy
+class of grades, weighted by the class size.  The split reads every entry of
+the diagonal and refuses one joining two grades; it copies only the
+representative blocks and does not check their d^2 again.  Otherwise the
+plan is the whole diagonal.  The `--multigrade` refinement splits whole
+diagonals through the same `GradedComplex.split`, and
+`verify_koszul_identities` reads the assembled matrices of every grade.
 
 Homology ranks feed the generator-count diagnostic: the count in topological
 degree j sums homology ranks at dual degree 1 + j over all module degrees,
@@ -31,10 +45,12 @@ and `generator_counts` refuses to report until the tail is demonstrably zero.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from . import orbits
-from .braided import BraidedVectorSpace, Cocycle, ConjClassSet, braided_space
+from .braided import BraidedVectorSpace, Cocycle, ConjClassSet, braided_space, identity_perm, pmul
 from .exactla import (CoefficientField, ComplexIntegrityError, RankTable, SparseMatrix, cycles_map_to_boundaries,
                       products_vanish)
 from .fnf import GradedComplex
@@ -59,6 +75,11 @@ class KoszulComplex:
     by `d(p, q)`.  `diagonals[s]` is the chain complex of the terms with
     p + q = s, in degree p, for every s up to pmax + qmax.  Terms are indexed
     by (dual basis element, module basis element), module index fastest.
+    Homology ranks are read through `rank_plan(s)`: one G-grade block of
+    diagonal s per conjugacy class, weighted by the class size, when V's
+    braiding is conjugation-invariant and the module is not a stratum;
+    otherwise the whole diagonal.  Assembly and the checks read whole
+    diagonals either way.
     """
 
     def __init__(self, V: BraidedVectorSpace, module: FilteredModule, pmax: int, qmax: int,
@@ -93,6 +114,9 @@ class KoszulComplex:
                              {p: M for (p, q), M in self._d.items() if p + q == s}, F)
             for s in range(self.pmax + qmax + 1)
         }
+        symmetric = module.stratum is None and orbits._is_rack_braiding(V) and orbits._conjugation_symmetries(V)
+        self._grading = _GroupGrading(self) if symmetric else None
+        self._plans: dict = {}
 
     def dim(self, p: int, q: int) -> int:
         if p < 0 or q < 0 or p > self.pmax or q > self.qmax:
@@ -167,7 +191,100 @@ class KoszulComplex:
             )
         if q == self.qmax and p >= 1 and self.nichols.dim(p - 1):
             raise TruncationError(f"module degree {q + 1} not assembled; increase qmax")
-        return self.diagonals[p + q].homology_rank(p)
+        return sum(mult * cx.homology_rank(p) for cx, mult in self.rank_plan(p + q))
+
+    def rank_plan(self, s: int) -> list[tuple[GradedComplex, int]]:
+        """The complexes that rank diagonal s, as (complex, multiplicity)
+        pairs: every homology rank of the diagonal is the sum over the plan of
+        multiplicity times the complex's rank.  When V's braiding is
+        conjugation-invariant and the module is not a stratum (`_grading` is
+        set), one G-grade block per conjugacy class, weighted by the class
+        size; otherwise the whole diagonal.  Built once per s."""
+        if s not in self._plans:
+            if self._grading is None:
+                self._plans[s] = [(self.diagonals[s], 1)]
+            else:
+                grades, classes = self._grading.diagonal(s, self.diagonals[s].degrees)
+                blocks = _split_diagonal(self, s, grades, keep=[cls[0] for cls in classes])
+                self._plans[s] = [(blocks[cls[0]], len(cls)) for cls in classes]
+        return self._plans[s]
+
+
+class _GroupGrading:
+    """The G-grade of every basis vector of a complex's terms, on element indices.
+
+    The elements of the group generated by the letters' labels are indexed
+    breadth-first from the identity (index 0), by right multiplication with
+    the letters: `rmul[x][a]` is the index of x * label a, and `mul[y][x]`
+    that of x * y, composed from `rmul` through the letter that first reached
+    y, so no grade needs a permutation product.  A word's degree is the
+    left-to-right product of its letters; term psi_k (x) o has grade
+    deg(o) deg(psi_k), which every class differential preserves.  `classes`
+    are the conjugacy classes of those elements in V.group, as sorted
+    indices: when conjugation preserves every braiding coefficient and the
+    module, conjugation by h maps the block of grade g onto the block of
+    grade h g h^-1, so the blocks of one class have equal ranks.
+    """
+
+    def __init__(self, K: KoszulComplex):
+        labels = K.V.rack.labels
+        e = identity_perm(len(labels[0]))
+        elems, index, parent, self.rmul = [e], {e: 0}, [None], []
+        for x, g in enumerate(elems):  # elems grows while it is walked
+            row = []
+            for a, label in enumerate(labels):
+                h = pmul(g, label)
+                if h not in index:
+                    index[h] = len(elems)
+                    elems.append(h)
+                    parent.append((x, a))
+                row.append(index[h])
+            self.rmul.append(row)
+        self.mul = [list(range(len(elems)))]
+        for x, a in parent[1:]:
+            self.mul.append([self.rmul[z][a] for z in self.mul[x]])
+        seen, self.classes = set(), []
+        for g in elems:
+            if index[g] not in seen:
+                self.classes.append(sorted(index[h] for h in K.V.group.conjugacy_class(g)))
+                seen.update(self.classes[-1])
+        self.dual = {p: self.word_degrees(K.nichols.pivot_words(p)) for p in range(K.pmax + 1)}
+        self.mod = {q: self.word_degrees(words) for q, words in K.module.basis_words.items()}
+
+    def word_degrees(self, words) -> list[int]:
+        """The element index of each word's degree."""
+        out = []
+        for word in words:
+            x = 0
+            for a in word:
+                x = self.rmul[x][a]
+            out.append(x)
+        return out
+
+    def term_grades(self, p: int, q: int) -> list[int]:
+        """The grade of every basis vector of term (p, q), in index order."""
+        mod, rows = self.mod[q], {}
+        for y in self.dual[p]:
+            if y not in rows:
+                rows[y] = [self.mul[y][x] for x in mod]
+        return list(chain.from_iterable(rows[y] for y in self.dual[p]))
+
+    def diagonal(self, s: int, degrees) -> tuple[dict, list[list[int]]]:
+        """The grades of diagonal s in the given dual degrees, as {p: term
+        grades}, and the classes that hold a basis vector there.  A class
+        whose grades hold unequal numbers of basis vectors in some degree
+        contradicts the symmetry, and raises `ComplexIntegrityError`."""
+        grades = {p: self.term_grades(p, s - p) for p in degrees}
+        counts = [Counter(gs) for gs in grades.values()]
+        present = []
+        for cls in self.classes:
+            dims = [count[cls[0]] for count in counts]
+            if any(count[g] != d for g in cls for count, d in zip(counts, dims)):
+                raise ComplexIntegrityError(f"diagonal s={s}: the grades in the class of grade {cls[0]} "
+                                            f"have blocks of unequal dimensions")
+            if any(dims):
+                present.append(cls)
+        return grades, present
 
 
 def koszul_complex(V: BraidedVectorSpace, module_spec, pmax: int, qmax: int,
@@ -211,9 +328,13 @@ def koszul_homology(K: KoszulComplex, by_multigrade: bool = False) -> RankTable:
     table = RankTable(("p", "q") + tuple(f"q{i + 1}" for i in range(m))) if by_multigrade \
         else RankTable(("p", "q"))
     for s in range(pmax + qmax + 1):
-        complexes = _multigrade_blocks(K, s) if by_multigrade else {(): K.diagonals[s]}
-        for p in range(max(0, s - qmax), min(pmax, s) + 1):
-            for grade, cx in complexes.items():
+        degrees = range(max(0, s - qmax), min(pmax, s) + 1)
+        if not by_multigrade:
+            for p in degrees:
+                table.set((p, s - p), K.homology_rank(p, s - p))
+            continue
+        for grade, cx in _multigrade_blocks(K, s).items():
+            for p in degrees:
                 table.set((p, s - p) + grade, cx.homology_rank(p))
     return table
 
@@ -227,42 +348,20 @@ def _term_grades(K: KoszulComplex, p: int, q: int) -> list[tuple[int, ...]]:
 
 
 def _multigrade_blocks(K: KoszulComplex, s: int) -> dict:
-    """Diagonal s of K split by total multigrade, as {grade: GradedComplex}.
+    """Diagonal s of K split by total multigrade, as {grade: GradedComplex}
+    (`_split_diagonal`)."""
+    return _split_diagonal(K, s, {p: _term_grades(K, p, s - p) for p in K.diagonals[s].degrees})
 
-    Each block holds the basis vectors of one grade, in index order, and the
-    entries of d between them, split off column by column.  The class
-    differentials preserve the multigrade, so the diagonal is the direct sum
-    of its blocks; an entry of d between two grades breaks that, and raises
-    `ComplexIntegrityError`.
-    """
-    diagonal = K.diagonals[s]
-    place = {}  # p -> (grade, position within that grade's block) per basis index
-    sizes = {}  # grade -> {p: block dimension}
-    for p in diagonal.degrees:
-        place[p] = []
-        for g in _term_grades(K, p, s - p):
-            block = sizes.setdefault(g, {})
-            place[p].append((g, block.get(p, 0)))
-            block[p] = block.get(p, 0) + 1
-    columns = {g: {} for g in sizes}  # grade -> {p: the columns of its block of d_p}
-    for p, M in diagonal.diff.items():
-        src, tgt = place[p], place[p - 1]
-        for j, col in enumerate(M.columns()):
-            g = src[j][0]
-            block_col = {}
-            for i, v in col.items():
-                gi, r = tgt[i]
-                if gi != g:
-                    raise ComplexIntegrityError(f"diagonal s={s}: entry (row {i}, column {j}) of d at p={p} "
-                                                f"joins grade {g} to grade {gi}")
-                block_col[r] = v
-            columns[g].setdefault(p, []).append(block_col)
-    return {
-        g: GradedComplex(block,
-                         {p: SparseMatrix._trusted(block.get(p - 1, 0), cols) for p, cols in columns[g].items()},
-                         K.F)
-        for g, block in sizes.items()
-    }
+
+def _split_diagonal(K: KoszulComplex, s: int, grades: dict, keep=None) -> dict:
+    """`GradedComplex.split` of diagonal s, naming s in its errors.  The class
+    differentials preserve the multigrade and the G-grade, so the diagonal is
+    the direct sum of its blocks in either; an entry of d between two grades
+    breaks that, and raises `ComplexIntegrityError`."""
+    try:
+        return K.diagonals[s].split(grades, keep)
+    except ComplexIntegrityError as exc:
+        raise ComplexIntegrityError(f"diagonal s={s}: {exc}") from None
 
 
 # the number of top module degrees whose homology must vanish before

@@ -155,12 +155,23 @@ def test_orbits_golden(name, argv, capsys):
 
 
 def test_koszul_golden(capsys):
-    # stdout recorded when the nullhomotopy check conjugated letters by group
-    # products and every lattice subgroup was closed over tuples
-    rc, out = run(capsys, ["koszul", "--group", "S4", "--classes", "transpositions", "--epsilon",
-                           "--module", "exact:3", "--pmax", "3", "--qmax", "4", "--field", "Q"])
-    assert rc == 0
-    assert out == (GOLDEN / "koszul_S4_transpositions_epsilon_exact3_pmax3_qmax4_Q.csv").read_text()
+    # stdout recorded: for the S4 stratum, when the nullhomotopy check
+    # conjugated letters by group products and every lattice subgroup was
+    # closed over tuples; for the S5 and D4 rings, when every diagonal was
+    # ranked whole rather than one G-grade per conjugacy class
+    for name, argv in [
+        ("koszul_S4_transpositions_epsilon_exact3_pmax3_qmax4_Q.csv",
+         ["--group", "S4", "--classes", "transpositions", "--module", "exact:3", "--pmax", "3", "--qmax", "4",
+          "--field", "Q"]),
+        ("koszul_S5_transpositions_epsilon_R_pmax4_qmax3_F5.csv",
+         ["--group", "S5", "--classes", "transpositions", "--module", "R", "--pmax", "4", "--qmax", "3",
+          "--field", "5"]),
+        ("koszul_D4_all_epsilon_R_pmax3_qmax4_F5.csv",
+         ["--group", "D4", "--classes", "all", "--module", "R", "--pmax", "3", "--qmax", "4", "--field", "5"]),
+    ]:
+        rc, out = run(capsys, ["koszul", "--epsilon", *argv])
+        assert rc == 0
+        assert out == (GOLDEN / name).read_text(), name
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -286,13 +297,15 @@ def test_group_file_input(tmp_path, capsys):
     ("degree 3\n(1 2\n(1 2 3)\n", "error: text '(1 2' outside the cycles of '(1 2'"),
     ("degree 3\n(1 2)(1 3)\n", "error: point 1 appears twice in '(1 2)(1 3)'"),
     ("degree 3\n(1 a)\n", "error: point 'a' in cycle (1 a) of '(1 a)' is not a positive integer"),
+    ("degree 3\n", "error: group file lists no generators"),
 ])
 def test_malformed_group_file_is_a_usage_error(tmp_path, capsys, text, message):
     path = tmp_path / "grp.txt"
     path.write_text(text)
     rc = main(["orbits", "--group-file", str(path), "--classes", "all", "--nmax", "2"])
     assert rc == 2
-    assert capsys.readouterr().err.strip() == message
+    # the message follows the path of the file it read
+    assert capsys.readouterr().err.strip() == message.replace("error: ", f"error: {path}: ", 1)
 
 
 def test_usage_errors(capsys):
@@ -443,8 +456,8 @@ def test_homology_golden(name, argv, capsys):
 
 @pytest.mark.parametrize("command", [None, *SUBCOMMANDS])
 def test_help_matches_the_fully_built_parser(command, capsys):
-    # main builds only the arguments of the command it runs; its help texts
-    # must be those of the parser with every subcommand built
+    # main prints the help with `build_parser`, which builds the arguments of
+    # every subcommand; its help texts must be that parser's
     argv = ["-h"] if command is None else [command, "-h"]
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
@@ -547,6 +560,34 @@ def test_rank1_with_a_group_is_a_usage_error(group, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert "--rank1 builds a rank-one space; give it no --group or --group-file" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["betti", "--group", "S3", "--classes", "transpositions", "--sigma", "5", "--nmax", "1"],
+     "--sigma is the braiding scalar of --rank1; a group space takes none"),
+    (["nichols", "--group", "S3", "--sigma", "1", "--nmax", "1"],
+     "--sigma is the braiding scalar of --rank1; a group space takes none"),
+    (["betti", "--rank1", "--sigma", "1/2", "--cocycle", "-1", "--classes", "transpositions", "--nmax", "1",
+      "--field", "3"],
+     "--rank1 builds a rank-one space; give it no --classes"),
+    (["verify", "--rank1", "--cocycle", "1", "--nmax", "1"], "--rank1 builds a rank-one space; give it no --cocycle"),
+    (["ext", "--rank1", "--classes", "transpositions", "--nmax", "1"],
+     "--rank1 builds a rank-one space; give it no --classes"),
+], ids=["sigma-on-a-group", "default-sigma-given", "cocycle-and-classes", "default-cocycle-given", "classes"])
+def test_options_of_the_other_space_kind_are_usage_errors(argv, message, capsys):
+    # they used to be echoed in the header and ignored, even when given as
+    # their default text
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.strip() == f"error: {message}"
+
+
+def test_space_jobs_echo_the_defaults_of_the_other_space_kind(capsys):
+    rc, out = run(capsys, ["betti", "--group", "S3", "--classes", "transpositions", "--nmax", "1"])
+    assert rc == 0 and "# cocycle=1\n" in out and "# sigma=1\n" in out
+    rc, out = run(capsys, ["betti", "--rank1", "--sigma", "1/2", "--nmax", "1", "--format", "json"])
+    assert rc == 0 and json.loads(out)["meta"]["cocycle"] == "1"
 
 
 @pytest.mark.parametrize("source", ["--betti", "--betti-file"])

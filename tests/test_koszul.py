@@ -2,7 +2,9 @@ import pytest
 
 from braidhom import koszul
 from braidhom.braided import Cocycle, ConjClassSet, braided_space, identity_perm, pmul, rank_one_space
+from braidhom.cli import builtin_group, class_selector
 from braidhom.exactla import GF, QQ, ComplexIntegrityError, SparseMatrix
+from braidhom.fnf import GradedComplex
 from braidhom.hurwitz import subgroup_lattice
 from braidhom.koszul import (
     generator_counts,
@@ -11,6 +13,7 @@ from braidhom.koszul import (
     verify_koszul_identities,
 )
 from braidhom.nichols import NicholsData, constant_braiding_value, skew_derivation
+from tests.test_blocks import coboundary_space
 from tests.test_braided import S3, s4_transposition_setup, transpositions
 
 F2 = GF(2)
@@ -417,8 +420,105 @@ def test_multigrade_split_rejects_a_cross_grade_entry():
     j, i = next((j, i) for j in range(M.cols) for i in range(M.rows)
                 if src[j] != tgt[i] and i not in M.columns()[j])
     M.columns()[j][i] = 1
-    with pytest.raises(ComplexIntegrityError, match=rf"s=1: entry \(row {i}, column {j}\) of d at p=1 "):
+    with pytest.raises(ComplexIntegrityError, match=rf"s=1: entry \(row {i}, column {j}\) of d_1 joins grade "):
         koszul_homology(K, by_multigrade=True)
+
+
+def unsplit_homology(K):
+    """The nonzero homology ranks of K's window, each read off its whole
+    diagonal rebuilt as a plain complex: the oracle of the rank plan."""
+    pmax, qmax = K.homology_pmax(), K.qmax - 1
+    table = {}
+    for s in range(pmax + qmax + 1):
+        whole = GradedComplex(dict(K.diagonals[s].dims), dict(K.diagonals[s].diff), K.F)
+        for p in range(max(0, s - qmax), min(pmax, s) + 1):
+            if whole.homology_rank(p):
+                table[(p, s - p)] = whole.homology_rank(p)
+    return table
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_rank_plan_matches_the_unsplit_diagonals(field):
+    # R and every subgroup pair rank one G-grade block per conjugacy class,
+    # weighted by the class size; a stratum ranks whole diagonals
+    for name, c, V, pmax, qmax in group_grade_spaces():
+        for spec in ["R"] + [(kind, H) for H in subgroup_lattice(c) for kind in ("exact", "sub")]:
+            K = koszul_complex(V, spec, pmax=pmax, qmax=qmax, F=field, c=c)
+            assert dict(koszul_homology(K).items()) == unsplit_homology(K), (name, spec)
+            plans = {s: K.rank_plan(s) for s in K.diagonals}
+            for s, plan in plans.items():
+                for p in K.diagonals[s].degrees:
+                    assert sum(mult * cx.dim(p) for cx, mult in plan) == K.diagonals[s].dim(p)
+            whole = all(plan == [(K.diagonals[s], 1)] for s, plan in plans.items())
+            assert whole == (spec != "R" and spec[0] == "exact"), (name, spec)
+            if spec == "R":
+                assert any(mult > 1 for plan in plans.values() for _, mult in plan), name
+
+
+def test_a_cocycle_that_conjugation_moves_takes_the_one_block_plan():
+    # f is not constant on the transpositions of S3, so conjugation moves the
+    # cocycle x_ab = f(a) f(a^b) and no class of grades is merged.  d squares
+    # to zero only with a constant coefficient, so pmax = 1 keeps one
+    # differential per diagonal
+    G = builtin_group("S3")
+    c = class_selector(G, "transpositions")
+    for f, split in (([1, 1, -1], False), ([-1, -1, -1], True)):
+        V = coboundary_space(G, c, f, epsilon=True)
+        K = koszul_complex(V, "R", pmax=1, qmax=4, F=GF(5), c=c)
+        assert all((K.rank_plan(s) == [(K.diagonals[s], 1)]) != split for s in K.diagonals), f
+        assert dict(koszul_homology(K).items()) == unsplit_homology(K), f
+
+
+def s4_full_ring(pmax=3, qmax=4):
+    G, c, _ = s4_transposition_setup()
+    V = braided_space(c.rack, Cocycle.constant(c.rack, 1), epsilon=True, group=G)
+    return koszul_complex(V, "R", pmax=pmax, qmax=qmax, F=GF(5), c=c)
+
+
+@pytest.mark.parametrize("representative", [True, False], ids=["representative", "other"])
+def test_group_grade_split_rejects_a_cross_grade_entry(representative):
+    # an entry of d between two G-grades, added after construction, is refused
+    # whether or not its column's grade is the one ranked for its class
+    K = s4_full_ring()
+    reps = {cls[0] for cls in K._grading.classes}
+    M = K.diagonals[2].diff[1]
+    src, tgt = K._grading.term_grades(1, 1), K._grading.term_grades(0, 2)
+    j, i = next((j, i) for j in range(M.cols) for i in range(M.rows)
+                if (src[j] in reps) == representative and src[j] != tgt[i] and i not in M.columns()[j])
+    M.columns()[j][i] = 1
+    with pytest.raises(ComplexIntegrityError, match=rf"diagonal s=2: entry \(row {i}, column {j}\) of d_1 "
+                                                    rf"joins grade {src[j]} to grade {tgt[i]}$"):
+        koszul_homology(K)
+
+
+def test_rank_plan_refuses_a_class_of_unequal_blocks():
+    # classes come from conjugation, which keeps block dimensions; merging
+    # two grades of different dimensions into one class must be refused, not
+    # weighted
+    K = s4_full_ring()
+    K._grading.classes = [[x for cls in K._grading.classes for x in cls]]
+    with pytest.raises(ComplexIntegrityError, match="diagonal s=0: the grades in the class of grade 0 have "):
+        koszul_homology(K)
+
+
+def test_identities_read_the_grades_the_plan_leaves_out():
+    # a changed entry of d in a grade that no plan block copies leaves the
+    # ranks as they were, and the identity checks still see it
+    K = s4_full_ring()
+    before = koszul_homology(K)
+    assert verify_koszul_identities(K).ok
+    p, q = 2, 1
+    src = K._grading.term_grades(p, q)
+    reps = {cls[0] for cls in K._grading.classes}
+    col = next(col for j, col in enumerate(K.d(p, q).columns()) if col and src[j] not in reps)
+    i = next(iter(col))
+    col[i] = 2 * col[i] % 5
+    K._plans.clear()
+    assert koszul_homology(K) == before
+    rep = verify_koszul_identities(K)
+    # d(2, 1) is d_0 (one class) and feeds the nullhomotopy identity at p = 1
+    assert not rep.anticommute_ok and not rep.nullhomotopy_ok
+    assert "d_0^2 != 0 at (p=2, q=1)" in rep.failures
 
 
 def test_sub_pair_complex():
