@@ -149,10 +149,7 @@ def resolve_space(args):
     if getattr(args, "rank1", False):
         if args.group is not None or args.group_file is not None:
             raise UsageError("--rank1 builds a rank-one space; give it no --group or --group-file")
-        for flag, given in (("--classes", args.classes is not None),
-                            ("--cocycle", not isinstance(args.cocycle, Default))):
-            if given:
-                raise UsageError(f"--rank1 builds a rank-one space; give it no {flag}")
+        refuse(args, "--rank1 builds a rank-one space", "--classes", "--cocycle")
         try:
             sigma = Fraction(args.sigma)
         except (ValueError, ZeroDivisionError):
@@ -171,6 +168,16 @@ def resolve_space(args):
     V = braided.braided_space(c.rack, x, epsilon=args.epsilon,
                               group=G, name=f"{G.name}[{args.classes or 'all'}]")
     return V, G, c
+
+
+def refuse(args, why: str, *flags: str) -> None:
+    """A usage error naming the first of `flags` given on the command line,
+    told from its default (None, False or a `Default`) by value: the options
+    a job would echo in its header but not read."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if not (value is None or value is False or isinstance(value, Default)):
+            raise UsageError(f"{why}; give it no {flag}")
 
 
 # output plumbing --------------------------------------------------------------
@@ -260,6 +267,7 @@ def cmd_nichols(args) -> int:
 
 
 def cmd_orbits(args) -> int:
+    refuse(args, f"{args.command} reads no braiding", "--cocycle", "--epsilon")
     G = resolve_group(args)
     c = class_selector(G, args.classes or "all")
     F = resolve_field(args, G)
@@ -317,6 +325,7 @@ def cmd_koszul(args) -> int:
 
 
 def cmd_malle(args) -> int:
+    refuse(args, f"{args.command} reads no braiding", "--cocycle", "--epsilon")
     G = resolve_group(args)
     c = class_selector(G, args.classes or "all")
     window = None

@@ -199,7 +199,11 @@ class FilteredModule:
     on, the braid moves change the multigrade of some word.  `stratum` is the
     monodromy subgroup of a stratum module (`filtered_module`), else None.
     It holds no orbit table: its basis indexes its rack's, read through
-    `rack_orbits`.
+    `rack_orbits`.  Its left and right multiplication tables are built once
+    per (letter, q) and kept as tuples.  The letter product of a word is a
+    braid invariant, so the right (or left) products of one basis orbit by
+    distinct letters are distinct orbits, which the Koszul assembly relies on
+    and checks.
     """
 
     name: str
@@ -248,21 +252,34 @@ class FilteredModule:
         construction)."""
         return {q: self.grade(words) for q, words in self.basis_words.items()}
 
-    def left_mult(self, letter: int, q: int):
+    def left_mult(self, letter: int, q: int) -> tuple:
         """Images of the degree-q basis under w -> (letter, w), as target
         positions in degree q+1 (None when the product leaves the module)."""
         return self._mult(letter, q, left=True)
 
-    def right_mult(self, letter: int, q: int):
+    def right_mult(self, letter: int, q: int) -> tuple:
         """The same for w -> (w, letter)."""
         return self._mult(letter, q, left=False)
 
-    def _mult(self, letter: int, q: int, left: bool):
-        if letter not in self.letters:
-            return [None] * self.dim(q)
-        pos = self.positions.get(q + 1, {})
-        index = rack_orbits(self.rack, q + 1).index
-        return [pos.get(index((letter,) + w if left else w + (letter,))) for w in self.basis_words.get(q, [])]
+    @cached_property
+    def _products(self) -> dict:
+        """(letter, q, left) -> the tuple `left_mult` or `right_mult` returns,
+        built on first use; a copy made by `dataclasses.replace` starts empty."""
+        return {}
+
+    def _mult(self, letter: int, q: int, left: bool) -> tuple:
+        key = (letter, q, left)
+        table = self._products.get(key)
+        if table is None:
+            if letter not in self.letters:
+                table = (None,) * self.dim(q)
+            else:
+                pos = self.positions.get(q + 1, {})
+                index = rack_orbits(self.rack, q + 1).index
+                table = tuple(pos.get(index((letter,) + w if left else w + (letter,)))
+                              for w in self.basis_words.get(q, []))
+            self._products[key] = table
+        return table
 
 
 def orbit_ring_module(rack: Rack, qmax: int, class_of=None) -> FilteredModule:

@@ -13,13 +13,22 @@ mirror conventions, and only this one squares to zero once c has classes of
 non-involutions).  Splitting the letter sum by conjugacy class gives the
 per-class differentials d_1..d_m; they anticommute and each squares to zero,
 and d = sum d_i.  Everything is assembled as explicit sparse matrices, and d
-is summed from the d_i once.  Assembly lists, for each dual basis element
-psi_k, only the letters with d_v psi_k != 0, and reads that list for every
-module basis element; before assembling, the complex counts the entries those
-lists can give and refuses (ValueError) a count over
-`orbits.DEFAULT_STATE_CAP`.  Each diagonal p + q = s is a chain complex in p;
-it is held as a `fnf.GradedComplex`, whose construction checks d^2 = 0 on
-every entry and which ranks each differential at most once.
+is formed from the d_i once.  The letter product of a word is a braid
+invariant (its boundary monodromy), so a module basis orbit o times distinct
+letters v gives distinct orbits o v: each column of d_i, and of d, is a
+disjoint union of derivation entries, already reduced.  Assembly writes
+them, for each dual basis element psi_k and only the letters with
+d_v psi_k != 0, straight into the columns of every module basis element,
+with no sum, and counts the entries written.  d is the union of the class
+columns, counted the same way; with one class it is d_0 itself.  The rows
+of d_v psi_k lie in the G-grade v^-1 deg(psi_k) as well, so no complex
+built from `NicholsData` has two letters meet in one entry: a count that
+comes up short means malformed derivations or module tables, and raises
+`ComplexIntegrityError`.  Before assembling, the complex
+counts the entries the derivations can give and refuses (ValueError) a
+count over `orbits.DEFAULT_STATE_CAP`.  Each diagonal p + q = s is a chain
+complex in p; it is held as a `fnf.GradedComplex`, whose construction checks
+d^2 = 0 on every entry and which ranks each differential at most once.
 
 Every homology rank is read off a rank plan per diagonal: (complex,
 multiplicity) pairs, as `orbits.block_plan` gives the FNF and bar sides.  The
@@ -104,11 +113,9 @@ class KoszulComplex:
         m = max(class_of) + 1 if class_of else 1
         self.classes = [[a for a in range(V.rack.size) if class_of[a] == i] for i in range(m)]
         self.d_class: dict = {}
+        self._d: dict = {}
         self._check_size()
         self._assemble()
-        self._d = {}
-        for (ci, p, q), M in self.d_class.items():  # class 0 comes first for each (p, q)
-            self._d[(p, q)] = M if ci == 0 else self._d[(p, q)].add(M, F)
         self.diagonals = {
             s: GradedComplex({p: self.dim(p, s - p) for p in range(max(0, s - qmax), min(self.pmax, s) + 1)},
                              {p: M for (p, q), M in self._d.items() if p + q == s}, F)
@@ -134,31 +141,41 @@ class KoszulComplex:
                              f"{orbits.DEFAULT_STATE_CAP}; lower --pmax or --qmax")
 
     def _assemble(self):
-        F = self.F
+        """Write the class differentials and d, each entry once (see the
+        module docstring).  The columns (k, o) of one dual basis element psi_k
+        are written together and their entries counted; should they hold
+        fewer, two letters met in one entry, and `ComplexIntegrityError` is
+        raised.  d is formed per (p, q) by `_union`."""
         dcols = self.nichols.derivations  # [p][v] -> columns of d_v out of dual degree p
         for q in range(self.qmax):
             rmult = [self.module.right_mult(v, q) for v in range(self.V.rack.size)]
             nq_src, nmod_t = self.module.dim(q), self.module.dim(q + 1)
+            # per letter, the number of module orbits whose product stays in the module
+            hits = [nq_src - rm.count(None) for rm in rmult]
             for p in range(1, self.pmax + 1):
                 nrows = self.dim(p - 1, q + 1)
                 for ci, letters in enumerate(self.classes):
                     cols = []
                     for k in range(self.nichols.dim(p)):
-                        # the letters v with d_v psi_k != 0, each with its rows
-                        # placed in term (p - 1, q + 1); read for every o
-                        terms = [(rmult[v], [(i * nmod_t, val) for i, val in dcols[p][v][k].items()])
-                                 for v in letters if dcols[p][v][k]]
-                        for o in range(nq_src):
-                            acc = {}
-                            for rm, entries in terms:
-                                o2 = rm[o]
-                                if o2 is None:
-                                    continue
-                                for base, val in entries:
-                                    row = base + o2
-                                    acc[row] = acc.get(row, 0) + val
-                            cols.append(F.reduced(acc))
+                        # columns (k, o) for every module orbit o; d_v psi_k row
+                        # i lands on row i * nmod_t + (o v) of term (p - 1, q + 1)
+                        block, written = [{} for _ in range(nq_src)], 0
+                        for v in letters:
+                            if dv := dcols[p][v][k]:
+                                written += len(dv) * hits[v]
+                                rm = rmult[v]
+                                for i, val in dv.items():
+                                    base = i * nmod_t
+                                    for col, o2 in zip(block, rm):
+                                        if o2 is not None:
+                                            col[base + o2] = val
+                        if sum(map(len, block)) < written:
+                            raise ComplexIntegrityError(f"p={p}, q={q}, k={k}: two letters of class {ci} "
+                                                        "meet in one entry of the columns of psi_k")
+                        cols += block
                     self.d_class[(ci, p, q)] = SparseMatrix._trusted(nrows, cols)
+                self._d[(p, q)] = _union([self.d_class[(ci, p, q)] for ci in range(len(self.classes))],
+                                         p, q, nq_src)
 
     def d_i(self, ci: int, p: int, q: int) -> SparseMatrix:
         if (ci, p, q) in self.d_class:
@@ -208,6 +225,26 @@ class KoszulComplex:
                 blocks = _split_diagonal(self, s, grades, keep=[cls[0] for cls in classes])
                 self._plans[s] = [(blocks[cls[0]], len(cls)) for cls in classes]
         return self._plans[s]
+
+
+def _union(mats: list[SparseMatrix], p: int, q: int, nq_src: int) -> SparseMatrix:
+    """The sum of the class differentials of (p, q): the first itself when it
+    is the only one, else the union of their columns, which hold disjoint
+    rows as the columns of one class do.  A column whose union holds fewer
+    entries than its parts raises `ComplexIntegrityError` naming the psi_k
+    of the column, one of `nq_src` module orbits per k."""
+    if len(mats) == 1:
+        return mats[0]
+    cols = []
+    for j, parts in enumerate(zip(*(M.columns() for M in mats))):
+        col = {}
+        for part in parts:
+            col.update(part)
+        if len(col) < sum(map(len, parts)):
+            raise ComplexIntegrityError(f"p={p}, q={q}, k={j // nq_src}: two classes meet in one entry "
+                                        "of the columns of psi_k in d")
+        cols.append(col)
+    return SparseMatrix._trusted(mats[0].rows, cols)
 
 
 class _GroupGrading:

@@ -583,6 +583,24 @@ def test_options_of_the_other_space_kind_are_usage_errors(argv, message, capsys)
     assert captured.err.strip() == f"error: {message}"
 
 
+@pytest.mark.parametrize("command", [["orbits", "--nmax", "2"], ["malle"]], ids=["orbits", "malle"])
+@pytest.mark.parametrize("flags, named", [
+    (["--cocycle", "-1"], "--cocycle"),
+    (["--cocycle", "1"], "--cocycle"),
+    (["--epsilon"], "--epsilon"),
+    (["--cocycle", "-1", "--epsilon"], "--cocycle"),
+], ids=["cocycle", "default-cocycle-given", "epsilon", "both"])
+def test_braiding_flags_on_commands_without_a_braiding_are_usage_errors(command, flags, named, capsys):
+    # orbits and malle build no braided space; they used to echo these flags
+    # in the header and read neither
+    rc = main([*command, "--group", "S3", "--classes", "transpositions", *flags])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.strip() == f"error: {command[0]} reads no braiding; give it no {named}"
+    rc, out = run(capsys, [*command, "--group", "S3", "--classes", "transpositions"])
+    assert rc == 0 and "# cocycle=1\n" in out and "# epsilon=False\n" in out
+
+
 def test_space_jobs_echo_the_defaults_of_the_other_space_kind(capsys):
     rc, out = run(capsys, ["betti", "--group", "S3", "--classes", "transpositions", "--nmax", "1"])
     assert rc == 0 and "# cocycle=1\n" in out and "# sigma=1\n" in out

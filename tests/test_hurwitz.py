@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import tracemalloc
@@ -7,6 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidhom import hurwitz
 from braidhom.braided import (
     ConjClassSet,
     PermGroup,
@@ -367,6 +369,58 @@ def test_left_mult_stays_in_stratum():
         for v in fm.letters:
             images = fm.left_mult(v, q)
             assert all(i is not None for i in images)
+
+
+def fresh_products(mod, letter, q, left):
+    """The images of the degree-q basis of mod under multiplication by a
+    letter, looked up word by word in the orbit tables."""
+    source, target, basis = rack_orbits(mod.rack, q), rack_orbits(mod.rack, q + 1), mod.degrees[q + 1]
+    out = []
+    for oi in mod.degrees[q]:
+        w = source.orbits[oi].rep
+        t = target.index((letter,) + w if left else w + (letter,))
+        out.append(basis.index(t) if letter in mod.letters and t in basis else None)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("which", ["R", "stratum", "sub"])
+def test_module_products_are_kept_on_the_module(which):
+    # the stratum of one transposition's group leaves the other letters out
+    c = transpositions(S3())
+    H = subgroup_lattice(c).subgroups[0]
+    mod = {"R": lambda: orbit_ring_module(c.rack, 4), "stratum": lambda: filtered_module(c, H, 4),
+           "sub": lambda: restricted_ring_module(c, frozenset(S3().elements), 4)[0]}[which]()
+    for q in range(4):
+        for v in range(mod.rack.size):
+            for mult, left in ((mod.left_mult, True), (mod.right_mult, False)):
+                table = mult(v, q)
+                assert isinstance(table, tuple) and mult(v, q) is table
+                assert table == fresh_products(mod, v, q, left), (q, v, left)
+    if which == "stratum":
+        out = next(v for v in range(mod.rack.size) if v not in mod.letters)
+        assert mod.right_mult(out, 2) == (None,) * mod.dim(2)
+
+
+def test_a_replaced_module_builds_its_own_products(monkeypatch):
+    # restricted_ring_module renames the ring it builds with dataclasses.replace;
+    # the copy must not share the ring's tables
+    c = transpositions(S3())
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(orbit_ring_module(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(hurwitz, "orbit_ring_module", recording)
+    mod, _ = restricted_ring_module(c, frozenset(S3().elements), 3)
+    (ring,) = built
+    assert mod is not ring and mod.name != ring.name
+    for q in range(3):
+        for v in range(mod.rack.size):
+            assert mod.right_mult(v, q) == ring.right_mult(v, q)
+            assert mod.right_mult(v, q) is not ring.right_mult(v, q)
+    copy = dataclasses.replace(mod, name="copy")
+    assert copy.left_mult(0, 2) == mod.left_mult(0, 2) and copy.left_mult(0, 2) is not mod.left_mult(0, 2)
 
 
 def test_orbit_bound():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from braidhom import koszul
@@ -5,8 +7,9 @@ from braidhom.braided import Cocycle, ConjClassSet, braided_space, identity_perm
 from braidhom.cli import builtin_group, class_selector
 from braidhom.exactla import GF, QQ, ComplexIntegrityError, SparseMatrix
 from braidhom.fnf import GradedComplex
-from braidhom.hurwitz import subgroup_lattice
+from braidhom.hurwitz import FilteredModule, subgroup_lattice
 from braidhom.koszul import (
+    KoszulComplex,
     generator_counts,
     koszul_complex,
     koszul_homology,
@@ -391,6 +394,111 @@ def test_class_differentials_preserve_the_group_grade(field):
                 for col, column in enumerate(M.columns()):
                     for row in column:
                         assert src[col] == tgt[row], (name, spec, ci, p, q)
+
+
+def summed_assembly(K):
+    """The class differentials and d of K as assembly formed them before it
+    wrote each entry once: every column (k, o) accumulated over the letters
+    of its class and reduced over F, and d the `SparseMatrix.add` of the
+    class matrices of each (p, q), class 0 first.  The oracle of
+    `KoszulComplex._assemble`; returns ({(ci, p, q): d_ci}, {(p, q): d})."""
+    F, dcols = K.F, K.nichols.derivations
+    d_class, d = {}, {}
+    for q in range(K.qmax):
+        rmult = [K.module.right_mult(v, q) for v in range(K.V.rack.size)]
+        nq_src, nmod_t = K.module.dim(q), K.module.dim(q + 1)
+        for p in range(1, K.pmax + 1):
+            for ci, letters in enumerate(K.classes):
+                cols = []
+                for k in range(K.nichols.dim(p)):
+                    for o in range(nq_src):
+                        acc = {}
+                        for v in letters:
+                            o2 = rmult[v][o]
+                            if o2 is None:
+                                continue
+                            for i, val in dcols[p][v][k].items():
+                                row = i * nmod_t + o2
+                                acc[row] = acc.get(row, 0) + val
+                        cols.append(F.reduced(acc))
+                M = d_class[(ci, p, q)] = SparseMatrix._trusted(K.dim(p - 1, q + 1), cols)
+                d[(p, q)] = M if ci == 0 else d[(p, q)].add(M, F)
+    return d_class, d
+
+
+def is_field_scalar(F, v) -> bool:
+    """Whether v is a nonzero scalar of F as the package stores it: an int in
+    [1, p) over F_p; over Q an int, or a Fraction that is not integral."""
+    if F.characteristic:
+        return v.__class__ is int and 0 < v < F.characteristic
+    return (v.__class__ is int and v != 0) or (v.__class__ is Fraction and v.denominator != 1)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_assembly_matches_the_summed_oracle(field):
+    # every column written once equals the column summed and reduced, for R
+    # and every stratum and subgroup pair; d equals the sum of the d_i
+    for name, c, V, pmax, qmax in group_grade_spaces():
+        for spec in ["R"] + [(kind, H) for H in subgroup_lattice(c) for kind in ("exact", "sub")]:
+            K = koszul_complex(V, spec, pmax=pmax, qmax=qmax, F=field, c=c)
+            d_class, d = summed_assembly(K)
+            assert K.d_class == d_class, (name, spec)
+            assert {key: K.d(*key) for key in d} == d, (name, spec)
+            for M in [*K.d_class.values(), *d.values()]:
+                assert all(is_field_scalar(field, v) for col in M.columns() for v in col.values()), (name, spec)
+
+
+class LineModule(FilteredModule):
+    """k[t] over the orbit ring, through the ring map sending an orbit of n
+    letters to t^n: one basis vector per degree, which every letter
+    multiplies to the next, so all letters reach one orbit."""
+
+    def _mult(self, letter, q, left):
+        return (0,) * self.dim(q)
+
+
+def line_complex(classes, field):
+    """The complex of S3's space on `classes` (sign-twisted) with `LineModule`."""
+    G = builtin_group("S3")
+    c = class_selector(G, classes)
+    V = braided_space(c.rack, Cocycle.constant(c.rack, 1), epsilon=True, group=G)
+    module = LineModule("line", {q: [0] for q in range(4)}, list(range(c.rack.size)), c.rack, c.class_of)
+    return KoszulComplex(V, module, 2, 3, field)
+
+
+def meet_in_one_column(K, a, b, field):
+    """Give letters a and b, and no other letter, two rows of d_v psi_0 out of
+    dual degree 2, with scalars that cancel on row 0 and add on row 1, and
+    assemble K again.  The derivations of distinct letters land in distinct
+    G-grades, so no Nichols algebra gives such a pair: it is made by hand."""
+    derivs = K.nichols.derivations[2]
+    for v in range(K.V.rack.size):
+        derivs[v][0] = {}
+    derivs[a][0] = {0: 1, 1: 2}
+    derivs[b][0] = {0: field.neg(1), 1: 2}
+    K._assemble()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_two_letters_of_one_class_meeting_in_a_column_are_refused(field):
+    # on the line module every letter reaches one orbit, so the letters meet
+    # wherever their derivations share a row; the real derivations share none
+    K = line_complex("transpositions", field)
+    assert K.d_class == summed_assembly(K)[0]
+    with pytest.raises(ComplexIntegrityError, match=r"^p=2, q=0, k=0: two letters of class 0 meet in one entry"):
+        meet_in_one_column(K, 0, 1, field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_two_classes_meeting_in_d_are_refused(field):
+    # the letters meet in d but in no d_i, so only the union of d finds them
+    K = line_complex("all", field)
+    assert len(K.classes) == 2
+    a, b = K.classes[0][0], K.classes[1][0]
+    with pytest.raises(ComplexIntegrityError, match=r"^p=2, q=0, k=0: two classes meet in one entry .* in d$"):
+        meet_in_one_column(K, a, b, field)
+    assert K.d_class[(0, 2, 0)].columns()[0] == {0: 1, 1: 2}
+    assert K.d_class[(1, 2, 0)].columns()[0] == {0: field.neg(1), 1: 2}
 
 
 def test_multigrade_refinement_consistent():
