@@ -20,13 +20,12 @@ lazily on first use: each group's right-multiplication index tables,
 `orbit_tables`, one per word length (filled and read through
 `orbits.rack_orbits` alone; each table builds its list of every word's orbit,
 `orbit_of`, on first read), and each braided space's inverse braiding, sign
-twist and `block_products` (filled by `qsa.bar_chains` with the words its
+twist and `block_products` (filled by `qsa.bar_blocks` with the words its
 blocks read).  Those fills are not locked.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,16 +95,33 @@ def cycle_notation(g: Perm) -> str:
     return "".join(parts) if parts else "()"
 
 
+def _split_cycles(text: str) -> tuple[list[str], list[str]]:
+    """(the pieces of text outside the cycles, the inside of each cycle): a
+    cycle is a '(' with no parenthesis before the next ')', taken from the
+    left; any other parenthesis stays in the text outside."""
+    outside, cycles = [], []
+    start = scan = 0
+    while (close := text.find(")", scan)) >= 0:
+        open_ = text.rfind("(", start, close)
+        if open_ >= 0:
+            outside.append(text[start:open_])
+            cycles.append(text[open_ + 1:close])
+            start = close + 1
+        scan = close + 1
+    outside.append(text[start:])
+    return outside, cycles
+
+
 def parse_cycles(text: str, degree: int) -> Perm:
     """Parse 1-based cycle notation like '(1 2)(3 4 5)' or '()' into a permutation:
     disjoint cycles, with nothing but whitespace outside their parentheses."""
-    parts = re.split(r"\(([^()]*)\)", text)  # text outside the cycles, then each cycle in turn
-    stray = " ".join(parts[::2]).split()
+    outside, cycles = _split_cycles(text)
+    stray = " ".join(outside).split()
     if stray:
         raise ValueError(f"text {' '.join(stray)!r} outside the cycles of {text!r}")
     out = list(range(degree))
     seen = set()
-    for grp in parts[1::2]:
+    for grp in cycles:
         tokens = grp.replace(",", " ").split()
         bad = next((t for t in tokens if not t.isdecimal()), None)
         if bad is not None:
@@ -422,7 +438,7 @@ class BraidedVectorSpace:
         self._twist = None
         # (field, a, b) -> {word code: image} for the words of V^(x)(a+b)
         # that some bar block has read, under the shuffle product of their
-        # first a and last b letters; filled word by word by `qsa.bar_chains`
+        # first a and last b letters; filled word by word by `qsa.bar_blocks`
         self.block_products: dict = {}
 
     def sigma_matrix(self) -> SparseMatrix:

@@ -268,6 +268,7 @@ def cmd_nichols(args) -> int:
 
 def cmd_orbits(args) -> int:
     refuse(args, f"{args.command} reads no braiding", "--cocycle", "--epsilon")
+    at_least("--cap", args.cap, 1)
     G = resolve_group(args)
     c = class_selector(G, args.classes or "all")
     F = resolve_field(args, G)
@@ -326,6 +327,7 @@ def cmd_koszul(args) -> int:
 
 def cmd_malle(args) -> int:
     refuse(args, f"{args.command} reads no braiding", "--cocycle", "--epsilon")
+    at_least("--cap", args.cap, 1)
     G = resolve_group(args)
     c = class_selector(G, args.classes or "all")
     window = None

@@ -21,7 +21,14 @@ step ran.  The caller fixes the pivot-column rule: the sparsest column for
 leftmost for `pivot_columns` and `rref` (and so for `kernel_basis` and
 `inverse`).  The pivot row is the shortest in its column, so every
 computation is deterministic, and the loop keeps column supports up to date,
-so choosing a pivot never rescans the matrix.
+so choosing a pivot never rescans the matrix.  Under the sparsest rule the
+columns sit in a heap of (count, column) entries, each at most its column's
+count: a pivot pushes a column only when it lowers the column's count, and an
+entry whose column has grown since is put back with the current count when it
+reaches the top.  So the heap always yields the least (count, column), and
+the pivot sequence is that of a heap re-pushed on every change, with a
+fraction of the pushes and stale pops.  A column with one live row takes it
+as the pivot with no search and no row update.
 
 `independent_rows` is the entry point for chain complexes: it eliminates the
 columns of a matrix outside a given set (`_elimination_rows` reads them as
@@ -333,15 +340,21 @@ def _eliminate(rows: list[dict], ncols: int, pivot_step, leftmost: bool = False)
     row with that entry eliminated (mutated in place or rebuilt).  The pivot
     column is chosen by the caller's rule: the sparsest live column (ties:
     lowest column index), or with `leftmost` the lowest live column.  In that
-    column the pivot is the shortest row (ties: lowest row index).  A yielded
+    column the pivot is the shortest row (ties: lowest row index); a column
+    with a single live row takes it with no search and no update.  A yielded
     row is never touched again and the loop keeps no reference to it.
 
     Column supports are kept up to date instead of rescanned: `col_rows[j]`
     holds the ids of live rows with an entry in column j.  An update can only
     change the support of the row it rewrites in the columns of the pivot row,
     so only those entries are touched.  For the sparsest rule `heap` holds
-    (count, j) pairs, pushed whenever a count changes and discarded lazily
-    once stale.  Under the leftmost rule no live row meets a column at or left
+    (count, j) pairs, at least one for every live column j with count at most
+    len(col_rows[j]); so a top entry whose count is its column's count is the
+    least (count, j) over the live columns.  A pivot pushes a column only when
+    it leaves the column's count lower than it was; a top entry whose column
+    has grown since is put back with the current count (`heapreplace`), and
+    one whose column has shrunk (so holds a lower entry, or is empty) is
+    dropped.  Under the leftmost rule no live row meets a column at or left
     of the last pivot column (each updated row is combined with a pivot row
     that meets none), so the next pivot column is found by moving a pointer
     to the right.
@@ -362,35 +375,47 @@ def _eliminate(rows: list[dict], ncols: int, pivot_step, leftmost: bool = False)
             if pc == ncols:
                 return
         else:
-            while heap and len(col_rows[heap[0][1]]) != heap[0][0]:
-                heapq.heappop(heap)
-            if not heap:
+            while heap:
+                count, pc = heap[0]
+                now = len(col_rows[pc])
+                if now == count:
+                    heapq.heappop(heap)
+                    break
+                if now > count:
+                    heapq.heapreplace(heap, (now, pc))
+                else:
+                    heapq.heappop(heap)
+            else:
                 return
-            pc = heapq.heappop(heap)[1]
         targets = col_rows[pc]
         col_rows[pc] = set()
-        _, pid = min((len(live[rid]), rid) for rid in targets)
+        if len(targets) == 1:
+            pid = targets.pop()
+        else:
+            _, pid = min((len(live[rid]), rid) for rid in targets)
+            targets.discard(pid)
         prow = live.pop(pid)
+        counts = None if leftmost else [len(col_rows[j]) for j in prow]
         for j in prow:
             col_rows[j].discard(pid)
-        update = pivot_step(prow, pc)
-        for rid in targets:
-            if rid == pid:
-                continue
-            r = update(live[rid])
-            for j in prow:
-                if j in r:
-                    col_rows[j].add(rid)
+        if targets:
+            update = pivot_step(prow, pc)
+            for rid in targets:
+                r = update(live[rid])
+                for j in prow:
+                    if j in r:
+                        col_rows[j].add(rid)
+                    else:
+                        col_rows[j].discard(rid)
+                if r:
+                    live[rid] = r
                 else:
-                    col_rows[j].discard(rid)
-            if r:
-                live[rid] = r
-            else:
-                del live[rid]
-        if not leftmost:
-            for j in prow:
-                if j != pc and col_rows[j]:
-                    heapq.heappush(heap, (len(col_rows[j]), j))
+                    del live[rid]
+        if counts is not None:
+            for j, was in zip(prow, counts):
+                now = len(col_rows[j])
+                if 0 < now < was:
+                    heapq.heappush(heap, (now, j))
         yield pc, prow
 
 

@@ -62,6 +62,7 @@ class TensorSystem:
         self.words = range(V.rank**n) if words is None else words
         self.dim = len(self.words)
         self._local = {w: i for i, w in enumerate(self.words)}
+        self.blocks = {}  # field -> the memoised `shuffle_blocks` operator
 
     def apply_moves(self, moves, idx: int):
         """Image of a basis vector as {index: exact coefficient}."""
@@ -84,6 +85,7 @@ class PermutationSystem:
     def __init__(self, dim: int, gen_action):
         self.dim = dim
         self._act = gen_action
+        self.blocks = {}  # field -> the memoised `shuffle_blocks` operator
 
     def apply_moves(self, moves, idx: int):
         for mv in moves:
@@ -245,8 +247,12 @@ def shuffle_blocks(system, F: CoefficientField):
     each block the size of its output, instead of C(a+b, a) lifts.  Chain
     images keep their exact coefficients, as tuples of (index, coefficient)
     pairs (half the memory of a dict); a block converts them into F as it
-    reads them.  The tables live in the returned closure.
+    reads them.  The tables live in the returned closure, which is kept on
+    the system, one per field (`system.blocks`): `complex_for_system` and a
+    later call read the same tables.
     """
+    if F in system.blocks:
+        return system.blocks[F]
     identity = [{idx: 1} for idx in range(system.dim)]
     chains = {}
     memo = {}
@@ -287,6 +293,7 @@ def shuffle_blocks(system, F: CoefficientField):
             memo[key] = out
         return memo[key]
 
+    system.blocks[F] = block
     return block
 
 
@@ -301,7 +308,7 @@ def assemble_block_merge(n: int, shift: int, dim: int, block_vectors, F: Coeffic
     coefficient index, its image {index: nonzero field scalar, over F_p a
     residue in (0, p)} under merging the block of size a starting at `offset`
     with the following block of size b; it is called for every merge, and
-    memoises by (a, b, offset) (`shuffle_blocks`, `qsa.bar_chains`).
+    memoises by (a, b, offset) (`shuffle_blocks`, `qsa.bar_blocks`).
     Different merges of one lambda land in different compositions, so a column
     is a disjoint union of signed block images and nothing is summed.  Each
     cell's column is built once and handed to `SparseMatrix._trusted`: its

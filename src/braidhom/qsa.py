@@ -37,9 +37,11 @@ so all blocks and degrees share them and no word is lifted twice.
 Convention: callers pass the braided space whose algebra they mean.  The
 flagship cross-check `verify_main_cor` compares braid homology of V against
 the Ext table of the sign twist of V, including the cell-by-cell identity of
-the two chain complexes on every representative block: the FNF recursion on
-V against the bar lift sum on the twist.  The plan is all the two sides share
-beyond the cells and the merge.
+the two chain complexes on every representative block, checked on the block
+operators the one assembler turns into their differentials: the FNF
+recursion on V (`fnf.shuffle_blocks`) against the bar lift sum on the twist
+(`bar_blocks`).  The plan is all the two sides share beyond the cells and
+the merge.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ from dataclasses import dataclass, field
 
 from .braided import BraidedVectorSpace, Rack, sign_twist
 from .exactla import CoefficientField, ComplexIntegrityError, RankTable
-from .fnf import GradedComplex, TensorSystem, assemble_block_merge, complex_for_system, plan_homology
+from .fnf import (
+    GradedComplex, TensorSystem, assemble_block_merge, complex_for_system, plan_homology, shuffle_blocks,
+)
 from .orbits import block_plan, rack_orbits
 from .shuffle import shuffle_lift_sum
 
@@ -77,25 +81,35 @@ def bar_complex(V: BraidedVectorSpace, n: int, F: CoefficientField, words=None) 
 
 def bar_chains(V: BraidedVectorSpace, n: int, F: CoefficientField, words=None):
     """The dimensions and differentials (dims, diff) of the bar complex on the
-    span of `words`, unchecked.
+    span of `words`, unchecked: `fnf.assemble_block_merge` applied to
+    `bar_blocks`."""
+    words = range(V.rank**n) if words is None else words
+    return assemble_block_merge(n, 0, len(words), bar_blocks(V, n, F, words), F)
+
+
+def bar_blocks(V: BraidedVectorSpace, n: int, F: CoefficientField, words=None):
+    """The block operator of the bar complex on the span of `words`:
+    `block(a, b, offset)` lists, for each local index, its image {local index:
+    nonzero field scalar} under the shuffle product of the a letters after the
+    first `offset` with the b letters after them, spread to V^(x)n.
 
     `words` is a sorted list of word codes closed under the braid action (a
-    block of `orbits.block_plan`), by default every code; cell (lambda, i)
+    block of `orbits.block_plan`), by default every code; local index i
     stands for word code words[i].  One map from word code to local index
-    serves every block operator of the call, and the spread blocks are
-    memoised by (a, b, offset) for the call.  The local block products are
-    kept on V by (F, a, b), each a map {local word code: image}, so every
-    block, and every degree n, shares them.  A block operator at `offset`
-    reads only the local words code // place % size of the block's words
-    (place = r^(n - offset - a - b), size = r^(a + b)), and only those not
-    yet in the map are lifted: for S3 transpositions at n = 5 the blocks
-    with a + b = 5 read 81 of the 243 words of V^(x)5.
+    serves every block, and the spread blocks are memoised by (a, b, offset)
+    in the returned closure.  The local block products are kept on V by (F,
+    a, b), each a map {local word code: image}, so every block, and every
+    degree n, shares them.  A block at `offset` reads only the local words
+    code // place % size of the block's words (place = r^(n - offset - a - b),
+    size = r^(a + b)), and only those not yet in the map are lifted: for S3
+    transpositions at n = 5 the blocks with a + b = 5 read 81 of the 243
+    words of V^(x)5.
     """
     words = range(V.rank**n) if words is None else words
     pos = {w: i for i, w in enumerate(words)}
     spread = {}
 
-    def block_vectors(a, b, offset):
+    def block(a, b, offset):
         if (a, b, offset) not in spread:
             m = a + b
             place, size = V.rank ** (n - offset - m), V.rank**m
@@ -106,7 +120,7 @@ def bar_chains(V: BraidedVectorSpace, n: int, F: CoefficientField, words=None):
             spread[a, b, offset] = _spread_block(local, V.rank, n, m, offset, words, pos)
         return spread[a, b, offset]
 
-    return assemble_block_merge(n, 0, len(words), block_vectors, F)
+    return block
 
 
 def _local_block_product(V: BraidedVectorSpace, F: CoefficientField, a: int, b: int, words) -> dict:
@@ -240,34 +254,44 @@ def verify_main_cor(V: BraidedVectorSpace, n: int, F: CoefficientField) -> Verif
     """Cross-check the two pipelines at every homological degree.
 
     For each block of `orbits.block_plan(V, n)` it builds the cellular complex
-    of the block of V^(x)n and the bar complex of the same words for the sign
-    twist, and checks that they agree matrix-by-matrix and in dimensions
-    under the canonical cell bijection (total degree n + p <-> bar degree p).
+    of the block of V^(x)n and checks it cell by cell against the bar complex
+    of the same words for the sign twist, under the canonical cell bijection
+    (total degree n + p <-> bar degree p), by comparing their block operators:
+    the FNF operator `fnf.shuffle_blocks` that the cellular complex was
+    assembled from against `bar_blocks` on the twist, for every a, b >= 1 and
+    offset with offset + a + b <= n.  Both complexes are
+    `fnf.assemble_block_merge` of their operator on the same cells, and every
+    operator block lands, with a sign fixed by the cell, in a column of some
+    differential, so the operators agree exactly when every differential does
+    (and the dimensions, the cells times len(words), agree by construction).
     The two share only the plan, the cells and the merge: the FNF blocks come
     from the shuffle recursion on V, the bar blocks from the lift sum on the
     sign twist, so every run checks one against the other on every block.
     Ranks are summed over the plan, each block weighted by its multiplicity.
     H_j(B_n; V^(x)n) comes from the cellular complex, whose d^2 is checked.
-    When a block's chains agree, its Ext^{n-j, n} is read from the same ranks,
-    since equal matrices have equal ranks and equal products, so the bar
-    chains are not checked again; otherwise that bar block is checked and
-    ranked on its own and both rank vectors are reported.
+    When a block's operators agree, its Ext^{n-j, n} is read from the same
+    ranks, since equal matrices have equal ranks and equal products, so the
+    bar complex is neither assembled nor checked; otherwise that bar block is
+    assembled, checked and ranked on its own (`bar_complex`) and both rank
+    vectors are reported.
     """
     Veps = sign_twist(V)
     betti = [0] * (n + 1)
     ext_diag = [0] * (n + 1)
     chain_ok = True
+    shapes = [(a, b, offset) for a in range(1, n) for b in range(1, n - a + 1) for offset in range(n - a - b + 1)]
     for words, mult in block_plan(V, n):
-        fnf = complex_for_system(TensorSystem(V, n, words), n, F)
-        table = fnf.homology_table()
-        dims, diff = bar_chains(Veps, n, F, words)
-        same = all(fnf.dim(n + p) == dims[p] for p in range(1, n + 1)) and all(
-            fnf.differential(n + p) == diff[p] for p in range(2, n + 1))
+        system = TensorSystem(V, n, words)
+        fnf = complex_for_system(system, n, F)
+        fnf_block, bar_block = shuffle_blocks(system, F), bar_blocks(Veps, n, F, words)
+        same = all(fnf_block(*shape) == bar_block(*shape) for shape in shapes)
+        del system, fnf_block, bar_block  # the operators' tables are not needed for ranking
         chain_ok = chain_ok and same
+        table = fnf.homology_table()
         if same:
             ext = {p: table.get(n + p, 0) for p in range(1, n + 1)}
         else:
-            ext = GradedComplex(dims, diff, F).homology_table()
+            ext = bar_complex(Veps, n, F, words).homology_table()
         for j in range(n + 1):
             betti[j] += mult * table.get(2 * n - j, 0)
             ext_diag[j] += mult * ext.get(n - j, 0)

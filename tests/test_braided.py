@@ -1,9 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from braidhom.braided import (
+    _split_cycles,
     BraidedVectorSpace,
     Cocycle,
     ConjClassSet,
@@ -73,6 +76,14 @@ def test_parse_cycles_rejects_malformed_notation(text, message):
     with pytest.raises(ValueError) as exc:
         parse_cycles(text, 3)
     assert str(exc.value) == message
+
+
+@given(st.text(alphabet="() 12,x", max_size=14))
+def test_cycles_split_as_the_regular_expression_splits(text):
+    # the cycle parser reads text as re.split on \(([^()]*)\) would cut it:
+    # the text outside the cycles, then each cycle in turn
+    parts = re.split(r"\(([^()]*)\)", text)
+    assert _split_cycles(text) == (parts[::2], parts[1::2])
 
 
 @pytest.mark.parametrize("header", ["degree", "degree x", "degree 0", "degree 3 4"])

@@ -81,6 +81,25 @@ def test_verify_pass_and_exit_codes(capsys):
     assert "# result=pass" in out
 
 
+def test_verify_fails_when_a_bar_block_operator_differs(monkeypatch, capsys):
+    # the bar operator negated on two single letters negates the top bar
+    # differential at n = 2 and n = 3 and nothing else, so each bar complex
+    # stays a complex with the FNF ranks, but the operators differ
+    real_bar_blocks = qsa.bar_blocks
+
+    def negated_on_letters(V, n, F, words=None):
+        block = real_bar_blocks(V, n, F, words)
+        return lambda a, b, offset: ([{j: F.neg(cf) for j, cf in vec.items()} for vec in block(a, b, offset)]
+                                     if (a, b) == (1, 1) else block(a, b, offset))
+
+    monkeypatch.setattr(qsa, "bar_blocks", negated_on_letters)
+    rc, out = run(capsys, ["verify", "--group", "S3", "--classes", "transpositions", "--nmax", "3", "--field", "Q"])
+    assert rc == 1
+    assert "# result=fail" in out
+    assert [ln.rsplit(",", 1)[1] for ln in out.splitlines() if ln[:2] in ("1,", "2,", "3,")] == \
+        ["pass"] * 2 + ["FAIL"] * 7
+
+
 def test_ext_json(capsys):
     rc, out = run(capsys, ["ext", "--rank1", "--sigma", "-2", "--nmax", "4",
                            "--field", "Q", "--format", "json"])
@@ -507,6 +526,9 @@ _S3_KOSZUL = ["koszul", "--group", "S3", "--classes", "transpositions", "--epsil
     (_S3_KOSZUL + ["--qmax", "0"], "--qmax must be at least 1, got 0"),
     (_S3_KOSZUL + ["--qmax", "-1"], "--qmax must be at least 1, got -1"),
     (["malle", "--group", "S3", "--classes", "all", "--window", "-1"], "--window must be at least 0, got -1"),
+    (["orbits", "--group", "S3", "--classes", "transpositions", "--nmax", "2", "--cap", "0"],
+     "--cap must be at least 1, got 0"),
+    (["malle", "--group", "S3", "--classes", "all", "--window", "2", "--cap", "0"], "--cap must be at least 1, got 0"),
     (["bound", "--betti", "1", "--q", "7", "--n", "3", "--d", "-1"], "--d must be at least 0, got -1"),
     (["betti", "--rank1", "--sigma", "1/0"], "--sigma must be a nonzero integer or fraction, got '1/0'"),
     (["bound", "--betti", "1", "--q", "4", "--n", "0", "--d", "2"], "--n must be at least 1, got 0"),
@@ -514,7 +536,7 @@ _S3_KOSZUL = ["koszul", "--group", "S3", "--classes", "transpositions", "--epsil
     (["bound", "--q", "5", "--n", "3"], "give exactly one of --betti and --betti-file"),
     (["bound", "--betti", "1", "--betti-file", "ranks.txt", "--q", "5", "--n", "3"],
      "give exactly one of --betti and --betti-file"),
-], ids=["pmax=-2", "pmax=-1", "qmax=0", "qmax=-1", "window=-1", "d=-1", "sigma=1/0", "n=0", "n=-1",
+], ids=["pmax=-2", "pmax=-1", "qmax=0", "qmax=-1", "window=-1", "orbits-cap=0", "malle-cap=0", "d=-1", "sigma=1/0", "n=0", "n=-1",
         "no-betti", "both-betti"])
 def test_out_of_range_options_are_usage_errors(argv, message, capsys):
     rc = main(argv)

@@ -6,7 +6,7 @@ import pytest
 from braidhom import fnf, qsa
 from braidhom.braided import ConjClassSet, PermGroup, identity_perm, parse_cycles, rank_one_space, sign_twist
 from braidhom.braided import Cocycle, apply_moves_to_vector, braided_space, index_word
-from braidhom.exactla import GF, QQ
+from braidhom.exactla import GF, QQ, ComplexIntegrityError
 from braidhom.orbits import block_plan
 from braidhom.qsa import (
     bar_complex,
@@ -217,29 +217,73 @@ def test_verify_main_cor_ranks_each_differential_once(ranked):
 
 
 def test_verify_main_cor_mismatch_ranks_the_bar_complex(monkeypatch, ranked):
-    # Negating one bar differential keeps d^2 = 0 and every rank, but breaks the
-    # cell-by-cell identity; the Ext column must then come from the bar complex.
-    real_bar_chains = qsa.bar_chains
-    negated = []
-
-    def bar_with_negated_top(V, n, F, words=None):
-        basis, diff = real_bar_chains(V, n, F, words)
-        diff = dict(diff)
-        if diff[n].entries:  # a zero block stays equal to its FNF block
-            diff[n] = diff[n].scale(-1)
-            negated.append(diff[n])
-        return basis, diff
-
-    monkeypatch.setattr(qsa, "bar_chains", bar_with_negated_top)
+    # Negating the bar block operator on (a, b) = (1, 1) negates the top bar
+    # differential at n = 3, the only one that merges two single letters:
+    # d^2 = 0 and every rank are kept, but the cell-by-cell identity breaks;
+    # the Ext column must then come from the bar complex, assembled from the
+    # corrupted operator.
+    real_bar_blocks = qsa.bar_blocks
     n = 3
+    corrupted = []
+
+    def bar_with_negated_top(V, m, F, words=None):
+        block = real_bar_blocks(V, m, F, words)
+
+        def negated(a, b, offset):
+            vecs = block(a, b, offset)
+            if (a, b) != (1, 1) or not any(vecs):  # a zero block stays equal to its FNF block
+                return vecs
+            corrupted.append(words)
+            return [{j: F.neg(cf) for j, cf in vec.items()} for vec in vecs]
+
+        return negated
+
+    monkeypatch.setattr(qsa, "bar_blocks", bar_with_negated_top)
     V = s3_transposition_space()
     rep = verify_main_cor(V, n, QQ)
     assert not rep.chain_level_ok and not rep.ok
     assert rep.lines()[-1].strip() == "FAIL"
-    assert negated
-    assert len(ranked) == (n - 1) * (len(block_plan(V, n)) + len(negated))
-    assert all(any(M is neg for M in ranked) for neg in negated)
+    mismatched = {tuple(words) for words in corrupted}
+    assert mismatched
+    # one rank per FNF differential, and one per differential of each bar
+    # complex assembled on a mismatch, whose top one is the FNF top negated
+    assert len(ranked) == (n - 1) * (len(block_plan(V, n)) + len(mismatched))
+    for words in mismatched:
+        top = fnf.complex_for_system(fnf.TensorSystem(V, n, list(words)), n, QQ).differential(2 * n)
+        assert any(M == top.scale(-1) for M in ranked)
     assert rep.ext_diagonal == rep.betti
+
+
+@pytest.mark.parametrize("F", [QQ, F2])
+def test_verify_main_cor_fails_on_one_corrupted_inner_entry(monkeypatch, F):
+    # one entry of an inner block, (a, b) = (1, 1) at offset 1 (a + b < n,
+    # offset > 0), dropped at n = 4: the block comparison must catch it, so
+    # the bar complex is assembled from the corrupted operator, and its d^2
+    # check fails
+    real_bar_blocks = qsa.bar_blocks
+    n = 4
+    hit = []
+
+    def bar_with_one_bad_entry(V, m, F, words=None):
+        block = real_bar_blocks(V, m, F, words)
+
+        def corrupted(a, b, offset):
+            vecs = block(a, b, offset)
+            if (a, b, offset) != (1, 1, 1) or not any(vecs):
+                return vecs
+            idx = next(i for i, vec in enumerate(vecs) if vec)
+            drop = min(vecs[idx])
+            hit.append(words)
+            return vecs[:idx] + [{j: cf for j, cf in vecs[idx].items() if j != drop}] + vecs[idx + 1:]
+
+        return corrupted
+
+    V = s3_transposition_space()
+    assert verify_main_cor(V, n, F).chain_level_ok
+    monkeypatch.setattr(qsa, "bar_blocks", bar_with_one_bad_entry)
+    with pytest.raises(ComplexIntegrityError, match="d\\^2 != 0"):
+        verify_main_cor(V, n, F)
+    assert hit
 
 
 def bar_block_by_lifts(V, n, F, a, b, offset):
@@ -281,6 +325,44 @@ def test_bar_block_local_then_spread_matches_full_width_lifts(V):
                         got = qsa._spread_block(local, V.rank, n, a + b, offset, words, pos)
                         want = [{pos[w]: cf for w, cf in full[code].items()} for code in words]
                         assert got == want, (F, n, a, b, offset, len(words))
+
+
+def without_first_entry(block, shape):
+    """The block operator `block` with the first entry of the first nonzero
+    image of `shape` = (a, b, offset) dropped."""
+    vecs = block(*shape)
+    idx = next(i for i, vec in enumerate(vecs) if vec)
+    drop = min(vecs[idx])
+    bad = vecs[:idx] + [{j: cf for j, cf in vecs[idx].items() if j != drop}] + vecs[idx + 1:]
+    return lambda a, b, offset: bad if (a, b, offset) == shape else block(a, b, offset)
+
+
+@pytest.mark.parametrize(
+    "V", [s3_transposition_space(epsilon=True), jordan_plane(), rank_one_space(Fraction(1, 3))],
+    ids=["S3-eps", "jordan", "line-1/3"])
+def test_block_operators_agree_exactly_when_assembled_differentials_do(V):
+    # verify_main_cor compares block operators where it used to compare the
+    # assembled differentials; the two comparisons must give one answer: FNF
+    # on V against the bar operator of its sign twist (equal), of V itself
+    # (equal only where the twist is invisible), and of the twist with one
+    # entry of one shape dropped (never equal)
+    for F in (QQ, F2):
+        for n in range(2, 6):
+            shapes = [(a, b, o) for a in range(1, n) for b in range(1, n - a + 1) for o in range(n - a - b + 1)]
+            system = fnf.TensorSystem(V, n)
+            fnf_diff = fnf.complex_for_system(system, n, F).diff
+            fnf_block = fnf.shuffle_blocks(system, F)
+            twisted = qsa.bar_blocks(sign_twist(V), n, F)
+            bars = [twisted, qsa.bar_blocks(V, n, F)]
+            bars += [without_first_entry(twisted, shape) for shape in shapes if any(twisted(*shape))]
+            outcomes = []
+            for bar_block in bars:
+                bar_diff = fnf.assemble_block_merge(n, 0, system.dim, bar_block, F)[1]
+                same_blocks = all(fnf_block(*shape) == bar_block(*shape) for shape in shapes)
+                same_diffs = all(fnf_diff[n + p] == bar_diff[p] for p in range(2, n + 1))
+                assert same_blocks == same_diffs, (F, n, len(outcomes))
+                outcomes.append(same_blocks)
+            assert outcomes[0] and not any(outcomes[2:]), (F, n)
 
 
 def test_bar_products_hold_only_the_words_the_blocks_read():
