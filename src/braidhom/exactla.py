@@ -10,25 +10,31 @@ only nonzero entries are stored, and no other module knows the layout.
 Every elimination in the package runs one sparse Gaussian elimination loop,
 `_eliminate`, on the rows given by `_elimination_rows`: the stored columns
 themselves when it eliminates the transpose, else rows derived in one pass
-over the columns; over F_p reduced mod p, over Q as integer rows (a row that
-holds a Fraction is cleared of denominators and divided by its content), so
-that the fraction-free row update never does Fraction arithmetic.  Over Q a
-pivot of +-1 updates each row in place with no division, as the F_p step
-does; any other pivot takes Bareiss' step (scale, subtract, divide by the
-content).  Both keep the row supports, so the pivots do not depend on which
-step ran.  The caller fixes the pivot-column rule: the sparsest column for
-`rank` (and so for `cycles_map_to_boundaries`) and `independent_rows`, the
-leftmost for `pivot_columns` and `rref` (and so for `kernel_basis` and
-`inverse`).  The pivot row is the shortest in its column, so every
-computation is deterministic, and the loop keeps column supports up to date,
-so choosing a pivot never rescans the matrix.  Under the sparsest rule the
-columns sit in a heap of (count, column) entries, each at most its column's
-count: a pivot pushes a column only when it lowers the column's count, and an
-entry whose column has grown since is put back with the current count when it
-reaches the top.  So the heap always yields the least (count, column), and
-the pivot sequence is that of a heap re-pushed on every change, with a
-fraction of the pushes and stale pops.  A column with one live row takes it
-as the pivot with no search and no row update.
+over the columns.  Whether a matrix needs coercing is decided once, by
+streaming scans over all its entries (`_is_reduced`): a matrix whose entries
+are already reduced scalars (ints over Q, ints in [1, p) over F_p) has its
+rows copied as they are; any other is coerced column by column (`_coerced`),
+and over Q a row that holds a Fraction is cleared of denominators and divided
+by its content, so that the fraction-free row update never does Fraction
+arithmetic.  Over Q a pivot of +-1 updates each row in place with no
+division, as the F_p step does; any other pivot takes Bareiss' step (scale,
+subtract, divide by the content).  Both give rows of the same support, so
+the pivots do not depend on which step ran.  The caller fixes the
+pivot-column rule: the sparsest column for `rank` (and so for
+`cycles_map_to_boundaries`) and `independent_rows`, the leftmost for
+`pivot_columns` and `rref` (and so for `inverse`).  The pivot row is the
+shortest in its column, so every computation is deterministic, and the loop
+keeps column supports up to date, so choosing a pivot never rescans the
+matrix: the pivot step writes each updated row and its supports in one pass
+over the pivot row, touching a support only where an entry appears or
+cancels, and `rref`'s back-substitution runs the same step.  Under the
+sparsest rule the columns sit in a heap of (count, column) entries, each at
+most its column's count: a pivot pushes a column only when it lowers the
+column's count, and an entry whose column has grown since is put back with
+the current count when it reaches the top.  So the heap always yields the
+least (count, column), and the pivot sequence is that of a heap re-pushed on
+every change, with a fraction of the pushes and stale pops.  A column with
+one live row takes it as the pivot with no search and no row update.
 
 `independent_rows` is the entry point for chain complexes: it eliminates the
 columns of a matrix outside a given set (`_elimination_rows` reads them as
@@ -39,19 +45,20 @@ leaving out of each d_q the columns named by the independent rows of d_(q+1)
 
 Products (`SparseMatrix.matmul`, `SparseMatrix.apply`) and sums
 (`SparseMatrix.add`) work column by column and coerce each input entry into
-the field once (`_coerced`), as `_elimination_rows` does: an int as it is
-over Q and mod p over F_p, anything else through `CoefficientField.convert`.
-Products accumulate with native + and * and reduce each output entry once
+the field once (`_coerced`): an int as it is over Q and mod p over F_p,
+anything else through `CoefficientField.convert`.  Products accumulate with
+native + and * and reduce each output entry once
 (`CoefficientField.reduced`).  A check that only asks whether a sum of
 products is zero (d^2 = 0, and d_i d_j + d_j d_i = 0 in `koszul`) calls
-`products_vanish`, which builds no product: it sums one output column at a
-time, reduces each sum once and stops at the first nonzero entry.  The
-public constructors (`SparseMatrix(rows, cols, entries)` and `from_columns`)
-check every index and drop zeros; results that are in range and nonzero by
+`products_vanish`, which builds no product: it reads a factor whose entries
+are all ints as stored (one scan per matrix), sums one output column at a
+time and stops at the first column whose sum is nonzero.  The public
+constructors (`SparseMatrix(rows, cols, entries)` and `from_columns`) check
+every index and drop zeros; results that are in range and nonzero by
 construction (this module's products, sums, transposes and inverses, and the
 package's assemblers) take ownership of their columns through
-`SparseMatrix._trusted` and skip those checks.
-`entries` ({(row, column): value}) and `nnz` are views derived on demand.
+`SparseMatrix._trusted` and skip those checks.  `entries` ({(row, column):
+value}) and `nnz` are views derived on demand.
 
 All values are immutable after construction.
 """
@@ -61,6 +68,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 
@@ -296,12 +304,12 @@ def products_vanish(pairs, F: CoefficientField) -> bool:
     a product.
 
     The output is summed one column at a time, each entry accumulated with
-    native + and * and reduced once; the first nonzero entry ends the test.
-    Before that, every column of every factor that holds a non-int entry is
-    coerced by `_coerced`, as `_elimination_rows` does, so an entry that is
-    not a scalar of F raises FieldMismatchError here exactly when the
-    products would; int columns are read as they are, and over F_p their
-    sums are reduced mod p at the end.  Mismatched shapes raise ValueError.
+    native + and *; the first column whose sum is nonzero (over F_p, one
+    entry nonzero mod p) ends the test.  Before that, every factor is read as
+    `_field_columns` gives it: as stored when all its entries are ints, else
+    every column coerced by `_coerced`, so an entry that is not a scalar of F
+    raises FieldMismatchError here exactly when the products would, whichever
+    pair holds it.  Mismatched shapes raise ValueError.
     """
     pairs = list(pairs)
     if not pairs:
@@ -312,7 +320,7 @@ def products_vanish(pairs, F: CoefficientField) -> bool:
             raise ValueError(f"cannot compose {A.rows}x{A.cols} with {B.rows}x{B.cols}")
         if (A.rows, B.cols) != (rows, cols):
             raise ValueError("shape mismatch")
-    factors = [(_int_or_coerced(A, F), _int_or_coerced(B, F)) for A, B in pairs]
+    factors = [(_field_columns(A, F), _field_columns(B, F)) for A, B in pairs]
     p = F.characteristic
     for j in range(cols):
         acc = {}
@@ -320,44 +328,65 @@ def products_vanish(pairs, F: CoefficientField) -> bool:
             for k, b in right[j].items():
                 for i, a in left[k].items():
                     acc[i] = acc.get(i, 0) + a * b
-        if any(v % p for v in acc.values()) if p else any(acc.values()):
+        if any(map(p.__rmod__, acc.values())) if p else any(acc.values()):
             return False
     return True
 
 
-def _int_or_coerced(M: SparseMatrix, F: CoefficientField) -> list[dict]:
-    """The columns of M: as stored when every entry is an int, else coerced
-    by `_coerced`."""
-    return [col if all(map(int.__instancecheck__, col.values())) else _coerced(col, F) for col in M.columns()]
+def _all_ints(columns: list[dict]) -> bool:
+    """Whether every entry of the columns is an int: one streaming scan that
+    builds no list."""
+    return all(map(int.__instancecheck__, chain.from_iterable(map(dict.values, columns))))
+
+
+def _is_reduced(columns: list[dict], F: CoefficientField) -> bool:
+    """Whether every entry of the columns is already a reduced scalar of F:
+    an int over Q, an int in [1, p) over F_p.  Streaming scans that build no
+    list; over F_p the bounds are read only once every entry is an int."""
+    if not _all_ints(columns):
+        return False
+    p = F.characteristic
+    return not p or (min(chain.from_iterable(map(dict.values, columns)), default=1) > 0
+                     and max(chain.from_iterable(map(dict.values, columns)), default=0) < p)
+
+
+def _field_columns(M: SparseMatrix, F: CoefficientField) -> list[dict]:
+    """The columns of M as `products_vanish` reads them: as stored when every
+    entry is an int (`_all_ints`; a sum of int products is reduced mod p only
+    when it is tested), else each coerced by `_coerced`."""
+    columns = M.columns()
+    return columns if _all_ints(columns) else [_coerced(col, F) for col in columns]
 
 
 def _eliminate(rows: list[dict], ncols: int, pivot_step, leftmost: bool = False):
     """Sparse Gaussian elimination of the nonzero dict rows, yielding each
     pivot as (column, row) in the order taken.
 
-    `pivot_step(prow, pc)` returns the field's row update for one pivot: a
-    function taking a row with a nonzero entry in column pc and returning the
-    row with that entry eliminated (mutated in place or rebuilt).  The pivot
-    column is chosen by the caller's rule: the sparsest live column (ties:
-    lowest column index), or with `leftmost` the lowest live column.  In that
-    column the pivot is the shortest row (ties: lowest row index); a column
-    with a single live row takes it with no search and no update.  A yielded
-    row is never touched again and the loop keeps no reference to it.
-
     Column supports are kept up to date instead of rescanned: `col_rows[j]`
-    holds the ids of live rows with an entry in column j.  An update can only
-    change the support of the row it rewrites in the columns of the pivot row,
-    so only those entries are touched.  For the sparsest rule `heap` holds
-    (count, j) pairs, at least one for every live column j with count at most
-    len(col_rows[j]); so a top entry whose count is its column's count is the
-    least (count, j) over the live columns.  A pivot pushes a column only when
-    it leaves the column's count lower than it was; a top entry whose column
-    has grown since is put back with the current count (`heapreplace`), and
-    one whose column has shrunk (so holds a lower entry, or is empty) is
-    dropped.  Under the leftmost rule no live row meets a column at or left
-    of the last pivot column (each updated row is combined with a pivot row
-    that meets none), so the next pivot column is found by moving a pointer
-    to the right.
+    holds the ids of live rows with an entry in column j.
+    `pivot_step(prow, pc, col_rows)` returns the field's row update for one
+    pivot: a function taking a row with a nonzero entry in column pc and its
+    id, and returning the row with that entry eliminated (mutated in place or
+    rebuilt).  It writes the row and its supports in one pass over the pivot
+    row, the only columns an update can change: an entry that appears adds
+    the id to `col_rows[j]`, one that cancels removes it, and one that only
+    changes value touches no set.  The pivot column is chosen by the caller's
+    rule: the sparsest live column (ties: lowest column index), or with
+    `leftmost` the lowest live column.  In that column the pivot is the
+    shortest row (ties: lowest row index); a column with a single live row
+    takes it with no search and no update.  A yielded row is never touched
+    again and the loop keeps no reference to it.
+
+    For the sparsest rule `heap` holds (count, j) pairs, at least one for
+    every live column j with count at most len(col_rows[j]); so a top entry
+    whose count is its column's count is the least (count, j) over the live
+    columns.  A pivot pushes a column only when it leaves the column's count
+    lower than it was; a top entry whose column has grown since is put back
+    with the current count (`heapreplace`), and one whose column has shrunk
+    (so holds a lower entry, or is empty) is dropped.  Under the leftmost
+    rule no live row meets a column at or left of the last pivot column (each
+    updated row is combined with a pivot row that meets none), so the next
+    pivot column is found by moving a pointer to the right.
     """
     live = dict(enumerate(rows))
     col_rows = [set() for _ in range(ncols)]
@@ -399,14 +428,9 @@ def _eliminate(rows: list[dict], ncols: int, pivot_step, leftmost: bool = False)
         for j in prow:
             col_rows[j].discard(pid)
         if targets:
-            update = pivot_step(prow, pc)
+            update = pivot_step(prow, pc, col_rows)
             for rid in targets:
-                r = update(live[rid])
-                for j in prow:
-                    if j in r:
-                        col_rows[j].add(rid)
-                    else:
-                        col_rows[j].discard(rid)
+                r = update(live[rid], rid)
                 if r:
                     live[rid] = r
                 else:
@@ -420,19 +444,26 @@ def _eliminate(rows: list[dict], ncols: int, pivot_step, leftmost: bool = False)
 
 
 def _modp_pivot_step(p: int):
-    """The pivot step over F_p: r := r - (r[pc] / prow[pc]) prow, in place."""
+    """The pivot step over F_p: r := r - (r[pc] / prow[pc]) prow, in place,
+    with the supports of r kept in `col_rows` (see `_eliminate`).  An entry
+    of prow that r lacks gives -f v, nonzero mod p."""
 
-    def pivot_step(prow: dict, pc: int):
+    def pivot_step(prow: dict, pc: int, col_rows: list[set]):
         pinv = pow(prow[pc], -1, p)
 
-        def update(r: dict) -> dict:
+        def update(r: dict, rid: int) -> dict:
             f = (r[pc] * pinv) % p
             for j, v in prow.items():
-                nv = (r.get(j, 0) - f * v) % p
-                if nv:
-                    r[j] = nv
+                if j in r:
+                    nv = (r[j] - f * v) % p
+                    if nv:
+                        r[j] = nv
+                    else:
+                        del r[j]
+                        col_rows[j].discard(rid)
                 else:
-                    r.pop(j, None)
+                    r[j] = (-f * v) % p
+                    col_rows[j].add(rid)
             return r
 
         return update
@@ -446,8 +477,10 @@ def _content_free(r: dict) -> dict:
     return {j: v // g for j, v in r.items()} if g > 1 else r
 
 
-def _int_pivot_step(prow: dict, pc: int):
-    """Fraction-free row update over Z for the pivot prow[pc].
+def _int_pivot_step(prow: dict, pc: int, col_rows: list[set]):
+    """Fraction-free row update over Z for the pivot prow[pc], with the
+    supports of the updated row kept in `col_rows` as `_modp_pivot_step`
+    keeps them.
 
     A unit pivot (+-1) updates the row in place, as `_modp_pivot_step` does:
     r := r - (r[pc] prow[pc]) prow, which is r - (r[pc] / prow[pc]) prow; it
@@ -471,27 +504,37 @@ def _int_pivot_step(prow: dict, pc: int):
             pval = prow[pc]
     if pval == 1 or pval == -1:
 
-        def unit_update(r: dict) -> dict:
+        def unit_update(r: dict, rid: int) -> dict:
             f = r[pc] * pval
             for j, v in prow.items():
-                nv = r.get(j, 0) - f * v
-                if nv:
-                    r[j] = nv
+                if j in r:
+                    nv = r[j] - f * v
+                    if nv:
+                        r[j] = nv
+                    else:
+                        del r[j]
+                        col_rows[j].discard(rid)
                 else:
-                    r.pop(j, None)
+                    r[j] = -f * v
+                    col_rows[j].add(rid)
             return r
 
         return unit_update
 
-    def update(r: dict) -> dict:
+    def update(r: dict, rid: int) -> dict:
         a = r[pc]
         new = {j: pval * v for j, v in r.items()}
         for j, v in prow.items():
-            nv = new.get(j, 0) - a * v
-            if nv:
-                new[j] = nv
+            if j in new:
+                nv = new[j] - a * v
+                if nv:
+                    new[j] = nv
+                else:
+                    del new[j]
+                    col_rows[j].discard(rid)
             else:
-                new.pop(j, None)
+                new[j] = -a * v
+                col_rows[j].add(rid)
         return _content_free(new)
 
     return update
@@ -503,26 +546,34 @@ def _elimination_rows(M: SparseMatrix, F: CoefficientField, columns_except=None)
     Given `columns_except`, a collection of column indices, the rows are
     instead the stored columns of M outside it (rows of the transpose, each a
     {row index of M: scalar} dict), read directly; otherwise the rows are
-    derived from the columns in one pass.  Every row is a new dict of entries
-    coerced once by `_coerced`, so the elimination leaves M as it was.  Over Q
-    a row that holds a Fraction is then cleared of denominators and divided by
-    its content, so elimination runs on integer rows and no Fraction
-    arithmetic happens inside it.
+    derived from the columns in one pass.  Every row is a new dict, so the
+    elimination leaves M as it was.  Whether the entries need coercing is
+    decided once for the whole matrix (`_is_reduced`): if every entry is
+    already a reduced scalar of F, the columns are copied (`dict.copy`) or
+    transposed as they are; otherwise every column read is coerced by
+    `_coerced`, and over Q a row that holds a Fraction is then cleared of
+    denominators and divided by its content, so elimination runs on integer
+    rows and no Fraction arithmetic happens inside it.
     """
+    columns = M.columns()
+    reduced = _is_reduced(columns, F)
     if columns_except is None:
         rows = [{} for _ in range(M.rows)]
-        for j, col in enumerate(M.columns()):
-            for i, v in _coerced(col, F).items():
+        for j, col in enumerate(columns):
+            for i, v in (col if reduced else _coerced(col, F)).items():
                 rows[i][j] = v
+    elif reduced:
+        rows = [col.copy() for j, col in enumerate(columns) if j not in columns_except]
     else:
-        rows = [_coerced(col, F) for j, col in enumerate(M.columns()) if j not in columns_except]
+        rows = [_coerced(col, F) for j, col in enumerate(columns) if j not in columns_except]
     rows = [r for r in rows if r]
     if F.characteristic:
         return rows, _modp_pivot_step(F.characteristic)
-    for k, r in enumerate(rows):
-        if not all(map(int.__instancecheck__, r.values())):
-            den = lcm(*(v.denominator for v in r.values()))
-            rows[k] = _content_free({j: v.numerator * (den // v.denominator) for j, v in r.items()})
+    if not reduced:
+        for k, r in enumerate(rows):
+            if not all(map(int.__instancecheck__, r.values())):
+                den = lcm(*(v.denominator for v in r.values()))
+                rows[k] = _content_free({j: v.numerator * (den // v.denominator) for j, v in r.items()})
     return rows, _int_pivot_step
 
 
@@ -571,42 +622,33 @@ def rref(M: SparseMatrix, F: CoefficientField):
 
     The leftmost forward elimination of `pivot_columns`, then back-substitution
     with the same pivot step, last pivot first, so that each pivot row is
-    final before it clears its column from the rows above; each row is then
-    scaled to a leading 1.  The rows are those of the unique reduced row
-    echelon form of M, in pivot order.
+    final before it clears its column from the rows above; the step keeps the
+    column supports of the pivot rows, which name the rows to clear.  Each
+    row is then scaled to a leading 1.  The rows are those of the unique
+    reduced row echelon form of M, in pivot order.
     """
     rows, step = _elimination_rows(M, F)
     pivots, prows = [], []
     for pc, prow in _eliminate(rows, M.cols, step, leftmost=True):
         pivots.append(pc)
         prows.append(prow)
+    # no pivot row below k meets pivot column pivots[k]: each was cleared there
+    col_rows = [set() for _ in range(M.cols)]
+    for k, prow in enumerate(prows):
+        for j in prow:
+            col_rows[j].add(k)
     for k in range(len(pivots) - 1, 0, -1):
         pc = pivots[k]
-        update = step(prows[k], pc)
-        for i in range(k):
-            if pc in prows[i]:
-                prows[i] = update(prows[i])
+        targets = col_rows[pc] - {k}
+        if targets:
+            update = step(prows[k], pc, col_rows)
+            for i in targets:
+                prows[i] = update(prows[i], i)
     done = []
     for pc, prow in zip(pivots, prows):
         inv = F.inv(prow[pc])
         done.append({j: F.convert(F.mul(inv, v)) for j, v in prow.items()})
     return done, pivots
-
-
-def kernel_basis(M: SparseMatrix, F: CoefficientField) -> list[dict]:
-    """A deterministic basis of ker(M) as sparse column vectors."""
-    rrows, pivots = rref(M, F)
-    pivot_set = set(pivots)
-    free = [j for j in range(M.cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        vec = {f: F.one}
-        for prow, pc in zip(rrows, pivots):
-            a = prow.get(f)
-            if a is not None:
-                vec[pc] = F.neg(a)
-        basis.append(vec)
-    return basis
 
 
 def cycles_map_to_boundaries(d_out: SparseMatrix, maps, d_in: SparseMatrix, F: CoefficientField) -> list[bool]:

@@ -460,18 +460,30 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
         d(p + 1, q) once for all the letters).  It tests every cycle, not
         only representatives of homology, so it is at least as strict;
     (c) the nullhomotopy identity: with P_g = right multiplication by g* in
-        the dual factor, dP_g - P_g d sends psi (x) r to
+        the dual factor, dP_g - P_g d = T_g, where T_g sends psi (x) r to
         s^deg(psi) psi (x) r (g conjugated by the inverse YD degree of psi).
         Its Nichols side, d_v(psi g*) = d_v(psi) g* + (braiding term), is the
         recursion that builds the derivations and right products
         (`nichols.NicholsData`), so it holds by construction; the check still
         tests the module side and the assembly.  The Nichols data's
         independent check is the symmetrizer and Gram-matrix oracle of the
-        tests.  No P_g (x) 1 matrix is built: column (k, o) of dP_g - P_g d is
-        summed straight from the columns (i, o) of d(p + 1, q), for the
-        entries i of column k of the right product P_g out of degree p, minus
-        P_g out of degree p - 1 applied to the dual side of column (k, o) of
-        d(p, q), all read as they stand when the check runs.
+        tests.  No P_g (x) 1 or T_g matrix is built: column (k, o) of
+        dP_g - P_g d - T_g is summed straight from the columns (i, o) of
+        d(p + 1, q), for the entries i of column k of the right product P_g
+        out of degree p, minus P_g out of degree p - 1 applied to the dual
+        side of column (k, o) of d(p, q), minus the one entry of T_g read
+        off the module's right multiplication, all read as they stand when
+        the check runs.  The sum is tested for zero as `products_vanish`
+        tests one, and the first nonzero column ends the test of (p, q, g).
+
+    With pr and qr as passed (pr capped at `K.pmax`; by default pr is
+    `K.homology_pmax()` and qr is `K.qmax - 1`) and q* = min(qr, K.qmax - 1),
+    (a) covers the (p, q) with 2 <= p <= pr and 0 <= q < q*, composing d out
+    of (p, q) with d out of (p - 1, q + 1); (b) covers 0 <= p <= min(pr,
+    `K.homology_pmax()`) and 0 <= q <= min(qr, K.qmax - 2); (c) covers
+    1 <= p < pr and 0 <= q < q*.  So (a) and (c) stop one module degree
+    below (b): the CLI passes qr = qmax - 2, and its (a) and (c) end at
+    q = qmax - 3.
     """
     F = K.F
     p_top = K.homology_pmax()
@@ -519,7 +531,7 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
 
     nullhomotopy_ok = True
     s_const = constant_braiding_value(K.V)
-    letters = range(K.V.rack.size)
+    char = F.characteristic
     right = K.nichols.right_products  # [p][g] -> columns of P_g from dual degree p to p + 1
     twisted = {}  # (g, p) -> _twisted_letters(K, g, p), the same for every q
     for q in range(min(qr, K.qmax - 1)):
@@ -527,32 +539,35 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
         for p in range(1, pr):
             if K.dim(p, q) == 0:
                 continue
+            sign = F.convert(s_const**p)
             d_above = K.d(p + 1, q).columns()
             # each column of d(p, q) as (dual index, module index, value) triples
             d_split = [[(*divmod(i, n_tgt), v) for i, v in col.items()] for col in K.d(p, q).columns()]
-            for g in letters:
-                # P_g out of degree p - 1 with its rows placed in term (p, q + 1)
-                pg_below = [[(i * n_tgt, a) for i, a in col.items()] for col in right[p - 1][g]]
-                lhs = []
-                for k, pcol in enumerate(right[p][g]):
-                    for o in range(n_src):
-                        acc = {}
-                        # d P_g: P_g psi_k = sum_i a psi_i, and column (i, o) of d(p + 1, q)
-                        for i, a in pcol.items():
-                            for t, b in d_above[i * n_src + o].items():
-                                acc[t] = acc.get(t, 0) + a * b
-                        # P_g d: P_g applied to the dual side of column (k, o) of d(p, q)
-                        for i, o2, b in d_split[k * n_src + o]:
-                            for base, a in pg_below[i]:
-                                t = base + o2
-                                acc[t] = acc.get(t, 0) - a * b
-                        lhs.append(F.reduced(acc))
+            for g in range(K.V.rack.size):
                 if (g, p) not in twisted:
                     twisted[(g, p)] = _twisted_letters(K, g, p)
-                rhs = _twisted_right_mult(K, twisted[(g, p)], p, q, s_const)
-                if lhs != rhs.columns():
-                    nullhomotopy_ok = False
-                    failures.append(f"nullhomotopy identity fails at (p={p}, q={q}, g={g})")
+                p_above, p_below = right[p][g], right[p - 1][g]
+                rmaps = [K.module.right_mult(gl, q) for gl in twisted[(g, p)]]
+                for j, dcol in enumerate(d_split):
+                    k, o = divmod(j, n_src)
+                    acc = {}
+                    # d P_g: P_g psi_k = sum_i a psi_i, and column (i, o) of d(p + 1, q)
+                    for i, a in p_above[k].items():
+                        for t, b in d_above[i * n_src + o].items():
+                            acc[t] = acc.get(t, 0) + a * b
+                    # P_g d: P_g out of degree p - 1 on the dual side of column (k, o) of d(p, q)
+                    for i, o2, b in dcol:
+                        for i2, a in p_below[i].items():
+                            t = i2 * n_tgt + o2
+                            acc[t] = acc.get(t, 0) - a * b
+                    # T_g: psi_k (x) r -> s^p psi_k (x) r g', g' the twisted letter of psi_k
+                    if (o2 := rmaps[k][o]) is not None:
+                        t = k * n_tgt + o2
+                        acc[t] = acc.get(t, 0) - sign
+                    if any(map(char.__rmod__, acc.values())) if char else any(acc.values()):
+                        nullhomotopy_ok = False
+                        failures.append(f"nullhomotopy identity fails at (p={p}, q={q}, g={g})")
+                        break
     return KoszulIdentityReport(anticommute_ok, trivial_ok, nullhomotopy_ok, failures)
 
 
@@ -567,17 +582,3 @@ def _twisted_letters(K: KoszulComplex, g: int, p: int) -> list[int]:
             gl = inv_act[gl][a]
         out.append(gl)
     return out
-
-
-def _twisted_right_mult(K: KoszulComplex, letters: list[int], p: int, q: int, s_const) -> SparseMatrix:
-    """psi_k (x) r -> s^p psi_k (x) r letters[k], with letters from `_twisted_letters`."""
-    nmod_s = K.module.dim(q)
-    nmod_t = K.module.dim(q + 1)
-    sign = K.F.convert(s_const**p)
-    cols = []
-    for k, gl in enumerate(letters):
-        rmap = K.module.right_mult(gl, q)
-        for o in range(nmod_s):
-            o2 = rmap[o]
-            cols.append({k * nmod_t + o2: sign} if o2 is not None and sign else {})
-    return SparseMatrix._trusted(K.nichols.dim(p) * nmod_t, cols)

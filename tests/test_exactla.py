@@ -1,6 +1,6 @@
 import heapq
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,13 +11,14 @@ from braidhom.exactla import (
     FieldMismatchError,
     RankTable,
     SparseMatrix,
+    _coerced,
+    _content_free,
     _eliminate,
     _elimination_rows,
     _int_pivot_step,
     cycles_map_to_boundaries,
     independent_rows,
     inverse,
-    kernel_basis,
     pivot_columns,
     products_vanish,
     rank,
@@ -30,6 +31,7 @@ from braidhom.nichols import skew_derivation
 from braidhom.orbits import block_plan
 from braidhom.qsa import bar_chains
 from braidhom.shuffle import quantum_symmetrizer
+from tests.oracles import kernel_basis, twisted_right_mult
 from tests.test_braided import S3, s3_transposition_space, transpositions
 from tests.test_fnf import local_systems, small_rack_spaces
 
@@ -126,7 +128,13 @@ def test_unit_pivot_update_is_a_multiple_of_the_general_update(case):
     expected = bareiss_update(prow, pc, r)
     pivot = dict(prow)
     row = dict(r)
-    out = _int_pivot_step(pivot, pc)(row)
+    # supports of row 0 (the target) and of row 1, which the update must
+    # leave as they are
+    col_rows = [{0, 1} if j in r else {1} for j in range(max(prow.keys() | r.keys()) + 1)]
+    out = _int_pivot_step(pivot, pc, col_rows)(row, 0)
+    for j in prow.keys() | r.keys():
+        assert (0 in col_rows[j]) == (j in out), j
+    assert all(1 in s for s in col_rows)
     # the pivot row is at most divided by its content
     assert pivot.keys() == prow.keys()
     assert {Fraction(prow[j], pivot[j]) for j in prow} == {gcd(*prow.values())}
@@ -336,10 +344,74 @@ def chain_pairs(draw):
     return F, d_in, d_out, vectors
 
 
+def modp_pivot_step(p):
+    """The row update over F_p of the oracle below, which rewrites the row
+    and leaves its supports to the caller."""
+
+    def pivot_step(prow: dict, pc: int):
+        pinv = pow(prow[pc], -1, p)
+
+        def update(r: dict) -> dict:
+            f = (r[pc] * pinv) % p
+            for j, v in prow.items():
+                nv = (r.get(j, 0) - f * v) % p
+                if nv:
+                    r[j] = nv
+                else:
+                    r.pop(j, None)
+            return r
+
+        return update
+
+    return pivot_step
+
+
+def int_pivot_step(prow: dict, pc: int):
+    """The fraction-free row update over Z of the oracle below: in place for
+    a unit pivot, else Bareiss' step divided by the content; the supports are
+    left to the caller."""
+    pval = prow[pc]
+    if pval != 1 and pval != -1:
+        g = gcd(*prow.values())
+        if g > 1:
+            for j, v in prow.items():
+                prow[j] = v // g
+            pval = prow[pc]
+    if pval == 1 or pval == -1:
+
+        def unit_update(r: dict) -> dict:
+            f = r[pc] * pval
+            for j, v in prow.items():
+                nv = r.get(j, 0) - f * v
+                if nv:
+                    r[j] = nv
+                else:
+                    r.pop(j, None)
+            return r
+
+        return unit_update
+
+    def update(r: dict) -> dict:
+        a = r[pc]
+        new = {j: pval * v for j, v in r.items()}
+        for j, v in prow.items():
+            nv = new.get(j, 0) - a * v
+            if nv:
+                new[j] = nv
+            else:
+                new.pop(j, None)
+        return _content_free(new)
+
+    return update
+
+
 def eliminate_with_lazy_heap(rows, ncols, pivot_step, leftmost=False):
     """Oracle for `_eliminate`: the same loop with a heap that is pushed a
     (count, column) entry for every column of the pivot row whose support is
-    left nonempty, and that drops each stale entry as it reaches the top."""
+    left nonempty, and that drops each stale entry as it reaches the top.  Its
+    row updates (`modp_pivot_step`, `int_pivot_step`) only rewrite the row,
+    and the loop then sets the row's support in every column of the pivot
+    row."""
     live = dict(enumerate(rows))
     col_rows = [set() for _ in range(ncols)]
     for rid, r in live.items():
@@ -394,6 +466,8 @@ def pivot_sequence(eliminate, M, F, columns_except, leftmost):
     content only once an update is built from it."""
     rows, step = _elimination_rows(M, F, columns_except)
     ncols = M.rows if columns_except is not None else M.cols
+    if eliminate is eliminate_with_lazy_heap:
+        step = modp_pivot_step(F.characteristic) if F.characteristic else int_pivot_step
     return [(pc, {j: F.mul(F.inv(F.convert(prow[pc])), F.convert(v)) for j, v in prow.items()})
             for pc, prow in eliminate(rows, ncols, step, leftmost)]
 
@@ -709,6 +783,76 @@ def test_products_vanish_raises_as_the_products_do():
     with pytest.raises(ValueError, match="shape mismatch"):
         products_vanish([(I2, I2), (I2, SparseMatrix.zero(2, 3))], QQ)
     assert products_vanish([], QQ)
+    # the bad entry sits in column 1 of the later pair, while column 0 of the
+    # sum is already nonzero from the earlier pair alone
+    late = SparseMatrix(2, 2, {(1, 1): Fraction(1, 5)})
+    with pytest.raises(FieldMismatchError):
+        products_vanish([(I2, I2), (I2, late)], F5)
+    with pytest.raises(FieldMismatchError):
+        products_vanish([(I2, SparseMatrix(2, 2, {(0, 0): 1, (1, 1): Fraction(1, 5)}))], F5)
+
+
+def per_column_rows(M, F, columns_except):
+    """Oracle for `_elimination_rows`: every column read coerced by
+    `_coerced`, whatever its entries, then over Q each row that holds a
+    Fraction cleared of denominators and divided by its content."""
+    if columns_except is None:
+        rows = [{} for _ in range(M.rows)]
+        for j, col in enumerate(M.columns()):
+            for i, v in _coerced(col, F).items():
+                rows[i][j] = v
+    else:
+        rows = [_coerced(col, F) for j, col in enumerate(M.columns()) if j not in columns_except]
+    rows = [r for r in rows if r]
+    if not F.characteristic:
+        for k, r in enumerate(rows):
+            if not all(map(int.__instancecheck__, r.values())):
+                den = lcm(*(v.denominator for v in r.values()))
+                rows[k] = _content_free({j: v.numerator * (den // v.denominator) for j, v in r.items()})
+    return rows
+
+
+def rows_or_error(rows_of):
+    """The rows as (column, value, type) lists, or the error they raise."""
+    try:
+        return [[(j, v, type(v)) for j, v in r.items()] for r in rows_of()]
+    except FieldMismatchError:
+        return FieldMismatchError
+
+
+# reduced residues mod 2 and 5, ints outside [1, p) (negative, >= p, and
+# multiples of p, 0 among them), integral and non-integral Fractions, and
+# denominators divisible by 2 or 5
+SCAN_VALUES = [1, 2, 3, 4, 1, 1, -1, -4, 5, 6, 7, 10, 0, -5, 25,
+               Fraction(3), Fraction(-10), Fraction(1, 3), Fraction(-2, 7), Fraction(1, 2), Fraction(3, 10),
+               Fraction(2, 5)]
+
+
+@st.composite
+def columns_with_mixed_entries(draw):
+    """A matrix of up to 6 x 6 held as drawn (zeros stored), whose entries
+    are all reduced mod p in some draws and mixed in others, with a skip set
+    or none."""
+    p = draw(st.sampled_from([0, 2, 5]))
+    F = QQ if p == 0 else GF(p)
+    reduced = {0: [1, -1, 2, -3, 10], 2: [1], 5: [1, 2, 3, 4]}[p]
+    pool = draw(st.sampled_from([reduced, SCAN_VALUES]))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    columns = [{i: draw(st.sampled_from(pool)) for i in range(rows) if draw(st.booleans())} for _ in range(cols)]
+    skip = draw(st.one_of(st.none(), st.sets(st.integers(0, max(cols - 1, 0)))))
+    return F, SparseMatrix._trusted(rows, columns), skip
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns_with_mixed_entries())
+def test_one_scan_gives_the_rows_of_the_per_column_path(case):
+    # the same rows, entry types and order included, and FieldMismatchError
+    # exactly when the per-column path raises; the matrix is left as it was
+    F, M, skip = case
+    before = [dict(col) for col in M.columns()]
+    want = rows_or_error(lambda: per_column_rows(M, F, skip))
+    assert rows_or_error(lambda: _elimination_rows(M, F, skip)[0]) == want
+    assert M.columns() == before
 
 
 def test_columns():
@@ -774,7 +918,7 @@ def test_koszul_and_nichols_matrices_pass_the_constructor_checks(F):
         mats += [M for cx in koszul._multigrade_blocks(K, s).values() for M in cx.diff.values()]
     for p in range(K.pmax):
         for q in range(K.qmax):
-            mats += [koszul._twisted_right_mult(K, koszul._twisted_letters(K, g, p), p, q, -1)
+            mats += [twisted_right_mult(K, koszul._twisted_letters(K, g, p), p, q, -1)
                      for g in range(V.rank)]
     mats += [SparseMatrix._trusted(V.rank * nd.dim(2), list(nd._phi_columns(3)))]
     mats += [skew_derivation(nd, v, p) for p in range(1, K.pmax + 1) for v in range(V.rank)]

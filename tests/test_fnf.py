@@ -9,12 +9,13 @@ from braidhom.braided import (
     BraidedVectorSpace, Cocycle, ConjClassSet, braided_space, identity_perm, rank_one_space,
 )
 from braidhom.cli import builtin_group, class_selector
-from braidhom.exactla import GF, QQ, FieldMismatchError, kernel_basis, rank
+from braidhom.exactla import GF, QQ, FieldMismatchError, rank
 from braidhom.fnf import (
     PermutationSystem, TensorSystem, braid_homology, complex_for_system, fnf_complex, shuffle_blocks,
 )
 from braidhom.hurwitz import rack_orbits
 from braidhom.shuffle import lifted_block_words
+from tests.oracles import kernel_basis
 from tests.test_acceptance import signed_orbit_count
 from tests.test_braided import jordan_plane, s3_transposition_space
 

@@ -17,6 +17,7 @@ from braidhom.koszul import (
 )
 from braidhom.nichols import NicholsData, constant_braiding_value, skew_derivation
 from tests.test_blocks import coboundary_space
+from tests.oracles import twisted_right_mult
 from tests.test_braided import S3, s4_transposition_setup, transpositions
 
 F2 = GF(2)
@@ -252,7 +253,7 @@ def kronecker_nullhomotopy_failures(K, pr, qr):
                 before = tensor_with_identity(SparseMatrix.from_columns(nd.dim(p), nd.right_products[p - 1][g]),
                                               K.module.dim(q + 1))
                 lhs = K.d(p + 1, q).matmul(after, F).add(before.matmul(K.d(p, q), F).scale(-1), F)
-                rhs = koszul._twisted_right_mult(K, koszul._twisted_letters(K, g, p), p, q, s)
+                rhs = twisted_right_mult(K, koszul._twisted_letters(K, g, p), p, q, s)
                 if lhs != rhs:
                     failures.append(f"nullhomotopy identity fails at (p={p}, q={q}, g={g})")
     return failures
@@ -274,18 +275,40 @@ def test_assembly_matches_kronecker_sums(space, field):
                 total = total.add(naive, field)
             assert K.d(p, q) == total, (p, q)
     # the nullhomotopy check agrees with matrix products, on the intact complex
-    # and with one entry of a right product and of a differential corrupted
+    # and with one entry corrupted in each of: a right product together with
+    # d(2, 1); d(2, 0) alone, read as d(p + 1, q) at (p, q) = (1, 0); and a
+    # module right-multiplication table, which once the complex is assembled
+    # only T_g reads
     pr, qr = K.homology_pmax(), qmax - 1
     assert nullhomotopy_failures(verify_koszul_identities(K, pr, qr)) == \
         kronecker_nullhomotopy_failures(K, pr, qr) == []
+    for corrupt in (corrupt_right_product_and_d21, corrupt_d20, corrupt_right_mult):
+        K = koszul_complex(V, "R", pmax=pmax, qmax=qmax, F=field, c=c)
+        corrupt(K, field)
+        expected = kronecker_nullhomotopy_failures(K, pr, qr)
+        assert expected and nullhomotopy_failures(verify_koszul_identities(K, pr, qr)) == expected, corrupt
+
+
+def corrupt_right_product_and_d21(K, field):
     cols = K.nichols.right_products[1][0]
     i, j = min((i, j) for j, col in enumerate(cols) for i in col)
     cols[j][i] = field.add(cols[j][i], 1)
     col = K.d(2, 1).columns()[0]
     i = min(col)
     col[i] = field.add(col[i], 1)
-    expected = kronecker_nullhomotopy_failures(K, pr, qr)
-    assert expected and nullhomotopy_failures(verify_koszul_identities(K, pr, qr)) == expected
+
+
+def corrupt_d20(K, field):
+    col = next(col for col in K.d(2, 0).columns() if col)
+    i = min(col)
+    col[i] = field.add(col[i], 1)
+
+
+def corrupt_right_mult(K, field):
+    # letter 0 on module degree 0 sends the unit to another degree-1 orbit
+    table = list(K.module.right_mult(0, 0))
+    table[0] = (table[0] + 1) % K.module.dim(1)
+    K.module._products[(0, 0, False)] = tuple(table)
 
 
 def test_corrupted_derivation_fails_the_d_squared_check(monkeypatch):
