@@ -41,8 +41,9 @@ def identity_perm(m: int) -> Perm:
 
 
 def pmul(g: Perm, h: Perm) -> Perm:
-    """Composite 'h then g' (right-to-left, like function composition)."""
-    return tuple(g[h[i]] for i in range(len(g)))
+    """Composite 'h then g' (right-to-left, like function composition) of two
+    permutations of one degree."""
+    return tuple(map(g.__getitem__, h))
 
 
 def pinv(g: Perm) -> Perm:

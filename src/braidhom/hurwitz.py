@@ -35,11 +35,12 @@ class SubgroupLattice:
 
     Subgroups are frozensets of elements, listed by (order, sorted elements)
     so that ids are deterministic; G itself is last when c generates G.
-    `masks[i]` is the bitmask of the letters of c (indexed as in
-    `c.elements`) that lie in subgroup i, `conjugations[t]` maps each
-    letter index of c to that of its conjugate by the t-th generator of G,
-    and `labels[n]` lists the monodromy of each braid orbit on c^(x)n, in the
-    order of the orbit table (`monodromy_labels`).
+    `elements` is `c.elements`: the lattice keeps no reference to c, which
+    keeps the lattice.  `masks[i]` is the bitmask of the letters of c
+    (indexed as in `elements`) that lie in subgroup i, `conjugations[t]`
+    maps each letter index of c to that of its conjugate by the t-th
+    generator of G, and `labels[n]` lists the monodromy of each braid orbit
+    on c^(x)n, in the order of the orbit table (`monodromy_labels`).
 
     Every letter set s generates a subgroup of the lattice: adding the
     letters of s one at a time, each step closes the letters of c in a
@@ -51,8 +52,7 @@ class SubgroupLattice:
 
     def __init__(self, c: ConjClassSet):
         G = c.parent
-        self.c = c
-        elems = c.elements
+        self.elements = elems = c.elements
         closures = {}  # generating letter bitmask -> subgroup
 
         def close(mask):
@@ -112,7 +112,7 @@ class SubgroupLattice:
 
     def describe(self, i: int) -> str:
         h = self.subgroups[i]
-        gens = sorted(g for g in self.c.elements if g in h)
+        gens = sorted(g for g in self.elements if g in h)
         return f"H{i}|order={len(h)}|gens=" + ";".join(cycle_notation(g) for g in gens)
 
 

@@ -6,8 +6,10 @@ is the Hurwitz action on c^(x)n.  Words are coded as base-d integers in
 lexicographic order.  The orbits at n are built from those at n - 1:
 sigma_1, ..., sigma_{n-2} fix the last letter and act on the prefix as
 B_{n-1}, so the orbits on words of length n are the classes of the pairs
-(prefix orbit, last letter) joined by sigma_{n-1}.  Those joins are read
-off triples (orbit at n - 2, letter, letter), so building a level costs
+(prefix orbit, last letter) joined by sigma_{n-1}.  On the last two letters
+sigma_{n-1} is the pair braiding (b, a) -> (a, b^a), whose cycles are the
+orbits at n = 2; for each orbit at n - 2 and each such cycle the nodes it
+meets form one joined set, so building a level costs one pass of
 #orbits(n - 2) * d^2 steps and no pass over the d^n words; a word's orbit is
 found by walking the levels' node lists, one letter at a time, and the list
 of every word's orbit is built only for the callers that read it
@@ -55,17 +57,19 @@ class OrbitTable:
 
     Orbits are listed in lexicographic order of their canonical
     representatives.  A node at n >= 1 is a pair (orbit j at n - 1, last
-    letter a), coded j*d + a, and `nodes[j*d + a]` is the orbit at n of the
-    words in that node; `below` is the table at n - 1.  `index` reads a word's
+    letter a), coded j*d + a with d the rack size, and `nodes[j*d + a]` is
+    the orbit at n of the words in that node; `below` is the table at n - 1.
+    The table keeps d, not its rack, so the rack that keeps the table is not
+    referenced back and reference counting frees both.  `index` reads a word's
     orbit by walking these node lists up from the empty word, one letter per
     level.  `orbit_of[w]` lists the orbit of every word code w (`word_index`),
     in lexicographic order of the words; it is built from the level below on
     first use.
     """
 
-    def __init__(self, rack: Rack, n: int, orbits: list[OrbitRecord], nodes: list[int] | None,
+    def __init__(self, d: int, n: int, orbits: list[OrbitRecord], nodes: list[int] | None,
                  below: OrbitTable | None):
-        self.rack = rack
+        self.d = d
         self.n = n
         self.orbits = orbits
         self.nodes = nodes
@@ -82,7 +86,7 @@ class OrbitTable:
             if self.below is None:
                 self._orbit_of = [0]
             else:
-                d = self.rack.size
+                d = self.d
                 blocks = [self.nodes[j * d:j * d + d] for j in range(len(self.below))]
                 self._orbit_of = [k for j in self.below.orbit_of for k in blocks[j]]
         return self._orbit_of
@@ -94,7 +98,7 @@ class OrbitTable:
         """The orbit index of a word of length n over the rack's letters."""
         if len(word) != self.n:
             raise ValueError(f"a word of length {len(word)} has no orbit in the table of words of length {self.n}")
-        d = self.rack.size
+        d = self.d
         k = 0
         for nodes, a in zip(self._levels, word):
             k = nodes[k * d + a]
@@ -107,10 +111,13 @@ def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP) -> OrbitTable:
     The cap d^n <= cap is checked ahead of the cache, which does not key on
     it.  The table is kept on the rack by n and built from the table at n - 1,
     as the module docstring sets out: for every orbit K at n - 2 and letters
-    b, a, sigma_{n-1} joins node (nu(K, b), a) to node (nu(K, a), b^a), where
-    nu is the node list at n - 1.  Union-find keeps each class's least node as
-    its root; node codes follow the order of the nodes' least words, so
-    numbering the classes by root numbers the orbits by least word.
+    b, a, sigma_{n-1} carries node (nu(K, b), a) to node (nu(K, a), b^a),
+    where nu is the node list at n - 1.  Following a cycle C of the pair
+    braiding (`_pair_cycles`), the nodes nu(K, b) * d + a for (b, a) in C all
+    lie in one orbit, so each (K, C) is one join of those nodes.  Union-find
+    keeps each class's least node as its root; node codes follow the order of
+    the nodes' least words, so numbering the classes by root numbers the
+    orbits by least word.  Level 2 is the same loop with K the empty word.
     """
     if rack.size**n > cap:
         raise ValueError(f"state space {rack.size}^{n} exceeds cap {cap}")
@@ -118,24 +125,29 @@ def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP) -> OrbitTable:
     if table is not None:
         return table
     if n == 0:
-        table = rack.orbit_tables[0] = OrbitTable(rack, 0, [OrbitRecord((), 1)], None, None)
+        table = rack.orbit_tables[0] = OrbitTable(rack.size, 0, [OrbitRecord((), 1)], None, None)
         return table
     prev = rack_orbits(rack, n - 1, cap)
     d = rack.size
     root = list(range(len(prev) * d))
     if n >= 2:
-        nu, act = prev.nodes, rack.act
-        moves = [(b, a, act[b][a]) for b in range(d) for a in range(d)]
-        rows = [nu[k * d:k * d + d] for k in range(len(prev.below))]  # rows[K][b] = nu(K, b)
-        for u, v in {(row[b] * d + a, row[a] * d + t) for row in rows for b, a, t in moves}:
-            while root[u] != u:
-                root[u] = u = root[root[u]]
-            while root[v] != v:
-                root[v] = v = root[root[v]]
-            if u < v:
-                root[v] = u
-            elif v < u:
-                root[u] = v
+        nu, cycles = prev.nodes, _pair_cycles(rack)
+        for k in range(len(prev.below)):
+            row = nu[k * d:k * d + d]  # row[b] = nu(K, b) for the orbit K = k at n - 2
+            for cycle in cycles:
+                it = iter(cycle)
+                b, a = next(it)
+                r = row[b] * d + a
+                while root[r] != r:
+                    root[r] = r = root[root[r]]
+                for b, a in it:
+                    u = row[b] * d + a
+                    while root[u] != u:
+                        root[u] = u = root[root[u]]
+                    if u < r:
+                        root[r] = r = u
+                    elif r < u:
+                        root[u] = r
     nodes = [0] * len(root)
     reps, sizes = [], []
     for x in range(len(root)):
@@ -151,8 +163,27 @@ def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP) -> OrbitTable:
             k = nodes[x] = nodes[r]
             sizes[k] += prev.orbits[j].size
     orbits = [OrbitRecord(rep, size) for rep, size in zip(reps, sizes)]
-    table = rack.orbit_tables[n] = OrbitTable(rack, n, orbits, nodes, prev)
+    table = rack.orbit_tables[n] = OrbitTable(d, n, orbits, nodes, prev)
     return table
+
+
+def _pair_cycles(rack: Rack) -> list[list[tuple[int, int]]]:
+    """The cycles of length >= 2 of the pair braiding (b, a) -> (a, b^a) on
+    the letter pairs, the braid orbits on words of length 2, each listed from
+    its least pair along the braiding.  One walk over the d^2 pairs."""
+    d, act = rack.size, rack.act
+    seen = [False] * (d * d)
+    cycles = []
+    for x in range(d * d):
+        cycle = []
+        while not seen[x]:
+            seen[x] = True
+            b, a = divmod(x, d)
+            cycle.append((b, a))
+            x = a * d + act[b][a]
+        if len(cycle) > 1:
+            cycles.append(cycle)
+    return cycles
 
 
 def block_plan(V: BraidedVectorSpace, n: int) -> list[tuple[list[int], int]]:

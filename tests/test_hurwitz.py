@@ -34,6 +34,7 @@ from braidhom.hurwitz import (
     stabilization_thresholds,
     subgroup_lattice,
 )
+from tests.oracles import pairwise_join_orbits
 from tests.test_acceptance import _naive_orbit_count, signed_orbit_count
 from tests.test_braided import S3, transpositions
 from tests.test_fnf import small_class_sets
@@ -97,6 +98,16 @@ def test_orbit_labels_match_per_word_monodromy(group, classes):
 
 
 def test_orbit_tables_are_cached_on_the_class_set_and_die_with_it():
+    # with the cyclic collector off, reference counting alone must free the
+    # tables and the lattice: neither refers back to its owner
+    gc.disable()
+    try:
+        _check_orbit_tables_cached_and_freed()
+    finally:
+        gc.enable()
+
+
+def _check_orbit_tables_cached_and_freed():
     G = S3()
     c = transpositions(G)
     rack = c.rack
@@ -118,7 +129,6 @@ def test_orbit_tables_are_cached_on_the_class_set_and_die_with_it():
     assert list(rack.orbit_tables) == [0, 1, 2, 3] and rack.orbit_tables[3] is plain
     refs = [weakref.ref(plain), weakref.ref(lattice)]
     del G, c, rack, labels, plain, lattice
-    gc.collect()
     assert [r() for r in refs] == [None, None]
 
 
@@ -189,8 +199,9 @@ def class_sets_and_lengths(draw):
 @settings(max_examples=40, deadline=None)
 @given(class_sets_and_lengths())
 def test_rack_orbits_match_tuple_bfs(case):
-    # orbits built by induction on n, against the code sweep under sigma_i and
-    # the tuple sweep under sigma_i and its inverse
+    # orbits built by induction on n, against the code sweep under sigma_i,
+    # the tuple sweep under sigma_i and its inverse, and the build of every
+    # level from pairwise joins
     G, c, n = case
     rack = c.rack
     table = rack_orbits(rack, n)
@@ -202,6 +213,23 @@ def test_rack_orbits_match_tuple_bfs(case):
     assert [rec.rep for rec in table.orbits] == sorted(by_rep)
     assert [rec.size for rec in table.orbits] == [by_rep[r] for r in sorted(by_rep)]
     assert len(rack_orbits(c.rack, n)) == _naive_orbit_count(G, c, n)
+    assert_matches_pairwise_joins(rack, n)
+
+
+def assert_matches_pairwise_joins(rack, n):
+    """Every level 0..n of the orbit tables equals, node for node, the build
+    from pairwise joins."""
+    for m, (nodes, reps, sizes) in enumerate(pairwise_join_orbits(rack, n)):
+        table = rack_orbits(rack, m)
+        assert table.nodes == nodes
+        assert [rec.rep for rec in table.orbits] == reps
+        assert [rec.size for rec in table.orbits] == sizes
+
+
+@pytest.mark.parametrize("group, classes, n", [("S5", "transpositions", 7), ("A4", "3-cycles", 5),
+                                               ("D4", "all", 5)])
+def test_rack_orbits_match_pairwise_joins_on_builtin_groups(group, classes, n):
+    assert_matches_pairwise_joins(class_selector(builtin_group(group), classes).rack, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,7 +264,7 @@ def test_labelled_orbit_table_stays_small_at_scale():
     finally:
         tracemalloc.stop()
     assert len(table) == len(labels) == 390 and sum(rec.size for rec in table.orbits) == 10**7
-    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+    assert peak < 3 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 @st.composite
@@ -538,6 +566,8 @@ def test_rack_orbits_free_rack():
     empty = Rack([], {})
     tables = [rack_orbits(empty, n) for n in range(4)]
     assert [(len(t), t.orbit_of) for t in tables] == [(1, [0]), (0, []), (0, []), (0, [])]
+    assert_matches_pairwise_joins(triv, 4)
+    assert_matches_pairwise_joins(empty, 3)
 
 
 def test_orbit_ring_module_multiplication():
