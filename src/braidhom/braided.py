@@ -17,11 +17,11 @@ lazily on first use: each group's right-multiplication index tables,
 `ConjClassSet.rack` and `ConjClassSet.lattice` (filled by
 `hurwitz.subgroup_lattice`; the lattice keeps the orbits' monodromy labels of
 `hurwitz.monodromy_labels`, one list per word length), each rack's
-`orbit_tables`, one per word length (filled and read through
-`orbits.rack_orbits` alone; each table builds its list of every word's orbit,
-`orbit_of`, on first read), and each braided space's inverse braiding, sign
-twist and `block_products` (filled by `qsa.bar_blocks` with the words its
-blocks read).  Those fills are not locked.
+`orbit_tables`, one per word length, and its `pair_cycles` (both filled and
+read through `orbits.rack_orbits` alone; each table builds its list of every
+word's orbit, `orbit_of`, on first read), and each braided space's inverse
+braiding, sign twist and `block_products` (filled by `qsa.bar_blocks` with the
+words its blocks read).  Those fills are not locked.
 """
 
 from __future__ import annotations
@@ -192,21 +192,25 @@ class PermGroup:
                     frontier.append(y)
         return frozenset(orbit)
 
+    def right_table(self, g: Perm) -> list[int]:
+        """The table x -> x*g on element indices (positions in `elements`)
+        for an element g of this group, built on first use and kept."""
+        i = self._index.get(tuple(g))
+        if i is None:
+            raise ValueError(f"{cycle_notation(g)} is not an element of {self.name}")
+        table = self._right_tables.get(i)
+        if table is None:
+            index = self._index
+            table = self._right_tables[i] = [index[pmul(x, g)] for x in self.elements]
+        return table
+
     def subgroup_closure(self, gens: list[Perm]) -> frozenset:
         """The subgroup generated by elements of this group, as a frozenset.
 
         Breadth-first closure of the identity under right multiplication by
         the generators, on element indices.
         """
-        tables = []
-        for g in gens:
-            i = self._index.get(tuple(g))
-            if i is None:
-                raise ValueError(f"{cycle_notation(g)} is not an element of {self.name}")
-            if i not in self._right_tables:
-                index = self._index
-                self._right_tables[i] = [index[pmul(x, g)] for x in self.elements]
-            tables.append(self._right_tables[i])
+        tables = [self.right_table(g) for g in gens]
         e = self._index[identity_perm(self.degree)]
         seen = {e}
         frontier = [e]
@@ -315,7 +319,9 @@ class Rack:
 
     For each b the map a -> a^b must be a bijection.  `quandle` records whether
     a^a = a holds for all a.  `orbit_tables` holds the braid orbits on words
-    of each length n, keyed by n and filled by `orbits.rack_orbits`.
+    of each length n, keyed by n, and `pair_cycles` the cycles of the pair
+    braiding (b, a) -> (a, b^a) that join them; both are filled by
+    `orbits.rack_orbits`.
     """
 
     def __init__(self, labels: list, action: dict):
@@ -340,6 +346,7 @@ class Rack:
                         )
         self.quandle = all(self.act[a][a] == a for a in range(self.size))
         self.orbit_tables: dict = {}
+        self.pair_cycles: list | None = None
         # inv_act[v][b] = the unique a with a^b = v
         self.inv_act = [[None] * self.size for _ in range(self.size)]
         for a in range(self.size):

@@ -3,8 +3,9 @@
 The braid orbits themselves come from `orbits.rack_orbits` (re-exported
 here), built by induction on n; they belong to the rack of c alone.  On top
 of the orbit tables sit: monodromy subgroups and the lattice of subgroups of
-G generated from c, built once and kept on c, with the monodromy label of
-every orbit (`monodromy_labels`, one list per n, kept on the lattice); the
+G generated from c, built once by coset extension on element indices and
+kept on c, with the monodromy label of every orbit (`monodromy_labels`, one
+list per n, kept on the lattice and checked by lattice index); the
 modules over the orbit ring with their grading by letter classes; the
 stratification of the orbit ring by exact monodromy; Nielsen classes
 (simultaneous conjugation) with component counts and their Betti numbers;
@@ -47,56 +48,78 @@ class SubgroupLattice:
     lattice subgroup together with one more letter, as the construction
     does.  A lattice subgroup whose letter mask contains s contains <s>, so
     <s> is the first one in (order, elements) order with that property, and
-    `generated_by` reads it off without a closure.
+    `generated_by` reads it off without a closure, once per mask.
+
+    The construction works on element indices of G and the right
+    multiplication tables `PermGroup.right_table` of the letters.  Starting
+    from the trivial group, it extends each subgroup H found by each letter a
+    outside it, once per letter mask of H plus a.  <H, a> grows from H as
+    right cosets H r (Dimino's algorithm): the table of a generator g maps
+    the coset H r onto the coset H r g elementwise, so a coset is taken in
+    whole when one of its elements is new, and the union is closed under H's
+    generating letters and a alone.  A lattice subgroup is generated by its letters, so its
+    letter mask identifies it; the frozensets are built once, at the end.
     """
 
     def __init__(self, c: ConjClassSet):
         G = c.parent
         self.elements = elems = c.elements
-        closures = {}  # generating letter bitmask -> subgroup
-
-        def close(mask):
-            if mask not in closures:
-                closures[mask] = G.subgroup_closure([g for a, g in enumerate(elems) if mask >> a & 1])
-            return closures[mask]
-
-        def letters_in(h):
-            return sum(1 << a for a, g in enumerate(elems) if g in h)
-
-        found = {}  # subgroup -> its letter mask
-        frontier = []
-        for a in range(len(elems)):
-            h = close(1 << a)
-            if h not in found:
-                found[h] = letters_in(h)
-                frontier.append(h)
+        tables = [G.right_table(g) for g in elems]  # tables[a][x]: the index of x * letter a
+        e = G.elements.index(identity_perm(G.degree))
+        where = [t[e] for t in tables]  # the element index of each letter
+        found = {0: ([e], [])}  # letter mask -> (element indices, generating letters)
+        closed = {}  # generating letter mask -> letter mask of the subgroup it generates
+        frontier = [0]
         while frontier:
             nxt = []
-            for h in frontier:
+            for mask in frontier:
+                members, chain = found[mask]
                 for a in range(len(elems)):
-                    if found[h] >> a & 1:
+                    s = mask | 1 << a
+                    if s == mask or s in closed:
                         continue
-                    h2 = close(found[h] | 1 << a)
-                    if h2 not in found:
-                        found[h2] = letters_in(h2)
-                        nxt.append(h2)
+                    gens = [tables[b] for b in chain] + [tables[a]]
+                    seen = set(members)
+                    cosets = [members]
+                    for coset in cosets:  # cosets grows while it is walked
+                        x = coset[0]
+                        for t in gens:
+                            if t[x] not in seen:
+                                image = [t[y] for y in coset]
+                                seen.update(image)
+                                cosets.append(image)
+                    m = closed[s] = sum(1 << b for b, i in enumerate(where) if i in seen)
+                    if m not in found:
+                        found[m] = ([i for coset in cosets for i in coset], chain + [a])
+                        nxt.append(m)
             frontier = nxt
-        self.subgroups = sorted(found, key=lambda h: (len(h), sorted(h)))
-        self.masks = [found[h] for h in self.subgroups]
+        del found[0]
+        # element indices follow the sorted elements, so this is (order, sorted elements) order
+        self.masks = sorted(found, key=lambda m: (len(found[m][0]), sorted(found[m][0])))
+        self.subgroups = [frozenset(G.elements[i] for i in found[m][0]) for m in self.masks]
         self._index = {h: i for i, h in enumerate(self.subgroups)}
+        self._ids = {m: i for i, m in enumerate(self.masks)}  # letter mask -> index of <mask>
+        self._ids.update((s, self._ids[m]) for s, m in closed.items())
         self._trivial = frozenset({identity_perm(G.degree)})
+        self._notations = [cycle_notation(g) for g in elems]
         self.conjugations = letter_conjugations(G, elems)
         self.labels: dict = {}  # n -> the monodromy of each orbit on c^(x)n
+
+    def generated_index(self, letters: int) -> int:
+        """The index of the subgroup generated by the letters of c in a
+        nonempty bitmask, memoised by mask."""
+        i = self._ids.get(letters)
+        if i is None:
+            i = next((i for i, mask in enumerate(self.masks) if letters & mask == letters), None)
+            if i is None or not letters:
+                raise ValueError(f"letter mask {letters:#x} is not a nonempty subset of c")
+            self._ids[letters] = i
+        return i
 
     def generated_by(self, letters: int) -> frozenset:
         """The subgroup generated by the letters of c in a bitmask; the
         empty set generates the trivial group."""
-        if not letters:
-            return self._trivial
-        for h, mask in zip(self.subgroups, self.masks):
-            if letters & mask == letters:
-                return h
-        raise ValueError(f"letter mask {letters:#x} is not a subset of c")
+        return self.subgroups[self.generated_index(letters)] if letters else self._trivial
 
     def __len__(self):
         return len(self.subgroups)
@@ -111,9 +134,9 @@ class SubgroupLattice:
         return self._index[frozenset(h)]
 
     def describe(self, i: int) -> str:
-        h = self.subgroups[i]
-        gens = sorted(g for g in self.elements if g in h)
-        return f"H{i}|order={len(h)}|gens=" + ";".join(cycle_notation(g) for g in gens)
+        mask = self.masks[i]
+        gens = ";".join(s for a, s in enumerate(self._notations) if mask >> a & 1)
+        return f"H{i}|order={len(self.subgroups[i])}|gens={gens}"
 
 
 def monodromy_labels(c: ConjClassSet, n: int, cap: int = DEFAULT_STATE_CAP) -> list[frozenset]:
@@ -123,10 +146,10 @@ def monodromy_labels(c: ConjClassSet, n: int, cap: int = DEFAULT_STATE_CAP) -> l
     Built by induction on n over the nodes of the orbit table: a word's
     monodromy is <monodromy of its prefix, last letter>, so the words of node
     (orbit j at n - 1, letter a) all have monodromy <label of j, a>, read off
-    the subgroup lattice of c once per letter set.  Every node is checked
-    against its orbit's label; since the labels at n - 1 were checked in
-    turn, this checks the label on every word.  The list is kept on that
-    lattice, together with the lists below n.
+    the subgroup lattice of c by letter mask.  Every node is checked against
+    its orbit's label, by lattice index; since the labels at n - 1 were
+    checked in turn, this checks the label on every word.  The list is kept
+    on that lattice, together with the lists below n.
     """
     table = rack_orbits(c.rack, n, cap=cap)
     lattice = subgroup_lattice(c)
@@ -136,22 +159,17 @@ def monodromy_labels(c: ConjClassSet, n: int, cap: int = DEFAULT_STATE_CAP) -> l
         labels = [lattice.generated_by(0)]
     else:
         d = len(c.elements)
-        masks = dict(zip(lattice.subgroups, lattice.masks))  # subgroup -> the letters of c in it
-        by_letters = {}  # letter bitmask -> the subgroup it generates
-        node_labels = []
-        for h in monodromy_labels(c, n - 1, cap):
-            mask = masks.get(h, 0)  # the empty word's trivial group holds no letter
-            for a in range(d):
-                s = mask | 1 << a
-                if s not in by_letters:
-                    by_letters[s] = lattice.generated_by(s)
-                node_labels.append(by_letters[s])
-        labels = [None] * len(table)
-        for k, h in zip(table.nodes, node_labels):
-            if labels[k] is None:
-                labels[k] = h
-            elif labels[k] != h:
+        # the letters in each prefix orbit's label; the empty word's trivial group holds none
+        prefix = [lattice.masks[lattice.index(h)] if n > 1 else 0 for h in monodromy_labels(c, n - 1, cap)]
+        # rows[m][a]: the lattice index of <m, a>, once per distinct prefix mask
+        rows = {m: [lattice.generated_index(m | 1 << a) for a in range(d)] for m in set(prefix)}
+        ids = [-1] * len(table)
+        for k, i in zip(table.nodes, [i for m in prefix for i in rows[m]]):
+            if ids[k] < 0:
+                ids[k] = i
+            elif ids[k] != i:
                 raise AssertionError("monodromy is not constant on an orbit")
+        labels = [lattice.subgroups[i] for i in ids]
     lattice.labels[n] = labels
     return labels
 
@@ -162,12 +180,13 @@ def nielsen_component_count(c: ConjClassSet, n: int, cap: int = DEFAULT_STATE_CA
     Braid moves commute with simultaneous conjugation, so conjugation by G
     permutes the braid orbits, and keeps those of monodromy G among
     themselves; the count is the number of classes of monodromy G
-    (`orbits.orbit_classes`), read off the orbit table and its labels.
+    (`orbits.orbit_classes`), read off the orbit table and its labels.  A
+    label is G exactly when its order is |G|.
     """
     labels = monodromy_labels(c, n, cap=cap)
-    full = frozenset(c.parent.elements)
+    order = c.parent.order
     classes = orbit_classes(rack_orbits(c.rack, n, cap=cap), subgroup_lattice(c).conjugations)
-    return sum(labels[cls[0]] == full for cls in classes)
+    return sum(len(labels[cls[0]]) == order for cls in classes)
 
 
 def subgroup_lattice(c: ConjClassSet) -> SubgroupLattice:
@@ -355,11 +374,11 @@ def nielsen_components(c: ConjClassSet, n: int, F: CoefficientField):
                     class_of[img[w]] = len(reps)
                     cls.append(img[w])
         reps.append(w0)
-    full = frozenset(c.parent.elements)
+    order = c.parent.order
     surj, pos = [], {}
     for k, code in enumerate(reps):
         w = index_word(code, d, n)
-        if lattice.generated_by(sum(1 << a for a in set(w))) == full:
+        if len(lattice.generated_by(sum(1 << a for a in set(w)))) == order:
             pos[k] = len(surj)
             surj.append(w)
     rack = c.rack

@@ -450,7 +450,11 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
 
     (a) the per-class differentials square to zero and anticommute pairwise,
         each sum of products tested for zero without building it
-        (`exactla.products_vanish`);
+        (`exactla.products_vanish`).  With one class d is d_0 itself
+        (`_union`), and the d^2 check of every diagonal (`GradedComplex`,
+        at construction) has already tested each product d_0 d_0 of the
+        window below, so (a) tests nothing more; with two or more classes it
+        tests every pair;
     (b) for a monodromy stratum, the module multiplication on the side
         commuting with d (the left, given the right-multiplication
         differential) is zero on homology: for each letter, left
@@ -493,7 +497,7 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
 
     anticommute_ok = True
     m = len(K.classes)
-    for q in range(min(qr, K.qmax - 1)):
+    for q in range(min(qr, K.qmax - 1) if m > 1 else 0):  # one class: the d^2 check covers (a)
         for p in range(2, pr + 1):
             if K.dim(p, q) == 0:
                 continue

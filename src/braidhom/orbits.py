@@ -113,8 +113,9 @@ def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP) -> OrbitTable:
     as the module docstring sets out: for every orbit K at n - 2 and letters
     b, a, sigma_{n-1} carries node (nu(K, b), a) to node (nu(K, a), b^a),
     where nu is the node list at n - 1.  Following a cycle C of the pair
-    braiding (`_pair_cycles`), the nodes nu(K, b) * d + a for (b, a) in C all
-    lie in one orbit, so each (K, C) is one join of those nodes.  Union-find
+    braiding (`_pair_cycles`, listed once per rack and kept on it as
+    `pair_cycles`), the nodes nu(K, b) * d + a for (b, a) in C all lie in one
+    orbit, so each (K, C) is one join of those nodes.  Union-find
     keeps each class's least node as its root; node codes follow the order of
     the nodes' least words, so numbering the classes by root numbers the
     orbits by least word.  Level 2 is the same loop with K the empty word.
@@ -131,7 +132,9 @@ def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP) -> OrbitTable:
     d = rack.size
     root = list(range(len(prev) * d))
     if n >= 2:
-        nu, cycles = prev.nodes, _pair_cycles(rack)
+        if rack.pair_cycles is None:
+            rack.pair_cycles = _pair_cycles(rack)
+        nu, cycles = prev.nodes, rack.pair_cycles
         for k in range(len(prev.below)):
             row = nu[k * d:k * d + d]  # row[b] = nu(K, b) for the orbit K = k at n - 2
             for cycle in cycles:

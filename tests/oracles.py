@@ -3,10 +3,11 @@
 Each function here recomputes something the library computes another way,
 so that a test can compare the two: a kernel basis read off the reduced row
 echelon form, the twisted right multiplication T_g of the Koszul
-nullhomotopy identity as a whole matrix, and the braid orbit tables built
-from pairwise joins.
+nullhomotopy identity as a whole matrix, the braid orbit tables built
+from pairwise joins, and subgroup closures by plain tuple composition.
 """
 
+from braidhom.braided import pmul
 from braidhom.exactla import CoefficientField, SparseMatrix, rref
 
 
@@ -83,3 +84,21 @@ def pairwise_join_orbits(rack, n: int) -> list[tuple[list[int] | None, list[tupl
                 sizes[k] += prev_sizes[j]
         levels.append((nodes, reps, sizes))
     return levels
+
+
+def tuple_closure(gens: list[tuple], identity: tuple) -> frozenset:
+    """The subgroup generated by permutation tuples: breadth-first closure
+    of the identity under right composition with each generator, by `pmul`
+    on the tuples themselves, with no group or index table."""
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = pmul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(seen)

@@ -160,14 +160,19 @@ GOLDEN = Path(__file__).parent / "golden"
      ["orbits", "--group", "S4", "--classes", "transpositions", "--nmax", "6", "--components"]),
     ("orbits_S5_transpositions_nmax7_components.csv",
      ["orbits", "--group", "S5", "--classes", "transpositions", "--nmax", "7", "--components"]),
+    ("orbits_S6_transpositions_nmax5_components.csv",
+     ["orbits", "--group", "S6", "--classes", "transpositions", "--nmax", "5", "--components"]),
 ])
 def test_orbits_golden(name, argv, capsys):
     # stdout recorded from earlier orbit engines: the first two when orbits
     # were a tuple BFS over sigma_i and its inverse, and components were
     # counted by a BFS over Nielsen classes; the next two when orbits were a
     # sweep of the word codes under sigma_i and every monodromy label was a
-    # subgroup closure, before orbits were built by induction on n; the last
-    # when each level was built and labelled with a pass over every word code
+    # subgroup closure, before orbits were built by induction on n; the fifth
+    # when each level was built and labelled with a pass over every word
+    # code; the last, which pins the H<i> ids of a lattice of 202 subgroups,
+    # when each lattice subgroup was closed from the identity under every
+    # letter of its generating mask
     rc, out = run(capsys, argv)
     assert rc == 0
     assert out == (GOLDEN / name).read_text()

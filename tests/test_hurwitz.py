@@ -34,7 +34,7 @@ from braidhom.hurwitz import (
     stabilization_thresholds,
     subgroup_lattice,
 )
-from tests.oracles import pairwise_join_orbits
+from tests.oracles import pairwise_join_orbits, tuple_closure
 from tests.test_acceptance import _naive_orbit_count, signed_orbit_count
 from tests.test_braided import S3, transpositions
 from tests.test_fnf import small_class_sets
@@ -125,8 +125,12 @@ def _check_orbit_tables_cached_and_freed():
     assert filtered_module(c, frozenset(G.elements), 2).stratum == frozenset(G.elements)
     assert orbit_ring_module(rack, 3, class_of=c.class_of).stratum is None
     assert c.lattice is lattice
-    # one table per word length, whatever grading or labels are read
+    # one table per word length, whatever grading or labels are read, and
+    # one list of pair-braiding cycles for every level
     assert list(rack.orbit_tables) == [0, 1, 2, 3] and rack.orbit_tables[3] is plain
+    cycles = rack.pair_cycles
+    rack_orbits(rack, 4)
+    assert cycles is not None and rack.pair_cycles is cycles
     refs = [weakref.ref(plain), weakref.ref(lattice)]
     del G, c, rack, labels, plain, lattice
     assert [r() for r in refs] == [None, None]
@@ -342,6 +346,35 @@ def test_lattice_reads_off_every_generated_subgroup():
         for mask in masks:
             gens = [g for a, g in enumerate(c.elements) if mask >> a & 1]
             assert lattice.generated_by(mask) == G.subgroup_closure(gens), (G.name, d, mask)
+
+
+def test_lattice_matches_tuple_closures():
+    # the lattice against closures by tuple composition, which read no index
+    # table: up to 2^10 letter subsets, the closures of all of them; above,
+    # those reached by adding one letter at a time, and a fixed sample of 200 masks
+    rng = random.Random(0)
+    G5 = builtin_group("S5")
+    for G, c in [*all_class_sets(), (G5, class_selector(G5, "transpositions"))]:
+        d, e = len(c.elements), identity_perm(G.degree)
+        lattice = subgroup_lattice(c)
+
+        def closure(mask):
+            return tuple_closure([g for a, g in enumerate(c.elements) if mask >> a & 1], e)
+
+        if d <= 10:
+            closures = {mask: closure(mask) for mask in range(2**d)}
+            subgroups = {closures[mask] for mask in range(1, 2**d)}
+        else:
+            closures = {mask: closure(mask) for mask in [0, 2**d - 1] + rng.sample(range(2**d), 200)}
+            subgroups, frontier = set(), {frozenset({e})}
+            while frontier:
+                frontier = {tuple_closure([*h, g], e) for h in frontier for g in c.elements} - subgroups
+                subgroups |= frontier
+        oracle = sorted(subgroups, key=lambda h: (len(h), sorted(h)))
+        assert lattice.subgroups == oracle, (G.name, d)
+        assert lattice.masks == [sum(1 << a for a, g in enumerate(c.elements) if g in h) for h in oracle]
+        for mask, h in closures.items():
+            assert lattice.generated_by(mask) == h, (G.name, d, mask)
 
 
 def test_monodromy_examples():

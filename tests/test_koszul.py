@@ -153,15 +153,55 @@ def test_strata_identities_and_vanishing(field):
         assert top <= 4, lat.describe(lat.index(H))
 
 
+def s3_two_classes():
+    """The complex of the S3 space on all six nontrivial elements (two
+    classes), with the orbit ring."""
+    G = S3()
+    c = ConjClassSet(G, [g for g in G.elements if g != identity_perm(3)])
+    V = braided_space(c.rack, Cocycle.constant(c.rack, 1), epsilon=True, group=G)
+    return koszul_complex(V, "R", pmax=3, qmax=4, F=QQ, c=c)
+
+
 def test_anticommute_negative_control():
-    G, c, V = s3_setup()
-    K = koszul_complex(V, "R", pmax=3, qmax=4, F=QQ, c=c)
-    key = (0, 2, 1)
-    M = K.d_class[key]
+    # one corrupted derivation entry of d_0 out of (2, 1): with two classes
+    # check (a) sees it; with one, d is d_0 and the d^2 check of the diagonal
+    # that check (a) leaves it to sees it
+    K = s3_two_classes()
+    M = K.d_class[(0, 2, 1)]
     (i0, j0) = next(iter(M.entries))
-    M.columns()[j0][i0] = M.columns()[j0][i0] + 1  # corrupt one derivation entry
+    M.columns()[j0][i0] = M.columns()[j0][i0] + 1
     rep = verify_koszul_identities(K, pr=3, qr=2)
     assert not rep.anticommute_ok
+
+    G, c, V = s3_setup()
+    K = koszul_complex(V, "R", pmax=3, qmax=4, F=QQ, c=c)
+    M = K.d_class[(0, 2, 1)]
+    assert K.d(2, 1) is M and K.diagonals[3].diff[2] is M
+    (i0, j0) = next(iter(M.entries))
+    M.columns()[j0][i0] = M.columns()[j0][i0] + 1
+    with pytest.raises(ComplexIntegrityError, match="d\\^2 != 0"):
+        K.diagonals[3].check_complex()
+
+
+def test_check_a_tests_each_product_once(monkeypatch):
+    # with one class the d^2 check at construction has tested every product
+    # of check (a), which then makes no products_vanish call; with two
+    # classes it makes one per pair of classes at each (p, q) of its window
+    calls = []
+    real = koszul.products_vanish
+
+    def counted(pairs, F):
+        calls.append(len(pairs))
+        return real(pairs, F)
+
+    G, c, V = s3_setup()
+    one = koszul_complex(V, "R", pmax=3, qmax=4, F=QQ, c=c)
+    two = s3_two_classes()
+    monkeypatch.setattr(koszul, "products_vanish", counted)
+    assert verify_koszul_identities(one, pr=3, qr=3).ok and calls == []
+    assert verify_koszul_identities(two, pr=3, qr=3).ok
+    window = [(p, q) for q in range(3) for p in range(2, 4) if two.dim(p, q)]
+    assert window and calls == [1, 2, 1] * len(window)  # d_0^2, d_0 d_1 + d_1 d_0, d_1^2
 
 
 def nullhomotopy_failures(rep):
@@ -647,9 +687,12 @@ def test_identities_read_the_grades_the_plan_leaves_out():
     K._plans.clear()
     assert koszul_homology(K) == before
     rep = verify_koszul_identities(K)
-    # d(2, 1) is d_0 (one class) and feeds the nullhomotopy identity at p = 1
-    assert not rep.anticommute_ok and not rep.nullhomotopy_ok
-    assert "d_0^2 != 0 at (p=2, q=1)" in rep.failures
+    # d(2, 1) feeds the nullhomotopy identity at p = 1; it is d_0 (one
+    # class), so check (a) leaves its square to the d^2 check of diagonal 3,
+    # which reads every grade
+    assert not rep.nullhomotopy_ok
+    with pytest.raises(ComplexIntegrityError, match="d\\^2 != 0 between degrees 2 and 0"):
+        K.diagonals[3].check_complex()
 
 
 def test_sub_pair_complex():
