@@ -13,10 +13,11 @@ A class set has one rack, its conjugation quandle `ConjClassSet.rack`; every
 space, orbit table and module on that class set is built on it.
 
 Structures are not changed after construction, apart from caches that fill
-lazily on first use: each group's right-multiplication index tables,
-`ConjClassSet.rack` and `ConjClassSet.lattice` (filled by
-`hurwitz.subgroup_lattice`; the lattice keeps the orbits' monodromy labels of
-`hurwitz.monodromy_labels`, one list per word length), each rack's
+lazily on first use: each group's right-multiplication index tables and
+its conjugacy-class partition `class_indices`, `ConjClassSet.rack` and
+`ConjClassSet.lattice` (filled by `hurwitz.subgroup_lattice`; the lattice
+keeps the orbits' monodromy labels of `hurwitz.monodromy_labels`, one list
+per word length), each rack's
 `orbit_tables`, one per word length, and its `pair_cycles` (both filled and
 read through `orbits.rack_orbits` alone; each table builds its list of every
 word's orbit, `orbit_of`, on first read), and each braided space's inverse
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 from .exactla import QQ, SparseMatrix, inverse, rank
 
@@ -56,16 +58,6 @@ def pinv(g: Perm) -> Perm:
 def conj(b: Perm, a: Perm) -> Perm:
     """b^a = a^-1 b a."""
     return pmul(pinv(a), pmul(b, a))
-
-
-def perm_order(g: Perm) -> int:
-    n = 1
-    h = g
-    e = identity_perm(len(g))
-    while h != e:
-        h = pmul(h, g)
-        n += 1
-    return n
 
 
 def cycles(g: Perm) -> list[tuple[int, ...]]:
@@ -143,9 +135,13 @@ class PermGroup:
     """A finite permutation group with fully enumerated elements.
 
     Enumeration is breadth-first closure over the generators, capped (default
-    10000 elements) because every group in scope here is tiny.  For each
-    element g used as a generator of a subgroup, the group keeps the table
-    x -> x*g on element indices, built on first use.
+    10000 elements) because every group in scope here is tiny.  The group is
+    the one owner of element arithmetic: elsewhere an element is named by its
+    index in the sorted `elements`, and the identity is index 0 (every other
+    permutation tuple is lexicographically larger).  Products are read from
+    `right_table(g)`, the table x -> x*g on element indices, built on first
+    use for each g and kept; conjugacy classes from `class_indices`, one
+    partition of the elements, also built on first use and kept.
     """
 
     def __init__(self, degree: int, generators: list[Perm], name: str = "", cap: int = 10000):
@@ -192,6 +188,20 @@ class PermGroup:
                     frontier.append(y)
         return frozenset(orbit)
 
+    @cached_property
+    def class_indices(self) -> list[list[int]]:
+        """The conjugacy classes as sorted element indices, in order of their
+        least element; the one kept list, not to be mutated."""
+        index, classes = self._index, []
+        placed = [False] * self.order
+        for i, g in enumerate(self.elements):
+            if not placed[i]:
+                cl = sorted(index[h] for h in self.conjugacy_class(g))
+                for j in cl:
+                    placed[j] = True
+                classes.append(cl)
+        return classes
+
     def right_table(self, g: Perm) -> list[int]:
         """The table x -> x*g on element indices (positions in `elements`)
         for an element g of this group, built on first use and kept."""
@@ -211,9 +221,8 @@ class PermGroup:
         the generators, on element indices.
         """
         tables = [self.right_table(g) for g in gens]
-        e = self._index[identity_perm(self.degree)]
-        seen = {e}
-        frontier = [e]
+        seen = {0}
+        frontier = [0]
         for x in frontier:  # frontier grows while it is walked
             for t in tables:
                 y = t[x]
@@ -248,7 +257,8 @@ def load_group(text: str, name: str = "") -> PermGroup:
 class ConjClassSet:
     """A conjugation-closed set of nontrivial group elements, with its class partition.
 
-    `classes` lists the conjugacy classes of `parent` that make up the set, and
+    `classes` lists the conjugacy classes of `parent` that make up the set, in
+    the order of `PermGroup.class_indices`, and
     `class_of[a]` is the index in `classes` of the class of letter a (the a-th
     of the sorted `elements`).  The `rational` flag records closure under
     g -> g^a for all a prime to the order of g; it is checked and reported,
@@ -270,21 +280,13 @@ class ConjClassSet:
                         f"set not closed under conjugation: {cycle_notation(g)} by {cycle_notation(h)}"
                     )
         self.elements = sorted(elems)
-        left = set(elems)
-        self.classes = []
-        while left:
-            g = min(left)
-            cl = parent.conjugacy_class(g)
-            self.classes.append(sorted(cl))
-            left -= cl
+        # the set is conjugation-closed, so a class of the parent lies in it
+        # when its least element does
+        G = parent.elements
+        self.classes = [[G[i] for i in cl] for cl in parent.class_indices if G[cl[0]] in elems]
         class_index = {g: i for i, cl in enumerate(self.classes) for g in cl}
         self.class_of = [class_index[g] for g in self.elements]
-        self.rational = all(
-            pow_perm(g, a) in elems
-            for g in self.elements
-            for a in range(1, perm_order(g))
-            if _coprime(a, perm_order(g))
-        )
+        self.rational = all(_coprime_powers_in(g, elems) for g in self.elements)
         # the lattice of the subgroups of `parent` generated by letters of this
         # set, kept by `hurwitz.subgroup_lattice`
         self.lattice = None
@@ -299,17 +301,15 @@ class ConjClassSet:
         return Rack(self.elements, {(a, b): conj(a, b) for a in self.elements for b in self.elements})
 
 
-def pow_perm(g: Perm, a: int) -> Perm:
-    out = identity_perm(len(g))
-    for _ in range(a):
-        out = pmul(out, g)
-    return out
-
-
-def _coprime(a: int, b: int) -> bool:
-    while b:
-        a, b = b, a % b
-    return a == 1
+def _coprime_powers_in(g: Perm, elems) -> bool:
+    """Whether g^a lies in elems for every a prime to the order of g, read
+    off one walk through the powers of g, which also gives that order."""
+    powers = [g]  # powers[a - 1] = g^a
+    e = identity_perm(len(g))
+    while powers[-1] != e:
+        powers.append(pmul(powers[-1], g))
+    n = len(powers)
+    return all(h in elems for a, h in enumerate(powers[:-1], 1) if gcd(a, n) == 1)
 
 
 # racks and cocycles ----------------------------------------------------------

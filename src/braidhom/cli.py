@@ -25,7 +25,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import braided, fnf, hurwitz, koszul, malle, nichols, qsa
-from .braided import ConjClassSet, PermGroup, cycle_notation, cycle_type, identity_perm, parse_cycles
+from .braided import ConjClassSet, PermGroup, cycle_notation, cycle_type, parse_cycles
 from .exactla import QQ, CoefficientField, ComplexIntegrityError, GF, _is_prime
 
 
@@ -88,7 +88,7 @@ def resolve_group(args) -> PermGroup:
 
 def class_selector(G: PermGroup, spec: str) -> ConjClassSet:
     spec = spec.strip().lower()
-    nontrivial = [g for g in G.elements if g != identity_perm(G.degree)]
+    nontrivial = G.elements[1:]  # the identity is first
     if spec in ("all", "nontrivial"):
         elems = nontrivial
     elif spec == "transpositions":
@@ -313,7 +313,7 @@ def cmd_koszul(args) -> int:
     K = koszul.koszul_complex(V, spec, pmax=args.pmax, qmax=args.qmax, F=F, c=c)
     table = koszul.koszul_homology(K, by_multigrade=args.multigrade)
     rows = [list(key) + [r] for key, r in table.items()]
-    rep = koszul.verify_koszul_identities(K, pr=min(args.pmax, K.pmax), qr=args.qmax - 2)
+    rep = koszul.verify_koszul_identities(K, pr=K.pmax, qr=args.qmax - 2)
     meta = job_meta(args, {
         "field_resolved": str(F), "space": V.name, "schema": "koszul",
         "module_resolved": K.module.name, "pmax_resolved": K.pmax,

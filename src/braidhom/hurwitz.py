@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import product
 from math import comb
 
-from .braided import ConjClassSet, PermGroup, Rack, cycle_notation, identity_perm, index_word, word_index
+from .braided import ConjClassSet, PermGroup, Rack, cycle_notation, index_word, word_index
 from .exactla import CoefficientField
 from .fnf import PermutationSystem, homology_for_system
 from .orbits import DEFAULT_STATE_CAP, letter_conjugations, orbit_classes, rack_orbits
@@ -50,24 +50,24 @@ class SubgroupLattice:
     <s> is the first one in (order, elements) order with that property, and
     `generated_by` reads it off without a closure, once per mask.
 
-    The construction works on element indices of G and the right
-    multiplication tables `PermGroup.right_table` of the letters.  Starting
-    from the trivial group, it extends each subgroup H found by each letter a
-    outside it, once per letter mask of H plus a.  <H, a> grows from H as
-    right cosets H r (Dimino's algorithm): the table of a generator g maps
-    the coset H r onto the coset H r g elementwise, so a coset is taken in
-    whole when one of its elements is new, and the union is closed under H's
-    generating letters and a alone.  A lattice subgroup is generated by its letters, so its
-    letter mask identifies it; the frozensets are built once, at the end.
+    The construction works on element indices of G, the identity being
+    index 0, and the right multiplication tables `PermGroup.right_table` of
+    the letters.  Starting from the trivial group, it extends each subgroup
+    H found by each letter a outside it, once per letter mask of H plus a.
+    <H, a> grows from H as right cosets H r (Dimino's algorithm): the table
+    of a generator g maps the coset H r onto the coset H r g elementwise, so
+    a coset is taken in whole when one of its elements is new, and the union
+    is closed under H's generating letters and a alone.  A lattice subgroup
+    is generated by its letters, so its letter mask identifies it; the
+    frozensets are built once, at the end.
     """
 
     def __init__(self, c: ConjClassSet):
         G = c.parent
         self.elements = elems = c.elements
         tables = [G.right_table(g) for g in elems]  # tables[a][x]: the index of x * letter a
-        e = G.elements.index(identity_perm(G.degree))
-        where = [t[e] for t in tables]  # the element index of each letter
-        found = {0: ([e], [])}  # letter mask -> (element indices, generating letters)
+        where = [t[0] for t in tables]  # the element index of each letter (the identity is index 0)
+        found = {0: ([0], [])}  # letter mask -> (element indices, generating letters)
         closed = {}  # generating letter mask -> letter mask of the subgroup it generates
         frontier = [0]
         while frontier:
@@ -100,7 +100,7 @@ class SubgroupLattice:
         self._index = {h: i for i, h in enumerate(self.subgroups)}
         self._ids = {m: i for i, m in enumerate(self.masks)}  # letter mask -> index of <mask>
         self._ids.update((s, self._ids[m]) for s, m in closed.items())
-        self._trivial = frozenset({identity_perm(G.degree)})
+        self._trivial = frozenset(G.elements[:1])
         self._notations = [cycle_notation(g) for g in elems]
         self.conjugations = letter_conjugations(G, elems)
         self.labels: dict = {}  # n -> the monodromy of each orbit on c^(x)n
@@ -416,10 +416,18 @@ def stabilization_thresholds(c: ConjClassSet, class_index: int, window: dict | i
     on every multigraded piece within the window and reports the least q_i
     beyond which the map is bijective across the window (per letter, and the
     max over the class).  Purely observational; nothing is extrapolated.
+    The window is one bound for every class or a dict with one bound per
+    class index; bounds are nonnegative.
     """
     m = len(c.classes)
+    if class_index not in range(m):
+        raise ValueError(f"class_index {class_index} is not a class of c (0..{m - 1})")
     if isinstance(window, int):
         window = {i: window for i in range(m)}
+    if sorted(window) != list(range(m)):
+        raise ValueError(f"window keys {sorted(window)} are not the classes of c (0..{m - 1})")
+    if any(b < 0 for b in window.values()):
+        raise ValueError(f"window {window} has a negative bound")
     qmax = sum(window.values())
     full = frozenset(c.parent.elements)
     if full not in subgroup_lattice(c):

@@ -34,13 +34,16 @@ Every homology rank is read off a rank plan per diagonal: (complex,
 multiplicity) pairs, as `orbits.block_plan` gives the FNF and bar sides.  The
 terms are graded by G: psi (x) o has grade deg(o) deg(psi), deg the
 left-to-right product of a word's letters, and every class differential
-preserves it.  When conjugation by the generators of V's group preserves
-every braiding coefficient and the module is not a stratum (the full ring R
-or the ring of a subgroup pair), conjugation by h maps the block of grade g
-onto the block of grade h g h^-1, so the plan holds one block per conjugacy
-class of grades, weighted by the class size.  The split reads every entry of
-the diagonal and refuses one joining two grades; it copies only the
-representative blocks and does not check their d^2 again.  Otherwise the
+preserves it.  A grade is an element index of V.group, and products and
+conjugacy classes are read from that group's tables (`PermGroup.right_table`,
+`PermGroup.class_indices`); the complex enumerates no group of its own.
+When conjugation by the generators of V's group preserves every braiding
+coefficient and the module is not a stratum (the full ring R or the ring of
+a subgroup pair), conjugation by h maps the block of grade g onto the block
+of grade h g h^-1, so the plan holds one block per conjugacy class of
+grades, its least index, weighted by the class size.  The split reads every
+entry of the diagonal and refuses one joining two grades; it copies only
+the representative blocks and does not check their d^2 again.  Otherwise the
 plan is the whole diagonal.  The `--multigrade` refinement splits whole
 diagonals through the same `GradedComplex.split`, and
 `verify_koszul_identities` reads the assembled matrices of every grade.
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from . import orbits
-from .braided import BraidedVectorSpace, Cocycle, ConjClassSet, braided_space, identity_perm, pmul
+from .braided import BraidedVectorSpace, Cocycle, ConjClassSet, braided_space
 from .exactla import (CoefficientField, ComplexIntegrityError, RankTable, SparseMatrix, cycles_map_to_boundaries,
                       products_vanish)
 from .fnf import GradedComplex
@@ -248,43 +251,25 @@ def _union(mats: list[SparseMatrix], p: int, q: int, nq_src: int) -> SparseMatri
 
 
 class _GroupGrading:
-    """The G-grade of every basis vector of a complex's terms, on element indices.
+    """The G-grade of every basis vector of a complex's terms, as element
+    indices of G = V.group, with every product read from G's tables.
 
-    The elements of the group generated by the letters' labels are indexed
-    breadth-first from the identity (index 0), by right multiplication with
-    the letters: `rmul[x][a]` is the index of x * label a, and `mul[y][x]`
-    that of x * y, composed from `rmul` through the letter that first reached
-    y, so no grade needs a permutation product.  A word's degree is the
-    left-to-right product of its letters; term psi_k (x) o has grade
-    deg(o) deg(psi_k), which every class differential preserves.  `classes`
-    are the conjugacy classes of those elements in V.group, as sorted
-    indices: when conjugation preserves every braiding coefficient and the
-    module, conjugation by h maps the block of grade g onto the block of
-    grade h g h^-1, so the blocks of one class have equal ranks.
+    `rmul[a]` is `G.right_table` of letter a's label: a word's degree, the
+    left-to-right product of its letters, is walked from the identity (index
+    0) through them, and term psi_k (x) o has grade deg(o) deg(psi_k), read
+    from the right table of deg(psi_k).  Every class differential preserves
+    the grade.  `classes` are G's conjugacy classes, `G.class_indices`: when
+    conjugation preserves every braiding coefficient and the module,
+    conjugation by h maps the block of grade g onto the block of grade
+    h g h^-1, so the blocks of one class have equal ranks.  Classes outside
+    the group generated by the letters hold no basis vector, and `diagonal`
+    leaves them out.
     """
 
     def __init__(self, K: KoszulComplex):
-        labels = K.V.rack.labels
-        e = identity_perm(len(labels[0]))
-        elems, index, parent, self.rmul = [e], {e: 0}, [None], []
-        for x, g in enumerate(elems):  # elems grows while it is walked
-            row = []
-            for a, label in enumerate(labels):
-                h = pmul(g, label)
-                if h not in index:
-                    index[h] = len(elems)
-                    elems.append(h)
-                    parent.append((x, a))
-                row.append(index[h])
-            self.rmul.append(row)
-        self.mul = [list(range(len(elems)))]
-        for x, a in parent[1:]:
-            self.mul.append([self.rmul[z][a] for z in self.mul[x]])
-        seen, self.classes = set(), []
-        for g in elems:
-            if index[g] not in seen:
-                self.classes.append(sorted(index[h] for h in K.V.group.conjugacy_class(g)))
-                seen.update(self.classes[-1])
+        self.G = K.V.group
+        self.rmul = [self.G.right_table(label) for label in K.V.rack.labels]
+        self.classes = self.G.class_indices
         self.dual = {p: self.word_degrees(K.nichols.pivot_words(p)) for p in range(K.pmax + 1)}
         self.mod = {q: self.word_degrees(words) for q, words in K.module.basis_words.items()}
 
@@ -294,16 +279,17 @@ class _GroupGrading:
         for word in words:
             x = 0
             for a in word:
-                x = self.rmul[x][a]
+                x = self.rmul[a][x]
             out.append(x)
         return out
 
     def term_grades(self, p: int, q: int) -> list[int]:
         """The grade of every basis vector of term (p, q), in index order."""
-        mod, rows = self.mod[q], {}
+        G, mod, rows = self.G, self.mod[q], {}
         for y in self.dual[p]:
             if y not in rows:
-                rows[y] = [self.mul[y][x] for x in mod]
+                times_y = G.right_table(G.elements[y])
+                rows[y] = [times_y[x] for x in mod]
         return list(chain.from_iterable(rows[y] for y in self.dual[p]))
 
     def diagonal(self, s: int, degrees) -> tuple[dict, list[list[int]]]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .braided import ConjClassSet, Perm, PermGroup, cycles, identity_perm
+from .braided import ConjClassSet, Perm, PermGroup, cycles
 
 
 def index(g: Perm) -> int:
@@ -24,10 +24,7 @@ def index(g: Perm) -> int:
 
 def malle_a(G: PermGroup, c: ConjClassSet | None = None) -> Fraction:
     """1 / min index over the class set (all nontrivial elements when c is None)."""
-    if c is None:
-        elems = [g for g in G.elements if g != identity_perm(G.degree)]
-    else:
-        elems = c.elements
+    elems = G.elements[1:] if c is None else c.elements  # the identity is first
     if not elems:
         raise ValueError("no nontrivial elements to take indices of")
     return Fraction(1, min(index(g) for g in elems))
@@ -118,11 +115,7 @@ class MalleConstants:
 
 def malle_constants(G: PermGroup, c: ConjClassSet | None = None,
                     orbit_window=None) -> MalleConstants:
-    if c is None:
-        elems = [g for g in G.elements if g != identity_perm(G.degree)]
-        cs = ConjClassSet(G, elems)
-    else:
-        cs = c
+    cs = ConjClassSet(G, G.elements[1:]) if c is None else c  # the identity is first
     inds = [index(cl[0]) for cl in cs.classes]
     a = malle_a(G, cs)
     zorder = len(G.center())

@@ -138,9 +138,6 @@ class NicholsData:
         self.build_to(p)
         return len(self.pivots[p])
 
-    def dims(self, pmax: int) -> list[int]:
-        return [self.dim(p) for p in range(pmax + 1)]
-
     def pivot_words(self, p: int) -> list[tuple[int, ...]]:
         self.build_to(p)
         return [index_word(i, self.V.rank, p) for i in self.pivots[p]]

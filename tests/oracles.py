@@ -4,10 +4,13 @@ Each function here recomputes something the library computes another way,
 so that a test can compare the two: a kernel basis read off the reduced row
 echelon form, the twisted right multiplication T_g of the Koszul
 nullhomotopy identity as a whole matrix, the braid orbit tables built
-from pairwise joins, and subgroup closures by plain tuple composition.
+from pairwise joins, subgroup closures by plain tuple composition, and
+conjugacy classes and the rational-class test by brute force.
 """
 
-from braidhom.braided import pmul
+from math import gcd
+
+from braidhom.braided import conj, pmul
 from braidhom.exactla import CoefficientField, SparseMatrix, rref
 
 
@@ -102,3 +105,36 @@ def tuple_closure(gens: list[tuple], identity: tuple) -> frozenset:
                     nxt.append(y)
         frontier = nxt
     return frozenset(seen)
+
+
+def conjugacy_partition(G) -> list[list[int]]:
+    """The conjugacy classes of the group G as sorted element indices, in
+    order of their least element: each class is the set of conjugates
+    h^-1 g h of one element g by every element h of G, with no generators
+    and no index table."""
+    classes, placed = [], set()
+    for g in G.elements:
+        if g not in placed:
+            cl = {conj(g, h) for h in G.elements}
+            placed |= cl
+            classes.append(sorted(G.elements.index(x) for x in cl))
+    return classes
+
+
+def rational_by_powers(elements) -> bool:
+    """Whether g^a lies in the set for every g in it and every a prime to the
+    order of g, each power g^a composed from the identity a times by `pmul`."""
+    elems = set(elements)
+    for g in elems:
+        e = tuple(range(len(g)))
+        order, h = 1, g
+        while h != e:
+            h, order = pmul(h, g), order + 1
+        for a in range(1, order):
+            if gcd(a, order) == 1:
+                x = e
+                for _ in range(a):
+                    x = pmul(x, g)
+                if x not in elems:
+                    return False
+    return True

@@ -25,7 +25,9 @@ from braidhom.braided import (
     rank_one_space,
     sign_twist,
 )
+from braidhom.cli import UsageError, builtin_group, class_selector
 from braidhom.exactla import QQ, SparseMatrix, inverse
+from tests.oracles import conjugacy_partition, rational_by_powers
 
 
 def S3():
@@ -131,6 +133,72 @@ def test_conj_class_set():
         ConjClassSet(G, [parse_cycles("(1 2)", 3)])  # not conjugation closed
     with pytest.raises(ValueError):
         ConjClassSet(G, [identity_perm(3)])
+
+
+BUILTIN_GROUPS = [f"S{m}" for m in range(2, 7)] + [f"A{m}" for m in range(3, 6)] + ["D4"] + \
+    [f"Z{m}" for m in range(1, 13)]
+
+
+def builtin_class_sets():
+    """(group name, class set) for every distinct class set that the builtin
+    groups give under the selectors 'all', 'transpositions', 'k-cycles' and
+    every cycle type of their nontrivial elements."""
+    for name in BUILTIN_GROUPS:
+        G = builtin_group(name)
+        types = sorted({"+".join(map(str, cycle_type(g))) for g in G.elements if cycle_type(g)})
+        seen = set()
+        for spec in ["all", "transpositions"] + [f"{k}-cycles" for k in range(3, G.degree + 1)] + types:
+            try:
+                c = class_selector(G, spec)
+            except UsageError:  # the selector matches no element
+                continue
+            if tuple(c.elements) not in seen:
+                seen.add(tuple(c.elements))
+                yield name, c
+
+
+def test_class_partition_matches_brute_force_conjugation():
+    # the cached partition: classes of sorted element indices in order of
+    # their least element, the identity (index 0) alone in the first
+    for name in BUILTIN_GROUPS:
+        G = builtin_group(name)
+        assert G.elements[0] == identity_perm(G.degree), name
+        assert G.class_indices == conjugacy_partition(G), name
+        assert G.class_indices is G.class_indices
+
+
+def test_class_set_data_match_brute_force_on_the_builtin_class_sets():
+    count = 0
+    for name, c in builtin_class_sets():
+        G, letters = c.parent, set(c.elements)
+        classes = [[G.elements[i] for i in cl] for cl in conjugacy_partition(G)
+                   if letters & {G.elements[i] for i in cl}]
+        assert all(set(cl) <= letters for cl in classes), name
+        assert c.classes == classes, name
+        assert c.class_of == [next(i for i, cl in enumerate(classes) if g in cl) for g in c.elements], name
+        assert c.rational == rational_by_powers(c.elements), name
+        count += 1
+    assert count == 68
+
+
+def test_rational_flag_matches_brute_force_on_non_rational_class_sets():
+    # a class set picked by cycle type is rational (a power prime to the
+    # order keeps the cycle type), so the flag is also checked on every
+    # subset of the nontrivial elements of cyclic groups, all of them class
+    # sets, and on one class of 3-cycles of A4, not conjugate to its inverses
+    seen = set()
+    for name in ("Z5", "Z6", "Z8"):
+        G = builtin_group(name)
+        nontrivial = G.elements[1:]
+        for mask in range(1, 1 << len(nontrivial)):
+            letters = [g for k, g in enumerate(nontrivial) if mask >> k & 1]
+            rational = ConjClassSet(G, letters).rational
+            assert rational == rational_by_powers(letters), (name, letters)
+            seen.add(rational)
+    assert seen == {False, True}
+    A4 = builtin_group("A4")
+    one = ConjClassSet(A4, [A4.elements[j] for j in A4.class_indices[1]])
+    assert not one.rational and class_selector(A4, "3-cycles").rational
 
 
 def test_conjugation_rack_s2():

@@ -581,6 +581,25 @@ def test_stabilization_two_classes():
     assert rep.thresholds
 
 
+@pytest.mark.parametrize("group, classes, class_index, window, message", [
+    ("S3", "transpositions", -1, 3, r"class_index -1 is not a class of c \(0\.\.0\)"),
+    ("S3", "transpositions", 1, 3, r"class_index 1 is not a class of c \(0\.\.0\)"),
+    ("S3", "transpositions", 0, {}, r"window keys \[\] are not the classes of c \(0\.\.0\)"),
+    ("D4", "all", 0, {0: 1, 1: 1}, r"window keys \[0, 1\] are not the classes of c \(0\.\.3\)"),
+    ("S3", "transpositions", 0, {0: 2, 7: 5}, r"window keys \[0, 7\] are not the classes of c \(0\.\.0\)"),
+    ("S3", "transpositions", 0, -1, r"window \{0: -1\} has a negative bound"),
+    ("S3", "transpositions", 0, {0: -1}, r"window \{0: -1\} has a negative bound"),
+], ids=["class_-1", "class_1", "window_empty", "window_missing_class", "window_extra_class",
+        "bound_-1", "window_bound_-1"])
+def test_stabilization_thresholds_refuses_a_bad_class_or_window(group, classes, class_index, window, message):
+    # a class or window that does not fit c is refused by name: not an
+    # empty max(), a bare KeyError, an extra key summed into the degree
+    # bound, nor a negative bound reported as "not stabilized"
+    c = class_selector(builtin_group(group), classes)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        stabilization_thresholds(c, class_index, window)
+
+
 def test_restricted_ring_module():
     G = S3()
     c = transpositions(G)

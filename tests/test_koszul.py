@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from braidhom import koszul
 from braidhom.braided import Cocycle, ConjClassSet, braided_space, identity_perm, pmul, rank_one_space
@@ -17,7 +18,8 @@ from braidhom.koszul import (
 )
 from braidhom.nichols import NicholsData, constant_braiding_value, skew_derivation
 from tests.test_blocks import coboundary_space
-from tests.oracles import twisted_right_mult
+from tests.oracles import conjugacy_partition, twisted_right_mult
+from tests.test_fnf import small_class_sets
 from tests.test_braided import S3, s4_transposition_setup, transpositions
 
 F2 = GF(2)
@@ -457,6 +459,38 @@ def test_class_differentials_preserve_the_group_grade(field):
                 for col, column in enumerate(M.columns()):
                     for row in column:
                         assert src[col] == tgt[row], (name, spec, ci, p, q)
+
+
+def check_grading_against_oracles(c, pmax, qmax):
+    # every grade the tables give is the element index of the letter product
+    # that `word_degree` composes, and a term's grade the index of
+    # deg(o) deg(psi); in a non-abelian group a left/right slip changes it
+    G = c.parent
+    V = braided_space(c.rack, Cocycle.constant(c.rack, 1), epsilon=True, group=G)
+    K = koszul_complex(V, "R", pmax=pmax, qmax=qmax, F=GF(5), c=c)
+    grading, index = K._grading, G.elements.index
+    assert sorted(grading.dual) == list(range(K.pmax + 1))
+    for p in grading.dual:
+        assert grading.dual[p] == [index(V.word_degree(w)) for w in K.nichols.pivot_words(p)], p
+    assert sorted(grading.mod) == sorted(K.module.basis_words)
+    for q, words in K.module.basis_words.items():
+        assert grading.mod[q] == [index(V.word_degree(w)) for w in words], q
+    for p in grading.dual:
+        for q in grading.mod:
+            assert grading.term_grades(p, q) == [index(pmul(G.elements[o], G.elements[psi]))
+                                                 for psi in grading.dual[p] for o in grading.mod[q]], (p, q)
+    assert grading.classes == conjugacy_partition(G)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_class_sets())
+def test_group_grades_match_letter_products(group_and_classes):
+    _, c = group_and_classes
+    check_grading_against_oracles(c, pmax=2, qmax=3)
+
+
+def test_group_grades_match_letter_products_on_s5():
+    check_grading_against_oracles(class_selector(builtin_group("S5"), "transpositions"), pmax=3, qmax=3)
 
 
 def summed_assembly(K):
