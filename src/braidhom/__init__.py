@@ -24,7 +24,7 @@ from .braided import (
 )
 from .exactla import CoefficientField, GF, GF2, QQ, RankTable, SparseMatrix, rank
 from .fnf import braid_homology, fnf_complex
-from .hurwitz import monodromy_group, monodromy_labels, nielsen_components, subgroup_lattice
+from .hurwitz import monodromy_labels, nielsen_components, subgroup_lattice
 from .koszul import generator_counts, koszul_complex, koszul_homology, verify_koszul_identities
 from .malle import index, malle_a, point_count_bound
 from .nichols import NicholsData, hopf_pairing, nichols_dims, skew_derivation
@@ -60,7 +60,6 @@ __all__ = [
     "koszul_homology",
     "malle_a",
     "matsumoto_lift",
-    "monodromy_group",
     "monodromy_labels",
     "nichols_dims",
     "nielsen_components",

@@ -214,23 +214,6 @@ class PermGroup:
             table = self._right_tables[i] = [index[pmul(x, g)] for x in self.elements]
         return table
 
-    def subgroup_closure(self, gens: list[Perm]) -> frozenset:
-        """The subgroup generated by elements of this group, as a frozenset.
-
-        Breadth-first closure of the identity under right multiplication by
-        the generators, on element indices.
-        """
-        tables = [self.right_table(g) for g in gens]
-        seen = {0}
-        frontier = [0]
-        for x in frontier:  # frontier grows while it is walked
-            for t in tables:
-                y = t[x]
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return frozenset(self.elements[i] for i in seen)
-
     def center(self) -> frozenset:
         return frozenset(
             g for g in self.elements if all(pmul(g, h) == pmul(h, g) for h in self.generators)

@@ -34,7 +34,11 @@ orbit; a `TensorSystem` on one block's words builds just that block, through
 one map from word code to local index (the whole space is the block of every
 code).  `braid_homology` sums over `orbits.block_plan`, which keeps one block
 per class of orbits under simultaneous conjugation by the group, weighted by
-the class size.  Conjugate orbits are merged only when every group generator
+the class size.  `plan_homology` is the one function that sums homology over
+such a plan of (complex, multiplicity) pairs, for every caller: the FNF and
+bar blocks, the Nielsen-class complex (a plan of one entry) and the G-grade
+blocks of each Koszul diagonal; it ranks each complex as the plan yields it
+and keeps none.  Conjugate orbits are merged only when every group generator
 preserves every braiding coefficient (a G-invariant cocycle); then the blocks
 are permutation-isomorphic and have equal ranks.  Spaces without a rack (the
 Jordan plane, duals, hand-built braidings) are one block of all r^n words.
@@ -356,26 +360,23 @@ def fnf_complex(V: BraidedVectorSpace, n: int, F: CoefficientField) -> GradedCom
     return complex_for_system(TensorSystem(V, n), n, F)
 
 
-def plan_homology(plan, build) -> dict[int, int]:
-    """Homology ranks by degree of a complex split into blocks: the sum over the
-    (words, multiplicity) entries of a block plan of multiplicity times the
-    ranks of `build(words)`."""
+def plan_homology(plan) -> dict[int, int]:
+    """Homology ranks by degree summed over a rank plan: multiplicity times the
+    ranks of each complex of its (complex, multiplicity) entries.  This is the
+    package's one sum over a plan.  Each complex is ranked as the plan yields
+    it and dropped before the next is asked for, so a generator plan holds one
+    block at a time."""
     total: dict[int, int] = {}
-    for words, mult in plan:
-        for q, h in build(words).homology_table().items():
+    for cx, mult in plan:
+        for q, h in cx.homology_table().items():
             total[q] = total.get(q, 0) + mult * h
+        del cx  # freed before the plan builds the next block
     return total
-
-
-def homology_for_system(system, n: int, F: CoefficientField) -> list[int]:
-    cx = complex_for_system(system, n, F)
-    table = cx.homology_table()
-    return [table.get(2 * n - j, 0) for j in range(n + 1)]
 
 
 def braid_homology(V: BraidedVectorSpace, n: int, F: CoefficientField) -> list[int]:
     """Ranks of H_j(B_n; V^(x)n) over F for j = 0..n, summed over the blocks of
     `orbits.block_plan`."""
-    table = plan_homology(block_plan(V, n),
-                          lambda words: complex_for_system(TensorSystem(V, n, words), n, F))
+    table = plan_homology((complex_for_system(TensorSystem(V, n, words), n, F), mult)
+                          for words, mult in block_plan(V, n))
     return [table.get(2 * n - j, 0) for j in range(n + 1)]

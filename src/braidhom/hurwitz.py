@@ -22,13 +22,8 @@ from math import comb
 
 from .braided import ConjClassSet, PermGroup, Rack, cycle_notation, index_word, word_index
 from .exactla import CoefficientField
-from .fnf import PermutationSystem, homology_for_system
+from .fnf import PermutationSystem, complex_for_system, plan_homology
 from .orbits import DEFAULT_STATE_CAP, letter_conjugations, orbit_classes, rack_orbits
-
-
-def monodromy_group(word, G: PermGroup) -> frozenset:
-    """The subgroup generated by the letters of a word of group elements."""
-    return G.subgroup_closure(list(word))
 
 
 class SubgroupLattice:
@@ -393,8 +388,8 @@ def nielsen_components(c: ConjClassSet, n: int, F: CoefficientField):
             w2 = w[: i - 1] + (inv_act[b][a], a) + w[i + 1:]
         return pos[class_of[word_index(w2, d)]]
 
-    system = PermutationSystem(len(surj), gen_action)
-    return comps, homology_for_system(system, n, F)
+    table = plan_homology([(complex_for_system(PermutationSystem(len(surj), gen_action), n, F), 1)])
+    return comps, [table.get(2 * n - j, 0) for j in range(n + 1)]
 
 
 @dataclass

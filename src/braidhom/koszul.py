@@ -31,8 +31,10 @@ complex in p; it is held as a `fnf.GradedComplex`, whose construction checks
 d^2 = 0 on every entry and which ranks each differential at most once.
 
 Every homology rank is read off a rank plan per diagonal: (complex,
-multiplicity) pairs, as `orbits.block_plan` gives the FNF and bar sides.  The
-terms are graded by G: psi (x) o has grade deg(o) deg(psi), deg the
+multiplicity) pairs, as `orbits.block_plan` gives the FNF and bar sides, summed
+by the same function, `fnf.plan_homology`.  Each diagonal keeps only the
+resulting {p: rank} table, not the blocks of its plan, which are freed once
+ranked.  The terms are graded by G: psi (x) o has grade deg(o) deg(psi), deg the
 left-to-right product of a word's letters, and every class differential
 preserves it.  A grade is an element index of V.group, and products and
 conjugacy classes are read from that group's tables (`PermGroup.right_table`,
@@ -45,8 +47,9 @@ grades, its least index, weighted by the class size.  The split reads every
 entry of the diagonal and refuses one joining two grades; it copies only
 the representative blocks and does not check their d^2 again.  Otherwise the
 plan is the whole diagonal.  The `--multigrade` refinement splits whole
-diagonals through the same `GradedComplex.split`, and
-`verify_koszul_identities` reads the assembled matrices of every grade.
+diagonals through the same `GradedComplex.split` and ranks each multigrade
+block with `fnf.plan_homology` too, and `verify_koszul_identities` reads the
+assembled matrices of every grade.
 
 Homology ranks feed the generator-count diagnostic: the count in topological
 degree j sums homology ranks at dual degree 1 + j over all module degrees,
@@ -65,7 +68,7 @@ from . import orbits
 from .braided import BraidedVectorSpace, Cocycle, ConjClassSet, braided_space
 from .exactla import (CoefficientField, ComplexIntegrityError, RankTable, SparseMatrix, cycles_map_to_boundaries,
                       products_vanish)
-from .fnf import GradedComplex
+from .fnf import GradedComplex, plan_homology
 from .hurwitz import FilteredModule, filtered_module, orbit_ring_module, restricted_ring_module
 from .nichols import NicholsData, constant_braiding_value
 
@@ -87,11 +90,12 @@ class KoszulComplex:
     by `d(p, q)`.  `diagonals[s]` is the chain complex of the terms with
     p + q = s, in degree p, for every s up to pmax + qmax.  Terms are indexed
     by (dual basis element, module basis element), module index fastest.
-    Homology ranks are read through `rank_plan(s)`: one G-grade block of
-    diagonal s per conjugacy class, weighted by the class size, when V's
-    braiding is conjugation-invariant and the module is not a stratum;
-    otherwise the whole diagonal.  Assembly and the checks read whole
-    diagonals either way.
+    Homology ranks are read from `diagonal_ranks(s)`, one {p: rank} table
+    per diagonal, summed by `fnf.plan_homology` over `rank_plan(s)`: one
+    G-grade block of diagonal s per conjugacy class, weighted by the class
+    size, when V's braiding is conjugation-invariant and the module is not a
+    stratum; otherwise the whole diagonal.  The table is kept, the blocks are
+    not.  Assembly and the checks read whole diagonals either way.
     """
 
     def __init__(self, V: BraidedVectorSpace, module: FilteredModule, pmax: int, qmax: int,
@@ -126,7 +130,7 @@ class KoszulComplex:
         }
         symmetric = module.stratum is None and orbits._is_rack_braiding(V) and orbits._conjugation_symmetries(V)
         self._grading = _GroupGrading(self) if symmetric else None
-        self._plans: dict = {}
+        self._ranks: dict = {}  # s -> `diagonal_ranks(s)`
 
     def dim(self, p: int, q: int) -> int:
         if p < 0 or q < 0 or p > self.pmax or q > self.qmax:
@@ -211,7 +215,15 @@ class KoszulComplex:
             )
         if q == self.qmax and p >= 1 and self.nichols.dim(p - 1):
             raise TruncationError(f"module degree {q + 1} not assembled; increase qmax")
-        return sum(mult * cx.homology_rank(p) for cx, mult in self.rank_plan(p + q))
+        return self.diagonal_ranks(p + q).get(p, 0)
+
+    def diagonal_ranks(self, s: int) -> dict[int, int]:
+        """Homology ranks of diagonal s by dual degree, as {p: rank}: summed
+        over `rank_plan(s)` by `fnf.plan_homology` on first use, then kept.
+        Only this table is kept; the plan's blocks are freed once ranked."""
+        if s not in self._ranks:
+            self._ranks[s] = plan_homology(self.rank_plan(s))
+        return self._ranks[s]
 
     def rank_plan(self, s: int) -> list[tuple[GradedComplex, int]]:
         """The complexes that rank diagonal s, as (complex, multiplicity)
@@ -219,15 +231,12 @@ class KoszulComplex:
         multiplicity times the complex's rank.  When V's braiding is
         conjugation-invariant and the module is not a stratum (`_grading` is
         set), one G-grade block per conjugacy class, weighted by the class
-        size; otherwise the whole diagonal.  Built once per s."""
-        if s not in self._plans:
-            if self._grading is None:
-                self._plans[s] = [(self.diagonals[s], 1)]
-            else:
-                grades, classes = self._grading.diagonal(s, self.diagonals[s].degrees)
-                blocks = _split_diagonal(self, s, grades, keep=[cls[0] for cls in classes])
-                self._plans[s] = [(blocks[cls[0]], len(cls)) for cls in classes]
-        return self._plans[s]
+        size; otherwise the whole diagonal.  Built anew on each call."""
+        if self._grading is None:
+            return [(self.diagonals[s], 1)]
+        grades, classes = self._grading.diagonal(s, self.diagonals[s].degrees)
+        blocks = _split_diagonal(self, s, grades, keep=[cls[0] for cls in classes])
+        return [(blocks[cls[0]], len(cls)) for cls in classes]
 
 
 def _union(mats: list[SparseMatrix], p: int, q: int, nq_src: int) -> SparseMatrix:
@@ -351,14 +360,14 @@ def koszul_homology(K: KoszulComplex, by_multigrade: bool = False) -> RankTable:
     table = RankTable(("p", "q") + tuple(f"q{i + 1}" for i in range(m))) if by_multigrade \
         else RankTable(("p", "q"))
     for s in range(pmax + qmax + 1):
-        degrees = range(max(0, s - qmax), min(pmax, s) + 1)
-        if not by_multigrade:
-            for p in degrees:
-                table.set((p, s - p), K.homology_rank(p, s - p))
-            continue
-        for grade, cx in _multigrade_blocks(K, s).items():
-            for p in degrees:
-                table.set((p, s - p) + grade, cx.homology_rank(p))
+        # {grade: {p: rank}}; without the refinement, the one grade () of the whole diagonal
+        if by_multigrade:
+            tables = {grade: plan_homology([(cx, 1)]) for grade, cx in _multigrade_blocks(K, s).items()}
+        else:
+            tables = {(): K.diagonal_ranks(s)}
+        for grade, ranks in tables.items():
+            for p in range(max(0, s - qmax), min(pmax, s) + 1):
+                table.set((p, s - p) + grade, ranks.get(p, 0))
     return table
 
 

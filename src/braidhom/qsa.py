@@ -29,7 +29,8 @@ The braid action keeps the words of one braid orbit together, so for a
 rack-type V the complex in internal degree n splits into one block per orbit,
 as the FNF complex does.  `ext_table` and `components_ring` build, check and
 rank one block per class of `orbits.block_plan` (conjugate orbits merged only
-for a G-invariant cocycle) and weight it by the class size; `bar_complex(V,
+for a G-invariant cocycle) and weight it by the class size, `ext_table`
+through the one plan sum `fnf.plan_homology`; `bar_complex(V,
 n, F)` without words builds the block of every word, the whole complex.  The
 local block products are kept on V, filled word by word as blocks read them,
 so all blocks and degrees share them and no word is lifted twice.
@@ -174,7 +175,7 @@ def ext_table(V: BraidedVectorSpace, Nmax: int, F: CoefficientField) -> RankTabl
     table = RankTable(("s", "n"))
     table.set((0, 0), 1)
     for n in range(1, Nmax + 1):
-        ranks = plan_homology(block_plan(V, n), lambda words: bar_complex(V, n, F, words))
+        ranks = plan_homology((bar_complex(V, n, F, words), mult) for words, mult in block_plan(V, n))
         for p in range(1, n + 1):
             table.set((p, n), ranks.get(p, 0))
     return table

@@ -129,7 +129,7 @@ def test_orbit_components_build_no_betti_complex(monkeypatch, capsys):
     def no_betti(system, n, F):
         raise AssertionError("orbits --components built a Betti complex")
 
-    monkeypatch.setattr(hurwitz, "homology_for_system", no_betti)
+    monkeypatch.setattr(hurwitz, "complex_for_system", no_betti)
     rc, out = run(capsys, ["orbits", "--group", "S4", "--classes", "transpositions",
                            "--nmax", "4", "--components", "--field", "Q"])
     assert rc == 0

@@ -11,7 +11,7 @@ from braidhom.braided import (
 from braidhom.cli import builtin_group, class_selector
 from braidhom.exactla import GF, QQ, FieldMismatchError, rank
 from braidhom.fnf import (
-    PermutationSystem, TensorSystem, braid_homology, complex_for_system, fnf_complex, shuffle_blocks,
+    GradedComplex, PermutationSystem, TensorSystem, braid_homology, complex_for_system, fnf_complex, shuffle_blocks,
 )
 from braidhom.hurwitz import rack_orbits
 from braidhom.shuffle import lifted_block_words
@@ -230,9 +230,9 @@ def nielsen_system(c, n):
 
     def capture(system, n, F):
         seen.append(system)
-        return [0] * (n + 1)
+        return GradedComplex({}, {}, F)
 
-    with mock.patch.object(hurwitz, "homology_for_system", capture):
+    with mock.patch.object(hurwitz, "complex_for_system", capture):
         hurwitz.nielsen_components(c, n, QQ)
     return seen[0]
 

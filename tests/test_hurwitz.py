@@ -24,7 +24,6 @@ from braidhom.exactla import GF, QQ
 from braidhom.hurwitz import (
     DEFAULT_STATE_CAP,
     filtered_module,
-    monodromy_group,
     monodromy_labels,
     nielsen_components,
     orbit_count_bound,
@@ -86,7 +85,7 @@ def assert_labels_match_per_word_monodromy(c, nmax):
         labels = monodromy_labels(c, n)
         for code, oi in enumerate(rack_orbits(c.rack, n).orbit_of):
             w = index_word(code, len(c.elements), n)
-            assert monodromy_group([c.elements[a] for a in w], c.parent) == labels[oi]
+            assert tuple_closure([c.elements[a] for a in w], identity_perm(c.parent.degree)) == labels[oi]
 
 
 @pytest.mark.parametrize("group,classes", [
@@ -345,7 +344,7 @@ def test_lattice_reads_off_every_generated_subgroup():
         masks = range(2**d) if d <= 12 else [0, 2**d - 1] + rng.sample(range(2**d), 1000)
         for mask in masks:
             gens = [g for a, g in enumerate(c.elements) if mask >> a & 1]
-            assert lattice.generated_by(mask) == G.subgroup_closure(gens), (G.name, d, mask)
+            assert lattice.generated_by(mask) == tuple_closure(gens, identity_perm(G.degree)), (G.name, d, mask)
 
 
 def test_lattice_matches_tuple_closures():
@@ -379,11 +378,12 @@ def test_lattice_matches_tuple_closures():
 
 def test_monodromy_examples():
     G = S3()
-    assert monodromy_group([], G) == frozenset({identity_perm(3)})
+    e = identity_perm(3)
+    assert tuple_closure([], e) == frozenset({e})
     g12 = parse_cycles("(1 2)", 3)
     g13 = parse_cycles("(1 3)", 3)
-    assert len(monodromy_group([g12, g12], G)) == 2
-    assert len(monodromy_group([g12, g13], G)) == 6
+    assert len(tuple_closure([g12, g12], e)) == 2
+    assert tuple_closure([g12, g13], e) == frozenset(G.elements)
 
 
 def test_subgroup_lattice():
@@ -405,7 +405,7 @@ def test_filtered_module_strata():
     fm = filtered_module(c, full, 3)
     assert [fm.dim(q) for q in range(4)] == [0, 0, 2, 3]
     g12 = parse_cycles("(1 2)", 3)
-    h = G.subgroup_closure([g12])
+    h = tuple_closure([g12], identity_perm(3))
     fm2 = filtered_module(c, h, 3)
     assert [fm2.dim(q) for q in range(4)] == [0, 1, 1, 1]
     with pytest.raises(ValueError):
@@ -604,7 +604,7 @@ def test_restricted_ring_module():
     G = S3()
     c = transpositions(G)
     g12 = parse_cycles("(1 2)", 3)
-    h = G.subgroup_closure([g12])
+    h = tuple_closure([g12], identity_perm(3))
     mod, H = restricted_ring_module(c, h, 4)
     assert [mod.dim(q) for q in range(5)] == [1, 1, 1, 1, 1]
     assert H.generators == [g12] and frozenset(H.elements) == h

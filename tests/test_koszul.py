@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -706,6 +708,40 @@ def test_rank_plan_refuses_a_class_of_unequal_blocks():
         koszul_homology(K)
 
 
+def test_koszul_homology_keeps_no_block_of_a_rank_plan():
+    # each diagonal keeps its {p: rank} table; the G-grade blocks split off
+    # for its plan are freed once ranked
+    K = s4_full_ring()
+    refs = []
+    plan = K.rank_plan
+
+    def recorded_plan(s):
+        entries = plan(s)
+        refs.extend(weakref.ref(cx) for cx, _ in entries if cx is not K.diagonals[s])
+        return entries
+
+    K.rank_plan = recorded_plan
+    koszul_homology(K)
+    gc.collect()
+    assert refs and all(ref() is None for ref in refs)
+
+
+def test_each_diagonal_is_split_once_however_many_terms_are_asked(monkeypatch):
+    K = s4_full_ring()
+    splits = []
+    split = GradedComplex.split
+
+    def counted_split(cx, grades, keep=None):
+        splits.append(next(s for s, diagonal in K.diagonals.items() if diagonal is cx))
+        return split(cx, grades, keep)
+
+    monkeypatch.setattr(GradedComplex, "split", counted_split)
+    terms = [(p, q) for p in range(K.homology_pmax() + 1) for q in range(K.qmax)]
+    first = [K.homology_rank(p, q) for p, q in terms]
+    assert [K.homology_rank(p, q) for p, q in reversed(terms)] == first[::-1]
+    assert sorted(splits) == sorted({p + q for p, q in terms})
+
+
 def test_identities_read_the_grades_the_plan_leaves_out():
     # a changed entry of d in a grade that no plan block copies leaves the
     # ranks as they were, and the identity checks still see it
@@ -718,7 +754,7 @@ def test_identities_read_the_grades_the_plan_leaves_out():
     col = next(col for j, col in enumerate(K.d(p, q).columns()) if col and src[j] not in reps)
     i = next(iter(col))
     col[i] = 2 * col[i] % 5
-    K._plans.clear()
+    K._ranks.clear()
     assert koszul_homology(K) == before
     rep = verify_koszul_identities(K)
     # d(2, 1) feeds the nullhomotopy identity at p = 1; it is d_0 (one

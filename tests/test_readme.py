@@ -1,8 +1,11 @@
-"""The README's library quick start runs and prints what its comments say."""
+"""The README's library quick start runs and prints what its comments say,
+and the package's public names resolve."""
 
 import ast
 import re
 from pathlib import Path
+
+import braidhom
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,3 +34,10 @@ def test_readme_quick_start_runs():
         else:
             exec(code, namespace)
     assert checked == ["[6, 9, 3, 0]", "True"]
+
+
+def test_every_public_name_resolves():
+    # `from braidhom import *` binds each name of __all__, once
+    missing = [name for name in braidhom.__all__ if not hasattr(braidhom, name)]
+    assert not missing
+    assert len(set(braidhom.__all__)) == len(braidhom.__all__)
