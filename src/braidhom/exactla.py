@@ -21,20 +21,19 @@ division, as the F_p step does; any other pivot takes Bareiss' step (scale,
 subtract, divide by the content).  Both give rows of the same support, so
 the pivots do not depend on which step ran.  The caller fixes the
 pivot-column rule: the sparsest column for `rank` (and so for
-`cycles_map_to_boundaries`) and `independent_rows`, the leftmost for
-`pivot_columns` and `rref` (and so for `inverse`).  The pivot row is the
-shortest in its column, so every computation is deterministic, and the loop
-keeps column supports up to date, so choosing a pivot never rescans the
-matrix: the pivot step writes each updated row and its supports in one pass
-over the pivot row, touching a support only where an entry appears or
-cancels, and `rref`'s back-substitution runs the same step.  Under the
-sparsest rule the columns sit in a heap of (count, column) entries, each at
-most its column's count: a pivot pushes a column only when it lowers the
-column's count, and an entry whose column has grown since is put back with
-the current count when it reaches the top.  So the heap always yields the
-least (count, column), and the pivot sequence is that of a heap re-pushed on
-every change, with a fraction of the pushes and stale pops.  A column with
-one live row takes it as the pivot with no search and no row update.
+`cycles_map_to_boundaries`) and `independent_rows`, the leftmost for `rref`
+(and so for `inverse`).  The pivot row is the shortest in its column, so
+every computation is deterministic, and the loop keeps column supports up to
+date, so choosing a pivot never rescans the matrix: the pivot step writes
+each updated row and its supports in one pass over the pivot row, touching a
+support only where an entry appears or cancels, and `rref`'s
+back-substitution runs the same step.  Under the sparsest rule every
+nonempty column is queued once, as (count, column), in a heap whose keys
+only grow: the least entry is taken, a column whose support has grown since
+it was queued goes back in with its current count, an empty one is dropped,
+and any other is the pivot column.  A pivot pushes nothing, and a column
+whose count has fallen keeps its older, higher key.  A column with one live
+row takes it as the pivot with no search and no row update.
 
 `independent_rows` is the entry point for chain complexes: it eliminates the
 columns of a matrix outside a given set (`_elimination_rows` reads them as
@@ -371,19 +370,24 @@ def _eliminate(rows: list[dict], ncols: int, pivot_step, leftmost: bool = False)
     row, the only columns an update can change: an entry that appears adds
     the id to `col_rows[j]`, one that cancels removes it, and one that only
     changes value touches no set.  The pivot column is chosen by the caller's
-    rule: the sparsest live column (ties: lowest column index), or with
-    `leftmost` the lowest live column.  In that column the pivot is the
-    shortest row (ties: lowest row index); a column with a single live row
-    takes it with no search and no update.  A yielded row is never touched
-    again and the loop keeps no reference to it.
+    rule: a sparse live column from the queue below, or with `leftmost` the
+    lowest live column.  In that column the pivot is the shortest row (ties:
+    lowest row index); a column with a single live row takes it with no
+    search and no update.  A yielded row is never touched again and the loop
+    keeps no reference to it.
 
-    For the sparsest rule `heap` holds (count, j) pairs, at least one for
-    every live column j with count at most len(col_rows[j]); so a top entry
-    whose count is its column's count is the least (count, j) over the live
-    columns.  A pivot pushes a column only when it leaves the column's count
-    lower than it was; a top entry whose column has grown since is put back
-    with the current count (`heapreplace`), and one whose column has shrunk
-    (so holds a lower entry, or is empty) is dropped.  Under the leftmost
+    For the sparsest rule `heap` is a grow-only queue: it holds one (count,
+    j) entry for every column j neither taken nor dropped, its count the
+    column's support size when it was queued.  Every nonempty column is
+    queued once at the start, and the loop takes the least entry.  A column
+    whose support has grown since is put back with its current count
+    (`heapreplace`); an empty one is dropped, and stays empty, since an
+    update only writes the columns of a live pivot row; any other is the
+    pivot column, even when its support has shrunk below its count.  So a
+    pivot pushes nothing, and the loop keeps no per-pivot counts.  Every
+    column is still taken or dropped, so the ranks, and the pivot rows'
+    independence, do not depend on the order; only which independent rows a
+    sweep picks does.  Under the leftmost
     rule no live row meets a column at or left of the last pivot column (each
     updated row is combined with a pivot row that meets none), so the next
     pivot column is found by moving a pointer to the right.
@@ -407,13 +411,12 @@ def _eliminate(rows: list[dict], ncols: int, pivot_step, leftmost: bool = False)
             while heap:
                 count, pc = heap[0]
                 now = len(col_rows[pc])
-                if now == count:
-                    heapq.heappop(heap)
-                    break
                 if now > count:
                     heapq.heapreplace(heap, (now, pc))
                 else:
                     heapq.heappop(heap)
+                    if now:
+                        break
             else:
                 return
         targets = col_rows[pc]
@@ -424,7 +427,6 @@ def _eliminate(rows: list[dict], ncols: int, pivot_step, leftmost: bool = False)
             _, pid = min((len(live[rid]), rid) for rid in targets)
             targets.discard(pid)
         prow = live.pop(pid)
-        counts = None if leftmost else [len(col_rows[j]) for j in prow]
         for j in prow:
             col_rows[j].discard(pid)
         if targets:
@@ -435,11 +437,6 @@ def _eliminate(rows: list[dict], ncols: int, pivot_step, leftmost: bool = False)
                     live[rid] = r
                 else:
                     del live[rid]
-        if counts is not None:
-            for j, was in zip(prow, counts):
-                now = len(col_rows[j])
-                if 0 < now < was:
-                    heapq.heappush(heap, (now, j))
         yield pc, prow
 
 
@@ -607,23 +604,13 @@ def independent_rows(M: SparseMatrix, F: CoefficientField, skip=()) -> set[int]:
     return {pc for pc, _ in _eliminate(rows, M.rows, step)}
 
 
-def pivot_columns(M: SparseMatrix, F: CoefficientField) -> list[int]:
-    """The pivot columns of the reduced row echelon form of M over F, in
-    increasing order: the columns outside the span of the columns before them.
-
-    One leftmost forward elimination; no row is back-substituted.
-    """
-    rows, step = _elimination_rows(M, F)
-    return [pc for pc, _ in _eliminate(rows, M.cols, step, leftmost=True)]
-
-
 def rref(M: SparseMatrix, F: CoefficientField):
     """Reduced row echelon form; returns (rows as dicts, pivot column list).
 
-    The leftmost forward elimination of `pivot_columns`, then back-substitution
-    with the same pivot step, last pivot first, so that each pivot row is
-    final before it clears its column from the rows above; the step keeps the
-    column supports of the pivot rows, which name the rows to clear.  Each
+    One leftmost forward elimination, then back-substitution with the same
+    pivot step, last pivot first, so that each pivot row is final before it
+    clears its column from the rows above; the step keeps the column supports
+    of the pivot rows, which name the rows to clear.  Each
     row is then scaled to a leading 1.  The rows are those of the unique
     reduced row echelon form of M, in pivot order.
     """

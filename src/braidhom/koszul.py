@@ -87,8 +87,14 @@ class KoszulComplex:
     `classes[i]` lists the letter indices of the i-th conjugacy class; the
     per-class matrices are d_class[(i, p, q)]: term (p, q) -> term (p-1, q+1).
     Their sum, the total differential, is formed once at construction and read
-    by `d(p, q)`.  `diagonals[s]` is the chain complex of the terms with
-    p + q = s, in degree p, for every s up to pmax + qmax.  Terms are indexed
+    by `d(p, q)`.  The assembled window is 1 <= p <= pmax, 0 <= q < qmax,
+    except d(pmax, qmax - 1) when pmax is a truncation boundary (not
+    `top_reached`): that term is the only differential of diagonal
+    pmax + qmax - 1, where no homology is reliable, and no check reads it, so
+    it is not built (it is often the largest term), and `d` and `d_i` raise
+    `TruncationError` for it.  `diagonals[s]` is the chain complex of the
+    terms with p + q = s, in degree p, for every s up to pmax + qmax but that
+    diagonal.  Terms are indexed
     by (dual basis element, module basis element), module index fastest.
     Homology ranks are read from `diagonal_ranks(s)`, one {p: rank} table
     per diagonal, summed by `fnf.plan_homology` over `rank_plan(s)`: one
@@ -116,6 +122,10 @@ class KoszulComplex:
         self.nichols.build_to(self.pmax)
         self.top_reached = top <= pmax
         self.qmax = qmax
+        # d(pmax, qmax - 1) at a truncation boundary: the one differential of
+        # diagonal pmax + qmax - 1, whose homology is never reliable, and read
+        # by no check; it is not assembled
+        self._skipped = (self.pmax, qmax - 1) if not self.top_reached and self.pmax >= 1 and qmax >= 1 else None
         class_of = module.class_of
         m = max(class_of) + 1 if class_of else 1
         self.classes = [[a for a in range(V.rack.size) if class_of[a] == i] for i in range(m)]
@@ -126,7 +136,7 @@ class KoszulComplex:
         self.diagonals = {
             s: GradedComplex({p: self.dim(p, s - p) for p in range(max(0, s - qmax), min(self.pmax, s) + 1)},
                              {p: M for (p, q), M in self._d.items() if p + q == s}, F)
-            for s in range(self.pmax + qmax + 1)
+            for s in range(self.pmax + qmax + 1) if not self._skipped or s != sum(self._skipped)
         }
         symmetric = module.stratum is None and orbits._is_rack_braiding(V) and orbits._conjugation_symmetries(V)
         self._grading = _GroupGrading(self) if symmetric else None
@@ -160,6 +170,8 @@ class KoszulComplex:
             # per letter, the number of module orbits whose product stays in the module
             hits = [nq_src - rm.count(None) for rm in rmult]
             for p in range(1, self.pmax + 1):
+                if (p, q) == self._skipped:
+                    continue
                 nrows = self.dim(p - 1, q + 1)
                 for ci, letters in enumerate(self.classes):
                     cols = []
@@ -187,13 +199,19 @@ class KoszulComplex:
     def d_i(self, ci: int, p: int, q: int) -> SparseMatrix:
         if (ci, p, q) in self.d_class:
             return self.d_class[(ci, p, q)]
+        self._refuse_skipped(p, q)
         return SparseMatrix.zero(self.dim(p - 1, q + 1), self.dim(p, q))
 
     def d(self, p: int, q: int) -> SparseMatrix:
         """The total differential, term (p, q) -> term (p-1, q+1)."""
         if (p, q) in self._d:
             return self._d[(p, q)]
+        self._refuse_skipped(p, q)
         return SparseMatrix.zero(self.dim(p - 1, q + 1), self.dim(p, q))
+
+    def _refuse_skipped(self, p: int, q: int):
+        if (p, q) == self._skipped:
+            raise TruncationError(f"d({p}, {q}) leaves the truncation boundary and is not assembled; increase pmax")
 
     def homology_pmax(self) -> int:
         """Largest dual degree with reliable homology: pmax unless pmax is a
@@ -205,7 +223,8 @@ class KoszulComplex:
 
         Raises when the rank depends on terms that were not assembled: (p, q)
         outside the window, dual degree p at an unreliable truncation boundary,
-        or q = qmax while d leaves (p, q) for module degree qmax + 1.
+        q = qmax while d leaves (p, q) for module degree qmax + 1, or a term
+        of the diagonal whose differential d(pmax, qmax - 1) is not assembled.
         """
         if not (0 <= p <= self.pmax and 0 <= q <= self.qmax):
             raise ValueError(f"term ({p}, {q}) lies outside the assembled degrees")
@@ -215,6 +234,8 @@ class KoszulComplex:
             )
         if q == self.qmax and p >= 1 and self.nichols.dim(p - 1):
             raise TruncationError(f"module degree {q + 1} not assembled; increase qmax")
+        if self._skipped and p + q == sum(self._skipped):
+            raise TruncationError(f"term ({p}, {q}) meets d{self._skipped}, which is not assembled; increase pmax")
         return self.diagonal_ranks(p + q).get(p, 0)
 
     def diagonal_ranks(self, s: int) -> dict[int, int]:

@@ -59,6 +59,8 @@ class OrbitTable:
     representatives.  A node at n >= 1 is a pair (orbit j at n - 1, last
     letter a), coded j*d + a with d the rack size, and `nodes[j*d + a]` is
     the orbit at n of the words in that node; `below` is the table at n - 1.
+    `roots[k]` is the node of orbit k's representative: the representative
+    of orbit j at n - 1 followed by letter a, for roots[k] = j*d + a.
     The table keeps d, not its rack, so the rack that keeps the table is not
     referenced back and reference counting frees both.  `index` reads a word's
     orbit by walking these node lists up from the empty word, one letter per
@@ -68,11 +70,12 @@ class OrbitTable:
     """
 
     def __init__(self, d: int, n: int, orbits: list[OrbitRecord], nodes: list[int] | None,
-                 below: OrbitTable | None):
+                 roots: list[int] | None, below: OrbitTable | None):
         self.d = d
         self.n = n
         self.orbits = orbits
         self.nodes = nodes
+        self.roots = roots
         self.below = below
         self._levels = below._levels + (nodes,) if below is not None else ()
         self._orbit_of = None
@@ -126,7 +129,7 @@ def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP) -> OrbitTable:
     if table is not None:
         return table
     if n == 0:
-        table = rack.orbit_tables[0] = OrbitTable(rack.size, 0, [OrbitRecord((), 1)], None, None)
+        table = rack.orbit_tables[0] = OrbitTable(rack.size, 0, [OrbitRecord((), 1)], None, None, None)
         return table
     prev = rack_orbits(rack, n - 1, cap)
     d = rack.size
@@ -152,7 +155,7 @@ def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP) -> OrbitTable:
                     elif r < u:
                         root[u] = r
     nodes = [0] * len(root)
-    reps, sizes = [], []
+    roots, reps, sizes = [], [], []
     for x in range(len(root)):
         r = root[x]
         while root[r] != r:
@@ -160,13 +163,14 @@ def rack_orbits(rack: Rack, n: int, cap: int = DEFAULT_STATE_CAP) -> OrbitTable:
         j, a = divmod(x, d)
         if r == x:
             nodes[x] = len(reps)
+            roots.append(x)
             reps.append(prev.orbits[j].rep + (a,))
             sizes.append(prev.orbits[j].size)
         else:
             k = nodes[x] = nodes[r]
             sizes[k] += prev.orbits[j].size
     orbits = [OrbitRecord(rep, size) for rep, size in zip(reps, sizes)]
-    table = rack.orbit_tables[n] = OrbitTable(d, n, orbits, nodes, prev)
+    table = rack.orbit_tables[n] = OrbitTable(d, n, orbits, nodes, roots, prev)
     return table
 
 
@@ -217,7 +221,10 @@ def orbit_classes(table: OrbitTable, maps) -> list[list[int]]:
     (each a list a -> image of a), applied to words letter by letter.  Each
     class lists orbit indices, its least orbit first; classes come in order of
     their least orbits.  The maps must carry braid orbits onto braid orbits,
-    as conjugation by a group does on a conjugation rack."""
+    as conjugation by a group does on a conjugation rack.  An orbit goes to
+    the orbit of its mapped representative, read off `_rep_images` with no
+    word built."""
+    images = [_rep_images(table, pi) for pi in maps]
     seen = [False] * len(table.orbits)
     classes = []
     for k in range(len(seen)):
@@ -226,14 +233,24 @@ def orbit_classes(table: OrbitTable, maps) -> list[list[int]]:
         seen[k] = True
         cls = [k]
         for j in cls:  # cls grows while it is walked
-            rep = table.orbits[j].rep
-            for pi in maps:
-                i = table.index([pi[a] for a in rep])
+            for image in images:
+                i = image[j]
                 if not seen[i]:
                     seen[i] = True
                     cls.append(i)
         classes.append(cls)
     return classes
+
+
+def _rep_images(table: OrbitTable, pi) -> list[int]:
+    """For each orbit of `table`, the orbit of its representative with letter
+    map pi applied letter by letter.  Level by level from the empty word: the
+    representative of orbit k is that of orbit j at n - 1 followed by letter
+    a, for its root node j*d + a, so its image is node (image of j)*d + pi[a]."""
+    if table.below is None:
+        return [0]
+    below, d, nodes = _rep_images(table.below, pi), table.d, table.nodes
+    return [nodes[below[x // d] * d + pi[x % d]] for x in table.roots]
 
 
 def letter_conjugations(group: PermGroup, labels: list) -> list[list]:

@@ -1,17 +1,28 @@
 """Independent oracles that only the tests call.
 
 Each function here recomputes something the library computes another way,
-so that a test can compare the two: a kernel basis read off the reduced row
-echelon form, the twisted right multiplication T_g of the Koszul
-nullhomotopy identity as a whole matrix, the braid orbit tables built
-from pairwise joins, subgroup closures by plain tuple composition, and
-conjugacy classes and the rational-class test by brute force.
+so that a test can compare the two: the pivot columns of the reduced row
+echelon form from a forward elimination alone, a kernel basis read off
+that form, the twisted right multiplication T_g of the Koszul nullhomotopy
+identity as a whole matrix, the braid orbit tables built from pairwise
+joins, subgroup closures by plain tuple composition, and conjugacy classes
+and the rational-class test by brute force.
 """
 
 from math import gcd
 
 from braidhom.braided import conj, pmul
-from braidhom.exactla import CoefficientField, SparseMatrix, rref
+from braidhom.exactla import CoefficientField, SparseMatrix, _eliminate, _elimination_rows, rref
+
+
+def pivot_columns(M: SparseMatrix, F: CoefficientField) -> list[int]:
+    """The pivot columns of the reduced row echelon form of M over F, in
+    increasing order: the columns outside the span of the columns before them.
+
+    One leftmost forward elimination; no row is back-substituted.
+    """
+    rows, step = _elimination_rows(M, F)
+    return [pc for pc, _ in _eliminate(rows, M.cols, step, leftmost=True)]
 
 
 def kernel_basis(M: SparseMatrix, F: CoefficientField) -> list[dict]:

@@ -465,6 +465,11 @@ def test_determinism_all_subcommands(argv, capsys, tmp_path):
     # bar ranks on a rank-6 space
     ("ext_S4_transpositions_nmax4_F5.csv",
      ["ext", "--group", "S4", "--classes", "transpositions", "--nmax", "4", "--field", "5"]),
+    # the S3 FNF ranks over a prime field
+    ("verify_S3_transpositions_nmax6_F2.csv",
+     ["verify", "--group", "S3", "--classes", "transpositions", "--nmax", "6", "--field", "2"]),
+    ("betti_S3_transpositions_nmax6_F2.csv",
+     ["betti", "--group", "S3", "--classes", "transpositions", "--nmax", "6", "--field", "2"]),
 ])
 def test_homology_golden(name, argv, capsys):
     # stdout recorded when every complex was built, checked and ranked whole,
@@ -472,7 +477,9 @@ def test_homology_golden(name, argv, capsys):
     # two S3 verify files: when every Q pivot step rebuilt its row and divided
     # it by its content; the S4 n <= 5 file: when each differential was ranked
     # on its own, before the top-down clearing sweep; the S4 ext file: when
-    # each shuffle lift was applied move by move, before lifts shared prefixes)
+    # each shuffle lift was applied move by move, before lifts shared prefixes;
+    # the two S3 F_2 files: when the sparsest-column heap was pushed on every
+    # fall of a column's count)
     rc, out = run(capsys, argv)
     assert rc == 0
     assert out == (GOLDEN / name).read_text()

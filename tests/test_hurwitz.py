@@ -33,6 +33,7 @@ from braidhom.hurwitz import (
     stabilization_thresholds,
     subgroup_lattice,
 )
+from braidhom.orbits import letter_conjugations, orbit_classes
 from tests.oracles import pairwise_join_orbits, tuple_closure
 from tests.test_acceptance import _naive_orbit_count, signed_orbit_count
 from tests.test_braided import S3, transpositions
@@ -233,6 +234,49 @@ def assert_matches_pairwise_joins(rack, n):
                                                ("D4", "all", 5)])
 def test_rack_orbits_match_pairwise_joins_on_builtin_groups(group, classes, n):
     assert_matches_pairwise_joins(class_selector(builtin_group(group), classes).rack, n)
+
+
+def walked_orbit_classes(table, maps):
+    """Oracle for `orbits.orbit_classes`: the orbit of each mapped
+    representative read by walking the word through `OrbitTable.index`."""
+    seen, classes = set(), []
+    for k in range(len(table)):
+        if k in seen:
+            continue
+        seen.add(k)
+        cls = [k]
+        for j in cls:
+            for pi in maps:
+                i = table.index(tuple(pi[a] for a in table.orbits[j].rep))
+                if i not in seen:
+                    seen.add(i)
+                    cls.append(i)
+        classes.append(cls)
+    return classes
+
+
+def assert_orbit_classes_match_word_walks(G, c, n):
+    maps = letter_conjugations(G, c.rack.labels)
+    for m in range(n + 1):
+        table = rack_orbits(c.rack, m)
+        if m:
+            d = table.d
+            assert [rec.rep for rec in table.orbits] == \
+                [table.below.orbits[x // d].rep + (x % d,) for x in table.roots]
+        assert orbit_classes(table, maps) == walked_orbit_classes(table, maps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(class_sets_and_lengths())
+def test_orbit_classes_match_word_walks(case):
+    # each representative's image is read off the node lists level by level
+    assert_orbit_classes_match_word_walks(*case)
+
+
+@pytest.mark.parametrize("group, classes, n", [("S6", "transpositions", 5), ("D4", "all", 5)])
+def test_orbit_classes_match_word_walks_on_builtin_groups(group, classes, n):
+    G = builtin_group(group)
+    assert_orbit_classes_match_word_walks(G, class_selector(G, classes), n)
 
 
 @settings(max_examples=40, deadline=None)

@@ -61,6 +61,29 @@ def test_top_degree_probe(pmax, expected):
     assert (K.pmax, K.top_reached, K.nichols._built, K.homology_pmax()) == expected
 
 
+@pytest.mark.parametrize("pmax", [1, 2, 3, 4, 5])
+def test_the_boundary_term_is_assembled_only_at_the_top(pmax):
+    # below the top degree 4, d(pmax, qmax - 1) leaves a truncation boundary:
+    # it is not assembled, d and d_i refuse it, its diagonal is left out and
+    # neither term of that diagonal has a homology rank; from the top on it is
+    # assembled as every other term is
+    G, c, V = s3_setup()
+    K = koszul_complex(V, "R", pmax=pmax, qmax=3, F=QQ, c=c)
+    term, s = (K.pmax, 2), K.pmax + 2
+    if K.top_reached:
+        M = K.d(*term)
+        assert M.nnz and K.d_i(0, *term) is M and K.diagonals[s].diff[K.pmax] is M
+    else:
+        for read in (K.d, lambda p, q: K.d_i(0, p, q)):
+            with pytest.raises(koszul.TruncationError, match="increase pmax"):
+                read(*term)
+        for p in (K.pmax - 1, K.pmax):
+            with pytest.raises(koszul.TruncationError):
+                K.homology_rank(p, s - p)
+        assert (0, *term) not in K.d_class
+    assert sorted(K.diagonals) == [t for t in range(K.pmax + 4) if K.top_reached or t != s]
+
+
 @pytest.mark.parametrize("pmax", [1, 2, 3])
 def test_top_degree_probe_on_an_exterior_line(pmax):
     # sigma = -1: the dual algebra is an exterior algebra on one letter, zero
@@ -312,6 +335,8 @@ def test_assembly_matches_kronecker_sums(space, field):
     assert len(K.classes) == (2 if space == "D4 2+2" else 1)
     for q in range(qmax):
         for p in range(1, K.pmax + 1):
+            if (p, q) == (K.pmax, qmax - 1) and not K.top_reached:
+                continue  # leaves the truncation boundary, not assembled
             total = SparseMatrix.zero(K.dim(p - 1, q + 1), K.dim(p, q))
             for ci, letters in enumerate(K.classes):
                 naive = kronecker_class_differential(K, letters, p, q, field)
@@ -500,13 +525,17 @@ def summed_assembly(K):
     wrote each entry once: every column (k, o) accumulated over the letters
     of its class and reduced over F, and d the `SparseMatrix.add` of the
     class matrices of each (p, q), class 0 first.  The oracle of
-    `KoszulComplex._assemble`; returns ({(ci, p, q): d_ci}, {(p, q): d})."""
+    `KoszulComplex._assemble`; returns ({(ci, p, q): d_ci}, {(p, q): d}),
+    without d(pmax, qmax - 1) when pmax is a truncation boundary, which
+    assembly leaves out."""
     F, dcols = K.F, K.nichols.derivations
     d_class, d = {}, {}
     for q in range(K.qmax):
         rmult = [K.module.right_mult(v, q) for v in range(K.V.rack.size)]
         nq_src, nmod_t = K.module.dim(q), K.module.dim(q + 1)
         for p in range(1, K.pmax + 1):
+            if (p, q) == (K.pmax, K.qmax - 1) and not K.top_reached:
+                continue
             for ci, letters in enumerate(K.classes):
                 cols = []
                 for k in range(K.nichols.dim(p)):

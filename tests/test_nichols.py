@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from braidhom.braided import (check_braided, conj, dual_space, identity_perm, index_word, pmul, rank_one_space,
                               word_index)
-from braidhom.exactla import GF, QQ, SparseMatrix, inverse, pivot_columns, rank, rref
+from braidhom.exactla import GF, QQ, SparseMatrix, inverse, rank, rref
 from braidhom.nichols import NicholsData, constant_braiding_value, hopf_pairing, nichols_dims, skew_derivation
 from braidhom.shuffle import quantum_symmetrizer
+from tests.oracles import pivot_columns
 from tests.test_braided import jordan_plane, s3_transposition_space, s4_transposition_setup
 from tests.test_fnf import small_rack_spaces
 
