@@ -45,14 +45,14 @@ class Default(str):
 def builtin_group(name: str) -> PermGroup:
     name = name.strip()
     key = name.upper().replace("/", "")
-    if key.startswith("S") and key[1:].isdigit():
+    if key.startswith("S") and key[1:].isdecimal():
         m = int(key[1:])
         if 2 <= m <= 6:
             gens = [parse_cycles("(1 2)", m)]
             if m > 2:
                 gens.append(tuple(list(range(1, m)) + [0]))
             return PermGroup(m, gens, name=f"S{m}")
-    if key.startswith("A") and key[1:].isdigit():
+    if key.startswith("A") and key[1:].isdecimal():
         m = int(key[1:])
         if 3 <= m <= 5:
             gens = [parse_cycles("(1 2 3)", m)]
@@ -61,7 +61,7 @@ def builtin_group(name: str) -> PermGroup:
             elif m == 5:
                 gens.append(parse_cycles("(1 2 3 4 5)", m))
             return PermGroup(m, gens, name=f"A{m}")
-    if key.startswith("Z") and key[1:].isdigit():
+    if key.startswith("Z") and key[1:].isdecimal():
         m = int(key[1:])
         if 1 <= m <= 12:
             gen = tuple(list(range(1, m)) + [0]) if m > 1 else (0,)
@@ -93,7 +93,7 @@ def class_selector(G: PermGroup, spec: str) -> ConjClassSet:
         elems = nontrivial
     elif spec == "transpositions":
         elems = [g for g in nontrivial if cycle_type(g) == (2,)]
-    elif spec.endswith("-cycles") and spec.split("-")[0].isdigit():
+    elif spec.endswith("-cycles") and spec.split("-")[0].isdecimal():
         k = int(spec.split("-")[0])
         elems = [g for g in nontrivial if cycle_type(g) == (k,)]
     else:
@@ -124,7 +124,7 @@ def resolve_field(args, G: PermGroup | None) -> CoefficientField:
         return GF(p)
     if spec.upper() == "Q":
         return QQ
-    if spec.isdigit() and _is_prime(int(spec)):
+    if spec.isdecimal() and _is_prime(int(spec)):
         p = int(spec)
         if getattr(args, "rank1", False) and Fraction(args.sigma).numerator % p == 0:
             raise UsageError(f"--sigma {args.sigma} vanishes in F_{p}, so the braiding is not invertible there")
@@ -307,7 +307,7 @@ def cmd_koszul(args) -> int:
     else:
         lat = hurwitz.subgroup_lattice(c)
         kind, _, idx = args.module.partition(":")
-        if kind not in ("exact", "sub") or not idx.isdigit() or int(idx) >= len(lat):
+        if kind not in ("exact", "sub") or not idx.isdecimal() or int(idx) >= len(lat):
             raise UsageError("module must be 'R', 'exact:<k>', or 'sub:<k>' with k a lattice index")
         spec = (kind, lat.subgroups[int(idx)])
     K = koszul.koszul_complex(V, spec, pmax=args.pmax, qmax=args.qmax, F=F, c=c)

@@ -12,18 +12,18 @@ the orientation fixed in `nichols`, that is the right side (the two sides are
 mirror conventions, and only this one squares to zero once c has classes of
 non-involutions).  Splitting the letter sum by conjugacy class gives the
 per-class differentials d_1..d_m; they anticommute and each squares to zero,
-and d = sum d_i.  Everything is assembled as explicit sparse matrices, and d
-is formed from the d_i once.  The letter product of a word is a braid
+and d = sum d_i.  One column writer makes both as sparse matrices: d from
+every letter, kept per term, and d_i from class i's letters, on demand and
+not kept (with one class d_0 is d).  The letter product of a word is a braid
 invariant (its boundary monodromy), so a module basis orbit o times distinct
 letters v gives distinct orbits o v: each column of d_i, and of d, is a
-disjoint union of derivation entries, already reduced.  Assembly writes
+disjoint union of derivation entries, already reduced.  The writer puts
 them, for each dual basis element psi_k and only the letters with
 d_v psi_k != 0, straight into the columns of every module basis element,
-with no sum, and counts the entries written.  d is the union of the class
-columns, counted the same way; with one class it is d_0 itself.  The rows
-of d_v psi_k lie in the G-grade v^-1 deg(psi_k) as well, so no complex
-built from `NicholsData` has two letters meet in one entry: a count that
-comes up short means malformed derivations or module tables, and raises
+with no sum, and counts the entries written.  The rows of d_v psi_k lie in
+the G-grade v^-1 deg(psi_k) as well, so no complex built from `NicholsData`
+has two letters, of one class or two, meet in one entry: a count that comes
+up short means malformed derivations or module tables, and raises
 `ComplexIntegrityError`.  Before assembling, the complex
 counts the entries the derivations can give and refuses (ValueError) a
 count over `orbits.DEFAULT_STATE_CAP`.  Each diagonal p + q = s is a chain
@@ -84,18 +84,18 @@ class KoszulComplex:
     The module must be built on the rack of V itself (the one rack of its
     class set), so that module letters and dual letters are the same labels.
 
-    `classes[i]` lists the letter indices of the i-th conjugacy class; the
-    per-class matrices are d_class[(i, p, q)]: term (p, q) -> term (p-1, q+1).
-    Their sum, the total differential, is formed once at construction and read
-    by `d(p, q)`.  The assembled window is 1 <= p <= pmax, 0 <= q < qmax,
-    except d(pmax, qmax - 1) when pmax is a truncation boundary (not
-    `top_reached`): that term is the only differential of diagonal
-    pmax + qmax - 1, where no homology is reliable, and no check reads it, so
-    it is not built (it is often the largest term), and `d` and `d_i` raise
-    `TruncationError` for it.  `diagonals[s]` is the chain complex of the
-    terms with p + q = s, in degree p, for every s up to pmax + qmax but that
-    diagonal.  Terms are indexed
-    by (dual basis element, module basis element), module index fastest.
+    `classes[i]` lists the letter indices of the i-th conjugacy class.  The
+    total differential d(p, q), term (p, q) -> term (p-1, q+1), is the one
+    matrix kept per term; the class differential `d_i(i, p, q)` is written
+    on each call (d itself with one class).  The assembled window is
+    1 <= p <= pmax, 0 <= q < qmax, except d(pmax, qmax - 1) when pmax is a
+    truncation boundary (not `top_reached`): that term is the only
+    differential of diagonal pmax + qmax - 1, where no homology is reliable,
+    and no check reads it, so it is not built (it is often the largest term),
+    and `d` and `d_i` raise `TruncationError` for it.  `diagonals[s]` is the
+    chain complex of the terms with p + q = s, in degree p, for every s up to
+    pmax + qmax but that diagonal.  Terms are indexed by (dual basis element,
+    module basis element), module index fastest.
     Homology ranks are read from `diagonal_ranks(s)`, one {p: rank} table
     per diagonal, summed by `fnf.plan_homology` over `rank_plan(s)`: one
     G-grade block of diagonal s per conjugacy class, weighted by the class
@@ -129,7 +129,6 @@ class KoszulComplex:
         class_of = module.class_of
         m = max(class_of) + 1 if class_of else 1
         self.classes = [[a for a in range(V.rack.size) if class_of[a] == i] for i in range(m)]
-        self.d_class: dict = {}
         self._d: dict = {}
         self._check_size()
         self._assemble()
@@ -148,9 +147,9 @@ class KoszulComplex:
         return self.nichols.dim(p) * self.module.dim(q)
 
     def _check_size(self):
-        """Refuse a complex too large to assemble: the class differentials hold
-        at most dim M_q times nnz(d_v psi_k) entries summed over q < qmax, p, k
-        and v, counted from the Nichols derivations before anything is built."""
+        """Refuse a complex too large to assemble: d holds at most dim M_q
+        times nnz(d_v psi_k) entries summed over q < qmax, p, k and v, counted
+        from the Nichols derivations before anything is built."""
         nnz = sum(len(col) for p in range(1, self.pmax + 1) for cols in self.nichols.derivations[p] for col in cols)
         entries = nnz * sum(self.module.dim(q) for q in range(self.qmax))
         if entries > orbits.DEFAULT_STATE_CAP:
@@ -158,49 +157,55 @@ class KoszulComplex:
                              f"{orbits.DEFAULT_STATE_CAP}; lower --pmax or --qmax")
 
     def _assemble(self):
-        """Write the class differentials and d, each entry once (see the
-        module docstring).  The columns (k, o) of one dual basis element psi_k
-        are written together and their entries counted; should they hold
-        fewer, two letters met in one entry, and `ComplexIntegrityError` is
-        raised.  d is formed per (p, q) by `_union`."""
-        dcols = self.nichols.derivations  # [p][v] -> columns of d_v out of dual degree p
+        """Write and keep d(p, q) on every term of the window but the skipped
+        one, from every letter class by class, reading each q's tables once."""
+        letters = list(chain.from_iterable(self.classes))
         for q in range(self.qmax):
-            rmult = [self.module.right_mult(v, q) for v in range(self.V.rack.size)]
-            nq_src, nmod_t = self.module.dim(q), self.module.dim(q + 1)
-            # per letter, the number of module orbits whose product stays in the module
-            hits = [nq_src - rm.count(None) for rm in rmult]
+            tables = self._right_tables(q)
             for p in range(1, self.pmax + 1):
-                if (p, q) == self._skipped:
-                    continue
-                nrows = self.dim(p - 1, q + 1)
-                for ci, letters in enumerate(self.classes):
-                    cols = []
-                    for k in range(self.nichols.dim(p)):
-                        # columns (k, o) for every module orbit o; d_v psi_k row
-                        # i lands on row i * nmod_t + (o v) of term (p - 1, q + 1)
-                        block, written = [{} for _ in range(nq_src)], 0
-                        for v in letters:
-                            if dv := dcols[p][v][k]:
-                                written += len(dv) * hits[v]
-                                rm = rmult[v]
-                                for i, val in dv.items():
-                                    base = i * nmod_t
-                                    for col, o2 in zip(block, rm):
-                                        if o2 is not None:
-                                            col[base + o2] = val
-                        if sum(map(len, block)) < written:
-                            raise ComplexIntegrityError(f"p={p}, q={q}, k={k}: two letters of class {ci} "
-                                                        "meet in one entry of the columns of psi_k")
-                        cols += block
-                    self.d_class[(ci, p, q)] = SparseMatrix._trusted(nrows, cols)
-                self._d[(p, q)] = _union([self.d_class[(ci, p, q)] for ci in range(len(self.classes))],
-                                         p, q, nq_src)
+                if (p, q) != self._skipped:
+                    self._d[(p, q)] = self._columns(p, q, letters, tables)
+
+    def _right_tables(self, q: int) -> tuple[list, list]:
+        """Right multiplication by each letter on M_q, and how many orbits it keeps in M."""
+        rmult = [self.module.right_mult(v, q) for v in range(self.V.rack.size)]
+        return rmult, [self.module.dim(q) - rm.count(None) for rm in rmult]
+
+    def _columns(self, p: int, q: int, letters, tables) -> SparseMatrix:
+        """The sum over v in `letters` of (d_v psi) (x) (r v) on term (p, q),
+        tables from `_right_tables(q)`, each entry written once (see the module
+        docstring).  The columns (k, o) of one psi_k are written together and
+        their entries counted; fewer means two letters met in one entry, and
+        raises `ComplexIntegrityError`."""
+        dcols = self.nichols.derivations[p]  # [v] -> columns of d_v out of dual degree p
+        rmult, hits = tables
+        nq_src, nmod_t = self.module.dim(q), self.module.dim(q + 1)
+        cols = []
+        for k in range(self.nichols.dim(p)):
+            # columns (k, o) for every module orbit o; d_v psi_k row i lands
+            # on row i * nmod_t + (o v) of term (p - 1, q + 1)
+            block, written = [{} for _ in range(nq_src)], 0
+            for v in letters:
+                if dv := dcols[v][k]:
+                    written += len(dv) * hits[v]
+                    rm = rmult[v]
+                    for i, val in dv.items():
+                        base = i * nmod_t
+                        for col, o2 in zip(block, rm):
+                            if o2 is not None:
+                                col[base + o2] = val
+            if sum(map(len, block)) < written:
+                raise ComplexIntegrityError(f"p={p}, q={q}, k={k}: two letters meet in one entry "
+                                            "of the columns of psi_k")
+            cols += block
+        return SparseMatrix._trusted(self.dim(p - 1, q + 1), cols)
 
     def d_i(self, ci: int, p: int, q: int) -> SparseMatrix:
-        if (ci, p, q) in self.d_class:
-            return self.d_class[(ci, p, q)]
-        self._refuse_skipped(p, q)
-        return SparseMatrix.zero(self.dim(p - 1, q + 1), self.dim(p, q))
+        """The differential of class ci out of term (p, q): d itself with one
+        class, else written from the class's letters on each call, not kept."""
+        if len(self.classes) == 1 or (p, q) not in self._d:
+            return self.d(p, q)
+        return self._columns(p, q, self.classes[ci], self._right_tables(q))
 
     def d(self, p: int, q: int) -> SparseMatrix:
         """The total differential, term (p, q) -> term (p-1, q+1)."""
@@ -258,26 +263,6 @@ class KoszulComplex:
         grades, classes = self._grading.diagonal(s, self.diagonals[s].degrees)
         blocks = _split_diagonal(self, s, grades, keep=[cls[0] for cls in classes])
         return [(blocks[cls[0]], len(cls)) for cls in classes]
-
-
-def _union(mats: list[SparseMatrix], p: int, q: int, nq_src: int) -> SparseMatrix:
-    """The sum of the class differentials of (p, q): the first itself when it
-    is the only one, else the union of their columns, which hold disjoint
-    rows as the columns of one class do.  A column whose union holds fewer
-    entries than its parts raises `ComplexIntegrityError` naming the psi_k
-    of the column, one of `nq_src` module orbits per k."""
-    if len(mats) == 1:
-        return mats[0]
-    cols = []
-    for j, parts in enumerate(zip(*(M.columns() for M in mats))):
-        col = {}
-        for part in parts:
-            col.update(part)
-        if len(col) < sum(map(len, parts)):
-            raise ComplexIntegrityError(f"p={p}, q={q}, k={j // nq_src}: two classes meet in one entry "
-                                        "of the columns of psi_k in d")
-        cols.append(col)
-    return SparseMatrix._trusted(mats[0].rows, cols)
 
 
 class _GroupGrading:
@@ -467,10 +452,12 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
     (a) the per-class differentials square to zero and anticommute pairwise,
         each sum of products tested for zero without building it
         (`exactla.products_vanish`).  With one class d is d_0 itself
-        (`_union`), and the d^2 check of every diagonal (`GradedComplex`,
-        at construction) has already tested each product d_0 d_0 of the
-        window below, so (a) tests nothing more; with two or more classes it
-        tests every pair;
+        (`KoszulComplex.d_i`), and the d^2 check of every diagonal
+        (`GradedComplex`, at construction) has already tested each product
+        d_0 d_0 of the window below, so (a) tests nothing more; with two or
+        more classes it tests every pair.  Each class differential it reads
+        is written from the derivations once per term and call, and dropped
+        once the loop has passed its module degree;
     (b) for a monodromy stratum, the module multiplication on the side
         commuting with d (the left, given the right-multiplication
         differential) is zero on homology: for each letter, left
@@ -513,15 +500,24 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
 
     anticommute_ok = True
     m = len(K.classes)
+    built = {}  # (i, p, q) -> K.d_i(i, p, q), for module degrees q and q + 1 of the loop
+
+    def d_i(i, p, q):
+        if (i, p, q) not in built:
+            built[(i, p, q)] = K.d_i(i, p, q)
+        return built[(i, p, q)]
+
     for q in range(min(qr, K.qmax - 1) if m > 1 else 0):  # one class: the d^2 check covers (a)
+        for key in [key for key in built if key[2] < q]:
+            del built[key]
         for p in range(2, pr + 1):
             if K.dim(p, q) == 0:
                 continue
             for i in range(m):
                 for j in range(i, m):
-                    pairs = [(K.d_i(i, p - 1, q + 1), K.d_i(j, p, q))]
+                    pairs = [(d_i(i, p - 1, q + 1), d_i(j, p, q))]
                     if i != j:
-                        pairs.append((K.d_i(j, p - 1, q + 1), K.d_i(i, p, q)))
+                        pairs.append((d_i(j, p - 1, q + 1), d_i(i, p, q)))
                     if not products_vanish(pairs, F):
                         anticommute_ok = False
                         failures.append(f"d_{i}^2 != 0 at (p={p}, q={q})" if i == j

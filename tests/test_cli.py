@@ -509,6 +509,23 @@ def test_field_must_be_q_or_a_prime(spec, capsys):
     assert f"field must be 'Q' or a prime, got '{spec}'" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["orbits", "--group", "S²", "--classes", "transpositions", "--nmax", "2"], "unknown builtin group 'S²'"),
+    (["orbits", "--group", "A²", "--classes", "3-cycles", "--nmax", "2"], "unknown builtin group 'A²'"),
+    (["orbits", "--group", "Z²", "--classes", "all", "--nmax", "2"], "unknown builtin group 'Z²'"),
+    (["orbits", "--group", "S3", "--classes", "²-cycles", "--nmax", "2"], "unknown class selector '²-cycles'"),
+    (["betti", "--rank1", "--nmax", "2", "--field", "²"], "field must be 'Q' or a prime, got '²'"),
+    (["koszul", "--group", "S3", "--classes", "transpositions", "--epsilon", "--field", "Q", "--module", "exact:²"],
+     "module must be 'R', 'exact:<k>', or 'sub:<k>'"),
+], ids=["group-S", "group-A", "group-Z", "classes", "field", "module"])
+def test_superscript_digits_get_their_options_usage_error(argv, message, capsys):
+    # '²'.isdigit() holds but int('²') fails; each option refuses it with its own message
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert message in captured.err and "invalid literal" not in captured.err
+
+
 @pytest.mark.parametrize("command", ["betti", "ext", "verify", "nichols"])
 @pytest.mark.parametrize("nmax", ["0", "-1"])
 def test_nmax_below_one_is_a_usage_error(command, nmax, capsys):

@@ -906,13 +906,13 @@ def test_assembled_complexes_pass_the_constructor_checks(system_space, rack_spac
 
 @pytest.mark.parametrize("F", [QQ, GF(5)])
 def test_koszul_and_nichols_matrices_pass_the_constructor_checks(F):
-    # class and total differentials, their multigrade blocks, the matrices of
-    # the nullhomotopy check, one Phi_p and the braid actions, all built
-    # column by column and handed over unchecked
+    # the differentials (one class: d_0 is d), their multigrade blocks, the
+    # matrices of the nullhomotopy check, one Phi_p and the braid actions, all
+    # built column by column and handed over unchecked
     V = s3_transposition_space(epsilon=True)
     K = koszul.koszul_complex(V, "R", pmax=4, qmax=4, F=F, c=transpositions(S3()))
     nd = K.nichols
-    mats = list(K.d_class.values()) + [K.d(p, q) for p in range(1, K.pmax + 1) for q in range(K.qmax)]
+    mats = [K.d(p, q) for p in range(1, K.pmax + 1) for q in range(K.qmax)]
     for s in K.diagonals:
         mats += [M for cx in koszul._multigrade_blocks(K, s).values() for M in cx.diff.values()]
     for p in range(K.pmax):

@@ -1,9 +1,10 @@
 import gc
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from braidhom import koszul
 from braidhom.braided import Cocycle, ConjClassSet, braided_space, identity_perm, pmul, rank_one_space
@@ -80,7 +81,7 @@ def test_the_boundary_term_is_assembled_only_at_the_top(pmax):
         for p in (K.pmax - 1, K.pmax):
             with pytest.raises(koszul.TruncationError):
                 K.homology_rank(p, s - p)
-        assert (0, *term) not in K.d_class
+        assert term not in K._d
     assert sorted(K.diagonals) == [t for t in range(K.pmax + 4) if K.top_reached or t != s]
 
 
@@ -189,21 +190,29 @@ def s3_two_classes():
     return koszul_complex(V, "R", pmax=3, qmax=4, F=QQ, c=c)
 
 
+def class_differentials(K):
+    """((ci, p, q), d_ci) for every class ci and every term (p, q) that K
+    assembles, each read through `KoszulComplex.d_i`."""
+    return [((ci, p, q), K.d_i(ci, p, q)) for p, q in sorted(K._d) for ci in range(len(K.classes))]
+
+
 def test_anticommute_negative_control():
-    # one corrupted derivation entry of d_0 out of (2, 1): with two classes
-    # check (a) sees it; with one, d is d_0 and the d^2 check of the diagonal
-    # that check (a) leaves it to sees it
+    # with two classes check (a) writes each d_i from the derivations, so one
+    # corrupted derivation entry of a class-0 letter out of dual degree 2,
+    # made after assembly, fails it; with one class d_i is d itself, and a
+    # corrupted entry of d(2, 1) fails the d^2 check of the diagonal that
+    # check (a) leaves it to
     K = s3_two_classes()
-    M = K.d_class[(0, 2, 1)]
-    (i0, j0) = next(iter(M.entries))
-    M.columns()[j0][i0] = M.columns()[j0][i0] + 1
+    v = K.classes[0][0]
+    col = next(col for col in K.nichols.derivations[2][v] if col)
+    col[min(col)] += 1
     rep = verify_koszul_identities(K, pr=3, qr=2)
     assert not rep.anticommute_ok
 
     G, c, V = s3_setup()
     K = koszul_complex(V, "R", pmax=3, qmax=4, F=QQ, c=c)
-    M = K.d_class[(0, 2, 1)]
-    assert K.d(2, 1) is M and K.diagonals[3].diff[2] is M
+    M = K.d(2, 1)
+    assert K.d_i(0, 2, 1) is M and K.diagonals[3].diff[2] is M
     (i0, j0) = next(iter(M.entries))
     M.columns()[j0][i0] = M.columns()[j0][i0] + 1
     with pytest.raises(ComplexIntegrityError, match="d\\^2 != 0"):
@@ -212,23 +221,32 @@ def test_anticommute_negative_control():
 
 def test_check_a_tests_each_product_once(monkeypatch):
     # with one class the d^2 check at construction has tested every product
-    # of check (a), which then makes no products_vanish call; with two
-    # classes it makes one per pair of classes at each (p, q) of its window
-    calls = []
-    real = koszul.products_vanish
+    # of check (a), which then makes no products_vanish call and writes no
+    # class differential; with two classes it makes one call per pair of
+    # classes at each (p, q) of its window, and writes each d_i it reads once
+    # per term, m = 2 per term read
+    calls, builds = [], Counter()
+    real, columns = koszul.products_vanish, KoszulComplex._columns
 
     def counted(pairs, F):
         calls.append(len(pairs))
         return real(pairs, F)
 
+    def counted_columns(K, p, q, letters, tables):
+        builds[(p, q)] += 1
+        return columns(K, p, q, letters, tables)
+
     G, c, V = s3_setup()
     one = koszul_complex(V, "R", pmax=3, qmax=4, F=QQ, c=c)
     two = s3_two_classes()
     monkeypatch.setattr(koszul, "products_vanish", counted)
-    assert verify_koszul_identities(one, pr=3, qr=3).ok and calls == []
+    monkeypatch.setattr(KoszulComplex, "_columns", counted_columns)
+    assert verify_koszul_identities(one, pr=3, qr=3).ok and calls == [] and not builds
     assert verify_koszul_identities(two, pr=3, qr=3).ok
     window = [(p, q) for q in range(3) for p in range(2, 4) if two.dim(p, q)]
     assert window and calls == [1, 2, 1] * len(window)  # d_0^2, d_0 d_1 + d_1 d_0, d_1^2
+    terms = {term for p, q in window for term in ((p, q), (p - 1, q + 1))}
+    assert builds == Counter(dict.fromkeys(terms, len(two.classes)))
 
 
 def nullhomotopy_failures(rep):
@@ -340,7 +358,7 @@ def test_assembly_matches_kronecker_sums(space, field):
             total = SparseMatrix.zero(K.dim(p - 1, q + 1), K.dim(p, q))
             for ci, letters in enumerate(K.classes):
                 naive = kronecker_class_differential(K, letters, p, q, field)
-                assert K.d_class[(ci, p, q)] == naive, (ci, p, q)
+                assert K.d_i(ci, p, q) == naive, (ci, p, q)
                 total = total.add(naive, field)
             assert K.d(p, q) == total, (p, q)
     # the nullhomotopy check agrees with matrix products, on the intact complex
@@ -413,14 +431,17 @@ def test_two_class_multidifferentials():
     for q in (0, 1, 2):
         for p in (1, 2):
             assert K.d(p, q) == K.d_i(0, p, q).add(K.d_i(1, p, q), QQ)
-    # negative control for the mixed terms: an entry of d_1 whose corruption
-    # leaves d_1^2 = 0 but not d_0 d_1 + d_1 d_0
-    M = K.d_class[(1, 2, 1)]
-    (i0, j0) = next(iter(M.entries))
-    M.columns()[j0][i0] = M.columns()[j0][i0] + 1
+    # negative control for the mixed terms: an entry of d_v psi_k, v of class
+    # 1, on a dual letter of class 0, which d_1 out of dual degree 1 does not
+    # read; corrupting it leaves d_1^2 = 0 but not d_0 d_1 + d_1 d_0, at every
+    # module degree that d_1 out of dual degree 2 is written for
+    col = next(col for v in K.classes[1] for col in K.nichols.derivations[2][v]
+               if any(i in K.classes[0] for i in col))
+    i = next(i for i in col if i in K.classes[0])
+    col[i] += 1
     rep = verify_koszul_identities(K, pr=2, qr=2)
     assert not rep.anticommute_ok
-    assert rep.failures == ["d_0 d_1 + d_1 d_0 != 0 at (p=2, q=1)"]
+    assert rep.failures == [f"d_0 d_1 + d_1 d_0 != 0 at (p=2, q={q})" for q in (0, 1)]
 
 
 def test_class_differentials_are_multigraded():
@@ -434,7 +455,7 @@ def test_class_differentials_are_multigraded():
     V_all = braided_space(c_all.rack, Cocycle.constant(c_all.rack, 1), epsilon=True, group=G)
     for K in (koszul_complex(V, "R", pmax=4, qmax=4, F=QQ, c=c),
               koszul_complex(V_all, "R", pmax=3, qmax=3, F=QQ, c=c_all)):
-        for (ci, p, q), M in K.d_class.items():
+        for (ci, p, q), M in class_differentials(K):
             src, tgt = koszul._term_grades(K, p, q), koszul._term_grades(K, p - 1, q + 1)
             assert len(src) == M.cols and len(tgt) == M.rows
             before, after = K.module.grades[q], K.module.grades[q + 1]
@@ -480,7 +501,7 @@ def test_class_differentials_preserve_the_group_grade(field):
             dual = {p: [letter_product(K.V.rack.labels, w, e) for w in K.nichols.pivot_words(p)]
                     for p in range(K.pmax + 1)}
             grades = {(p, q): [pmul(o, psi) for psi in dual[p] for o in mod[q]] for p in dual for q in mod}
-            for (ci, p, q), M in K.d_class.items():
+            for (ci, p, q), M in class_differentials(K):
                 src, tgt = grades[p, q], grades[p - 1, q + 1]
                 assert len(src) == M.cols and len(tgt) == M.rows
                 for col, column in enumerate(M.columns()):
@@ -570,10 +591,53 @@ def test_assembly_matches_the_summed_oracle(field):
         for spec in ["R"] + [(kind, H) for H in subgroup_lattice(c) for kind in ("exact", "sub")]:
             K = koszul_complex(V, spec, pmax=pmax, qmax=qmax, F=field, c=c)
             d_class, d = summed_assembly(K)
-            assert K.d_class == d_class, (name, spec)
+            assert dict(class_differentials(K)) == d_class, (name, spec)
             assert {key: K.d(*key) for key in d} == d, (name, spec)
-            for M in [*K.d_class.values(), *d.values()]:
+            for M in [*dict(class_differentials(K)).values(), *(K.d(*key) for key in d)]:
                 assert all(is_field_scalar(field, v) for col in M.columns() for v in col.values()), (name, spec)
+
+
+# sign-twisted spaces with two or more letter classes, each with the largest
+# pmax and qmax the property test draws
+MULTI_CLASS_SPACES = [("A4", "3-cycles", 3, 4), ("D4", "all", 3, 4), ("D4", "2+2", 3, 4), ("S3", "all", 3, 4),
+                      ("S4", "all", 2, 3)]
+
+
+@st.composite
+def multi_class_windows(draw):
+    """(group, classes, pmax, qmax, field) for a space of MULTI_CLASS_SPACES."""
+    group, classes, pmax, qmax = draw(st.sampled_from(MULTI_CLASS_SPACES))
+    return group, classes, draw(st.integers(1, pmax)), draw(st.integers(1, qmax)), draw(st.sampled_from([QQ, GF(5)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(multi_class_windows())
+def test_class_differentials_sum_to_the_one_kept_d(window):
+    # the complex keeps d, and only d, once per assembled term; each d_i,
+    # written on demand, is the summed oracle's class matrix, and they sum to d
+    group, classes, pmax, qmax, field = window
+    G = builtin_group(group)
+    c = class_selector(G, classes)
+    V = braided_space(c.rack, Cocycle.constant(c.rack, 1), epsilon=True, group=G)
+    K = koszul_complex(V, "R", pmax=pmax, qmax=qmax, F=field, c=c)
+    assert len(K.classes) >= 2
+    terms = sorted((p, q) for q in range(qmax) for p in range(1, K.pmax + 1)
+                   if K.top_reached or (p, q) != (K.pmax, qmax - 1))
+    attributes = dict(vars(K))
+    assert sorted(K._d) == terms
+    assert all(K.diagonals[p + q].diff[p] is K.d(p, q) for p, q in terms)
+    assert {name for name, value in attributes.items()
+            if isinstance(value, dict) and any(isinstance(M, SparseMatrix) for M in value.values())} <= {"_d"}
+    d_class = summed_assembly(K)[0]
+    for p, q in terms:
+        total = SparseMatrix.zero(K.dim(p - 1, q + 1), K.dim(p, q))
+        for ci in range(len(K.classes)):
+            M = K.d_i(ci, p, q)
+            assert M == d_class[(ci, p, q)], (ci, p, q)
+            total = total.add(M, field)
+        assert total == K.d(p, q), (p, q)
+    # reading every d_i kept nothing more
+    assert vars(K) == attributes and sorted(K._d) == terms
 
 
 class LineModule(FilteredModule):
@@ -612,21 +676,22 @@ def test_two_letters_of_one_class_meeting_in_a_column_are_refused(field):
     # on the line module every letter reaches one orbit, so the letters meet
     # wherever their derivations share a row; the real derivations share none
     K = line_complex("transpositions", field)
-    assert K.d_class == summed_assembly(K)[0]
-    with pytest.raises(ComplexIntegrityError, match=r"^p=2, q=0, k=0: two letters of class 0 meet in one entry"):
+    assert dict(class_differentials(K)) == summed_assembly(K)[0]
+    with pytest.raises(ComplexIntegrityError, match=r"^p=2, q=0, k=0: two letters meet in one entry"):
         meet_in_one_column(K, 0, 1, field)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
 def test_two_classes_meeting_in_d_are_refused(field):
-    # the letters meet in d but in no d_i, so only the union of d finds them
+    # the letters meet in d but in no d_i, and the one count of d, written
+    # from every letter, finds them; each d_i alone is still written
     K = line_complex("all", field)
     assert len(K.classes) == 2
     a, b = K.classes[0][0], K.classes[1][0]
-    with pytest.raises(ComplexIntegrityError, match=r"^p=2, q=0, k=0: two classes meet in one entry .* in d$"):
+    with pytest.raises(ComplexIntegrityError, match=r"^p=2, q=0, k=0: two letters meet in one entry"):
         meet_in_one_column(K, a, b, field)
-    assert K.d_class[(0, 2, 0)].columns()[0] == {0: 1, 1: 2}
-    assert K.d_class[(1, 2, 0)].columns()[0] == {0: field.neg(1), 1: 2}
+    assert K.d_i(0, 2, 0).columns()[0] == {0: 1, 1: 2}
+    assert K.d_i(1, 2, 0).columns()[0] == {0: field.neg(1), 1: 2}
 
 
 def test_multigrade_refinement_consistent():
