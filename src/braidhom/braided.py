@@ -4,6 +4,17 @@ Permutations on m points are tuples p of length m with p[i] the image of i
 (0-based); products compose right-to-left, so pmul(g, h) applies h first.
 Conjugation is written b^a = a^-1 b a throughout, matching the rack operation.
 
+Group arithmetic is done on element indices, inside `PermGroup`.  Its
+breadth-first closure makes the only tuple products: one x*s for every
+element x and generator s.  Those become the generators' right tables, and
+each element records the element and generator that first reached it, a
+tree rooted at the identity.  The right table of any other element is one
+composition with its parent's along that tree; with the inverse table, a
+conjugate h^-1 x h is four reads (`PermGroup.conj_index`).  The class
+partition, the closure, rationality and rack of a class set, and the
+letter conjugations of `orbits` all read these tables; `pmul`, `pinv` and
+`conj` remain for tuple-level work such as `BraidedVectorSpace.word_degree`.
+
 A braided vector space stores its braiding as a sparse table on basis pairs.
 The basis of a tensor power V^(x)n is the set of length-n words over the basis
 of V in lexicographic order, and braid words act on vectors keyed by base-r
@@ -13,8 +24,10 @@ A class set has one rack, its conjugation quandle `ConjClassSet.rack`; every
 space, orbit table and module on that class set is built on it.
 
 Structures are not changed after construction, apart from caches that fill
-lazily on first use: each group's right-multiplication index tables and
-its conjugacy-class partition `class_indices`, `ConjClassSet.rack` and
+lazily on first use: each group's right-multiplication index tables (the
+generators' from construction, every other one with its ancestors in the
+closure tree), its inverse table `inverse` and its conjugacy-class
+partition `class_indices`, `ConjClassSet.rack` and
 `ConjClassSet.lattice` (filled by `hurwitz.subgroup_lattice`; the lattice
 keeps the orbits' monodromy labels of `hurwitz.monodromy_labels`, one list
 per word length), each rack's
@@ -137,11 +150,20 @@ class PermGroup:
     Enumeration is breadth-first closure over the generators, capped (default
     10000 elements) because every group in scope here is tiny.  The group is
     the one owner of element arithmetic: elsewhere an element is named by its
-    index in the sorted `elements`, and the identity is index 0 (every other
-    permutation tuple is lexicographically larger).  Products are read from
-    `right_table(g)`, the table x -> x*g on element indices, built on first
-    use for each g and kept; conjugacy classes from `class_indices`, one
-    partition of the elements, also built on first use and kept.
+    index in the sorted `elements` (`index`), and the identity is index 0
+    (every other permutation tuple is lexicographically larger).  The closure
+    composes the |G| |gens| products x*s of every element x and generator s,
+    and those are the only tuple products the group makes.  It keeps them,
+    re-indexed after sorting, as the right tables of the generators, and
+    records for each element the element and generator that first reached
+    it: a Schreier tree rooted at the identity.  Every other product is read
+    from `right_table(g)`, the table x -> x*g on element indices, composed
+    along that tree (R_g = R_s o R_parent, one list read per element) on
+    first use and kept, with the tables of g's ancestors.  `inverse` is the
+    inverse of each element index, built on first use and kept, and
+    `conj_index(x, h)`, the index of h^-1 x h, is four reads from it and
+    R_h.  Conjugacy classes are `class_indices`, one partition of the
+    elements, also built on first use and kept.
     """
 
     def __init__(self, degree: int, generators: list[Perm], name: str = "", cap: int = 10000):
@@ -152,22 +174,37 @@ class PermGroup:
                 raise ValueError(f"not a permutation of degree {degree}: {g}")
         self.name = name or "G"
         e = identity_perm(degree)
-        seen = {e}
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = pmul(x, g)
-                    if y not in seen:
-                        if len(seen) >= cap:
-                            raise ValueError(f"group enumeration exceeded cap {cap}")
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        self.elements = sorted(seen)
+        found = [e]  # the elements in the order the closure reaches them
+        position = {e: 0}
+        reached = [None]  # position -> (position x, generator s) of its first product x*s
+        products = []  # products[x][s]: the position of x*s
+        for x, g in enumerate(found):  # found grows while it is walked, breadth first
+            row = []
+            for s, h in enumerate(self.generators):
+                y = pmul(g, h)
+                j = position.get(y)
+                if j is None:
+                    if len(found) >= cap:
+                        raise ValueError(f"group enumeration exceeded cap {cap}")
+                    j = position[y] = len(found)
+                    found.append(y)
+                    reached.append((x, s))
+                row.append(j)
+            products.append(row)
+        order = sorted(range(len(found)), key=found.__getitem__)
+        rank = [0] * len(found)
+        for i, x in enumerate(order):
+            rank[x] = i
+        self.elements = [found[x] for x in order]
         self._index = {g: i for i, g in enumerate(self.elements)}
-        self._right_tables: dict = {}  # element index of g -> [index of x*g for each x]
+        # the element index of each generator, and its right table
+        self.generator_indices = [rank[j] for j in products[0]]
+        self._steps = [[rank[products[x][s]] for x in order] for s in range(len(self.generators))]
+        # element index -> (index of its parent in the closure tree, generator)
+        self._tree = [None] + [(rank[reached[x][0]], reached[x][1]) for x in order[1:]]
+        self._right_tables: dict = {0: list(range(len(order)))}  # element index of g -> its right table
+        for i, table in zip(self.generator_indices, self._steps):
+            self._right_tables.setdefault(i, table)
 
     @property
     def order(self) -> int:
@@ -176,48 +213,70 @@ class PermGroup:
     def __contains__(self, g: Perm) -> bool:
         return g in self._index
 
-    def conjugacy_class(self, g: Perm) -> frozenset:
-        orbit = {g}
-        frontier = [g]
-        while frontier:
-            x = frontier.pop()
-            for h in self.generators:
-                y = conj(x, h)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        return frozenset(orbit)
-
-    @cached_property
-    def class_indices(self) -> list[list[int]]:
-        """The conjugacy classes as sorted element indices, in order of their
-        least element; the one kept list, not to be mutated."""
-        index, classes = self._index, []
-        placed = [False] * self.order
-        for i, g in enumerate(self.elements):
-            if not placed[i]:
-                cl = sorted(index[h] for h in self.conjugacy_class(g))
-                for j in cl:
-                    placed[j] = True
-                classes.append(cl)
-        return classes
+    def index(self, g: Perm) -> int:
+        """The position of an element of this group in `elements`."""
+        i = self._index.get(tuple(g))
+        if i is None:
+            raise ValueError(f"{cycle_notation(g)} is not an element of {self.name}")
+        return i
 
     def right_table(self, g: Perm) -> list[int]:
         """The table x -> x*g on element indices (positions in `elements`)
         for an element g of this group, built on first use and kept."""
-        i = self._index.get(tuple(g))
-        if i is None:
-            raise ValueError(f"{cycle_notation(g)} is not an element of {self.name}")
-        table = self._right_tables.get(i)
-        if table is None:
-            index = self._index
-            table = self._right_tables[i] = [index[pmul(x, g)] for x in self.elements]
+        return self.right_table_at(self.index(g))
+
+    def right_table_at(self, i: int) -> list[int]:
+        """`right_table` of the element of index i: composed from the kept
+        table of its nearest ancestor in the closure tree, one generator
+        step at a time, keeping the table of each element on the way."""
+        tables, path = self._right_tables, []
+        while i not in tables:
+            path.append(i)
+            i = self._tree[i][0]
+        table = tables[i]
+        for j in reversed(path):
+            table = tables[j] = list(map(self._steps[self._tree[j][1]].__getitem__, table))
         return table
 
+    @cached_property
+    def inverse(self) -> list[int]:
+        """The index of the inverse of each element, by index; the one kept
+        list, not to be mutated."""
+        index = self._index
+        return [index[pinv(g)] for g in self.elements]
+
+    def conj_index(self, x: int, h: int) -> int:
+        """The index of h^-1 x h, for element indices x and h: x -> x^-1 ->
+        x^-1 h -> h^-1 x -> h^-1 x h, four reads."""
+        t, inv = self.right_table_at(h), self.inverse
+        return t[inv[t[inv[x]]]]
+
+    @cached_property
+    def class_indices(self) -> list[list[int]]:
+        """The conjugacy classes as sorted element indices, in order of their
+        least element; the one kept list, not to be mutated.  Each class is
+        the breadth-first closure of its least element under conjugation by
+        the generators."""
+        inv, steps = self.inverse, self._steps
+        placed = [False] * self.order
+        classes = []
+        for i in range(self.order):
+            if not placed[i]:
+                placed[i] = True
+                cl = [i]
+                for x in cl:  # cl grows while it is walked
+                    for t in steps:
+                        y = t[inv[t[inv[x]]]]
+                        if not placed[y]:
+                            placed[y] = True
+                            cl.append(y)
+                classes.append(sorted(cl))
+        return classes
+
     def center(self) -> frozenset:
-        return frozenset(
-            g for g in self.elements if all(pmul(g, h) == pmul(h, g) for h in self.generators)
-        )
+        """The elements fixed by conjugation by every generator."""
+        gens = self.generator_indices
+        return frozenset(g for x, g in enumerate(self.elements) if all(self.conj_index(x, s) == x for s in gens))
 
     def __repr__(self):
         return f"PermGroup({self.name}, degree={self.degree}, order={self.order})"
@@ -245,7 +304,9 @@ class ConjClassSet:
     `class_of[a]` is the index in `classes` of the class of letter a (the a-th
     of the sorted `elements`).  The `rational` flag records closure under
     g -> g^a for all a prime to the order of g; it is checked and reported,
-    never enforced.
+    never enforced.  Closure, classes, rationality and the rack are read
+    from the parent's index tables (`PermGroup.conj_index`,
+    `PermGroup.right_table_at`).
     """
 
     def __init__(self, parent: PermGroup, elements):
@@ -254,22 +315,28 @@ class ConjClassSet:
         e = identity_perm(parent.degree)
         if e in elems:
             raise ValueError("class set must consist of nontrivial elements")
+        index = parent._index
+        members = {index.get(g) for g in elems}  # None stands for every non-element, and is no conjugate
         for g in elems:
             if g not in parent:
                 raise ValueError(f"{cycle_notation(g)} is not in the group")
-            for h in parent.generators:
-                if conj(g, h) not in elems:
+            for s, h in zip(parent.generator_indices, parent.generators):
+                if parent.conj_index(index[g], s) not in members:
                     raise ValueError(
                         f"set not closed under conjugation: {cycle_notation(g)} by {cycle_notation(h)}"
                     )
         self.elements = sorted(elems)
+        # the letters' element indices in the parent: these follow the sorted
+        # elements, so they are in letter order
+        self._indices = sorted(members)
         # the set is conjugation-closed, so a class of the parent lies in it
         # when its least element does
+        kept = [cl for cl in parent.class_indices if cl[0] in members]
         G = parent.elements
-        self.classes = [[G[i] for i in cl] for cl in parent.class_indices if G[cl[0]] in elems]
-        class_index = {g: i for i, cl in enumerate(self.classes) for g in cl}
-        self.class_of = [class_index[g] for g in self.elements]
-        self.rational = all(_coprime_powers_in(g, elems) for g in self.elements)
+        self.classes = [[G[i] for i in cl] for cl in kept]
+        class_index = {i: k for k, cl in enumerate(kept) for i in cl}
+        self.class_of = [class_index[i] for i in self._indices]
+        self.rational = all(_coprime_powers_in(parent, i, members) for i in self._indices)
         # the lattice of the subgroups of `parent` generated by letters of this
         # set, kept by `hurwitz.subgroup_lattice`
         self.lattice = None
@@ -281,18 +348,21 @@ class ConjClassSet:
     def rack(self) -> "Rack":
         """The conjugation quandle on the elements, a^b = b^-1 a b, built on
         first use and kept: the one rack of this class set."""
-        return Rack(self.elements, {(a, b): conj(a, b) for a in self.elements for b in self.elements})
+        indices, conj_index = self._indices, self.parent.conj_index
+        letter = {i: a for a, i in enumerate(indices)}
+        return Rack(self.elements, table=[[letter[conj_index(x, y)] for y in indices] for x in indices])
 
 
-def _coprime_powers_in(g: Perm, elems) -> bool:
-    """Whether g^a lies in elems for every a prime to the order of g, read
-    off one walk through the powers of g, which also gives that order."""
+def _coprime_powers_in(G: PermGroup, g: int, members) -> bool:
+    """Whether g^a lies in `members` for every a prime to the order of g
+    (element indices of G), read off one walk through the powers of g in
+    its right table, which also gives that order."""
+    times_g = G.right_table_at(g)
     powers = [g]  # powers[a - 1] = g^a
-    e = identity_perm(len(g))
-    while powers[-1] != e:
-        powers.append(pmul(powers[-1], g))
+    while powers[-1] != 0:
+        powers.append(times_g[powers[-1]])
     n = len(powers)
-    return all(h in elems for a, h in enumerate(powers[:-1], 1) if gcd(a, n) == 1)
+    return all(h in members for a, h in enumerate(powers[:-1], 1) if gcd(a, n) == 1)
 
 
 # racks and cocycles ----------------------------------------------------------
@@ -300,21 +370,22 @@ def _coprime_powers_in(g: Perm, elems) -> bool:
 class Rack:
     """A finite rack: a label set with a self-distributive operation (a, b) -> a^b.
 
-    For each b the map a -> a^b must be a bijection.  `quandle` records whether
+    The operation is given as `action`, a dict (a, b) -> a^b on labels, or
+    as `table`, with table[a][b] the index of a^b, on label indices.  For
+    each b the map a -> a^b must be a bijection.  `quandle` records whether
     a^a = a holds for all a.  `orbit_tables` holds the braid orbits on words
     of each length n, keyed by n, and `pair_cycles` the cycles of the pair
     braiding (b, a) -> (a, b^a) that join them; both are filled by
     `orbits.rack_orbits`.
     """
 
-    def __init__(self, labels: list, action: dict):
+    def __init__(self, labels: list, action: dict | None = None, table: list | None = None):
         self.labels = list(labels)
         self.size = len(self.labels)
-        self._idx = {lab: i for i, lab in enumerate(self.labels)}
-        self.act = [[None] * self.size for _ in range(self.size)]
-        for a in range(self.size):
-            for b in range(self.size):
-                self.act[a][b] = self._idx[action[(self.labels[a], self.labels[b])]]
+        if table is None:
+            idx = {lab: i for i, lab in enumerate(self.labels)}
+            table = [[idx[action[(a, b)]] for b in self.labels] for a in self.labels]
+        self.act = [list(row) for row in table]
         for b in range(self.size):
             if sorted(self.act[a][b] for a in range(self.size)) != list(range(self.size)):
                 raise ValueError(f"a -> a^b is not a bijection for b={self.labels[b]}")

@@ -88,20 +88,20 @@ def resolve_group(args) -> PermGroup:
 
 def class_selector(G: PermGroup, spec: str) -> ConjClassSet:
     spec = spec.strip().lower()
-    nontrivial = G.elements[1:]  # the identity is first
     if spec in ("all", "nontrivial"):
-        elems = nontrivial
+        target = None
     elif spec == "transpositions":
-        elems = [g for g in nontrivial if cycle_type(g) == (2,)]
+        target = (2,)
     elif spec.endswith("-cycles") and spec.split("-")[0].isdecimal():
-        k = int(spec.split("-")[0])
-        elems = [g for g in nontrivial if cycle_type(g) == (k,)]
+        target = (int(spec.split("-")[0]),)
     else:
         try:
             target = tuple(sorted((int(t) for t in spec.split("+")), reverse=True))
         except ValueError:
             raise UsageError(f"unknown class selector {spec!r}")
-        elems = [g for g in nontrivial if cycle_type(g) == target]
+    # cycle type is a class invariant, read once per class; the identity's class comes first
+    E = G.elements
+    elems = [E[i] for cl in G.class_indices[1:] if target is None or cycle_type(E[cl[0]]) == target for i in cl]
     if not elems:
         raise UsageError(f"class selector {spec!r} matches no elements of {G.name}")
     return ConjClassSet(G, elems)

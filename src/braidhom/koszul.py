@@ -146,12 +146,18 @@ class KoszulComplex:
             return 0
         return self.nichols.dim(p) * self.module.dim(q)
 
+    def _entry_bound(self) -> int:
+        """The entries d can hold: dim M_q times nnz(d_v psi_k), summed over
+        the assembled terms (p, q) and over k and v, counted from the Nichols
+        derivations before anything is built.  It is the stored count when
+        every product o v lies in M, as in the full ring R."""
+        nnz = {p: sum(len(col) for cols in self.nichols.derivations[p] for col in cols)
+               for p in range(1, self.pmax + 1)}
+        return sum(n * self.module.dim(q) for q in range(self.qmax) for p, n in nnz.items() if (p, q) != self._skipped)
+
     def _check_size(self):
-        """Refuse a complex too large to assemble: d holds at most dim M_q
-        times nnz(d_v psi_k) entries summed over q < qmax, p, k and v, counted
-        from the Nichols derivations before anything is built."""
-        nnz = sum(len(col) for p in range(1, self.pmax + 1) for cols in self.nichols.derivations[p] for col in cols)
-        entries = nnz * sum(self.module.dim(q) for q in range(self.qmax))
+        """Refuse a complex too large to assemble (`_entry_bound`)."""
+        entries = self._entry_bound()
         if entries > orbits.DEFAULT_STATE_CAP:
             raise ValueError(f"the Koszul differentials would hold up to {entries} entries, over the cap of "
                              f"{orbits.DEFAULT_STATE_CAP}; lower --pmax or --qmax")
@@ -303,7 +309,7 @@ class _GroupGrading:
         G, mod, rows = self.G, self.mod[q], {}
         for y in self.dual[p]:
             if y not in rows:
-                times_y = G.right_table(G.elements[y])
+                times_y = G.right_table_at(y)
                 rows[y] = [times_y[x] for x in mod]
         return list(chain.from_iterable(rows[y] for y in self.dual[p]))
 

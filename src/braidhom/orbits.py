@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braided import BraidedVectorSpace, PermGroup, Rack, conj
+from .braided import BraidedVectorSpace, PermGroup, Rack
 
 HurwitzWord = tuple[int, ...]
 
@@ -255,9 +255,11 @@ def _rep_images(table: OrbitTable, pi) -> list[int]:
 
 def letter_conjugations(group: PermGroup, labels: list) -> list[list]:
     """For each generator g of `group`, the letter map a -> index of
-    conj(labels[a], g), with None where that conjugate is not a label."""
-    pos = {lab: a for a, lab in enumerate(labels)}
-    return [[pos.get(conj(lab, g)) for lab in labels] for g in group.generators]
+    g^-1 labels[a] g, with None where that conjugate is not a label; the
+    labels are elements of `group`, conjugated by `PermGroup.conj_index`."""
+    where = [group.index(lab) for lab in labels]
+    letter = {x: a for a, x in enumerate(where)}
+    return [[letter.get(group.conj_index(x, s)) for x in where] for s in group.generator_indices]
 
 
 def _is_rack_braiding(V: BraidedVectorSpace) -> bool:

@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from braidhom.braided import (
     _split_cycles,
@@ -22,11 +22,14 @@ from braidhom.braided import (
     identity_perm,
     load_group,
     parse_cycles,
+    pinv,
+    pmul,
     rank_one_space,
     sign_twist,
 )
 from braidhom.cli import UsageError, builtin_group, class_selector
 from braidhom.exactla import QQ, SparseMatrix, inverse
+from braidhom.orbits import letter_conjugations
 from tests.oracles import conjugacy_partition, rational_by_powers, tuple_closure
 
 
@@ -191,6 +194,81 @@ def test_rational_flag_matches_brute_force_on_non_rational_class_sets():
     A4 = builtin_group("A4")
     one = ConjClassSet(A4, [A4.elements[j] for j in A4.class_indices[1]])
     assert not one.rational and class_selector(A4, "3-cycles").rational
+
+
+@st.composite
+def relabelled_groups(draw):
+    """A group on m <= 6 points from 1 to 3 random generators, written on
+    m + pad points (pad <= 2) through a random injection, as the benchmark's
+    group files pad the builtin groups: the padding reorders the elements."""
+    m = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=3))
+    degree = m + draw(st.integers(0, 2))
+    image = draw(st.permutations(range(degree)))[:m]  # point i goes to image[i]
+
+    def relabel(g):
+        out = list(range(degree))
+        for i, gi in enumerate(g):
+            out[image[i]] = image[gi]
+        return tuple(out)
+
+    return PermGroup(degree, [relabel(g) for g in gens])
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_groups(), st.data())
+def test_index_arithmetic_matches_tuple_arithmetic(G, data):
+    # every table the group composes along its closure tree, its inverse
+    # table, conjugation in four reads, the class partition, and what a
+    # class set and the orbit code read from them, each against products of
+    # the tuples themselves or the brute-force oracles
+    E, gens, e = G.elements, G.generators, identity_perm(G.degree)
+    index = {g: i for i, g in enumerate(E)}
+    assert frozenset(E) == tuple_closure(gens, e) and E == sorted(E)
+    assert G.generator_indices == [index[g] for g in gens]
+    for g in E:
+        assert G.right_table(g) == [index[pmul(x, g)] for x in E]
+    assert G.inverse == [index[pinv(x)] for x in E]
+    hs = sorted(set(G.generator_indices + data.draw(st.lists(st.integers(0, G.order - 1), max_size=6))))
+    for h in hs:
+        assert [G.conj_index(x, h) for x in range(G.order)] == [index[conj(x, E[h])] for x in E]
+    assert G.class_indices == conjugacy_partition(G)
+    assert G.center() == frozenset(g for g in E if all(pmul(g, h) == pmul(h, g) for h in gens))
+    labels = data.draw(st.lists(st.sampled_from(E), unique=True, max_size=12))
+    pos = {lab: a for a, lab in enumerate(labels)}
+    assert letter_conjugations(G, labels) == [[pos.get(conj(lab, g)) for lab in labels] for g in gens]
+
+    # a class set of whole classes, kept small for the rack's d^3 check
+    if G.order == 1:
+        return
+    letters = []
+    for cl in data.draw(st.lists(st.sampled_from(G.class_indices[1:]), min_size=1, unique_by=tuple)):
+        if len(letters) + len(cl) <= 30:
+            letters += [E[i] for i in cl]
+    if not letters:
+        return
+    c = ConjClassSet(G, letters)
+    act = [[c.elements.index(conj(a, b)) for b in c.elements] for a in c.elements]
+    assert c.rack.act == act
+    assert c.rational == rational_by_powers(letters)
+    # a class of size > 1 with one element dropped is no class set; the
+    # error names an element and a generator that leaves the set
+    big = [cl for cl in c.classes if len(cl) > 1]
+    if big:
+        dropped = data.draw(st.sampled_from(big[0]))
+        rest = [g for g in letters if g != dropped]
+        with pytest.raises(ValueError, match="set not closed under conjugation") as exc:
+            ConjClassSet(G, rest)
+        g, h = (parse_cycles(t, G.degree) for t in str(exc.value).split(": ")[1].split(" by "))
+        assert g in rest and h in gens and conj(g, h) not in rest
+        # nor is the orbit of one element under the first generator alone,
+        # when it is smaller than the element's class
+        orbit = [dropped]
+        while conj(orbit[-1], gens[0]) != dropped:
+            orbit.append(conj(orbit[-1], gens[0]))
+        if len(orbit) < len(big[0]):
+            with pytest.raises(ValueError, match="set not closed under conjugation"):
+                ConjClassSet(G, orbit)
 
 
 def test_conjugation_rack_s2():
@@ -368,6 +446,4 @@ def test_yd_grading():
     V = s3_transposition_space()
     w = (0, 1)
     g = V.word_degree(w)
-    from braidhom.braided import pmul
-
     assert g == pmul(V.labels[0], V.labels[1])

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidhom import hurwitz, koszul, orbits, qsa
+from braidhom import braided, hurwitz, koszul, orbits, qsa
+from braidhom.braided import cycle_notation, load_group
 from braidhom.cli import SUBCOMMANDS, OptionTable, build_parser, builtin_group, class_selector, main, parse_job
 from braidhom.exactla import ComplexIntegrityError
 
@@ -315,6 +317,91 @@ def test_group_file_input(tmp_path, capsys):
     assert "# a=1" in out
 
 
+def relabelled_group_file(path, name, image):
+    """Write builtin group `name` to a group file with point i moved to
+    image[i] (1-based), in a degree that leaves the points off the image
+    fixed; return the group read back."""
+    G = builtin_group(name)
+    degree = max(image.values())
+    lines = [f"degree {degree}"]
+    for g in G.generators:
+        moved = list(range(degree))
+        for i, gi in enumerate(g):
+            moved[image[i + 1] - 1] = image[gi + 1] - 1
+        lines.append(cycle_notation(tuple(moved)))
+    path.write_text("\n".join(lines) + "\n")
+    return load_group(path.read_text())
+
+
+def label_free(out):
+    """A CSV output with what names the group's points dropped: the header
+    but for the group, space and subgroup fields, the data rows with each
+    subgroup H<i> replaced by its order, as a multiset."""
+    lines = out.splitlines()
+    meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+    orders = {}
+    for entry in meta.pop("subgroups", "").split("; "):
+        if entry:
+            label, order, _gens = entry.split("|")
+            orders[label] = order
+    for key in ("group", "group_file", "space"):
+        meta.pop(key, None)
+    rows = Counter(",".join(orders.get(field, field) for field in line.split(","))
+                   for line in lines if not line.startswith("#"))
+    return meta, rows
+
+
+@pytest.mark.parametrize("name, image, argvs", [
+    ("S4", {1: 5, 2: 2, 3: 6, 4: 3}, [
+        ["orbits", "--classes", "transpositions", "--nmax", "4", "--components"],
+        ["orbits", "--classes", "all", "--nmax", "3", "--components", "--field", "Q"],
+        ["koszul", "--classes", "transpositions", "--epsilon", "--module", "R", "--pmax", "4", "--qmax", "4",
+         "--field", "5"],
+        ["koszul", "--classes", "all", "--epsilon", "--module", "R", "--pmax", "2", "--qmax", "3", "--field", "5"],
+    ]),
+    ("S3", {1: 4, 2: 1, 3: 5}, [["verify", "--classes", "transpositions", "--nmax", "4", "--field", "Q"]]),
+], ids=["S4", "S3"])
+def test_relabelled_group_files_give_label_free_output(name, image, argvs, tmp_path, capsys):
+    # the group's index tables follow the order of its sorted elements, which
+    # a relabelling changes; what the output says of the group does not
+    path = tmp_path / "grp.txt"
+    G, H = builtin_group(name), relabelled_group_file(path, name, image)
+    back = {image[i + 1] - 1: i for i in range(G.degree)}
+    restricted = [tuple(back[h[image[i + 1] - 1]] for i in range(G.degree)) for h in H.elements]
+    assert sorted(restricted) == G.elements and restricted != G.elements
+    for argv in argvs:
+        rc, out = run(capsys, [argv[0], "--group", name, *argv[1:]])
+        rc_file, out_file = run(capsys, [argv[0], "--group-file", str(path), *argv[1:]])
+        assert rc == rc_file == 0
+        assert label_free(out_file) == label_free(out)
+        assert len(label_free(out)[1]) > 1
+
+
+def test_orbits_job_makes_tuple_products_only_in_the_group_closure(monkeypatch, capsys):
+    # group arithmetic runs on element indices: the closure's products x*s
+    # are the only tuple products, the inverse table takes one tuple inverse
+    # per element, and no conjugate is composed from tuples
+    argv = ["orbits", "--group", "S4", "--classes", "transpositions", "--nmax", "5", "--components"]
+    G = builtin_group("S4")
+    rc, expected = run(capsys, argv)
+    callers, counts = [], Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            if name == "pmul":
+                callers.append(sys._getframe(1).f_code)
+            return fn(*args)
+        return wrapper
+
+    for name in ("pmul", "pinv", "conj"):
+        monkeypatch.setattr(braided, name, counted(name, getattr(braided, name)))
+    assert run(capsys, argv) == (rc, expected) and rc == 0
+    assert counts["pmul"] <= G.order * len(G.generators)
+    assert set(callers) == {braided.PermGroup.__init__.__code__}
+    assert counts["pinv"] <= G.order and counts["conj"] == 0
+
+
 @pytest.mark.parametrize("text, message", [
     ("degree\n(1 2)\n", "error: group file header 'degree' is not 'degree m' with m a positive integer"),
     ("degree x\n(1 2)\n", "error: group file header 'degree x' is not 'degree m' with m a positive integer"),
@@ -377,18 +464,20 @@ def test_empty_dual_window_exits_3(capsys):
 
 
 def test_oversized_koszul_complex_exits_2(monkeypatch, capsys):
-    # S3 transpositions with pmax 2 and qmax 2: the 11 nonzero entries of the
-    # derivations times module dimensions 1 + 3 give at most 44 entries
+    # S3 transpositions with pmax 2 and qmax 2: the derivations out of dual
+    # degrees 1 and 2 have 3 and 8 nonzero entries, and the module dimensions
+    # are 1 and 3; degree 2 is a truncation boundary, so d(2, 1) is not
+    # assembled, and the terms (1, 0), (2, 0), (1, 1) hold 3 + 8 + 9 = 20
     argv = ["koszul", "--group", "S3", "--classes", "transpositions", "--epsilon",
             "--pmax", "2", "--qmax", "2", "--field", "5"]
-    monkeypatch.setattr(orbits, "DEFAULT_STATE_CAP", 43)
+    monkeypatch.setattr(orbits, "DEFAULT_STATE_CAP", 19)
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
-    assert captured.err == ("error: the Koszul differentials would hold up to 44 entries, "
-                            "over the cap of 43; lower --pmax or --qmax\n")
-    monkeypatch.setattr(orbits, "DEFAULT_STATE_CAP", 44)
+    assert captured.err == ("error: the Koszul differentials would hold up to 20 entries, "
+                            "over the cap of 19; lower --pmax or --qmax\n")
+    monkeypatch.setattr(orbits, "DEFAULT_STATE_CAP", 20)
     assert main(argv) == 0
 
 

@@ -930,6 +930,25 @@ def test_truncation_boundary_needs_no_extra_nichols_degree():
         assert sorted(K.nichols.pivots) == [0, 1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("classes, pmax, qmax, top_reached", [
+    ("transpositions", 2, 2, False),
+    ("transpositions", 3, 4, False),
+    ("transpositions", 5, 3, True),
+    ("all", 2, 3, False),
+])
+def test_size_count_is_the_stored_count_on_the_full_ring(classes, pmax, qmax, top_reached):
+    # the size guard counts dim M_q times the derivation entries over the
+    # assembled terms only, not over d(pmax, qmax - 1) at a truncation
+    # boundary; on the full ring every product o v lies in the module, so
+    # the count is the number of entries d stores
+    G = builtin_group("S3")
+    c = class_selector(G, classes)
+    V = braided_space(c.rack, Cocycle.constant(c.rack, 1), epsilon=True, group=G)
+    K = koszul_complex(V, "R", pmax=pmax, qmax=qmax, F=GF(5), c=c)
+    assert K.top_reached == top_reached and (K._skipped is None) == top_reached
+    assert K._entry_bound() == sum(M.nnz for M in K._d.values())
+
+
 def test_generator_counts():
     G, c, V = s3_setup()
     counts = generator_counts(V, 3, QQ, qmax=8, c=c)
