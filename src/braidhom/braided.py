@@ -18,7 +18,10 @@ letter conjugations of `orbits` all read these tables; `pmul`, `pinv` and
 A braided vector space stores its braiding as a sparse table on basis pairs.
 The basis of a tensor power V^(x)n is the set of length-n words over the basis
 of V in lexicographic order, and braid words act on vectors keyed by base-r
-word codes (`word_index`), one path for every braiding.
+word codes (`word_index`), one path for every braiding
+(`apply_moves_to_vector`).  The FNF complex alone reads single generators
+off the pair-code table `sigma_codes` itself (`fnf.TensorSystem`), so that
+its cross-check against the bar complex shares only that table.
 
 A class set has one rack, its conjugation quandle `ConjClassSet.rack`; every
 space, orbit table and module on that class set is built on it.
@@ -43,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import itemgetter
 
 from .exactla import QQ, SparseMatrix, inverse, rank
 
@@ -386,18 +390,22 @@ class Rack:
             idx = {lab: i for i, lab in enumerate(self.labels)}
             table = [[idx[action[(a, b)]] for b in self.labels] for a in self.labels]
         self.act = [list(row) for row in table]
+        column = [[row[x] for row in self.act] for x in range(self.size)]  # column[x][c] = c^x
         for b in range(self.size):
-            if sorted(self.act[a][b] for a in range(self.size)) != list(range(self.size)):
+            if sorted(column[b]) != list(range(self.size)):
                 raise ValueError(f"a -> a^b is not a bijection for b={self.labels[b]}")
+        # (c^a)^(b^a) = (c^b)^a for all c, a, b, checked one (a, b) at a time
+        # on whole maps of c: through[x] reads a map at every c^x
+        through = [itemgetter(*col) for col in column]
         for a in range(self.size):
+            after_a, through_a = column[a], through[a]
             for b in range(self.size):
-                for c in range(self.size):
-                    lhs = self.act[self.act[c][a]][self.act[b][a]]
-                    rhs = self.act[self.act[c][b]][a]
-                    if lhs != rhs:
-                        raise ValueError(
-                            f"self-distributivity fails at ({self.labels[c]}, {self.labels[a]}, {self.labels[b]})"
-                        )
+                lhs, rhs = through_a(column[self.act[b][a]]), through[b](after_a)
+                if lhs != rhs:
+                    c = next(c for c in range(self.size) if lhs[c] != rhs[c])
+                    raise ValueError(
+                        f"self-distributivity fails at ({self.labels[c]}, {self.labels[a]}, {self.labels[b]})"
+                    )
         self.quandle = all(self.act[a][a] == a for a in range(self.size))
         self.orbit_tables: dict = {}
         self.pair_cycles: list | None = None

@@ -10,12 +10,16 @@ only nonzero entries are stored, and no other module knows the layout.
 Every elimination in the package runs one sparse Gaussian elimination loop,
 `_eliminate`, on the rows given by `_elimination_rows`: the stored columns
 themselves when it eliminates the transpose, else rows derived in one pass
-over the columns.  Whether a matrix needs coercing is decided once, by
-streaming scans over all its entries (`_is_reduced`): a matrix whose entries
-are already reduced scalars (ints over Q, ints in [1, p) over F_p) has its
-rows copied as they are; any other is coerced column by column (`_coerced`),
-and over Q a row that holds a Fraction is cleared of denominators and divided
-by its content, so that the fraction-free row update never does Fraction
+over the columns.  Whether a matrix needs coercing into a field is read
+from two facts the matrix keeps about its entries, each found by streaming
+scans on first need: whether they are all ints (`_all_ints`) and, for a
+prime field, their least and greatest value (`_bounds`).  So the d^2 check
+and the rank of a differential share those scans, and a matrix read over a
+second field scans nothing again.  A matrix whose entries are already
+reduced scalars (ints over Q, ints in [1, p) over F_p) has its rows copied
+as they are; any other is coerced column by column (`_coerced`), and over Q
+a row that holds a Fraction is cleared of denominators and divided by its
+content, so that the fraction-free row update never does Fraction
 arithmetic.  Over Q a pivot of +-1 updates each row in place with no
 division, as the F_p step does; any other pivot takes Bareiss' step (scale,
 subtract, divide by the content).  Both give rows of the same support, so
@@ -50,9 +54,10 @@ native + and * and reduce each output entry once
 (`CoefficientField.reduced`).  A check that only asks whether a sum of
 products is zero (d^2 = 0, and d_i d_j + d_j d_i = 0 in `koszul`) calls
 `products_vanish`, which builds no product: it reads a factor whose entries
-are all ints as stored (one scan per matrix), sums one output column at a
-time and stops at the first column whose sum is nonzero.  The public
-constructors (`SparseMatrix(rows, cols, entries)` and `from_columns`) check
+are all ints as stored, sums each output column into one dense list of the
+output's length, reused for every column, and stops at the first column
+whose sum is nonzero.  The public constructors (`SparseMatrix(rows, cols,
+entries)` and `from_columns`) check
 every index and drop zeros; results that are in range and nonzero by
 construction (this module's products, sums, transposes and inverses, and the
 package's assemblers) take ownership of their columns through
@@ -173,10 +178,12 @@ class SparseMatrix:
     into the target field at computation time (over Q, an integral entry
     becomes an int).  `SparseMatrix(rows, cols, entries)` and `from_columns`
     check every index and drop zeros; `_trusted` takes ownership of columns
-    already in range and nonzero.  `entries` and `nnz` are derived on demand.
+    already in range and nonzero.  `entries` and `nnz` are derived on demand,
+    and whether the entries are all ints, and their bounds, are scanned on
+    first use and kept (`_ints`, `_reduced_over`).
     """
 
-    __slots__ = ("rows", "cols", "_columns")
+    __slots__ = ("rows", "cols", "_columns", "_int_entries", "_int_bounds")
 
     def __init__(self, rows: int, cols: int, entries: dict | None = None):
         if rows < 0 or cols < 0:
@@ -189,6 +196,7 @@ class SparseMatrix:
                 if v != 0:
                     columns[j][i] = v
         self.rows, self.cols, self._columns = rows, cols, columns
+        self._int_entries = self._int_bounds = None
 
     @classmethod
     def _trusted(cls, rows: int, columns: list[dict]) -> "SparseMatrix":
@@ -197,6 +205,7 @@ class SparseMatrix:
         this module's results and the package's assemblers."""
         M = cls.__new__(cls)
         M.rows, M.cols, M._columns = rows, len(columns), columns
+        M._int_entries = M._int_bounds = None
         return M
 
     @classmethod
@@ -242,6 +251,28 @@ class SparseMatrix:
     def columns(self) -> list[dict]:
         """The stored columns, each a {row: value} dict; not to be mutated."""
         return self._columns
+
+    def _ints(self) -> bool:
+        """Whether every entry is an int: one scan (`_all_ints`) on the first
+        call, kept, since the entries never change."""
+        if self._int_entries is None:
+            self._int_entries = _all_ints(self._columns)
+        return self._int_entries
+
+    def _reduced_over(self, F: CoefficientField) -> bool:
+        """Whether every entry is already a reduced scalar of F: an int over
+        Q, an int in [1, p) over F_p.  Read from `_ints` and, over F_p, the
+        least and greatest entry (`_bounds`, scanned on first need and kept),
+        so no field scans an entry twice and a second field scans none."""
+        if not self._ints():
+            return False
+        p = F.characteristic
+        if not p:
+            return True
+        if self._int_bounds is None:
+            self._int_bounds = _bounds(self._columns)
+        low, high = self._int_bounds
+        return low > 0 and high < p
 
     def scale(self, c) -> "SparseMatrix":
         return SparseMatrix._trusted(self.rows, [{i: w for i, v in col.items() if (w := c * v) != 0}
@@ -302,9 +333,13 @@ def products_vanish(pairs, F: CoefficientField) -> bool:
     over F, as `A.matmul(B, F)` summed by `add` would show, without building
     a product.
 
-    The output is summed one column at a time, each entry accumulated with
-    native + and *; the first column whose sum is nonzero (over F_p, one
-    entry nonzero mod p) ends the test.  Before that, every factor is read as
+    Every output column is summed, with native + and *, into one dense list
+    of the output's length, reused for every column.  After a column its
+    entries are read again along the same (k, i) pairs, and the first entry
+    that is nonzero (over F_p, nonzero mod p) ends the test.  So an entry
+    carried into the next column is 0, or over F_p a multiple of p, which
+    changes no residue; over F_p each is reset to 0 as it is read, so that
+    the sums stay small.  Before that, every factor is read as
     `_field_columns` gives it: as stored when all its entries are ints, else
     every column coerced by `_coerced`, so an entry that is not a scalar of F
     raises FieldMismatchError here exactly when the products would, whichever
@@ -321,14 +356,25 @@ def products_vanish(pairs, F: CoefficientField) -> bool:
             raise ValueError("shape mismatch")
     factors = [(_field_columns(A, F), _field_columns(B, F)) for A, B in pairs]
     p = F.characteristic
+    acc = [0] * rows
     for j in range(cols):
-        acc = {}
         for left, right in factors:
             for k, b in right[j].items():
                 for i, a in left[k].items():
-                    acc[i] = acc.get(i, 0) + a * b
-        if any(map(p.__rmod__, acc.values())) if p else any(acc.values()):
-            return False
+                    acc[i] += a * b
+        if p:
+            for left, right in factors:
+                for k in right[j]:
+                    for i in left[k]:
+                        if acc[i] % p:
+                            return False
+                        acc[i] = 0
+        else:
+            for left, right in factors:
+                for k in right[j]:
+                    for i in left[k]:
+                        if acc[i]:
+                            return False
     return True
 
 
@@ -338,23 +384,19 @@ def _all_ints(columns: list[dict]) -> bool:
     return all(map(int.__instancecheck__, chain.from_iterable(map(dict.values, columns))))
 
 
-def _is_reduced(columns: list[dict], F: CoefficientField) -> bool:
-    """Whether every entry of the columns is already a reduced scalar of F:
-    an int over Q, an int in [1, p) over F_p.  Streaming scans that build no
-    list; over F_p the bounds are read only once every entry is an int."""
-    if not _all_ints(columns):
-        return False
-    p = F.characteristic
-    return not p or (min(chain.from_iterable(map(dict.values, columns)), default=1) > 0
-                     and max(chain.from_iterable(map(dict.values, columns)), default=0) < p)
+def _bounds(columns: list[dict]) -> tuple:
+    """(least, greatest) entry of columns of ints, (1, 0) when there is none:
+    two streaming scans that build no list."""
+    return (min(chain.from_iterable(map(dict.values, columns)), default=1),
+            max(chain.from_iterable(map(dict.values, columns)), default=0))
 
 
 def _field_columns(M: SparseMatrix, F: CoefficientField) -> list[dict]:
     """The columns of M as `products_vanish` reads them: as stored when every
-    entry is an int (`_all_ints`; a sum of int products is reduced mod p only
-    when it is tested), else each coerced by `_coerced`."""
-    columns = M.columns()
-    return columns if _all_ints(columns) else [_coerced(col, F) for col in columns]
+    entry is an int (`SparseMatrix._ints`, scanned once per matrix; a sum of
+    int products is reduced mod p only when it is tested), else each coerced
+    by `_coerced`."""
+    return M.columns() if M._ints() else [_coerced(col, F) for col in M.columns()]
 
 
 def _eliminate(rows: list[dict], ncols: int, pivot_step, leftmost: bool = False):
@@ -423,6 +465,10 @@ def _eliminate(rows: list[dict], ncols: int, pivot_step, leftmost: bool = False)
         col_rows[pc] = set()
         if len(targets) == 1:
             pid = targets.pop()
+        elif len(targets) == 2:
+            r, s = targets
+            pid = r if (len(live[r]), r) < (len(live[s]), s) else s
+            targets.discard(pid)
         else:
             _, pid = min((len(live[rid]), rid) for rid in targets)
             targets.discard(pid)
@@ -545,7 +591,8 @@ def _elimination_rows(M: SparseMatrix, F: CoefficientField, columns_except=None)
     {row index of M: scalar} dict), read directly; otherwise the rows are
     derived from the columns in one pass.  Every row is a new dict, so the
     elimination leaves M as it was.  Whether the entries need coercing is
-    decided once for the whole matrix (`_is_reduced`): if every entry is
+    read from the matrix (`SparseMatrix._reduced_over`, whose scans are kept
+    on the matrix and shared with the d^2 check): if every entry is
     already a reduced scalar of F, the columns are copied (`dict.copy`) or
     transposed as they are; otherwise every column read is coerced by
     `_coerced`, and over Q a row that holds a Fraction is then cleared of
@@ -553,7 +600,7 @@ def _elimination_rows(M: SparseMatrix, F: CoefficientField, columns_except=None)
     rows and no Fraction arithmetic happens inside it.
     """
     columns = M.columns()
-    reduced = _is_reduced(columns, F)
+    reduced = M._reduced_over(F)
     if columns_except is None:
         rows = [{} for _ in range(M.rows)]
         for j, col in enumerate(columns):

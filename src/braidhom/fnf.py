@@ -8,10 +8,11 @@ lifted shuffles, sum_tau (-1)^|tau| tau~.  H_j of the braid group is read off
 as the homology rank in total degree 2n - j (field coefficients, so homology
 and compactly-supported-cohomology ranks agree).
 
-Coefficients are abstracted as a local system: anything with a basis and an
-action of braid words on vectors over that basis.  Tensor powers of a braided
-vector space are the main instance; permutation actions on Nielsen classes
-reuse the same machinery.
+Coefficients are abstracted as a local system: anything with a basis and the
+images of every basis vector under each braid generator, as scalars of a
+field (`generator_images`).  Tensor powers of a braided vector space are the
+main instance, read off the braiding on pair codes; permutation actions on
+Nielsen classes reuse the same machinery.
 
 The cells and the alternating merge of adjacent blocks are shared with the bar
 complex of the quantum shuffle algebra (`qsa.bar_complex`): both are built by
@@ -20,10 +21,11 @@ shuffle-signed sum of braid lifts acting on the coefficients, built by
 `shuffle_blocks` from smaller blocks (the recursion on the strand in the last
 slot, the (a, b)-shuffle analogue of Woronowicz's factorisation of the
 symmetrizer) rather than lift by lift, with each chain of generators the
-recursion uses composed once, from the chain one shorter.  The bar complex
-keeps the lift sum, on V^(x)(a+b) once per block shape, so the chain-level
-comparison in `qsa.verify_main_cor` sets two different algorithms against each
-other.
+recursion uses composed once, in the field, from the chain one shorter and
+one generator's images.  The bar complex keeps the lift sum, on V^(x)(a+b)
+once per block shape, through `braided.apply_moves_to_vector`, which this
+module never calls; so the chain-level comparison in `qsa.verify_main_cor`
+sets two different algorithms against each other.
 
 A complex is held as its dimensions and its differentials: cells are
 counted, never listed (`assemble_block_merge` fixes their order).
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .braided import BraidedVectorSpace, apply_moves_to_vector
+from .braided import BraidedVectorSpace
 from .exactla import CoefficientField, ComplexIntegrityError, SparseMatrix, independent_rows, products_vanish
 from .orbits import block_plan
 from .shuffle import compositions
@@ -66,17 +68,32 @@ class TensorSystem:
         self.words = range(V.rank**n) if words is None else words
         self.dim = len(self.words)
         self._local = {w: i for i, w in enumerate(self.words)}
-        self.blocks = {}  # field -> the memoised `shuffle_blocks` operator
 
-    def apply_moves(self, moves, idx: int):
-        """Image of a basis vector as {index: exact coefficient}."""
-        image = apply_moves_to_vector(self.V, self.n, moves, {self.words[idx]: 1})
+    def generator_images(self, e: int, F: CoefficientField) -> list[tuple]:
+        """The image of every local index under the braid generator s_e
+        (1-based), as a tuple of (local index, nonzero scalar of F) pairs.
+
+        s_e rewrites the pair code of letters e-1, e, at place value
+        r^(n-1-e), by `V.sigma_codes`; each pair code's terms are converted
+        into F once, on first use, as shifts of the word code with their
+        scalars."""
+        V = self.V
+        r = V.rank
+        rr, place, convert = r * r, r ** (self.n - 1 - e), F.convert
+        terms = [None] * rr
+        local = self._local
+        out = []
         try:
-            return {self._local[code]: cf for code, cf in image.items()}
+            for w in self.words:
+                c = w // place % rr
+                shifts = terms[c]
+                if shifts is None:
+                    shifts = terms[c] = tuple(((q - c) * place, s) for q, cf in V.sigma_codes[c] if (s := convert(cf)))
+                out.append(tuple((local[w + shift], s) for shift, s in shifts))
         except KeyError as exc:
             raise ComplexIntegrityError(
-                f"braid moves {list(moves)} carry word code {self.words[idx]} out of its block, "
-                f"to {exc.args[0]}") from None
+                f"braid generator {e} carries word code {w} out of its block, to {exc.args[0]}") from None
+        return out
 
 
 class PermutationSystem:
@@ -88,13 +105,13 @@ class PermutationSystem:
 
     def __init__(self, dim: int, gen_action):
         self.dim = dim
-        self._act = gen_action
-        self.blocks = {}  # field -> the memoised `shuffle_blocks` operator
+        self.gen_action = gen_action
 
-    def apply_moves(self, moves, idx: int):
-        for mv in moves:
-            idx = self._act(abs(mv), 1 if mv > 0 else -1, idx)
-        return {idx: 1}
+    def generator_images(self, e: int, F: CoefficientField) -> list[tuple]:
+        """The image of every index under the braid generator s_e, as
+        `TensorSystem.generator_images` gives it: one term with scalar 1."""
+        act = self.gen_action
+        return [((act(e, 1, idx), 1),) for idx in range(self.dim)]
 
 
 class GradedComplex:
@@ -233,7 +250,7 @@ class GradedComplex:
 
 
 def shuffle_blocks(system, F: CoefficientField):
-    """The signed shuffle block operators of a local system, memoised.
+    """The signed shuffle block operator of a local system over F.
 
     Returns `block(a, b, offset)`: for each coefficient index, its image
     {index: field scalar} under Sh(a, b), the signed sum of the lifted
@@ -245,59 +262,68 @@ def shuffle_blocks(system, F: CoefficientField):
     the chain applied first (it carries the last left strand across the b
     right ones), with Sh(a, 0) = Sh(0, b) = identity.  The chains are kept
     as tables too, built lazily: the images of every index under s_s ... s_e
-    are those under the chain one shorter followed by the generator s_e, whose
-    images are the only calls to `system.apply_moves`.  So each generator is
-    applied once per index, each longer chain costs one composition step, and
-    each block the size of its output, instead of C(a+b, a) lifts.  Chain
-    images keep their exact coefficients, as tuples of (index, coefficient)
-    pairs (half the memory of a dict); a block converts them into F as it
-    reads them.  The tables live in the returned closure, which is kept on
-    the system, one per field (`system.blocks`): `complex_for_system` and a
-    later call read the same tables.
+    are those under the chain one shorter followed by the generator s_e, and
+    the images of all indices under s_e come from one call to
+    `system.generator_images`, already scalars of F.  So each generator is
+    read once per index and converted into F once per term, each longer
+    chain costs one composition step on field scalars, and each block the
+    size of its output, instead of C(a+b, a) lifts; `F.reduced` reduces each
+    chain image and each block image once.  Chain images are tuples of
+    (index, scalar) pairs (half the memory of a dict).
+
+    The returned closure holds every table, filled in loops rather than by
+    calling itself, so it is in no reference cycle: the tables go when the
+    last reference to the operator does.  Each call of `shuffle_blocks`
+    builds its own tables.
     """
-    if F in system.blocks:
-        return system.blocks[F]
     identity = [{idx: 1} for idx in range(system.dim)]
-    chains = {}
+    reduced = F.reduced
+    chains = {}  # (s, e) -> the images of every index under s_s ... s_e
     memo = {}
 
+    def generator(u: int):
+        if (u, u) not in chains:
+            chains[u, u] = system.generator_images(u, F)
+        return chains[u, u]
+
     def chain(s: int, e: int):
-        key = (s, e)
-        if key not in chains:
-            if s == e:
-                chains[key] = [tuple(system.apply_moves([e], idx).items()) for idx in range(system.dim)]
-            else:
-                gen = chain(e, e)
-                out = []
-                for image in chain(s, e - 1):
-                    acc = {}
-                    for j, cf in image:
-                        for k, v in gen[j]:
-                            acc[k] = acc.get(k, 0) + cf * v
-                    out.append(tuple(acc.items()))  # an exact zero is kept; F.reduced drops it
-                chains[key] = out
-        return chains[key]
+        t = e
+        while t > s and (s, t) not in chains:
+            t -= 1
+        images = generator(s) if t == s else chains[s, t]
+        for u in range(t + 1, e + 1):
+            gen = generator(u)
+            out = []
+            for image in images:
+                acc = {}
+                for j, cf in image:
+                    for k, v in gen[j]:
+                        acc[k] = acc.get(k, 0) + cf * v
+                out.append(tuple(reduced(acc).items()))
+            images = chains[s, u] = out
+        return images
 
     def block(a: int, b: int, offset: int):
         if a == 0 or b == 0:
             return identity
-        key = (a, b, offset)
-        if key not in memo:
-            sign = -1 if b % 2 else 1
-            stay, cross = block(a, b - 1, offset), block(a - 1, b, offset)
-            moved = chain(offset + a, offset + a + b - 1)
-            out = []
-            for idx in range(system.dim):
-                acc = dict(stay[idx])
-                for j, cf in moved[idx]:
-                    c = sign * F.convert(cf)
-                    for k, v in cross[j].items():
-                        acc[k] = acc.get(k, 0) + c * v
-                out.append(F.reduced(acc))
-            memo[key] = out
-        return memo[key]
+        for i in range(1, a + 1):
+            for j in range(1, b + 1):
+                if (i, j, offset) in memo:
+                    continue
+                sign = -1 if j % 2 else 1
+                stay = memo[i, j - 1, offset] if j > 1 else identity
+                cross = memo[i - 1, j, offset] if i > 1 else identity
+                out = []
+                for idx, image in enumerate(chain(offset + i, offset + i + j - 1)):
+                    acc = dict(stay[idx])
+                    for k, cf in image:
+                        c = sign * cf
+                        for m, v in cross[k].items():
+                            acc[m] = acc.get(m, 0) + c * v
+                    out.append(reduced(acc))
+                memo[i, j, offset] = out
+        return memo[a, b, offset]
 
-    system.blocks[F] = block
     return block
 
 

@@ -486,8 +486,8 @@ def verify_koszul_identities(K: KoszulComplex, pr: int | None = None, qr: int | 
         out of degree p, minus P_g out of degree p - 1 applied to the dual
         side of column (k, o) of d(p, q), minus the one entry of T_g read
         off the module's right multiplication, all read as they stand when
-        the check runs.  The sum is tested for zero as `products_vanish`
-        tests one, and the first nonzero column ends the test of (p, q, g).
+        the check runs.  The sum is tested for zero (over F_p, each entry
+        mod p), and the first nonzero column ends the test of (p, q, g).
 
     With pr and qr as passed (pr capped at `K.pmax`; by default pr is
     `K.homology_pmax()` and qr is `K.qmax - 1`) and q* = min(qr, K.qmax - 1),

@@ -17,10 +17,12 @@ words of V^(x)(a+b) that some block reads, and is spread to V^(x)n by place
 value, each image written once, straight to the local indices of the block.
 The sum is `shuffle.shuffle_lift_sum`: it walks the braid words of the
 C(a+b, a) lifts as a trie, applying each shared prefix once, and adds the
-image of every lift on its own.  The FNF side builds its signed blocks by a
-recursion over smaller blocks instead (`fnf.shuffle_blocks`), composing chains of generators and
-never forming a lift; keeping the lift sum here keeps the two complexes
-independent computations, which share only the braid action on words.
+image of every lift on its own, each through `braided.apply_moves_to_vector`.
+The FNF side builds its signed blocks by a recursion over smaller blocks
+instead (`fnf.shuffle_blocks`), composing chains of single generators read
+off the braiding table in the field, and never forming a lift or calling
+that action; keeping the lift sum here keeps the two complexes independent
+computations, which share only the braiding table.
 
 Over a field the homology ranks of the bar complex equal the cohomology ranks
 of its dual cochain complex, which is why no dualization is performed.
@@ -51,9 +53,7 @@ from dataclasses import dataclass, field
 
 from .braided import BraidedVectorSpace, Rack, sign_twist
 from .exactla import CoefficientField, ComplexIntegrityError, RankTable
-from .fnf import (
-    GradedComplex, TensorSystem, assemble_block_merge, complex_for_system, plan_homology, shuffle_blocks,
-)
+from .fnf import GradedComplex, TensorSystem, assemble_block_merge, plan_homology, shuffle_blocks
 from .orbits import block_plan, rack_orbits
 from .shuffle import shuffle_lift_sum
 
@@ -135,15 +135,17 @@ def _local_block_product(V: BraidedVectorSpace, F: CoefficientField, a: int, b: 
     factor, and the untouched left factor records which word an image came
     from.  `shuffle.shuffle_lift_sum` walks the lifts as a trie of their
     braid words, so a prefix shared by several lifts is applied once, and
-    adds each lift's image on its own; each exact sum is then converted into
-    F once.
+    adds each lift's image on its own; each exact sum is then taken into F
+    once: an int as it is over Q and mod p over F_p, anything else through
+    `F.convert`.
     """
     m = a + b
     size = V.rank**m
     tagged = {w * size + w: 1 for w in words}
     out = {w: {} for w in words}
+    p, convert = F.characteristic, F.convert
     for code, cf in shuffle_lift_sum(V, 2 * m, a, b, tagged, offset=m).items():
-        cf = F.convert(cf)
+        cf = (cf % p if p else cf) if cf.__class__ is int else convert(cf)
         if cf:
             w, image = divmod(code, size)
             out[w][image] = cf
@@ -283,10 +285,13 @@ def verify_main_cor(V: BraidedVectorSpace, n: int, F: CoefficientField) -> Verif
     shapes = [(a, b, offset) for a in range(1, n) for b in range(1, n - a + 1) for offset in range(n - a - b + 1)]
     for words, mult in block_plan(V, n):
         system = TensorSystem(V, n, words)
-        fnf = complex_for_system(system, n, F)
         fnf_block, bar_block = shuffle_blocks(system, F), bar_blocks(Veps, n, F, words)
+        fnf = GradedComplex(*assemble_block_merge(n, n, system.dim, fnf_block, F), F)
         same = all(fnf_block(*shape) == bar_block(*shape) for shape in shapes)
-        del system, fnf_block, bar_block  # the operators' tables are not needed for ranking
+        # the FNF operator is built once, for the assembly and the comparison;
+        # neither operator is in a reference cycle, so this frees their tables
+        # before the ranking
+        del system, fnf_block, bar_block
         chain_ok = chain_ok and same
         table = fnf.homology_table()
         if same:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -843,3 +844,28 @@ def test_cli_process_exit_codes_and_no_argparse_on_a_job(capsys):
     proc = run_process("-c", "import sys; from braidhom.cli import main; rc = main(sys.argv[1:]); "
                              "print(rc, 'argparse' in sys.modules, file=sys.stderr)", *job)
     assert proc.returncode == 0 and proc.stdout == out and proc.stderr == "0 False\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--group", "S3", "--classes", "transpositions", "--nmax", "4", "--field", "2"],
+    ["betti", "--group", "S3", "--classes", "transpositions", "--nmax", "4", "--field", "Q"],
+    ["betti", "--rank1", "--sigma", "-1", "--nmax", "4", "--field", "Q"],
+    ["ext", "--group", "S3", "--classes", "transpositions", "--nmax", "3", "--field", "5"],
+    ["nichols", "--group", "S3", "--classes", "transpositions", "--epsilon", "--nmax", "4", "--field", "Q"],
+    ["orbits", "--group", "S4", "--classes", "transpositions", "--nmax", "4", "--components"],
+    ["koszul", "--group", "S3", "--classes", "transpositions", "--epsilon", "--module", "R",
+     "--pmax", "3", "--qmax", "3", "--field", "5"],
+    ["malle", "--group", "S4"],
+    ["bound", "--betti", "1,1,0", "--q", "4", "--n", "3"],
+], ids=["verify", "betti", "betti-rank1", "ext", "nichols", "orbits", "koszul", "malle", "bound"])
+def test_jobs_leave_no_cyclic_garbage(argv, capsys):
+    # every table a job builds is freed by reference counting as soon as it
+    # is dropped: nothing is left for the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out

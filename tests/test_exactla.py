@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -789,6 +790,117 @@ def test_products_vanish_raises_as_the_products_do():
         products_vanish([(I2, I2), (I2, late)], F5)
     with pytest.raises(FieldMismatchError):
         products_vanish([(I2, SparseMatrix(2, 2, {(0, 0): 1, (1, 1): Fraction(1, 5)}))], F5)
+
+
+def built_products_vanish(pairs, F):
+    """Oracle for `products_vanish`: the products built by `matmul` and
+    summed by `add`."""
+    (A, B), *rest = pairs
+    total = A.matmul(B, F)
+    for A, B in rest:
+        total = total.add(A.matmul(B, F), F)
+    return total.nnz == 0
+
+
+def test_products_vanish_resets_its_accumulator_between_columns():
+    # one dense accumulator serves every output column; each case reads a row
+    # again after an earlier column or pair has left a sum in it
+    F5 = GF(5)
+    row = SparseMatrix(1, 2, {(0, 0): 1, (0, 1): 1})
+    cases = [
+        # over Q row 0 cancels in column 0 and is touched again in column 1,
+        # once summing to zero and once not
+        ([(row, SparseMatrix.from_columns(2, [{0: 1, 1: -1}, {0: 2, 1: -2}]))], QQ, True),
+        ([(row, SparseMatrix.from_columns(2, [{0: 1, 1: -1}, {0: 2, 1: -1}]))], QQ, False),
+        ([(row, SparseMatrix.from_columns(2, [{0: 3, 1: -3}, {0: 1}]))], QQ, False),
+        # an int sum of p in a touched row: 2 + 3 over F_5, then 1 + 4 and 1 + 0
+        ([(SparseMatrix(1, 2, {(0, 0): 2, (0, 1): 3}), SparseMatrix.from_columns(2, [{0: 1, 1: 1}, {0: 3, 1: 3}]))],
+         F5, True),
+        ([(row, SparseMatrix.from_columns(2, [{0: 2, 1: 3}, {0: 1, 1: 4}]))], F5, True),
+        ([(row, SparseMatrix.from_columns(2, [{0: 2, 1: 3}, {0: 1}]))], F5, False),
+        # negative ints over F_p, in either factor
+        ([(row, SparseMatrix.from_columns(2, [{0: -1, 1: 6}, {0: -7, 1: 2}]))], F5, True),
+        ([(row, SparseMatrix.from_columns(2, [{0: -1, 1: 6}, {0: -7, 1: 3}]))], F5, False),
+        ([(SparseMatrix(1, 2, {(0, 0): -2, (0, 1): 7}), SparseMatrix.from_columns(2, [{0: 1, 1: 1}, {0: 4, 1: -1}]))],
+         F5, True),
+        ([(SparseMatrix(1, 2, {(0, 0): -1, (0, 1): -1}), SparseMatrix.from_columns(2, [{0: 1}, {1: 1}]))],
+         GF(2), False),
+        # several pairs hitting the same row: only their sum cancels, in every column
+        ([(row, SparseMatrix.from_columns(2, [{0: 1}, {1: 2}])),
+          (row, SparseMatrix.from_columns(2, [{1: 1}, {0: 1}])),
+          (row, SparseMatrix.from_columns(2, [{0: -2}, {0: -3}]))], QQ, True),
+        ([(row, SparseMatrix.from_columns(2, [{0: 1}, {1: 2}])),
+          (row, SparseMatrix.from_columns(2, [{1: 1}, {0: 1}])),
+          (row, SparseMatrix.from_columns(2, [{0: -2}, {0: -2}]))], QQ, False),
+        ([(row, SparseMatrix.from_columns(2, [{0: 1}, {1: 2}])),
+          (row, SparseMatrix.from_columns(2, [{1: 1}, {0: 1}])),
+          (row, SparseMatrix.from_columns(2, [{0: 3}, {0: 2}]))], F5, True),
+    ]
+    for pairs, F, vanish in cases:
+        assert built_products_vanish(pairs, F) == vanish
+        assert products_vanish(pairs, F) == vanish, (pairs, F)
+    # Fraction entries over F_5 after a call on the same matrices over Q
+    half = SparseMatrix.from_columns(2, [{0: Fraction(1, 2), 1: Fraction(-1, 2)}, {0: Fraction(3, 2)}])
+    fifth = SparseMatrix.from_columns(2, [{0: 1}, {1: Fraction(1, 5)}])
+    assert products_vanish([(row, half), (row, half.scale(-1))], QQ)
+    assert not products_vanish([(row, half)], QQ)
+    assert not products_vanish([(row, fifth)], QQ)
+    assert products_vanish([(row, half), (row, half.scale(-1))], F5)
+    assert not products_vanish([(row, half)], F5)
+    assert products_vanish([(row, half), (row, SparseMatrix.from_columns(2, [{}, {0: 1}]))], F5) == \
+        built_products_vanish([(row, half), (row, SparseMatrix.from_columns(2, [{}, {0: 1}]))], F5)
+    with pytest.raises(FieldMismatchError):
+        products_vanish([(row, fifth)], F5)
+
+
+def unreduced_somewhere():
+    """A matrix with entries {1, 2, 4}: reduced over Q and F_5, not over F_2
+    (2 vanishes) or F_3 (4 is not in [1, 3))."""
+    return SparseMatrix(3, 3, {(0, 0): 1, (0, 1): 2, (1, 1): 4, (2, 0): 2, (1, 2): 4, (2, 2): 1})
+
+
+def test_field_check_is_kept_on_the_matrix():
+    # rank, independent_rows and products_vanish on one matrix over F_2, F_3,
+    # F_5 and Q, in both orders, give what each gives on a fresh copy; the
+    # matrix keeps what it scanned, which answers for every field
+    fields = [GF(2), GF(3), GF(5), QQ]
+    N = SparseMatrix(3, 2, {(0, 0): 1, (1, 0): 2, (2, 1): 4})
+
+    def results(M, F):
+        return (rank(M, F), independent_rows(M, F), independent_rows(M, F, {0}),
+                products_vanish([(M, N)], F), products_vanish([(M.transpose(), M)], F))
+
+    want = {F: results(unreduced_somewhere(), F) for F in fields}
+    assert [want[F][0] for F in fields] == [2, 3, 2, 3]  # det 20
+    for order in (fields, fields[::-1]):
+        M = unreduced_somewhere()
+        for F in order:
+            assert results(M, F) == want[F], F
+        assert (M._int_entries, M._int_bounds) == (True, (1, 4))
+        assert [M._reduced_over(F) for F in fields] == [False, False, True, True]
+    with_fraction = SparseMatrix(2, 2, {(0, 0): 1, (1, 1): Fraction(1, 2)})
+    assert [rank(with_fraction, F) for F in (QQ, GF(3))] == [2, 2]
+    assert (with_fraction._int_entries, with_fraction._int_bounds) == (False, None)
+
+
+def test_verify_scans_each_matrix_once(monkeypatch, capsys):
+    # the d^2 check and the rank of every differential share one int scan,
+    # and over F_p one bounds scan
+    from braidhom import exactla
+    from braidhom.cli import main
+
+    scanned = {"_all_ints": [], "_bounds": []}
+    for name, seen in scanned.items():
+        def counted(columns, real=getattr(exactla, name), seen=seen):
+            seen.append(columns)  # kept, so no id is reused while counting
+            return real(columns)
+
+        monkeypatch.setattr(exactla, name, counted)
+    assert main(["verify", "--group", "S3", "--classes", "transpositions", "--nmax", "5", "--field", "2"]) == 0
+    assert capsys.readouterr().out.endswith("5,5,0,0,pass\n")
+    for name, seen in scanned.items():
+        counts = Counter(map(id, seen))
+        assert len(counts) >= 15 and max(counts.values()) == 1, name
 
 
 def per_column_rows(M, F, columns_except):

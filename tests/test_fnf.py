@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from braidhom import hurwitz
 from braidhom.braided import (
-    BraidedVectorSpace, Cocycle, ConjClassSet, braided_space, identity_perm, rank_one_space,
+    BraidedVectorSpace, Cocycle, ConjClassSet, apply_moves_to_vector, braided_space, identity_perm,
+    rank_one_space,
 )
 from braidhom.cli import builtin_group, class_selector
 from braidhom.exactla import GF, QQ, FieldMismatchError, rank
@@ -204,16 +205,30 @@ def test_malformed_complexes_raise_integrity_errors():
     assert cx.homology_table() == {0: 1, 1: 0, 2: 0}
 
 
+def lift_image(system, moves, idx):
+    """The image {index: exact coefficient} of coefficient index idx under a
+    braid word of positive generators: by `apply_moves_to_vector` on the word
+    code for a `TensorSystem`, by the generators' action for a
+    `PermutationSystem`."""
+    if isinstance(system, PermutationSystem):
+        for g in moves:
+            idx = system.gen_action(g, 1, idx)
+        return {idx: 1}
+    local = {w: i for i, w in enumerate(system.words)}
+    image = apply_moves_to_vector(system.V, system.n, moves, {system.words[idx]: 1})
+    return {local[code]: cf for code, cf in image.items()}
+
+
 def shuffle_block_by_lifts(system, F, a, b, offset):
     """Oracle for `shuffle_blocks`: for each coefficient index, the signed sum
     of the C(a+b, a) lifted (a, b)-shuffles of the strands offset+1 ..
-    offset+a+b, applied one lift at a time."""
+    offset+a+b, applied one lift at a time with exact coefficients."""
     lifted = [(sign, [g + offset for g in moves]) for sign, moves in lifted_block_words(a, b)]
     out = []
     for idx in range(system.dim):
         acc = {}
         for sign, moves in lifted:
-            for j, cf in system.apply_moves(moves, idx).items():
+            for j, cf in lift_image(system, moves, idx).items():
                 s = F.add(acc.get(j, F.zero), F.mul(F.convert(sign), F.convert(cf)))
                 if s == 0:
                     acc.pop(j, None)
